@@ -406,29 +406,23 @@ func BenchmarkSessionIngest(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ------------------------------------------------------
 
-// BenchmarkAblation_DeltaBackend compares the sequential (red-black tree)
-// and concurrent (skip list) Delta tree backends on the same insert/drain
-// workload — the source of Fig 8's relative-vs-absolute speedup gap.
+// BenchmarkAblation_DeltaBackend times the Delta tree's single-tuple
+// insert/drain path. One arm only: the tree has a single backend, since no
+// rule task inserts into it.
 func BenchmarkAblation_DeltaBackend(b *testing.B) {
 	s := tuple.MustSchema("E",
 		[]tuple.Column{{Name: "t", Kind: tuple.KindInt}, {Name: "v", Kind: tuple.KindInt}},
 		[]tuple.OrderEntry{tuple.Lit("Int"), tuple.Seq("t")})
-	mk := map[string]func() *delta.Tree{
-		"sequential": func() *delta.Tree { return delta.NewSequential(order.NewPartialOrder()) },
-		"concurrent": func() *delta.Tree { return delta.NewConcurrent(order.NewPartialOrder()) },
-	}
-	for name, newTree := range mk {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr := newTree()
-				for j := int64(0); j < 5000; j++ {
-					tr.Put(tuple.New(s, tuple.Int(j%512), tuple.Int(j)))
-				}
-				for tr.TakeMinBatch() != nil {
-				}
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tr := delta.NewSequential(order.NewPartialOrder())
+			for j := int64(0); j < 5000; j++ {
+				tr.Put(tuple.New(s, tuple.Int(j%512), tuple.Int(j)))
 			}
-		})
-	}
+			for tr.TakeMinBatch() != nil {
+			}
+		}
+	})
 }
 
 // BenchmarkAblation_Scheduler compares work-stealing parallel-for against a

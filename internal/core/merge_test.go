@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/jstar-lang/jstar/internal/delta"
 	"github.com/jstar-lang/jstar/internal/exec"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
@@ -76,7 +77,7 @@ func TestMergeRunsProperty(t *testing.T) {
 			want = append(want, tp)
 		}
 		dups := 0
-		got := mergeRuns(runs, nil, func(*tuple.Tuple) { dups++ })
+		got := delta.MergeRuns(runs, nil, func(*tuple.Tuple) { dups++ })
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: merged %d tuples, want %d", trial, len(got), len(want))
 		}
@@ -113,7 +114,7 @@ func TestDedupSortedInPlace(t *testing.T) {
 		}
 		total := len(run)
 		dups := 0
-		got := dedupSortedInPlace(run, func(*tuple.Tuple) { dups++ })
+		got := delta.DedupSorted(run, func(*tuple.Tuple) { dups++ })
 		if len(got) != len(want) || dups != total-len(want) {
 			t.Fatalf("trial %d: kept %d (want %d), dups %d (want %d)",
 				trial, len(got), len(want), dups, total-len(want))
@@ -193,6 +194,75 @@ func TestFiringOrderByteIdentical(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("firing order diverges at %d: got %s, want %s", i, fired[i], want[i])
 		}
+	}
+}
+
+// TestFiringOrderParSubtreeFallback pins the step order where BeginStep
+// cannot take it on trust: a `par` level makes one class out of a whole
+// subtree, which drains leaf by leaf in par-key order — sorted inside each
+// leaf, not across them, whenever the par column is not the leading field.
+// The is-sorted check must notice and fall back to the sort, so the batch
+// still fires in the same (schema ID, fields) order as ever, one step per
+// `seq` key.
+func TestFiringOrderParSubtreeFallback(t *testing.T) {
+	p := NewProgram()
+	cols := []tuple.Column{
+		{Name: "x", Kind: tuple.KindInt},
+		{Name: "step", Kind: tuple.KindInt},
+		{Name: "part", Kind: tuple.KindInt},
+	}
+	ob := []tuple.OrderEntry{tuple.Seq("step"), tuple.Par("part")}
+	schemas := []*tuple.Schema{p.Table("PA", cols, ob), p.Table("PB", cols, ob)}
+	var fired []string
+	for _, s := range schemas {
+		p.Rule("obs"+s.Name, s, func(c *Ctx, tp *tuple.Tuple) {
+			fired = append(fired, tp.String())
+		})
+	}
+	rng := rand.New(rand.NewSource(18))
+	var initial []*tuple.Tuple
+	for i := 0; i < 400; i++ {
+		tp := tuple.New(schemas[rng.Intn(2)],
+			tuple.Int(int64(rng.Intn(9)-4)), tuple.Int(int64(rng.Intn(3))), tuple.Int(int64(rng.Intn(6))))
+		initial = append(initial, tp)
+		p.Put(tp)
+	}
+	expect := append([]*tuple.Tuple(nil), initial...)
+	sort.SliceStable(expect, func(i, j int) bool {
+		a, b := expect[i], expect[j]
+		if sa, sb := a.Int("step"), b.Int("step"); sa != sb {
+			return sa < sb // one class, hence one step, per seq key
+		}
+		if a.Schema() != b.Schema() {
+			return a.Schema().ID() < b.Schema().ID()
+		}
+		return a.CompareFields(b) < 0
+	})
+	var want []string
+	for _, tp := range expect {
+		if n := len(want); n > 0 && want[n-1] == tp.String() {
+			continue // set semantics: duplicate rows fire once
+		}
+		want = append(want, tp.String())
+	}
+	run, err := p.Execute(Options{Sequential: true, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Stats().Steps != 3 {
+		t.Fatalf("steps = %d, want 3 (one par subtree per step value)", run.Stats().Steps)
+	}
+	if !slices.Equal(fired, want) {
+		for i := range want {
+			if i >= len(fired) || fired[i] != want[i] {
+				t.Fatalf("firing order diverges at %d of %d/%d: got %v, want %s", i, len(fired), len(want), fired[i:min(i+1, len(fired))], want[i])
+			}
+		}
+		t.Fatalf("fired %d tuples, want %d", len(fired), len(want))
+	}
+	dups := run.Stats().Tables["PA"].Duplicates.Load() + run.Stats().Tables["PB"].Duplicates.Load()
+	if int(dups) != len(initial)-len(want) {
+		t.Fatalf("duplicates = %d, want %d", dups, len(initial)-len(want))
 	}
 }
 

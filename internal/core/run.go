@@ -360,8 +360,9 @@ type Run struct {
 	sealMu sync.Mutex
 	sealed []sealedRun
 	// dupFn is the shared duplicate-accounting callback of the flush path
-	// (merge dedup and Delta-tree dedup both report through it), built
-	// once so the per-step flush allocates no closures.
+	// (merge dedup reports through it, and so does the Delta tree, whose
+	// OnDuplicate it is — on arrival or when a leaf's runs merge at drain),
+	// built once so the per-step flush allocates no closures.
 	dupFn func(*tuple.Tuple)
 	// phaseClock enables the per-phase step timing (Options.PhaseStats);
 	// fireStart is the coordinator timestamp of the last BeginStep return,
@@ -409,13 +410,12 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 
 	// Delta-tree mutation happens only at the step-boundary flush
 	// (PutSorted, or PutPart over the disjoint SplitBulk partitions when
-	// the flush is sharded across the pool), never from rule firings, so
-	// even parallel strategies use the sequential red-black-tree backend —
-	// the skip-list Delta tree and its contention (§6.5) are gone from the
-	// engine hot path. Concurrent PutPart calls are safe only because
-	// SplitBulk partitions never share a subtree below the pre-created
-	// spine (size/dups are atomics, leaf sets lock); any new tree mutation
-	// reachable from putRun must preserve that disjointness.
+	// the flush is sharded across the pool), never from rule firings — the
+	// skip-list Delta tree and its contention (§6.5) are gone. Concurrent
+	// PutPart calls are safe only because SplitBulk partitions never share
+	// a leaf or a subtree below the pre-created spine (size/dups are
+	// atomics); any new tree mutation reachable from putRun must preserve
+	// that disjointness.
 	r.delta = delta.NewSequential(p.po)
 	// Gamma backend choice follows the effective parallelism, not just the
 	// requested one: Auto on a single-scheduler machine can only ever pick
@@ -565,6 +565,7 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	r.dupFn = func(t *tuple.Tuple) {
 		r.statsByID[t.Schema().ID()].Duplicates.Add(1)
 	}
+	r.delta.OnDuplicate = r.dupFn
 	return r, nil
 }
 
@@ -729,12 +730,14 @@ func (r *Run) beginStep(batch []*tuple.Tuple) []*tuple.Tuple {
 	if r.phaseClock {
 		start = time.Now()
 	}
-	// Tuples within one equivalence class are unordered; sorting by table
-	// then fields groups each store's insert run, gives ordered backends
-	// locality, and makes sequential firing order deterministic. The
-	// key-prefixed SortFunc replaces the old reflection-closure sort.Slice
-	// with byte-identical ordering.
-	if len(batch) > 1 {
+	// Tuples within one equivalence class are unordered; the step order —
+	// table, then fields — groups each store's insert run, hands ordered
+	// backends an ascending run, and makes sequential firing order
+	// deterministic. A class drained from one Delta leaf already is in that
+	// order (the producing workers sorted it, the merges kept it), so one
+	// linear check replaces the sort; what still sorts is a `par` subtree
+	// drained across several leaves.
+	if !slices.IsSortedFunc(batch, tuple.CompareSchemaFields) {
 		slices.SortFunc(batch, tuple.CompareSchemaFields)
 	}
 	// Split into schema-homogeneous groups (capacity-retaining scratch:
@@ -935,7 +938,7 @@ func (r *Run) endStep() {
 	if singleRun {
 		// One run: dedup in place, feed it to the tree directly — the
 		// common sequential shape pays no copy at all.
-		flush = dedupSortedInPlace(runs[0].ts, r.dupFn)
+		flush = delta.DedupSorted(runs[0].ts, r.dupFn)
 	} else if len(runs) > 1 {
 		total := 0
 		for i := range runs {
@@ -948,7 +951,7 @@ func (r *Run) endStep() {
 			for i := range runs {
 				rs = append(rs, runs[i].ts)
 			}
-			flush = mergeRuns(rs, r.flushBuf[:0], r.dupFn)
+			flush = delta.MergeRuns(rs, r.flushBuf[:0], r.dupFn)
 			clear(rs)
 			r.runsBuf = rs[:0]
 		}
@@ -963,13 +966,13 @@ func (r *Run) endStep() {
 		if r.pool != nil && len(flush) >= shardInsertMin {
 			if parts := r.delta.SplitBulkN(flush, r.pool.Size()+1); len(parts) > 1 {
 				r.pool.For(len(parts), 1, func(i int) {
-					r.delta.PutPart(parts[i], r.dupFn)
+					r.delta.PutPart(parts[i], nil)
 				})
 				loaded = true
 			}
 		}
 		if !loaded {
-			r.delta.PutSorted(flush, r.dupFn)
+			r.delta.PutSorted(flush, nil)
 		}
 	}
 	// Recycle: hand each run's array back to its slot with stale tuple
@@ -1024,9 +1027,9 @@ func (r *Run) mergeByShard(runs []sealedRun) []*tuple.Tuple {
 		case 1:
 			// Borrow the lone run directly; the slot buffer is recycled by
 			// endStep only after the final merge has copied everything out.
-			r.shardFlush[sh] = append(r.shardFlush[sh][:0], dedupSortedInPlace(rs[0], r.dupFn)...)
+			r.shardFlush[sh] = append(r.shardFlush[sh][:0], delta.DedupSorted(rs[0], r.dupFn)...)
 		default:
-			r.shardFlush[sh] = mergeRuns(rs, r.shardFlush[sh][:0], r.dupFn)
+			r.shardFlush[sh] = delta.MergeRuns(rs, r.shardFlush[sh][:0], r.dupFn)
 		}
 	})
 	rs := r.runsBuf[:0]
@@ -1037,7 +1040,7 @@ func (r *Run) mergeByShard(runs []sealedRun) []*tuple.Tuple {
 		clear(r.shardRuns[sh])
 		r.shardRuns[sh] = r.shardRuns[sh][:0]
 	}
-	flush := mergeRuns(rs, r.flushBuf[:0], r.dupFn)
+	flush := delta.MergeRuns(rs, r.flushBuf[:0], r.dupFn)
 	clear(rs)
 	r.runsBuf = rs[:0]
 	for sh := range r.shardFlush {

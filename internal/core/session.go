@@ -93,6 +93,7 @@ type Session struct {
 	mu        sync.Mutex
 	quiescent bool          // loop is parked with Delta and ring drained
 	consumed  []int64       // per-shard sequence absorbed at last quiescence
+	qSteps    int64         // RunStats.Steps at last quiescence
 	qGen      chan struct{} // closed and replaced at each quiescence
 	migrateQ  []*migrateRequest
 	ckptQ     []*checkpointRequest
@@ -370,9 +371,21 @@ func (s *Session) markQuiescent() {
 		}
 	}
 	s.run.stats.Elapsed = time.Since(s.start)
+	s.qSteps = s.run.stats.Steps
 	close(s.qGen)
 	s.qGen = make(chan struct{})
 	s.mu.Unlock()
+}
+
+// QuiescedSteps returns the number of execution steps the session had run
+// at its most recent quiescent boundary. Unlike Stats().Steps, which the
+// coordinator writes while it executes, it is safe to read at any time —
+// in particular right after Quiesce returns, when another producer's put
+// may already have restarted the step loop.
+func (s *Session) QuiescedSteps() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.qSteps
 }
 
 // gate reports the session's terminal state, if any.

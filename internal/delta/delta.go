@@ -12,13 +12,19 @@
 //
 // The tree doubles as a multi-level priority queue with duplicate
 // elimination — a plain priority queue is not sufficient because duplicate
-// tuples must be discarded on insert (paper footnote 5).
+// tuples must be discarded before they fire (paper footnote 5). Each leaf
+// keeps its tuples as sorted runs rather than a hash set: a flush arrives
+// sorted, so a duplicate is either adjacent on arrival or adjacent once the
+// leaf's runs are merged at drain, and the drained class is already in the
+// order the step fires it in.
 //
-// Concurrency contract: Put may be called from many goroutines at once
-// (rule tasks inserting future tuples), but TakeMinBatch is only called by
-// the engine coordinator between execution steps, with no concurrent Puts.
-// This mirrors the paper's execution loop, where a step's tasks all complete
-// before the next minimum batch is extracted.
+// Concurrency contract: the tree has one writer at a time. Put, PutBatch,
+// PutSorted and TakeMinBatch are called by the engine coordinator between
+// execution steps; the only concurrency is PutPart over the disjoint
+// partitions SplitBulk hands out. Rule tasks never touch the tree — their
+// puts are buffered per worker, sorted there, and merged into one flush at
+// the step boundary. This mirrors the paper's execution loop, where a
+// step's tasks all complete before the next minimum batch is extracted.
 package delta
 
 import (
@@ -30,142 +36,105 @@ import (
 
 	"github.com/jstar-lang/jstar/internal/llrb"
 	"github.com/jstar-lang/jstar/internal/order"
-	"github.com/jstar-lang/jstar/internal/skiplist"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
-// childMap stores the ordered children of an interior Delta-tree node,
-// keyed by the resolved orderby component at that level (literal rank as an
-// int Value, or the tuple's field value).
-type childMap interface {
-	getOrCreate(key tuple.Value, mk func() *node) *node
-	min() (tuple.Value, *node, bool)
-	remove(key tuple.Value) bool
-	size() int
-	each(fn func(tuple.Value, *node) bool)
-}
-
-// seqChildMap is the sequential implementation (Java TreeMap analogue).
-type seqChildMap struct {
-	t *llrb.Tree[childEntry]
-}
-
+// childEntry is one ordered child of an interior Delta-tree node, keyed by
+// the resolved orderby component at that level (literal rank as an int
+// Value, or the tuple's field value).
 type childEntry struct {
 	key tuple.Value
 	nd  *node
 }
 
-func newSeqChildMap() childMap {
-	return &seqChildMap{t: llrb.New(func(a, b childEntry) int { return tuple.Compare(a.key, b.key) })}
+func compareChildren(a, b childEntry) int { return tuple.Compare(a.key, b.key) }
+
+// leaf holds the tuples that end at one tree node — one causal equivalence
+// class — as sorted runs. Every run is strictly ascending in
+// tuple.ComparePath, which within one leaf is the engine's step order
+// (tuple.CompareSchemaFields), and is owned by the leaf: flush buffers are
+// recycled by the caller, so segments are copied in, never aliased. A
+// flush's segment extends the last run when it sorts after it and starts a
+// new run otherwise, so a leaf filled by one flush — or by flushes that
+// happen to arrive in order — drains without a merge. A duplicate of the
+// last run's tail is dropped on arrival; one hiding inside an earlier run
+// is dropped when the runs are merged at drain.
+type leaf struct {
+	runs [][]*tuple.Tuple
 }
 
-func (m *seqChildMap) getOrCreate(key tuple.Value, mk func() *node) *node {
-	if e, ok := m.t.GetEqual(childEntry{key: key}); ok {
-		return e.nd
-	}
-	nd := mk()
-	m.t.Insert(childEntry{key: key, nd: nd})
-	return nd
-}
-
-func (m *seqChildMap) min() (tuple.Value, *node, bool) {
-	e, ok := m.t.Min()
-	return e.key, e.nd, ok
-}
-
-func (m *seqChildMap) remove(key tuple.Value) bool { return m.t.Delete(childEntry{key: key}) }
-func (m *seqChildMap) size() int                   { return m.t.Len() }
-
-func (m *seqChildMap) each(fn func(tuple.Value, *node) bool) {
-	m.t.Ascend(func(e childEntry) bool { return fn(e.key, e.nd) })
-}
-
-// concChildMap is the parallel implementation (ConcurrentSkipListMap
-// analogue). Puts from many rule tasks race on it safely.
-type concChildMap struct {
-	m *skiplist.Map[tuple.Value, *node]
-}
-
-func newConcChildMap() childMap {
-	return &concChildMap{m: skiplist.NewMap[tuple.Value, *node](tuple.Compare)}
-}
-
-func (m *concChildMap) getOrCreate(key tuple.Value, mk func() *node) *node {
-	return m.m.GetOrCreate(key, mk)
-}
-
-func (m *concChildMap) min() (tuple.Value, *node, bool) { return m.m.Min() }
-func (m *concChildMap) remove(key tuple.Value) bool     { return m.m.Delete(key) }
-func (m *concChildMap) size() int                       { return m.m.Len() }
-
-func (m *concChildMap) each(fn func(tuple.Value, *node) bool) {
-	m.m.Ascend(fn)
-}
-
-// leafSet is a deduplicating set of tuples that end at one tree node — one
-// causal equivalence class. A single mutex per leaf is intentional: threads
-// inserting into the same branch contend here, which is exactly the Delta
-// tree scalability limit the paper observes on Dijkstra (§6.5).
-type leafSet struct {
-	mu sync.Mutex
-	m  map[uint64][]*tuple.Tuple
-	n  int
-}
-
-// add inserts t if not already present; reports whether added.
-func (l *leafSet) add(t *tuple.Tuple) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.m == nil {
-		l.m = make(map[uint64][]*tuple.Tuple)
-	}
-	h := t.Hash()
-	for _, e := range l.m[h] {
-		if e.Equal(t) {
-			return false
+// add appends seg (strictly ascending, all on this leaf's path), reporting
+// a leading duplicate of the current tail to dup, and returns the number
+// of tuples queued.
+func (l *leaf) add(seg []*tuple.Tuple, dup func(*tuple.Tuple)) int {
+	if k := len(l.runs); k > 0 {
+		last := l.runs[k-1]
+		tail := last[len(last)-1]
+		c := tuple.ComparePath(tail, seg[0])
+		if c == 0 && tail.Equal(seg[0]) {
+			if dup != nil {
+				dup(seg[0])
+			}
+			if seg = seg[1:]; len(seg) == 0 {
+				return 0
+			}
+			c = -1
+		}
+		if c < 0 {
+			l.runs[k-1] = append(last, seg...)
+			return len(seg)
 		}
 	}
-	l.m[h] = append(l.m[h], t)
-	l.n++
-	return true
+	l.runs = append(l.runs, slices.Clone(seg))
+	return len(seg)
 }
 
-// drain removes and returns all tuples.
-func (l *leafSet) drain(buf []*tuple.Tuple) []*tuple.Tuple {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, bucket := range l.m {
-		buf = append(buf, bucket...)
+// collapse merges the leaf's runs into one, dropping cross-run duplicates
+// through dup.
+func (l *leaf) collapse(dup func(*tuple.Tuple)) {
+	if len(l.runs) < 2 {
+		return
 	}
-	l.m = nil
-	l.n = 0
-	return buf
+	n := 0
+	for _, r := range l.runs {
+		n += len(r)
+	}
+	merged := MergeRuns(l.runs, make([]*tuple.Tuple, 0, n), dup)
+	clear(l.runs)
+	l.runs = append(l.runs[:0], merged)
 }
 
-func (l *leafSet) count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
+// drain removes and returns the leaf's tuples as one run in step order,
+// ownership included: zero-copy when the leaf holds a single run, a k-way
+// merge otherwise. The leaf must be non-empty.
+func (l *leaf) drain(dup func(*tuple.Tuple)) []*tuple.Tuple {
+	l.collapse(dup)
+	run := l.runs[0]
+	l.runs[0] = nil
+	l.runs = l.runs[:0]
+	return run
 }
 
 // node is one Delta-tree node: tuples whose orderby list ends here, plus
-// ordered children for tuples that continue to deeper levels.
+// ordered children (the Java TreeMap analogue) for tuples that continue to
+// deeper levels.
 type node struct {
-	leaf leafSet
-
-	childInit sync.Once
-	children  childMap
+	leaf      leaf
+	children  *llrb.Tree[childEntry]
 	childKind tuple.OrderKind // kind of the level below; fixed at first use
 }
 
-// Tree is the Delta set. Create with NewSequential or NewConcurrent.
+// Tree is the Delta set. Create with NewSequential.
 type Tree struct {
-	po         *order.PartialOrder
-	root       *node
-	size       atomic.Int64
-	dups       atomic.Int64 // duplicates discarded (usage statistics, §1.5)
-	concurrent bool
-	newMap     func() childMap
+	po   *order.PartialOrder
+	root *node
+	size atomic.Int64 // atomics: PutPart runs concurrently over disjoint parts
+	dups atomic.Int64 // duplicates discarded (usage statistics, §1.5)
+	// OnDuplicate, if set, receives every tuple the tree discards as a
+	// duplicate: those a drain finds while merging a leaf's runs, and those
+	// a put path finds when its own dup argument is nil. Set it before the
+	// first insert; PutPart may call it from several goroutines at once.
+	OnDuplicate func(*tuple.Tuple)
 	// splitMu orders the level-1 child-map mutations of range-split bulk
 	// parts (BulkPart.locked): the parts own disjoint key ranges, so only
 	// the shared parent's map structure needs the short lock — everything
@@ -174,66 +143,86 @@ type Tree struct {
 }
 
 // NewSequential returns a Delta tree backed by red-black trees, matching the
-// -sequential code generator's TreeMap choice.
+// -sequential code generator's TreeMap choice — the only backend: no rule
+// task inserts into the tree, so nothing needs the paper's concurrent one.
 func NewSequential(po *order.PartialOrder) *Tree {
-	return &Tree{po: po, root: &node{}, newMap: newSeqChildMap}
+	return &Tree{po: po, root: &node{}}
 }
 
-// NewConcurrent returns a Delta tree backed by concurrent skip lists,
-// matching the parallel code generator's ConcurrentSkipListMap choice.
-func NewConcurrent(po *order.PartialOrder) *Tree {
-	return &Tree{po: po, root: &node{}, concurrent: true, newMap: newConcChildMap}
-}
-
-// Concurrent reports which backend the tree uses.
-func (tr *Tree) Concurrent() bool { return tr.concurrent }
-
-// Len returns the number of queued tuples.
+// Len returns the number of queued tuples. A tuple put again by a later
+// flush while its first copy is still queued counts twice until the drain
+// that merges the leaf's runs discards it, so Len is an upper bound that is
+// exact at 0: Len() == 0 if and only if Empty().
 func (tr *Tree) Len() int { return int(tr.size.Load()) }
 
 // Empty reports whether no tuples are queued.
 func (tr *Tree) Empty() bool { return tr.size.Load() == 0 }
 
 // Duplicates returns how many inserts the tree itself discarded as
-// duplicates (Put collisions and bulk-load tuples equal to one already
-// queued). Since the k-way merge flush, same-step duplicates are dropped
-// before the tree sees them and show up only in the engine's per-table
-// counters, not here.
+// duplicates (on arrival or at drain). Same-step duplicates are dropped by
+// the engine's k-way merge before the tree sees them and show up only in
+// the engine's per-table counters, not here.
 func (tr *Tree) Duplicates() int64 { return tr.dups.Load() }
 
-// Put inserts t, returning false if an equal tuple was already queued.
-// Safe for concurrent use.
-func (tr *Tree) Put(t *tuple.Tuple) bool {
-	s := t.Schema()
-	n := tr.root
-	for i, e := range s.OrderBy {
-		var key tuple.Value
-		var kind tuple.OrderKind
-		switch e.Kind {
-		case tuple.OrderLit:
-			key = tuple.Int(int64(tr.po.Rank(e.Lit)))
-			kind = tuple.OrderLit
-		case tuple.OrderSeq:
-			key = t.Field(s.OrderByColumn(i))
-			kind = tuple.OrderSeq
-		case tuple.OrderPar:
-			key = t.Field(s.OrderByColumn(i))
-			kind = tuple.OrderPar
-		}
-		n.childInit.Do(func() {
-			n.children = tr.newMap()
-			n.childKind = kind
-		})
-		if n.childKind != kind {
-			panic(fmt.Sprintf("jstar: table %s orderby entry %d (%v) conflicts with sibling tables at the same Delta-tree level (%v)",
-				s.Name, i, kind, n.childKind))
-		}
-		n = n.children.getOrCreate(key, func() *node { return &node{} })
+// discard accounts one duplicate found on arrival and reports it to dup,
+// or to OnDuplicate when the caller passed none.
+func (tr *Tree) discard(t *tuple.Tuple, dup func(*tuple.Tuple)) {
+	tr.dups.Add(1)
+	if dup == nil {
+		dup = tr.OnDuplicate
 	}
-	if !n.leaf.add(t) {
-		tr.dups.Add(1)
+	if dup != nil {
+		dup(t)
+	}
+}
+
+// discardQueued is discard for a duplicate that was already counted in
+// size: the copy a drain-time merge drops.
+func (tr *Tree) discardQueued(t *tuple.Tuple) {
+	tr.size.Add(-1)
+	tr.discard(t, nil)
+}
+
+// descend returns n's child on level i of t's path, creating it (and the
+// level's child map) on first use.
+func (tr *Tree) descend(n *node, t *tuple.Tuple, i int) *node {
+	key, kind := tr.resolveKey(t, i)
+	if n.children == nil {
+		n.children = llrb.New(compareChildren)
+		n.childKind = kind
+	}
+	if n.childKind != kind {
+		panic(fmt.Sprintf("jstar: table %s orderby entry %d (%v) conflicts with sibling tables at the same Delta-tree level (%v)",
+			t.Schema().Name, i, kind, n.childKind))
+	}
+	if e, ok := n.children.GetEqual(childEntry{key: key}); ok {
+		return e.nd
+	}
+	nd := &node{}
+	n.children.Insert(childEntry{key: key, nd: nd})
+	return nd
+}
+
+// Put inserts t, returning false if an equal tuple was already queued — the
+// serial single-tuple path with an eager answer: the leaf's runs are merged
+// into one and t is binary-search inserted into it.
+func (tr *Tree) Put(t *tuple.Tuple) bool {
+	n := tr.root
+	for i := range t.Schema().OrderBy {
+		n = tr.descend(n, t, i)
+	}
+	l := &n.leaf
+	l.collapse(tr.discardQueued)
+	if len(l.runs) == 0 {
+		l.runs = append(l.runs, nil)
+	}
+	run := l.runs[0]
+	i, found := slices.BinarySearchFunc(run, t, tuple.ComparePath)
+	if found && run[i].Equal(t) {
+		tr.discard(t, nil)
 		return false
 	}
+	l.runs[0] = slices.Insert(run, i, t)
 	tr.size.Add(1)
 	return true
 }
@@ -249,21 +238,16 @@ func (tr *Tree) resolveKey(t *tuple.Tuple, i int) (tuple.Value, tuple.OrderKind)
 	return t.Field(s.OrderByColumn(i)), e.Kind
 }
 
-// PutBatch inserts all of ts, calling dup (if non-nil) for each tuple
-// discarded as a duplicate, and returns the number actually added. The batch
-// is sorted in place by Delta-tree path (tuple.ComparePath — a key-based
-// slices.SortFunc, no reflection-closure sort) so consecutive inserts share
-// tree descents; tuples whose paths match the previous tuple's reuse the
-// cached node spine instead of descending from the root.
+// PutBatch inserts all of ts and returns the number queued, calling dup
+// (OnDuplicate when nil) for each tuple discarded on arrival as a
+// duplicate. The batch is sorted in place by tuple.ComparePath and handed to
+// PutSorted.
 //
-// PutBatch is the legacy one-shot flush path: it must not race with Put,
-// TakeMinBatch, or another PutBatch. The engine's step boundary now seals
+// PutBatch is the one-shot flush path: it must not race with Put,
+// TakeMinBatch, or another PutBatch. The engine's step boundary seals
 // per-slot runs pre-sorted in this same order and feeds the merged stream
 // through PutSorted/PutPart, skipping this sort entirely.
 func (tr *Tree) PutBatch(ts []*tuple.Tuple, dup func(*tuple.Tuple)) int {
-	if len(ts) == 0 {
-		return 0
-	}
 	if len(ts) > 1 {
 		slices.SortFunc(ts, tuple.ComparePath)
 	}
@@ -271,10 +255,11 @@ func (tr *Tree) PutBatch(ts []*tuple.Tuple, dup func(*tuple.Tuple)) int {
 }
 
 // PutSorted is PutBatch for a batch already sorted by tuple.ComparePath
-// (the order sealed slot runs and their k-way merge produce): it skips the
-// sort and goes straight to the spine-sharing insert loop. Sortedness is a
-// locality contract, not a correctness one — out-of-order input still
-// inserts correctly, just with fewer shared descents.
+// (the order sealed slot runs and their k-way merge produce): every
+// ascending stretch of tuples on one path descends the tree once and is
+// copied into its leaf as one segment. Sortedness is a locality contract,
+// not a correctness one — out-of-order input still inserts correctly, as
+// more and shorter segments that the leaves merge when they drain.
 func (tr *Tree) PutSorted(ts []*tuple.Tuple, dup func(*tuple.Tuple)) int {
 	added := tr.putRun(tr.root, 0, ts, dup, noLock)
 	tr.size.Add(int64(added))
@@ -284,12 +269,14 @@ func (tr *Tree) PutSorted(ts []*tuple.Tuple, dup func(*tuple.Tuple)) int {
 // noLock disables putRun's splitMu protection (the single-loader paths).
 const noLock = -1
 
-// putRun inserts one path-contiguous run of tuples, descending from start
-// (the node reached after resolving the first `level` path components of
-// every tuple in the run). spine[i] caches the node reached after level
-// start+i of the previous tuple's path, so path-sorted runs descend once
-// per distinct path, not once per tuple. Returns the number added; the
-// caller folds it into tr.size.
+// putRun inserts one run of tuples segment by segment, descending from
+// start (the node reached after resolving the first `level` path components
+// of every tuple in the run). A segment is a maximal strictly ascending
+// stretch of tuples on one path: it costs one descent and one copy into the
+// leaf. spine[i] caches the node reached after level start+i of the
+// previous segment's path, so consecutive segments re-descend only below
+// their longest shared prefix. Returns the number queued; the caller folds
+// it into tr.size.
 //
 // lockAt >= 0 marks the one descent level where this run shares its parent
 // node's child map with concurrently loading range-split siblings
@@ -299,25 +286,19 @@ const noLock = -1
 // range and stay lock-free.
 func (tr *Tree) putRun(start *node, level int, ts []*tuple.Tuple, dup func(*tuple.Tuple), lockAt int) int {
 	added := 0
+	discard := func(t *tuple.Tuple) { tr.discard(t, dup) }
 	var spine []*node
 	var prev *tuple.Tuple
-	for _, t := range ts {
+	for lo := 0; lo < len(ts); {
+		t := ts[lo]
+		hi := lo + 1
+		for hi < len(ts) && tuple.SamePath(t, ts[hi]) && tuple.ComparePath(ts[hi-1], ts[hi]) < 0 {
+			hi++
+		}
 		depth := len(t.Schema().OrderBy)
-		// Longest prefix of the path shared with the previous tuple.
 		shared := level
 		if prev != nil {
-			maxShare := level + len(spine)
-			if depth < maxShare {
-				maxShare = depth
-			}
-			for shared < maxShare {
-				ka, kinda := tr.resolveKey(t, shared)
-				kb, kindb := tr.resolveKey(prev, shared)
-				if kinda != kindb || tuple.Compare(ka, kb) != 0 {
-					break
-				}
-				shared++
-			}
+			shared = tr.sharedPrefix(prev, t, level, min(level+len(spine), depth))
 		}
 		n := start
 		if shared > level {
@@ -325,38 +306,47 @@ func (tr *Tree) putRun(start *node, level int, ts []*tuple.Tuple, dup func(*tupl
 		}
 		spine = spine[:shared-level]
 		for i := shared; i < depth; i++ {
-			key, kind := tr.resolveKey(t, i)
 			if i == lockAt {
-				tr.splitMu.Lock()
-			}
-			n.childInit.Do(func() {
-				n.children = tr.newMap()
-				n.childKind = kind
-			})
-			if n.childKind != kind {
-				if i == lockAt {
-					tr.splitMu.Unlock()
-				}
-				panic(fmt.Sprintf("jstar: table %s orderby entry %d (%v) conflicts with sibling tables at the same Delta-tree level (%v)",
-					t.Schema().Name, i, kind, n.childKind))
-			}
-			n = n.children.getOrCreate(key, func() *node { return &node{} })
-			if i == lockAt {
-				tr.splitMu.Unlock()
+				n = tr.descendLocked(n, t, i)
+			} else {
+				n = tr.descend(n, t, i)
 			}
 			spine = append(spine, n)
 		}
+		added += n.leaf.add(ts[lo:hi], discard)
 		prev = t
-		if n.leaf.add(t) {
-			added++
-		} else {
-			tr.dups.Add(1)
-			if dup != nil {
-				dup(t)
-			}
-		}
+		lo = hi
 	}
 	return added
+}
+
+func (tr *Tree) descendLocked(n *node, t *tuple.Tuple, i int) *node {
+	tr.splitMu.Lock()
+	defer tr.splitMu.Unlock()
+	return tr.descend(n, t, i)
+}
+
+// sharedPrefix returns the first path level in [from, limit) on which a and
+// b part ways, or limit if there is none. Tuples of one schema share every
+// literal level by construction, so only their seq/par columns are read.
+func (tr *Tree) sharedPrefix(a, b *tuple.Tuple, from, limit int) int {
+	i := from
+	if s := a.Schema(); s == b.Schema() {
+		for ; i < limit; i++ {
+			if col := s.OrderByColumn(i); col >= 0 && tuple.Compare(a.Field(col), b.Field(col)) != 0 {
+				break
+			}
+		}
+		return i
+	}
+	for ; i < limit; i++ {
+		ka, kinda := tr.resolveKey(a, i)
+		kb, kindb := tr.resolveKey(b, i)
+		if kinda != kindb || tuple.Compare(ka, kb) != 0 {
+			break
+		}
+	}
+	return i
 }
 
 // BulkPart is one independently loadable partition of a flush batch: runs
@@ -387,8 +377,8 @@ func (p *BulkPart) Len() int {
 // each): the top Delta-tree level is resolved and its child nodes are
 // created here, on the caller, so the parts only ever touch disjoint
 // subtrees below them. Tables sharing a top-level literal land in the same
-// part; tables whose paths end at the root are safe in any part (the root
-// leaf set carries its own lock) and join the first.
+// part, and tables whose paths end at the root form a part of their own, so
+// no two parts ever touch one leaf.
 //
 // It returns nil when the batch cannot be partitioned — a data-dependent
 // (seq/par) top level, where sibling tables' key spaces can alias — in
@@ -442,22 +432,10 @@ func (tr *Tree) splitBulk(ts []*tuple.Tuple) []BulkPart {
 		if len(s.OrderBy) == 0 {
 			start, level = tr.root, 0
 		} else {
-			e := s.OrderBy[0]
-			if e.Kind != tuple.OrderLit {
+			if s.OrderBy[0].Kind != tuple.OrderLit {
 				return nil // data-dependent top level: not partitionable
 			}
-			key := tuple.Int(int64(tr.po.Rank(e.Lit)))
-			n := tr.root
-			n.childInit.Do(func() {
-				n.children = tr.newMap()
-				n.childKind = tuple.OrderLit
-			})
-			if n.childKind != tuple.OrderLit {
-				panic(fmt.Sprintf("jstar: table %s orderby entry 0 (%v) conflicts with sibling tables at the same Delta-tree level (%v)",
-					s.Name, tuple.OrderLit, n.childKind))
-			}
-			start = n.children.getOrCreate(key, func() *node { return &node{} })
-			level = 1
+			start, level = tr.descend(tr.root, run[0], 0), 1
 		}
 		if i, ok := byNode[start]; ok {
 			parts[i].runs = append(parts[i].runs, run)
@@ -482,8 +460,8 @@ func (tr *Tree) rangeSplit(p BulkPart, width, total int) []BulkPart {
 		return nil
 	}
 	// The longest run supplies the quantile boundaries; depth-1 schemas end
-	// at the shared start node (leaf-only, self-locked) and ride in the
-	// first sub-part.
+	// at the shared start node, whose leaf therefore belongs to one sub-part
+	// alone: they all ride in the first.
 	var longest []*tuple.Tuple
 	for _, run := range p.runs {
 		s := run[0].Schema()
@@ -554,8 +532,9 @@ func (tr *Tree) rangeSplit(p BulkPart, width, total int) []BulkPart {
 
 // PutPart bulk-loads one SplitBulk partition. Distinct parts of the same
 // split may run concurrently (the sharded flush path); the usual bulk
-// contract still holds against Put/TakeMinBatch. dup may be called from
-// the loading goroutine and must be safe under the split's concurrency.
+// contract still holds against Put/TakeMinBatch. dup (OnDuplicate when
+// nil) is called from the loading goroutine and must be safe under the
+// split's concurrency.
 func (tr *Tree) PutPart(p BulkPart, dup func(*tuple.Tuple)) int {
 	lockAt := noLock
 	if p.locked {
@@ -571,68 +550,71 @@ func (tr *Tree) PutPart(p BulkPart, dup func(*tuple.Tuple)) int {
 
 // TakeMinBatch removes and returns the minimal causal equivalence class:
 // all tuples that may execute in parallel at this step. It returns nil when
-// the tree is empty. Must not race with Put (see the package contract).
+// the tree is empty. A class held by a single leaf comes back in step order
+// (tuple.CompareSchemaFields), duplicate-free, and — when the leaf holds one
+// run — without a copy; a `par` subtree is the concatenation of its leaves
+// in child order. The caller owns the returned slice. Must not race with
+// the put paths (see the package contract).
 func (tr *Tree) TakeMinBatch() []*tuple.Tuple {
 	if tr.Empty() {
 		return nil
 	}
-	batch := tr.takeMin(tr.root, nil)
+	batch := tr.takeMin(tr.root)
 	tr.size.Add(int64(-len(batch)))
 	return batch
 }
 
-func (tr *Tree) takeMin(n *node, buf []*tuple.Tuple) []*tuple.Tuple {
+func (tr *Tree) takeMin(n *node) []*tuple.Tuple {
 	// Tuples ending at this node come before anything deeper.
-	if n.leaf.count() > 0 {
-		return n.leaf.drain(buf)
+	if len(n.leaf.runs) > 0 {
+		return n.leaf.drain(tr.discardQueued)
 	}
 	if n.children == nil {
-		return buf
+		return nil
 	}
 	if n.childKind == tuple.OrderPar {
 		// A par level is one equivalence class: drain the entire subtree.
-		return tr.drainAll(n, buf)
+		return tr.drainAll(n, nil)
 	}
 	for {
-		key, child, ok := n.children.min()
+		e, ok := n.children.Min()
 		if !ok {
-			return buf
+			return nil
 		}
-		got := tr.takeMin(child, buf)
-		if empty(child) {
-			n.children.remove(key)
+		got := tr.takeMin(e.nd)
+		if empty(e.nd) {
+			n.children.Delete(e)
 		}
-		if len(got) > len(buf) {
+		if len(got) > 0 {
 			return got
 		}
-		// Child was empty shell (already drained); removed above, retry.
-		buf = got
+		// Child was an empty shell (already drained); removed above, retry.
 	}
 }
 
-// drainAll removes every tuple in the subtree rooted at n.
+// drainAll removes every tuple in the subtree rooted at n, appending to buf.
 func (tr *Tree) drainAll(n *node, buf []*tuple.Tuple) []*tuple.Tuple {
-	buf = n.leaf.drain(buf)
+	if len(n.leaf.runs) > 0 {
+		run := n.leaf.drain(tr.discardQueued)
+		if buf == nil {
+			buf = run
+		} else {
+			buf = append(buf, run...)
+		}
+	}
 	if n.children == nil {
 		return buf
 	}
-	var keys []tuple.Value
-	n.children.each(func(k tuple.Value, child *node) bool {
-		buf = tr.drainAll(child, buf)
-		keys = append(keys, k)
+	n.children.Ascend(func(e childEntry) bool {
+		buf = tr.drainAll(e.nd, buf)
 		return true
 	})
-	for _, k := range keys {
-		n.children.remove(k)
-	}
+	n.children.Clear()
 	return buf
 }
 
 func empty(n *node) bool {
-	if n.leaf.count() > 0 {
-		return false
-	}
-	return n.children == nil || n.children.size() == 0
+	return len(n.leaf.runs) == 0 && (n.children == nil || n.children.Len() == 0)
 }
 
 // PeekMinKey returns the causal key of the current minimal class, for
@@ -640,21 +622,18 @@ func empty(n *node) bool {
 func (tr *Tree) PeekMinKey() (order.Key, bool) {
 	var comps []order.Component
 	n := tr.root
-	for {
-		if n.leaf.count() > 0 || n.children == nil {
-			break
-		}
-		key, child, ok := n.children.min()
+	for len(n.leaf.runs) == 0 && n.children != nil {
+		e, ok := n.children.Min()
 		if !ok {
 			break
 		}
 		switch n.childKind {
 		case tuple.OrderLit:
-			comps = append(comps, order.Component{Kind: tuple.OrderLit, Rank: int(key.AsInt())})
+			comps = append(comps, order.Component{Kind: tuple.OrderLit, Rank: int(e.key.AsInt())})
 		default:
-			comps = append(comps, order.Component{Kind: n.childKind, Val: key})
+			comps = append(comps, order.Component{Kind: n.childKind, Val: e.key})
 		}
-		n = child
+		n = e.nd
 	}
 	if len(comps) == 0 && tr.Empty() {
 		return order.Key{}, false
@@ -662,30 +641,27 @@ func (tr *Tree) PeekMinKey() (order.Key, bool) {
 	return order.Key{Components: comps}, true
 }
 
-// Walk visits every queued tuple (weakly consistent under concurrent Puts);
-// used by the graph visualiser.
+// Walk visits every queued tuple until fn returns false; used by the graph
+// visualiser. A tuple queued by two flushes is visited once per copy until
+// the drain that merges its leaf's runs discards the second.
 func (tr *Tree) Walk(fn func(t *tuple.Tuple) bool) {
 	tr.walk(tr.root, fn)
 }
 
 func (tr *Tree) walk(n *node, fn func(t *tuple.Tuple) bool) bool {
-	n.leaf.mu.Lock()
-	var snapshot []*tuple.Tuple
-	for _, b := range n.leaf.m {
-		snapshot = append(snapshot, b...)
-	}
-	n.leaf.mu.Unlock()
-	for _, t := range snapshot {
-		if !fn(t) {
-			return false
+	for _, run := range n.leaf.runs {
+		for _, t := range run {
+			if !fn(t) {
+				return false
+			}
 		}
 	}
 	if n.children == nil {
 		return true
 	}
 	ok := true
-	n.children.each(func(_ tuple.Value, child *node) bool {
-		ok = tr.walk(child, fn)
+	n.children.Ascend(func(e childEntry) bool {
+		ok = tr.walk(e.nd, fn)
 		return ok
 	})
 	return ok

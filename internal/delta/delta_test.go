@@ -1,8 +1,7 @@
 package delta
 
 import (
-	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/order"
@@ -22,14 +21,15 @@ func ship(s *tuple.Schema, frame, x int64) *tuple.Tuple {
 	return tuple.New(s, tuple.Int(frame), tuple.Int(x))
 }
 
-func bothTrees(t *testing.T, name string, fn func(t *testing.T, tr *Tree)) {
+// onTree runs fn on a fresh tree as subtest name/sequential — the name the
+// case carried when a concurrent backend ran beside it.
+func onTree(t *testing.T, name string, fn func(t *testing.T, tr *Tree)) {
 	t.Helper()
 	t.Run(name+"/sequential", func(t *testing.T) { fn(t, NewSequential(order.NewPartialOrder())) })
-	t.Run(name+"/concurrent", func(t *testing.T) { fn(t, NewConcurrent(order.NewPartialOrder())) })
 }
 
 func TestPutAndTakeOrdered(t *testing.T) {
-	bothTrees(t, "ordered", func(t *testing.T, tr *Tree) {
+	onTree(t, "ordered", func(t *testing.T, tr *Tree) {
 		s := shipSchema()
 		// Insert frames out of order.
 		for _, f := range []int64{5, 1, 3} {
@@ -61,7 +61,7 @@ func TestPutAndTakeOrdered(t *testing.T) {
 }
 
 func TestEquivalenceClassBatch(t *testing.T) {
-	bothTrees(t, "class", func(t *testing.T, tr *Tree) {
+	onTree(t, "class", func(t *testing.T, tr *Tree) {
 		s := shipSchema()
 		// 11 Ships within frame 18 -> one batch of 11 parallel tasks (§5).
 		for x := int64(0); x < 11; x++ {
@@ -84,7 +84,7 @@ func TestEquivalenceClassBatch(t *testing.T) {
 }
 
 func TestDuplicateDiscarded(t *testing.T) {
-	bothTrees(t, "dup", func(t *testing.T, tr *Tree) {
+	onTree(t, "dup", func(t *testing.T, tr *Tree) {
 		s := shipSchema()
 		if !tr.Put(ship(s, 1, 1)) {
 			t.Fatal("first put")
@@ -100,15 +100,9 @@ func TestDuplicateDiscarded(t *testing.T) {
 
 func TestLitLevelOrdering(t *testing.T) {
 	// order Req < PvWatts < SumMonth: all Req tuples first, etc. (Fig 4)
-	mk := func(concurrent bool) *Tree {
-		po := order.NewPartialOrder()
-		if err := po.Declare("Req", "PvWatts", "SumMonth"); err != nil {
-			t.Fatal(err)
-		}
-		if concurrent {
-			return NewConcurrent(po)
-		}
-		return NewSequential(po)
+	po := order.NewPartialOrder()
+	if err := po.Declare("Req", "PvWatts", "SumMonth"); err != nil {
+		t.Fatal(err)
 	}
 	req := tuple.MustSchema("PvWattsRequest",
 		[]tuple.Column{{Name: "filename", Kind: tuple.KindString}},
@@ -119,30 +113,23 @@ func TestLitLevelOrdering(t *testing.T) {
 	sum := tuple.MustSchema("SumMonth",
 		[]tuple.Column{{Name: "month", Kind: tuple.KindInt}},
 		[]tuple.OrderEntry{tuple.Lit("SumMonth")})
-	for _, conc := range []bool{false, true} {
-		tr := mk(conc)
-		tr.Put(tuple.New(sum, tuple.Int(3)))
-		tr.Put(tuple.New(pv, tuple.Int(1)))
-		tr.Put(tuple.New(req, tuple.String_("f.csv")))
-		tr.Put(tuple.New(pv, tuple.Int(2)))
-		var names []string
-		for {
-			b := tr.TakeMinBatch()
-			if b == nil {
-				break
-			}
-			names = append(names, b[0].Schema().Name)
+	tr := NewSequential(po)
+	tr.Put(tuple.New(sum, tuple.Int(3)))
+	tr.Put(tuple.New(pv, tuple.Int(1)))
+	tr.Put(tuple.New(req, tuple.String_("f.csv")))
+	tr.Put(tuple.New(pv, tuple.Int(2)))
+	var names []string
+	for {
+		b := tr.TakeMinBatch()
+		if b == nil {
+			break
 		}
-		// PvWatts batch contains both pv tuples at once (same class).
-		want := []string{"PvWattsRequest", "PvWatts", "SumMonth"}
-		if len(names) != 3 {
-			t.Fatalf("conc=%v: batches %v", conc, names)
-		}
-		for i := range want {
-			if names[i] != want[i] {
-				t.Fatalf("conc=%v: batch order %v, want %v", conc, names, want)
-			}
-		}
+		names = append(names, b[0].Schema().Name)
+	}
+	// PvWatts batch contains both pv tuples at once (same class).
+	want := []string{"PvWattsRequest", "PvWatts", "SumMonth"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("batch order %v, want %v", names, want)
 	}
 }
 
@@ -159,7 +146,7 @@ func TestDijkstraStyleMixedTables(t *testing.T) {
 	done := tuple.MustSchema("Done",
 		[]tuple.Column{{Name: "vertex", Kind: tuple.KindInt}, {Name: "distance", Kind: tuple.KindInt}},
 		[]tuple.OrderEntry{tuple.Lit("Int"), tuple.Seq("distance"), tuple.Lit("Done")})
-	tr := NewConcurrent(po)
+	tr := NewSequential(po)
 	tr.Put(tuple.New(done, tuple.Int(0), tuple.Int(5)))
 	tr.Put(tuple.New(est, tuple.Int(1), tuple.Int(5)))
 	tr.Put(tuple.New(est, tuple.Int(2), tuple.Int(3)))
@@ -183,7 +170,7 @@ func TestParLevelExtractsWholeSubtree(t *testing.T) {
 	s := tuple.MustSchema("T",
 		[]tuple.Column{{Name: "step", Kind: tuple.KindInt}, {Name: "part", Kind: tuple.KindInt}},
 		[]tuple.OrderEntry{tuple.Seq("step"), tuple.Par("part")})
-	tr := NewConcurrent(po)
+	tr := NewSequential(po)
 	for p := int64(0); p < 5; p++ {
 		tr.Put(tuple.New(s, tuple.Int(1), tuple.Int(p)))
 	}
@@ -279,7 +266,7 @@ func TestPeekMinKey(t *testing.T) {
 }
 
 func TestWalkVisitsAll(t *testing.T) {
-	tr := NewConcurrent(order.NewPartialOrder())
+	tr := NewSequential(order.NewPartialOrder())
 	s := shipSchema()
 	for i := int64(0); i < 20; i++ {
 		tr.Put(ship(s, i%4, i))
@@ -296,79 +283,6 @@ func TestWalkVisitsAll(t *testing.T) {
 	}
 }
 
-func TestConcurrentPuts(t *testing.T) {
-	po := order.NewPartialOrder()
-	tr := NewConcurrent(po)
-	s := shipSchema()
-	const workers = 8
-	const per = 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < per; i++ {
-				tr.Put(ship(s, int64(r.Intn(50)), int64(w*per+i)))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if tr.Len() != workers*per {
-		t.Fatalf("Len = %d, want %d", tr.Len(), workers*per)
-	}
-	// Drain in order; batches must be non-increasing in priority and
-	// jointly complete.
-	total := 0
-	last := int64(-1)
-	for {
-		b := tr.TakeMinBatch()
-		if b == nil {
-			break
-		}
-		f := b[0].Int("frame")
-		if f < last {
-			t.Fatalf("batches out of order: %d after %d", f, last)
-		}
-		for _, tp := range b {
-			if tp.Int("frame") != f {
-				t.Fatal("mixed frames in one batch")
-			}
-		}
-		last = f
-		total += len(b)
-	}
-	if total != workers*per {
-		t.Fatalf("drained %d, want %d", total, workers*per)
-	}
-}
-
-func TestConcurrentDuplicatePuts(t *testing.T) {
-	po := order.NewPartialOrder()
-	tr := NewConcurrent(po)
-	s := shipSchema()
-	const workers = 8
-	var wg sync.WaitGroup
-	var added sync.Map
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int64(0); i < 1000; i++ {
-				if tr.Put(ship(s, i%10, i)) {
-					if _, loaded := added.LoadOrStore(i, true); loaded {
-						t.Error("same tuple added twice")
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000 unique", tr.Len())
-	}
-}
-
 func BenchmarkDeltaPutSequential(b *testing.B) {
 	tr := NewSequential(order.NewPartialOrder())
 	s := shipSchema()
@@ -376,19 +290,6 @@ func BenchmarkDeltaPutSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Put(ship(s, int64(i%1000), int64(i)))
 	}
-}
-
-func BenchmarkDeltaPutConcurrent(b *testing.B) {
-	tr := NewConcurrent(order.NewPartialOrder())
-	s := shipSchema()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int64(0)
-		for pb.Next() {
-			tr.Put(ship(s, i%1000, i*7919))
-			i++
-		}
-	})
 }
 
 func BenchmarkDeltaDrain(b *testing.B) {

@@ -1,17 +1,15 @@
-package core
+package delta
 
 import (
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
-// This file implements the step boundary's k-way merge: every worker slot
-// seals its put buffer as a run sorted by tuple.ComparePath, and the
-// coordinator merges the k runs into one path-sorted flush with a loser
-// tree instead of the old concat + global re-sort. Duplicates (set
-// semantics: same schema, same fields) are dropped during the merge —
-// they would be discarded by the Delta tree's leaf sets anyway, so
-// dropping them here keeps them out of the tree descent entirely; the dup
-// callback feeds the same per-table counters the tree-level dedup does.
+// This file implements the k-way merge of runs sorted by tuple.ComparePath,
+// used twice on a tuple's way through the Delta set: the engine's step
+// boundary merges the put runs its worker slots sealed into one flush, and
+// a leaf that collected several runs merges them when it drains. Duplicates
+// (set semantics: same schema, same fields) are adjacent in the merged
+// stream and are dropped there, each reported to the dup callback.
 
 // loserTree is a k-way tournament tree over run cursors (Knuth 5.4.1):
 // node[1..k-1] hold the losing run of each internal match, node[0] the
@@ -78,11 +76,11 @@ func (lt *loserTree) next() *tuple.Tuple {
 	return t
 }
 
-// mergeRuns merges k ComparePath-sorted runs into out (which it appends to
+// MergeRuns merges k ComparePath-sorted runs into out (which it appends to
 // and returns), dropping set-semantics duplicates and reporting each
 // dropped tuple to dup. Runs must each be sorted by tuple.ComparePath; the
 // output is the sorted, deduplicated union.
-func mergeRuns(runs [][]*tuple.Tuple, out []*tuple.Tuple, dup func(*tuple.Tuple)) []*tuple.Tuple {
+func MergeRuns(runs [][]*tuple.Tuple, out []*tuple.Tuple, dup func(*tuple.Tuple)) []*tuple.Tuple {
 	switch len(runs) {
 	case 0:
 		return out
@@ -114,11 +112,11 @@ func appendDedup(out []*tuple.Tuple, t *tuple.Tuple, dup func(*tuple.Tuple)) []*
 	return append(out, t)
 }
 
-// dedupSortedInPlace compacts one ComparePath-sorted run in place,
-// dropping set-semantics duplicates through dup, and returns the kept
-// prefix. The single-run fast path of the step flush: no copy at all when
-// the run is already duplicate-free.
-func dedupSortedInPlace(ts []*tuple.Tuple, dup func(*tuple.Tuple)) []*tuple.Tuple {
+// DedupSorted compacts one ComparePath-sorted run in place, dropping
+// set-semantics duplicates through dup, and returns the kept prefix. The
+// single-run fast path of the step flush: no copy at all when the run is
+// already duplicate-free.
+func DedupSorted(ts []*tuple.Tuple, dup func(*tuple.Tuple)) []*tuple.Tuple {
 	w := 1
 	for i := 1; i < len(ts); i++ {
 		t := ts[i]

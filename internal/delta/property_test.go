@@ -18,50 +18,42 @@ func TestDrainOrderProperty(t *testing.T) {
 			{Name: "v", Kind: tuple.KindInt},
 		},
 		[]tuple.OrderEntry{tuple.Lit("Int"), tuple.Seq("t")})
-	for _, concurrent := range []bool{false, true} {
-		f := func(pairs []struct{ T, V int8 }) bool {
-			po := order.NewPartialOrder()
-			var tr *Tree
-			if concurrent {
-				tr = NewConcurrent(po)
-			} else {
-				tr = NewSequential(po)
-			}
-			uniq := map[[2]int8]bool{}
-			for _, p := range pairs {
-				tr.Put(tuple.New(s, tuple.Int(int64(p.T)), tuple.Int(int64(p.V))))
-				uniq[[2]int8{p.T, p.V}] = true
-			}
-			if tr.Len() != len(uniq) {
-				return false
-			}
-			drained := 0
-			lastT := int64(-1 << 30)
-			for {
-				batch := tr.TakeMinBatch()
-				if batch == nil {
-					break
-				}
-				bt := batch[0].Int("t")
-				if bt < lastT {
-					return false // batches must be non-decreasing
-				}
-				for _, tp := range batch {
-					if tp.Int("t") != bt {
-						return false // one equivalence class per batch
-					}
-					if !uniq[[2]int8{int8(tp.Int("t")), int8(tp.Int("v"))}] {
-						return false // unknown tuple surfaced
-					}
-					drained++
-				}
-				lastT = bt
-			}
-			return drained == len(uniq) && tr.Empty()
+	f := func(pairs []struct{ T, V int8 }) bool {
+		tr := NewSequential(order.NewPartialOrder())
+		uniq := map[[2]int8]bool{}
+		for _, p := range pairs {
+			tr.Put(tuple.New(s, tuple.Int(int64(p.T)), tuple.Int(int64(p.V))))
+			uniq[[2]int8{p.T, p.V}] = true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Errorf("concurrent=%v: %v", concurrent, err)
+		if tr.Len() != len(uniq) {
+			return false
 		}
+		drained := 0
+		lastT := int64(-1 << 30)
+		for {
+			batch := tr.TakeMinBatch()
+			if batch == nil {
+				break
+			}
+			bt := batch[0].Int("t")
+			if bt < lastT {
+				return false // batches must be non-decreasing
+			}
+			for _, tp := range batch {
+				if tp.Int("t") != bt {
+					return false // one equivalence class per batch
+				}
+				if !uniq[[2]int8{int8(tp.Int("t")), int8(tp.Int("v"))}] {
+					return false // unknown tuple surfaced
+				}
+				drained++
+			}
+			lastT = bt
+		}
+		return drained == len(uniq) && tr.Empty()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -71,7 +63,7 @@ func TestReinsertAfterDrain(t *testing.T) {
 	s := tuple.MustSchema("E",
 		[]tuple.Column{{Name: "t", Kind: tuple.KindInt}},
 		[]tuple.OrderEntry{tuple.Seq("t")})
-	tr := NewConcurrent(order.NewPartialOrder())
+	tr := NewSequential(order.NewPartialOrder())
 	tr.Put(tuple.New(s, tuple.Int(1)))
 	total := 0
 	for {

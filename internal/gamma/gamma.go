@@ -518,6 +518,22 @@ func (st *navSeqStore) InsertBatch(ts []*tuple.Tuple, live []*tuple.Tuple) []*tu
 	return live
 }
 
+// InsertBatch inserts through a finger: each tuple's search resumes where
+// the previous one landed, so the ascending run the step boundary delivers
+// costs one descent for its first tuple and a short walk for each of the
+// rest. Out-of-order tuples fall back to the per-tuple descent inside
+// InsertAfter; concurrent Select readers and -noDelta inserters see the
+// same protocol as Insert.
+func (st *navConcStore) InsertBatch(ts []*tuple.Tuple, live []*tuple.Tuple) []*tuple.Tuple {
+	var f skiplist.Finger[*tuple.Tuple]
+	for _, t := range ts {
+		if st.l.InsertAfter(&f, t) {
+			live = append(live, t)
+		}
+	}
+	return live
+}
+
 // denseEntry pairs a registered schema with its store for the lock-free
 // DB.Table fast path. The store rides behind an atomic pointer so Migrate
 // can swap a rebuilt backend in at a quiescent boundary while concurrent

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,8 +17,12 @@ import (
 )
 
 // ingestOneByOne streams evs to tenant one request per event — either
-// codec — stopping silently once the session has crashed (puts start
-// failing after the injected fault fires, which is the point).
+// codec — quiescing after each, so that every event is absorbed, teed and
+// group-committed on its own however the coordinator would have coalesced a
+// burst of requests: the number of WAL syncs then depends on the events
+// sent, not on scheduling. It stops silently at the first error (puts and
+// quiesces start failing after the injected fault fires, which is the
+// point).
 func ingestOneByOne(t *testing.T, client *serve.Client, tenant, codec string, evs []event) {
 	t.Helper()
 	prog, err := lang.CompileSource(doubleSrc)
@@ -34,6 +39,9 @@ func ingestOneByOne(t *testing.T, client *serve.Client, tenant, codec string, ev
 		}
 		if perr != nil {
 			return // crashed tenant: expected mid-matrix
+		}
+		if _, err := client.Quiesce(ctx, tenant); err != nil {
+			return
 		}
 	}
 }
@@ -54,12 +62,12 @@ func recoveredEvents(t *testing.T, raw []byte) []event {
 }
 
 // TestServeCrashRecoveryParity is the satellite recovery matrix: crash
-// points × {JSON, binary} ingest × all three strategies. Each case crashes
-// a durable tenant mid-ingest at the kth fsync, recovers a fresh tenant
-// from the power-loss view of its log, and demands the recovered quiesced
-// snapshot equal what an uncrashed run over exactly the recovered input
-// prefix would produce — never a half-applied step, never silent loss of
-// acked-durable data.
+// points × {JSON, binary} ingest × all three strategies, each case at
+// GOMAXPROCS 1, 2 and 4. Each case crashes a durable tenant mid-ingest at
+// the kth fsync, recovers a fresh tenant from the power-loss view of its
+// log, and demands the recovered quiesced snapshot equal what an uncrashed
+// run over exactly the recovered input prefix would produce — never a
+// half-applied step, never silent loss of acked-durable data.
 func TestServeCrashRecoveryParity(t *testing.T) {
 	const nEvents = 30
 	evs := doubleEvents(nEvents)
@@ -68,68 +76,82 @@ func TestServeCrashRecoveryParity(t *testing.T) {
 			for _, crashAt := range []int{1, 4, 9} {
 				name := fmt.Sprintf("%s/%s/sync%d", strategy, codec, crashAt)
 				t.Run(name, func(t *testing.T) {
-					ff := wal.NewFaultFS()
-					ff.CrashAtSync(crashAt)
-					_, client := newTestServer(t, serve.Config{
-						TestWALFS: func(string) wal.FS { return ff },
-					})
-					ctx := context.Background()
-					if _, err := client.CreateTenant(ctx, serve.TenantConfig{
-						Name: "crash", Source: doubleSrc, Strategy: strategy,
-						// GroupCommitBytes 1: sync per absorbed group, so
-						// crash points land between ingest requests.
-						Durability: &serve.DurabilityConfig{GroupCommitBytes: 1},
-					}); err != nil {
-						t.Fatal(err)
-					}
-					ingestOneByOne(t, client, "crash", codec, evs)
-					client.Quiesce(ctx, "crash") // may fail post-crash; fine
-					if !ff.Crashed() {
-						t.Fatalf("fault never fired (only %d syncs)", ff.Syncs())
-					}
-
-					// Reboot: a new server recovers a tenant from the
-					// durable (power-loss) view of the same directory.
-					rebooted := ff.Durable()
-					_, client2 := newTestServer(t, serve.Config{
-						TestWALFS: func(string) wal.FS { return rebooted },
-					})
-					info, err := client2.CreateTenant(ctx, serve.TenantConfig{
-						Name: "crash", Source: doubleSrc, Strategy: strategy,
-						Durability: &serve.DurabilityConfig{},
-					})
-					if err != nil {
-						t.Fatalf("recovery failed: %v", err)
-					}
-					if info["durable"] != true {
-						t.Fatalf("recovered tenant not marked durable: %v", info)
-					}
-					if _, err := client2.Quiesce(ctx, "crash"); err != nil {
-						t.Fatal(err)
-					}
-					gotEvent, err := client2.Query(ctx, "crash", "Event", "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotOut, err := client2.Query(ctx, "crash", "Out", "")
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					// Parity: an uncrashed in-process run over exactly the
-					// recovered Event prefix must yield identical rows.
-					prefix := recoveredEvents(t, gotEvent)
-					if len(prefix) > nEvents {
-						t.Fatalf("recovered %d events, only %d were sent", len(prefix), nEvents)
-					}
-					want := runInProcess(t, doubleSrc, strategy, prefix, []string{"Event", "Out"})
-					if !bytes.Equal(gotEvent, want["Event"]) || !bytes.Equal(gotOut, want["Out"]) {
-						t.Fatalf("recovered snapshot != uncrashed covering prefix\n Event: %s\n  want: %s\n   Out: %s\n  want: %s",
-							gotEvent, want["Event"], gotOut, want["Out"])
+					for _, procs := range []int{1, 2, 4} {
+						func() {
+							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+							t.Logf("GOMAXPROCS=%d", procs)
+							crashRecoverCase(t, strategy, codec, crashAt, evs)
+						}()
 					}
 				})
 			}
 		}
+	}
+}
+
+// crashRecoverCase is one cell of the crash matrix; see
+// TestServeCrashRecoveryParity.
+func crashRecoverCase(t *testing.T, strategy, codec string, crashAt int, evs []event) {
+	t.Helper()
+	nEvents := len(evs)
+	ff := wal.NewFaultFS()
+	ff.CrashAtSync(crashAt)
+	_, client := newTestServer(t, serve.Config{
+		TestWALFS: func(string) wal.FS { return ff },
+	})
+	ctx := context.Background()
+	if _, err := client.CreateTenant(ctx, serve.TenantConfig{
+		Name: "crash", Source: doubleSrc, Strategy: strategy,
+		// GroupCommitBytes 1: sync per absorbed group, so crash points
+		// land between ingest requests.
+		Durability: &serve.DurabilityConfig{GroupCommitBytes: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ingestOneByOne(t, client, "crash", codec, evs)
+	client.Quiesce(ctx, "crash") // may fail post-crash; fine
+	if !ff.Crashed() {
+		t.Fatalf("fault never fired (only %d syncs)", ff.Syncs())
+	}
+
+	// Reboot: a new server recovers a tenant from the durable (power-loss)
+	// view of the same directory.
+	rebooted := ff.Durable()
+	_, client2 := newTestServer(t, serve.Config{
+		TestWALFS: func(string) wal.FS { return rebooted },
+	})
+	info, err := client2.CreateTenant(ctx, serve.TenantConfig{
+		Name: "crash", Source: doubleSrc, Strategy: strategy,
+		Durability: &serve.DurabilityConfig{},
+	})
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if info["durable"] != true {
+		t.Fatalf("recovered tenant not marked durable: %v", info)
+	}
+	if _, err := client2.Quiesce(ctx, "crash"); err != nil {
+		t.Fatal(err)
+	}
+	gotEvent, err := client2.Query(ctx, "crash", "Event", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOut, err := client2.Query(ctx, "crash", "Out", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Parity: an uncrashed in-process run over exactly the recovered Event
+	// prefix must yield identical rows.
+	prefix := recoveredEvents(t, gotEvent)
+	if len(prefix) > nEvents {
+		t.Fatalf("recovered %d events, only %d were sent", len(prefix), nEvents)
+	}
+	want := runInProcess(t, doubleSrc, strategy, prefix, []string{"Event", "Out"})
+	if !bytes.Equal(gotEvent, want["Event"]) || !bytes.Equal(gotOut, want["Out"]) {
+		t.Fatalf("recovered snapshot != uncrashed covering prefix\n Event: %s\n  want: %s\n   Out: %s\n  want: %s",
+			gotEvent, want["Event"], gotOut, want["Out"])
 	}
 }
 

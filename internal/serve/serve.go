@@ -368,10 +368,9 @@ func (s *Server) handleQuiesce(w http.ResponseWriter, r *http.Request, m *Reques
 			versions[sch.Name] = v
 		}
 	}
-	st := t.Session.Stats()
 	return writeJSON(w, http.StatusOK, map[string]any{
 		"quiesce_nanos": m.QuiesceNanos,
-		"steps":         st.Steps,
+		"steps":         t.Session.QuiescedSteps(),
 		"versions":      versions,
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
@@ -494,6 +495,11 @@ func TestServeMetricsEndpoint(t *testing.T) {
 }
 
 // TestServeInflightQuota holds one slow put and checks a second is shed.
+// The held put asks for "100 Continue", which the server sends when the
+// handler first reads the body — after it has taken the tenant's only slot —
+// so the test knows the slot is held without probing for it: a probing put
+// could itself own the slot at the moment the held one arrives, get that one
+// refused, and leave both sides waiting on the pipe.
 func TestServeInflightQuota(t *testing.T) {
 	_, client := newTestServer(t, serve.Config{})
 	ctx := context.Background()
@@ -504,30 +510,33 @@ func TestServeInflightQuota(t *testing.T) {
 	}
 	// A pipe body lets us hold the first put open inside the handler.
 	pr, pw := io.Pipe()
+	defer pw.Close() // on any exit: the server cannot close over an open body
+	holding := make(chan struct{})
 	first := make(chan error, 1)
 	go func() {
-		req, _ := http.NewRequest(http.MethodPost, client.Base+"/v1/tenants/t/put", pr)
+		trace := &httptrace.ClientTrace{Got100Continue: func() { close(holding) }}
+		req, _ := http.NewRequestWithContext(httptrace.WithClientTrace(ctx, trace),
+			http.MethodPost, client.Base+"/v1/tenants/t/put", pr)
 		req.Header.Set("Content-Type", serve.JSONContentType)
+		req.Header.Set("Expect", "100-continue")
 		resp, err := client.HTTP.Do(req)
 		if err == nil {
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("held put answered %s", resp.Status)
+			}
 			resp.Body.Close()
 		}
 		first <- err
 	}()
-	// Wait for the first request to occupy the slot, then collide.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := client.PutJSON(ctx, "t", "Event", [][]any{{1}})
-		if serve.IsStatus(err, http.StatusTooManyRequests) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never observed 429 while a put held the only slot")
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-holding:
+	case err := <-first:
+		t.Fatalf("held put returned before reading its body: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("held put never reached the handler")
+	}
+	if err := client.PutJSON(ctx, "t", "Event", [][]any{{1}}); !serve.IsStatus(err, http.StatusTooManyRequests) {
+		t.Fatalf("second put while the only slot is held: %v, want 429", err)
 	}
 	fmt.Fprint(pw, `{"table":"Event","rows":[[42]]}`)
 	pw.Close()
@@ -655,5 +664,56 @@ func TestServePrefixFilteredSubscription(t *testing.T) {
 	}
 	if _, ok, err := client.Poll(ctx, "t", all.ID, all.Version, 5*time.Second); err != nil || !ok {
 		t.Fatalf("unfiltered subscriber: ok=%v err=%v, want a wakeup", ok, err)
+	}
+}
+
+// TestServeQuiesceWhilePutting: the quiesce response's step count is the one
+// captured at the quiescent boundary. One client streams puts while another
+// quiesces in a loop; a handler that read RunStats.Steps after Quiesce
+// returned raced the coordinator the next put had restarted (-race reports
+// it), and could see the count go backwards between two answers.
+func TestServeQuiesceWhilePutting(t *testing.T) {
+	const nEvents = 300
+	_, client := newTestServer(t, serve.Config{})
+	ctx := context.Background()
+	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "q", Source: doubleSrc}); err != nil {
+		t.Fatal(err)
+	}
+	putsDone := make(chan struct{})
+	go func() {
+		defer close(putsDone)
+		for i := 0; i < nEvents; i++ {
+			if err := client.PutJSON(ctx, "q", "Event", [][]any{{int64(i)}}); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	var last int64
+	for streaming := true; streaming; {
+		select {
+		case <-putsDone:
+			streaming = false // one more quiesce covers the final puts
+		default:
+		}
+		res, err := client.Quiesce(ctx, "q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps < last {
+			t.Fatalf("steps went backwards: %d after %d", res.Steps, last)
+		}
+		last = res.Steps
+	}
+	if last < 2 {
+		t.Fatalf("final quiesce reports %d steps, want at least one per table", last)
+	}
+	out, err := client.Query(ctx, "q", "Out", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]int64
+	if err := json.Unmarshal(out, &rows); err != nil || len(rows) != nEvents {
+		t.Fatalf("Out holds %d rows (err %v), want %d", len(rows), err, nEvents)
 	}
 }

@@ -1,6 +1,6 @@
-// Package skiplist implements a concurrent ordered set and map — the Go
-// analogue of Java's ConcurrentSkipListSet/Map that JStar's parallel code
-// generator uses for the Delta tree and Gamma tables (paper §5).
+// Package skiplist implements a concurrent ordered set — the Go analogue of
+// Java's ConcurrentSkipListSet that JStar's parallel code generator uses for
+// Gamma tables (paper §5).
 //
 // The implementation follows the lazy optimistic skip list of Herlihy, Lev,
 // Luchangco and Shavit ("A Simple Optimistic Skiplist Algorithm"): wait-free
@@ -114,17 +114,91 @@ func (l *List[T]) Insert(elem T) bool {
 
 // GetOrInsert adds elem if absent. It returns the element now in the set
 // (the existing one if already present) and whether an insert happened.
-// This is the primitive the Delta tree uses to share interior nodes.
 func (l *List[T]) GetOrInsert(elem T) (T, bool) {
+	return l.insert(elem, nil)
+}
+
+// Finger remembers where the last InsertAfter landed — per layer, the last
+// node known to sort before it — so that a run of ascending inserts resumes
+// each search there instead of descending from the head: O(log d) for an
+// element d positions past the previous one, O(1) when appending. The zero
+// Finger is ready to use; a Finger belongs to one goroutine and one List.
+type Finger[T any] struct {
+	at [maxLevel]*node[T]
+	ok bool
+}
+
+// InsertAfter is Insert resuming from f. Any elem is accepted: one that
+// does not sort strictly after f's position takes the ordinary descent from
+// the head, as does a retry after a failed validation, and either way f is
+// left at elem for the next call. Concurrent inserters and readers are as
+// safe as with Insert — same lock, validate and publish protocol.
+func (l *List[T]) InsertAfter(f *Finger[T], elem T) bool {
+	_, added := l.insert(elem, f)
+	return added
+}
+
+// findAfter is find started from finger f (every f.at node sorts before
+// probe): it climbs from the bottom layer to the first layer whose finger
+// has no successor before probe, walks down again from there, and resolves
+// the layers above — up to top, the new node's height — from their own
+// fingers. It fills preds/succs on layers 0..filled only; the layers above
+// keep their fingers, which still precede probe. Like find it returns a
+// layer at which succs holds an element equal to probe (the bottom one), or
+// -1.
+func (l *List[T]) findAfter(f *Finger[T], probe T, top int, preds, succs *[maxLevel]*node[T]) (lFound, filled int) {
+	climb := 0
+	for climb < maxLevel-1 {
+		next := f.at[climb].next[climb].Load()
+		if next == l.tail || l.cmp(next.elem, probe) >= 0 {
+			break
+		}
+		climb++
+	}
+	filled = max(climb, top)
+	pred := f.at[filled]
+	for layer := filled; layer >= 0; layer-- {
+		// At and above the climb each layer starts from its own finger; on
+		// the way down a layer does too until the walk has moved (the first
+		// step forward lands beyond every lower finger).
+		if layer >= climb || pred == f.at[layer+1] {
+			pred = f.at[layer]
+		}
+		curr := pred.next[layer].Load()
+		for curr != l.tail && l.cmp(curr.elem, probe) < 0 {
+			pred = curr
+			curr = pred.next[layer].Load()
+		}
+		preds[layer], succs[layer] = pred, curr
+	}
+	if c := succs[0]; c == l.tail || l.cmp(c.elem, probe) != 0 {
+		return -1, filled
+	}
+	return 0, filled
+}
+
+// insert is the lazy-skiplist insert behind GetOrInsert and InsertAfter:
+// search (from f when it is usable), lock the predecessors bottom-up,
+// validate that they still point at the successors found, link, publish.
+func (l *List[T]) insert(elem T, f *Finger[T]) (T, bool) {
 	topLayer := l.randomLevel()
 	var preds, succs [maxLevel]*node[T]
+	resume := f != nil && f.ok && (f.at[0] == l.head || l.cmp(f.at[0].elem, elem) < 0)
 	for {
-		if lFound := l.find(elem, &preds, &succs); lFound != -1 {
+		var lFound, filled int // filled: highest layer of preds the search set
+		if resume {
+			lFound, filled = l.findAfter(f, elem, topLayer, &preds, &succs)
+		} else {
+			lFound, filled = l.find(elem, &preds, &succs), maxLevel-1
+		}
+		resume = false // a retry searches from the head
+		if lFound != -1 {
 			found := succs[lFound]
 			if !found.marked.Load() {
 				for !found.fullyLinked.Load() {
 					runtime.Gosched()
 				}
+				f.moveTo(&preds, filled, nil, -1)
 				return found.elem, false
 			}
 			// Found but being deleted: retry until unlinked.
@@ -157,8 +231,26 @@ func (l *List[T]) GetOrInsert(elem T) (T, bool) {
 		n.fullyLinked.Store(true)
 		unlockPreds(&preds, highestLocked)
 		l.size.Add(1)
+		f.moveTo(&preds, filled, n, topLayer)
 		return elem, true
 	}
+}
+
+// moveTo advances the finger past an insert: n (when one was linked) on
+// the layers it occupies, the search's predecessors on the other layers the
+// search filled. A nil finger ignores the call.
+func (f *Finger[T]) moveTo(preds *[maxLevel]*node[T], filled int, n *node[T], topLayer int) {
+	if f == nil {
+		return
+	}
+	for layer := 0; layer <= filled; layer++ {
+		if layer <= topLayer {
+			f.at[layer] = n
+		} else {
+			f.at[layer] = preds[layer]
+		}
+	}
+	f.ok = true
 }
 
 // Contains reports whether an element equal to probe is present. Wait-free.

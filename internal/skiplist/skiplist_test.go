@@ -314,57 +314,6 @@ func TestQuickAscendIsSortedUnique(t *testing.T) {
 	}
 }
 
-func TestMapBasics(t *testing.T) {
-	m := NewMap[int, string](func(a, b int) int { return a - b })
-	if _, ok := m.Get(1); ok {
-		t.Error("Get on empty")
-	}
-	v := m.GetOrCreate(1, func() string { return "one" })
-	if v != "one" {
-		t.Error("GetOrCreate create")
-	}
-	v = m.GetOrCreate(1, func() string { return "other" })
-	if v != "one" {
-		t.Error("GetOrCreate must return existing")
-	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d", m.Len())
-	}
-	m.GetOrCreate(0, func() string { return "zero" })
-	k, val, ok := m.Min()
-	if !ok || k != 0 || val != "zero" {
-		t.Errorf("Min = %d %q %v", k, val, ok)
-	}
-	if !m.Delete(0) || m.Delete(0) {
-		t.Error("Delete semantics")
-	}
-	var keys []int
-	m.Ascend(func(k int, _ string) bool { keys = append(keys, k); return true })
-	if len(keys) != 1 || keys[0] != 1 {
-		t.Errorf("Ascend keys = %v", keys)
-	}
-}
-
-func TestMapConcurrentGetOrCreate(t *testing.T) {
-	m := NewMap[int, *int](func(a, b int) int { return a - b })
-	const workers = 8
-	ptrs := make([]*int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ptrs[w] = m.GetOrCreate(7, func() *int { x := w; return &x })
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if ptrs[w] != ptrs[0] {
-			t.Fatal("GetOrCreate must converge on a single value per key")
-		}
-	}
-}
-
 func BenchmarkSkipListInsert(b *testing.B) {
 	l := intList()
 	b.RunParallel(func(pb *testing.PB) {
@@ -389,4 +338,172 @@ func BenchmarkSkipListContains(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// checkLayers asserts the structural invariant finger inserts must keep:
+// every layer is strictly ascending and is a sublist of the layer below.
+func checkLayers(t *testing.T, l *List[int]) {
+	t.Helper()
+	below := map[*node[int]]bool{}
+	for layer := 0; layer < maxLevel; layer++ {
+		here := map[*node[int]]bool{}
+		var prev *node[int]
+		for n := l.head.next[layer].Load(); n != l.tail; n = n.next[layer].Load() {
+			if prev != nil && prev.elem >= n.elem {
+				t.Fatalf("layer %d: %d before %d", layer, prev.elem, n.elem)
+			}
+			if layer > 0 && !below[n] {
+				t.Fatalf("layer %d holds %d, layer %d does not", layer, n.elem, layer-1)
+			}
+			if n.topLayer < layer {
+				t.Fatalf("node %d of height %d linked at layer %d", n.elem, n.topLayer, layer)
+			}
+			here[n], prev = true, n
+		}
+		below = here
+	}
+}
+
+// TestInsertAfterMatchesInsert: whatever the input order — ascending runs
+// with small and large gaps, repeats, descents, runs restarted below the
+// finger — InsertAfter through one finger answers exactly as Insert into a
+// reference list does and builds the same set.
+func TestInsertAfterMatchesInsert(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		l, ref := intList(), intList()
+		var f Finger[int]
+		v := 0
+		for i := 0; i < 3000; i++ {
+			switch r.Intn(20) {
+			case 0:
+				v = r.Intn(4000) // jump anywhere, usually backwards
+			case 1:
+				// repeat v
+			case 2:
+				v += 200 + r.Intn(400) // a gap the climb has to span
+			default:
+				v += 1 + r.Intn(3)
+			}
+			if seed%3 == 0 && r.Intn(50) == 0 {
+				f = Finger[int]{} // a new run starts with a fresh finger
+			}
+			if got, want := l.InsertAfter(&f, v), ref.Insert(v); got != want {
+				t.Fatalf("seed %d op %d: InsertAfter(%d) = %v, Insert = %v", seed, i, v, got, want)
+			}
+		}
+		var got, want []int
+		l.Ascend(func(x int) bool { got = append(got, x); return true })
+		ref.Ascend(func(x int) bool { want = append(want, x); return true })
+		if len(got) != len(want) || l.Len() != ref.Len() {
+			t.Fatalf("seed %d: %d elements (Len %d), reference %d", seed, len(got), l.Len(), ref.Len())
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: element %d is %d, reference %d", seed, i, got[i], want[i])
+			}
+		}
+		checkLayers(t, l)
+	}
+}
+
+// TestInsertAfterConcurrent: several goroutines push interleaving ascending
+// runs through their own fingers while one inserts per element and one
+// reads. Every element must land exactly once (each value is offered by two
+// writers; exactly one may win) and the layers must stay ordered.
+func TestInsertAfterConcurrent(t *testing.T) {
+	const writers, per = 4, 4000
+	l := intList()
+	var wg sync.WaitGroup
+	wins := make([]int, writers+1)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var f Finger[int]
+			// Writer w offers w, w+writers/2, ... so each value has two
+			// takers, arriving through fingers that leapfrog each other.
+			for i := 0; i < per; i++ {
+				if l.InsertAfter(&f, (w%(writers/2))+i*(writers/2)) {
+					wins[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() { // plain inserter racing the fingers over the same values
+		defer wg.Done()
+		r := rand.New(rand.NewSource(3))
+		for i := 0; i < per; i++ {
+			if l.Insert(r.Intn(per * writers / 2)) {
+				wins[writers]++
+			}
+		}
+	}()
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			prev := -1
+			l.AscendFrom(per/2, func(x int) bool {
+				if x <= prev {
+					t.Errorf("reader saw %d after %d", x, prev)
+					return false
+				}
+				prev = x
+				return true
+			})
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	total := 0
+	for _, n := range wins {
+		total += n
+	}
+	if want := per * writers / 2; total != want || l.Len() != want {
+		t.Fatalf("%d successful inserts, Len %d, want %d distinct values", total, l.Len(), want)
+	}
+	checkLayers(t, l)
+}
+
+// TestInsertAfterSurvivesDelete: deleting the nodes a finger points at must
+// only cost it a retry from the head — validation refuses a marked
+// predecessor — never a lost or misplaced insert.
+func TestInsertAfterSurvivesDelete(t *testing.T) {
+	l := intList()
+	var f Finger[int]
+	for v := 0; v < 400; v += 2 {
+		l.InsertAfter(&f, v)
+	}
+	for v := 300; v < 400; v += 2 {
+		if !l.Delete(v) { // the finger's own node and its neighbours
+			t.Fatalf("Delete(%d)", v)
+		}
+	}
+	for v := 399; v < 500; v += 3 {
+		if !l.InsertAfter(&f, v) {
+			t.Fatalf("InsertAfter(%d) after deletes", v)
+		}
+	}
+	want := 150 + 34
+	if l.Len() != want {
+		t.Fatalf("Len = %d, want %d", l.Len(), want)
+	}
+	for _, v := range []int{298, 399, 402, 498} {
+		if !l.Contains(v) {
+			t.Fatalf("Contains(%d)", v)
+		}
+	}
+	if l.Contains(300) || l.Contains(398) {
+		t.Fatal("deleted elements resurfaced")
+	}
+	checkLayers(t, l)
 }

@@ -148,3 +148,102 @@ func keySign(x int) int {
 	}
 	return 0
 }
+
+// TestComparePathIsStepOrderOnOnePath is the single-order invariant: over
+// seeded random schemas (random column kinds, random orderby shapes,
+// distinct IDs as a Program assigns them) and tuples drawn from narrow
+// domains, two tuples on the same Delta path — same schema, equal seq/par
+// orderby columns, or different schemas whose orderby lists are all
+// literals — compare the same way under ComparePath and under the step
+// order CompareSchemaFields; and ComparePath equates exactly the
+// set-semantics duplicates.
+func TestComparePathIsStepOrderOnOnePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	kinds := []Kind{KindInt, KindInt, KindFloat, KindString, KindBool}
+	randValue := func(k Kind) Value {
+		switch k {
+		case KindInt:
+			if rng.Intn(8) == 0 {
+				return Int(int64(rng.Intn(3)-1) << 40) // beyond the 32-bit key prefix
+			}
+			return Int(int64(rng.Intn(5) - 2))
+		case KindFloat:
+			// No -0.0: Compare ties it with +0.0 while Equal (by hash) does
+			// not, so the pair is a non-duplicate that compares equal — the
+			// case the merge's Equal check exists for.
+			return Float([]float64{math.NaN(), math.Inf(-1), -1.5, 0, 2.25}[rng.Intn(5)])
+		case KindString:
+			return String_([]string{"", "a", "ab", "abcd", "abcde", "abcdf"}[rng.Intn(6)])
+		default:
+			return Bool(rng.Intn(2) == 0)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		var schemas []*Schema
+		for id := 0; id < 1+rng.Intn(3); id++ {
+			cols := make([]Column, 1+rng.Intn(4))
+			for i := range cols {
+				cols[i] = Column{Name: string(rune('a' + i)), Kind: kinds[rng.Intn(len(kinds))]}
+			}
+			var ob []OrderEntry
+			for i := 0; i < rng.Intn(4); i++ {
+				switch c := cols[rng.Intn(len(cols))].Name; rng.Intn(3) {
+				case 0:
+					ob = append(ob, Lit("L"))
+				case 1:
+					ob = append(ob, Seq(c))
+				default:
+					ob = append(ob, Par(c))
+				}
+			}
+			s := MustSchema(string(rune('A'+id)), cols, ob)
+			s.SetID(int32(id))
+			schemas = append(schemas, s)
+		}
+		var ts []*Tuple
+		for i := 0; i < 60; i++ {
+			s := schemas[rng.Intn(len(schemas))]
+			fs := make([]Value, s.Arity())
+			for c := range fs {
+				fs[c] = randValue(s.Columns[c].Kind)
+			}
+			ts = append(ts, New(s, fs...))
+		}
+		onePath := func(a, b *Tuple) bool {
+			if a.schema == b.schema {
+				return SamePath(a, b)
+			}
+			return a.schema.pathCol < 0 && b.schema.pathCol < 0 &&
+				len(a.schema.OrderBy) == len(b.schema.OrderBy)
+		}
+		for _, a := range ts {
+			for _, b := range ts {
+				c := ComparePath(a, b)
+				if (c == 0) != a.Equal(b) {
+					t.Fatalf("trial %d: ComparePath(%v, %v) = %d but Equal = %v", trial, a, b, c, a.Equal(b))
+				}
+				if c != -ComparePath(b, a) {
+					t.Fatalf("trial %d: ComparePath not antisymmetric on %v vs %v", trial, a, b)
+				}
+				if onePath(a, b) && keySign(c) != keySign(CompareSchemaFields(a, b)) {
+					t.Fatalf("trial %d: %v vs %v share a path but ComparePath = %d, CompareSchemaFields = %d (%v)",
+						trial, a, b, c, CompareSchemaFields(a, b), a.schema)
+				}
+			}
+		}
+		// And as an order on a whole leaf: sorting one path's tuples by
+		// ComparePath leaves them sorted in step order.
+		for _, pivot := range ts {
+			var leaf []*Tuple
+			for _, x := range ts {
+				if onePath(pivot, x) {
+					leaf = append(leaf, x)
+				}
+			}
+			slices.SortFunc(leaf, ComparePath)
+			if !slices.IsSortedFunc(leaf, CompareSchemaFields) {
+				t.Fatalf("trial %d: leaf of %v sorted by ComparePath is not in step order", trial, pivot)
+			}
+		}
+	}
+}

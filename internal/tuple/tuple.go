@@ -16,8 +16,10 @@ type Tuple struct {
 	// high half, an order-preserving 32-bit prefix of one field in the low
 	// half) that let the engine's hot-path sorts resolve most comparisons
 	// with one integer compare. key prefixes the step order (schema, then
-	// fields); pathKey prefixes the Delta-tree path order (schema, then the
-	// first seq/par orderby column). Key ties fall back to full comparisons.
+	// fields); pathKey prefixes the path order (schema, then the first
+	// seq/par orderby column — or field 0 when the orderby list is all
+	// literals and the two orders coincide). Key ties fall back to full
+	// comparisons.
 	key     uint64
 	pathKey uint64
 }
@@ -65,7 +67,7 @@ func (t *Tuple) computeKeys() {
 	if c := t.schema.pathCol; c >= 0 {
 		t.pathKey = hi | uint64(fieldKey32(t.fields[c]))
 	} else {
-		t.pathKey = hi
+		t.pathKey = t.key
 	}
 }
 
@@ -136,11 +138,28 @@ func (t *Tuple) CompareFields(o *Tuple) int {
 		n = len(o.fields)
 	}
 	for i := 0; i < n; i++ {
-		if c := Compare(t.fields[i], o.fields[i]); c != 0 {
+		if c := comparePtr(&t.fields[i], &o.fields[i]); c != 0 {
 			return c
 		}
 	}
 	return len(t.fields) - len(o.fields)
+}
+
+// comparePtr is Compare through pointers with the int-vs-int case inline:
+// the comparators below run once per tuple per step-boundary hop, and an
+// int column decided here costs two loads instead of two 40-byte Value
+// copies and a kind switch.
+func comparePtr(a, b *Value) int {
+	if a.kind == KindInt && b.kind == KindInt {
+		switch {
+		case a.i < b.i:
+			return -1
+		case a.i > b.i:
+			return 1
+		}
+		return 0
+	}
+	return Compare(*a, *b)
 }
 
 // CompareSchemaFields is the engine's step order: schema identity (dense
@@ -164,16 +183,21 @@ func CompareSchemaFields(a, b *Tuple) int {
 	return a.CompareFields(b)
 }
 
-// ComparePath is the engine's flush order: schema identity, then the
-// seq/par orderby columns in declaration order, then the precomputed
-// identity hash, then all fields. It refines the Delta tree's path
-// grouping to a total order, so a flush sorted by it descends the tree
-// with maximal spine reuse, and two tuples comparing equal are exactly
-// the set-semantics duplicates (same schema, same fields) that merge-time
-// dedup may drop. The hash stage is the cheap discriminator: once the
-// path components tie (always, for all-literal orderby lists), one
-// integer compare separates almost every non-duplicate pair, so the full
-// field walk runs only for true duplicates and hash collisions.
+// ComparePath is the engine's one tuple order from put buffer to Gamma:
+// schema identity, then the seq/par orderby columns in declaration order,
+// then all fields. It refines the Delta tree's path grouping to a total
+// order, so a flush sorted by it descends the tree once per distinct path
+// and lands in each leaf as one ascending segment; two tuples comparing
+// equal are exactly the set-semantics duplicates (same schema, same
+// fields) that merge-time dedup may drop.
+//
+// The single-order invariant: tuples on one Delta path agree on every
+// seq/par orderby column, so restricted to a leaf ComparePath IS the step
+// order CompareSchemaFields — what a worker sorted at seal time is still
+// sorted when the leaf drains into BeginStep and when Gamma's ordered
+// stores take it as a run. (It needs the distinct schema IDs a Program
+// assigns; unregistered schemas sharing ID 0 order by name after the key
+// prefix, and BeginStep's is-sorted check covers them.)
 func ComparePath(a, b *Tuple) int {
 	if a.pathKey != b.pathKey {
 		if a.pathKey < b.pathKey {
@@ -192,23 +216,31 @@ func ComparePath(a, b *Tuple) int {
 		return a.CompareFields(b)
 	}
 	if sa != nil {
-		for i, e := range sa.OrderBy {
-			if e.Kind == OrderLit {
-				continue // constant across the schema's tuples
+		for _, col := range sa.obCols {
+			if col < 0 {
+				continue // literal: constant across the schema's tuples
 			}
-			col := sa.obCols[i]
-			if c := Compare(a.fields[col], b.fields[col]); c != 0 {
+			if c := comparePtr(&a.fields[col], &b.fields[col]); c != 0 {
 				return c
 			}
 		}
 	}
-	if a.hash != b.hash {
-		if a.hash < b.hash {
-			return -1
-		}
-		return 1
-	}
 	return a.CompareFields(b)
+}
+
+// SamePath reports whether a and b are tuples of one schema that agree on
+// every seq/par orderby column, and therefore end at the same Delta-tree
+// leaf — where ComparePath and CompareSchemaFields are the same order.
+func SamePath(a, b *Tuple) bool {
+	if a.schema != b.schema {
+		return false
+	}
+	for _, col := range a.schema.obCols {
+		if col >= 0 && comparePtr(&a.fields[col], &b.fields[col]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // compareSchemas orders distinct schemas by dense ID, then name — a
