@@ -714,7 +714,7 @@ type migrationRow struct {
 // adaptiveReport is the -adaptive comparison (schema 5): the drifting
 // two-phase workload run twice — once with the plan frozen at start, once
 // with ReplanEvery live re-planning — with per-window phase-2 latencies,
-// the adaptive run's migration/strategy event log, and the headline
+// the adaptive run's migration event log, and the headline
 // speedup (frozen mean / adaptive mean over the probe-burst windows).
 type adaptiveReport struct {
 	Keys            int    `json:"keys"`
@@ -726,14 +726,13 @@ type adaptiveReport struct {
 	AdaptiveKind    string `json:"adaptive_kind"` // Reading's store after migration
 	// KindAfterIngest is Reading's backend in the adaptive run at the
 	// phase-1/phase-2 boundary — the convergence gate's input.
-	KindAfterIngest  string         `json:"kind_after_ingest"`
-	FrozenProbeNs    []int64        `json:"frozen_probe_ns"`
-	AdaptiveProbeNs  []int64        `json:"adaptive_probe_ns"`
-	FrozenMeanNs     float64        `json:"frozen_mean_ns"`
-	AdaptiveMeanNs   float64        `json:"adaptive_mean_ns"`
-	Speedup          float64        `json:"speedup"`
-	Migrations       []migrationRow `json:"migrations"`
-	StrategySwitches int            `json:"strategy_switches"`
+	KindAfterIngest string         `json:"kind_after_ingest"`
+	FrozenProbeNs   []int64        `json:"frozen_probe_ns"`
+	AdaptiveProbeNs []int64        `json:"adaptive_probe_ns"`
+	FrozenMeanNs    float64        `json:"frozen_mean_ns"`
+	AdaptiveMeanNs  float64        `json:"adaptive_mean_ns"`
+	Speedup         float64        `json:"speedup"`
+	Migrations      []migrationRow `json:"migrations"`
 	// ConvergeQuiesce is the quiescent boundary at which Reading migrated
 	// onto its point-probe backend (0 = never; the convergence gate).
 	ConvergeQuiesce int64 `json:"converge_quiesce"`
@@ -1297,19 +1296,18 @@ func adaptiveRun(cfg config, art *smokeArtifact, minSpeedup float64) []string {
 	adaptive := measure(1)
 
 	rep := &adaptiveReport{
-		Keys:             base.Keys,
-		IngestWindows:    base.IngestWindows,
-		ProbeWindows:     base.ProbeWindows,
-		ProbesPerWindow:  base.ProbesPerWindow,
-		ReplanEvery:      1,
-		FrozenKind:       frozen.ReadingKind,
-		AdaptiveKind:     adaptive.ReadingKind,
-		KindAfterIngest:  adaptive.KindAfterIngest,
-		FrozenProbeNs:    frozen.ProbeNanos,
-		AdaptiveProbeNs:  adaptive.ProbeNanos,
-		FrozenMeanNs:     frozen.ProbeNanosMean(),
-		AdaptiveMeanNs:   adaptive.ProbeNanosMean(),
-		StrategySwitches: len(adaptive.Stats.StrategySwitches),
+		Keys:            base.Keys,
+		IngestWindows:   base.IngestWindows,
+		ProbeWindows:    base.ProbeWindows,
+		ProbesPerWindow: base.ProbesPerWindow,
+		ReplanEvery:     1,
+		FrozenKind:      frozen.ReadingKind,
+		AdaptiveKind:    adaptive.ReadingKind,
+		KindAfterIngest: adaptive.KindAfterIngest,
+		FrozenProbeNs:   frozen.ProbeNanos,
+		AdaptiveProbeNs: adaptive.ProbeNanos,
+		FrozenMeanNs:    frozen.ProbeNanosMean(),
+		AdaptiveMeanNs:  adaptive.ProbeNanosMean(),
 	}
 	if rep.AdaptiveMeanNs > 0 {
 		rep.Speedup = rep.FrozenMeanNs / rep.AdaptiveMeanNs
@@ -1327,9 +1325,9 @@ func adaptiveRun(cfg config, art *smokeArtifact, minSpeedup float64) []string {
 
 	fmt.Printf("frozen   Reading=%-10s probe-window mean %10v\n",
 		rep.FrozenKind, time.Duration(rep.FrozenMeanNs).Round(time.Microsecond))
-	fmt.Printf("adaptive Reading=%-10s probe-window mean %10v  (x%.2f, %d migrations, %d strategy switches)\n",
+	fmt.Printf("adaptive Reading=%-10s probe-window mean %10v  (x%.2f, %d migrations)\n",
 		rep.AdaptiveKind, time.Duration(rep.AdaptiveMeanNs).Round(time.Microsecond),
-		rep.Speedup, len(rep.Migrations), rep.StrategySwitches)
+		rep.Speedup, len(rep.Migrations))
 	for _, m := range rep.Migrations {
 		fmt.Printf("  quiesce %-3d %-8s %s -> %s (%d tuples, %v)\n",
 			m.Quiesce, m.Table, m.From, m.To, m.Tuples,

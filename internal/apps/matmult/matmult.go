@@ -37,7 +37,7 @@ const (
 type RunOpts struct {
 	N          int // multiply two NxN matrices
 	Sequential bool
-	Strategy   exec.Strategy // execution engine (Auto picks from run stats)
+	Strategy   exec.Strategy // execution engine (zero value: decided per step)
 	Threads    int
 	Boxed      bool // route the inner loop through boxed tuples (§6.1)
 	// StorePlan replays a profile-guided per-table store plan. The Matrix

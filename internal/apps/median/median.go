@@ -36,7 +36,7 @@ type RunOpts struct {
 	N          int // array size (the paper used 100 million)
 	Regions    int // partition tasks per iteration (default 24)
 	Sequential bool
-	Strategy   exec.Strategy // execution engine (Auto picks from run stats)
+	Strategy   exec.Strategy // execution engine (zero value: decided per step)
 	Threads    int
 	Seed       uint64
 	MaxSteps   int64 // safety valve for tests (0 = none)

@@ -15,6 +15,7 @@
 package pvwatts
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -60,7 +61,7 @@ func (g GammaKind) Name() string {
 // RunOpts configure a JStar PvWatts run.
 type RunOpts struct {
 	Sequential bool
-	Strategy   exec.Strategy // execution engine (Auto picks from run stats)
+	Strategy   exec.Strategy // execution engine (zero value: decided per step)
 	Threads    int
 	NoDelta    bool // -noDelta PvWatts (§6.2: 23.0s -> 8.44s)
 	NoGamma    bool // -noGamma SumMonth (SumMonth is trigger-only)
@@ -160,47 +161,54 @@ func Program(csv []byte, opts RunOpts) (*core.Program, *core.Options, func(*core
 
 	// Read-loop rule: parse the CSV with parallel region readers (§6.2's
 	// "the CSV reader library can run several readers in parallel, on
-	// different parts of the input file").
+	// different parts of the input file"). Each reader parses into its own
+	// slice and the rule puts the slices in region order, so the put run
+	// keeps the file's order — readers appending to the firing slot's one
+	// buffer would interleave their regions and hand the seal sort a
+	// shuffled run. Under -noDelta there is no put run (a put is a Gamma
+	// insert plus the monthly firing), so the readers put directly.
 	p.Rule("readCSV", req, func(c *core.Ctx, t *tuple.Tuple) {
 		readers := opts.Readers
 		if readers <= 0 {
 			readers = c.Threads()
 		}
 		regions := fastcsv.Regions(len(csv), readers)
-		readOne := func(reg fastcsv.Region) {
-			err := fastcsv.ReadRegion(csv, reg, func(rec *fastcsv.Record) error {
-				y, err := rec.Int(0)
-				if err != nil {
-					return err
+		parsed := make([][]*tuple.Tuple, len(regions))
+		readOne := func(i int) {
+			// One line per record, give or take the one straddling each end.
+			out := make([]*tuple.Tuple, 0, bytes.Count(csv[regions[i].Start:regions[i].End], []byte{'\n'})+1)
+			err := fastcsv.ReadRegion(csv, regions[i], func(rec *fastcsv.Record) error {
+				var f [5]tuple.Value
+				for col := range f {
+					v, err := rec.Int(col)
+					if err != nil {
+						return err
+					}
+					f[col] = tuple.Int(v)
 				}
-				m, err := rec.Int(1)
-				if err != nil {
-					return err
+				pvt := tuple.New(pv, f[:]...)
+				if opts.NoDelta {
+					c.Put(pvt)
+				} else {
+					out = append(out, pvt)
 				}
-				d, err := rec.Int(2)
-				if err != nil {
-					return err
-				}
-				h, err := rec.Int(3)
-				if err != nil {
-					return err
-				}
-				pw, err := rec.Int(4)
-				if err != nil {
-					return err
-				}
-				c.PutNew(pv, tuple.Int(y), tuple.Int(m), tuple.Int(d), tuple.Int(h), tuple.Int(pw))
 				return nil
 			})
 			if err != nil {
 				panic(err)
 			}
+			parsed[i] = out
 		}
 		if pool := c.Pool(); pool != nil && len(regions) > 1 {
-			pool.For(len(regions), 1, func(i int) { readOne(regions[i]) })
+			pool.For(len(regions), 1, readOne)
 		} else {
-			for _, reg := range regions {
-				readOne(reg)
+			for i := range regions {
+				readOne(i)
+			}
+		}
+		for _, ts := range parsed {
+			for _, pvt := range ts {
+				c.Put(pvt)
 			}
 		}
 	})

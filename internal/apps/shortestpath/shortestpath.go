@@ -72,7 +72,7 @@ func Generate(o GenOpts) []Edge {
 type RunOpts struct {
 	Gen        GenOpts
 	Sequential bool
-	Strategy   exec.Strategy // execution engine (Auto picks from run stats)
+	Strategy   exec.Strategy // execution engine (zero value: decided per step)
 	Threads    int
 	// StorePlan replays a profile-guided per-table store plan, overriding
 	// the hash hints on Edge and Done for the tables it names.

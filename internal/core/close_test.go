@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -143,5 +144,75 @@ func TestSessionCloseUnblocksFullRing(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("PutBatch stranded on a full ring across Close")
+	}
+}
+
+// TestCloseAndQuiesceDuringFannedOutStep: Close and Quiesce issued while a
+// step is spread over the pool — coordinator and workers all inside rule
+// bodies — return once the step lets them, and leave no goroutine behind.
+// The run's clock ticks a millisecond per reading, so the measured gate
+// opens after the first inline chunk; the bodies park on a channel, so the
+// test decides when the step ends. No sleeps: every wait is on an event.
+func TestCloseAndQuiesceDuringFannedOutStep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	before := runtime.NumGoroutine()
+
+	p := NewProgram()
+	work := p.Table("Work", []tuple.Column{{Name: "i", Kind: tuple.KindInt}},
+		[]tuple.OrderEntry{tuple.Lit("Work")})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	p.Rule("park", work, func(c *Ctx, _ *tuple.Tuple) {
+		// The inline probe (slot 0, before the fan-out) passes straight
+		// through; every firing of the fanned-out rest parks.
+		if c.slot == 0 && c.run.stats.FannedSteps == 0 {
+			return
+		}
+		once.Do(func() { close(entered) })
+		<-release
+	})
+	for i := int64(0); i < 64; i++ {
+		p.Put(tuple.New(work, tuple.Int(i)))
+	}
+	r, err := p.NewRun(Options{Threads: 4, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clock int64
+	r.now = func() int64 { clock += int64(time.Millisecond); return clock }
+	s, err := r.startSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	<-entered // the step is fanned out and stuck in its bodies
+	quiesced, closed := make(chan error, 1), make(chan error, 1)
+	go func() { quiesced <- s.Quiesce(context.Background()) }()
+	go func() { closed <- s.Close() }()
+	for s.gate() == nil { // Close has been issued once the gate reports it
+		runtime.Gosched()
+	}
+	close(release)
+
+	if err := <-closed; err != nil {
+		t.Errorf("Close = %v", err)
+	}
+	// Quiesce raced Close: it saw the fixpoint or the closed session.
+	if err := <-quiesced; err != nil && !errors.Is(err, ErrSessionClosed) {
+		t.Errorf("Quiesce = %v", err)
+	}
+	if st := s.Stats(); st.Steps != 1 || st.FannedSteps != 1 {
+		t.Errorf("steps = %d, fanned = %d, want one fanned-out step", st.Steps, st.FannedSteps)
+	}
+	// Close joined the coordinator and shut the pool down; give the exited
+	// goroutines their last instructions, then count.
+	deadline := time.After(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		select {
+		case <-deadline:
+			t.Fatalf("%d goroutines before, %d after Close", before, runtime.NumGoroutine())
+		default:
+			runtime.Gosched()
+		}
 	}
 }

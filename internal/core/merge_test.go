@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -131,8 +132,12 @@ func TestDedupSortedInPlace(t *testing.T) {
 // slices.SortFunc in beginStep must order every batch exactly as the old
 // reflection-closure sort.Slice (schema ID, then CompareFields) did, so
 // sequential firing order — and with it every causally ordered side effect
-// — is byte-identical across the optimisation.
+// — is byte-identical across the optimisation. The default strategy is
+// held to the same order whenever it keeps a step inline: its doubling
+// chunks on the coordinator concatenate to Sequential's one call. The clock
+// is frozen for that arm, so the gate cannot open whatever the host does.
 func TestFiringOrderByteIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // Auto keeps its pool
 	p := NewProgram()
 	cols := []tuple.Column{
 		{Name: "x", Kind: tuple.KindInt},
@@ -180,19 +185,30 @@ func TestFiringOrderByteIdentical(t *testing.T) {
 		}
 		want = append(want, tp.String())
 	}
-	run, err := p.Execute(Options{Sequential: true, Quiet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Stats().Steps != 1 {
-		t.Fatalf("steps = %d, want 1 (single shared class)", run.Stats().Steps)
-	}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d tuples, want %d", len(fired), len(want))
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("firing order diverges at %d: got %s, want %s", i, fired[i], want[i])
+	for _, opts := range []Options{
+		{Sequential: true, Quiet: true},
+		{Threads: 4, Quiet: true},
+	} {
+		fired = nil
+		run, err := p.NewRun(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.now = func() int64 { return 0 }
+		if err := run.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		name := run.StrategyName()
+		if st := run.Stats(); st.Steps != 1 || st.FannedSteps != 0 {
+			t.Fatalf("%s: steps = %d (%d fanned), want 1 inline step (single shared class)", name, st.Steps, st.FannedSteps)
+		}
+		if len(fired) != len(want) {
+			t.Fatalf("%s: fired %d tuples, want %d", name, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("%s: firing order diverges at %d: got %s, want %s", name, i, fired[i], want[i])
+			}
 		}
 	}
 }

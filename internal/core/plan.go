@@ -9,9 +9,8 @@ import (
 
 // This file is the profile-guided store planner: it turns one run's
 // observed per-table statistics (puts, duplicates, query count and shape —
-// the §1.5 logging loop) plus the fire-chunk histogram into a StorePlan
-// for the next run, the same way RunStats.SuggestStrategy picks the
-// execution strategy. Save the plan, replay it through Options.StorePlan
+// the §1.5 logging loop) plus the mean fire chunk into a StorePlan for the
+// next run. Save the plan, replay it through Options.StorePlan
 // (or the cmd-level -save-plan/-store-plan flags), and the second run gets
 // backends fitted to the first run's workload.
 
@@ -166,6 +165,6 @@ func suggestKind(s *tuple.Schema, c tableCounters) string {
 }
 
 // SuggestStorePlan recommends per-table store backends for re-running the
-// same program, from this run's observed table statistics — the storage
-// counterpart of SuggestStrategy (see PlanFromStats for the heuristics).
+// same program, from this run's observed table statistics (see
+// PlanFromStats for the heuristics).
 func (s *RunStats) SuggestStorePlan() gamma.StorePlan { return PlanFromStats(s) }

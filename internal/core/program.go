@@ -178,11 +178,12 @@ func (p *Program) PlanHints() gamma.StorePlan { return p.planHints.Clone() }
 
 // Options configure one run — the JStar compiler/runtime flags.
 type Options struct {
-	// Strategy selects the execution engine: Sequential, ForkJoin (fork/
-	// join pool per step batch) or Pipelined (Disruptor ring + persistent
-	// consumer crew). The zero value Auto warms up sequentially and picks
-	// from the observed batch statistics (exec.Choose). An explicit
-	// non-Auto Strategy takes precedence over the legacy Sequential flag.
+	// Strategy selects the execution engine. The zero value Auto is the
+	// one to use: each step fires inline until its own clock proves it
+	// heavy, then fans out over the pool. Sequential never fans out,
+	// ForkJoin always does, Pipelined is the §6.3 Disruptor crew (see
+	// package exec). An explicit non-Auto Strategy takes precedence over
+	// the legacy Sequential flag.
 	Strategy exec.Strategy
 	// Sequential selects the -sequential code generator: TreeMap/TreeSet
 	// structures and a single-threaded step loop. Equivalent to
@@ -243,17 +244,16 @@ type Options struct {
 	// ingress exactly.
 	IngressShards int
 	// ReplanEvery, when > 0, turns the session adaptive: every N quiescent
-	// boundaries the coordinator re-derives the per-table store plan and
-	// the executor strategy from *windowed* statistics (counters since the
-	// last evaluation, not lifetime aggregates) and applies the changes
-	// live — a table is drained, rebuilt via the suggested backend and
-	// atomically swapped in; the executor is replaced between steps. Both
-	// actions sit behind hysteresis: a suggestion must win
+	// boundaries the coordinator re-derives the per-table store plan from
+	// *windowed* statistics (counters since the last evaluation, not
+	// lifetime aggregates) and applies the changes live — a table is
+	// drained, rebuilt via the suggested backend and atomically swapped in.
+	// Migrations sit behind hysteresis: a suggestion must win
 	// ReplanStreakWins consecutive windows, and tables below the planner's
 	// volume floor are left alone, so a noisy window never thrashes
 	// storage. 0 (the default) keeps the plan frozen at NewRun — the
-	// offline -save-plan/-store-plan behaviour. Migration and switch
-	// events are logged in RunStats.Migrations / StrategySwitches.
+	// offline -save-plan/-store-plan behaviour. Migrations are logged in
+	// RunStats.Migrations.
 	ReplanEvery int
 	// TableAffinity enables table-affine execution for the parallel
 	// strategies: every table is owned by one of Threads shards (schema-ID
@@ -279,25 +279,19 @@ type Options struct {
 // PoolRef abstracts the scheduling pool so callers can inject a shared one.
 // ForWorker is the engine's firing primitive: body receives the executing
 // participant's slot (0 = the calling goroutine, 1..Size() = pool workers)
-// so each can own a put buffer.
+// so each can own a put buffer, and done(slot) runs on each participant as
+// it leaves (see exec.Pool).
 type PoolRef interface {
 	Size() int
 	For(n, grain int, body func(i int))
-	ForWorker(n, grain int, body func(slot, i int))
+	ForWorker(n, grain int, body func(slot, i int), done func(slot int))
 }
 
 func (o *Options) threads() int {
-	if o.strategy() == exec.Sequential {
+	switch {
+	case o.strategy() == exec.Sequential:
 		return 1
-	}
-	return o.parallelThreads()
-}
-
-// parallelThreads resolves the thread count ignoring the strategy — the
-// capacity an adaptive session sizes its slots for, since a mid-run
-// strategy switch may upgrade a sequential start to a parallel executor.
-func (o *Options) parallelThreads() int {
-	if o.Threads > 0 {
+	case o.Threads > 0:
 		return o.Threads
 	}
 	return runtime.NumCPU()

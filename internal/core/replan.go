@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"github.com/jstar-lang/jstar/internal/exec"
-	"github.com/jstar-lang/jstar/internal/forkjoin"
 	"github.com/jstar-lang/jstar/internal/gamma"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
@@ -19,18 +16,18 @@ import (
 // the only points where the coordinator owns all mutation, so a table can
 // be drained, rebuilt through FactoryFor and atomically swapped without a
 // writer in flight (concurrent readers finish against the old store; see
-// gamma.DB.Migrate). The executor strategy is re-picked at the same
-// trigger from the windowed fire statistics. Both decisions run on
-// windowed counters (deltas since the last evaluation), so a session
-// serving drifting traffic follows the drift instead of being anchored to
-// lifetime aggregates, and both sit behind the same hysteresis: a
-// suggestion must win ReplanStreakWins consecutive windows over a volume
-// floor before anything moves.
+// gamma.DB.Migrate). The decision runs on windowed counters (deltas since
+// the last evaluation), so a session serving drifting traffic follows the
+// drift instead of being anchored to lifetime aggregates, and sits behind
+// hysteresis: a suggestion must win ReplanStreakWins consecutive windows
+// over a volume floor before anything moves. (Where a step's firings run
+// is not re-planned here: the executor decides that per step, from the
+// step's own clock.)
 
 // ReplanStreakWins is the hysteresis width of the adaptive session: a
-// suggested store kind (or strategy) must win this many consecutive
-// re-plan windows before it is applied, so one unrepresentative window
-// never migrates a table back and forth.
+// suggested store kind must win this many consecutive re-plan windows
+// before it is applied, so one unrepresentative window never migrates a
+// table back and forth.
 const ReplanStreakWins = 2
 
 // MigrationEvent records one live store migration (drain → rebuild →
@@ -43,15 +40,6 @@ type MigrationEvent struct {
 	To      string // new store kind spec
 	Tuples  int    // tuples drained and re-inserted
 	Nanos   int64  // wall time of the drain+rebuild+swap
-}
-
-// StrategySwitch records one executor strategy re-pick between steps.
-type StrategySwitch struct {
-	Step        int64
-	Quiesce     int64
-	From        string  // executor name before the switch
-	To          string  // strategy installed
-	WindowBatch float64 // windowed mean live tuples per step that drove the pick
 }
 
 // migrateTable rebuilds s's store as spec and swaps it in, reusing the
@@ -99,47 +87,9 @@ func (r *Run) applyMigrate(s *tuple.Schema, spec string, quiesce int64) error {
 	return r.migrateTable(s, spec, quiesce)
 }
 
-// switchExecutor replaces the run's executor with the given strategy
-// between Drains. Coordinator-only: the loop re-reads r.executor on every
-// Drain, and the old executor (and its consumer crew, for Pipelined) is
-// closed before the new one installs. A switch into ForkJoin lazily
-// creates the pool a sequential start never built.
-func (r *Run) switchExecutor(to exec.Strategy, quiesce int64, windowBatch float64) error {
-	if to == r.curStrategy {
-		return nil
-	}
-	if to == exec.ForkJoin && r.pool == nil {
-		r.ownPool = forkjoin.NewPool(r.threads)
-		r.pool = r.ownPool
-	}
-	var pool exec.Pool
-	if r.pool != nil {
-		pool = r.pool
-	}
-	// Clamp like Auto does: threads beyond the scheduler are pure
-	// oversubscription (a Pipelined crew larger than GOMAXPROCS).
-	threads := r.threads
-	if p := runtime.GOMAXPROCS(0); threads > p {
-		threads = p
-	}
-	ex, err := exec.New(to, exec.Config{Threads: threads, Pool: pool})
-	if err != nil {
-		return err
-	}
-	from := r.executor.Name()
-	r.executor.Close()
-	r.executor = ex
-	r.curStrategy = to
-	r.stats.StrategySwitches = append(r.stats.StrategySwitches, StrategySwitch{
-		Step: r.stats.Steps, Quiesce: quiesce,
-		From: from, To: to.String(), WindowBatch: windowBatch,
-	})
-	return nil
-}
-
 // replanner drives Options.ReplanEvery: windowed counter snapshots,
-// suggestion streaks, and the migrate/switch actions. Owned and called by
-// the session coordinator only.
+// suggestion streaks, and the migrations. Owned and called by the session
+// coordinator only.
 type replanner struct {
 	run   *Run
 	every int64
@@ -150,11 +100,8 @@ type replanner struct {
 	prevSteps   int64
 	prevBatches int64
 
-	// Hysteresis state: per-table suggested-kind streaks and the strategy
-	// suggestion streak.
-	kindStreak  map[string]kindStreak
-	stratWant   exec.Strategy
-	stratStreak int
+	// Hysteresis state: per-table suggested-kind streaks.
+	kindStreak map[string]kindStreak
 }
 
 type kindStreak struct {
@@ -168,7 +115,6 @@ func newReplanner(r *Run) *replanner {
 		every:      int64(r.opts.ReplanEvery),
 		prevTables: make(map[string]tableCounters, len(r.stats.Tables)),
 		kindStreak: make(map[string]kindStreak),
-		stratWant:  exec.Strategy(-1),
 	}
 }
 
@@ -245,24 +191,6 @@ func (rp *replanner) evaluate(quiesce int64) {
 		_ = r.migrateTable(s, want, quiesce)
 	}
 	rp.prevLive, rp.prevSteps, rp.prevBatches = rs.TotalLive, rs.Steps, rs.FireBatches.Load()
-
-	if wSteps <= 0 {
-		return
-	}
-	windowBatch := float64(wLive) / float64(wSteps)
-	threads := r.threads
-	if p := runtime.GOMAXPROCS(0); threads > p {
-		threads = p
-	}
-	want := exec.Choose(windowBatch, threads)
-	if want != rp.stratWant {
-		rp.stratWant, rp.stratStreak = want, 1
-	} else {
-		rp.stratStreak++
-	}
-	if want != r.curStrategy && rp.stratStreak >= ReplanStreakWins {
-		_ = r.switchExecutor(want, quiesce, windowBatch)
-	}
 }
 
 // servesShape reports whether the current backend already serves the

@@ -83,6 +83,11 @@ type RunStats struct {
 	Tables     map[string]*TableStats
 	RuleNanos  map[string]*atomic.Int64 // cumulative body time per rule
 
+	// FannedSteps counts the Steps whose firings left the coordinator for
+	// the workers — what the executor decided, step by step. Written only
+	// by the coordinator, like Steps.
+	FannedSteps int64
+
 	// StoreKinds records the store backend currently backing each table —
 	// a replayable gamma kind spec ("skip", "hash:2", "dense3d:3,96,96",
 	// "custom" for opaque factories). Initialised when the run is built and
@@ -96,9 +101,6 @@ type RunStats struct {
 	// completed drain→rebuild→swap, in execution order. Written only by the
 	// coordinator at quiescent boundaries; read at quiescence.
 	Migrations []MigrationEvent
-	// StrategySwitches logs executor strategy re-picks between steps (the
-	// online SuggestStrategy loop). Same access contract as Migrations.
-	StrategySwitches []StrategySwitch
 	// Replans counts re-plan evaluations (windows inspected), whether or
 	// not they migrated anything.
 	Replans int64
@@ -244,18 +246,6 @@ func (s *RunStats) SerialBoundaryFraction() float64 {
 	return float64(b) / float64(b+f)
 }
 
-// SuggestStrategy recommends an executor strategy for re-running the same
-// program, computed from the observed mean parallel batch size (live
-// tuples per step — the same measurement the Auto strategy makes mid-run,
-// so the two heuristics agree). This is the paper's §1.5 loop of letting
-// run logs drive the parallelisation choice.
-func (s *RunStats) SuggestStrategy(threads int) exec.Strategy {
-	if s.Steps == 0 {
-		return exec.Sequential
-	}
-	return exec.Choose(float64(s.TotalLive)/float64(s.Steps), threads)
-}
-
 // putSlot is one participant's put buffer. Rule firings on slot i append
 // here; at the step boundary the slot is *sealed* — its buffer sorted by
 // tuple.ComparePath and handed off as one pre-sorted run — and the
@@ -320,10 +310,10 @@ type Run struct {
 	ownPool  *forkjoin.Pool
 	executor exec.Executor
 	threads  int
-	// curStrategy is the strategy behind the current executor, updated by
-	// switchExecutor. Auto means "still adaptive" — the re-planner's first
-	// switch replaces the adaptive executor with a concrete one.
-	curStrategy exec.Strategy
+	// now is the monotonic clock the executor times a step's firings with
+	// (exec.Host.Now); in-package tests replace it to drive the fan-out
+	// gate without sleeping.
+	now func() int64
 
 	slots    []putSlot
 	slotCtx  []Ctx            // per-slot reusable rule contexts for fireBatch
@@ -406,6 +396,8 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 		opts:   opts,
 		failMu: make(chan struct{}, 1),
 	}
+	base := time.Now()
+	r.now = func() int64 { return int64(time.Since(base)) }
 	r.out.quiet = opts.Quiet
 
 	// Delta-tree mutation happens only at the step-boundary flush
@@ -418,10 +410,9 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	// that disjointness.
 	r.delta = delta.NewSequential(p.po)
 	// Gamma backend choice follows the effective parallelism, not just the
-	// requested one: Auto on a single-scheduler machine can only ever pick
-	// Sequential (its thread count is clamped to GOMAXPROCS), so it gets
-	// the cheaper tree stores instead of paying the concurrent skip-list
-	// tax for parallelism that cannot happen.
+	// requested one: Auto on a single-scheduler machine never fans a step
+	// out (exec.New), so it gets the cheaper tree stores instead of paying
+	// the concurrent skip-list tax for parallelism that cannot happen.
 	if strategy == exec.Sequential ||
 		(strategy == exec.Auto && runtime.GOMAXPROCS(0) == 1) {
 		r.gammaDB = gamma.NewDB(gamma.NewTreeStore)
@@ -507,31 +498,18 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 		r.threads = r.pool.Size()
 	}
 	if strategy == exec.Sequential {
-		if opts.ReplanEvery > 0 {
-			// An adaptive session may re-pick a parallel strategy mid-run,
-			// so the slot/context arrays are sized for the parallel thread
-			// count up front — a strategy switch must never resize live put
-			// buffers.
-			r.threads = opts.parallelThreads()
-		} else {
-			r.threads = 1
-		}
+		r.threads = 1
 	}
 
 	var pool exec.Pool
 	if r.pool != nil {
 		pool = r.pool
 	}
-	execThreads := r.threads
-	if strategy == exec.Sequential {
-		execThreads = 1
-	}
-	ex, err := exec.New(strategy, exec.Config{Threads: execThreads, Pool: pool})
+	ex, err := exec.New(strategy, exec.Config{Threads: r.threads, Pool: pool})
 	if err != nil {
 		return nil, err
 	}
 	r.executor = ex
-	r.curStrategy = strategy
 	// Table affinity shards the Gamma tables across as many owners as there
 	// are workers; with one worker (or affinity off) everything collapses
 	// to one shard, which IS the pre-affinity layout. The shard map merges
@@ -1269,8 +1247,8 @@ func (r *Run) Stats() *RunStats { return &r.stats }
 // Program returns the program this run executes.
 func (r *Run) Program() *Program { return r.prog }
 
-// StrategyName reports the executor driving this run ("sequential",
-// "forkjoin", "pipelined", or "auto:<chosen>" once Auto has decided).
+// StrategyName reports the executor driving this run ("auto", "sequential",
+// "forkjoin" or "pipelined").
 func (r *Run) StrategyName() string { return r.executor.Name() }
 
 // Output returns the Println lines produced so far. Within one parallel

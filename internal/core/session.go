@@ -94,6 +94,7 @@ type Session struct {
 	quiescent bool          // loop is parked with Delta and ring drained
 	consumed  []int64       // per-shard sequence absorbed at last quiescence
 	qSteps    int64         // RunStats.Steps at last quiescence
+	qFanned   int64         // RunStats.FannedSteps at last quiescence
 	qGen      chan struct{} // closed and replaced at each quiescence
 	migrateQ  []*migrateRequest
 	ckptQ     []*checkpointRequest
@@ -242,7 +243,7 @@ func (s *Session) loop() {
 		}
 		// Quiescent boundary: the Delta set and ingress ring are drained and
 		// no rule is in flight, so the coordinator owns every store — the
-		// only point where live migration and strategy switching are safe.
+		// only point where a live migration is safe.
 		s.quiesces++
 		s.applyMigrations()
 		if s.replan != nil {
@@ -371,21 +372,22 @@ func (s *Session) markQuiescent() {
 		}
 	}
 	s.run.stats.Elapsed = time.Since(s.start)
-	s.qSteps = s.run.stats.Steps
+	s.qSteps, s.qFanned = s.run.stats.Steps, s.run.stats.FannedSteps
 	close(s.qGen)
 	s.qGen = make(chan struct{})
 	s.mu.Unlock()
 }
 
 // QuiescedSteps returns the number of execution steps the session had run
-// at its most recent quiescent boundary. Unlike Stats().Steps, which the
-// coordinator writes while it executes, it is safe to read at any time —
-// in particular right after Quiesce returns, when another producer's put
-// may already have restarted the step loop.
-func (s *Session) QuiescedSteps() int64 {
+// at its most recent quiescent boundary, and how many of them the executor
+// fanned out over the workers. Unlike Stats().Steps and FannedSteps, which
+// the coordinator writes while it executes, they are safe to read at any
+// time — in particular right after Quiesce returns, when another
+// producer's put may already have restarted the step loop.
+func (s *Session) QuiescedSteps() (steps, fanned int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.qSteps
+	return s.qSteps, s.qFanned
 }
 
 // gate reports the session's terminal state, if any.
@@ -794,6 +796,8 @@ func (h sessionHost) NextBatch() ([]*tuple.Tuple, error) {
 
 func (h sessionHost) BeginStep(b []*tuple.Tuple) []*tuple.Tuple { return h.s.run.beginStep(b) }
 func (h sessionHost) FireBatch(ts []*tuple.Tuple, slot int)     { h.s.run.fireBatch(ts, slot) }
+func (h sessionHost) Now() int64                                { return h.s.run.now() }
+func (h sessionHost) FanOut()                                   { h.s.run.stats.FannedSteps++ }
 func (h sessionHost) SealSlot(slot int)                         { h.s.run.sealSlot(slot) }
 func (h sessionHost) EndStep()                                  { h.s.run.endStep() }
 func (h sessionHost) Err() error                                { return h.s.run.loadFail() }

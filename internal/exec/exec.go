@@ -1,24 +1,31 @@
-// Package exec is the pluggable execution layer of the JStar engine: it
-// owns the step loop that repeatedly extracts the minimal causal
-// equivalence class from the Delta set and fires the triggered rules, and
-// it decides *how* those firings are scheduled.
+// Package exec is the execution layer of the JStar engine: it owns the step
+// loop that repeatedly extracts the minimal causal equivalence class from
+// the Delta set and fires the triggered rules, and it decides *where* those
+// firings run.
 //
-// The paper's thesis is that parallelism strategy is a runtime choice, not
-// a program change (§1, §5); this package is that choice made concrete.
-// Three strategies are provided behind one Executor interface:
+// The paper's thesis is that parallelisation is the runtime's choice, not a
+// program change (§1, §5). There is one step loop (stepLoop), and the choice
+// is made per step from that step's own clock and nothing else: the
+// coordinator fires the live batch inline in doubling chunks, reading the
+// clock after each, and as soon as the unfired rest is predicted to cost
+// fanOutMinNanos it hands that rest to the pool. A step of cheap firings
+// never wakes a worker; a step of heavy ones goes parallel after its first
+// few firings; a rule seen for the first time needs no history. Every
+// participant of a fanned-out step seals its own put run when the chunk
+// cursor runs dry, so such a step costs one barrier.
 //
-//   - Sequential: a single-threaded step loop (the -sequential code
+// The strategies are that loop under three settings of its gate:
+//
+//   - Auto (the zero value, what every user gets): the measured gate.
+//   - Sequential: no pool, the gate never opens (the -sequential code
 //     generator).
-//   - ForkJoin: each step's batch is fired across a work-stealing fork/join
-//     pool (the paper's default parallel code generator, §5).
-//   - Pipelined: a persistent crew of consumers fed through a Disruptor
-//     ring buffer (the §6.3 PvWatts redesign, generalised to any program);
-//     per-step hand-off costs an atomic publish instead of task forking.
+//   - ForkJoin: the gate forced open — every multi-chunk step fans out
+//     (the paper's parallel code generator, §5, and the row that keeps
+//     "default = best" honest in the benchmark).
 //
-// Auto (the zero value) picks for you: the run warms up sequentially while
-// observing batch sizes, then upgrades to ForkJoin or Pipelined using the
-// Choose heuristic — the §1.5 idea of using run logs to select strategies,
-// folded into a single run.
+// Pipelined — a persistent crew of consumers fed through a Disruptor ring
+// (the §6.3 PvWatts redesign, generalised) — stays selectable by name as
+// the paper's artefact; nothing chooses it.
 //
 // # The batch-first Host contract
 //
@@ -32,9 +39,10 @@
 //     parallelises) — and the coordinator k-way merges the runs into the
 //     Delta tree (EndStep). No firing ever takes the Delta-tree lock.
 //   - Dispatch: a strategy never hands tuples to the engine one at a time.
-//     It partitions each step's live batch into contiguous chunks — grain-
-//     sized chunks claimed by pool workers for ForkJoin, ring segments for
-//     Pipelined — and passes each whole chunk to one FireBatch call. The
+//     It partitions each step's live batch into contiguous chunks — the
+//     coordinator's doubling inline chunks, grain-sized chunks claimed by
+//     pool workers, ring segments for Pipelined — and passes each whole
+//     chunk to one FireBatch call. The
 //     engine amortises rule lookup, statistics accounting and rule-context
 //     setup over the chunk, and rules that provide a batch body (see
 //     core.Rule.BatchBody) receive the chunk in a single invocation. This
@@ -59,13 +67,12 @@ import (
 type Strategy int
 
 const (
-	// Auto warms up sequentially, then picks a strategy from the observed
-	// batch statistics (Choose), with the thread count clamped to
-	// GOMAXPROCS so it never upgrades into oversubscription.
+	// Auto fires each step inline until the step's own clock proves it
+	// heavy, then fans the rest out over the pool (the measured gate).
 	Auto Strategy = iota
 	// Sequential fires every rule on the coordinator goroutine.
 	Sequential
-	// ForkJoin fires each step's batch across a work-stealing pool.
+	// ForkJoin fans every multi-chunk step out over the pool.
 	ForkJoin
 	// Pipelined streams firings through a Disruptor ring to a persistent
 	// consumer crew.
@@ -111,12 +118,12 @@ func ParseStrategy(s string) (Strategy, error) {
 }
 
 // Host is the engine surface an Executor drives; implemented by core.Run.
-// The contract is batch-first: NextBatch/BeginStep/EndStep are called by
-// the executor's coordinator goroutine only; FireBatch may be called from
-// many goroutines concurrently, each with a distinct slot (0 is reserved
-// for the coordinator) and a chunk of the live batch BeginStep returned.
-// Chunks passed to FireBatch must partition the live batch — every live
-// tuple is fired exactly once per step.
+// The contract is batch-first: NextBatch/BeginStep/Now/FanOut/EndStep are
+// called by the executor's coordinator goroutine only; FireBatch may be
+// called from many goroutines concurrently, each with a distinct slot (0 is
+// reserved for the coordinator) and a chunk of the live batch BeginStep
+// returned. Chunks passed to FireBatch must partition the live batch —
+// every live tuple is fired exactly once per step.
 type Host interface {
 	// NextBatch extracts the next minimal causal equivalence class,
 	// handling step accounting, failure checks and the step limit. A nil
@@ -132,13 +139,20 @@ type Host interface {
 	// the chunk and hands schema-homogeneous runs to batch-aware rule
 	// bodies in one call.
 	FireBatch(ts []*tuple.Tuple, slot int)
+	// Now reads the host's monotonic clock, in nanoseconds. The measured
+	// gate times a step's inline firings with it — the host's clock rather
+	// than the executor's own, so a test that fakes the one fakes the other.
+	Now() int64
+	// FanOut notes that the current step's firings are leaving the
+	// coordinator for the workers (RunStats.FannedSteps).
+	FanOut()
 	// SealSlot sorts slot's put buffer and hands it off as one pre-sorted
-	// run for the step's flush merge. Strategies should call it from their
-	// workers once the step's firings are done, so the sort half of the
-	// old serial step boundary runs in parallel; it may be called
-	// concurrently for distinct slots (concurrent calls for the same slot
-	// are safe but pointless). Calling it is an optimisation, not an
-	// obligation — EndStep seals whatever was left unsealed.
+	// run for the step's flush merge. Strategies call it from each worker
+	// once that worker's firings are done, so the sort half of the step
+	// boundary runs in parallel; it may be called concurrently for distinct
+	// slots (concurrent calls for the same slot are safe but pointless).
+	// Calling it is an optimisation, not an obligation — EndStep seals
+	// whatever was left unsealed.
 	SealSlot(slot int)
 	// EndStep merges the sealed per-slot runs into one sorted,
 	// deduplicated flush and bulk-loads it into the Delta tree.
@@ -151,13 +165,14 @@ type Host interface {
 // (core.Options.TableAffinity). When Affine() reports true the host has
 // pre-partitioned the current step's live batch into Tasks() fire tasks,
 // each covering tuples owned by a single Gamma shard; TaskRoute(i) names
-// that shard. Parallel strategies then dispatch whole tasks instead of
-// cutting their own grain-sized chunks, steering each task toward the
-// worker pinned to its shard: ForkJoin orders tasks so workers claim their
-// own shards first (best-effort — work stealing may still rebalance),
-// Pipelined claims events by route instead of sequence residue
-// (deterministic pinning). Correctness never depends on the steering: the
-// host buffers puts per (slot, shard), so any worker may fire any task.
+// that shard. Strategies then dispatch whole tasks instead of cutting
+// their own chunks, steering each task toward the worker pinned to its
+// shard: the step loop hands the pool the tasks in plan order, which groups
+// a shard's tasks contiguously so range claiming tends to keep a shard on
+// one worker (best-effort); Pipelined claims events by route instead of
+// sequence residue (deterministic pinning). Correctness never depends on
+// the steering: the host buffers puts per (slot, shard), so any worker may
+// fire any task.
 type AffineHost interface {
 	Host
 	// Affine reports whether the current step was planned table-affine.
@@ -171,13 +186,15 @@ type AffineHost interface {
 	TaskRoute(i int) int
 }
 
-// Pool abstracts the fork/join pool an Executor schedules on (implemented
+// Pool abstracts the fork/join pool the step loop fans out on (implemented
 // by forkjoin.Pool and core.PoolRef).
 type Pool interface {
 	Size() int
 	// ForWorker runs body(slot, i) for every i in [0, n): slot 0 is the
-	// calling goroutine, slots 1..Size() the pool workers.
-	ForWorker(n, grain int, body func(slot, i int))
+	// calling goroutine, slots 1..Size() the pool workers. A participant
+	// that finds no index left calls done(slot) before it leaves, so a
+	// per-participant epilogue shares the loop's one barrier.
+	ForWorker(n, grain int, body func(slot, i int), done func(slot int))
 }
 
 // Executor runs a program's step loop to quiescence. Drain is resumable:
@@ -199,12 +216,11 @@ type Executor interface {
 
 // Config carries the shared knobs for building executors.
 type Config struct {
-	// Threads is the target degree of parallelism (Pipelined consumer
-	// count; Auto's decision input). Defaults to Pool.Size() when a pool is
-	// present.
+	// Threads is the Pipelined consumer count. Defaults to Pool.Size() when
+	// a pool is present.
 	Threads int
-	// Pool is the fork/join pool for ForkJoin (and Auto, which may upgrade
-	// to it). May be nil for Sequential and Pipelined.
+	// Pool is the fork/join pool Auto and ForkJoin fan out on. May be nil
+	// for Sequential and Pipelined; Auto without one never fans out.
 	Pool Pool
 	// RingSize is the Pipelined ring capacity (power of two, default 4096).
 	RingSize int
@@ -212,8 +228,6 @@ type Config struct {
 	ClaimBatch int
 	// Wait is the Pipelined wait strategy (default BlockingWait).
 	Wait disruptor.WaitStrategy
-	// WarmupSteps is Auto's sequential observation window (default 32).
-	WarmupSteps int64
 }
 
 func (c Config) threads() int {
@@ -230,41 +244,28 @@ func (c Config) threads() int {
 func New(s Strategy, cfg Config) (Executor, error) {
 	switch s {
 	case Sequential:
-		return sequential{}, nil
+		return newStepLoop("sequential", nil, false), nil
 	case ForkJoin:
 		if cfg.Pool == nil {
 			return nil, fmt.Errorf("jstar: ForkJoin strategy requires a pool")
 		}
-		return &forkJoin{pool: cfg.Pool}, nil
+		return newStepLoop("forkjoin", cfg.Pool, true), nil
 	case Pipelined:
 		return newPipelined(cfg), nil
 	case Auto:
-		return &adaptive{cfg: cfg}, nil
+		pool := cfg.Pool
+		if runtime.GOMAXPROCS(0) < 2 {
+			pool = nil // no second processor: a fan-out can only cost
+		}
+		return newStepLoop("auto", pool, false), nil
 	}
 	return nil, fmt.Errorf("jstar: unknown strategy %v", s)
 }
 
-// Choose recommends a strategy from observed run statistics: the mean
-// parallel batch size (live tuples per step) and the available threads.
-// Tiny batches cannot amortise any hand-off, so they stay sequential; big
-// batches amortise fork/join's chunked parallel-for best; the moderate
-// middle is where the Pipelined crew's cheap per-tuple publish wins. This
-// is the §1.5 "statistics drive the parallelisation strategy" loop.
-func Choose(avgBatch float64, threads int) Strategy {
-	if threads <= 1 || avgBatch < 2 {
-		return Sequential
-	}
-	if avgBatch >= float64(4*threads) {
-		return ForkJoin
-	}
-	return Pipelined
-}
-
-// ChunkGrain returns the chunk size the parallel strategies use to
-// partition a step batch of n live tuples across `workers` participants:
-// about four chunks per worker, so the work-stealing pool (and the ring
-// crew) can rebalance skewed chunks, while each FireBatch call still
-// amortises dispatch over many tuples.
+// ChunkGrain returns the chunk size a fan-out uses to partition n live
+// tuples across `workers` participants: about four chunks per worker, so
+// the pool (and the ring crew) can rebalance skewed chunks, while each
+// FireBatch call still amortises dispatch over many tuples.
 func ChunkGrain(n, workers int) int {
 	if workers < 1 {
 		workers = 1
@@ -276,29 +277,9 @@ func ChunkGrain(n, workers int) int {
 	return g
 }
 
-// fireChunks partitions live into grain-sized contiguous chunks and calls
-// fire for each with the chunk's index. It is shared by the parallel
-// strategies so the partitioning (and its tests) live in one place.
-func fireChunks(live []*tuple.Tuple, grain int, fire func(chunk []*tuple.Tuple, i int)) {
-	n := len(live)
-	for i, lo := 0, 0; lo < n; i, lo = i+1, lo+grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		fire(live[lo:hi], i)
-	}
-}
-
-// sequential is the -sequential step loop: one goroutine, slot 0. The
-// whole live batch is one chunk — sequential runs pay exactly one
-// dispatch per (schema, rule) group per step.
-type sequential struct{}
-
-func (sequential) Name() string { return "sequential" }
-func (sequential) Close()       {}
-
-func (sequential) Drain(h Host) error {
+// drain is the step loop every strategy shares: extract the minimal class,
+// move it into Gamma, fire it, flush the puts. Only fire differs.
+func drain(h Host, fire func(h Host, live []*tuple.Tuple)) error {
 	for {
 		batch, err := h.NextBatch()
 		if err != nil {
@@ -307,141 +288,146 @@ func (sequential) Drain(h Host) error {
 		if batch == nil {
 			return h.Err()
 		}
-		if live := h.BeginStep(batch); len(live) > 0 {
-			h.FireBatch(live, 0)
-		}
+		fire(h, h.BeginStep(batch))
 		h.EndStep()
 	}
 }
 
-// forkJoin fires each batch across the pool in grain-sized chunks: each
-// pool participant claims whole chunks (amortised dispatch) instead of
-// single tuples (a fork per firing).
-type forkJoin struct{ pool Pool }
+// fanOutMinNanos is the measured gate's threshold: a step leaves the
+// coordinator once its unfired rest is predicted to cost this long. It is
+// a constant, not an option, set from BenchmarkFanOutBreakEven — a step of
+// 8 firings, inline against fanned out over a parked 2-worker pool, fire
+// phase only, on the 2-vCPU reference box (medians of 3 × 2000 steps):
+//
+//	step work   inline    fan-out
+//	 ~40 µs      43 µs     59 µs   (1.36× slower)
+//	~240 µs     246 µs    180 µs   (1.37× faster)
+//	~800 µs     807 µs    474 µs   (1.70× faster)
+//
+// The fire phase alone breaks even near 100 µs. The threshold sits at five
+// times that because a fan-out costs more than its wake-up: the step's puts
+// reach EndStep as one run per participant, so the flush is a k-way merge
+// where an inline step's single run is handed to the Delta tree without a
+// copy, and the woken workers burn CPU the wall clock does not show. At
+// 500 µs the fan-out still saves a third of the fire phase, and the steps
+// it leaves inline — the service workloads' 64 to 1000 firings of under a
+// microsecond — are the ones whose time is in the boundary anyway.
+const fanOutMinNanos = 500_000
 
-func (e *forkJoin) Name() string { return "forkjoin" }
-func (e *forkJoin) Close()       {}
+// probeChunk is the first inline chunk of a measured step, in tuples; each
+// later chunk doubles, so a step that stays inline reads the clock
+// O(log n) times and still hands the engine large chunks.
+const probeChunk = 8
 
-func (e *forkJoin) Drain(h Host) error {
-	for {
-		batch, err := h.NextBatch()
-		if err != nil {
-			return err
+// shouldFanOut is the measured gate: with `fired` units of this step done
+// in `elapsed` nanoseconds, is the predicted cost of the `remaining` ones
+// worth a fan-out. A pure function of the step's own progress — no
+// history, no tuning state.
+func shouldFanOut(fired int, elapsed int64, remaining int) bool {
+	return float64(remaining)*float64(elapsed) >= fanOutMinNanos*float64(fired)
+}
+
+// stepLoop is the executor behind Auto, Sequential and ForkJoin: one loop,
+// parameterised by a pool and a gate.
+type stepLoop struct {
+	name string
+	pool Pool // nil: every step fires on the coordinator
+	open bool // gate forced open: fan out without measuring
+
+	// The step being fired: its units are the tuples of live or, when the
+	// host planned it table-affine, ah's tasks. A fan-out covers units
+	// [lo, n) in grain-sized chunks. Written by the coordinator before the
+	// pool's barrier, read by the participants inside it.
+	h            Host
+	ah           AffineHost
+	live         []*tuple.Tuple
+	lo, n, grain int
+	// fireChunk and sealSlot bound once, so a step allocates no closure.
+	body func(slot, i int)
+	done func(slot int)
+}
+
+func newStepLoop(name string, pool Pool, open bool) *stepLoop {
+	e := &stepLoop{name: name, pool: pool, open: open}
+	e.body, e.done = e.fireChunk, e.sealSlot
+	return e
+}
+
+func (e *stepLoop) Name() string       { return e.name }
+func (e *stepLoop) Close()             {}
+func (e *stepLoop) Drain(h Host) error { return drain(h, e.fireStep) }
+
+// fireStep fires one step: inline while the gate stays shut, the rest
+// across the pool once it opens.
+func (e *stepLoop) fireStep(h Host, live []*tuple.Tuple) {
+	e.h, e.live, e.ah = h, live, nil
+	n, first := len(live), probeChunk
+	if ah, ok := h.(AffineHost); ok && ah.Affine() {
+		// Table-affine step: the host pre-partitioned live into shard-owned,
+		// already grain-sized tasks; they are the units, probed one at a time.
+		e.ah, n, first = ah, ah.Tasks(), 1
+	}
+	lo := e.inline(n, first)
+	if rest := n - lo; rest > 0 {
+		grain := 1
+		if e.ah == nil {
+			grain = ChunkGrain(rest, e.pool.Size())
 		}
-		if batch == nil {
-			return h.Err()
-		}
-		live := h.BeginStep(batch)
-		if ah, ok := h.(AffineHost); ok && ah.Affine() {
-			// Table-affine step: the host pre-partitioned live into
-			// shard-owned tasks. Dispatch them as-is — the plan's task order
-			// groups each shard's tasks contiguously, so the pool's range
-			// claiming tends to keep a shard on one worker; stealing may
-			// rebalance, which is safe because puts key on (slot, shard).
-			if n := ah.Tasks(); n == 1 {
-				ah.FireTask(0, 0)
-			} else if n > 1 {
-				e.pool.ForWorker(n, 1, func(slot, i int) {
-					ah.FireTask(i, slot)
-				})
-				e.pool.ForWorker(e.pool.Size()+1, 1, func(_, s int) {
-					h.SealSlot(s)
-				})
-			}
-			h.EndStep()
-			continue
-		}
-		grain := ChunkGrain(len(live), e.pool.Size())
-		if len(live) <= grain {
-			if len(live) > 0 {
-				h.FireBatch(live, 0)
-			}
+		if rest <= grain {
+			e.fire(lo, n, 0) // a lone chunk gains nothing from the round trip
 		} else {
-			chunks := (len(live) + grain - 1) / grain
-			e.pool.ForWorker(chunks, 1, func(slot, i int) {
-				lo := i * grain
-				hi := lo + grain
-				if hi > len(live) {
-					hi = len(live)
-				}
-				h.FireBatch(live[lo:hi], slot)
-			})
-			// Seal phase: sort every slot's put run across the pool, so
-			// the flush arrives at EndStep pre-sorted and the coordinator
-			// only merges. Empty slots seal for the cost of a lock.
-			e.pool.ForWorker(e.pool.Size()+1, 1, func(_, s int) {
-				h.SealSlot(s)
-			})
+			h.FanOut()
+			e.lo, e.n, e.grain = lo, n, grain
+			e.pool.ForWorker((rest+grain-1)/grain, 1, e.body, e.done)
 		}
-		h.EndStep()
+	}
+	e.h, e.live, e.ah = nil, nil, nil // pin nothing across a quiescence
+}
+
+// inline fires the step's leading units on the coordinator and returns how
+// many: all n without a pool, none when the gate is forced open, and under
+// the measured gate doubling chunks from `first` until the clock says the
+// rest is worth a fan-out — which a step of at most `first` units can never
+// show, so it skips the clock altogether.
+func (e *stepLoop) inline(n, first int) int {
+	switch {
+	case e.pool == nil || (!e.open && n <= first):
+		e.fire(0, n, 0)
+		return n
+	case e.open:
+		return 0
+	}
+	start, lo := e.h.Now(), 0
+	for chunk := first; lo < n; chunk *= 2 {
+		hi := min(lo+chunk, n)
+		e.fire(lo, hi, 0)
+		lo = hi
+		if lo < n && shouldFanOut(lo, e.h.Now()-start, n-lo) {
+			break
+		}
+	}
+	return lo
+}
+
+// fire fires units [lo, hi) of the current step under slot.
+func (e *stepLoop) fire(lo, hi, slot int) {
+	switch {
+	case lo >= hi:
+	case e.ah != nil:
+		for i := lo; i < hi; i++ {
+			e.ah.FireTask(i, slot)
+		}
+	default:
+		e.h.FireBatch(e.live[lo:hi], slot)
 	}
 }
 
-// adaptive is the Auto strategy: drive the first WarmupSteps steps
-// sequentially while measuring batch sizes, then hand the rest of the run
-// to the strategy Choose picks.
-type adaptive struct {
-	cfg    Config
-	chosen Executor
-	steps  int64
-	tuples int64
+// fireChunk is the fan-out body: chunk i of the units the gate left.
+func (e *stepLoop) fireChunk(slot, i int) {
+	lo := e.lo + i*e.grain
+	e.fire(lo, min(lo+e.grain, e.n), slot)
 }
 
-func (a *adaptive) Name() string {
-	if a.chosen != nil {
-		return "auto:" + a.chosen.Name()
-	}
-	return "auto"
-}
-
-func (a *adaptive) Close() {
-	if a.chosen != nil {
-		a.chosen.Close()
-	}
-}
-
-func (a *adaptive) Drain(h Host) error {
-	if a.chosen != nil {
-		return a.chosen.Drain(h)
-	}
-	warmup := a.cfg.WarmupSteps
-	if warmup <= 0 {
-		warmup = 32
-	}
-	for a.steps < warmup {
-		batch, err := h.NextBatch()
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			return h.Err()
-		}
-		live := h.BeginStep(batch)
-		if len(live) > 0 {
-			h.FireBatch(live, 0)
-		}
-		h.EndStep()
-		a.steps++
-		a.tuples += int64(len(live))
-	}
-	// Requested threads beyond what the machine can schedule are pure
-	// oversubscription overhead; Auto decides for the hardware it is on,
-	// even if an explicit --threads asked for more.
-	threads := a.cfg.threads()
-	if p := runtime.GOMAXPROCS(0); threads > p {
-		threads = p
-	}
-	s := Choose(float64(a.tuples)/float64(a.steps), threads)
-	if s == ForkJoin && a.cfg.Pool == nil {
-		s = Pipelined
-	}
-	// Build the chosen executor with the clamped count too, or a Pipelined
-	// upgrade would spawn the unclamped number of consumers.
-	a.cfg.Threads = threads
-	next, err := New(s, a.cfg)
-	if err != nil {
-		return err
-	}
-	a.chosen = next
-	return a.chosen.Drain(h)
-}
+// sealSlot is the fan-out epilogue: a participant that finds the chunk
+// cursor dry sorts its own put run, so sealing shares the fire barrier.
+func (e *stepLoop) sealSlot(slot int) { e.h.SealSlot(slot) }

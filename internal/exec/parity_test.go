@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"github.com/jstar-lang/jstar/internal/core"
 	"github.com/jstar-lang/jstar/internal/exec"
 	"github.com/jstar-lang/jstar/internal/gamma"
+	"github.com/jstar-lang/jstar/internal/lang"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
@@ -246,8 +248,8 @@ func TestParityFireBatch(t *testing.T) {
 	}
 }
 
-// TestParityAuto: the Auto strategy must agree with the others after its
-// mid-run upgrade, and report what it chose.
+// TestParityAuto: the default strategy must agree with Sequential and
+// report itself by name.
 func TestParityAuto(t *testing.T) {
 	const n = 24
 	ref, err := matmult.RunJStar(matmult.RunOpts{N: n, Strategy: exec.Sequential, Seed: 42})
@@ -261,7 +263,132 @@ func TestParityAuto(t *testing.T) {
 	if !reflect.DeepEqual(ref.C, got.C) {
 		t.Error("auto: product matrix differs from sequential")
 	}
-	if name := got.Run.StrategyName(); name != "auto" && name[:5] != "auto:" {
-		t.Errorf("StrategyName() = %q, want auto or auto:<chosen>", name)
+	if name := got.Run.StrategyName(); name != "auto" {
+		t.Errorf("StrategyName() = %q, want auto", name)
+	}
+}
+
+// fanoutSrc is the program the service workloads host (benchmark/serve.go).
+const fanoutSrc = `
+table Event(int n) orderby (Event)
+table Out(int n, int v) orderby (Out)
+order Event < Out
+
+foreach (Event e) {
+  put new Out(e.n, e.n * 2)
+}
+`
+
+// TestParityGate: the one step loop must be observationally the same
+// program whatever its gate does. Every paper app and the service's
+// fan-out program run with the gate forced closed (Sequential), forced
+// open (ForkJoin) and measured (Auto, on the real clock — whichever way
+// it decides), at GOMAXPROCS 1, 2 and 4, and must agree on the result, the
+// quiesced Gamma contents, the step count and every table's
+// Puts/Duplicates/Triggers.
+func TestParityGate(t *testing.T) {
+	csv := pvwatts.GenerateCSV(1, false, 42)
+	gen := shortestpath.GenOpts{Vertices: 600, Extra: 1200, Tasks: 8, Seed: 42}
+	apps := []struct {
+		name string
+		// loose names a table whose put count (and with it the step count)
+		// legitimately depends on how firings interleave inside one batch.
+		loose string
+		run   func(s exec.Strategy) (*core.Run, any, error)
+	}{
+		{"matmult", "", func(s exec.Strategy) (*core.Run, any, error) {
+			r, err := matmult.RunJStar(matmult.RunOpts{N: 24, Strategy: s, Threads: parityThreads, Seed: 42})
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Run, r.C, nil
+		}},
+		{"median", "", func(s exec.Strategy) (*core.Run, any, error) {
+			r, err := median.RunJStar(median.RunOpts{N: 20000, Regions: 6, Seed: 42, Strategy: s, Threads: parityThreads})
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Run, r.Median, nil
+		}},
+		{"pvwatts", "", func(s exec.Strategy) (*core.Run, any, error) {
+			// Readers pinned: the reader count is a program input here, and
+			// without it would follow the strategy's thread count.
+			r, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{Strategy: s, Threads: parityThreads, Readers: 2})
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Run, r.Means, nil
+		}},
+		// -noDelta Done is written and read by batch-mates (Fig 5), so how
+		// many Estimates a batch puts for vertices being finished beside it
+		// is the schedule's to decide under any parallel firing.
+		{"shortestpath", "Estimate", func(s exec.Strategy) (*core.Run, any, error) {
+			r, err := shortestpath.RunJStar(shortestpath.RunOpts{Gen: gen, Strategy: s, Threads: parityThreads})
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Run, r.Dist, nil
+		}},
+		{"serve-fanout", "", func(s exec.Strategy) (*core.Run, any, error) {
+			p, err := lang.CompileSource(fanoutSrc)
+			if err != nil {
+				return nil, nil, err
+			}
+			for i := int64(0); i < 3000; i++ {
+				p.Put(tuple.New(p.Schema("Event"), tuple.Int(i*7919%3001)))
+			}
+			r, err := p.Execute(core.Options{Strategy: s, Threads: parityThreads, Quiet: true})
+			return r, nil, err
+		}},
+	}
+	type counters struct{ Puts, Duplicates, Triggers int64 }
+	observe := func(run *core.Run, loose string) (int64, map[string]counters) {
+		st := run.Stats()
+		out := make(map[string]counters, len(st.Tables))
+		for name, ts := range st.Tables {
+			if name != loose {
+				out[name] = counters{ts.Puts.Load(), ts.Duplicates.Load(), ts.Triggers.Load()}
+			}
+		}
+		if loose != "" {
+			return 0, out
+		}
+		return st.Steps, out
+	}
+	for _, app := range apps {
+		t.Run(app.name, func(t *testing.T) {
+			ref, refResult, err := app.run(exec.Sequential)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refGamma := gammaSnapshot(t, ref)
+			refSteps, refCounters := observe(ref, app.loose)
+			for _, procs := range []int{1, 2, 4} {
+				for _, s := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto} {
+					func() {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						where := fmt.Sprintf("GOMAXPROCS=%d %v", procs, s)
+						got, result, err := app.run(s)
+						if err != nil {
+							t.Fatalf("%s: %v", where, err)
+						}
+						if !reflect.DeepEqual(refResult, result) {
+							t.Errorf("%s: result differs from sequential", where)
+						}
+						assertSameGamma(t, s, refGamma, gammaSnapshot(t, got))
+						steps, counts := observe(got, app.loose)
+						if steps != refSteps {
+							t.Errorf("%s: %d steps, sequential took %d", where, steps, refSteps)
+						}
+						if !reflect.DeepEqual(counts, refCounters) {
+							t.Errorf("%s: table counters differ\n got %v\nwant %v", where, counts, refCounters)
+						}
+						if s == exec.Sequential && got.Stats().FannedSteps != 0 {
+							t.Errorf("%s: %d steps fanned out", where, got.Stats().FannedSteps)
+						}
+					}()
+				}
+			}
+		})
 	}
 }

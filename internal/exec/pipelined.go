@@ -122,41 +122,34 @@ func (e *pipelined) start() {
 
 func (e *pipelined) Drain(h Host) error {
 	e.start()
-	for {
-		batch, err := h.NextBatch()
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			return h.Err()
-		}
-		live := h.BeginStep(batch)
-		if ah, ok := h.(AffineHost); ok && ah.Affine() {
-			// Table-affine step: publish one event per pre-planned fire
-			// task, routed to the consumer owning the task's shard. Seal
-			// markers stay residue-claimed so each consumer still sees
-			// exactly one, after all its routed tasks.
-			if n := ah.Tasks(); n == 1 {
+	return drain(h, e.fireStep)
+}
+
+// publish hands one event to the crew; task/route are -1 for everything
+// but a table-affine fire task.
+func (e *pipelined) publish(h Host, ts []*tuple.Tuple, task int, route int64, seal, stop bool) {
+	e.prod.Publish(func(ev *pipeEvent) {
+		ev.ts, ev.host, ev.seal, ev.stop = ts, h, seal, stop
+		ev.task, ev.route = task, route
+	})
+}
+
+func (e *pipelined) fireStep(h Host, live []*tuple.Tuple) {
+	if ah, ok := h.(AffineHost); ok && ah.Affine() {
+		// Table-affine step: publish one event per pre-planned fire task,
+		// routed to the consumer owning the task's shard.
+		n := ah.Tasks()
+		if n <= 1 {
+			if n == 1 {
 				ah.FireTask(0, 0)
-			} else if n > 1 {
-				for i := 0; i < n; i++ {
-					task, route := i, int64(ah.TaskRoute(i))
-					e.prod.Publish(func(ev *pipeEvent) {
-						ev.ts, ev.host, ev.seal, ev.stop = nil, h, false, false
-						ev.task, ev.route = task, route
-					})
-				}
-				for i := 0; i < e.consumers; i++ {
-					e.prod.Publish(func(ev *pipeEvent) {
-						ev.ts, ev.host, ev.seal, ev.stop = nil, h, true, false
-						ev.task, ev.route = -1, -1
-					})
-				}
-				e.ring.WaitConsumed(e.ring.Cursor())
 			}
-			h.EndStep()
-			continue
+			return
 		}
+		h.FanOut()
+		for i := 0; i < n; i++ {
+			e.publish(h, nil, i, int64(ah.TaskRoute(i)), false, false)
+		}
+	} else {
 		grain := ChunkGrain(len(live), e.consumers)
 		if len(live) <= grain {
 			// A lone segment gains nothing from the ring round-trip; fire it
@@ -164,27 +157,21 @@ func (e *pipelined) Drain(h Host) error {
 			if len(live) > 0 {
 				h.FireBatch(live, 0)
 			}
-		} else {
-			fireChunks(live, grain, func(chunk []*tuple.Tuple, _ int) {
-				e.prod.Publish(func(ev *pipeEvent) {
-					ev.ts, ev.host, ev.seal, ev.stop = chunk, h, false, false
-					ev.task, ev.route = -1, -1
-				})
-			})
-			// Seal round: one marker per consumer. The markers' sequences
-			// cover every residue class mod the crew size, so each
-			// consumer sees exactly one — after all its fire segments —
-			// and sorts its own put run in parallel with its peers.
-			for i := 0; i < e.consumers; i++ {
-				e.prod.Publish(func(ev *pipeEvent) {
-					ev.ts, ev.host, ev.seal, ev.stop = nil, h, true, false
-					ev.task, ev.route = -1, -1
-				})
-			}
-			e.ring.WaitConsumed(e.ring.Cursor())
+			return
 		}
-		h.EndStep()
+		h.FanOut()
+		for lo := 0; lo < len(live); lo += grain {
+			e.publish(h, live[lo:min(lo+grain, len(live))], -1, -1, false, false)
+		}
 	}
+	// Seal round: one marker per consumer. The markers stay residue-claimed
+	// and their sequences cover every residue class mod the crew size, so
+	// each consumer sees exactly one — after all its fire segments and
+	// routed tasks — and sorts its own put run in parallel with its peers.
+	for i := 0; i < e.consumers; i++ {
+		e.publish(h, nil, -1, -1, true, false)
+	}
+	e.ring.WaitConsumed(e.ring.Cursor())
 }
 
 // Close publishes the stop sentinel and joins the crew.
@@ -194,9 +181,6 @@ func (e *pipelined) Close() {
 		return
 	}
 	e.closed = true
-	e.prod.Publish(func(ev *pipeEvent) {
-		ev.ts, ev.host, ev.seal, ev.stop = nil, nil, false, true
-		ev.task, ev.route = -1, -1
-	})
+	e.publish(nil, nil, -1, -1, false, true)
 	e.wg.Wait()
 }

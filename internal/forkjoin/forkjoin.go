@@ -276,13 +276,18 @@ func (p *Pool) Invoke(fns ...func(*Worker)) {
 // grain is the minimum chunk size (1 for heavy bodies, larger to amortise
 // the cursor for cheap bodies).
 func (p *Pool) For(n, grain int, body func(i int)) {
-	p.ForWorker(n, grain, func(_, i int) { body(i) })
+	p.ForWorker(n, grain, func(_, i int) { body(i) }, nil)
 }
 
 // ForWorker is For with the executing worker's slot index passed to body:
 // slot 0 is the calling goroutine, slot 1+w.ID() a pool worker. The engine
-// uses the slot to give each participant its own put buffer.
-func (p *Pool) ForWorker(n, grain int, body func(slot, i int)) {
+// uses the slot to give each participant its own put buffer. done, when
+// non-nil, is a per-participant epilogue: a participant that finds the
+// cursor dry calls done(slot) before it leaves, so the epilogue (the
+// engine's put-run seal) runs inside the same barrier as the bodies. A
+// slot's done runs after that slot's last body and may run more than once
+// (the caller runs it again for every helper task it joins unclaimed).
+func (p *Pool) ForWorker(n, grain int, body func(slot, i int), done func(slot int)) {
 	if n <= 0 {
 		return
 	}
@@ -297,6 +302,9 @@ func (p *Pool) ForWorker(n, grain int, body func(slot, i int)) {
 		for i := 0; i < n; i++ {
 			body(0, i)
 		}
+		if done != nil {
+			done(0)
+		}
 		return
 	}
 	var cursor atomic.Int64
@@ -308,6 +316,9 @@ func (p *Pool) ForWorker(n, grain int, body func(slot, i int)) {
 		for {
 			lo := int(cursor.Add(int64(chunk))) - chunk
 			if lo >= n {
+				if done != nil {
+					done(slot)
+				}
 				return
 			}
 			hi := lo + chunk

@@ -79,6 +79,37 @@ func TestForGrainClamped(t *testing.T) {
 	}
 }
 
+// TestForWorkerDone pins the epilogue contract the engine's seal rides on:
+// every slot that ran a body gets done(slot) afterwards, no body runs on a
+// slot once its done has, and all of it happens before ForWorker returns —
+// on the pooled path and on the serial one.
+func TestForWorkerDone(t *testing.T) {
+	for _, size := range []int{1, 4} {
+		p := NewPool(size)
+		for round := 0; round < 50; round++ {
+			bodies := make([]atomic.Int64, size+1)
+			dones := make([]atomic.Int64, size+1)
+			var ran atomic.Int64
+			p.ForWorker(64, 1, func(slot, _ int) {
+				if dones[slot].Load() != 0 {
+					t.Errorf("size %d: body on slot %d after its done", size, slot)
+				}
+				bodies[slot].Add(1)
+				ran.Add(1)
+			}, func(slot int) { dones[slot].Add(1) })
+			if ran.Load() != 64 {
+				t.Fatalf("size %d: %d bodies ran, want 64", size, ran.Load())
+			}
+			for slot := range bodies {
+				if bodies[slot].Load() > 0 && dones[slot].Load() == 0 {
+					t.Errorf("size %d: slot %d ran %d bodies and no done", size, slot, bodies[slot].Load())
+				}
+			}
+		}
+		p.Shutdown()
+	}
+}
+
 func TestRecursiveForkJoin(t *testing.T) {
 	// Fibonacci via fork/join exercises the deques and join-helping.
 	p := NewPool(4)

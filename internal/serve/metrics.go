@@ -199,6 +199,27 @@ func (s *metricsSink) writeProm(w io.Writer, tenants int) {
 	fmt.Fprintf(w, "# TYPE jstar_serve_notifications_total counter\njstar_serve_notifications_total %d\n", notifications)
 }
 
+// writeStepProm renders what each tenant's executor did, as of the
+// tenant's last quiescent boundary: steps run, and how many of them were
+// heavy enough to be fanned out over the workers. A slow tenant with no
+// fanned steps is slow in its step boundaries or its requests, not in its
+// rule bodies.
+func writeStepProm(w io.Writer, tenants []*Tenant) {
+	if len(tenants) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "# TYPE jstar_serve_steps_total counter\n")
+	for _, t := range tenants {
+		steps, _ := t.Session.QuiescedSteps()
+		fmt.Fprintf(w, "jstar_serve_steps_total{tenant=%q} %d\n", t.Name, steps)
+	}
+	fmt.Fprintf(w, "# TYPE jstar_serve_fanned_steps_total counter\n")
+	for _, t := range tenants {
+		_, fanned := t.Session.QuiescedSteps()
+		fmt.Fprintf(w, "jstar_serve_fanned_steps_total{tenant=%q} %d\n", t.Name, fanned)
+	}
+}
+
 // writeWALProm renders per-tenant durability rows after the request
 // aggregates: WAL bytes on disk, group commits performed, and the age of
 // the newest checkpoint. Non-durable tenants emit nothing.

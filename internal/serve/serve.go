@@ -128,7 +128,9 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		s.met.writeProm(w, s.reg.count())
-		writeWALProm(w, s.reg.list())
+		tenants := s.reg.list()
+		writeStepProm(w, tenants)
+		writeWALProm(w, tenants)
 	})
 	s.mux.HandleFunc("POST /v1/tenants", s.instrument("create", s.handleCreate))
 	s.mux.HandleFunc("GET /v1/tenants", s.instrument("list", s.handleList))
@@ -368,9 +370,10 @@ func (s *Server) handleQuiesce(w http.ResponseWriter, r *http.Request, m *Reques
 			versions[sch.Name] = v
 		}
 	}
+	steps, _ := t.Session.QuiescedSteps()
 	return writeJSON(w, http.StatusOK, map[string]any{
 		"quiesce_nanos": m.QuiesceNanos,
-		"steps":         t.Session.QuiescedSteps(),
+		"steps":         steps,
 		"versions":      versions,
 	})
 }

@@ -464,6 +464,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		`jstar_serve_tenants 1`,
 		`jstar_serve_enqueue_nanos_count 1`,
 		`jstar_serve_quiesce_nanos_count 1`,
+		// One Event step, one Out step; single-tuple steps never fan out.
+		`jstar_serve_steps_total{tenant="t"} 2`,
+		`jstar_serve_fanned_steps_total{tenant="t"} 0`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q\n%s", want, body)

@@ -200,6 +200,15 @@ func (r *registry) buildTenant(ctx context.Context, cfg TenantConfig, defaultInf
 	if err != nil {
 		return nil, fmt.Errorf("serve: start tenant %s: %w", cfg.Name, err)
 	}
+	// Start returns while the coordinator is still replaying a recovered
+	// WAL tail. The tenant is not published before that replay has reached
+	// its fixpoint, so the first query already sees every recovered row.
+	if sess.Recovery() != nil {
+		if err := sess.Quiesce(ctx); err != nil {
+			sess.Close()
+			return nil, fmt.Errorf("serve: recover tenant %s: %w", cfg.Name, err)
+		}
+	}
 	inflight := cfg.MaxInflightPuts
 	if inflight <= 0 {
 		inflight = defaultInflight

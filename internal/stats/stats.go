@@ -176,8 +176,8 @@ func TableReport(run *core.Run) string {
 			n, st.StoreKinds[n], t.Puts.Load(), t.Duplicates.Load(),
 			t.Triggers.Load(), t.Queries.Load(), plan[n])
 	}
-	fmt.Fprintf(&b, "steps=%d maxBatch=%d fired=%d elapsed=%v\n",
-		st.Steps, st.MaxBatch, st.TotalFired, st.Elapsed.Round(time.Microsecond))
+	fmt.Fprintf(&b, "steps=%d fanned=%d maxBatch=%d fired=%d elapsed=%v\n",
+		st.Steps, st.FannedSteps, st.MaxBatch, st.TotalFired, st.Elapsed.Round(time.Microsecond))
 	b.WriteString(IngressLine(st))
 	b.WriteString(PhaseLine(st))
 	b.WriteString(AdaptiveLines(st))
@@ -185,24 +185,19 @@ func TableReport(run *core.Run) string {
 }
 
 // AdaptiveLines renders an adaptive session's re-planning event log — one
-// line per live store migration and per executor strategy switch, plus a
-// summary of how many windows were evaluated. Empty for frozen runs
-// (ReplanEvery unset and no explicit Session.Migrate calls).
+// line per live store migration, plus a summary of how many windows were
+// evaluated. Empty for frozen runs (ReplanEvery unset and no explicit
+// Session.Migrate calls).
 func AdaptiveLines(st *core.RunStats) string {
-	if st.Replans == 0 && len(st.Migrations) == 0 && len(st.StrategySwitches) == 0 {
+	if st.Replans == 0 && len(st.Migrations) == 0 {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "adaptive: replans=%d migrations=%d strategy-switches=%d\n",
-		st.Replans, len(st.Migrations), len(st.StrategySwitches))
+	fmt.Fprintf(&b, "adaptive: replans=%d migrations=%d\n", st.Replans, len(st.Migrations))
 	for _, m := range st.Migrations {
 		fmt.Fprintf(&b, "  migrate q%-4d %-16s %s -> %s (%d tuples, %v)\n",
 			m.Quiesce, m.Table, m.From, m.To, m.Tuples,
 			time.Duration(m.Nanos).Round(time.Microsecond))
-	}
-	for _, sw := range st.StrategySwitches {
-		fmt.Fprintf(&b, "  strategy q%-4d %s -> %s (window batch %.1f)\n",
-			sw.Quiesce, sw.From, sw.To, sw.WindowBatch)
 	}
 	return b.String()
 }

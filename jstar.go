@@ -8,7 +8,8 @@
 // put new tuples — whose timestamps must not precede the trigger's (the law
 // of causality). Execution is bottom-up and parallel by default: each step
 // extracts the minimal causal equivalence class from the Delta tree and
-// fires all its rules concurrently on a work-stealing pool.
+// fires all its rules — on the coordinator while the step is light, across
+// a worker pool as soon as it proves heavy.
 //
 // Quickstart (the paper's §3 Ship example):
 //
@@ -63,12 +64,11 @@
 // a non-terminating program is stoppable without Options.MaxSteps.
 //
 // A session need not stay on the plan it started with: Options.ReplanEvery
-// re-runs the store and strategy planners over windowed statistics at
-// quiescent boundaries, migrating drifting tables onto better backends
-// live (drain, rebuild, atomic swap — readers never block) and re-picking
-// the executor strategy, both behind hysteresis. Session.Migrate performs
-// the same store move explicitly, and RunStats.Migrations /
-// RunStats.StrategySwitches log every decision taken.
+// re-runs the store planner over windowed statistics at quiescent
+// boundaries, migrating drifting tables onto better backends live (drain,
+// rebuild, atomic swap — readers never block), behind hysteresis.
+// Session.Migrate performs the same store move explicitly, and
+// RunStats.Migrations logs every decision taken.
 //
 // Sessions also go on the wire: cmd/jstar-serve (internal/serve) hosts
 // many named programs as a multi-tenant HTTP service — streaming
@@ -84,18 +84,24 @@
 //
 // # Execution strategies and batched puts
 //
-// Options.Strategy selects the execution engine behind one Executor
-// interface (internal/exec):
+// Where a step's firings run is the runtime's decision, made per step by
+// one step loop (internal/exec) from that step's own clock. Options.Strategy
+// only sets the loop's gate:
 //
-//   - StrategySequential — a single-threaded step loop, the -sequential
+//   - StrategyAuto (zero value, the one to use) — the coordinator fires
+//     the step's batch inline in doubling chunks and, as soon as the
+//     unfired rest is predicted to cost half a millisecond, hands that
+//     rest to the fork/join pool. Light steps never wake a worker, heavy
+//     ones go parallel after their first few firings, and no history or
+//     tuning is involved. RunStats.FannedSteps counts the steps that left
+//     the coordinator.
+//   - StrategySequential — no pool, the gate never opens: the -sequential
 //     code generator.
-//   - StrategyForkJoin — each step's minimal batch fires across a
-//     work-stealing fork/join pool (the paper's parallel default, §5).
+//   - StrategyForkJoin — the gate forced open: every step's batch fires
+//     across the pool (the paper's parallel code generator, §5).
 //   - StrategyPipelined — firings stream through a Disruptor ring buffer
-//     to a persistent consumer crew (the §6.3 redesign, generalised).
-//   - StrategyAuto (zero value) — the run warms up sequentially, observes
-//     the mean batch size, and upgrades itself to the strategy the §1.5
-//     statistics heuristic recommends.
+//     to a persistent consumer crew (the §6.3 redesign, generalised);
+//     kept as the paper's artefact, never chosen automatically.
 //
 // All strategies share the batched put protocol: a rule firing appends new
 // tuples to a per-worker put buffer instead of locking the global Delta
@@ -111,9 +117,9 @@
 // each step's time goes (RunStats.FireNanos/InsertNanos/MergeNanos/
 // DeltaNanos and the Amdahl serial-boundary fraction).
 //
-// Dispatch is batch-first too: each strategy partitions a step's live
-// batch into contiguous chunks (grain-sized chunks on the fork/join pool,
-// ring segments on the Disruptor) and hands whole chunks to the engine,
+// Dispatch is batch-first too: a step's live batch is fired in contiguous
+// chunks (the coordinator's doubling chunks, grain-sized chunks on the
+// fork/join pool, ring segments on the Disruptor) handed whole to the engine,
 // which amortises rule lookup, statistics accounting and rule-context
 // setup per (schema, rule) group. A Rule may additionally provide a
 // BatchBody — a body invoked once per chunk instead of once per tuple —
@@ -204,12 +210,12 @@ type (
 
 // Execution strategies (see the package comment).
 const (
-	// StrategyAuto warms up sequentially and picks from observed batch
-	// statistics.
+	// StrategyAuto fires each step inline until its own clock proves it
+	// heavy, then fans the rest out across the pool.
 	StrategyAuto = exec.Auto
 	// StrategySequential fires every rule on one goroutine.
 	StrategySequential = exec.Sequential
-	// StrategyForkJoin fires each step batch across a work-stealing pool.
+	// StrategyForkJoin fires every step batch across the pool.
 	StrategyForkJoin = exec.ForkJoin
 	// StrategyPipelined streams firings through a Disruptor ring to a
 	// persistent consumer crew.
