@@ -43,7 +43,7 @@ var benchCSVSorted = pvwatts.GenerateCSV(benchPvYears, true, 42)
 func BenchmarkFig06_PvWattsJStarSeq(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pvwatts.RunJStar(benchCSV, pvwatts.RunOpts{
-			Sequential: true, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash}); err != nil {
+			Strategy: jstar.StrategySequential, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkFig06_PvWattsBaseline(b *testing.B) {
 func BenchmarkFig06_MatMultJStarSeq(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := matmult.RunJStar(matmult.RunOpts{
-			N: benchMatN, Sequential: true, Seed: 42}); err != nil {
+			N: benchMatN, Strategy: jstar.StrategySequential, Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkFig06_MatMultJStarSeq(b *testing.B) {
 func BenchmarkFig06_MatMultJStarBoxed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := matmult.RunJStar(matmult.RunOpts{
-			N: benchMatN, Sequential: true, Boxed: true, Seed: 42}); err != nil {
+			N: benchMatN, Strategy: jstar.StrategySequential, Boxed: true, Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkFig06_DijkstraJStarSeq(b *testing.B) {
 	gen := shortestpath.GenOpts{Vertices: benchSPV, Extra: 2 * benchSPV, Tasks: 24, Seed: 42}
 	for i := 0; i < b.N; i++ {
 		if _, err := shortestpath.RunJStar(shortestpath.RunOpts{
-			Gen: gen, Sequential: true}); err != nil {
+			Gen: gen, Strategy: jstar.StrategySequential}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkFig06_DijkstraBaseline(b *testing.B) {
 func BenchmarkFig06_MedianJStarSeq(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := median.RunJStar(median.RunOpts{
-			N: benchMedianN, Regions: 24, Sequential: true, Seed: 42}); err != nil {
+			N: benchMedianN, Regions: 24, Strategy: jstar.StrategySequential, Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func BenchmarkFig06_MedianQuickselect(b *testing.B) {
 func BenchmarkSec62_NoDeltaOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pvwatts.RunJStar(benchCSV, pvwatts.RunOpts{
-			Sequential: true, NoDelta: false}); err != nil {
+			Strategy: jstar.StrategySequential, NoDelta: false}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func BenchmarkSec62_NoDeltaOff(b *testing.B) {
 func BenchmarkSec62_NoDeltaOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pvwatts.RunJStar(benchCSV, pvwatts.RunOpts{
-			Sequential: true, NoDelta: true}); err != nil {
+			Strategy: jstar.StrategySequential, NoDelta: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func BenchmarkFig13_Median(b *testing.B) {
 func BenchmarkDispatch_PerFiring(b *testing.B) {
 	const dispatchBatch = 4096
 	for _, strat := range []jstar.Strategy{
-		jstar.StrategySequential, jstar.StrategyForkJoin, jstar.StrategyPipelined,
+		jstar.StrategySequential, jstar.StrategyForkJoin,
 	} {
 		b.Run(strat.String(), func(b *testing.B) {
 			var sink2 atomic.Int64 // rule bodies fire concurrently
@@ -368,7 +368,7 @@ func BenchmarkStepBoundary(b *testing.B) {
 // grows.
 func BenchmarkSessionIngest(b *testing.B) {
 	for _, strat := range []jstar.Strategy{
-		jstar.StrategySequential, jstar.StrategyForkJoin, jstar.StrategyPipelined,
+		jstar.StrategySequential, jstar.StrategyForkJoin,
 	} {
 		b.Run(strat.String(), func(b *testing.B) {
 			p := jstar.NewProgram()
@@ -425,7 +425,7 @@ func BenchmarkAblation_DeltaBackend(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_Scheduler compares work-stealing parallel-for against a
+// BenchmarkAblation_Scheduler compares the pool's chunked parallel-for against a
 // plain serial loop on the rule-firing granularity the engine uses.
 func BenchmarkAblation_Scheduler(b *testing.B) {
 	work := func(i int) {
@@ -483,7 +483,7 @@ func BenchmarkAblation_BoxedVsPrimitive(b *testing.B) {
 	b.Run("boxed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := matmult.RunJStar(matmult.RunOpts{
-				N: 32, Sequential: true, Boxed: true, Seed: 42}); err != nil {
+				N: 32, Strategy: jstar.StrategySequential, Boxed: true, Seed: 42}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -491,7 +491,7 @@ func BenchmarkAblation_BoxedVsPrimitive(b *testing.B) {
 	b.Run("primitive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := matmult.RunJStar(matmult.RunOpts{
-				N: 32, Sequential: true, Seed: 42}); err != nil {
+				N: 32, Strategy: jstar.StrategySequential, Seed: 42}); err != nil {
 				b.Fatal(err)
 			}
 		}

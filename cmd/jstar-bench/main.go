@@ -73,8 +73,6 @@ func main() {
 		"comma-separated GOMAXPROCS values for the -speedup sweep")
 	minDispatchSpeedup := flag.Float64("min-dispatch-speedup", 0,
 		"with -speedup: exit 1 if the parallel dispatch microbench at 4 procs (or the largest swept) is below this multiple of the sequential baseline (0 disables; CI's scaling gate)")
-	minAffinityRatio := flag.Float64("min-affinity-ratio", 0,
-		"with -speedup: exit 1 if the affinity-on dispatch speedup at 4 procs (or the largest swept) is below this multiple of the affinity-off dispatch speedup at the same procs (0 disables; CI's table-affinity gate)")
 	jsonPath := flag.String("json", "", "write smoke results as JSON (strategy, GOMAXPROCS, batch-size histogram) to this file")
 	savePlan := flag.String("save-plan", "",
 		"run the store-plan tuning pass (pvwatts, matmult, shortestpath, median) and write the suggested per-app plans as JSON")
@@ -202,7 +200,7 @@ func main() {
 		ran = true
 		ensureArt()
 		gateFailures = append(gateFailures,
-			speedupSweep(cfg, art, procs, *minDispatchSpeedup, *minAffinityRatio)...)
+			speedupSweep(cfg, art, procs, *minDispatchSpeedup)...)
 	}
 	if *adaptive {
 		ran = true
@@ -287,7 +285,7 @@ func fig6(cfg config) {
 	csv := pvwatts.GenerateCSV(cfg.pvYears, false, 42)
 	tj := timeIt(cfg.repeats, func() {
 		_, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{
-			Sequential: true, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash})
+			Strategy: exec.Sequential, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash})
 		must(err)
 	})
 	tb := timeIt(cfg.repeats, func() {
@@ -298,11 +296,11 @@ func fig6(cfg config) {
 
 	a, b := matmult.Inputs(cfg.matN, 42)
 	tjBoxed := timeIt(1, func() {
-		_, err := matmult.RunJStar(matmult.RunOpts{N: cfg.matN, Sequential: true, Boxed: true, Seed: 42})
+		_, err := matmult.RunJStar(matmult.RunOpts{N: cfg.matN, Strategy: exec.Sequential, Boxed: true, Seed: 42})
 		must(err)
 	})
 	tj = timeIt(cfg.repeats, func() {
-		_, err := matmult.RunJStar(matmult.RunOpts{N: cfg.matN, Sequential: true, Seed: 42})
+		_, err := matmult.RunJStar(matmult.RunOpts{N: cfg.matN, Strategy: exec.Sequential, Seed: 42})
 		must(err)
 	})
 	tb = timeIt(cfg.repeats, func() { matmult.Naive(a, b, cfg.matN) })
@@ -313,7 +311,7 @@ func fig6(cfg config) {
 
 	gen := shortestpath.GenOpts{Vertices: cfg.spVertices, Extra: cfg.spExtra, Tasks: 24, Seed: 42}
 	tj = timeIt(cfg.repeats, func() {
-		_, err := shortestpath.RunJStar(shortestpath.RunOpts{Gen: gen, Sequential: true})
+		_, err := shortestpath.RunJStar(shortestpath.RunOpts{Gen: gen, Strategy: exec.Sequential})
 		must(err)
 	})
 	tb = timeIt(cfg.repeats, func() {
@@ -323,7 +321,7 @@ func fig6(cfg config) {
 
 	vals := median.Values(cfg.medianN, 42)
 	tj = timeIt(cfg.repeats, func() {
-		_, err := median.RunJStar(median.RunOpts{N: cfg.medianN, Regions: 24, Sequential: true, Seed: 42})
+		_, err := median.RunJStar(median.RunOpts{N: cfg.medianN, Regions: 24, Strategy: exec.Sequential, Seed: 42})
 		must(err)
 	})
 	tb = timeIt(cfg.repeats, func() { median.SortBaseline(vals) })
@@ -343,11 +341,11 @@ func fig62(cfg config) {
 	fmt.Println("== §6.2: -noDelta PvWatts optimisation (paper: 23.0s -> 8.44s, 2.7x) ==")
 	csv := pvwatts.GenerateCSV(cfg.pvYears, false, 42)
 	without := timeIt(cfg.repeats, func() {
-		_, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{Sequential: true, NoDelta: false})
+		_, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{Strategy: exec.Sequential, NoDelta: false})
 		must(err)
 	})
 	with := timeIt(cfg.repeats, func() {
-		_, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{Sequential: true, NoDelta: true})
+		_, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{Strategy: exec.Sequential, NoDelta: true})
 		must(err)
 	})
 	fmt.Printf("without -noDelta: %12v\n", without.Round(time.Microsecond))
@@ -377,7 +375,7 @@ func fig63(cfg config) {
 		_ = sink
 	}
 	res, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{
-		Sequential: true, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash})
+		Strategy: exec.Sequential, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash})
 	must(err)
 	rn := res.Run.Stats().RuleNanos
 	readTotal := time.Duration(rn["readCSV"].Load())
@@ -443,7 +441,7 @@ func fig8(cfg config) {
 	csv := pvwatts.GenerateCSV(cfg.pvYears, false, 42)
 	seq := timeIt(cfg.repeats, func() {
 		_, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{
-			Sequential: true, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash})
+			Strategy: exec.Sequential, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash})
 		must(err)
 	})
 	fmt.Printf("sequential baseline (array-of-hashsets): %v\n", seq.Round(time.Microsecond))
@@ -478,7 +476,7 @@ func fig10(cfg config) {
 		csv := pvwatts.GenerateCSV(cfg.pvYears, sorted, 42)
 		seq := timeIt(cfg.repeats, func() {
 			_, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{
-				Sequential: true, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash})
+				Strategy: exec.Sequential, NoDelta: true, Gamma: pvwatts.GammaArrayOfHash})
 			must(err)
 		})
 		fmt.Printf("--- %s input (sequential JStar: %v) ---\n", label, seq.Round(time.Microsecond))
@@ -516,7 +514,7 @@ func fig11(cfg config) {
 		"paper: embarrassingly parallel, good speedup up to ~20 of 32 cores", cfg,
 		func() time.Duration {
 			return timeIt(cfg.repeats, func() {
-				_, err := matmult.RunJStar(matmult.RunOpts{N: cfg.matN, Sequential: true, Seed: 42})
+				_, err := matmult.RunJStar(matmult.RunOpts{N: cfg.matN, Strategy: exec.Sequential, Seed: 42})
 				must(err)
 			})
 		},
@@ -535,7 +533,7 @@ func fig12(cfg config) {
 		"paper: mediocre, max 4.0x at 8 cores (Delta-tree contention on Estimate batches)", cfg,
 		func() time.Duration {
 			return timeIt(cfg.repeats, func() {
-				_, err := shortestpath.RunJStar(shortestpath.RunOpts{Gen: gen, Sequential: true})
+				_, err := shortestpath.RunJStar(shortestpath.RunOpts{Gen: gen, Strategy: exec.Sequential})
 				must(err)
 			})
 		},
@@ -554,7 +552,7 @@ func fig13(cfg config) {
 		func() time.Duration {
 			return timeIt(cfg.repeats, func() {
 				_, err := median.RunJStar(median.RunOpts{
-					N: cfg.medianN, Regions: 24, Sequential: true, Seed: 42})
+					N: cfg.medianN, Regions: 24, Strategy: exec.Sequential, Seed: 42})
 				must(err)
 			})
 		},
@@ -654,10 +652,6 @@ type speedupRow struct {
 	// Speedup is sequential-baseline time / this time (1.0 for the
 	// baseline row itself).
 	Speedup float64 `json:"speedup"`
-	// Affinity marks a schema-7 row measured with Options.TableAffinity on;
-	// it shares the sequential baseline of the same-named affinity-off rows,
-	// so on/off speedups compare directly.
-	Affinity bool `json:"affinity,omitempty"`
 }
 
 // benchSchema is the BENCH_*.json artifact version. History:
@@ -666,9 +660,7 @@ type speedupRow struct {
 // rows (the -speedup GOMAXPROCS sweep); 5 adaptive drift report (the
 // -adaptive frozen-vs-re-planning session comparison); 6 serve-load
 // latency report (the -serve-load ingest/quiesce-visibility histograms
-// measured over real sockets against jstar-serve); 7 table-affinity sweep
-// rows (the dispatch/step-boundary microbenches re-run with
-// Options.TableAffinity on, marked affinity=true) plus the host's
+// measured over real sockets against jstar-serve); 7 the host's
 // procs_ladder in the header so trajectory diffs can reject artifacts
 // from mismatched hosts; 8 durability report (the -wal WAL-off/WAL-on
 // ingest overhead comparison plus a timed checkpoint+replay recovery over
@@ -1073,10 +1065,7 @@ func dispatchProgram(batch int, sink *atomic.Int64) *core.Program {
 // artifact rows. A non-zero minDispatch is the CI scaling gate: the
 // parallel dispatch microbench at 4 procs (or the largest swept value)
 // must reach that multiple of the sequential baseline.
-// A non-zero minAffinityRatio additionally gates the schema-7 affinity
-// re-run: the affinity-on dispatch speedup at 4 procs must reach that
-// multiple of the affinity-off dispatch speedup at the same point.
-func speedupSweep(cfg config, art *smokeArtifact, procs []int, minDispatch, minAffinityRatio float64) []string {
+func speedupSweep(cfg config, art *smokeArtifact, procs []int, minDispatch float64) []string {
 	strat := cfg.strategy
 	if strat == exec.Auto {
 		strat = exec.ForkJoin
@@ -1097,95 +1086,62 @@ func speedupSweep(cfg config, art *smokeArtifact, procs []int, minDispatch, minA
 	var sink atomic.Int64
 	workloads := []struct {
 		name string
-		run  func(seq bool, threads int)
+		run  func(st exec.Strategy, threads int)
 	}{
-		{"pvwatts", func(seq bool, th int) {
+		{"pvwatts", func(st exec.Strategy, th int) {
 			_, err := pvwatts.RunJStar(csv, pvwatts.RunOpts{
-				Sequential: seq, Strategy: pick(seq, strat), Threads: th, NoDelta: true})
+				Strategy: st, Threads: th, NoDelta: true})
 			must(err)
 		}},
-		{"matmult", func(seq bool, th int) {
+		{"matmult", func(st exec.Strategy, th int) {
 			_, err := matmult.RunJStar(matmult.RunOpts{
-				N: cfg.matN, Sequential: seq, Strategy: pick(seq, strat), Threads: th, Seed: 42})
+				N: cfg.matN, Strategy: st, Threads: th, Seed: 42})
 			must(err)
 		}},
-		{"shortestpath", func(seq bool, th int) {
+		{"shortestpath", func(st exec.Strategy, th int) {
 			_, err := shortestpath.RunJStar(shortestpath.RunOpts{
-				Gen: gen, Sequential: seq, Strategy: pick(seq, strat), Threads: th})
+				Gen: gen, Strategy: st, Threads: th})
 			must(err)
 		}},
-		{"median", func(seq bool, th int) {
+		{"median", func(st exec.Strategy, th int) {
 			_, err := median.RunJStar(median.RunOpts{
-				N: cfg.medianN, Regions: 24, Sequential: seq, Strategy: pick(seq, strat),
+				N: cfg.medianN, Regions: 24, Strategy: st,
 				Threads: th, Seed: 42})
 			must(err)
 		}},
-		{"dispatch", func(seq bool, th int) {
+		{"dispatch", func(st exec.Strategy, th int) {
 			for i := 0; i < dispatchIters; i++ {
 				_, err := dispatchProgram(dispatchBatch, &sink).Execute(core.Options{
-					Sequential: seq, Strategy: pick(seq, strat), Threads: th, Quiet: true})
+					Strategy: st, Threads: th, Quiet: true})
 				must(err)
 			}
 		}},
-		{"step-boundary", func(seq bool, th int) {
+		{"step-boundary", func(st exec.Strategy, th int) {
 			for i := 0; i < boundaryIters; i++ {
 				_, err := boundaryProgram(boundaryBatch).Execute(core.Options{
-					Sequential: seq, Strategy: pick(seq, strat), Threads: th, Quiet: true})
+					Strategy: st, Threads: th, Quiet: true})
 				must(err)
 			}
 		}},
 	}
-	point := func(name, strategy string, nproc, threads int, d time.Duration, base time.Duration, aff bool) {
+	point := func(name, strategy string, nproc, threads int, d time.Duration, base time.Duration) {
 		art.Speedup = append(art.Speedup, speedupRow{
 			Name: name, Strategy: strategy, Gomaxprocs: nproc, Threads: threads,
-			ElapsedNs: d.Nanoseconds(), Speedup: float64(base) / float64(d), Affinity: aff,
+			ElapsedNs: d.Nanoseconds(), Speedup: float64(base) / float64(d),
 		})
-		label := strategy
-		if aff {
-			label += "+aff"
-		}
 		fmt.Printf("%-14s %-12s %6d %12v %9.2fx\n",
-			name, label, nproc, d.Round(time.Microsecond), float64(base)/float64(d))
+			name, strategy, nproc, d.Round(time.Microsecond), float64(base)/float64(d))
 	}
-	bases := map[string]time.Duration{}
 	for _, w := range workloads {
 		w := w
 		runtime.GOMAXPROCS(1)
-		base := timeIt(cfg.repeats, func() { w.run(true, 1) })
-		bases[w.name] = base
-		point(w.name, "sequential", 1, 1, base, base, false)
+		base := timeIt(cfg.repeats, func() { w.run(exec.Sequential, 1) })
+		point(w.name, "sequential", 1, 1, base, base)
 		for _, np := range procs {
 			np := np
 			runtime.GOMAXPROCS(np)
-			d := timeIt(cfg.repeats, func() { w.run(false, np) })
-			point(w.name, strat.String(), np, np, d, base, false)
-		}
-	}
-	// Table-affinity re-run (schema 7): the two microbenches again with
-	// Options.TableAffinity on, against the same sequential baselines. The
-	// apps are skipped — their firing work dwarfs boundary flushes, so
-	// affinity would be in the noise; dispatch and step-boundary are exactly
-	// the shard-routed fire/flush paths the mode rewires.
-	for _, w := range []struct {
-		name  string
-		iters int
-		prog  func() *core.Program
-	}{
-		{"dispatch", dispatchIters, func() *core.Program { return dispatchProgram(dispatchBatch, &sink) }},
-		{"step-boundary", boundaryIters, func() *core.Program { return boundaryProgram(boundaryBatch) }},
-	} {
-		w := w
-		for _, np := range procs {
-			np := np
-			runtime.GOMAXPROCS(np)
-			d := timeIt(cfg.repeats, func() {
-				for i := 0; i < w.iters; i++ {
-					_, err := w.prog().Execute(core.Options{
-						Strategy: strat, Threads: np, Quiet: true, TableAffinity: true})
-					must(err)
-				}
-			})
-			point(w.name, strat.String(), np, np, d, bases[w.name], true)
+			d := timeIt(cfg.repeats, func() { w.run(strat, np) })
+			point(w.name, strat.String(), np, np, d, base)
 		}
 	}
 	runtime.GOMAXPROCS(origProcs)
@@ -1195,7 +1151,7 @@ func speedupSweep(cfg config, art *smokeArtifact, procs []int, minDispatch, minA
 	if minDispatch > 0 {
 		gate := speedupRow{}
 		for _, r := range art.Speedup {
-			if r.Name != "dispatch" || r.Strategy == "sequential" || r.Affinity {
+			if r.Name != "dispatch" || r.Strategy == "sequential" {
 				continue
 			}
 			// Prefer the 4-proc point (the CI gate's contract); otherwise
@@ -1216,44 +1172,7 @@ func speedupSweep(cfg config, art *smokeArtifact, procs []int, minDispatch, minA
 				gate.Strategy, gate.Gomaxprocs, gate.Speedup, minDispatch)
 		}
 	}
-	if minAffinityRatio > 0 {
-		var on, off speedupRow
-		for _, r := range art.Speedup {
-			if r.Name != "dispatch" || r.Strategy == "sequential" {
-				continue
-			}
-			tgt := &off
-			if r.Affinity {
-				tgt = &on
-			}
-			if r.Gomaxprocs == 4 || (tgt.Gomaxprocs != 4 && r.Gomaxprocs > tgt.Gomaxprocs) {
-				*tgt = r
-			}
-		}
-		switch {
-		case on.Name == "" || off.Name == "" || on.Gomaxprocs != off.Gomaxprocs:
-			failures = append(failures,
-				"jstar-bench: -min-affinity-ratio set but the sweep lacks matching affinity-on/off dispatch rows")
-		case on.Speedup < minAffinityRatio*off.Speedup:
-			failures = append(failures, fmt.Sprintf(
-				"jstar-bench: affinity-on dispatch at %d procs is %.2fx sequential vs %.2fx affinity-off — below the -min-affinity-ratio gate (%.2f)",
-				on.Gomaxprocs, on.Speedup, off.Speedup, minAffinityRatio))
-		default:
-			fmt.Printf("affinity gate: dispatch at %d procs = %.2fx on vs %.2fx off (ratio %.2f >= %.2f)\n\n",
-				on.Gomaxprocs, on.Speedup, off.Speedup, on.Speedup/off.Speedup, minAffinityRatio)
-		}
-	}
 	return failures
-}
-
-// pick resolves the sweep strategy for one point: Auto (the zero value,
-// letting the Sequential flag rule) for baseline runs, the configured
-// parallel strategy otherwise.
-func pick(seq bool, strat exec.Strategy) exec.Strategy {
-	if seq {
-		return exec.Auto
-	}
-	return strat
 }
 
 // adaptiveRun is the -adaptive pass: the drifting two-phase workload
@@ -1481,7 +1400,7 @@ func phasesTable(cfg config) {
 func strategiesTable(cfg config) {
 	fmt.Println("== Executor strategies: same programs, pluggable engines ==")
 	threads := runtime.NumCPU()
-	strategies := []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined}
+	strategies := []exec.Strategy{exec.Sequential, exec.ForkJoin}
 	fmt.Printf("%-14s", "program")
 	for _, s := range strategies {
 		fmt.Printf(" %14s", s)

@@ -153,9 +153,8 @@ func TestArtifactSchema5Compat(t *testing.T) {
 }
 
 // TestArtifactSchema6Compat: a schema-6 BENCH file (serve report, no
-// procs ladder, speedup rows without the affinity flag) must still
-// unmarshal into the current artifact struct — the fields through schema 6
-// are append-only; ProcsLadder stays nil and Affinity stays false.
+// procs ladder) must still unmarshal into the current artifact struct —
+// the fields through schema 6 are append-only; ProcsLadder stays nil.
 func TestArtifactSchema6Compat(t *testing.T) {
 	const schema6 = `{
   "schema": 6,
@@ -189,15 +188,12 @@ func TestArtifactSchema6Compat(t *testing.T) {
 	if art.ProcsLadder != nil {
 		t.Fatalf("schema-6 artifact grew a procs ladder: %v", art.ProcsLadder)
 	}
-	if art.Speedup[0].Affinity {
-		t.Fatal("schema-6 speedup row misparsed as affinity")
-	}
 }
 
-// TestArtifactSchema7Compat: a schema-7 BENCH file (affinity speedup rows
-// and a procs ladder, no durability report) must still unmarshal into the
-// current artifact struct — the fields through schema 7 are append-only,
-// and the schema-8 Durability field stays nil.
+// TestArtifactSchema7Compat: a schema-7 BENCH file (a procs ladder, no
+// durability report; its speedup rows may carry the "affinity" key of the
+// deleted table-affinity sweep, which is ignored) must still unmarshal into
+// the current artifact struct, and the schema-8 Durability field stays nil.
 func TestArtifactSchema7Compat(t *testing.T) {
 	const schema7 = `{
   "schema": 7,
@@ -218,7 +214,7 @@ func TestArtifactSchema7Compat(t *testing.T) {
 	if err := json.Unmarshal([]byte(schema7), &art); err != nil {
 		t.Fatalf("schema-7 artifact no longer parses: %v", err)
 	}
-	if art.Schema != 7 || len(art.ProcsLadder) != 3 || !art.Speedup[0].Affinity {
+	if art.Schema != 7 || len(art.ProcsLadder) != 3 || len(art.Speedup) != 1 {
 		t.Fatalf("schema-7 fields misparsed: %+v", art)
 	}
 	if art.Durability != nil {

@@ -41,7 +41,7 @@ func main() {
 	var run *jstar.Run
 	if *doRun {
 		run, err = prog.Execute(jstar.Options{
-			Sequential:    true,
+			Strategy:      jstar.StrategySequential,
 			TraceDataflow: true,
 			Quiet:         true,
 			MaxSteps:      *maxSteps,

@@ -30,10 +30,10 @@ import (
 )
 
 func main() {
-	sequential := flag.Bool("sequential", false, "generate sequential code")
+	sequential := flag.Bool("sequential", false, "generate sequential code (the paper's spelling of -strategy sequential)")
 	strategy := flag.String("strategy", "auto",
 		"execution strategy: "+strings.Join(exec.StrategyNames(), "|"))
-	threads := flag.Int("threads", 0, "fork/join pool size (0 = NumCPU)")
+	threads := flag.Int("threads", 0, "fork/join pool size (0 = GOMAXPROCS)")
 	noDelta := flag.String("noDelta", "", "comma-separated tables to bypass the Delta set")
 	noGamma := flag.String("noGamma", "", "comma-separated trigger-only tables")
 	check := flag.Bool("check", true, "verify causality obligations before running")
@@ -55,6 +55,12 @@ func main() {
 	strat, err := jstar.ParseStrategy(*strategy)
 	if err != nil {
 		fatal(err)
+	}
+	if *sequential {
+		if strat != jstar.StrategyAuto && strat != jstar.StrategySequential {
+			fatal(fmt.Errorf("jstar: -sequential contradicts -strategy %v (it means -strategy sequential; drop one of the two)", strat))
+		}
+		strat = jstar.StrategySequential
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -81,7 +87,6 @@ func main() {
 		}
 	}
 	opts := jstar.Options{
-		Sequential:     *sequential,
 		Strategy:       strat,
 		Threads:        *threads,
 		CheckCausality: *runtimeCheck,

@@ -27,7 +27,7 @@ func ExampleSession() {
 		}
 	})
 
-	sess, err := p.Start(context.Background(), jstar.Options{Sequential: true})
+	sess, err := p.Start(context.Background(), jstar.Options{Strategy: jstar.StrategySequential})
 	if err != nil {
 		log.Fatal(err)
 	}

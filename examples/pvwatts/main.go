@@ -85,7 +85,10 @@ func main() {
 	})
 	p.Put(jstar.New(req, jstar.Str("large1000.csv")))
 
-	opts := jstar.Options{Sequential: *sequential, Threads: *threads}
+	opts := jstar.Options{Threads: *threads}
+	if *sequential {
+		opts.Strategy = jstar.StrategySequential
+	}
 	if *noDelta {
 		opts.NoDelta = []string{"PvWatts"}
 	}

@@ -35,11 +35,10 @@ const (
 
 // RunOpts configure a JStar matrix multiplication run.
 type RunOpts struct {
-	N          int // multiply two NxN matrices
-	Sequential bool
-	Strategy   exec.Strategy // execution engine (zero value: decided per step)
-	Threads    int
-	Boxed      bool // route the inner loop through boxed tuples (§6.1)
+	N        int           // multiply two NxN matrices
+	Strategy exec.Strategy // execution engine (zero value: decided per step)
+	Threads  int
+	Boxed    bool // route the inner loop through boxed tuples (§6.1)
 	// StorePlan replays a profile-guided per-table store plan. The Matrix
 	// table's dense3d hint survives a replay: the planner always carries
 	// non-replannable specialised backends through to its suggested plans.
@@ -170,7 +169,6 @@ func RunJStar(opts RunOpts) (*Result, error) {
 	p.Put(tuple.New(req, tuple.Int(int64(n))))
 
 	run, err := p.Execute(core.Options{
-		Sequential: opts.Sequential,
 		Strategy:   opts.Strategy,
 		Threads:    opts.Threads,
 		NoDelta:    []string{"Matrix"},

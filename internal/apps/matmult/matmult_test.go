@@ -1,6 +1,7 @@
 package matmult
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"testing"
 )
 
@@ -35,7 +36,7 @@ func TestJStarMatchesBaseline(t *testing.T) {
 		a, b := Inputs(n, 7)
 		want := Naive(a, b, n)
 		for _, opts := range []RunOpts{
-			{N: n, Sequential: true, Seed: 7},
+			{N: n, Strategy: exec.Sequential, Seed: 7},
 			{N: n, Threads: 4, Seed: 7},
 		} {
 			res, err := RunJStar(opts)

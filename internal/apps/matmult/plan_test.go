@@ -1,6 +1,10 @@
 package matmult
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/jstar-lang/jstar/internal/exec"
+)
 
 // TestSuggestStorePlanGolden pins the planner on recorded MatMult
 // statistics: the Matrix table's dense3d hint is a manually parameterised
@@ -11,7 +15,7 @@ import "testing"
 // the dense store, where a frozen "dense3d:3,16,16" spec would win over
 // the hint and index out of range.
 func TestSuggestStorePlanGolden(t *testing.T) {
-	res, err := RunJStar(RunOpts{N: 16, Sequential: true, Seed: 7})
+	res, err := RunJStar(RunOpts{N: 16, Strategy: exec.Sequential, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,14 +24,14 @@ func TestSuggestStorePlanGolden(t *testing.T) {
 		t.Errorf(`plan["Matrix"] = %q, want no entry (non-replannable hint)`, spec)
 	}
 	// Replaying at a LARGER size must still run on the hint's dense store.
-	tuned, err := RunJStar(RunOpts{N: 24, Sequential: true, Seed: 7, StorePlan: plan})
+	tuned, err := RunJStar(RunOpts{N: 24, Strategy: exec.Sequential, Seed: 7, StorePlan: plan})
 	if err != nil {
 		t.Fatalf("replaying %v at n=24: %v", plan, err)
 	}
 	if got := tuned.Run.Stats().StoreKinds["Matrix"]; got != "dense3d:3,24,24" {
 		t.Errorf("replayed Matrix backend = %q, want dense3d:3,24,24", got)
 	}
-	ref, err := RunJStar(RunOpts{N: 24, Sequential: true, Seed: 7})
+	ref, err := RunJStar(RunOpts{N: 24, Strategy: exec.Sequential, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,13 +33,12 @@ import (
 
 // RunOpts configure a JStar median run.
 type RunOpts struct {
-	N          int // array size (the paper used 100 million)
-	Regions    int // partition tasks per iteration (default 24)
-	Sequential bool
-	Strategy   exec.Strategy // execution engine (zero value: decided per step)
-	Threads    int
-	Seed       uint64
-	MaxSteps   int64 // safety valve for tests (0 = none)
+	N        int           // array size (the paper used 100 million)
+	Regions  int           // partition tasks per iteration (default 24)
+	Strategy exec.Strategy // execution engine (zero value: decided per step)
+	Threads  int
+	Seed     uint64
+	MaxSteps int64 // safety valve for tests (0 = none)
 	// StorePlan replays a profile-guided per-table store plan. The Data
 	// table's RollingFloatArray hint is non-replannable (the rules downcast
 	// the store), so suggested plans omit it and replay safely at any N.
@@ -258,7 +257,6 @@ func RunJStar(opts RunOpts) (*Result, error) {
 	})
 
 	opts2 := core.Options{
-		Sequential: opts.Sequential,
 		Strategy:   opts.Strategy,
 		Threads:    opts.Threads,
 		NoDelta:    []string{"Data", "Count"},

@@ -1,6 +1,7 @@
 package median
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -67,7 +68,7 @@ func TestJStarMatchesBaselines(t *testing.T) {
 		name string
 		opts RunOpts
 	}{
-		{"seq-small", RunOpts{N: 101, Regions: 4, Sequential: true, Seed: 5, MaxSteps: 10000}},
+		{"seq-small", RunOpts{N: 101, Regions: 4, Strategy: exec.Sequential, Seed: 5, MaxSteps: 10000}},
 		{"par-small", RunOpts{N: 101, Regions: 4, Threads: 4, Seed: 5, MaxSteps: 10000}},
 		{"par-regions>n", RunOpts{N: 10, Regions: 24, Threads: 2, Seed: 6, MaxSteps: 10000}},
 		{"par-bigger", RunOpts{N: 20000, Regions: 8, Threads: 8, Seed: 7, MaxSteps: 10000}},
@@ -87,7 +88,7 @@ func TestJStarMatchesBaselines(t *testing.T) {
 }
 
 func TestJStarSingleton(t *testing.T) {
-	res, err := RunJStar(RunOpts{N: 1, Regions: 4, Sequential: true, Seed: 1, MaxSteps: 100})
+	res, err := RunJStar(RunOpts{N: 1, Regions: 4, Strategy: exec.Sequential, Seed: 1, MaxSteps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package median
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/jstar-lang/jstar/internal/exec"
+)
 
 // TestSuggestStorePlanGolden pins the planner on recorded median-run
 // statistics: the Data table's RollingFloatArray hint is a manually
@@ -10,7 +14,7 @@ import "testing"
 // replay at a different array size: the GammaHint (which knows the current
 // N) re-establishes the rolling store.
 func TestSuggestStorePlanGolden(t *testing.T) {
-	res, err := RunJStar(RunOpts{N: 2000, Regions: 4, Sequential: true, Seed: 11})
+	res, err := RunJStar(RunOpts{N: 2000, Regions: 4, Strategy: exec.Sequential, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +25,7 @@ func TestSuggestStorePlanGolden(t *testing.T) {
 	// Replaying at a LARGER size must still run on the hint's rolling store
 	// and find the same median the baselines do.
 	const n = 5000
-	tuned, err := RunJStar(RunOpts{N: n, Regions: 4, Sequential: true, Seed: 11, StorePlan: plan})
+	tuned, err := RunJStar(RunOpts{N: n, Regions: 4, Strategy: exec.Sequential, Seed: 11, StorePlan: plan})
 	if err != nil {
 		t.Fatalf("replaying %v at N=%d: %v", plan, n, err)
 	}
@@ -36,7 +40,7 @@ func TestSuggestStorePlanGolden(t *testing.T) {
 // TestPhaseStatsRecorded: the PhaseStats plumbing reaches the engine — a
 // run with it set reports a non-empty phase breakdown.
 func TestPhaseStatsRecorded(t *testing.T) {
-	res, err := RunJStar(RunOpts{N: 1000, Regions: 4, Sequential: true, Seed: 3, PhaseStats: true})
+	res, err := RunJStar(RunOpts{N: 1000, Regions: 4, Strategy: exec.Sequential, Seed: 3, PhaseStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pvwatts
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"math"
 	"testing"
 )
@@ -13,7 +14,7 @@ import (
 // addressing. A planner change that flips these kinds fails the build.
 func TestSuggestStorePlanGolden(t *testing.T) {
 	csv := GenerateCSV(1, false, 42)
-	res, err := RunJStar(csv, RunOpts{Sequential: true})
+	res, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +40,12 @@ func TestSuggestStorePlanGolden(t *testing.T) {
 // exactly the same monthly means.
 func TestStorePlanReplayMatchesBaseline(t *testing.T) {
 	csv := GenerateCSV(1, false, 42)
-	base, err := RunJStar(csv, RunOpts{Sequential: true})
+	base, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := base.Run.Stats().SuggestStorePlan()
-	tuned, err := RunJStar(csv, RunOpts{Sequential: true, StorePlan: plan})
+	tuned, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential, StorePlan: plan})
 	if err != nil {
 		t.Fatalf("tuned run: %v", err)
 	}

@@ -60,12 +60,11 @@ func (g GammaKind) Name() string {
 
 // RunOpts configure a JStar PvWatts run.
 type RunOpts struct {
-	Sequential bool
-	Strategy   exec.Strategy // execution engine (zero value: decided per step)
-	Threads    int
-	NoDelta    bool // -noDelta PvWatts (§6.2: 23.0s -> 8.44s)
-	NoGamma    bool // -noGamma SumMonth (SumMonth is trigger-only)
-	Gamma      GammaKind
+	Strategy exec.Strategy // execution engine (zero value: decided per step)
+	Threads  int
+	NoDelta  bool // -noDelta PvWatts (§6.2: 23.0s -> 8.44s)
+	NoGamma  bool // -noGamma SumMonth (SumMonth is trigger-only)
+	Gamma    GammaKind
 	// StorePlan replays a profile-guided per-table store plan (usually a
 	// previous run's RunStats.SuggestStorePlan), overriding the Gamma
 	// variant's hint for the tables it names.
@@ -277,7 +276,6 @@ func Program(csv []byte, opts RunOpts) (*core.Program, *core.Options, func(*core
 	p.Put(tuple.New(req, tuple.String_("large1000.csv")))
 
 	co := &core.Options{
-		Sequential:    opts.Sequential,
 		Strategy:      opts.Strategy,
 		Threads:       opts.Threads,
 		StorePlan:     opts.StorePlan,

@@ -1,6 +1,7 @@
 package pvwatts
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"math"
 	"testing"
 
@@ -46,15 +47,15 @@ func TestJStarVariantsAllAgree(t *testing.T) {
 		name string
 		opts RunOpts
 	}{
-		{"sequential", RunOpts{Sequential: true}},
-		{"sequential-noDelta", RunOpts{Sequential: true, NoDelta: true}},
+		{"sequential", RunOpts{Strategy: exec.Sequential}},
+		{"sequential-noDelta", RunOpts{Strategy: exec.Sequential, NoDelta: true}},
 		{"parallel-2", RunOpts{Threads: 2, NoDelta: true}},
 		{"parallel-4-hash", RunOpts{Threads: 4, NoDelta: true, Gamma: GammaHash}},
 		{"parallel-4-arrayhash", RunOpts{Threads: 4, NoDelta: true, Gamma: GammaArrayOfHash}},
 		{"parallel-noGamma-sum", RunOpts{Threads: 2, NoDelta: true, NoGamma: true}},
 		{"readers-3", RunOpts{Threads: 4, NoDelta: true, Readers: 3}},
 		{"parallel-reduce", RunOpts{Threads: 4, NoDelta: true, ParallelReduce: true}},
-		{"parallel-reduce-seq", RunOpts{Sequential: true, ParallelReduce: true}},
+		{"parallel-reduce-seq", RunOpts{Strategy: exec.Sequential, ParallelReduce: true}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -69,7 +70,7 @@ func TestJStarVariantsAllAgree(t *testing.T) {
 
 func TestJStarDedupAndStats(t *testing.T) {
 	csv, _ := smallCSV(t, false)
-	res, err := RunJStar(csv, RunOpts{Sequential: true, NoDelta: true})
+	res, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential, NoDelta: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,11 @@ func TestJStarDedupAndStats(t *testing.T) {
 
 func TestNoDeltaReducesSteps(t *testing.T) {
 	csv, _ := smallCSV(t, false)
-	with, err := RunJStar(csv, RunOpts{Sequential: true, NoDelta: true})
+	with, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential, NoDelta: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := RunJStar(csv, RunOpts{Sequential: true, NoDelta: false})
+	without, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential, NoDelta: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestDisruptorWaitStrategies(t *testing.T) {
 
 func TestTraceDataflowEdges(t *testing.T) {
 	csv, _ := smallCSV(t, false)
-	res, err := RunJStar(csv, RunOpts{Sequential: true, NoDelta: true, Trace: true})
+	res, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential, NoDelta: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,10 +70,9 @@ func Generate(o GenOpts) []Edge {
 
 // RunOpts configure a JStar run.
 type RunOpts struct {
-	Gen        GenOpts
-	Sequential bool
-	Strategy   exec.Strategy // execution engine (zero value: decided per step)
-	Threads    int
+	Gen      GenOpts
+	Strategy exec.Strategy // execution engine (zero value: decided per step)
+	Threads  int
 	// StorePlan replays a profile-guided per-table store plan, overriding
 	// the hash hints on Edge and Done for the tables it names.
 	StorePlan gamma.StorePlan
@@ -162,7 +161,6 @@ func RunJStar(opts RunOpts) (*Result, error) {
 	p.Put(tuple.New(est, tuple.Int(0), tuple.Int(0))) // Set the origin.
 
 	run, err := p.Execute(core.Options{
-		Sequential: opts.Sequential,
 		Strategy:   opts.Strategy,
 		Threads:    opts.Threads,
 		NoDelta:    []string{"Edge", "Done"},

@@ -1,6 +1,7 @@
 package shortestpath
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"testing"
 )
 
@@ -70,7 +71,7 @@ func TestJStarMatchesBaseline(t *testing.T) {
 		name string
 		opts RunOpts
 	}{
-		{"seq-small", RunOpts{Gen: GenOpts{Vertices: 300, Extra: 600, Tasks: 4, Seed: 11}, Sequential: true}},
+		{"seq-small", RunOpts{Gen: GenOpts{Vertices: 300, Extra: 600, Tasks: 4, Seed: 11}, Strategy: exec.Sequential}},
 		{"par-small", RunOpts{Gen: GenOpts{Vertices: 300, Extra: 600, Tasks: 4, Seed: 11}, Threads: 4}},
 		{"par-bigger", RunOpts{Gen: GenOpts{Vertices: 2000, Extra: 4000, Tasks: 24, Seed: 13}, Threads: 8}},
 	} {
@@ -113,7 +114,7 @@ func TestOptimisationStats(t *testing.T) {
 
 func TestVerboseOutput(t *testing.T) {
 	res, err := RunJStar(RunOpts{
-		Gen: GenOpts{Vertices: 5, Extra: 0, Tasks: 1, Seed: 1}, Sequential: true, Verbose: true})
+		Gen: GenOpts{Vertices: 5, Extra: 0, Tasks: 1, Seed: 1}, Strategy: exec.Sequential, Verbose: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // Println tuples flow through the Delta set, so their side effects follow
 // the causality ordering even under parallel execution.
 func TestPrintlnTableOrdersOutput(t *testing.T) {
-	for _, opts := range []Options{{Sequential: true}, {Threads: 4}} {
+	for _, opts := range []Options{{Strategy: exec.Sequential}, {Threads: 4}} {
 		p := NewProgram()
 		work := p.Table("Work",
 			[]tuple.Column{{Name: "step", Kind: tuple.KindInt}, {Name: "i", Kind: tuple.KindInt}},
@@ -60,7 +61,7 @@ func TestActionRunsOnExtractionOnly(t *testing.T) {
 	p.Put(tuple.New(a, tuple.Int(2)))
 	p.Put(tuple.New(a, tuple.Int(1)))
 	p.Put(tuple.New(a, tuple.Int(2))) // duplicate: one extraction only
-	if _, err := p.Execute(Options{Sequential: true}); err != nil {
+	if _, err := p.Execute(Options{Strategy: exec.Sequential}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
@@ -139,7 +140,7 @@ func TestExecuteEventsClosedImmediately(t *testing.T) {
 	a := p.Table("A", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
 	p.Rule("noop", a, func(*Ctx, *tuple.Tuple) {})
 	p.Put(tuple.New(a, tuple.Int(1)))
-	run, err := p.NewRun(Options{Sequential: true})
+	run, err := p.NewRun(Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // terminal error — never a panic, a hang, or a non-terminal error — and
 // an accepted put must never be the last event (Close drains or reports).
 func TestSessionCloseRacesPuts(t *testing.T) {
-	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined} {
+	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto} {
 		t.Run(strat.String(), func(t *testing.T) {
 			p, ev, _ := sessionProgram()
 			s, err := p.Start(context.Background(), Options{
@@ -82,7 +82,7 @@ func TestSessionCloseRacesPuts(t *testing.T) {
 // concurrent) Close returns the same terminal error, nil for a clean stop.
 func TestSessionDoubleClose(t *testing.T) {
 	p, ev, _ := sessionProgram()
-	s, err := p.Start(context.Background(), Options{Sequential: true, Quiet: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSessionDoubleClose(t *testing.T) {
 func TestSessionCloseUnblocksFullRing(t *testing.T) {
 	p, ev, _ := sessionProgram()
 	s, err := p.Start(context.Background(), Options{
-		Sequential: true, Quiet: true, IngressRing: 8})
+		Strategy: exec.Sequential, Quiet: true, IngressRing: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

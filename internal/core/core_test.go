@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"sort"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func shipProgram() (*Program, *tuple.Schema) {
 
 func TestShipSequential(t *testing.T) {
 	p, ship := shipProgram()
-	run, err := p.Execute(Options{Sequential: true, CheckCausality: true})
+	run, err := p.Execute(Options{Strategy: exec.Sequential, CheckCausality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestUnconditionalRuleHitsStepLimit(t *testing.T) {
 		c.PutNew(ship, tuple.Int(s.Int("frame")+1), tuple.Int(s.Int("x")+150))
 	})
 	p.Put(tuple.New(ship, tuple.Int(0), tuple.Int(10)))
-	_, err := p.Execute(Options{Sequential: true, MaxSteps: 100})
+	_, err := p.Execute(Options{Strategy: exec.Sequential, MaxSteps: 100})
 	if err == nil || !strings.Contains(err.Error(), "MaxSteps") {
 		t.Fatalf("expected MaxSteps error, got %v", err)
 	}
@@ -98,7 +99,7 @@ func TestCausalityViolationCaught(t *testing.T) {
 		}
 	})
 	p.Put(tuple.New(ev, tuple.Int(5)))
-	_, err := p.Execute(Options{Sequential: true, CheckCausality: true})
+	_, err := p.Execute(Options{Strategy: exec.Sequential, CheckCausality: true})
 	if err == nil || !strings.Contains(err.Error(), "causality violation") {
 		t.Fatalf("expected causality violation, got %v", err)
 	}
@@ -116,7 +117,7 @@ func TestPutSameTimestampAllowed(t *testing.T) {
 		c.PutNew(b, tuple.Int(e.Int("t"))) // same t, later table literal
 	})
 	p.Put(tuple.New(a, tuple.Int(1)))
-	run, err := p.Execute(Options{Sequential: true, CheckCausality: true})
+	run, err := p.Execute(Options{Strategy: exec.Sequential, CheckCausality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func pvMiniProgram(noDelta bool) (*Program, func(run *Run) map[int64]float64) {
 func TestPvMiniSequentialAndParallelAgree(t *testing.T) {
 	want := map[int64]float64{1: 12.5, 2: 22.5, 3: 32.5}
 	for _, opts := range []Options{
-		{Sequential: true, CheckCausality: true},
+		{Strategy: exec.Sequential, CheckCausality: true},
 		{Threads: 4, CheckCausality: true},
 		{Threads: 8},
 	} {
@@ -198,7 +199,7 @@ func TestPvMiniSequentialAndParallelAgree(t *testing.T) {
 func TestSumMonthDeduplication(t *testing.T) {
 	// 12 PvWatts tuples put only 3 unique SumMonth tuples (set semantics).
 	p, _ := pvMiniProgram(false)
-	run, err := p.Execute(Options{Sequential: true})
+	run, err := p.Execute(Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSumMonthDeduplication(t *testing.T) {
 func TestNoDeltaProducesSameResults(t *testing.T) {
 	// -noDelta PvWatts: tuples go straight to Gamma and fire inline (§5.1).
 	p, read := pvMiniProgram(true)
-	run, err := p.Execute(Options{Sequential: true, NoDelta: []string{"PvWatts"}})
+	run, err := p.Execute(Options{Strategy: exec.Sequential, NoDelta: []string{"PvWatts"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestNoDeltaProducesSameResults(t *testing.T) {
 
 func TestNoGammaSkipsStorage(t *testing.T) {
 	p, _ := pvMiniProgram(false)
-	run, err := p.Execute(Options{Sequential: true, NoGamma: []string{"SumMonth"}})
+	run, err := p.Execute(Options{Strategy: exec.Sequential, NoGamma: []string{"SumMonth"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestRulePanicBecomesError(t *testing.T) {
 	a := p.Table("A", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
 	p.Rule("boom", a, func(c *Ctx, t *tuple.Tuple) { panic("kaboom") })
 	p.Put(tuple.New(a, tuple.Int(1)))
-	_, err := p.Execute(Options{Sequential: true})
+	_, err := p.Execute(Options{Strategy: exec.Sequential})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("rule panic not surfaced: %v", err)
 	}
@@ -288,7 +289,7 @@ func TestPutUndeclaredTablePanics(t *testing.T) {
 	rogue := tuple.MustSchema("Rogue", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
 	p.Rule("r", a, func(c *Ctx, t *tuple.Tuple) { c.Put(tuple.New(rogue, tuple.Int(1))) })
 	p.Put(tuple.New(a, tuple.Int(1)))
-	_, err := p.Execute(Options{Sequential: true})
+	_, err := p.Execute(Options{Strategy: exec.Sequential})
 	if err == nil {
 		t.Error("put of undeclared table must fail the run")
 	}
@@ -326,7 +327,7 @@ func TestCtxQueries(t *testing.T) {
 	p.Put(tuple.New(edge, tuple.Int(1), tuple.Int(3), tuple.Int(2)))
 	p.Put(tuple.New(edge, tuple.Int(2), tuple.Int(3), tuple.Int(9)))
 	p.Put(tuple.New(probe, tuple.Int(0)))
-	if _, err := p.Execute(Options{Sequential: true, CheckCausality: true}); err != nil {
+	if _, err := p.Execute(Options{Strategy: exec.Sequential, CheckCausality: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got.count != 2 || got.sum != 7 || got.minW != 2 || !got.exist || got.nope {
@@ -344,7 +345,7 @@ func TestPrintlnOutput(t *testing.T) {
 	for i := int64(3); i > 0; i-- {
 		p.Put(tuple.New(a, tuple.Int(i)))
 	}
-	run, err := p.Execute(Options{Sequential: true})
+	run, err := p.Execute(Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestPrintlnOutput(t *testing.T) {
 	}
 	// Quiet mode discards.
 	p2, _ := pvMiniProgram(false)
-	run2, err := p2.Execute(Options{Sequential: true, Quiet: true})
+	run2, err := p2.Execute(Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestQueryFutureCaught(t *testing.T) {
 	// Late tuple is noDelta so it is in Gamma before Early fires.
 	p.Put(tuple.New(late, tuple.Int(1)))
 	p.Put(tuple.New(early, tuple.Int(1)))
-	_, err := p.Execute(Options{Sequential: true,
+	_, err := p.Execute(Options{Strategy: exec.Sequential,
 		NoDelta: []string{"Late"}, CheckCausality: true})
 	if err == nil || !strings.Contains(err.Error(), "future") {
 		t.Fatalf("future read not caught: %v", err)
@@ -388,7 +389,7 @@ func TestQueryFutureCaught(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	p, _ := pvMiniProgram(false)
-	run, err := p.Execute(Options{Sequential: true})
+	run, err := p.Execute(Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +423,7 @@ func TestThreadsReported(t *testing.T) {
 	if err := run.Execute(); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := p.NewRun(Options{Sequential: true})
+	seq, err := p.NewRun(Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func sortStrings(ss []string) {
 func TestSessionShardedIngressParity(t *testing.T) {
 	const producers = 8
 	const perProducer = 400
-	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined} {
+	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto} {
 		t.Run(strat.String(), func(t *testing.T) {
 			sharded, shardedStats := runIngressWorkload(t, Options{
 				Strategy: strat, Threads: 4, IngressRing: 256, IngressShards: 4, Quiet: true,

@@ -136,8 +136,11 @@ func TestDedupSortedInPlace(t *testing.T) {
 // held to the same order whenever it keeps a step inline: its doubling
 // chunks on the coordinator concatenate to Sequential's one call. The clock
 // is frozen for that arm, so the gate cannot open whatever the host does.
+// The last arm is the default on one processor: it cannot fan out, so it
+// must be Sequential in everything but name — no pool, tree stores, one put
+// slot, one ingress lane.
 func TestFiringOrderByteIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // Auto keeps its pool
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := NewProgram()
 	cols := []tuple.Column{
 		{Name: "x", Kind: tuple.KindInt},
@@ -185,12 +188,18 @@ func TestFiringOrderByteIdentical(t *testing.T) {
 		}
 		want = append(want, tp.String())
 	}
-	for _, opts := range []Options{
-		{Sequential: true, Quiet: true},
-		{Threads: 4, Quiet: true},
+	for _, tc := range []struct {
+		procs  int
+		opts   Options
+		pooled bool
+	}{
+		{2, Options{Strategy: exec.Sequential, Quiet: true}, false},
+		{2, Options{Threads: 4, Quiet: true}, true},
+		{1, Options{Quiet: true}, false},
 	} {
+		runtime.GOMAXPROCS(tc.procs)
 		fired = nil
-		run, err := p.NewRun(opts)
+		run, err := p.NewRun(tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +207,21 @@ func TestFiringOrderByteIdentical(t *testing.T) {
 		if err := run.Execute(); err != nil {
 			t.Fatal(err)
 		}
-		name := run.StrategyName()
+		name := fmt.Sprintf("%s at GOMAXPROCS %d", run.StrategyName(), tc.procs)
+		if (run.pool != nil) != tc.pooled {
+			t.Fatalf("%s: pool = %v, want pooled = %v", name, run.pool, tc.pooled)
+		}
+		if !tc.pooled {
+			if run.ownPool != nil || len(run.slots) != 1 || run.ingressShards() != 1 {
+				t.Errorf("%s: a run that cannot fan out owns a pool (%v), %d put slots or %d ingress lanes",
+					name, run.ownPool != nil, len(run.slots), run.ingressShards())
+			}
+			for table, kind := range run.Stats().StoreKinds {
+				if kind != "tree" {
+					t.Errorf("%s: table %s is on a %s store, want tree", name, table, kind)
+				}
+			}
+		}
 		if st := run.Stats(); st.Steps != 1 || st.FannedSteps != 0 {
 			t.Fatalf("%s: steps = %d (%d fanned), want 1 inline step (single shared class)", name, st.Steps, st.FannedSteps)
 		}
@@ -261,7 +284,7 @@ func TestFiringOrderParSubtreeFallback(t *testing.T) {
 		}
 		want = append(want, tp.String())
 	}
-	run, err := p.Execute(Options{Sequential: true, Quiet: true})
+	run, err := p.Execute(Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +355,7 @@ func TestFlushParityAcrossStrategiesAndStores(t *testing.T) {
 	var refOut []string
 	var refCounts map[string]counts
 	plans := []string{"", "tree", "skip", "hash:1", "inthash:1", "columnar"}
-	strategies := []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined}
+	strategies := []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto}
 	for _, strat := range strategies {
 		for _, plan := range plans {
 			name := fmt.Sprintf("%v/%s", strat, plan)

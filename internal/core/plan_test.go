@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"strings"
 	"testing"
 
@@ -123,6 +124,10 @@ func TestValidateRejectsBadStorePlans(t *testing.T) {
 		{gamma.StorePlan{"A": "btree"},
 			[]string{"store plan for A", `unknown store kind "btree"`,
 				"tree|skip|hash|inthash|columnar|arrayhash|dense3d|rolling"}},
+		{gamma.StorePlan{"A": "skip@1"},
+			[]string{"store plan for A", `unknown store kind "skip@1"`}},
+		{gamma.StorePlan{"A": "@2"},
+			[]string{"store plan for A", `unknown store kind "@2"`}},
 		{gamma.StorePlan{"A": "hash:7"},
 			[]string{"store plan for A", "out of range"}},
 		{gamma.StorePlan{"A": "dense3d:2,2,2"},
@@ -174,7 +179,7 @@ func TestSuggestedPlanReplays(t *testing.T) {
 		}
 		return p
 	}
-	run, err := build().Execute(Options{Sequential: true, Quiet: true})
+	run, err := build().Execute(Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +187,7 @@ func TestSuggestedPlanReplays(t *testing.T) {
 	if len(plan) == 0 {
 		t.Fatal("planner had no opinion on a 600-put program")
 	}
-	run2, err := build().Execute(Options{Sequential: true, StorePlan: plan, Quiet: true})
+	run2, err := build().Execute(Options{Strategy: exec.Sequential, StorePlan: plan, Quiet: true})
 	if err != nil {
 		t.Fatalf("replaying suggested plan %v: %v", plan, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/forkjoin"
@@ -29,10 +30,10 @@ func TestSharedPoolAcrossRuns(t *testing.T) {
 		}
 	}
 	// Pool must still be alive after the runs.
-	done := false
-	pool.Join(pool.Submit(func(*forkjoin.Worker) { done = true }))
-	if !done {
-		t.Error("shared pool was shut down by a run")
+	var ran atomic.Int64
+	pool.For(64, 1, func(int) { ran.Add(1) })
+	if ran.Load() != 64 {
+		t.Errorf("shared pool ran %d of 64 bodies after the runs", ran.Load())
 	}
 }
 

@@ -178,18 +178,16 @@ func (p *Program) PlanHints() gamma.StorePlan { return p.planHints.Clone() }
 
 // Options configure one run — the JStar compiler/runtime flags.
 type Options struct {
-	// Strategy selects the execution engine. The zero value Auto is the
-	// one to use: each step fires inline until its own clock proves it
-	// heavy, then fans out over the pool. Sequential never fans out,
-	// ForkJoin always does, Pipelined is the §6.3 Disruptor crew (see
-	// package exec). An explicit non-Auto Strategy takes precedence over
-	// the legacy Sequential flag.
+	// Strategy selects where firings run. The zero value Auto is the one to
+	// use: each step fires inline until its own clock proves it heavy, then
+	// fans out over the pool. Sequential never fans out — the paper's
+	// -sequential code generator: TreeMap/TreeSet structures and a
+	// single-threaded step loop, no pool. ForkJoin fans every multi-chunk
+	// step out (see package exec).
 	Strategy exec.Strategy
-	// Sequential selects the -sequential code generator: TreeMap/TreeSet
-	// structures and a single-threaded step loop. Equivalent to
-	// Strategy: exec.Sequential; kept as the paper's original flag.
-	Sequential bool
-	// Threads is the fork/join pool size (--threads=N). 0 means NumCPU.
+	// Threads is the fork/join pool size (--threads=N). 0 means GOMAXPROCS;
+	// a run resolved to one thread has no pool and cannot fan out, whatever
+	// the strategy.
 	Threads int
 	// NoDelta lists tables whose tuples bypass the Delta set and fire
 	// their rules immediately (-noDelta T, §5.1).
@@ -239,9 +237,9 @@ type Options struct {
 	// contending on one claim cursor, and the coordinator drains each lane
 	// into its own put-buffer slot — absorbed events arrive at the step
 	// boundary already spread for the parallel seal/merge. Must be a power
-	// of two; 0 picks 1 for sequential runs, else the thread count rounded
-	// up to a power of two (capped at 8). 1 reproduces the old single-ring
-	// ingress exactly.
+	// of two; 0 picks 1 for runs that cannot fan out, else the thread count
+	// rounded up to a power of two (capped at 8). 1 reproduces the old
+	// single-ring ingress exactly.
 	IngressShards int
 	// ReplanEvery, when > 0, turns the session adaptive: every N quiescent
 	// boundaries the coordinator re-derives the per-table store plan from
@@ -255,16 +253,6 @@ type Options struct {
 	// offline -save-plan/-store-plan behaviour. Migrations are logged in
 	// RunStats.Migrations.
 	ReplanEvery int
-	// TableAffinity enables table-affine execution for the parallel
-	// strategies: every table is owned by one of Threads shards (schema-ID
-	// hash via gamma.ShardMap, overridable with a "@N" suffix on a
-	// StorePlan entry), fire chunks are grouped by owning shard and routed
-	// to the worker pinned to that shard, and put buffers become
-	// per-(worker, shard) so the beginStep Gamma flush and the endStep
-	// merge fan out shard-parallel with zero aliasing. Quiesced results are
-	// identical with the flag on or off (the affinity parity suite pins
-	// this); only the scheduling changes. Ignored for sequential runs.
-	TableAffinity bool
 	// Durability, when non-nil, turns the session durable: absorbed
 	// external tuples are teed into a segmented write-ahead log with
 	// group commit, Gamma is checkpointed at quiescent boundaries, and a
@@ -272,7 +260,8 @@ type Options struct {
 	// (newest valid checkpoint + WAL-tail replay). See DurabilityOptions.
 	Durability *DurabilityOptions
 	// Pool lets callers share an external fork/join pool across runs
-	// (benchmarks); when nil the run creates and owns one.
+	// (benchmarks); when nil the run creates and owns one. Its size replaces
+	// Threads.
 	Pool PoolRef
 }
 
@@ -287,14 +276,12 @@ type PoolRef interface {
 	ForWorker(n, grain int, body func(slot, i int), done func(slot int))
 }
 
+// threads resolves the size of the pool a run builds for itself.
 func (o *Options) threads() int {
-	switch {
-	case o.strategy() == exec.Sequential:
-		return 1
-	case o.Threads > 0:
+	if o.Threads > 0 {
 		return o.Threads
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // ingressRing resolves the total Session ingress capacity.
@@ -306,38 +293,18 @@ func (o *Options) ingressRing() int {
 }
 
 // ingressShards resolves the ingress lane count: an explicit value wins;
-// 0 means one lane for single-threaded runs, else the thread count rounded
-// up to a power of two, capped at 8 (past that, lanes outnumber plausible
-// producers and only fragment the capacity).
-func (o *Options) ingressShards() int {
-	if o.IngressShards > 0 {
-		return o.IngressShards
-	}
-	th := o.threads()
-	if th <= 1 {
-		return 1
+// 0 means one lane for a run that cannot fan out, else the thread count
+// rounded up to a power of two, capped at 8 (past that, lanes outnumber
+// plausible producers and only fragment the capacity).
+func (r *Run) ingressShards() int {
+	if r.opts.IngressShards > 0 {
+		return r.opts.IngressShards
 	}
 	n := 1
-	for n < th && n < 8 {
+	for n < r.threads && n < 8 {
 		n <<= 1
 	}
 	return n
-}
-
-// strategy resolves the effective execution strategy — the single funnel
-// for the Strategy/Sequential duality, used by every consumer of the
-// choice (thread counts, store backends, executor construction): an
-// explicit Options.Strategy wins, then the legacy Sequential flag, else
-// Auto. Contradictory combinations (Sequential with a non-sequential
-// Strategy) are rejected by Program.Validate before any run is built.
-func (o *Options) strategy() exec.Strategy {
-	if o.Strategy != exec.Auto {
-		return o.Strategy
-	}
-	if o.Sequential {
-		return exec.Sequential
-	}
-	return exec.Auto
 }
 
 func contains(list []string, s string) bool {
@@ -365,19 +332,13 @@ func (p *Program) knownTables() string {
 // Validate reports configuration errors: unknown table names in NoDelta/
 // NoGamma/hints, unknown or unsuitable store kinds in StorePlan and the
 // compiler's plan hints (listing the legal kinds), a negative thread
-// count, a malformed ingress ring size, a negative ReplanEvery,
-// and contradictory strategy flags. Every error says what was wrong and
-// what the legal values are, so misconfiguration never silently degrades
-// or panics mid-run.
+// count, a malformed ingress ring size and a negative ReplanEvery. Every
+// error says what was wrong and what the legal values are, so
+// misconfiguration never silently degrades or panics mid-run.
 func (p *Program) Validate(opts Options) error {
 	var errs []string
-	if opts.Sequential && opts.Strategy != exec.Auto && opts.Strategy != exec.Sequential {
-		errs = append(errs, fmt.Sprintf(
-			"Sequential: true contradicts Strategy: %v (the legacy bool means Strategy: sequential; drop one of the two)",
-			opts.Strategy))
-	}
 	if opts.Threads < 0 {
-		errs = append(errs, fmt.Sprintf("Threads: %d is negative (0 means NumCPU)", opts.Threads))
+		errs = append(errs, fmt.Sprintf("Threads: %d is negative (0 means GOMAXPROCS)", opts.Threads))
 	}
 	if opts.ReplanEvery < 0 {
 		errs = append(errs, fmt.Sprintf("ReplanEvery: %d is negative (0 disables adaptive re-planning)", opts.ReplanEvery))

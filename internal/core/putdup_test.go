@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/tuple"
@@ -22,7 +23,7 @@ func TestNoDeltaDuplicateCountedOnceAndNotRefired(t *testing.T) {
 	p.Rule("count", a, func(c *Ctx, tt *tuple.Tuple) { fired++ })
 	p.Put(tuple.New(a, tuple.Int(7)))
 	p.Put(tuple.New(a, tuple.Int(7))) // duplicate
-	run, err := p.Execute(Options{Sequential: true, NoDelta: []string{"A"}})
+	run, err := p.Execute(Options{Strategy: exec.Sequential, NoDelta: []string{"A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestNoDeltaNoGammaFiresEveryPut(t *testing.T) {
 	p.Rule("count", a, func(c *Ctx, tt *tuple.Tuple) { fired++ })
 	p.Put(tuple.New(a, tuple.Int(7)))
 	p.Put(tuple.New(a, tuple.Int(7)))
-	run, err := p.Execute(Options{Sequential: true,
+	run, err := p.Execute(Options{Strategy: exec.Sequential,
 		NoDelta: []string{"A"}, NoGamma: []string{"A"}})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +83,7 @@ func TestActionsRunSortedAndOnlyForActionTables(t *testing.T) {
 	p.Put(tuple.New(act, tuple.Int(1)))
 	p.Put(tuple.New(other, tuple.Int(8)))
 	p.Put(tuple.New(act, tuple.Int(2)))
-	run, err := p.Execute(Options{Sequential: true})
+	run, err := p.Execute(Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,6 @@ func (r *Run) migrateTable(s *tuple.Schema, spec string, quiesce int64) error {
 	if err != nil {
 		return err
 	}
-	if f == nil {
-		return fmt.Errorf("jstar: migrate %s: spec %q names no store kind (ownership-only)", s.Name, spec)
-	}
 	from := r.stats.StoreKinds[s.Name]
 	start := time.Now()
 	scratch, err := r.gammaDB.Migrate(s, f, r.flushBuf[:0])

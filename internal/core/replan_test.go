@@ -118,7 +118,7 @@ func runProbeSession(t *testing.T, strat exec.Strategy, migrateTo string) (rds, 
 // suite runs this under -race.
 func TestSessionMigrateParity(t *testing.T) {
 	kinds := []string{"tree", "skip", "hash:1", "hash:2", "inthash:1", "inthash:2", "columnar"}
-	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined} {
+	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto} {
 		t.Run(strat.String(), func(t *testing.T) {
 			wantRd, wantAn := runProbeSession(t, strat, "")
 			for _, kind := range kinds {
@@ -139,7 +139,7 @@ func TestSessionMigrateValidation(t *testing.T) {
 	p, rd, _, _ := probeProgram()
 	p.GammaHint("Answer", gamma.NewArrayOfHashSets(0, 0, 1<<20))
 	ctx := context.Background()
-	s, err := p.Start(ctx, Options{Sequential: true, Quiet: true, NoGamma: []string{"Probe"}})
+	s, err := p.Start(ctx, Options{Strategy: exec.Sequential, Quiet: true, NoGamma: []string{"Probe"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +154,11 @@ func TestSessionMigrateValidation(t *testing.T) {
 	}
 	if err := s.Migrate("Reading", "hash:9"); err == nil {
 		t.Error("out-of-range key depth must be rejected")
+	}
+	for _, spec := range []string{"skip@1", "@2"} {
+		if err := s.Migrate("Reading", spec); err == nil || !strings.Contains(err.Error(), "unknown store kind") {
+			t.Errorf("Migrate(Reading, %q) = %v, want the unknown-kind error", spec, err)
+		}
 	}
 	if err := s.Migrate("Answer", "tree"); err == nil || !strings.Contains(err.Error(), "not replannable") {
 		t.Errorf("non-replannable backend: err = %v", err)
@@ -355,7 +360,7 @@ func TestReplanVolumeFloor(t *testing.T) {
 func TestPlanReplaysMigratedKind(t *testing.T) {
 	p, rd, _, _ := probeProgram()
 	ctx := context.Background()
-	s, err := p.Start(ctx, Options{Sequential: true, Quiet: true})
+	s, err := p.Start(ctx, Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -249,10 +248,10 @@ func (s *RunStats) SerialBoundaryFraction() float64 {
 // putSlot is one participant's put buffer. Rule firings on slot i append
 // here; at the step boundary the slot is *sealed* — its buffer sorted by
 // tuple.ComparePath and handed off as one pre-sorted run — and the
-// coordinator k-way merges the sealed runs into the Delta tree. Executors
-// seal from the workers themselves (exec.Host.SealSlot), so the sorting
-// half of the old serial flush now runs in parallel; EndStep seals
-// whatever the executor did not. No firing ever contends on the global
+// coordinator k-way merges the sealed runs into the Delta tree. A
+// fanned-out step seals from the workers themselves (exec.Host.SealSlot),
+// so the sorting half of the flush runs in parallel; EndStep seals
+// whatever the step loop did not. No firing ever contends on the global
 // Delta-tree structures. The mutex is uncontended in the common case (one
 // goroutine per slot per step); it exists because a rule may fan its own
 // body out across the pool (§5.2 "additional parallelism"), making
@@ -264,17 +263,13 @@ type putSlot struct {
 }
 
 // sealedRun is one slot's sorted put run awaiting the step-boundary merge.
-// The slot index (into Run.slots — a (worker, shard) sub-buffer under
-// affinity) rides along so the (capacity-retaining) buffer returns to its
-// owner after the merge — buffers cycle fill → seal → merge → return,
+// The slot index rides along so the (capacity-retaining) buffer returns to
+// its owner after the merge — buffers cycle fill → seal → merge → return,
 // cleared of stale tuple pointers before reuse so a grown buffer never
-// pins dead tuples across steps. shard is the Gamma owner shard of every
-// tuple in ts (always 0 with affinity off), which is what lets endStep
-// merge the runs shard-parallel with zero aliasing.
+// pins dead tuples across steps.
 type sealedRun struct {
-	slot  int
-	shard int
-	ts    []*tuple.Tuple
+	slot int
+	ts   []*tuple.Tuple
 }
 
 // prefixBuckets is the number of coarse key-prefix change buckets tracked
@@ -291,26 +286,23 @@ func PrefixBucket(v tuple.Value) int {
 	return int(v.Hash(tuple.HashSeed) % prefixBuckets)
 }
 
-// fireTask is one entry of the table-affine dispatch plan: a contiguous,
-// schema-clustered chunk of the live batch wholly owned by one Gamma
-// shard, plus the route the pipelined executor keys consumer claiming on.
-type fireTask struct {
-	lo, hi int
-	route  int
-}
-
 // Run is one execution of a Program under a set of Options.
 type Run struct {
 	prog *Program
 	opts Options
 
-	delta    *delta.Tree
-	gammaDB  *gamma.DB
-	pool     PoolRef
-	ownPool  *forkjoin.Pool
-	executor exec.Executor
-	threads  int
-	// now is the monotonic clock the executor times a step's firings with
+	delta   *delta.Tree
+	gammaDB *gamma.DB
+	// pool is what the run fans out on — a step's firings (through loop) and
+	// the boundary's per-table inserts and Delta load alike. It is nil unless
+	// the run has a pool of more than one worker, and that one fact decides
+	// everything else that exists only for parallelism: concurrent Gamma
+	// stores, more than one put slot, more than one ingress lane.
+	pool    PoolRef
+	ownPool *forkjoin.Pool
+	loop    *exec.Loop
+	threads int
+	// now is the monotonic clock the step loop times a step's firings with
 	// (exec.Host.Now); in-package tests replace it to drive the fan-out
 	// gate without sleeping.
 	now func() int64
@@ -320,20 +312,6 @@ type Run struct {
 	flushBuf []*tuple.Tuple   // coordinator-only merge scratch for endStep
 	groupBuf []insGroup       // coordinator-only scratch for beginStep's groups
 	runsBuf  [][]*tuple.Tuple // coordinator-only scratch for endStep's merge input
-
-	// Table-affine execution (Options.TableAffinity). tableShards is the
-	// Gamma owner-shard count — 1 with affinity off, so the (slot, shard)
-	// put-buffer indexing below degenerates to the classic per-slot layout
-	// and the affinity-off path stays byte-identical through one code path.
-	// shardMap owns the schema → shard assignment; fireTasks/fireLive are
-	// the per-step shard-routed dispatch plan built by beginStep and fired
-	// through exec.AffineHost.
-	tableShards int
-	shardMap    *gamma.ShardMap
-	fireTasks   []fireTask
-	fireLive    []*tuple.Tuple // live batch backing fireTasks; valid within a step
-	shardRuns   [][][]*tuple.Tuple
-	shardFlush  [][]*tuple.Tuple
 
 	// prefixTrack gates per-table key-prefix change tracking (filtered
 	// query subscriptions); until the first filtered subscriber arms it,
@@ -390,7 +368,6 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	if err := p.Validate(opts); err != nil {
 		return nil, err
 	}
-	strategy := opts.strategy()
 	r := &Run{
 		prog:   p,
 		opts:   opts,
@@ -399,6 +376,30 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	base := time.Now()
 	r.now = func() int64 { return int64(time.Since(base)) }
 	r.out.quiet = opts.Quiet
+
+	// Can this run fan out? Only over a pool of more than one worker — the
+	// caller's, or one of its own sized by Threads (GOMAXPROCS by default) —
+	// and never under Sequential. A run that cannot keeps r.pool nil and
+	// starts no goroutine but its coordinator.
+	r.threads = 1
+	switch {
+	case opts.Strategy == exec.Sequential:
+	case opts.Pool != nil:
+		if opts.Pool.Size() > 1 {
+			r.pool = opts.Pool
+		}
+	case opts.threads() > 1:
+		r.ownPool = forkjoin.NewPool(opts.threads())
+		r.pool = r.ownPool
+	}
+	if r.pool != nil {
+		r.threads = r.pool.Size()
+	}
+	loop, err := exec.New(opts.Strategy, r.pool)
+	if err != nil {
+		return nil, err
+	}
+	r.loop = loop
 
 	// Delta-tree mutation happens only at the step-boundary flush
 	// (PutSorted, or PutPart over the disjoint SplitBulk partitions when
@@ -409,12 +410,9 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	// atomics); any new tree mutation reachable from putRun must preserve
 	// that disjointness.
 	r.delta = delta.NewSequential(p.po)
-	// Gamma backend choice follows the effective parallelism, not just the
-	// requested one: Auto on a single-scheduler machine never fans a step
-	// out (exec.New), so it gets the cheaper tree stores instead of paying
-	// the concurrent skip-list tax for parallelism that cannot happen.
-	if strategy == exec.Sequential ||
-		(strategy == exec.Auto && runtime.GOMAXPROCS(0) == 1) {
+	// A run that cannot fan out gets the cheaper tree stores instead of
+	// paying the concurrent skip-list tax for parallelism that cannot happen.
+	if r.pool == nil {
 		r.gammaDB = gamma.NewDB(gamma.NewTreeStore)
 	} else {
 		r.gammaDB = gamma.NewDB(gamma.NewSkipStore)
@@ -422,11 +420,9 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	// Store selection is layered, lowest priority first: the compiler's
 	// static plan hints, then programmatic GammaHint factories, then the
 	// per-run Options.StorePlan (the profile-guided replay). Specs were
-	// already vetted by Validate, so FactoryFor cannot fail here; a nil
-	// factory is an ownership-only "@N" spec that pins the table's Gamma
-	// shard without overriding its store.
+	// already vetted by Validate, so FactoryFor cannot fail here.
 	for t, spec := range p.planHints {
-		if f, err := gamma.FactoryFor(spec, p.tables[t]); err == nil && f != nil {
+		if f, err := gamma.FactoryFor(spec, p.tables[t]); err == nil {
 			r.gammaDB.SetStore(t, f)
 		}
 	}
@@ -434,7 +430,7 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 		r.gammaDB.SetStore(t, f)
 	}
 	for t, spec := range opts.StorePlan {
-		if f, err := gamma.FactoryFor(spec, p.tables[t]); err == nil && f != nil {
+		if f, err := gamma.FactoryFor(spec, p.tables[t]); err == nil {
 			r.gammaDB.SetStore(t, f)
 		}
 	}
@@ -487,54 +483,16 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 		}
 	}
 
-	if opts.Pool != nil {
-		r.pool = opts.Pool
-	} else if strategy == exec.ForkJoin || strategy == exec.Auto {
-		r.ownPool = forkjoin.NewPool(opts.threads())
-		r.pool = r.ownPool
-	}
-	r.threads = opts.threads()
-	if r.pool != nil && r.pool.Size() > r.threads {
-		r.threads = r.pool.Size()
-	}
-	if strategy == exec.Sequential {
-		r.threads = 1
-	}
-
-	var pool exec.Pool
+	// One put buffer per participant: the coordinator (slot 0) and each pool
+	// worker — a lone slot when the run cannot fan out.
+	slots := 1
 	if r.pool != nil {
-		pool = r.pool
+		slots += r.threads
 	}
-	ex, err := exec.New(strategy, exec.Config{Threads: r.threads, Pool: pool})
-	if err != nil {
-		return nil, err
-	}
-	r.executor = ex
-	// Table affinity shards the Gamma tables across as many owners as there
-	// are workers; with one worker (or affinity off) everything collapses
-	// to one shard, which IS the pre-affinity layout. The shard map merges
-	// the same plan layers as the store selection above, so a "@N" suffix
-	// wins wherever its spec would.
-	r.tableShards = 1
-	if opts.TableAffinity && r.threads > 1 {
-		r.tableShards = r.threads
-	}
-	shardPlan := make(gamma.StorePlan, len(p.planHints)+len(opts.StorePlan))
-	for t, spec := range p.planHints {
-		shardPlan[t] = spec
-	}
-	for t, spec := range opts.StorePlan {
-		shardPlan[t] = spec
-	}
-	r.shardMap = gamma.NewShardMap(p.byID, r.tableShards, shardPlan)
-	// Put buffers are per-(worker slot, owner shard): slot s's sub-buffer
-	// for shard h lives at s*tableShards+h, so a worker's puts split by
-	// destination shard with no extra synchronisation and the boundary
-	// flush can merge shard-parallel.
-	r.slots = make([]putSlot, (r.threads+1)*r.tableShards)
+	r.slots = make([]putSlot, slots)
 	// One reusable Ctx per slot: the batched firing path re-points its
 	// rule/trigger fields per group instead of allocating a Ctx per firing.
-	r.slotCtx = make([]Ctx, r.threads+1)
+	r.slotCtx = make([]Ctx, slots)
 	for i := range r.slotCtx {
 		r.slotCtx[i] = Ctx{run: r, slot: i}
 	}
@@ -634,9 +592,6 @@ func (r *Run) seed() {
 
 func (r *Run) finish(start time.Time) {
 	r.stats.Elapsed = time.Since(start)
-	if r.executor != nil {
-		r.executor.Close()
-	}
 	if r.ownPool != nil {
 		r.ownPool.Shutdown()
 	}
@@ -736,10 +691,8 @@ func (r *Run) beginStep(batch []*tuple.Tuple) []*tuple.Tuple {
 	}
 	// insertGroup dedup-inserts one group into its table's store, keeping
 	// the live tuples as a prefix of the group's own segment (writes never
-	// outrun reads, the usual filter-in-place discipline). shard >= 0
-	// routes the insert through the shard-scoped Gamma entry point, whose
-	// ownership check keeps affinity routing bugs loud.
-	insertGroup := func(g *insGroup, shard int) {
+	// outrun reads, the usual filter-in-place discipline).
+	insertGroup := func(g *insGroup) {
 		group := batch[g.lo:g.hi]
 		s := group[0].Schema()
 		id := s.ID()
@@ -752,12 +705,7 @@ func (r *Run) beginStep(batch []*tuple.Tuple) []*tuple.Tuple {
 		// lands in Gamma before any rule fires. Duplicates were already
 		// processed in an earlier step: set semantics say they are
 		// discarded and their rules do not re-fire.
-		var live []*tuple.Tuple
-		if shard >= 0 {
-			live = r.shardMap.InsertBatch(r.gammaDB, shard, group, group[:0:len(group)])
-		} else {
-			live = gamma.InsertBatch(r.gammaDB.Table(s), group, group[:0:len(group)])
-		}
+		live := gamma.InsertBatch(r.gammaDB.Table(s), group, group[:0:len(group)])
 		g.kept = len(live)
 		if g.kept > 0 {
 			r.dirtyByID[id].Store(true)
@@ -773,24 +721,11 @@ func (r *Run) beginStep(batch []*tuple.Tuple) []*tuple.Tuple {
 			r.statsByID[id].Duplicates.Add(int64(dups))
 		}
 	}
-	switch {
-	case r.tableShards > 1 && len(groups) > 1 && r.pool != nil && len(batch) >= shardInsertMin:
-		// Affinity mode fans the Gamma flush out by owner shard rather than
-		// per schema group: one pool task per shard, each inserting only
-		// the tables its shard owns — disjoint table sets, zero aliasing.
-		r.pool.For(r.tableShards, 1, func(sh int) {
-			for i := range groups {
-				g := &groups[i]
-				if r.shardMap.OwnerID(batch[g.lo].Schema().ID()) == sh {
-					insertGroup(g, sh)
-				}
-			}
-		})
-	case len(groups) > 1 && r.pool != nil && len(batch) >= shardInsertMin:
-		r.pool.For(len(groups), 1, func(i int) { insertGroup(&groups[i], -1) })
-	default:
+	if len(groups) > 1 && r.pool != nil && len(batch) >= shardInsertMin {
+		r.pool.For(len(groups), 1, func(i int) { insertGroup(&groups[i]) })
+	} else {
 		for i := range groups {
-			insertGroup(&groups[i], -1)
+			insertGroup(&groups[i])
 		}
 	}
 	// Compact the kept prefixes into one contiguous live batch, preserving
@@ -801,9 +736,6 @@ func (r *Run) beginStep(batch []*tuple.Tuple) []*tuple.Tuple {
 	}
 	r.groupBuf = groups[:0]
 	r.stats.TotalLive += int64(len(live))
-	if r.tableShards > 1 {
-		r.buildFirePlan(live)
-	}
 	// External actions (paper §3) run on the coordinator, in deterministic
 	// order within the batch, before the batch's rules fire. anyAction
 	// keeps action-free steps from paying the scan.
@@ -818,63 +750,13 @@ func (r *Run) beginStep(batch []*tuple.Tuple) []*tuple.Tuple {
 	return live
 }
 
-// buildFirePlan chops the live batch (sorted by schema, so clustered by
-// owner shard into contiguous segments) into shard-homogeneous dispatch
-// tasks for the affinity-aware executors. A shard segment larger than the
-// step's chunk grain is split at the grain — the hot-table escape hatch: a
-// step funnelled through one table degenerates to plain chunked dispatch
-// (overflow chunks route round-robin past the owner) instead of
-// serialising on one worker. Correctness never depends on which worker
-// fires a task, because put itself keys buffers by (slot, owner shard).
-func (r *Run) buildFirePlan(live []*tuple.Tuple) {
-	tasks := r.fireTasks[:0]
-	grain := exec.ChunkGrain(len(live), r.threads)
-	for i := 0; i < len(live); {
-		sh := r.shardMap.OwnerID(live[i].Schema().ID())
-		j := i + 1
-		for j < len(live) && r.shardMap.OwnerID(live[j].Schema().ID()) == sh {
-			j++
-		}
-		for c, lo := 0, i; lo < j; c, lo = c+1, lo+grain {
-			hi := lo + grain
-			if hi > j {
-				hi = j
-			}
-			tasks = append(tasks, fireTask{lo: lo, hi: hi, route: sh + c})
-		}
-		i = j
-	}
-	r.fireTasks = tasks
-	r.fireLive = live
-}
-
-// affine, fireTaskCount, fireTask and fireTaskRoute back the sessionHost's
-// exec.AffineHost implementation.
-func (r *Run) affine() bool        { return r.tableShards > 1 }
-func (r *Run) fireTaskCount() int  { return len(r.fireTasks) }
-func (r *Run) taskRoute(i int) int { return r.fireTasks[i].route }
-
-func (r *Run) fireTask(i, slot int) {
-	t := r.fireTasks[i]
-	r.fireBatch(r.fireLive[t.lo:t.hi], slot)
-}
-
-// sealSlot takes worker slot's put buffers — one per Gamma shard under
-// affinity, exactly one otherwise — sorts each by tuple.ComparePath, and
-// queues them as pre-sorted runs for the step's merge. Safe to call
-// concurrently for distinct slots — this is how the parallel executors
-// move the flush sort off the coordinator — and a no-op for empty slots,
-// so sealing every slot defensively costs almost nothing.
+// sealSlot takes slot's put buffer, sorts it by tuple.ComparePath, and
+// queues it as a pre-sorted run for the step's merge. Safe to call
+// concurrently for distinct slots — this is how a fanned-out step moves the
+// flush sort off the coordinator — and a no-op for an empty slot, so
+// sealing every slot defensively costs almost nothing.
 func (r *Run) sealSlot(slot int) {
-	base := slot * r.tableShards
-	for sh := 0; sh < r.tableShards; sh++ {
-		r.sealIndex(base+sh, sh)
-	}
-}
-
-// sealIndex seals one (worker, shard) sub-buffer by raw r.slots index.
-func (r *Run) sealIndex(idx, shard int) {
-	sl := &r.slots[idx]
+	sl := &r.slots[slot]
 	sl.mu.Lock()
 	buf := sl.buf
 	if len(buf) == 0 {
@@ -887,15 +769,15 @@ func (r *Run) sealIndex(idx, shard int) {
 		slices.SortFunc(buf, tuple.ComparePath)
 	}
 	r.sealMu.Lock()
-	r.sealed = append(r.sealed, sealedRun{slot: idx, shard: shard, ts: buf})
+	r.sealed = append(r.sealed, sealedRun{slot: slot, ts: buf})
 	r.sealMu.Unlock()
 }
 
 // endStep merges the step's sealed put runs into one sorted, deduplicated
 // flush and bulk-loads it into the Delta tree. Called only by the
-// executor's coordinator with all firings quiesced; it seals any slot the
-// executor left unsealed (sequential runs, lone-chunk fire paths, ingress
-// absorbs), so SealSlot remains an optimisation rather than an obligation.
+// coordinator with all firings quiesced; it seals any slot the step loop
+// left unsealed (inline steps, lone-chunk fire paths, ingress absorbs), so
+// SealSlot remains an optimisation rather than an obligation.
 func (r *Run) endStep() {
 	var mergeStart time.Time
 	if r.phaseClock {
@@ -906,10 +788,8 @@ func (r *Run) endStep() {
 		}
 	}
 	for i := range r.slots {
-		r.sealIndex(i, i%r.tableShards)
+		r.sealSlot(i)
 	}
-	r.fireTasks = r.fireTasks[:0]
-	r.fireLive = nil
 	runs := r.sealed // workers are quiesced; drained under the lock below anyway
 	var flush []*tuple.Tuple
 	singleRun := len(runs) == 1
@@ -918,21 +798,13 @@ func (r *Run) endStep() {
 		// common sequential shape pays no copy at all.
 		flush = delta.DedupSorted(runs[0].ts, r.dupFn)
 	} else if len(runs) > 1 {
-		total := 0
+		rs := r.runsBuf[:0]
 		for i := range runs {
-			total += len(runs[i].ts)
+			rs = append(rs, runs[i].ts)
 		}
-		if r.tableShards > 1 && r.pool != nil && total >= shardInsertMin {
-			flush = r.mergeByShard(runs)
-		} else {
-			rs := r.runsBuf[:0]
-			for i := range runs {
-				rs = append(rs, runs[i].ts)
-			}
-			flush = delta.MergeRuns(rs, r.flushBuf[:0], r.dupFn)
-			clear(rs)
-			r.runsBuf = rs[:0]
-		}
+		flush = delta.MergeRuns(rs, r.flushBuf[:0], r.dupFn)
+		clear(rs)
+		r.runsBuf = rs[:0]
 	}
 	var deltaStart time.Time
 	if r.phaseClock {
@@ -980,52 +852,6 @@ func (r *Run) endStep() {
 	if r.phaseClock {
 		r.stats.DeltaNanos += time.Since(deltaStart).Nanoseconds()
 	}
-}
-
-// mergeByShard is endStep's shard-parallel flush: sealed runs group by
-// owner shard, each shard's runs merge concurrently across the pool, and
-// a final cross-shard merge on the coordinator restores the global
-// ComparePath order. Set-semantics duplicates always share a schema and
-// therefore an owner shard, so the per-shard merges drop exactly the
-// tuples the global k-way merge would — the cross-shard pass re-checks
-// but can never find one, and the duplicate counters come out identical.
-func (r *Run) mergeByShard(runs []sealedRun) []*tuple.Tuple {
-	if r.shardRuns == nil {
-		r.shardRuns = make([][][]*tuple.Tuple, r.tableShards)
-		r.shardFlush = make([][]*tuple.Tuple, r.tableShards)
-	}
-	for i := range runs {
-		sh := runs[i].shard
-		r.shardRuns[sh] = append(r.shardRuns[sh], runs[i].ts)
-	}
-	r.pool.For(r.tableShards, 1, func(sh int) {
-		switch rs := r.shardRuns[sh]; len(rs) {
-		case 0:
-			r.shardFlush[sh] = r.shardFlush[sh][:0]
-		case 1:
-			// Borrow the lone run directly; the slot buffer is recycled by
-			// endStep only after the final merge has copied everything out.
-			r.shardFlush[sh] = append(r.shardFlush[sh][:0], delta.DedupSorted(rs[0], r.dupFn)...)
-		default:
-			r.shardFlush[sh] = delta.MergeRuns(rs, r.shardFlush[sh][:0], r.dupFn)
-		}
-	})
-	rs := r.runsBuf[:0]
-	for sh := range r.shardFlush {
-		if len(r.shardFlush[sh]) > 0 {
-			rs = append(rs, r.shardFlush[sh])
-		}
-		clear(r.shardRuns[sh])
-		r.shardRuns[sh] = r.shardRuns[sh][:0]
-	}
-	flush := delta.MergeRuns(rs, r.flushBuf[:0], r.dupFn)
-	clear(rs)
-	r.runsBuf = rs[:0]
-	for sh := range r.shardFlush {
-		clear(r.shardFlush[sh])
-		r.shardFlush[sh] = r.shardFlush[sh][:0]
-	}
-	return flush
 }
 
 // foldDirty drains the per-table step-dirty bitset accumulated since the
@@ -1228,14 +1054,7 @@ func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) 
 		r.fire(t, slot)
 		return
 	}
-	// Affinity splits each worker slot's buffer by the tuple's Gamma owner
-	// shard, so the boundary flush merges and inserts shard-parallel with
-	// zero aliasing; with one shard the index reduces to the plain slot.
-	idx := slot
-	if r.tableShards > 1 {
-		idx = slot*r.tableShards + r.shardMap.OwnerID(id)
-	}
-	sl := &r.slots[idx]
+	sl := &r.slots[slot]
 	sl.mu.Lock()
 	sl.buf = append(sl.buf, t)
 	sl.mu.Unlock()
@@ -1247,9 +1066,9 @@ func (r *Run) Stats() *RunStats { return &r.stats }
 // Program returns the program this run executes.
 func (r *Run) Program() *Program { return r.prog }
 
-// StrategyName reports the executor driving this run ("auto", "sequential",
-// "forkjoin" or "pipelined").
-func (r *Run) StrategyName() string { return r.executor.Name() }
+// StrategyName reports the strategy driving this run ("auto", "sequential"
+// or "forkjoin").
+func (r *Run) StrategyName() string { return r.opts.Strategy.String() }
 
 // Output returns the Println lines produced so far. Within one parallel
 // batch the order is scheduling-dependent; across batches it follows the
@@ -1263,22 +1082,9 @@ func (r *Run) Gamma() *gamma.DB { return r.gammaDB }
 // DeltaLen reports how many tuples are still queued (0 after Execute).
 func (r *Run) DeltaLen() int { return r.delta.Len() }
 
-// Threads reports the degree of parallelism used by the run.
-func (r *Run) Threads() int {
-	if r.threads < 1 {
-		return 1
-	}
-	return r.threads
-}
-
-// workerSlots returns the number of worker put slots (the coordinator plus
-// the workers) — NOT len(r.slots), which under affinity counts the
-// (worker, shard) sub-buffers.
-func (r *Run) workerSlots() int { return r.threads + 1 }
-
-// TableShards reports the Gamma owner-shard count of the run (1 unless
-// Options.TableAffinity sharded the tables).
-func (r *Run) TableShards() int { return r.tableShards }
+// Threads reports the degree of parallelism used by the run: the size of
+// the pool it fans out on, 1 when it cannot.
+func (r *Run) Threads() int { return r.threads }
 
 // Execute is the one-call convenience: build a run, execute it, return it.
 func (p *Program) Execute(opts Options) (*Run, error) {

@@ -48,7 +48,7 @@ type ingressEvent struct {
 //     absorbed and the database has drained to quiescence.
 //   - Query/Snapshot/Stats read the Gamma state; call them at quiescence
 //     for point-in-time-consistent results.
-//   - Close releases the executor and its goroutines. A drain still in
+//   - Close releases the run's pool and its goroutines. A drain still in
 //     flight is aborted at the next step boundary; call Quiesce first for
 //     a graceful shutdown.
 //
@@ -180,7 +180,7 @@ func (s *Session) initIngress() (*ingress, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	shards := s.run.opts.ingressShards()
+	shards := s.run.ingressShards()
 	size := s.run.opts.ingressRing() / shards
 	if size < 2 {
 		size = 2
@@ -197,10 +197,10 @@ func (s *Session) initIngress() (*ingress, error) {
 	return ing, nil
 }
 
-// loop is the session coordinator: it owns the executor's Drain, absorbs
+// loop is the session coordinator: it owns the step loop's Drain, absorbs
 // ingress events at step boundaries (sessionHost), and parks at quiescence
 // until new events, cancellation, or Close arrive. Drain is re-entered
-// after every wake-up — the resumable-drain contract of exec.Executor.
+// after every wake-up — the resumable-drain contract of exec.Loop.
 func (s *Session) loop() {
 	defer func() {
 		// Un-gate producers blocked on a full ring; their tuples land in
@@ -235,7 +235,7 @@ func (s *Session) loop() {
 	// settles it together with the seeds.
 	s.replayTail()
 	for {
-		if err := s.run.executor.Drain(sessionHost{s}); err != nil {
+		if err := s.run.loop.Drain(sessionHost{s}); err != nil {
 			if !errors.Is(err, ErrSessionClosed) {
 				s.fail(err)
 			}
@@ -298,20 +298,16 @@ func (s *Session) wakeWaiters() {
 }
 
 // absorb moves every pending ingress event into the engine via the
-// coordinator's put path, shard i draining into put-buffer slot i (mod the
-// worker-slot count) — so absorbed events reach the step boundary already
-// spread across the slots SealSlot sorts in parallel, instead of piling
-// into slot 0. Under TableAffinity the route is per tuple instead of per
-// lane: each event lands in the slot of the worker owning its table, so an
-// external tuple is buffered, flushed, fired and stored on one core.
+// coordinator's put path, lane i draining into put-buffer slot i (mod the
+// slot count) — so absorbed events reach the step boundary already spread
+// across the slots, one sorted run per lane, instead of piling into slot 0.
 // Returns how many were absorbed; only the coordinator loop calls it.
 func (s *Session) absorb() int {
 	ing := s.ing.Load()
 	if ing == nil {
 		return 0
 	}
-	slots := s.run.workerSlots()
-	affine := s.run.affine()
+	slots := len(s.run.slots)
 	tee := s.wal != nil
 	total := 0
 	for shard := 0; shard < ing.ring.Shards(); shard++ {
@@ -319,14 +315,10 @@ func (s *Session) absorb() int {
 		n := ing.ring.Poll(shard, func(_ int64, ev *ingressEvent) bool {
 			t := ev.t
 			ev.t = nil
-			sl := slot
-			if affine {
-				sl = int(s.run.shardMap.OwnerID(t.Schema().ID())) % slots
-			}
 			if tee {
 				s.walBatch = append(s.walBatch, t)
 			}
-			s.run.put("event", nil, t, sl)
+			s.run.put("event", nil, t, slot)
 			return true
 		})
 		if n > 0 {
@@ -468,12 +460,8 @@ func (s *Session) Migrate(table, spec string) error {
 	if sch == nil {
 		return fmt.Errorf("jstar: migrate %s: unknown table (declared: %s)", table, s.run.prog.knownTables())
 	}
-	f, err := gamma.FactoryFor(spec, sch)
-	if err != nil {
+	if _, err := gamma.FactoryFor(spec, sch); err != nil {
 		return err
-	}
-	if f == nil {
-		return fmt.Errorf("jstar: migrate %s: spec %q is ownership-only (no store kind); shard ownership is fixed when the run is built", table, spec)
 	}
 	req := &migrateRequest{schema: sch, spec: spec, done: make(chan error, 1)}
 	s.mu.Lock()
@@ -742,11 +730,10 @@ func (s *Session) Err() error {
 	return s.err
 }
 
-// Close stops the session and releases the executor, its consumer crews
-// and the scheduling pool. A drain in flight is aborted at the next step
-// boundary — Quiesce first for a graceful shutdown. Close is idempotent;
-// it returns the session's terminal error, if any, so one-shot callers
-// can Close and check a single error.
+// Close stops the session and releases the scheduling pool. A drain in
+// flight is aborted at the next step boundary — Quiesce first for a
+// graceful shutdown. Close is idempotent; it returns the session's terminal
+// error, if any, so one-shot callers can Close and check a single error.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -801,11 +788,3 @@ func (h sessionHost) FanOut()                                   { h.s.run.stats.
 func (h sessionHost) SealSlot(slot int)                         { h.s.run.sealSlot(slot) }
 func (h sessionHost) EndStep()                                  { h.s.run.endStep() }
 func (h sessionHost) Err() error                                { return h.s.run.loadFail() }
-
-// exec.AffineHost: expose the run's table-affine fire plan (built by
-// beginStep when Options.TableAffinity is on) so the parallel strategies
-// dispatch shard-owned tasks to the workers pinned to those shards.
-func (h sessionHost) Affine() bool         { return h.s.run.affine() }
-func (h sessionHost) Tasks() int           { return h.s.run.fireTaskCount() }
-func (h sessionHost) FireTask(i, slot int) { h.s.run.fireTask(i, slot) }
-func (h sessionHost) TaskRoute(i int) int  { return h.s.run.taskRoute(i) }

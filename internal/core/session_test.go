@@ -39,7 +39,7 @@ func sessionProgram() (*Program, *tuple.Schema, *tuple.Schema) {
 func TestSessionConcurrentProducers(t *testing.T) {
 	const producers = 8
 	const perProducer = 500
-	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined} {
+	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto} {
 		t.Run(strat.String(), func(t *testing.T) {
 			p, ev, out := sessionProgram()
 			s, err := p.Start(context.Background(), Options{
@@ -93,7 +93,7 @@ func TestSessionConcurrentProducers(t *testing.T) {
 // still wait for the seeded program to drain.
 func TestSessionQuiesceCoversInitialPuts(t *testing.T) {
 	p, ship := shipProgram()
-	s, err := p.Start(context.Background(), Options{Sequential: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSessionQuiesceCoversInitialPuts(t *testing.T) {
 // public read surface and checks query statistics are attributed.
 func TestSessionQueryAndSnapshot(t *testing.T) {
 	p, ev, out := sessionProgram()
-	s, err := p.Start(context.Background(), Options{Sequential: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSessionContextCancelStopsRunawayProgram(t *testing.T) {
 	})
 	p.Put(tuple.New(tick, tuple.Int(0)))
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := p.Start(ctx, Options{Sequential: true})
+	s, err := p.Start(ctx, Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSessionContextCancelStopsRunawayProgram(t *testing.T) {
 func TestSessionCtxCancelAtQuiescenceIsClean(t *testing.T) {
 	p, _ := shipProgram()
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := p.Start(ctx, Options{Sequential: true})
+	s, err := p.Start(ctx, Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSessionActionPanicIsContained(t *testing.T) {
 	a := p.Table("A", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
 	p.Action(a, func(*Run, *tuple.Tuple) { panic("action boom") })
 	p.Put(tuple.New(a, tuple.Int(1)))
-	_, err := p.Execute(Options{Sequential: true})
+	_, err := p.Execute(Options{Strategy: exec.Sequential})
 	if err == nil || !strings.Contains(err.Error(), "action boom") {
 		t.Fatalf("Execute with panicking action = %v, want contained panic error", err)
 	}
@@ -221,7 +221,7 @@ func TestSessionDeadlineStopsRunawayProgram(t *testing.T) {
 	p.Put(tuple.New(tick, tuple.Int(0)))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	s, err := p.Start(ctx, Options{Sequential: true})
+	s, err := p.Start(ctx, Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSessionDeadlineStopsRunawayProgram(t *testing.T) {
 // state, and Close is idempotent.
 func TestSessionCloseIsTerminal(t *testing.T) {
 	p, ev, _ := sessionProgram()
-	s, err := p.Start(context.Background(), Options{Sequential: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestSessionRulePanicIsTerminal(t *testing.T) {
 			panic("boom")
 		}
 	})
-	s, err := p.Start(context.Background(), Options{Sequential: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestSessionPutUndeclaredTable(t *testing.T) {
 	p, _, _ := sessionProgram()
 	other := tuple.MustSchema("Other",
 		[]tuple.Column{{Name: "x", Kind: tuple.KindInt}}, nil)
-	s, err := p.Start(context.Background(), Options{Sequential: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestSessionPutUndeclaredTable(t *testing.T) {
 // Session, Execute, or ExecuteEvents.
 func TestSessionRunStartsOnce(t *testing.T) {
 	p, _ := shipProgram()
-	r, err := p.NewRun(Options{Sequential: true})
+	r, err := p.NewRun(Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,29 +319,6 @@ func TestSessionRunStartsOnce(t *testing.T) {
 	}
 	if _, err := r.startSession(context.Background()); err == nil {
 		t.Error("startSession on an executed run must error")
-	}
-}
-
-// TestValidateRejectsContradictoryStrategy covers the Sequential/Strategy
-// duality satellite: the legacy bool plus a conflicting explicit strategy
-// must be rejected before any run is built.
-func TestValidateRejectsContradictoryStrategy(t *testing.T) {
-	p, _ := shipProgram()
-	for _, strat := range []exec.Strategy{exec.ForkJoin, exec.Pipelined} {
-		if _, err := p.NewRun(Options{Sequential: true, Strategy: strat}); err == nil ||
-			!strings.Contains(err.Error(), "contradicts") {
-			t.Errorf("Sequential+%v = %v, want contradiction error", strat, err)
-		}
-	}
-	// The compatible spellings still work.
-	for _, opts := range []Options{
-		{Sequential: true},
-		{Sequential: true, Strategy: exec.Sequential},
-		{Strategy: exec.ForkJoin, Threads: 2},
-	} {
-		if _, err := p.NewRun(opts); err != nil {
-			t.Errorf("NewRun(%+v) = %v, want nil", opts, err)
-		}
 	}
 }
 
@@ -358,7 +335,7 @@ func TestValidateRejectsBadKnobs(t *testing.T) {
 			t.Errorf("IngressRing: %d = %v, want power-of-two error", ring, err)
 		}
 	}
-	if _, err := p.NewRun(Options{IngressRing: 64, Sequential: true}); err != nil {
+	if _, err := p.NewRun(Options{IngressRing: 64, Strategy: exec.Sequential}); err != nil {
 		t.Errorf("IngressRing: 64 = %v, want nil", err)
 	}
 }
@@ -392,7 +369,7 @@ func TestSessionIngestionOverlapsExecution(t *testing.T) {
 		})
 	})
 	p.Put(tuple.New(ev, tuple.Int(0)))
-	s, err := p.Start(context.Background(), Options{Sequential: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +411,7 @@ func TestSessionBackpressure(t *testing.T) {
 	})
 	p.Put(tuple.New(ev, tuple.Int(-1)))
 	const ring = 8
-	s, err := p.Start(context.Background(), Options{Sequential: true, IngressRing: ring})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential, IngressRing: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +450,7 @@ func TestSessionBackpressure(t *testing.T) {
 func TestSessionPutBatchLargerThanRing(t *testing.T) {
 	p, ev, out := sessionProgram()
 	const ring = 8
-	s, err := p.Start(context.Background(), Options{Sequential: true, IngressRing: ring})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential, IngressRing: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +487,7 @@ func TestExecuteEventsPropagatesPutError(t *testing.T) {
 	p, _, _ := sessionProgram()
 	other := tuple.MustSchema("Other",
 		[]tuple.Column{{Name: "x", Kind: tuple.KindInt}}, nil)
-	r, err := p.NewRun(Options{Sequential: true})
+	r, err := p.NewRun(Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // wake-up per changing boundary, in order, with no missed and no phantom
 // notifications — across all three strategies, under -race.
 func TestWaitChangeSubscriptionSemantics(t *testing.T) {
-	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined} {
+	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto} {
 		t.Run(strat.String(), func(t *testing.T) {
 			p, ev, _ := sessionProgram()
 			s, err := p.Start(context.Background(), Options{
@@ -105,7 +105,7 @@ func TestWaitChangeSubscriptionSemantics(t *testing.T) {
 // (changes coalesce) and never a generation that did not happen.
 func TestWaitChangeCoalesces(t *testing.T) {
 	p, ev, _ := sessionProgram()
-	s, err := p.Start(context.Background(), Options{Sequential: true, Quiet: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestWaitChangeCoalesces(t *testing.T) {
 // cancellation both end a pending wait with the documented errors.
 func TestWaitChangeTerminal(t *testing.T) {
 	p, _, _ := sessionProgram()
-	s, err := p.Start(context.Background(), Options{Sequential: true, Quiet: true})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestWaitChangeTerminal(t *testing.T) {
 func TestTableVersionsNoGamma(t *testing.T) {
 	p, ev, out := sessionProgram()
 	s, err := p.Start(context.Background(), Options{
-		Sequential: true, Quiet: true, NoGamma: []string{"Out"}})
+		Strategy: exec.Sequential, Quiet: true, NoGamma: []string{"Out"}})
 	if err != nil {
 		t.Fatal(err)
 	}

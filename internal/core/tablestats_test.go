@@ -40,7 +40,7 @@ func statsProgram() (*Program, *tuple.Schema, *tuple.Schema) {
 // CI race step runs this under -race, making the counters' atomicity a
 // tested property rather than a convention.
 func TestTableStatsExactAcrossStrategies(t *testing.T) {
-	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined} {
+	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto} {
 		t.Run(strat.String(), func(t *testing.T) {
 			p, _, _ := statsProgram()
 			run, err := p.Execute(Options{Strategy: strat, Threads: 4, Quiet: true})
@@ -99,7 +99,7 @@ func TestTableStatsBatchedQueryAccounting(t *testing.T) {
 		p.Put(tuple.New(a, tuple.Int(k)))
 		p.Put(tuple.New(b, tuple.Int(k)))
 	}
-	run, err := p.Execute(Options{Sequential: true, Quiet: true})
+	run, err := p.Execute(Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +115,9 @@ func TestRunStatsStoreKinds(t *testing.T) {
 	p, _, _ := statsProgram()
 	p.GammaHint("A", gamma.NewHashStore(1))
 	run, err := p.Execute(Options{
-		Sequential: true,
-		StorePlan:  gamma.StorePlan{"B": "columnar"},
-		Quiet:      true,
+		Strategy:  exec.Sequential,
+		StorePlan: gamma.StorePlan{"B": "columnar"},
+		Quiet:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,9 +137,9 @@ func TestStorePlanOverridesGammaHint(t *testing.T) {
 	p, _, _ := statsProgram()
 	p.GammaHint("A", gamma.NewHashStore(1))
 	run, err := p.Execute(Options{
-		Sequential: true,
-		StorePlan:  gamma.StorePlan{"A": "inthash:1"},
-		Quiet:      true,
+		Strategy:  exec.Sequential,
+		StorePlan: gamma.StorePlan{"A": "inthash:1"},
+		Quiet:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestStorePlanEquivalence(t *testing.T) {
 	baseline := map[string]bool{}
 	collect := func(plan gamma.StorePlan) map[string]bool {
 		p, _, b := statsProgram()
-		run, err := p.Execute(Options{Sequential: true, StorePlan: plan, Quiet: true})
+		run, err := p.Execute(Options{Strategy: exec.Sequential, StorePlan: plan, Quiet: true})
 		if err != nil {
 			t.Fatal(err)
 		}

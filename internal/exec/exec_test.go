@@ -1,16 +1,22 @@
 package exec_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/exec"
 )
 
-// TestParseStrategyRoundTrip: every canonical name parses to a strategy
-// whose String() spells it back.
+// TestParseStrategyRoundTrip: the menu is exactly the three strategies,
+// every canonical name parses to a strategy whose String() spells it back,
+// and every strategy's String() is on the menu.
 func TestParseStrategyRoundTrip(t *testing.T) {
-	for _, name := range exec.StrategyNames() {
+	names := exec.StrategyNames()
+	if want := []string{"auto", "sequential", "forkjoin"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("StrategyNames() = %v, want %v", names, want)
+	}
+	for _, name := range names {
 		s, err := exec.ParseStrategy(name)
 		if err != nil {
 			t.Fatalf("ParseStrategy(%q): %v", name, err)
@@ -19,13 +25,25 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 			t.Errorf("ParseStrategy(%q).String() = %q", name, s.String())
 		}
 	}
+	for i, s := range []exec.Strategy{exec.Auto, exec.Sequential, exec.ForkJoin} {
+		if s.String() != names[i] {
+			t.Errorf("Strategy(%d).String() = %q, want %q", i, s.String(), names[i])
+		}
+		if _, err := exec.New(s, nil); err != nil {
+			t.Errorf("New(%v, nil): %v", s, err)
+		}
+	}
+	if _, err := exec.New(exec.Strategy(len(names)), nil); err == nil {
+		t.Errorf("New(Strategy(%d)) built a loop for a strategy off the menu", len(names))
+	}
 }
 
 // TestParseStrategyUnknown: unknown values must error (no silent Auto
 // fallback) and the message must list every legal name, since that is
-// what the CLI tools print before exiting.
+// what the CLI tools print before exiting. The names of the deleted ring
+// executor are unknown like any other.
 func TestParseStrategyUnknown(t *testing.T) {
-	for _, bad := range []string{"bogus", "Sequential", "fork join", "automatic"} {
+	for _, bad := range []string{"bogus", "Sequential", "fork join", "automatic", "pipelined", "pipeline", "disruptor"} {
 		_, err := exec.ParseStrategy(bad)
 		if err == nil {
 			t.Fatalf("ParseStrategy(%q) = nil error, want rejection", bad)

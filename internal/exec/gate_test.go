@@ -115,7 +115,18 @@ func (p roundRobinPool) ForWorker(n, _ int, body func(slot, i int), done func(sl
 	}
 }
 
-func drainScript(t *testing.T, e *stepLoop, h *scriptHost) {
+// newLoop is New for tests: the strategy is one of the three, so an error
+// is a test failure.
+func newLoop(t testing.TB, s Strategy, pool Pool) *Loop {
+	t.Helper()
+	e, err := New(s, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func drainScript(t *testing.T, e *Loop, h *scriptHost) {
 	t.Helper()
 	steps := len(h.steps)
 	if err := e.Drain(h); err != nil {
@@ -149,7 +160,7 @@ func covered(t *testing.T, fires []fire, n int) {
 func TestGateStaysInline(t *testing.T) {
 	for _, n := range []int{1, 8, 9, 64, 1000} {
 		h := &scriptHost{steps: []int{n}, cost: 500} // 0.5 µs per firing
-		drainScript(t, newStepLoop("auto", roundRobinPool{4}, false), h)
+		drainScript(t, newLoop(t, Auto, roundRobinPool{4}), h)
 		var want []fire
 		for lo, chunk := 0, probeChunk; lo < n; lo, chunk = lo+chunk, chunk*2 {
 			want = append(want, fire{0, lo, min(lo+chunk, n)})
@@ -162,7 +173,7 @@ func TestGateStaysInline(t *testing.T) {
 		}
 
 		seq := &scriptHost{steps: []int{n}, cost: 500}
-		drainScript(t, newStepLoop("sequential", nil, false), seq)
+		drainScript(t, newLoop(t, Sequential, nil), seq)
 		if want := []fire{{0, 0, n}}; !reflect.DeepEqual(seq.fires, want) {
 			t.Errorf("n=%d: sequential fired %v, want %v", n, seq.fires, want)
 		}
@@ -175,7 +186,7 @@ func TestGateStaysInline(t *testing.T) {
 func TestGateFansOutHeavyStep(t *testing.T) {
 	const n, workers = 480, 2
 	h := &scriptHost{steps: []int{n}, cost: 1_000_000} // 1 ms per firing
-	drainScript(t, newStepLoop("auto", roundRobinPool{workers}, false), h)
+	drainScript(t, newLoop(t, Auto, roundRobinPool{workers}), h)
 	if h.fanned != 1 {
 		t.Fatalf("FanOut called %d times, want 1", h.fanned)
 	}
@@ -206,7 +217,7 @@ func TestGateOpensLate(t *testing.T) {
 		{2000, 8},
 	} {
 		h := &scriptHost{steps: []int{tc.n}, cost: 5_000}
-		drainScript(t, newStepLoop("auto", roundRobinPool{2}, false), h)
+		drainScript(t, newLoop(t, Auto, roundRobinPool{2}), h)
 		inline := 0
 		for _, f := range h.fires {
 			if f.slot == 0 {
@@ -225,7 +236,7 @@ func TestGateOpensLate(t *testing.T) {
 // Auto without a pool is Sequential.
 func TestGateForced(t *testing.T) {
 	h := &scriptHost{steps: []int{64, 1, 0, 64}, cost: 0}
-	drainScript(t, newStepLoop("forkjoin", roundRobinPool{2}, true), h)
+	drainScript(t, newLoop(t, ForkJoin, roundRobinPool{2}), h)
 	if h.fanned != 2 {
 		t.Errorf("forced-open gate fanned %d of the two multi-chunk steps", h.fanned)
 	}
@@ -236,7 +247,7 @@ func TestGateForced(t *testing.T) {
 	}
 
 	h = &scriptHost{steps: []int{480}, cost: 1_000_000}
-	drainScript(t, newStepLoop("auto", nil, false), h)
+	drainScript(t, newLoop(t, Auto, nil), h)
 	if want := []fire{{0, 0, 480}}; !reflect.DeepEqual(h.fires, want) || h.fanned != 0 {
 		t.Errorf("no pool: fired %v (fanned %d), want %v", h.fires, h.fanned, want)
 	}
@@ -298,10 +309,10 @@ func BenchmarkFanOutBreakEven(b *testing.B) {
 	for _, per := range []time.Duration{5 * time.Microsecond, 30 * time.Microsecond, 100 * time.Microsecond} {
 		for _, mode := range []struct {
 			name string
-			loop *stepLoop
+			loop *Loop
 		}{
-			{"inline", newStepLoop("sequential", nil, false)},
-			{"fanout", newStepLoop("forkjoin", pool, true)},
+			{"inline", newLoop(b, Sequential, nil)},
+			{"fanout", newLoop(b, ForkJoin, pool)},
 		} {
 			b.Run(fmt.Sprintf("work=%v/%s", width*per, mode.name), func(b *testing.B) {
 				h := &spinHost{batch: make([]*tuple.Tuple, width), steps: b.N,

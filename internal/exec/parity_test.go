@@ -20,7 +20,7 @@ import (
 
 // strategies is the full menu the parity suite sweeps. Every app must
 // produce identical results and final Gamma contents under each.
-var strategies = []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Pipelined}
+var strategies = []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto}
 
 const parityThreads = 4
 

@@ -42,36 +42,13 @@ func StoreKinds() []string {
 	return []string{"tree", "skip", "hash", "inthash", "columnar", "arrayhash", "dense3d", "rolling"}
 }
 
-// KindName returns the kind name of a spec without its parameters or
-// owner-shard suffix ("hash:2@1" -> "hash").
+// KindName returns the kind name of a spec without its parameters
+// ("hash:2" -> "hash").
 func KindName(spec string) string {
-	if i := strings.IndexByte(spec, '@'); i >= 0 {
-		spec = spec[:i]
-	}
 	if i := strings.IndexByte(spec, ':'); i >= 0 {
 		return spec[:i]
 	}
 	return spec
-}
-
-// SplitShard splits an optional "@N" owner-shard suffix off a store-kind
-// spec ("hash:2@1" -> "hash:2", 1) — the StorePlan syntax that overrides a
-// table's hash-assigned Gamma shard under Options.TableAffinity. ok
-// reports whether a suffix was present; a malformed suffix (non-integer or
-// negative N) is an error, so Validate rejects it before a run is built. A
-// spec may also be ownership-only ("@2"): the base comes back empty,
-// meaning "keep the table's default store, only pin its owner shard".
-func SplitShard(spec string) (base string, shard int, ok bool, err error) {
-	i := strings.LastIndexByte(spec, '@')
-	if i < 0 {
-		return spec, 0, false, nil
-	}
-	n, perr := strconv.Atoi(strings.TrimSpace(spec[i+1:]))
-	if perr != nil || n < 0 {
-		return spec[:i], 0, true,
-			fmt.Errorf("store spec %q: bad owner-shard suffix %q (want @N with N >= 0)", spec, spec[i+1:])
-	}
-	return spec[:i], n, true, nil
 }
 
 // kindNamer is the optional Store extension reporting which kind (and
@@ -135,19 +112,7 @@ func AllIntColumns(s *tuple.Schema) bool {
 //	arrayhash:col,lo,hi  array-of-hashsets over int column col in [lo,hi]
 //	dense3d:na,nb,nc     flat native arrays for (int,int,int -> int)
 //	rolling:n            two-iteration rolling array for (int,int -> double)
-//
-// Any spec may carry a "@N" owner-shard suffix (see SplitShard), which is
-// validated and stripped here — ownership is the ShardMap's concern, not
-// the store's. An ownership-only spec ("@2") yields a nil factory with a
-// nil error: the caller keeps the table's default store.
 func FactoryFor(spec string, s *tuple.Schema) (StoreFactory, error) {
-	spec, _, hadShard, serr := SplitShard(spec)
-	if serr != nil {
-		return nil, serr
-	}
-	if spec == "" && hadShard {
-		return nil, nil
-	}
 	name, args, err := parseSpec(spec)
 	if err != nil {
 		return nil, err

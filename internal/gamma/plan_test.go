@@ -68,6 +68,9 @@ func TestFactoryForRejections(t *testing.T) {
 	}{
 		{"btree", pv, "unknown store kind"},
 		{"btree", pv, "tree|skip|hash|inthash|columnar|arrayhash|dense3d|rolling"},
+		{"skip@1", pv, "unknown store kind"}, // the deleted owner-shard suffix is no syntax at all
+		{"@2", pv, "unknown store kind"},
+		{"hash:2@1", pv, "not an integer"},
 		{"tree:2", pv, "no parameters"}, // a typo'd "hash:2" must not silently run unindexed
 		{"skip:1", pv, "no parameters"},
 		{"hash:0", pv, "out of range"},

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,7 +69,7 @@ func TestExamplePrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range []core.Options{
-			{Sequential: true, MaxSteps: 100000},
+			{Strategy: exec.Sequential, MaxSteps: 100000},
 			{Threads: 4, MaxSteps: 100000},
 		} {
 			prog, err := CompileSource(string(src))
@@ -77,7 +78,7 @@ func TestExamplePrograms(t *testing.T) {
 			}
 			run, err := prog.Execute(opts)
 			if err != nil {
-				t.Fatalf("%s (seq=%v): %v", e.Name(), opts.Sequential, err)
+				t.Fatalf("%s (strategy=%v): %v", e.Name(), opts.Strategy, err)
 			}
 			out := run.Output()
 			// Parallel batches may reorder lines; sort-insensitive checks

@@ -154,7 +154,7 @@ func TestShipEndToEnd(t *testing.T) {
 	foreach (Ship s) {
 	  if (s.x < 400) { put new Ship(s.frame+1, s.x+150, s.y, s.dx, s.dy) }
 	}`
-	r := run(t, src, core.Options{Sequential: true, CheckCausality: true})
+	r := run(t, src, core.Options{Strategy: exec.Sequential, CheckCausality: true})
 	ship := findTable(t, r, "Ship")
 	if r.Gamma().Table(ship).Len() != 4 {
 		t.Errorf("Ship tuples = %d, want 4", r.Gamma().Table(ship).Len())
@@ -186,7 +186,7 @@ func TestFibonacci(t *testing.T) {
 	    }
 	  }
 	}`
-	r := run(t, src, core.Options{Sequential: true, CheckCausality: true})
+	r := run(t, src, core.Options{Strategy: exec.Sequential, CheckCausality: true})
 	fib := findTable(t, r, "Fib")
 	var last int64
 	r.Gamma().Table(fib).Scan(func(tp *tuple.Tuple) bool {
@@ -217,7 +217,7 @@ func TestPvWattsStyleReduceAndLambda(t *testing.T) {
 	  }
 	  println(s.month + ": " + stats.mean)
 	}`
-	r := run(t, src, core.Options{Sequential: true})
+	r := run(t, src, core.Options{Strategy: exec.Sequential})
 	out := r.Output()
 	sort.Strings(out)
 	if len(out) != 2 || !strings.HasPrefix(out[0], "1: 15") || !strings.HasPrefix(out[1], "2: 60") {
@@ -247,7 +247,7 @@ func TestDijkstraStyleProgram(t *testing.T) {
 	    }
 	  }
 	}`
-	r := run(t, src, core.Options{Sequential: true})
+	r := run(t, src, core.Options{Strategy: exec.Sequential})
 	done := findTable(t, r, "Done")
 	got := map[int64]int64{}
 	r.Gamma().Table(done).Scan(func(tp *tuple.Tuple) bool {
@@ -277,7 +277,7 @@ func TestGetMinAndCount(t *testing.T) {
 	  println("count " + get count Score(1))
 	  println("all " + get count Score())
 	}`
-	r := run(t, src, core.Options{Sequential: true})
+	r := run(t, src, core.Options{Strategy: exec.Sequential})
 	out := strings.Join(r.Output(), "")
 	if !strings.Contains(out, "min 10") || !strings.Contains(out, "count 2") ||
 		!strings.Contains(out, "all 3") {
@@ -300,7 +300,7 @@ func TestBuiltinsAndOperators(t *testing.T) {
 	  println(n.v < 3 || n.v == 7)
 	  println(!(n.v == 7))
 	}`
-	r := run(t, src, core.Options{Sequential: true})
+	r := run(t, src, core.Options{Strategy: exec.Sequential})
 	out := r.Output()
 	want := []string{"3", "7", "7", "3", "3", "10.5", "true", "true", "false"}
 	if len(out) != len(want) {
@@ -336,7 +336,7 @@ func TestRuntimeErrorsSurface(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			_, err = p.Execute(core.Options{Sequential: true})
+			_, err = p.Execute(core.Options{Strategy: exec.Sequential})
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error = %v, want contains %q", err, c.want)
 			}
@@ -384,7 +384,7 @@ func TestStringConcatAndComparison(t *testing.T) {
 	  println(s.name < "gamma")
 	  println(s.name == "beta")
 	}`
-	r := run(t, src, core.Options{Sequential: true})
+	r := run(t, src, core.Options{Strategy: exec.Sequential})
 	out := strings.Join(r.Output(), "")
 	if !strings.Contains(out, "name=beta") || !strings.Contains(out, "true") {
 		t.Errorf("output = %q", out)
@@ -402,7 +402,7 @@ func TestElseIfChain(t *testing.T) {
 	  else if (n.v < 7) { println("mid") }
 	  else { println("big") }
 	}`
-	r := run(t, src, core.Options{Sequential: true})
+	r := run(t, src, core.Options{Strategy: exec.Sequential})
 	out := r.Output()
 	if len(out) != 3 || !strings.Contains(out[0], "small") ||
 		!strings.Contains(out[1], "mid") || !strings.Contains(out[2], "big") {
@@ -437,9 +437,8 @@ func TestBatchedSingleLookup(t *testing.T) {
 			g, 10+g, g, 20+g, g, g%10, g)
 	}
 	for _, opts := range []core.Options{
-		{Sequential: true, CheckCausality: true},
+		{Strategy: exec.Sequential, CheckCausality: true},
 		{Threads: 4, CheckCausality: true},
-		{Strategy: exec.Pipelined, Threads: 3},
 	} {
 		p, err := CompileSource(src + puts.String())
 		if err != nil {
@@ -494,7 +493,7 @@ func TestBatchedLookupErrorPropagates(t *testing.T) {
 	put new Group(1)
 	put new Group(2)`
 	for _, opts := range []core.Options{
-		{Sequential: true},
+		{Strategy: exec.Sequential},
 		{Threads: 4},
 	} {
 		p, err := CompileSource(src)

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/core"
@@ -52,7 +53,7 @@ foreach (Edge e) {
 	}
 	// The hints are the lowest-priority selection layer but they are real:
 	// a run built with no other configuration must use them.
-	run, err := prog.Execute(core.Options{Sequential: true, Quiet: true, MaxSteps: 10000})
+	run, err := prog.Execute(core.Options{Strategy: exec.Sequential, Quiet: true, MaxSteps: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ foreach (T t) {
 		t.Fatalf("T hint = %q", prog2.PlanHints()["T"])
 	}
 	run2, err := prog2.Execute(core.Options{
-		Sequential: true, Quiet: true, MaxSteps: 1000,
+		Strategy: exec.Sequential, Quiet: true, MaxSteps: 1000,
 		StorePlan: map[string]string{"T": "columnar"},
 	})
 	if err != nil {

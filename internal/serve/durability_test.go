@@ -71,7 +71,7 @@ func recoveredEvents(t *testing.T, raw []byte) []event {
 func TestServeCrashRecoveryParity(t *testing.T) {
 	const nEvents = 30
 	evs := doubleEvents(nEvents)
-	for _, strategy := range []string{"seq", "forkjoin", "pipelined"} {
+	for _, strategy := range []string{"seq", "forkjoin", "auto"} {
 		for _, codec := range []string{"json", "binary"} {
 			for _, crashAt := range []int{1, 4, 9} {
 				name := fmt.Sprintf("%s/%s/sync%d", strategy, codec, crashAt)

@@ -187,7 +187,7 @@ func TestServeParity(t *testing.T) {
 		{"dijkstra", dijkstraSrc, dijkstraEvents(), []string{"Edge", "Estimate", "Done"}},
 	}
 	for _, app := range apps {
-		for _, strategy := range []string{"seq", "forkjoin", "pipelined"} {
+		for _, strategy := range []string{"seq", "forkjoin", "auto"} {
 			t.Run(app.name+"/"+strategy, func(t *testing.T) {
 				_, client := newTestServer(t, serve.Config{})
 				ctx := context.Background()
@@ -389,6 +389,12 @@ func TestServeLifecycleAndQuotas(t *testing.T) {
 	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "bad", Source: "table ???"}); !serve.IsStatus(err, http.StatusBadRequest) {
 		t.Fatalf("bad source: err = %v, want 400", err)
 	}
+	// A strategy off the menu (the deleted ring executor's name) is refused
+	// with the menu, and takes no tenant slot.
+	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "bad", Source: doubleSrc, Strategy: "pipelined"}); !serve.IsStatus(err, http.StatusBadRequest) ||
+		!strings.Contains(err.Error(), "auto|sequential|forkjoin") {
+		t.Fatalf("unknown strategy: err = %v, want 400 listing auto|sequential|forkjoin", err)
+	}
 	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "b", Source: doubleSrc}); err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +439,11 @@ func TestServeMigrate(t *testing.T) {
 	if want := `[[1,2],[2,4],[3,6]]`; string(got) != want {
 		t.Errorf("post-migration query = %s, want %s", got, want)
 	}
-	if err := client.Migrate(ctx, "t", "Out", "nosuchkind"); !serve.IsStatus(err, http.StatusBadRequest) {
-		t.Fatalf("bad spec: err = %v, want 400", err)
+	for _, spec := range []string{"nosuchkind", "skip@1", "@2"} {
+		if err := client.Migrate(ctx, "t", "Out", spec); !serve.IsStatus(err, http.StatusBadRequest) ||
+			!strings.Contains(err.Error(), "unknown store kind") {
+			t.Fatalf("bad spec %q: err = %v, want 400 with the unknown-kind error", spec, err)
+		}
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 type TenantConfig struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
-	// Strategy is an exec strategy name ("auto", "seq", "forkjoin",
-	// "pipelined"); empty means auto.
+	// Strategy is an exec strategy name ("auto", "sequential", "forkjoin");
+	// empty means auto.
 	Strategy string `json:"strategy,omitempty"`
 	// StorePlan maps table names to gamma kind specs ("hash:2",
 	// "columnar", ...), overriding the planner's defaults.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"github.com/jstar-lang/jstar/internal/exec"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/core"
@@ -24,7 +25,7 @@ func TestAdmitPutRingBackpressure(t *testing.T) {
 			<-block
 		}
 	})
-	sess, err := p.Start(context.Background(), core.Options{Sequential: true, Quiet: true, IngressRing: 16})
+	sess, err := p.Start(context.Background(), core.Options{Strategy: exec.Sequential, Quiet: true, IngressRing: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"github.com/jstar-lang/jstar/internal/exec"
 	"math"
 	"strings"
 	"testing"
@@ -95,7 +96,7 @@ func traceRun(t *testing.T) (*core.Program, *core.Run) {
 	})
 	p.Put(tuple.New(a, tuple.Int(1)))
 	p.Put(tuple.New(a, tuple.Int(2)))
-	run, err := p.Execute(core.Options{Sequential: true, TraceDataflow: true, Quiet: true})
+	run, err := p.Execute(core.Options{Strategy: exec.Sequential, TraceDataflow: true, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,10 @@
 //	run, err := p.Execute(jstar.Options{})
 //
 // Parallelism strategy and data-structure choices are runtime options, not
-// program changes: Options.Strategy, Options.Sequential, Options.Threads,
-// Options.NoDelta, Options.NoGamma, and Program.GammaHint correspond to the
-// paper's compiler flags (-sequential, --threads, -noDelta T, -noGamma T,
-// custom stores). Options.StorePlan closes the loop: a finished run's
+// program changes: Options.Strategy, Options.Threads, Options.NoDelta,
+// Options.NoGamma, and Program.GammaHint correspond to the paper's compiler
+// flags (-sequential is Strategy: StrategySequential, --threads, -noDelta T,
+// -noGamma T, custom stores). Options.StorePlan closes the loop: a finished run's
 // RunStats.SuggestStorePlan derives a per-table plan of named store kinds
 // from the observed query/put/dup statistics (hash indexes for
 // point-probed tables, the int-specialised open-addressing store for
@@ -53,7 +53,7 @@
 //	                                             // number of goroutines
 //	sess.Quiesce(ctx)                            // wait for the fixpoint
 //	sess.Query(price, jstar.Eq(...), visit)      // read quiesced Gamma state
-//	sess.Close()                                 // release the executor
+//	sess.Close()                                 // release the pool
 //
 // Put and PutBatch never wait for quiescence: external tuples are
 // published into a multi-producer Disruptor ingress ring and absorbed into
@@ -99,9 +99,10 @@
 //     code generator.
 //   - StrategyForkJoin — the gate forced open: every step's batch fires
 //     across the pool (the paper's parallel code generator, §5).
-//   - StrategyPipelined — firings stream through a Disruptor ring buffer
-//     to a persistent consumer crew (the §6.3 redesign, generalised);
-//     kept as the paper's artefact, never chosen automatically.
+//
+// A run resolved to one thread (Options.Threads, GOMAXPROCS by default)
+// has no pool, so under every strategy it is the coordinator firing alone
+// over the sequential tree stores.
 //
 // All strategies share the batched put protocol: a rule firing appends new
 // tuples to a per-worker put buffer instead of locking the global Delta
@@ -119,8 +120,7 @@
 //
 // Dispatch is batch-first too: a step's live batch is fired in contiguous
 // chunks (the coordinator's doubling chunks, grain-sized chunks on the
-// fork/join pool, ring segments on the Disruptor) handed whole to the engine,
-// which amortises rule lookup, statistics accounting and rule-context
+// fork/join pool) handed whole to the engine, which amortises rule lookup, statistics accounting and rule-context
 // setup per (schema, rule) group. A Rule may additionally provide a
 // BatchBody — a body invoked once per chunk instead of once per tuple —
 // and batch bodies can route grouped point queries through
@@ -128,17 +128,6 @@
 // (pre-hashed on hash stores, single lock episode on tree stores) for the
 // whole chunk. Within one step, firing order across and inside chunks is
 // unspecified, exactly as the paper specifies for one parallel batch.
-//
-// Options.TableAffinity layers table-affine sharding over the parallel
-// strategies: every table is hashed (by schema ID, overridable with an
-// "@N" suffix in the store plan, e.g. "hash:2@1") to one of Threads owner
-// shards, fire chunks are grouped by owning shard and routed to the
-// pinned worker, put buffers are keyed by (worker, shard), and the
-// boundary Gamma flush and Delta merge fan out shard-parallel with no two
-// workers ever touching the same table's store. Results are bit-identical
-// to an affinity-off run — it is purely a locality/contention knob,
-// measured by the jstar-bench -speedup affinity sweep and ignored for
-// sequential runs.
 package jstar
 
 import (
@@ -217,13 +206,10 @@ const (
 	StrategySequential = exec.Sequential
 	// StrategyForkJoin fires every step batch across the pool.
 	StrategyForkJoin = exec.ForkJoin
-	// StrategyPipelined streams firings through a Disruptor ring to a
-	// persistent consumer crew.
-	StrategyPipelined = exec.Pipelined
 )
 
 // ParseStrategy parses a -strategy flag value
-// (auto|sequential|forkjoin|pipelined).
+// (auto|sequential|forkjoin).
 func ParseStrategy(s string) (Strategy, error) { return exec.ParseStrategy(s) }
 
 // ErrSessionClosed is returned by Session operations after Close.

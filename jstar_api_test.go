@@ -51,7 +51,7 @@ func TestPublicAPIQueriesAndHints(t *testing.T) {
 	p.Put(jstar.New(reading, jstar.Int(1), jstar.Int(150)))
 	p.Put(jstar.New(reading, jstar.Int(2), jstar.Int(999)))
 	p.Put(jstar.New(ask, jstar.Int(0)))
-	if _, err := p.Execute(jstar.Options{Sequential: true}); err != nil {
+	if _, err := p.Execute(jstar.Options{Strategy: jstar.StrategySequential}); err != nil {
 		t.Fatal(err)
 	}
 	if count != 2 || highPower != 1 {
@@ -99,7 +99,7 @@ func TestDeterministicOutputAcrossStrategies(t *testing.T) {
 	}
 	results := make([][]string, 0, 3)
 	for _, opts := range []jstar.Options{
-		{Sequential: true}, {Threads: 2}, {Threads: 8},
+		{Strategy: jstar.StrategySequential}, {Threads: 2}, {Threads: 8},
 	} {
 		p, _, out := build()
 		run, err := p.Execute(opts)
