@@ -250,10 +250,9 @@ func Program(csv []byte, opts RunOpts) (*core.Program, *core.Options, func(*core
 		c.PutNew(res, s.Get("year"), s.Get("month"), tuple.Float(stats.Mean()))
 	})
 	if !opts.ParallelReduce {
-		// Batch body: a chunk of SumMonth firings becomes one batched probe
-		// sequence against the PvWatts store (ForEachBatch/SelectBatch) —
-		// one lock episode and one pre-hashed probe loop per chunk instead
-		// of an independent Select per month. ParallelReduce keeps the
+		// Batch body: a chunk of SumMonth firings issues its probes of the
+		// PvWatts store as one ForEachBatch — one dispatch and one
+		// statistics update per chunk. ParallelReduce keeps the
 		// per-tuple body: it fans each reducer loop out across the pool.
 		reduceRule.BatchBody = func(c *core.Ctx, ts []*tuple.Tuple) {
 			qs := make([]gamma.Query, len(ts))

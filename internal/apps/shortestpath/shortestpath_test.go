@@ -122,3 +122,17 @@ func TestVerboseOutput(t *testing.T) {
 		t.Errorf("println lines = %d, want 5 (one per vertex)", len(res.Run.Output()))
 	}
 }
+
+// BenchmarkRunJStar is the repo benchmark's shortestpath workload (100 k
+// vertices, 100 k extra edges, 4 generation tasks, default strategy) as a
+// `go test -bench` target, for CPU and allocation profiles of the firing
+// path (recipe in .claude/skills/verify/SKILL.md).
+func BenchmarkRunJStar(b *testing.B) {
+	gen := GenOpts{Vertices: 100000, Extra: 100000, Tasks: 4, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunJStar(RunOpts{Gen: gen}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/jstar-lang/jstar/internal/gamma"
 	"github.com/jstar-lang/jstar/internal/order"
@@ -12,11 +13,30 @@ import (
 // tuples, query the Gamma database (positively, negatively, and with
 // aggregates), and emit Println output. It corresponds to the generated
 // rule environment in the Java backend.
+//
+// Concurrency contract: a Ctx belongs to the goroutine running the firing.
+// Put and PutNew may additionally be called from the rule's own pool.For
+// workers (§5.2's loop parallelism inside a rule — what pvwatts' -noDelta
+// reader does); they touch only the slot's locked put buffer. Every query
+// method (ForEach, ForEachBatch, GetUniq, Exists, Count, GetMin, SumInt) and
+// Bind use the Ctx's unsynchronised scratch and must stay on the firing
+// goroutine.
 type Ctx struct {
 	run     *Run
 	rule    *Rule
 	trigger *tuple.Tuple
 	slot    int // put-buffer slot of the executing participant
+
+	// Query scratch. A query copies its prefix into prefix, lets the store
+	// push the prefix's matches onto found through push, and only then — the
+	// store call returned, no store lock held — runs Where, the causality
+	// check and the visitor over found[base:]. Visitors may query again:
+	// the nested query pushes above the outer one's matches and pops back to
+	// its own base, so the outer loop indexes found rather than slicing it.
+	prefix []tuple.Value
+	found  []*tuple.Tuple
+	stopAt int                     // len(found) at which push ends the store walk
+	push   func(*tuple.Tuple) bool // the one callback stores see; built on first use
 }
 
 // Trigger returns the tuple that fired this rule (nil for initial puts).
@@ -56,26 +76,62 @@ func (c *Ctx) checkResult(t *tuple.Tuple) {
 	}
 }
 
-// ForEach visits the tuples of table s matching q — the positive query form
-// `for (x : get T(prefix, [where])) { ... }`.
-func (c *Ctx) ForEach(s *tuple.Schema, q gamma.Query, fn func(t *tuple.Tuple) bool) {
-	st := c.run.tableStats(s)
-	st.Queries.Add(1)
-	if n := int64(len(q.Prefix)); n > 0 {
-		st.noteIndexed(1, n, n)
+// visit is the one read path: it collects table s's matches of prefix (at
+// most limit of them, ending the store walk there) and calls fn on those
+// that pass where and the causality check, until fn returns false. prefix,
+// where and fn are only read and called here, never stored or handed to the
+// store, so a caller's literals and closures stay on its stack.
+func (c *Ctx) visit(s *tuple.Schema, prefix []tuple.Value, where func(*tuple.Tuple) bool, limit int, fn func(*tuple.Tuple) bool) {
+	if c.push == nil {
+		c.push = func(t *tuple.Tuple) bool {
+			c.found = append(c.found, t)
+			return len(c.found) < c.stopAt
+		}
 	}
-	c.run.gammaDB.Table(s).Select(q, func(t *tuple.Tuple) bool {
+	base := len(c.found)
+	c.stopAt = base + limit
+	c.prefix = append(c.prefix[:0], prefix...)
+	c.run.gammaDB.Table(s).Select(gamma.Query{Prefix: c.prefix}, c.push)
+	clear(c.prefix) // string values must not outlive the query in scratch
+	for i, end := base, len(c.found); i < end; i++ {
+		t := c.found[i]
+		if where != nil && !where(t) {
+			continue
+		}
 		c.checkResult(t)
-		return fn(t)
-	})
+		if !fn(t) {
+			break
+		}
+	}
+	c.popTo(base)
 }
 
-// ForEachBatch runs a sequence of positive queries against table s as one
-// batched probe (gamma.SelectBatch) — the read-side counterpart of the
-// batched firing path, used by rule batch bodies so a chunk of firings
-// issues one probe sequence instead of len(qs) independent Selects. fn is
-// called with the query index and each of that query's matches, per query
-// in index order; returning false stops that query's iteration only.
+// popTo drops found[base:], clearing it so the scratch pins no tuple.
+func (c *Ctx) popTo(base int) {
+	clear(c.found[base:])
+	c.found = c.found[:base]
+}
+
+// allMatches is visit's limit for queries that want every match; it leaves
+// room for base+limit not to overflow.
+const allMatches = math.MaxInt / 2
+
+// ForEach visits the tuples of table s matching q — the positive query form
+// `for (x : get T(prefix, [where])) { ... }`. The matches of q.Prefix are
+// collected before q.Where and fn see the first of them, so fn iterates a
+// snapshot: it may query and put freely, into table s included, and tuples
+// it puts are not visited. A query whose Where rejects most of a large
+// prefix range still collects that range; narrow it with the prefix.
+func (c *Ctx) ForEach(s *tuple.Schema, q gamma.Query, fn func(t *tuple.Tuple) bool) {
+	c.run.tableStats(s).noteQuery(len(q.Prefix))
+	c.visit(s, q.Prefix, q.Where, allMatches, fn)
+}
+
+// ForEachBatch runs a sequence of positive queries against table s — the
+// read-side counterpart of the batched firing path, used by rule batch
+// bodies so a chunk of firings issues its probes in one call. fn is called
+// with the query index and each of that query's matches, per query in index
+// order; returning false stops that query's iteration only.
 //
 // triggers, when non-nil, must hold one trigger tuple per query: each
 // query's results are then causality-checked against — and Puts made from
@@ -104,21 +160,26 @@ func (c *Ctx) ForEachBatch(s *tuple.Schema, qs []gamma.Query, triggers []*tuple.
 	if indexed > 0 {
 		st.noteIndexed(indexed, plen, min)
 	}
-	gamma.SelectBatch(c.run.gammaDB.Table(s), qs, func(qi int, t *tuple.Tuple) bool {
+	for i := range qs {
 		if triggers != nil {
-			c.trigger = triggers[qi]
+			c.trigger = triggers[i]
 		}
-		c.checkResult(t)
-		return fn(qi, t)
-	})
+		c.visit(s, qs[i].Prefix, qs[i].Where, allMatches, func(t *tuple.Tuple) bool { return fn(i, t) })
+	}
 }
 
 // GetUniq returns the unique tuple matching q, or nil — `get uniq? T(...)`.
 // With more than one match it returns the first in store order (real JStar
-// flags this statically when the key does not force uniqueness).
+// flags this statically when the key does not force uniqueness). Without a
+// Where the store walk ends at the first match.
 func (c *Ctx) GetUniq(s *tuple.Schema, q gamma.Query) *tuple.Tuple {
+	c.run.tableStats(s).noteQuery(len(q.Prefix))
+	limit := allMatches
+	if q.Where == nil {
+		limit = 1
+	}
 	var got *tuple.Tuple
-	c.ForEach(s, q, func(t *tuple.Tuple) bool {
+	c.visit(s, q.Prefix, q.Where, limit, func(t *tuple.Tuple) bool {
 		got = t
 		return false
 	})

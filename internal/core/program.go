@@ -46,9 +46,8 @@ type Rule struct {
 	// batched step path prefers BatchBody; the -noDelta inline path and
 	// single-tuple fallbacks use Body). Implementations that Put should
 	// call c.Bind(t) as they move through the chunk so causality checks
-	// and dataflow attribution stay per-trigger, and should route grouped
-	// point queries through Ctx.ForEachBatch to get the batched Gamma
-	// probe path.
+	// and dataflow attribution stay per-trigger, and can route grouped
+	// point queries through Ctx.ForEachBatch.
 	BatchBody func(c *Ctx, ts []*tuple.Tuple)
 }
 

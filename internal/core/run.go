@@ -45,6 +45,14 @@ type TableStats struct {
 	winMinPrefix atomic.Int64
 }
 
+// noteQuery counts one query whose equality prefix holds n values.
+func (t *TableStats) noteQuery(n int) {
+	t.Queries.Add(1)
+	if n > 0 {
+		t.noteIndexed(1, int64(n), int64(n))
+	}
+}
+
 // noteIndexed folds a batch of indexed-query observations (count, total
 // prefix length, smallest prefix length) into the counters with one update
 // each plus a CAS-min.
@@ -958,6 +966,7 @@ func (r *Run) invokeGroup(ctx *Ctx, rule *Rule, ts []*tuple.Tuple) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.setFail(fmt.Errorf("jstar: rule %s on %v panicked: %v", rule.Name, ctx.trigger, p))
+			ctx.popTo(0) // the panic unwound past the queries' own pops
 		}
 	}()
 	ctx.rule = rule

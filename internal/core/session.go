@@ -589,10 +589,7 @@ func (s *Session) Quiesce(ctx context.Context) error {
 // may interleave with inserts, like the Java concurrent collections).
 func (s *Session) Query(sch *tuple.Schema, q gamma.Query, fn func(*tuple.Tuple) bool) {
 	if st := s.run.tableStats(sch); st != nil {
-		st.Queries.Add(1)
-		if n := int64(len(q.Prefix)); n > 0 {
-			st.noteIndexed(1, n, n)
-		}
+		st.noteQuery(len(q.Prefix))
 	}
 	s.run.gammaDB.Table(sch).Select(q, fn)
 }

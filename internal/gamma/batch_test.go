@@ -23,10 +23,8 @@ func batchTestSchema() *tuple.Schema {
 		[]tuple.OrderEntry{tuple.Lit("T")})
 }
 
-// batchFactories is every store backend the batched read path must agree
-// with its per-query path on — the BatchSelector implementations (tree,
-// hash, columnar, inthash) and fallback-only stores (skip list,
-// array-of-hashsets): seven implementations in all.
+// batchFactories is every store backend SelectBatch must agree with
+// independent Selects on: seven implementations in all.
 func batchFactories() map[string]StoreFactory {
 	return map[string]StoreFactory{
 		"tree":       NewTreeStore,
@@ -64,8 +62,7 @@ func renderTuple(t *tuple.Tuple) string {
 // read path: for random tuple sets and random query sequences, SelectBatch
 // must return, per query, exactly the tuple set an independent Select of
 // that query returns — on every store backend. Results are compared as
-// sorted multisets because the hash-backed stores iterate Go maps on their
-// scan fallback, whose order is deliberately unspecified.
+// sorted multisets: store order is not part of this property.
 func TestSelectBatchMatchesSelect(t *testing.T) {
 	for name, factory := range batchFactories() {
 		t.Run(name, func(t *testing.T) {

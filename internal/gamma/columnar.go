@@ -85,11 +85,14 @@ func (cs *colStore) value(r int32, col int) tuple.Value {
 	}
 }
 
-// materialise rebuilds row r as a Tuple, for callers that matched it.
+// materialise rebuilds row r as a Tuple, for callers that matched it — the
+// one allocation a matched row costs (vals stays on the stack up to
+// tuple.InlineFields columns).
 func (cs *colStore) materialise(r int32) *tuple.Tuple {
-	vals := make([]tuple.Value, cs.schema.Arity())
-	for i := range vals {
-		vals[i] = cs.value(r, i)
+	var buf [tuple.InlineFields]tuple.Value
+	vals := buf[:0]
+	for i := range cs.schema.Columns {
+		vals = append(vals, cs.value(r, i))
 	}
 	return tuple.New(cs.schema, vals...)
 }
@@ -182,14 +185,14 @@ type colPred struct {
 }
 
 // compilePrefix resolves a query's equality prefix against the column
-// encodings. ok is false when the prefix can never match: a value of the
-// wrong kind for its column (Value.Equal is false across kinds), or a
-// string absent from the dictionary.
-func (cs *colStore) compilePrefix(prefix []tuple.Value) ([]colPred, bool) {
-	preds := make([]colPred, len(prefix))
+// encodings, appending one predicate per prefix value to preds. ok is
+// false when the prefix can never match: a value of the wrong kind for its
+// column (Value.Equal is false across kinds), or a string absent from the
+// dictionary.
+func (cs *colStore) compilePrefix(preds []colPred, prefix []tuple.Value) ([]colPred, bool) {
 	for i, v := range prefix {
 		kind := cs.schema.Columns[i].Kind
-		preds[i] = colPred{col: i, kind: kind}
+		preds = append(preds, colPred{col: i, kind: kind})
 		switch kind {
 		case tuple.KindFloat:
 			preds[i].v = v
@@ -234,8 +237,11 @@ func (cs *colStore) matchPrefix(r int32, preds []colPred) bool {
 	return true
 }
 
-func (cs *colStore) selectLocked(q Query, fn func(*tuple.Tuple) bool) {
-	preds, ok := cs.compilePrefix(q.Prefix)
+func (cs *colStore) Select(q Query, fn func(*tuple.Tuple) bool) {
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	var buf [tuple.InlineFields]colPred
+	preds, ok := cs.compilePrefix(buf[:0], q.Prefix)
 	if !ok {
 		return
 	}
@@ -243,28 +249,8 @@ func (cs *colStore) selectLocked(q Query, fn func(*tuple.Tuple) bool) {
 		if !cs.matchPrefix(r, preds) {
 			continue
 		}
-		t := cs.materialise(r)
-		if q.Where == nil || q.Where(t) {
-			if !fn(t) {
-				return
-			}
+		if t := cs.materialise(r); q.whereOK(t) && !fn(t) {
+			return
 		}
-	}
-}
-
-func (cs *colStore) Select(q Query, fn func(*tuple.Tuple) bool) {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	cs.selectLocked(q, fn)
-}
-
-// SelectBatch runs the whole probe sequence under one lock episode; each
-// query is a columnar filter pass, so a chunk of scan-shaped queries pays
-// one synchronisation for the lot.
-func (cs *colStore) SelectBatch(qs []Query, fn func(qi int, t *tuple.Tuple) bool) {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	for i := range qs {
-		cs.selectLocked(qs[i], func(t *tuple.Tuple) bool { return fn(i, t) })
 	}
 }

@@ -4,14 +4,15 @@
 // choice is layered:
 //
 //   - Store is the per-table storage contract (Insert/Len/Select/Scan, with
-//     the optional BatchSelector/BatchStore fast paths for the engine's
-//     batched dispatch). Seven implementations ship: the NavigableSet
+//     the optional BatchStore fast path for the engine's batched puts).
+//     Eight implementations ship: the NavigableSet
 //     defaults (tree for sequential code, skip list for parallel code,
 //     ordered by all fields so queries over any ordered subset traverse
-//     only that subset), a sharded hash index, the array-of-hashsets of
-//     §6.2, the dense native arrays of §6.4, the rolling two-iteration
-//     array of §6.6, plus a compressed append-only columnar store and an
-//     int-specialised open-addressing store.
+//     only that subset), a sharded hash index and the array-of-hashsets of
+//     §6.2 (one hash-bucket implementation, hashShard), the dense native
+//     arrays of §6.4, the rolling two-iteration array of §6.6, plus a
+//     compressed append-only columnar store and an int-specialised
+//     open-addressing store.
 //   - StoreFactory builds a Store for a schema — the paper's stage-4
 //     data-structure hint, overridden per table through DB.SetStore (the
 //     factory-method seam the paper describes overriding manually).
@@ -52,8 +53,12 @@ func (q Query) Matches(t *tuple.Tuple) bool {
 			return false
 		}
 	}
-	return q.Where == nil || q.Where(t)
+	return q.whereOK(t)
 }
+
+// whereOK applies the residual predicate alone, for stores whose walk has
+// already established the prefix.
+func (q Query) whereOK(t *tuple.Tuple) bool { return q.Where == nil || q.Where(t) }
 
 // Store is one table's storage in the Gamma database. Insert may be called
 // concurrently by parallel rule tasks; Select and Scan may run concurrently
@@ -109,41 +114,9 @@ func (st *navSeqStore) Scan(fn func(*tuple.Tuple) bool) {
 func (st *navSeqStore) Select(q Query, fn func(*tuple.Tuple) bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	st.selectLocked(q, fn)
-}
-
-// SelectBatch takes the tree lock once for the whole probe sequence
-// instead of once per query. Batched callers pass queries derived from a
-// sorted trigger chunk, so consecutive probes descend into nearby
-// subtrees (the sorted-probe locality of an ordered store).
-func (st *navSeqStore) SelectBatch(qs []Query, fn func(qi int, t *tuple.Tuple) bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	for i := range qs {
-		st.selectLocked(qs[i], func(t *tuple.Tuple) bool { return fn(i, t) })
-	}
-}
-
-func (st *navSeqStore) selectLocked(q Query, fn func(*tuple.Tuple) bool) {
-	if len(q.Prefix) == 0 {
-		st.t.Ascend(func(t *tuple.Tuple) bool {
-			if q.Matches(t) {
-				return fn(t)
-			}
-			return true
-		})
-		return
-	}
-	probe := prefixProbe(q.Prefix)
-	st.t.AscendFrom(probe, func(t *tuple.Tuple) bool {
-		if !hasPrefix(t, q.Prefix) {
-			return false // left the prefix range; ordered store ends scan
-		}
-		if q.Where == nil || q.Where(t) {
-			return fn(t)
-		}
-		return true
-	})
+	st.t.AscendRange(
+		func(t *tuple.Tuple) int { return t.ComparePrefix(q.Prefix) },
+		func(t *tuple.Tuple) bool { return !q.whereOK(t) || fn(t) })
 }
 
 // navConcStore is the parallel default (ConcurrentSkipListSet analogue).
@@ -165,58 +138,94 @@ func (st *navConcStore) Scan(fn func(*tuple.Tuple) bool) {
 }
 
 func (st *navConcStore) Select(q Query, fn func(*tuple.Tuple) bool) {
-	if len(q.Prefix) == 0 {
-		st.l.Ascend(func(t *tuple.Tuple) bool {
-			if q.Matches(t) {
-				return fn(t)
-			}
-			return true
-		})
-		return
-	}
-	probe := prefixProbe(q.Prefix)
-	st.l.AscendFrom(probe, func(t *tuple.Tuple) bool {
-		if !hasPrefix(t, q.Prefix) {
-			return false
-		}
-		if q.Where == nil || q.Where(t) {
-			return fn(t)
-		}
-		return true
-	})
+	st.l.AscendRange(
+		func(t *tuple.Tuple) int { return t.ComparePrefix(q.Prefix) },
+		func(t *tuple.Tuple) bool { return !q.whereOK(t) || fn(t) })
 }
 
-// prefixProbe builds a pseudo-tuple that sorts before every real tuple with
-// the given prefix: trailing fields are invalid Values, which Compare orders
-// before all valid values. The probe deliberately bypasses schema checks.
-func prefixProbe(prefix []tuple.Value) *tuple.Tuple {
-	return tuple.NewRaw(prefix)
+// --- Hash index stores -----------------------------------------------------
+
+// hashShard is the one hash-bucket implementation behind the hash and
+// array-of-hashsets stores: entries in one append-only slice, chained per
+// 64-bit hash through next, the chain heads in the open-addressing oaTable
+// (inthash.go) — no Go map to probe, no slice allocated per key. Hashes
+// arrive avalanched (finalizeHash), since oaTable masks their low bits.
+type hashShard struct {
+	mu sync.RWMutex
+	// ts holds the entries in insertion order. Elements are never rewritten,
+	// so a slice header read under mu is a stable snapshot to walk unlocked.
+	ts    []*tuple.Tuple
+	next  []int32 // per entry: the previous entry with the same hash, -1 ends
+	heads oaTable // hash -> newest entry of its chain
 }
 
-func hasPrefix(t *tuple.Tuple, prefix []tuple.Value) bool {
-	for i, v := range prefix {
-		if !t.Field(i).Equal(v) {
+// anyRow makes oaTable key on the hash alone: entries whose keys collide on
+// all 64 bits share a chain, and readers filter with Query.Matches.
+func anyRow(int32) bool { return true }
+
+// insert chains t under h unless an Equal tuple is already there.
+func (sh *hashShard) insert(h uint64, t *tuple.Tuple) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for r := sh.heads.find(h, anyRow); r >= 0; r = sh.next[r] {
+		if sh.ts[r].Equal(t) {
 			return false
 		}
 	}
+	r := int32(len(sh.ts))
+	sh.ts = append(sh.ts, t)
+	sh.next = append(sh.next, sh.heads.put(h, anyRow, r))
 	return true
 }
 
-// --- Hash index store ------------------------------------------------------
+// snapshot returns every entry, in insertion order, for walking unlocked.
+func (sh *hashShard) snapshot() []*tuple.Tuple {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.ts
+}
+
+// chain appends the entries stored under h to buf, newest first — the
+// bucket snapshot, taken under the read lock so callbacks run outside it.
+func (sh *hashShard) chain(h uint64, buf []*tuple.Tuple) []*tuple.Tuple {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for r := sh.heads.find(h, anyRow); r >= 0; r = sh.next[r] {
+		buf = append(buf, sh.ts[r])
+	}
+	return buf
+}
+
+// scanShards visits every entry of shards, shard by shard in insertion
+// order — deterministic for a deterministic insert sequence.
+func scanShards(shards []hashShard, fn func(*tuple.Tuple) bool) {
+	for i := range shards {
+		for _, t := range shards[i].snapshot() {
+			if !fn(t) {
+				return
+			}
+		}
+	}
+}
+
+func lenShards(shards []hashShard) int {
+	n := 0
+	for i := range shards {
+		n += len(shards[i].snapshot())
+	}
+	return n
+}
 
 // hashStore indexes tuples by a hash of their first k columns, sharded to
 // keep parallel inserts cheap. Queries whose prefix length >= k hit one
-// bucket; other queries fall back to a full scan (the paper's point about
+// chain; other queries fall back to a full scan (the paper's point about
 // choosing structures per observed query shape, §1.4).
 type hashStore struct {
-	k      int
-	shards [hashShards]hashShard
-}
-
-type hashShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]*tuple.Tuple
-	n  int
+	k int
+	// hashMask is all ones outside tests; a narrow mask is the test seam
+	// that forces distinct keys onto one 64-bit hash.
+	hashMask uint64
+	shards   [hashShards]hashShard
 }
 
 const hashShards = 64
@@ -227,130 +236,51 @@ func NewHashStore(k int) StoreFactory {
 		if k < 1 || k > s.Arity() {
 			panic(fmt.Sprintf("jstar: hash store on %s: k=%d out of range", s.Name, k))
 		}
-		return &hashStore{k: k}
+		return &hashStore{k: k, hashMask: ^uint64(0)}
 	}
 }
 
 func (st *hashStore) StoreKind() string { return fmt.Sprintf("hash:%d", st.k) }
 
-func keyHash(vals []tuple.Value) uint64 {
-	h := tuple.HashSeed
-	for _, v := range vals {
-		h = v.Hash(h)
-	}
-	return h
+// locate avalanches a key's field hash and picks its shard from the top
+// bits; the probe masks inside the shard use the (independent) low bits.
+func (st *hashStore) locate(h uint64) (*hashShard, uint64) {
+	h = finalizeHash(h) & st.hashMask
+	return &st.shards[h>>(64-6)], h
 }
 
-func (st *hashStore) keyOf(t *tuple.Tuple) uint64 {
+func (st *hashStore) Insert(t *tuple.Tuple) bool {
 	h := tuple.HashSeed
 	for i := 0; i < st.k; i++ {
 		h = t.Field(i).Hash(h)
 	}
-	return h
+	sh, h := st.locate(h)
+	return sh.insert(h, t)
 }
 
-func (st *hashStore) Insert(t *tuple.Tuple) bool {
-	h := st.keyOf(t)
-	sh := &st.shards[h%hashShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.m == nil {
-		sh.m = make(map[uint64][]*tuple.Tuple)
-	}
-	for _, e := range sh.m[h] {
-		if e.Equal(t) {
-			return false
-		}
-	}
-	sh.m[h] = append(sh.m[h], t)
-	sh.n++
-	return true
-}
+func (st *hashStore) Len() int { return lenShards(st.shards[:]) }
 
-func (st *hashStore) Len() int {
-	n := 0
-	for i := range st.shards {
-		st.shards[i].mu.RLock()
-		n += st.shards[i].n
-		st.shards[i].mu.RUnlock()
-	}
-	return n
-}
-
-func (st *hashStore) Scan(fn func(*tuple.Tuple) bool) {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, bucket := range sh.m {
-			for _, t := range bucket {
-				if !fn(t) {
-					sh.mu.RUnlock()
-					return
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
+func (st *hashStore) Scan(fn func(*tuple.Tuple) bool) { scanShards(st.shards[:], fn) }
 
 func (st *hashStore) Select(q Query, fn func(*tuple.Tuple) bool) {
 	if len(q.Prefix) < st.k {
 		// Under-specified query: full scan with residual filter.
-		st.Scan(func(t *tuple.Tuple) bool {
-			if q.Matches(t) {
-				return fn(t)
-			}
-			return true
-		})
+		st.Scan(func(t *tuple.Tuple) bool { return !q.Matches(t) || fn(t) })
 		return
 	}
-	h := keyHash(q.Prefix[:st.k])
-	sh := &st.shards[h%hashShards]
-	sh.mu.RLock()
-	bucket := sh.m[h]
-	sh.mu.RUnlock()
-	for _, t := range bucket {
-		if q.Matches(t) {
-			if !fn(t) {
-				return
-			}
+	h := tuple.HashSeed
+	for _, v := range q.Prefix[:st.k] {
+		h = v.Hash(h)
+	}
+	sh, h := st.locate(h)
+	var buf [16]*tuple.Tuple // longer chains spill to the heap
+	bucket := sh.chain(h, buf[:0])
+	for i := len(bucket) - 1; i >= 0; i-- { // oldest first: insertion order
+		if t := bucket[i]; q.Matches(t) && !fn(t) {
+			return
 		}
 	}
 }
-
-// SelectBatch hashes every fully-specified query prefix in one tight pass
-// before any bucket is probed — the prefetch-friendly loop: by the time
-// the probe loop dereferences shard s for query i, the hash computation
-// for queries i+1… has already walked their prefix values, so the
-// hashing work overlaps the bucket cache misses instead of alternating
-// with them. Under-specified queries fall back to the scanning Select.
-func (st *hashStore) SelectBatch(qs []Query, fn func(qi int, t *tuple.Tuple) bool) {
-	hashes := make([]uint64, len(qs))
-	for i := range qs {
-		if len(qs[i].Prefix) >= st.k {
-			hashes[i] = keyHash(qs[i].Prefix[:st.k])
-		}
-	}
-	for i := range qs {
-		q := qs[i]
-		if len(q.Prefix) < st.k {
-			st.Select(q, func(t *tuple.Tuple) bool { return fn(i, t) })
-			continue
-		}
-		h := hashes[i]
-		sh := &st.shards[h%hashShards]
-		sh.mu.RLock()
-		bucket := sh.m[h]
-		sh.mu.RUnlock()
-		for _, t := range bucket {
-			if q.Matches(t) && !fn(i, t) {
-				break
-			}
-		}
-	}
-}
-
-// --- Array-of-hashsets store -----------------------------------------------
 
 // arrayHashStore is the paper's custom PvWatts Gamma structure (§6.2): a
 // dense array indexed by one small-range int column, with a hash set inside
@@ -384,98 +314,29 @@ func (st *arrayHashStore) slot(v int64) *hashShard {
 }
 
 func (st *arrayHashStore) Insert(t *tuple.Tuple) bool {
-	sh := st.slot(t.Field(st.col).AsInt())
-	h := t.Hash()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.m == nil {
-		sh.m = make(map[uint64][]*tuple.Tuple)
-	}
-	for _, e := range sh.m[h] {
-		if e.Equal(t) {
-			return false
-		}
-	}
-	sh.m[h] = append(sh.m[h], t)
-	sh.n++
-	return true
+	return st.slot(t.Field(st.col).AsInt()).insert(finalizeHash(t.Hash()), t)
 }
 
-func (st *arrayHashStore) Len() int {
-	n := 0
-	for i := range st.slots {
-		st.slots[i].mu.RLock()
-		n += st.slots[i].n
-		st.slots[i].mu.RUnlock()
-	}
-	return n
-}
+func (st *arrayHashStore) Len() int { return lenShards(st.slots) }
 
-func (st *arrayHashStore) Scan(fn func(*tuple.Tuple) bool) {
-	for i := range st.slots {
-		sh := &st.slots[i]
-		sh.mu.RLock()
-		for _, bucket := range sh.m {
-			for _, t := range bucket {
-				if !fn(t) {
-					sh.mu.RUnlock()
-					return
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
+func (st *arrayHashStore) Scan(fn func(*tuple.Tuple) bool) { scanShards(st.slots, fn) }
 
 func (st *arrayHashStore) Select(q Query, fn func(*tuple.Tuple) bool) {
-	if st.col < len(q.Prefix) {
-		sh := st.slot(q.Prefix[st.col].AsInt())
-		sh.mu.RLock()
-		// Snapshot bucket pointers so fn can run without holding the lock.
-		var snapshot []*tuple.Tuple
-		for _, bucket := range sh.m {
-			snapshot = append(snapshot, bucket...)
-		}
-		sh.mu.RUnlock()
-		for _, t := range snapshot {
-			if q.Matches(t) {
-				if !fn(t) {
-					return
-				}
-			}
-		}
+	if st.col >= len(q.Prefix) {
+		st.Scan(func(t *tuple.Tuple) bool { return !q.Matches(t) || fn(t) })
 		return
 	}
-	st.Scan(func(t *tuple.Tuple) bool {
-		if q.Matches(t) {
-			return fn(t)
+	for _, t := range st.slot(q.Prefix[st.col].AsInt()).snapshot() {
+		if q.Matches(t) && !fn(t) {
+			return
 		}
-		return true
-	})
-}
-
-// BatchSelector is an optional Store extension: SelectBatch runs a
-// sequence of queries under one synchronisation episode — the read-side
-// half of the engine's batched rule dispatch, where a chunk of firings
-// issues one probe sequence per table instead of a Select (and a lock
-// acquisition) per tuple.
-type BatchSelector interface {
-	SelectBatch(qs []Query, fn func(qi int, t *tuple.Tuple) bool)
+	}
 }
 
 // SelectBatch visits, for each query qs[qi] in index order, the tuples
-// matching it, via the store's BatchSelector fast path when available and
-// per-query Select otherwise. fn returning false ends iteration of the
-// current query only; the next query still runs (matching what a loop of
-// independent Selects would do). Callers on the batched firing path pass
-// queries derived from a sorted trigger chunk, so ordered backends probe
-// in ascending key order — the sorted-probe locality the tree stores
-// exploit.
+// matching it — a loop of independent Selects: fn returning false ends
+// iteration of the current query only and the next query still runs.
 func SelectBatch(st Store, qs []Query, fn func(qi int, t *tuple.Tuple) bool) {
-	if bs, ok := st.(BatchSelector); ok {
-		bs.SelectBatch(qs, fn)
-		return
-	}
 	for i := range qs {
 		st.Select(qs[i], func(t *tuple.Tuple) bool { return fn(i, t) })
 	}

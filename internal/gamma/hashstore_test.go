@@ -1,0 +1,261 @@
+package gamma
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/jstar-lang/jstar/internal/tuple"
+)
+
+// hashModel is the reference the hash-bucket stores are checked against:
+// every inserted tuple, in insertion order, with map-based dedup.
+type hashModel struct {
+	seen map[string]bool
+	ts   []*tuple.Tuple
+	strs []string // ts rendered, for comparing result lists
+}
+
+func (m *hashModel) insert(t *tuple.Tuple) bool {
+	str := t.String()
+	if m.seen[str] {
+		return false
+	}
+	m.seen[str] = true
+	m.ts = append(m.ts, t)
+	m.strs = append(m.strs, str)
+	return true
+}
+
+func (m *hashModel) matches(q Query) []string {
+	var out []string
+	for i, t := range m.ts {
+		if q.Matches(t) {
+			out = append(out, m.strs[i])
+		}
+	}
+	return out
+}
+
+func selected(st Store, q Query) []string {
+	var out []string
+	st.Select(q, func(t *tuple.Tuple) bool { out = append(out, t.String()); return true })
+	return out
+}
+
+// TestHashStoresAgainstModel drives the open-addressing hash shard, through
+// both stores built on it, with random insert / duplicate / select
+// sequences against a map model. The hash masks force distinct keys onto
+// one 64-bit hash (0xF: sixteen chains in one shard; 0xFF: one shard's table
+// rehashing several times with every chain shared); the unmasked run spreads
+// some 4 000 keys over the 64 shards, about three rehashes each. Indexed selects must
+// return the model's matches in insertion order; under-specified prefixes
+// (the scan fallback) the same set.
+func TestHashStoresAgainstModel(t *testing.T) {
+	s := batchTestSchema()
+	cases := []struct {
+		name    string
+		factory StoreFactory
+		k       int // prefix length from which Select is indexed
+		mask    uint64
+		keys    int64 // range of column a
+	}{
+		{"hash1", NewHashStore(1), 1, ^uint64(0), 6000},
+		{"hash2", NewHashStore(2), 2, ^uint64(0), 80},
+		{"hash1-collide16", NewHashStore(1), 1, 0xF, 300},
+		{"hash2-collide256", NewHashStore(2), 2, 0xFF, 60},
+		{"arrayhash", NewArrayOfHashSets(0, 0, 49), 1, 0, 50},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st := c.factory(s)
+			if hs, ok := st.(*hashStore); ok {
+				hs.hashMask = c.mask
+			}
+			r := rand.New(rand.NewSource(7))
+			m := &hashModel{seen: map[string]bool{}}
+			tup := func() *tuple.Tuple {
+				return tuple.New(s, tuple.Int(r.Int63n(c.keys)), tuple.Int(r.Int63n(6)), tuple.Int(r.Int63n(4)))
+			}
+			check := func(q Query, ordered bool) {
+				t.Helper()
+				got, want := selected(st, q), m.matches(q)
+				if !ordered {
+					slices.Sort(got)
+					slices.Sort(want)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("Select(%v, where=%v) = %v, want %v", q.Prefix, q.Where != nil, got, want)
+				}
+			}
+			for step := 0; step < 8000; step++ {
+				x := tup()
+				if r.Intn(5) == 0 && len(m.ts) > 0 {
+					x = m.ts[r.Intn(len(m.ts))] // a certain duplicate
+					x = tuple.New(s, x.Field(0), x.Field(1), x.Field(2))
+				}
+				if got, want := st.Insert(x), m.insert(x); got != want {
+					t.Fatalf("step %d: Insert(%v) = %v, model says %v", step, x, got, want)
+				}
+				if step%100 != 0 {
+					continue
+				}
+				probe := tup()
+				for plen := 0; plen <= 3; plen++ {
+					q := Query{}
+					for i := 0; i < plen; i++ {
+						q.Prefix = append(q.Prefix, probe.Field(i))
+					}
+					check(q, plen >= c.k)
+					lim := r.Int63n(4)
+					q.Where = func(t *tuple.Tuple) bool { return t.Field(2).AsInt() >= lim }
+					check(q, plen >= c.k)
+				}
+			}
+			if st.Len() != len(m.ts) {
+				t.Errorf("Len = %d, model holds %d", st.Len(), len(m.ts))
+			}
+			var scanned []string
+			st.Scan(func(t *tuple.Tuple) bool { scanned = append(scanned, t.String()); return true })
+			all := m.matches(Query{})
+			slices.Sort(scanned)
+			slices.Sort(all)
+			if !slices.Equal(scanned, all) {
+				t.Errorf("Scan visited %d tuples, model holds %d", len(scanned), len(all))
+			}
+			// Early stop: the first match only.
+			n := 0
+			st.Select(Query{Prefix: []tuple.Value{m.ts[0].Field(0)}}, func(*tuple.Tuple) bool { n++; return false })
+			if n != 1 {
+				t.Errorf("Select visited %d tuples after fn returned false", n)
+			}
+		})
+	}
+}
+
+// TestHashScanOrderIsDeterministic: Scan order on a hash table used to be
+// Go-map order; it is now a function of the insert sequence alone.
+func TestHashScanOrderIsDeterministic(t *testing.T) {
+	s := batchTestSchema()
+	for name, f := range map[string]StoreFactory{"hash": NewHashStore(1), "arrayhash": NewArrayOfHashSets(1, 0, 5)} {
+		var orders [2][]string
+		for run := range orders {
+			st, r := f(s), rand.New(rand.NewSource(11))
+			for i := 0; i < 5000; i++ {
+				st.Insert(tuple.New(s, tuple.Int(r.Int63n(900)), tuple.Int(r.Int63n(6)), tuple.Int(r.Int63n(3))))
+			}
+			st.Scan(func(t *tuple.Tuple) bool { orders[run] = append(orders[run], t.String()); return true })
+		}
+		if !slices.Equal(orders[0], orders[1]) {
+			t.Errorf("%s: two identical insert sequences scanned in different orders", name)
+		}
+	}
+}
+
+// TestHashStoreConcurrentInsertSelectScan runs writers, point readers and
+// scanners on one store — the -race check of the unlocked snapshot walks.
+// Readers must only ever see complete, matching tuples; every tuple is
+// there afterwards.
+func TestHashStoreConcurrentInsertSelectScan(t *testing.T) {
+	s := batchTestSchema()
+	for name, f := range map[string]StoreFactory{"hash": NewHashStore(1), "arrayhash": NewArrayOfHashSets(0, 0, 63)} {
+		t.Run(name, func(t *testing.T) {
+			st := f(s)
+			const writers, perWriter = 4, 3000
+			var wg, readers sync.WaitGroup
+			stop := make(chan struct{})
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						st.Insert(tuple.New(s, tuple.Int(int64(i%64)), tuple.Int(int64(w)), tuple.Int(int64(i))))
+					}
+				}()
+			}
+			for rd := 0; rd < 2; rd++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for key := int64(0); ; key = (key + 1) % 64 {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						st.Select(Query{Prefix: []tuple.Value{tuple.Int(key)}}, func(x *tuple.Tuple) bool {
+							if x.Field(0).AsInt() != key {
+								t.Errorf("Select(%d) visited %v", key, x)
+							}
+							return true
+						})
+						seen := 0
+						st.Scan(func(x *tuple.Tuple) bool { seen++; return x.Schema() == s })
+						if seen > writers*perWriter {
+							t.Errorf("Scan visited %d tuples, at most %d exist", seen, writers*perWriter)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			readers.Wait()
+			if st.Len() != writers*perWriter {
+				t.Fatalf("Len = %d, want %d", st.Len(), writers*perWriter)
+			}
+			for key := int64(0); key < 64; key++ {
+				if n := len(selected(st, Query{Prefix: []tuple.Value{tuple.Int(key)}})); n != writers*(perWriter/64+boolInt(key < perWriter%64)) {
+					t.Errorf("key %d holds %d tuples", key, n)
+				}
+			}
+		})
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestMigrateHashTreeHashRoundTrip rebuilds a hash table as a tree and back
+// through DB.Migrate; contents and indexed query results survive both hops.
+func TestMigrateHashTreeHashRoundTrip(t *testing.T) {
+	s := batchTestSchema()
+	s.SetID(0)
+	db := NewDB(NewHashStore(1))
+	db.Register([]*tuple.Schema{s})
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 4000; i++ {
+		db.Insert(tuple.New(s, tuple.Int(r.Int63n(200)), tuple.Int(r.Int63n(5)), tuple.Int(r.Int63n(5))))
+	}
+	snapshot := func() (int, []string) {
+		st := db.Table(s)
+		var rows []string
+		for key := int64(0); key < 200; key += 7 {
+			got := selected(st, Query{Prefix: []tuple.Value{tuple.Int(key)}})
+			slices.Sort(got)
+			rows = append(rows, fmt.Sprint(key, got))
+		}
+		return st.Len(), rows
+	}
+	wantLen, wantRows := snapshot()
+	for _, spec := range []string{"tree", "hash:2", "hash"} {
+		f, err := FactoryFor(spec, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Migrate(s, f, nil); err != nil {
+			t.Fatalf("migrate to %s: %v", spec, err)
+		}
+		if KindName(KindOf(db.Table(s))) != KindName(spec) {
+			t.Fatalf("after migrating to %s the table is %s", spec, KindOf(db.Table(s)))
+		}
+		if n, rows := snapshot(); n != wantLen || !slices.Equal(rows, wantRows) {
+			t.Fatalf("after migrating to %s: %d tuples (want %d) or different query results", spec, n, wantLen)
+		}
+	}
+}

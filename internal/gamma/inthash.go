@@ -148,12 +148,13 @@ func (st *intHashStore) Len() int {
 	return n
 }
 
-// materialise rebuilds one stored row as a Tuple.
+// materialise rebuilds one stored row as a Tuple — one allocation (vals
+// stays on the stack up to tuple.InlineFields columns).
 func (st *intHashStore) materialise(sh *intShard, r int32) *tuple.Tuple {
-	row := sh.row(st.arity, r)
-	vals := make([]tuple.Value, st.arity)
-	for i, v := range row {
-		vals[i] = tuple.Int(v)
+	var buf [tuple.InlineFields]tuple.Value
+	vals := buf[:0]
+	for _, v := range sh.row(st.arity, r) {
+		vals = append(vals, tuple.Int(v))
 	}
 	return tuple.New(st.schema, vals...)
 }
@@ -227,36 +228,11 @@ func (st *intHashStore) Select(q Query, fn func(*tuple.Tuple) bool) {
 	st.selectKeyed(sh, kh, q, fn)
 }
 
-// SelectBatch pre-hashes every fully-specified prefix in one tight pass
-// before probing, like the generic hash store, so hashing work overlaps
-// the chain-walk cache misses.
-func (st *intHashStore) SelectBatch(qs []Query, fn func(qi int, t *tuple.Tuple) bool) {
-	hashes := make([]uint64, len(qs))
-	hashable := make([]bool, len(qs))
-	for i := range qs {
-		if len(qs[i].Prefix) >= st.k {
-			hashes[i], hashable[i] = st.hashPrefix(qs[i].Prefix)
-		}
-	}
-	for i := range qs {
-		q := qs[i]
-		if len(q.Prefix) < st.k {
-			st.Select(q, func(t *tuple.Tuple) bool { return fn(i, t) })
-			continue
-		}
-		if !hashable[i] {
-			continue
-		}
-		sh := st.shardFor(hashes[i])
-		sh.mu.RLock()
-		st.selectKeyed(sh, hashes[i], q, func(t *tuple.Tuple) bool { return fn(i, t) })
-		sh.mu.RUnlock()
-	}
-}
-
 // oaTable is a linear-probing open-addressing table mapping 64-bit hashes
-// to row ids. Distinct keys may share a hash; find/put take an equality
-// callback to disambiguate. The caller provides synchronisation.
+// to row ids — the index under intShard here and under hashShard (the hash
+// and array-of-hashsets stores, gamma.go). Distinct keys may share a hash;
+// find/put take an equality callback to disambiguate. The caller provides
+// synchronisation.
 type oaTable struct {
 	hashes []uint64
 	rows   []int32 // row id + 1; 0 marks an empty slot

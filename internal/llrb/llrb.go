@@ -305,6 +305,28 @@ func ascendFrom[T any](n *node[T], cmp func(a, b T) int, lo T, fn func(T) bool) 
 	return ascendFrom(n.right, cmp, lo, fn)
 }
 
+// AscendRange calls fn, in order, on the elements e with pos(e) == 0 until
+// fn returns false. pos must be monotone along the tree's order: negative
+// for elements before the range, zero inside it, positive after — so the
+// range is located without a probe element (and without allocating one).
+func (t *Tree[T]) AscendRange(pos func(T) int, fn func(T) bool) {
+	ascendRange(t.root, pos, fn)
+}
+
+func ascendRange[T any](n *node[T], pos func(T) int, fn func(T) bool) bool {
+	if n == nil {
+		return true
+	}
+	c := pos(n.elem)
+	if c >= 0 && !ascendRange(n.left, pos, fn) {
+		return false
+	}
+	if c == 0 && !fn(n.elem) {
+		return false
+	}
+	return c > 0 || ascendRange(n.right, pos, fn)
+}
+
 // Clear removes all elements.
 func (t *Tree[T]) Clear() {
 	t.root = nil

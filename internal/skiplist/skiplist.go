@@ -396,6 +396,33 @@ func (l *List[T]) AscendFrom(lo T, fn func(T) bool) {
 	}
 }
 
+// AscendRange calls fn, in ascending order, on the elements e with
+// pos(e) == 0 until fn returns false. pos must be monotone along the list's
+// order: negative before the range, zero inside it, positive after — so the
+// range is located without a probe element. Weakly consistent like Ascend.
+func (l *List[T]) AscendRange(pos func(T) int, fn func(T) bool) {
+	pred := l.head
+	for layer := maxLevel - 1; layer >= 0; layer-- {
+		curr := pred.next[layer].Load()
+		for curr != l.tail && pos(curr.elem) < 0 {
+			pred = curr
+			curr = pred.next[layer].Load()
+		}
+	}
+	for curr := pred.next[0].Load(); curr != l.tail; curr = curr.next[0].Load() {
+		if !curr.fullyLinked.Load() || curr.marked.Load() {
+			continue
+		}
+		c := pos(curr.elem)
+		if c > 0 {
+			return
+		}
+		if c == 0 && !fn(curr.elem) {
+			return
+		}
+	}
+}
+
 // Clear removes all elements. Not atomic with respect to concurrent writers;
 // callers quiesce first (the engine clears only between runs).
 func (l *List[T]) Clear() {

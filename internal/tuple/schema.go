@@ -64,11 +64,10 @@ type Schema struct {
 	Columns []Column
 	OrderBy []OrderEntry
 
-	index   map[string]int // column name -> position
-	keyCols []int          // positions of primary-key columns
-	obCols  []int          // column position per orderby entry, -1 for literals
-	pathCol int            // first seq/par orderby column, -1 if all literals
-	id      int32          // dense id assigned by the registry (engine)
+	keyCols []int // positions of primary-key columns
+	obCols  []int // column position per orderby entry, -1 for literals
+	pathCol int   // first seq/par orderby column, -1 if all literals
+	id      int32 // dense id assigned by the registry (engine)
 }
 
 // NewSchema builds and validates a schema. It returns an error if column
@@ -82,19 +81,17 @@ func NewSchema(name string, cols []Column, orderBy []OrderEntry) (*Schema, error
 		Name:    name,
 		Columns: append([]Column(nil), cols...),
 		OrderBy: append([]OrderEntry(nil), orderBy...),
-		index:   make(map[string]int, len(cols)),
 	}
 	for i, c := range s.Columns {
 		if c.Name == "" {
 			return nil, fmt.Errorf("jstar: table %s: column %d has empty name", name, i)
 		}
-		if _, dup := s.index[c.Name]; dup {
+		if s.ColumnIndex(c.Name) < i {
 			return nil, fmt.Errorf("jstar: table %s: duplicate column %q", name, c.Name)
 		}
 		if c.Kind == KindInvalid {
 			return nil, fmt.Errorf("jstar: table %s: column %q has invalid kind", name, c.Name)
 		}
-		s.index[c.Name] = i
 		if c.Key {
 			s.keyCols = append(s.keyCols, i)
 		}
@@ -109,8 +106,8 @@ func NewSchema(name string, cols []Column, orderBy []OrderEntry) (*Schema, error
 			}
 			s.obCols[i] = -1
 		case OrderSeq, OrderPar:
-			pos, ok := s.index[e.Field]
-			if !ok {
+			pos := s.ColumnIndex(e.Field)
+			if pos < 0 {
 				return nil, fmt.Errorf("jstar: table %s: orderby references unknown column %q", name, e.Field)
 			}
 			s.obCols[i] = pos
@@ -140,10 +137,14 @@ func MustSchema(name string, cols []Column, orderBy []OrderEntry) *Schema {
 // Arity returns the number of columns.
 func (s *Schema) Arity() int { return len(s.Columns) }
 
-// ColumnIndex returns the position of the named column, or -1.
+// ColumnIndex returns the position of the named column, or -1. Tables have
+// a handful of columns, so a scan (string equality compares lengths first)
+// beats hashing the name — Tuple.Get runs once per field a rule body reads.
 func (s *Schema) ColumnIndex(name string) int {
-	if i, ok := s.index[name]; ok {
-		return i
+	for i := range s.Columns {
+		if s.Columns[i].Name == name {
+			return i
+		}
 	}
 	return -1
 }

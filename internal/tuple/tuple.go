@@ -26,32 +26,108 @@ type Tuple struct {
 
 // New constructs a tuple with positional field values. It panics if the
 // arity or a field kind does not match the schema, mirroring the type errors
-// the JStar compiler would reject statically.
+// the JStar compiler would reject statically. It makes one allocation for
+// arities up to InlineFields (two above), and fields does not escape.
 func New(s *Schema, fields ...Value) *Tuple {
 	if len(fields) != len(s.Columns) {
 		panic(fmt.Sprintf("jstar: new %s: got %d fields, want %d", s.Name, len(fields), len(s.Columns)))
 	}
-	fs := make([]Value, len(fields))
+	t := alloc(len(fields))
+	t.schema = s
+	fs := t.fields
 	copy(fs, fields)
-	for i, v := range fs {
-		if !v.Valid() {
-			fs[i] = Zero(s.Columns[i].Kind)
+	for i := range fs {
+		v := &fs[i]
+		if v.kind == s.Columns[i].Kind {
 			continue
 		}
-		if v.Kind() != s.Columns[i].Kind {
+		switch {
+		case v.kind == KindInvalid:
+			*v = Zero(s.Columns[i].Kind)
+		case v.kind == KindInt && s.Columns[i].Kind == KindFloat:
 			// Permit int literals in float columns (Java widening).
-			if v.Kind() == KindInt && s.Columns[i].Kind == KindFloat {
-				fs[i] = Float(float64(v.AsInt()))
-				continue
-			}
+			*v = Float(float64(v.i))
+		default:
 			panic(fmt.Sprintf("jstar: new %s: field %s is %v, want %v",
-				s.Name, s.Columns[i].Name, v.Kind(), s.Columns[i].Kind))
+				s.Name, s.Columns[i].Name, v.kind, s.Columns[i].Kind))
 		}
 	}
-	t := &Tuple{schema: s, fields: fs}
 	t.hash = t.computeHash()
 	t.computeKeys()
 	return t
+}
+
+// InlineFields is the largest arity whose fields New allocates in the same
+// object as the tuple header (every table of the paper's apps fits: PvWatts
+// has 5 columns). Wider tuples pay a second allocation for the field slice.
+const InlineFields = 8
+
+// alloc returns a zero tuple with n fields. Up to InlineFields the header
+// and the field array are one struct — one allocation, and the interior
+// pointer returned keeps the whole object alive — sized exactly per arity so
+// no tuple carries unused Value slots.
+func alloc(n int) *Tuple {
+	switch n {
+	case 0:
+		return &Tuple{}
+	case 1:
+		x := &struct {
+			Tuple
+			a [1]Value
+		}{}
+		x.fields = x.a[:]
+		return &x.Tuple
+	case 2:
+		x := &struct {
+			Tuple
+			a [2]Value
+		}{}
+		x.fields = x.a[:]
+		return &x.Tuple
+	case 3:
+		x := &struct {
+			Tuple
+			a [3]Value
+		}{}
+		x.fields = x.a[:]
+		return &x.Tuple
+	case 4:
+		x := &struct {
+			Tuple
+			a [4]Value
+		}{}
+		x.fields = x.a[:]
+		return &x.Tuple
+	case 5:
+		x := &struct {
+			Tuple
+			a [5]Value
+		}{}
+		x.fields = x.a[:]
+		return &x.Tuple
+	case 6:
+		x := &struct {
+			Tuple
+			a [6]Value
+		}{}
+		x.fields = x.a[:]
+		return &x.Tuple
+	case 7:
+		x := &struct {
+			Tuple
+			a [7]Value
+		}{}
+		x.fields = x.a[:]
+		return &x.Tuple
+	case InlineFields:
+		x := &struct {
+			Tuple
+			a [InlineFields]Value
+		}{}
+		x.fields = x.a[:]
+		return &x.Tuple
+	}
+	return &Tuple{fields: make([]Value, n)}
 }
 
 // computeKeys fills the precomputed sort keys from the (already
@@ -130,8 +206,8 @@ func (t *Tuple) Equal(o *Tuple) bool {
 
 // CompareFields orders tuples by their fields left to right; a tuple whose
 // fields are a strict prefix of another's sorts first. Used as the total
-// order inside NavigableSet Gamma stores, where schema-less probe tuples
-// (NewRaw) carry only a query's equality prefix.
+// order inside NavigableSet Gamma stores (ComparePrefix positions a query's
+// equality prefix in it).
 func (t *Tuple) CompareFields(o *Tuple) int {
 	n := len(t.fields)
 	if len(o.fields) < n {
@@ -264,17 +340,28 @@ func compareSchemas(a, b *Schema) int {
 	return strings.Compare(a.Name, b.Name)
 }
 
-// NewRaw builds a schema-less probe tuple holding just the given fields.
-// Probes exist only to position range scans inside ordered stores — they
-// must never be inserted into tables (Schema() is nil).
-func NewRaw(fields []Value) *Tuple {
-	fs := make([]Value, len(fields))
-	copy(fs, fields)
-	h := HashSeed
-	for _, v := range fs {
-		h = v.Hash(h)
+// ComparePrefix places t relative to the range of tuples whose leading
+// fields equal prefix, in CompareFields order: negative when t sorts before
+// the range, zero when t is in it, positive when t sorts after. It is how
+// ordered Gamma stores position a prefix query without building a probe
+// tuple. Membership is Value.Equal's: an int never matches a float column,
+// whatever Compare says about their magnitudes.
+func (t *Tuple) ComparePrefix(prefix []Value) int {
+	for i := range prefix {
+		if i >= len(t.fields) {
+			return -1 // t is a strict prefix of the prefix: sorts first
+		}
+		a, b := &t.fields[i], &prefix[i]
+		if c := comparePtr(a, b); c != 0 {
+			return c
+		}
+		if a.kind != b.kind {
+			// Numerically equal across kinds: not a match, and every value
+			// of this (fixed-kind) column falls on the same side.
+			return int(a.kind) - int(b.kind)
+		}
 	}
-	return &Tuple{fields: fs, hash: h}
+	return 0
 }
 
 // KeyEqual reports whether two tuples agree on the primary-key columns.

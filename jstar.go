@@ -124,9 +124,9 @@
 // setup per (schema, rule) group. A Rule may additionally provide a
 // BatchBody — a body invoked once per chunk instead of once per tuple —
 // and batch bodies can route grouped point queries through
-// Ctx.ForEachBatch, which issues one batched Gamma probe sequence
-// (pre-hashed on hash stores, single lock episode on tree stores) for the
-// whole chunk. Within one step, firing order across and inside chunks is
+// Ctx.ForEachBatch, which issues the chunk's probes in one call with one
+// statistics update (each query's results still checked against, and its
+// puts attributed to, its own trigger). Within one step, firing order across and inside chunks is
 // unspecified, exactly as the paper specifies for one parallel batch.
 package jstar
 
