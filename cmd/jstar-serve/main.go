@@ -71,6 +71,9 @@ func run(addr string, maxTenants, maxInflight int, pollTimeout time.Duration, me
 		// deadlines; bound only the header read.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// Shutdown waits for active handlers; a parked long-poll or an open
+	// event stream would hold it for the whole drain window.
+	hs.RegisterOnShutdown(srv.Drain)
 	errCh := make(chan error, 1)
 	go func() {
 		if tlsCert != "" || tlsKey != "" {

@@ -7,8 +7,9 @@
 // (Options.ReplanEvery > 0) watches the windowed counters drift, migrates
 // the Reading table onto a point-probe backend at a quiescent boundary,
 // and serves phase 2 from an O(1) keyed path; a frozen session keeps
-// whatever the strategy default was. jstar-bench -adaptive runs both and
-// reports the per-window phase-2 latency of each, which is the paper's
+// whatever the strategy default was. The package's tests run both and
+// compare them (TestAdaptiveMatchesFrozen, TestAdaptiveConverges); Result
+// carries each run's per-window latencies. This is the paper's
 // profile-guided storage-selection loop (§1.5) closed at runtime instead
 // of across runs.
 package drift
@@ -70,19 +71,6 @@ type Result struct {
 	KindAfterIngest string
 	ReadingKind     string // final store kind backing Reading
 	Stats           *core.RunStats
-}
-
-// ProbeNanosMean is the phase-2 per-window mean — the number the adaptive
-// gate compares between the frozen and adaptive runs.
-func (r *Result) ProbeNanosMean() float64 {
-	if len(r.ProbeNanos) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, n := range r.ProbeNanos {
-		sum += n
-	}
-	return float64(sum) / float64(len(r.ProbeNanos))
 }
 
 // Run executes the drifting workload on a session. The program:

@@ -48,27 +48,41 @@ func TestAdaptiveMatchesFrozen(t *testing.T) {
 }
 
 // TestAdaptiveConverges: the windowed planner must move Reading onto a
-// point-probe backend (the hash family) and log the migration — the CI
-// smoke gate asserts the same through jstar-bench -adaptive.
+// point-probe backend (the hash family) and log the migration, under every
+// strategy. It must get there during ingest, pulled by the probe trickle: a
+// replanner that reacts only once the probe bursts hammer it is not
+// following the drift.
 func TestAdaptiveConverges(t *testing.T) {
-	res, err := Run(small(1, exec.Sequential))
-	if err != nil {
-		t.Fatal(err)
+	hashFamily := func(kind string) bool {
+		kn := gamma.KindName(kind)
+		return kn == "inthash" || kn == "hash"
 	}
-	if kn := gamma.KindName(res.ReadingKind); kn != "inthash" && kn != "hash" {
-		t.Fatalf("Reading converged to %q, want a hash-family kind (migrations: %+v)",
-			res.ReadingKind, res.Stats.Migrations)
-	}
-	found := false
-	for _, m := range res.Stats.Migrations {
-		if m.Table == "Reading" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no Reading migration logged: %+v", res.Stats.Migrations)
-	}
-	if len(res.ProbeNanos) != 3 || len(res.IngestNanos) != 3 {
-		t.Fatalf("window timings: ingest=%d probe=%d", len(res.IngestNanos), len(res.ProbeNanos))
+	for _, strat := range []exec.Strategy{exec.Auto, exec.Sequential, exec.ForkJoin} {
+		t.Run(strat.String(), func(t *testing.T) {
+			res, err := Run(small(1, strat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hashFamily(res.KindAfterIngest) {
+				t.Errorf("Reading entered the probe phase on %q, want a hash-family kind by the end of ingest (migrations: %+v)",
+					res.KindAfterIngest, res.Stats.Migrations)
+			}
+			if !hashFamily(res.ReadingKind) {
+				t.Fatalf("Reading converged to %q, want a hash-family kind (migrations: %+v)",
+					res.ReadingKind, res.Stats.Migrations)
+			}
+			found := false
+			for _, m := range res.Stats.Migrations {
+				if m.Table == "Reading" {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("no Reading migration logged: %+v", res.Stats.Migrations)
+			}
+			if len(res.ProbeNanos) != 3 || len(res.IngestNanos) != 3 {
+				t.Fatalf("window timings: ingest=%d probe=%d", len(res.IngestNanos), len(res.ProbeNanos))
+			}
+		})
 	}
 }

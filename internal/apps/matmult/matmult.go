@@ -44,8 +44,9 @@ type RunOpts struct {
 	// non-replannable specialised backends through to its suggested plans.
 	StorePlan gamma.StorePlan
 	Seed      uint64
-	// PhaseStats records the per-phase step breakdown (jstar-bench -phases
-	// and the smoke artifact turn it on).
+	// PhaseStats records the per-phase step breakdown, as cmd/jstar -stats
+	// does for a source program; the repo benchmark's traced runs
+	// (benchmark --trace 1) set it.
 	PhaseStats bool
 }
 

@@ -43,8 +43,8 @@ type RunOpts struct {
 	// table's RollingFloatArray hint is non-replannable (the rules downcast
 	// the store), so suggested plans omit it and replay safely at any N.
 	StorePlan gamma.StorePlan
-	// PhaseStats records the per-phase step breakdown (jstar-bench -phases
-	// and the speedup sweep set it).
+	// PhaseStats records the per-phase step breakdown, as cmd/jstar -stats
+	// does for a source program.
 	PhaseStats bool
 }
 

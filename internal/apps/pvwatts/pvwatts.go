@@ -77,8 +77,9 @@ type RunOpts struct {
 	// executed in parallel, with a tree-based pass to combine the final
 	// reducer results").
 	ParallelReduce bool
-	// PhaseStats records the per-phase step breakdown (jstar-bench -phases
-	// and the smoke artifact turn it on).
+	// PhaseStats records the per-phase step breakdown, as cmd/jstar -stats
+	// does for a source program; the repo benchmark's traced runs
+	// (benchmark --trace 1) set it.
 	PhaseStats bool
 }
 

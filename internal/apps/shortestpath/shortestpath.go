@@ -77,8 +77,9 @@ type RunOpts struct {
 	// the hash hints on Edge and Done for the tables it names.
 	StorePlan gamma.StorePlan
 	Verbose   bool // keep the Fig 5 println output
-	// PhaseStats records the per-phase step breakdown (jstar-bench -phases
-	// and the smoke artifact turn it on).
+	// PhaseStats records the per-phase step breakdown, as cmd/jstar -stats
+	// does for a source program; the repo benchmark's traced runs
+	// (benchmark --trace 1) set it.
 	PhaseStats bool
 }
 

@@ -221,8 +221,8 @@ type Options struct {
 	// (RunStats.FireNanos/InsertNanos/MergeNanos/DeltaNanos and the
 	// serial-boundary fraction). Off by default: it costs a handful of
 	// clock reads per step, which shows on step-dominated programs;
-	// jstar-bench (-smoke, -phases) and the step-boundary benches turn it
-	// on.
+	// cmd/jstar -stats and the repo benchmark's traced runs
+	// (benchmark --trace 1) turn it on.
 	PhaseStats bool
 	// IngressRing is the total capacity of the Session ingress — the
 	// sharded multi-producer Disruptor rings external tuples pass through

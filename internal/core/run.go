@@ -75,11 +75,6 @@ func casMin(a *atomic.Int64, min int64) {
 	}
 }
 
-// batchBuckets is the number of power-of-two buckets in the fire-chunk
-// histogram: bucket i counts chunks of size [2^i, 2^(i+1)), with the last
-// bucket open-ended.
-const batchBuckets = 16
-
 // RunStats aggregates statistics across a run.
 type RunStats struct {
 	Steps      int64 // execution steps (minimum-batch extractions)
@@ -158,9 +153,6 @@ type RunStats struct {
 	// the dispatch-amortisation analogue of TotalLive/Steps, and the
 	// store-auto-tuning input recorded per the §1.5 logging loop.
 	FireBatches atomic.Int64
-	// fireHist buckets observed FireBatch chunk sizes by power of two;
-	// read it through BatchHistogram.
-	fireHist [batchBuckets]atomic.Int64
 
 	// flowMu guards Flow, the observed dataflow edges rule -> table
 	// (tuples put by each rule into each table). Populated only under
@@ -190,16 +182,6 @@ func (s *RunStats) addFlow(rule, table string) {
 	s.flowMu.Unlock()
 }
 
-// recordFireChunk logs one batched dispatch of n tuples.
-func (s *RunStats) recordFireChunk(n int) {
-	s.FireBatches.Add(1)
-	b := bits.Len(uint(n)) - 1
-	if b >= batchBuckets {
-		b = batchBuckets - 1
-	}
-	s.fireHist[b].Add(1)
-}
-
 // MeanFireChunk returns the mean tuples per FireBatch dispatch — how well
 // the executor amortised per-tuple overhead. 0 before any dispatch.
 func (s *RunStats) MeanFireChunk() float64 {
@@ -208,30 +190,6 @@ func (s *RunStats) MeanFireChunk() float64 {
 		return 0
 	}
 	return float64(s.TotalLive) / float64(b)
-}
-
-// BatchHistogram returns the observed FireBatch chunk sizes in power-of-two
-// buckets keyed "1", "2-3", "4-7", … — the batch-size log that feeds
-// store and strategy auto-tuning (and the jstar-bench JSON artifact).
-// Empty buckets are omitted.
-func (s *RunStats) BatchHistogram() map[string]int64 {
-	out := make(map[string]int64)
-	for i := 0; i < batchBuckets; i++ {
-		n := s.fireHist[i].Load()
-		if n == 0 {
-			continue
-		}
-		lo := 1 << i
-		hi := lo*2 - 1
-		key := fmt.Sprintf("%d-%d", lo, hi)
-		if lo == hi {
-			key = fmt.Sprintf("%d", lo)
-		} else if i == batchBuckets-1 {
-			key = fmt.Sprintf("%d+", lo)
-		}
-		out[key] = n
-	}
-	return out
 }
 
 // BoundaryNanos returns the coordinator time spent inside step boundaries
@@ -931,7 +889,7 @@ func (r *Run) fireBatch(ts []*tuple.Tuple, slot int) {
 	if len(ts) == 0 {
 		return
 	}
-	r.stats.recordFireChunk(len(ts))
+	r.stats.FireBatches.Add(1)
 	ctx := &r.slotCtx[slot]
 	var fired int64
 	for i := 0; i < len(ts); {

@@ -204,18 +204,6 @@ func (r *Ring[T]) Size() int { return len(r.buf) }
 // publish.
 func (r *Ring[T]) Cursor() int64 { return r.cursor.Load() }
 
-// WaitConsumed blocks until every registered consumer has processed all
-// events published up to and including seq, using the ring's wait strategy.
-// This is the producer-side step barrier of the pipelined executor: the
-// coordinator publishes a batch of rule firings and waits here for the
-// consumer crew to drain them before flushing put buffers.
-func (r *Ring[T]) WaitConsumed(seq int64) {
-	if seq < 0 {
-		return
-	}
-	r.wait.WaitFor(seq, r.minGating)
-}
-
 // Consumer reads every published event, tracked by its own sequence.
 type Consumer[T any] struct {
 	ring *Ring[T]

@@ -1,18 +1,16 @@
 package gamma
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
-// batchTestSchema is a 3-int-column table for the batched-read property
-// tests; the first two columns serve as query-prefix material.
+// batchTestSchema is a 3-int-column table for the batched-insert property
+// tests; the first column serves as query-prefix material.
 func batchTestSchema() *tuple.Schema {
 	return tuple.MustSchema("T",
 		[]tuple.Column{
@@ -23,122 +21,12 @@ func batchTestSchema() *tuple.Schema {
 		[]tuple.OrderEntry{tuple.Lit("T")})
 }
 
-// batchFactories is every store backend SelectBatch must agree with
-// independent Selects on: seven implementations in all.
+// batchFactories names the two ordered stores, the backends with a
+// sorted-run InsertBatch path.
 func batchFactories() map[string]StoreFactory {
 	return map[string]StoreFactory{
-		"tree":       NewTreeStore,
-		"skip":       NewSkipStore,
-		"hash-k1":    NewHashStore(1),
-		"hash-k2":    NewHashStore(2),
-		"array-hash": NewArrayOfHashSets(0, 0, 7),
-		"columnar":   NewColumnarStore,
-		"inthash":    NewIntHashStore(1),
-	}
-}
-
-// randomQuery builds a query with a random prefix length (0..2 — including
-// the under-specified lengths that force hash stores onto their scan
-// fallback) and an occasional residual predicate.
-func randomQuery(r *rand.Rand) Query {
-	q := Query{}
-	plen := r.Intn(3)
-	for i := 0; i < plen; i++ {
-		q.Prefix = append(q.Prefix, tuple.Int(int64(r.Intn(8))))
-	}
-	if r.Intn(3) == 0 {
-		min := int64(r.Intn(8))
-		q.Where = func(t *tuple.Tuple) bool { return t.Int("c") >= min }
-	}
-	return q
-}
-
-// collect renders a tuple as a comparable string.
-func renderTuple(t *tuple.Tuple) string {
-	return fmt.Sprintf("(%d,%d,%d)", t.Int("a"), t.Int("b"), t.Int("c"))
-}
-
-// TestSelectBatchMatchesSelect is the property/fuzz test for the batched
-// read path: for random tuple sets and random query sequences, SelectBatch
-// must return, per query, exactly the tuple set an independent Select of
-// that query returns — on every store backend. Results are compared as
-// sorted multisets: store order is not part of this property.
-func TestSelectBatchMatchesSelect(t *testing.T) {
-	for name, factory := range batchFactories() {
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(0); seed < 25; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				s := batchTestSchema()
-				st := factory(s)
-				n := 1 + r.Intn(200)
-				for i := 0; i < n; i++ {
-					st.Insert(tuple.New(s,
-						tuple.Int(int64(r.Intn(8))),
-						tuple.Int(int64(r.Intn(8))),
-						tuple.Int(int64(r.Intn(8)))))
-				}
-				qs := make([]Query, 1+r.Intn(32))
-				for i := range qs {
-					qs[i] = randomQuery(r)
-				}
-				want := make([][]string, len(qs))
-				for i := range qs {
-					st.Select(qs[i], func(tp *tuple.Tuple) bool {
-						want[i] = append(want[i], renderTuple(tp))
-						return true
-					})
-				}
-				got := make([][]string, len(qs))
-				SelectBatch(st, qs, func(qi int, tp *tuple.Tuple) bool {
-					got[qi] = append(got[qi], renderTuple(tp))
-					return true
-				})
-				for i := range qs {
-					if len(want[i]) != len(got[i]) {
-						t.Fatalf("seed %d query %d: Select returned %d tuples, SelectBatch %d",
-							seed, i, len(want[i]), len(got[i]))
-					}
-					sort.Strings(want[i])
-					sort.Strings(got[i])
-					for j := range want[i] {
-						if want[i][j] != got[i][j] {
-							t.Fatalf("seed %d query %d result %d: Select %s, SelectBatch %s",
-								seed, i, j, want[i][j], got[i][j])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSelectBatchEarlyStop: fn returning false must end only the current
-// query's iteration; later queries still run in full — matching what a
-// loop of independent Selects with per-query early exit does.
-func TestSelectBatchEarlyStop(t *testing.T) {
-	for name, factory := range batchFactories() {
-		t.Run(name, func(t *testing.T) {
-			s := batchTestSchema()
-			st := factory(s)
-			for i := int64(0); i < 6; i++ {
-				st.Insert(tuple.New(s, tuple.Int(i%2), tuple.Int(i), tuple.Int(i)))
-			}
-			qs := []Query{
-				{Prefix: []tuple.Value{tuple.Int(0)}},
-				{Prefix: []tuple.Value{tuple.Int(1)}},
-			}
-			counts := make([]int, len(qs))
-			SelectBatch(st, qs, func(qi int, tp *tuple.Tuple) bool {
-				counts[qi]++
-				return qi != 0 // stop query 0 after its first result
-			})
-			if counts[0] != 1 {
-				t.Errorf("query 0 delivered %d results after early stop, want 1", counts[0])
-			}
-			if counts[1] != 3 {
-				t.Errorf("query 1 delivered %d results, want all 3", counts[1])
-			}
-		})
+		"tree": NewTreeStore,
+		"skip": NewSkipStore,
 	}
 }
 

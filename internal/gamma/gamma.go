@@ -333,15 +333,6 @@ func (st *arrayHashStore) Select(q Query, fn func(*tuple.Tuple) bool) {
 	}
 }
 
-// SelectBatch visits, for each query qs[qi] in index order, the tuples
-// matching it — a loop of independent Selects: fn returning false ends
-// iteration of the current query only and the next query still runs.
-func SelectBatch(st Store, qs []Query, fn func(qi int, t *tuple.Tuple) bool) {
-	for i := range qs {
-		st.Select(qs[i], func(t *tuple.Tuple) bool { return fn(i, t) })
-	}
-}
-
 // BatchStore is an optional Store extension: InsertBatch inserts a
 // schema-homogeneous run of tuples, appending the inserted (non-duplicate)
 // ones to live, under a single synchronisation episode where the backend

@@ -14,8 +14,9 @@ import (
 	"time"
 )
 
-// Client is a thin Go client for the serve API — what the jstar-bench
-// load generator and the parity tests drive the server with. It is a
+// Client is a thin Go client for the serve API — what the repo
+// benchmark's load generator (benchmark/serve.go) and the parity tests
+// drive the server with. It is a
 // convenience over net/http, not a required SDK: every endpoint is plain
 // JSON (or the documented binary batch format) over HTTP.
 type Client struct {

@@ -112,17 +112,6 @@ func (s *metricsSink) noteNotification() {
 	s.mu.Unlock()
 }
 
-// requestsServed returns the total request count across all ops.
-func (s *metricsSink) requestsServed() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, c := range s.counters {
-		n += c.requests
-	}
-	return n
-}
-
 // writeProm renders the aggregates in Prometheus text exposition format.
 // tenants is sampled by the caller (it lives in the registry).
 func (s *metricsSink) writeProm(w io.Writer, tenants int) {

@@ -74,6 +74,10 @@ type Server struct {
 	mux    *http.ServeMux
 	ctx    context.Context // parent of every tenant session
 	cancel context.CancelFunc
+	// draining is cancelled by Drain (and by Close): every parked
+	// long-poll and event stream waits under it.
+	draining context.Context
+	drain    context.CancelFunc
 }
 
 // New builds a Server with its routes registered.
@@ -94,13 +98,16 @@ func New(cfg Config) *Server {
 		cfg.LongPollTimeout = 2 * time.Minute
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	draining, drain := context.WithCancel(ctx)
 	s := &Server{
-		cfg:    cfg,
-		reg:    newRegistry(cfg.MaxTenants, cfg.TestWALFS),
-		met:    newMetricsSink(cfg.MetricsCSV),
-		mux:    http.NewServeMux(),
-		ctx:    ctx,
-		cancel: cancel,
+		cfg:      cfg,
+		reg:      newRegistry(cfg.MaxTenants, cfg.TestWALFS),
+		met:      newMetricsSink(cfg.MetricsCSV),
+		mux:      http.NewServeMux(),
+		ctx:      ctx,
+		cancel:   cancel,
+		draining: draining,
+		drain:    drain,
 	}
 	s.routes()
 	return s
@@ -109,9 +116,21 @@ func New(cfg Config) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// RequestsServed returns the total number of requests measured so far —
-// the load generator's smoke gate.
-func (s *Server) RequestsServed() int64 { return s.met.requestsServed() }
+// Drain ends every parked long-poll the way the end of its window does
+// (204) and ends every event stream; polls and streams that arrive later
+// return at once. Puts, quiesces and queries are untouched. It is what the
+// start of a graceful shutdown must do, because http.Server.Shutdown waits
+// for every active handler and a parked subscriber is one until its window
+// ends: hs.RegisterOnShutdown(srv.Drain).
+func (s *Server) Drain() { s.drain() }
+
+// parked derives the context a long-poll or an event stream waits under:
+// the request's, ended early by Drain.
+func (s *Server) parked(r *http.Request) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(r.Context())
+	stop := context.AfterFunc(s.draining, cancel)
+	return ctx, func() { stop(); cancel() }
+}
 
 // Close shuts down every tenant session. The HTTP listener is the
 // caller's to close (the Server is just a handler).
@@ -565,11 +584,13 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request, m *RequestMe
 			timeout = d
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	parked, unpark := s.parked(r)
+	defer unpark()
+	ctx, cancel := context.WithTimeout(parked, timeout)
 	defer cancel()
 	v, err := sub.waitChange(ctx, t.Session, since)
-	if errors.Is(err, context.DeadlineExceeded) {
-		w.WriteHeader(http.StatusNoContent) // no change inside the window
+	if errors.Is(err, context.DeadlineExceeded) || (errors.Is(err, context.Canceled) && s.draining.Err() != nil) {
+		w.WriteHeader(http.StatusNoContent) // no change inside the window, or the server cut it short
 		return http.StatusNoContent
 	}
 	if err != nil {
@@ -611,10 +632,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, m *Request
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, "event: hello\ndata: {\"table\":%q,\"version\":%d}\n\n", sub.Table, since)
 	flusher.Flush()
+	ctx, unpark := s.parked(r)
+	defer unpark()
 	for {
-		v, err := sub.waitChange(r.Context(), t.Session, since)
+		v, err := sub.waitChange(ctx, t.Session, since)
 		if err != nil {
-			// Client gone, session closed, or failed: end the stream.
+			// Client gone, server draining, session closed, or failed: end
+			// the stream.
 			return http.StatusOK
 		}
 		since = v

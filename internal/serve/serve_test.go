@@ -450,7 +450,7 @@ func TestServeMigrate(t *testing.T) {
 // TestServeMetricsEndpoint checks the Prometheus rendering and the CSV log.
 func TestServeMetricsEndpoint(t *testing.T) {
 	var csv bytes.Buffer
-	srv, client := newTestServer(t, serve.Config{MetricsCSV: &csv})
+	_, client := newTestServer(t, serve.Config{MetricsCSV: &csv})
 	ctx := context.Background()
 	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "t", Source: doubleSrc}); err != nil {
 		t.Fatal(err)
@@ -480,9 +480,6 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q\n%s", want, body)
 		}
-	}
-	if srv.RequestsServed() < 3 {
-		t.Errorf("RequestsServed = %d, want >= 3", srv.RequestsServed())
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if lines[0] != serve.CSVHeader {

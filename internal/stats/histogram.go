@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram bucket geometry: values below 2^histSubBits land in unit-wide
@@ -69,9 +67,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// ObserveDuration records d as nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -132,15 +127,15 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// LatencySummary is a flat, JSON-ready digest of a latency histogram —
-// what the serve load generator writes into the BENCH artifact.
+// LatencySummary is a flat digest of a latency histogram — what the
+// service's /metrics renders per request kind.
 type LatencySummary struct {
-	Count     int64   `json:"count"`
-	MeanNanos float64 `json:"mean_nanos"`
-	P50Nanos  int64   `json:"p50_nanos"`
-	P99Nanos  int64   `json:"p99_nanos"`
-	P999Nanos int64   `json:"p999_nanos"`
-	MaxNanos  int64   `json:"max_nanos"`
+	Count     int64
+	MeanNanos float64
+	P50Nanos  int64
+	P99Nanos  int64
+	P999Nanos int64
+	MaxNanos  int64
 }
 
 // Summary digests the histogram into its p50/p99/p999 quantiles.
@@ -153,14 +148,4 @@ func (h *Histogram) Summary() LatencySummary {
 		P999Nanos: h.Quantile(0.999),
 		MaxNanos:  h.Max(),
 	}
-}
-
-// LatencyLine renders one aligned serve-report line for a named latency
-// distribution: the load generator prints one per measured edge (ingest
-// round-trip, quiesce visibility).
-func LatencyLine(name string, s LatencySummary) string {
-	d := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
-	return fmt.Sprintf("%-10s n=%-8d p50=%-10v p99=%-10v p999=%-10v max=%-10v mean=%v\n",
-		name, s.Count, d(s.P50Nanos), d(s.P99Nanos), d(s.P999Nanos), d(s.MaxNanos),
-		d(int64(s.MeanNanos)).Round(time.Microsecond))
 }

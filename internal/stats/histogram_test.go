@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -104,15 +103,6 @@ func TestHistogramConcurrentObserveAndMerge(t *testing.T) {
 	}
 	if m.Max() < 1<<40 {
 		t.Fatalf("merge lost max: %d", m.Max())
-	}
-}
-
-func TestLatencyLine(t *testing.T) {
-	var h Histogram
-	h.Observe(1500)
-	line := LatencyLine("ingest", h.Summary())
-	if !strings.Contains(line, "ingest") || !strings.Contains(line, "n=1") {
-		t.Fatalf("unexpected line: %q", line)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package stats provides the measurement and visualisation tooling around
-// the engine: phase timers for the §6.3-style breakdowns, speedup tables
-// for the Fig 8/11/12/13 sweeps, and DOT renderings of program dependency
-// graphs and observed dataflow (Fig 7's blue-rectangle/red-circle views).
+// the engine: phase timers for the §6.3-style breakdowns, the latency
+// histogram behind the service's /metrics, the per-run reports cmd/jstar
+// -stats prints, and DOT renderings of program dependency graphs and
+// observed dataflow (Fig 7's blue-rectangle/red-circle views).
 package stats
 
 import (
@@ -80,50 +81,6 @@ func (p *PhaseTimer) Report() string {
 // for PvWatts with a single reader and 12 consumers.
 func AmdahlMax(serialFraction float64, workers int) float64 {
 	return 1 / (serialFraction + (1-serialFraction)/float64(workers))
-}
-
-// SpeedupRow is one point of a thread-sweep: the paper's Fig 8/11/12/13.
-type SpeedupRow struct {
-	Threads  int
-	Elapsed  time.Duration
-	Relative float64 // vs the 1-thread parallel build
-	Absolute float64 // vs the best sequential build
-}
-
-// SpeedupTable computes relative and absolute speedups from a sweep.
-// elapsed[i] is the time with threads[i] workers; seq is the sequential
-// baseline time.
-func SpeedupTable(threads []int, elapsed []time.Duration, seq time.Duration) []SpeedupRow {
-	rows := make([]SpeedupRow, len(threads))
-	var oneThread time.Duration
-	for i, th := range threads {
-		if th == 1 {
-			oneThread = elapsed[i]
-		}
-	}
-	if oneThread == 0 && len(elapsed) > 0 {
-		oneThread = elapsed[0]
-	}
-	for i := range threads {
-		rows[i] = SpeedupRow{
-			Threads:  threads[i],
-			Elapsed:  elapsed[i],
-			Relative: float64(oneThread) / float64(elapsed[i]),
-			Absolute: float64(seq) / float64(elapsed[i]),
-		}
-	}
-	return rows
-}
-
-// FormatSpeedups renders a sweep as an aligned table.
-func FormatSpeedups(rows []SpeedupRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%8s %14s %10s %10s\n", "threads", "time", "rel", "abs")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%8d %14v %9.2fx %9.2fx\n",
-			r.Threads, r.Elapsed.Round(time.Microsecond), r.Relative, r.Absolute)
-	}
-	return b.String()
 }
 
 // ProgramDOT renders the static dependency graph of a program: tables as

@@ -59,30 +59,6 @@ func TestAmdahlMax(t *testing.T) {
 	}
 }
 
-func TestSpeedupTable(t *testing.T) {
-	threads := []int{1, 2, 4}
-	elapsed := []time.Duration{800 * time.Millisecond, 400 * time.Millisecond, 250 * time.Millisecond}
-	rows := SpeedupTable(threads, elapsed, 600*time.Millisecond)
-	if rows[0].Relative != 1 {
-		t.Errorf("relative at 1 thread = %v", rows[0].Relative)
-	}
-	if rows[1].Relative != 2 {
-		t.Errorf("relative at 2 threads = %v", rows[1].Relative)
-	}
-	// Absolute speedup is against the sequential build: 600/400 = 1.5.
-	if rows[1].Absolute != 1.5 {
-		t.Errorf("absolute at 2 threads = %v", rows[1].Absolute)
-	}
-	// The Fig 8 effect: absolute < relative (concurrent structures cost).
-	if rows[1].Absolute >= rows[1].Relative {
-		t.Error("absolute speedup should trail relative speedup here")
-	}
-	out := FormatSpeedups(rows)
-	if !strings.Contains(out, "threads") || !strings.Contains(out, "2.00x") {
-		t.Errorf("format:\n%s", out)
-	}
-}
-
 func traceRun(t *testing.T) (*core.Program, *core.Run) {
 	t.Helper()
 	p := core.NewProgram()

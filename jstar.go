@@ -38,8 +38,8 @@
 // point-probed tables, the int-specialised open-addressing store for
 // all-int tables, the columnar store for append-mostly scan workloads),
 // and replaying that plan on the next run — Options.StorePlan, or the
-// -save-plan/-store-plan flags of cmd/jstar and cmd/jstar-bench — swaps
-// the backends without touching the program.
+// -save-plan/-store-plan flags of cmd/jstar — swaps the backends without
+// touching the program.
 //
 // # Lifecycle: Sessions
 //
