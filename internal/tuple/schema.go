@@ -68,6 +68,9 @@ type Schema struct {
 	obCols  []int // column position per orderby entry, -1 for literals
 	pathCol int   // first seq/par orderby column, -1 if all literals
 	id      int32 // dense id assigned by the registry (engine)
+	// hashSeed is HashSeed with Name folded in: where every tuple's
+	// identity hash starts, computed once instead of per tuple.
+	hashSeed uint64
 }
 
 // NewSchema builds and validates a schema. It returns an error if column
@@ -78,9 +81,10 @@ func NewSchema(name string, cols []Column, orderBy []OrderEntry) (*Schema, error
 		return nil, fmt.Errorf("jstar: table name must be non-empty")
 	}
 	s := &Schema{
-		Name:    name,
-		Columns: append([]Column(nil), cols...),
-		OrderBy: append([]OrderEntry(nil), orderBy...),
+		Name:     name,
+		Columns:  append([]Column(nil), cols...),
+		OrderBy:  append([]OrderEntry(nil), orderBy...),
+		hashSeed: hashString(HashSeed, name),
 	}
 	for i, c := range s.Columns {
 		if c.Name == "" {

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -38,18 +39,19 @@ func New(s *Schema, fields ...Value) *Tuple {
 	copy(fs, fields)
 	for i := range fs {
 		v := &fs[i]
-		if v.kind == s.Columns[i].Kind {
+		k, want := v.Kind(), s.Columns[i].Kind
+		if k == want {
 			continue
 		}
 		switch {
-		case v.kind == KindInvalid:
-			*v = Zero(s.Columns[i].Kind)
-		case v.kind == KindInt && s.Columns[i].Kind == KindFloat:
+		case k == KindInvalid:
+			*v = Zero(want)
+		case k == KindInt && want == KindFloat:
 			// Permit int literals in float columns (Java widening).
-			*v = Float(float64(v.i))
+			*v = Float(float64(int64(v.n)))
 		default:
 			panic(fmt.Sprintf("jstar: new %s: field %s is %v, want %v",
-				s.Name, s.Columns[i].Name, v.kind, s.Columns[i].Kind))
+				s.Name, s.Columns[i].Name, k, want))
 		}
 	}
 	t.hash = t.computeHash()
@@ -148,10 +150,7 @@ func (t *Tuple) computeKeys() {
 }
 
 func (t *Tuple) computeHash() uint64 {
-	h := HashSeed
-	for i := 0; i < len(t.schema.Name); i++ {
-		h = hashByte(h, t.schema.Name[i])
-	}
+	h := t.schema.hashSeed
 	for _, v := range t.fields {
 		h = v.Hash(h)
 	}
@@ -223,17 +222,11 @@ func (t *Tuple) CompareFields(o *Tuple) int {
 
 // comparePtr is Compare through pointers with the int-vs-int case inline:
 // the comparators below run once per tuple per step-boundary hop, and an
-// int column decided here costs two loads instead of two 40-byte Value
-// copies and a kind switch.
+// int column decided here costs two tag compares and two payload loads
+// instead of two Kind range checks and a kind switch.
 func comparePtr(a, b *Value) int {
-	if a.kind == KindInt && b.kind == KindInt {
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		}
-		return 0
+	if a.p == tag(KindInt) && b.p == tag(KindInt) {
+		return cmp.Compare(int64(a.n), int64(b.n))
 	}
 	return Compare(*a, *b)
 }
@@ -355,10 +348,10 @@ func (t *Tuple) ComparePrefix(prefix []Value) int {
 		if c := comparePtr(a, b); c != 0 {
 			return c
 		}
-		if a.kind != b.kind {
+		if ka, kb := a.Kind(), b.Kind(); ka != kb {
 			// Numerically equal across kinds: not a match, and every value
 			// of this (fixed-kind) column falls on the same side.
-			return int(a.kind) - int(b.kind)
+			return int(ka) - int(kb)
 		}
 	}
 	return 0
