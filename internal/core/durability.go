@@ -100,7 +100,7 @@ type CheckpointInfo struct {
 }
 
 // checkpointRequest is one queued Session.Checkpoint call, served by the
-// coordinator at a quiescent boundary (the Migrate pattern).
+// coordinator at a quiescent boundary and answered on done.
 type checkpointRequest struct {
 	done chan checkpointResult // buffered(1)
 }
@@ -206,8 +206,10 @@ func (s *Session) WALStats() (wal.Stats, bool) {
 
 // Checkpoint flushes the WAL and writes a full Gamma checkpoint at the
 // next quiescent boundary, blocking until it is published (the durable
-// watermark advances to the returned Seq) or the session dies first. Like
-// Migrate, it must not be called from rule bodies or actions.
+// watermark advances to the returned Seq) or the session dies first. It
+// must not be called from rule bodies or actions: they run inside the drain
+// the coordinator must finish before serving the request, so the call would
+// deadlock.
 func (s *Session) Checkpoint(ctx context.Context) (*CheckpointInfo, error) {
 	if s.wal == nil {
 		return nil, fmt.Errorf("jstar: checkpoint: session has no durability configured (Options.Durability)")

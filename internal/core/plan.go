@@ -90,26 +90,10 @@ func PlanFromStats(rs *RunStats) gamma.StorePlan {
 			plan[name] = kind
 		}
 	}
-	// A migrated table the heuristics have no fresh opinion about keeps its
-	// end state: the migration was earned by observed drift, so a saved
-	// plan replays the final kind instead of silently falling back to the
-	// strategy default.
-	for _, m := range rs.Migrations {
-		name := m.Table
-		if _, ok := plan[name]; ok {
-			continue
-		}
-		if rs.noGamma[name] || !replannable(rs.StoreKinds[name]) {
-			continue
-		}
-		plan[name] = rs.StoreKinds[name]
-	}
 	return plan
 }
 
-// tableCounters is one table's planner-relevant counters over some
-// interval — the whole run (lifetimeCounters) or one re-plan window (the
-// adaptive session's snapshot deltas).
+// tableCounters is one table's planner-relevant counters over a whole run.
 type tableCounters struct {
 	puts, dups, queries, indexed, minPrefix int64
 }
@@ -124,20 +108,9 @@ func lifetimeCounters(st *TableStats) tableCounters {
 	}
 }
 
-// sub returns the windowed counters c - prev. minPrefix does not subtract —
-// windowed callers overwrite it from TableStats.winMinPrefix.
-func (c tableCounters) sub(prev tableCounters) tableCounters {
-	return tableCounters{
-		puts:    c.puts - prev.puts,
-		dups:    c.dups - prev.dups,
-		queries: c.queries - prev.queries,
-		indexed: c.indexed - prev.indexed,
-	}
-}
-
-// suggestKind applies the PlanFromStats heuristics to one counter view.
+// suggestKind applies the PlanFromStats heuristics to one table's counters.
 // "" means no opinion (mixed query shapes): the table keeps its backend.
-// Callers apply the volume floor; the heuristics only look at shape.
+// The caller applies the volume floor; the heuristics only look at shape.
 func suggestKind(s *tuple.Schema, c tableCounters) string {
 	allInt := gamma.AllIntColumns(s)
 	switch {

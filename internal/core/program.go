@@ -240,18 +240,6 @@ type Options struct {
 	// rounded up to a power of two (capped at 8). 1 reproduces the old
 	// single-ring ingress exactly.
 	IngressShards int
-	// ReplanEvery, when > 0, turns the session adaptive: every N quiescent
-	// boundaries the coordinator re-derives the per-table store plan from
-	// *windowed* statistics (counters since the last evaluation, not
-	// lifetime aggregates) and applies the changes live — a table is
-	// drained, rebuilt via the suggested backend and atomically swapped in.
-	// Migrations sit behind hysteresis: a suggestion must win
-	// ReplanStreakWins consecutive windows, and tables below the planner's
-	// volume floor are left alone, so a noisy window never thrashes
-	// storage. 0 (the default) keeps the plan frozen at NewRun — the
-	// offline -save-plan/-store-plan behaviour. Migrations are logged in
-	// RunStats.Migrations.
-	ReplanEvery int
 	// Durability, when non-nil, turns the session durable: absorbed
 	// external tuples are teed into a segmented write-ahead log with
 	// group commit, Gamma is checkpointed at quiescent boundaries, and a
@@ -331,16 +319,13 @@ func (p *Program) knownTables() string {
 // Validate reports configuration errors: unknown table names in NoDelta/
 // NoGamma/hints, unknown or unsuitable store kinds in StorePlan and the
 // compiler's plan hints (listing the legal kinds), a negative thread
-// count, a malformed ingress ring size and a negative ReplanEvery. Every
+// count and a malformed ingress ring or shard count. Every
 // error says what was wrong and what the legal values are, so
 // misconfiguration never silently degrades or panics mid-run.
 func (p *Program) Validate(opts Options) error {
 	var errs []string
 	if opts.Threads < 0 {
 		errs = append(errs, fmt.Sprintf("Threads: %d is negative (0 means GOMAXPROCS)", opts.Threads))
-	}
-	if opts.ReplanEvery < 0 {
-		errs = append(errs, fmt.Sprintf("ReplanEvery: %d is negative (0 disables adaptive re-planning)", opts.ReplanEvery))
 	}
 	if opts.IngressRing < 0 || (opts.IngressRing > 0 && opts.IngressRing&(opts.IngressRing-1) != 0) {
 		errs = append(errs, fmt.Sprintf("IngressRing: %d is not a power of two (0 means 1024)", opts.IngressRing))

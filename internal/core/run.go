@@ -37,12 +37,6 @@ type TableStats struct {
 	IndexedQueries atomic.Int64
 	PrefixLenSum   atomic.Int64
 	MinPrefixLen   atomic.Int64
-	// winMinPrefix is MinPrefixLen's windowed twin: the shortest indexed
-	// prefix observed since the re-planner last evaluated this table. The
-	// monotone counters above yield windowed values by snapshot delta, but
-	// a minimum cannot be subtracted, so it gets its own resettable atomic
-	// (reset only by the coordinator, at a quiescent boundary).
-	winMinPrefix atomic.Int64
 }
 
 // noteQuery counts one query whose equality prefix holds n values.
@@ -60,7 +54,6 @@ func (t *TableStats) noteIndexed(indexed, plen, min int64) {
 	t.IndexedQueries.Add(indexed)
 	t.PrefixLenSum.Add(plen)
 	casMin(&t.MinPrefixLen, min)
-	casMin(&t.winMinPrefix, min)
 }
 
 func casMin(a *atomic.Int64, min int64) {
@@ -90,22 +83,13 @@ type RunStats struct {
 	// by the coordinator, like Steps.
 	FannedSteps int64
 
-	// StoreKinds records the store backend currently backing each table —
-	// a replayable gamma kind spec ("skip", "hash:2", "dense3d:3,96,96",
-	// "custom" for opaque factories). Initialised when the run is built and
-	// updated on every live migration, so at quiescence it names the *final*
-	// kind (the one a saved plan should replay); Migrations holds the
-	// from→to history. It is the "kind chosen" column of the BENCH
-	// artifact's per-table rows and the planner's view of which choices it
-	// may override. Written only by the coordinator; read at quiescence.
+	// StoreKinds records the store backend backing each table — a
+	// replayable gamma kind spec ("skip", "hash:2", "dense3d:3,96,96",
+	// "custom" for opaque factories). Set once when the run is built: a
+	// table keeps its store for the whole run. It is the "kind" column of
+	// cmd/jstar -stats and the planner's view of which choices it may
+	// override.
 	StoreKinds map[string]string
-	// Migrations is the live store-migration event log: one entry per
-	// completed drain→rebuild→swap, in execution order. Written only by the
-	// coordinator at quiescent boundaries; read at quiescence.
-	Migrations []MigrationEvent
-	// Replans counts re-plan evaluations (windows inspected), whether or
-	// not they migrated anything.
-	Replans int64
 	// schemas and noGamma carry the planner's non-counter inputs (column
 	// kinds for backend suitability; tables whose stores are never used).
 	schemas map[string]*tuple.Schema

@@ -73,10 +73,8 @@ type Session struct {
 
 	closeOnce sync.Once
 
-	// replan drives Options.ReplanEvery; nil for non-adaptive sessions.
-	// quiesces is the coordinator's quiescent-boundary ordinal; both are
-	// touched only by the coordinator loop.
-	replan   *replanner
+	// quiesces is the coordinator's quiescent-boundary ordinal, touched
+	// only by the coordinator loop.
 	quiesces int64
 
 	// Durability tier (Options.Durability); wal is nil when off. The
@@ -96,18 +94,9 @@ type Session struct {
 	qSteps    int64         // RunStats.Steps at last quiescence
 	qFanned   int64         // RunStats.FannedSteps at last quiescence
 	qGen      chan struct{} // closed and replaced at each quiescence
-	migrateQ  []*migrateRequest
 	ckptQ     []*checkpointRequest
 	err       error // first terminal failure
 	closed    bool
-}
-
-// migrateRequest is one queued Session.Migrate call, applied by the
-// coordinator at a quiescent boundary and answered on done.
-type migrateRequest struct {
-	schema *tuple.Schema
-	spec   string
-	done   chan error // buffered(1)
 }
 
 // ingress wraps the sharded external-tuple rings: publishers spread across
@@ -147,9 +136,6 @@ func (r *Run) startSession(ctx context.Context) (*Session, error) {
 		closeCh:  make(chan struct{}),
 		loopDone: make(chan struct{}),
 		qGen:     make(chan struct{}),
-	}
-	if r.opts.ReplanEvery > 0 {
-		s.replan = newReplanner(r)
 	}
 	if d := r.opts.Durability; d != nil {
 		// Open (or recover) the log before the loop exists: checkpoint rows
@@ -214,7 +200,6 @@ func (s *Session) loop() {
 		// Every exit path records the terminal state (err or closed) before
 		// returning, so requests queued after this drain are rejected at
 		// enqueue — none are stranded without an answer.
-		s.failMigrations()
 		s.failCheckpoints()
 		close(s.loopDone)
 	}()
@@ -242,13 +227,8 @@ func (s *Session) loop() {
 			return
 		}
 		// Quiescent boundary: the Delta set and ingress ring are drained and
-		// no rule is in flight, so the coordinator owns every store — the
-		// only point where a live migration is safe.
+		// no rule is in flight, so the coordinator owns every store.
 		s.quiesces++
-		s.applyMigrations()
-		if s.replan != nil {
-			s.replan.tick(s.quiesces)
-		}
 		// Checkpoints happen here and only here: the Gamma state is the
 		// fixpoint of exactly the absorbed (and teed) input prefix, so the
 		// durable watermark advances only at quiesced boundaries.
@@ -441,91 +421,6 @@ func (s *Session) PutBatch(ts ...*tuple.Tuple) error {
 	// The loop may have shut down while we were gated on a full ring; in
 	// that case the published tuples will never be absorbed — report it.
 	return s.gate()
-}
-
-// Migrate requests a live migration of table's store to the gamma kind
-// spec (same syntax as StorePlan entries: "hash:2", "inthash:1",
-// "columnar", ...). The migration is applied by the coordinator at the
-// next quiescent boundary — the only point with no writer in flight — and
-// Migrate blocks until it has been applied (returning the rebuild's
-// result) or the session dies first. Concurrent Query/Snapshot readers
-// are safe throughout: they observe either the old or the new store,
-// never a half-built one. Spec/table validation happens up front;
-// migrating a -noGamma table or a non-replannable backend (dense3d,
-// rolling, arrayhash, custom) is refused at apply time. Must not be
-// called from rule bodies or actions — they run inside the drain the
-// coordinator must finish before applying, so the call would deadlock.
-func (s *Session) Migrate(table, spec string) error {
-	sch := s.run.prog.tables[table]
-	if sch == nil {
-		return fmt.Errorf("jstar: migrate %s: unknown table (declared: %s)", table, s.run.prog.knownTables())
-	}
-	if _, err := gamma.FactoryFor(spec, sch); err != nil {
-		return err
-	}
-	req := &migrateRequest{schema: sch, spec: spec, done: make(chan error, 1)}
-	s.mu.Lock()
-	if s.err != nil {
-		err := s.err
-		s.mu.Unlock()
-		return err
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return ErrSessionClosed
-	}
-	s.migrateQ = append(s.migrateQ, req)
-	s.mu.Unlock()
-	// Wake a parked coordinator; non-blocking, a pending token already
-	// guarantees a pass over the queue.
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-	select {
-	case err := <-req.done:
-		return err
-	case <-s.loopDone:
-		// The loop answered (or rejected) every queued request before
-		// closing loopDone; prefer the recorded answer over the gate.
-		select {
-		case err := <-req.done:
-			return err
-		default:
-		}
-		if err := s.gate(); err != nil {
-			return err
-		}
-		return ErrSessionClosed
-	}
-}
-
-// applyMigrations drains the queued Migrate requests at a quiescent
-// boundary; coordinator only.
-func (s *Session) applyMigrations() {
-	s.mu.Lock()
-	q := s.migrateQ
-	s.migrateQ = nil
-	s.mu.Unlock()
-	for _, req := range q {
-		req.done <- s.run.applyMigrate(req.schema, req.spec, s.quiesces)
-	}
-}
-
-// failMigrations rejects queued requests when the coordinator exits; their
-// tables keep their stores.
-func (s *Session) failMigrations() {
-	s.mu.Lock()
-	q := s.migrateQ
-	s.migrateQ = nil
-	s.mu.Unlock()
-	for _, req := range q {
-		err := s.gate()
-		if err == nil {
-			err = ErrSessionClosed
-		}
-		req.done <- err
-	}
 }
 
 // Quiesce blocks until the database has drained to quiescence and every

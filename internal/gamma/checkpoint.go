@@ -7,9 +7,9 @@ import (
 )
 
 // Checkpoint support: the durability tier snapshots Gamma by draining each
-// table's store the same way Migrate does — Scan, then sort by field
-// values — so a checkpoint of a quiesced state is deterministic regardless
-// of which store kind backs the table or what order tuples arrived in.
+// table's store — Scan, then sort by field values — so a checkpoint of a
+// quiesced state is deterministic regardless of which store kind backs the
+// table or what order tuples arrived in.
 
 // Dump drains st in CompareFields order.
 func Dump(st Store) []*tuple.Tuple {

@@ -27,9 +27,7 @@ package gamma
 
 import (
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/jstar-lang/jstar/internal/llrb"
 	"github.com/jstar-lang/jstar/internal/skiplist"
@@ -387,13 +385,11 @@ func (st *navConcStore) InsertBatch(ts []*tuple.Tuple, live []*tuple.Tuple) []*t
 }
 
 // denseEntry pairs a registered schema with its store for the lock-free
-// DB.Table fast path. The store rides behind an atomic pointer so Migrate
-// can swap a rebuilt backend in at a quiescent boundary while concurrent
-// Query/Snapshot readers keep traversing the old (still complete, no longer
-// written) store — no reader ever observes a half-built one.
+// DB.Table fast path. Both are written once, in Register, and only read
+// afterwards.
 type denseEntry struct {
 	schema *tuple.Schema
-	store  atomic.Pointer[Store]
+	store  Store
 }
 
 // DB is the Gamma database: one store per registered table.
@@ -401,13 +397,11 @@ type denseEntry struct {
 // Tables registered up front through Register are resolved by the schema's
 // dense ID with no locking — the engine's hot path, hit on every query and
 // insert. Schemas never registered (ad-hoc tests, tools) fall back to a
-// mutex-guarded map exactly as before. The per-table store is no longer
-// frozen at Register: Migrate (and SetStore on an already-registered table)
-// rebuilds it and atomically swaps the dense entry.
+// mutex-guarded map. A table's store is fixed once built: hints must be set
+// before Register.
 type DB struct {
-	dense    []denseEntry // slice immutable after Register; entries swappable
+	dense    []denseEntry // immutable after Register
 	mu       sync.RWMutex
-	migMu    sync.Mutex // serialises Migrate/SetStore rebuilds
 	stores   map[*tuple.Schema]Store
 	factory  StoreFactory            // default factory
 	override map[string]StoreFactory // per-table compiler hints
@@ -424,42 +418,30 @@ func NewDB(factory StoreFactory) *DB {
 }
 
 // SetStore installs a per-table store factory (a data-structure hint,
-// paper stage 4). Called before Register it records the hint for the
-// eager store construction; called after Register (or after the map path
-// built a store) it rebuilds the existing table through Migrate — the old
-// silently-ignored case — so the call always takes effect. The rebuild
-// error (a factory/contents mismatch) is returned; pre-Register calls
-// always return nil.
+// paper stage 4), applied when Register (or the map path's first use)
+// builds the table's store. A table whose store is already built keeps it:
+// SetStore then returns an error instead of silently dropping the hint.
 func (db *DB) SetStore(table string, f StoreFactory) error {
 	db.mu.Lock()
-	db.override[table] = f
-	var target *tuple.Schema
+	defer db.mu.Unlock()
+	built := false
 	for i := range db.dense {
-		if s := db.dense[i].schema; s != nil && s.Name == table {
-			target = s
-			break
-		}
+		built = built || db.dense[i].schema != nil && db.dense[i].schema.Name == table
 	}
-	if target == nil {
-		for s := range db.stores {
-			if s.Name == table {
-				target = s
-				break
-			}
-		}
+	for s := range db.stores {
+		built = built || s.Name == table
 	}
-	db.mu.Unlock()
-	if target == nil {
-		return nil // not built yet; the hint applies at Register/first use
+	if built {
+		return fmt.Errorf("jstar: SetStore %s: store already built; set hints before Register", table)
 	}
-	_, err := db.Migrate(target, f, nil)
-	return err
+	db.override[table] = f
+	return nil
 }
 
 // Register builds the dense store table for schemas, indexed by their IDs
 // (assigned densely at Program declaration time). It must be called before
 // execution starts — once registered, Table lookups for these schemas are a
-// bounds check, a pointer compare and an atomic load, with no lock. Stores
+// bounds check, a pointer compare and a slice read, with no lock. Stores
 // are created eagerly, honouring any SetStore hints.
 func (db *DB) Register(schemas []*tuple.Schema) {
 	db.mu.Lock()
@@ -476,77 +458,14 @@ func (db *DB) Register(schemas []*tuple.Schema) {
 		if of, ok := db.override[s.Name]; ok {
 			f = of
 		}
-		e := &db.dense[s.ID()]
-		e.schema = s
-		st := f(s)
-		e.store.Store(&st)
+		db.dense[s.ID()] = denseEntry{schema: s, store: f(s)}
 	}
-}
-
-// Migrate rebuilds table s's store through factory f and atomically swaps
-// it in: drain the old store (Scan into scratch, which is reused when its
-// capacity suffices), sort by field values so ordered backends load with
-// locality, bulk-insert into the freshly built store, swap. Concurrent
-// readers that resolved the table before the swap finish against the old
-// store — complete and no longer written — so they never observe a
-// half-built one. Callers must guarantee no concurrent *writer* for the
-// table (the engine migrates only at quiescent step boundaries, where the
-// coordinator owns all mutation). It returns the drained tuples so callers
-// can recycle the scratch buffer.
-//
-// If the new store does not accept every drained tuple (a lossy factory —
-// e.g. a rolling window narrower than the contents), the swap is aborted
-// and the table keeps its old store.
-func (db *DB) Migrate(s *tuple.Schema, f StoreFactory, scratch []*tuple.Tuple) ([]*tuple.Tuple, error) {
-	db.migMu.Lock()
-	defer db.migMu.Unlock()
-	var entry *denseEntry
-	if id := int(s.ID()); id >= 0 && id < len(db.dense) && db.dense[id].schema == s {
-		entry = &db.dense[id]
-	} else {
-		db.mu.RLock()
-		_, ok := db.stores[s]
-		db.mu.RUnlock()
-		if !ok {
-			return scratch, fmt.Errorf("jstar: migrate %s: table has no store", s.Name)
-		}
-	}
-	var old Store
-	if entry != nil {
-		old = *entry.store.Load()
-	} else {
-		db.mu.RLock()
-		old = db.stores[s]
-		db.mu.RUnlock()
-	}
-	drained := scratch[:0]
-	old.Scan(func(t *tuple.Tuple) bool {
-		drained = append(drained, t)
-		return true
-	})
-	if len(drained) > 1 {
-		slices.SortFunc(drained, func(a, b *tuple.Tuple) int { return a.CompareFields(b) })
-	}
-	neu := f(s)
-	InsertBatch(neu, drained, nil)
-	if neu.Len() != len(drained) {
-		return drained, fmt.Errorf("jstar: migrate %s to %s: rebuilt store holds %d of %d tuples; keeping the old store",
-			s.Name, KindOf(neu), neu.Len(), len(drained))
-	}
-	if entry != nil {
-		entry.store.Store(&neu)
-	} else {
-		db.mu.Lock()
-		db.stores[s] = neu
-		db.mu.Unlock()
-	}
-	return drained, nil
 }
 
 // Table returns (creating on first use) the store for s.
 func (db *DB) Table(s *tuple.Schema) Store {
 	if id := int(s.ID()); id < len(db.dense) && db.dense[id].schema == s {
-		return *db.dense[id].store.Load()
+		return db.dense[id].store
 	}
 	db.mu.RLock()
 	st, ok := db.stores[s]
@@ -577,8 +496,8 @@ func (db *DB) Len() int {
 	defer db.mu.RUnlock()
 	n := 0
 	for i := range db.dense {
-		if st := db.dense[i].store.Load(); st != nil {
-			n += (*st).Len()
+		if st := db.dense[i].store; st != nil {
+			n += st.Len()
 		}
 	}
 	for _, st := range db.stores {

@@ -226,6 +226,56 @@ func TestDBFactoryAndOverride(t *testing.T) {
 	}
 }
 
+// TestSetStoreAfterRegisterFails: a hint for a table whose store is
+// already built cannot take effect, so SetStore refuses it with a located
+// error and the table keeps its store, kind and contents. Before Register
+// it stays a plain hint.
+func TestSetStoreAfterRegisterFails(t *testing.T) {
+	s := pvSchema()
+	s.SetID(0)
+	db := NewDB(NewTreeStore)
+	db.Register([]*tuple.Schema{s})
+	for i := int64(0); i < 300; i++ {
+		db.Insert(pv(s, 2000, 1+i%12, 1+i%28, i))
+	}
+	before := db.Table(s)
+	want := Dump(before)
+	err := db.SetStore("PvWatts", NewHashStore(2))
+	if err == nil || err.Error() != "jstar: SetStore PvWatts: store already built; set hints before Register" {
+		t.Fatalf("SetStore after Register: err = %v", err)
+	}
+	if db.Table(s) != before || KindOf(db.Table(s)) != "tree" {
+		t.Fatalf("SetStore after Register changed the store: kind = %s", KindOf(db.Table(s)))
+	}
+	got := Dump(db.Table(s))
+	if len(got) != len(want) {
+		t.Fatalf("contents changed: %d tuples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("contents differ at %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+
+	// The map path (a schema never registered) refuses the same way once
+	// its first use has built the store.
+	other := tuple.MustSchema("Other", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
+	db.Table(other)
+	if err := db.SetStore("Other", NewHashStore(1)); err == nil || KindOf(db.Table(other)) != "tree" {
+		t.Fatalf("SetStore after first use: err = %v, kind = %s", err, KindOf(db.Table(other)))
+	}
+
+	// Pre-Register calls stay hint-only and error-free.
+	db2 := NewDB(NewTreeStore)
+	if err := db2.SetStore("PvWatts", NewSkipStore); err != nil {
+		t.Fatalf("SetStore before Register: %v", err)
+	}
+	db2.Register([]*tuple.Schema{s})
+	if kind := KindOf(db2.Table(s)); kind != "skip" {
+		t.Fatalf("pre-Register hint not applied: kind = %s", kind)
+	}
+}
+
 func TestQueryMatches(t *testing.T) {
 	s := pvSchema()
 	tp := pv(s, 2000, 5, 1, 99)

@@ -1,7 +1,6 @@
 package gamma
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -219,43 +218,4 @@ func boolInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// TestMigrateHashTreeHashRoundTrip rebuilds a hash table as a tree and back
-// through DB.Migrate; contents and indexed query results survive both hops.
-func TestMigrateHashTreeHashRoundTrip(t *testing.T) {
-	s := batchTestSchema()
-	s.SetID(0)
-	db := NewDB(NewHashStore(1))
-	db.Register([]*tuple.Schema{s})
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 4000; i++ {
-		db.Insert(tuple.New(s, tuple.Int(r.Int63n(200)), tuple.Int(r.Int63n(5)), tuple.Int(r.Int63n(5))))
-	}
-	snapshot := func() (int, []string) {
-		st := db.Table(s)
-		var rows []string
-		for key := int64(0); key < 200; key += 7 {
-			got := selected(st, Query{Prefix: []tuple.Value{tuple.Int(key)}})
-			slices.Sort(got)
-			rows = append(rows, fmt.Sprint(key, got))
-		}
-		return st.Len(), rows
-	}
-	wantLen, wantRows := snapshot()
-	for _, spec := range []string{"tree", "hash:2", "hash"} {
-		f, err := FactoryFor(spec, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.Migrate(s, f, nil); err != nil {
-			t.Fatalf("migrate to %s: %v", spec, err)
-		}
-		if KindName(KindOf(db.Table(s))) != KindName(spec) {
-			t.Fatalf("after migrating to %s the table is %s", spec, KindOf(db.Table(s)))
-		}
-		if n, rows := snapshot(); n != wantLen || !slices.Equal(rows, wantRows) {
-			t.Fatalf("after migrating to %s: %d tuples (want %d) or different query results", spec, n, wantLen)
-		}
-	}
 }

@@ -171,13 +171,6 @@ func (c *Client) Checkpoint(ctx context.Context, tenant string) (CheckpointResul
 	return out, err
 }
 
-// Migrate requests a live store migration for table to spec.
-func (c *Client) Migrate(ctx context.Context, tenant, table, spec string) error {
-	body, _ := json.Marshal(map[string]string{"table": table, "spec": spec})
-	return c.do(ctx, http.MethodPost, "/v1/tenants/"+url.PathEscape(tenant)+"/migrate",
-		JSONContentType, bytes.NewReader(body), nil)
-}
-
 // Subscription identifies a registered query subscription and the change
 // generation current at registration.
 type Subscription struct {

@@ -1,12 +1,12 @@
 // Package serve puts the engine's online Session on the wire: a
 // multi-tenant HTTP front-end hosting many named programs in one process.
 // Each tenant is a compiled JStar program with its own live Session,
-// engine options (strategy, store plan, ingress shards, re-plan cadence)
-// and quotas; clients stream tuples in (JSON or the length-prefixed binary
-// batch format), force quiescent boundaries, run prefix queries against
-// the quiesced Gamma stores, trigger live store migrations, and register
-// query subscriptions that fire when a table's quiesced state changes
-// (long-poll or SSE, driven by the engine's per-table change generations).
+// engine options (strategy, store plan, ingress shards) and quotas;
+// clients stream tuples in (JSON or the length-prefixed binary batch
+// format), force quiescent boundaries, run prefix queries against the
+// quiesced Gamma stores, and register query subscriptions that fire when
+// a table's quiesced state changes (long-poll or SSE, driven by the
+// engine's per-table change generations).
 //
 // The server is plain net/http: over TLS the stdlib negotiates HTTP/2
 // automatically; over cleartext sockets it speaks HTTP/1.1 (the repo adds
@@ -159,7 +159,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/quiesce", s.instrument("quiesce", s.handleQuiesce))
 	s.mux.HandleFunc("GET /v1/tenants/{tenant}/query", s.instrument("query", s.handleQuery))
 	s.mux.HandleFunc("GET /v1/tenants/{tenant}/snapshot", s.instrument("snapshot", s.handleSnapshot))
-	s.mux.HandleFunc("POST /v1/tenants/{tenant}/migrate", s.instrument("migrate", s.handleMigrate))
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/checkpoint", s.instrument("checkpoint", s.handleCheckpoint))
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/subscribe", s.instrument("subscribe", s.handleSubscribe))
 	s.mux.HandleFunc("GET /v1/tenants/{tenant}/subscriptions/{id}/poll", s.instrument("poll", s.handlePoll))
@@ -276,9 +275,14 @@ func (s *Server) info(t *Tenant) tenantInfo {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request, m *RequestMetrics) int {
+	// A misspelt or retired option must not create a tenant that silently
+	// runs on defaults: unknown fields, nested ones included, are a 400
+	// naming the field.
 	var cfg TenantConfig
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&cfg); err != nil {
-		return fail(w, http.StatusBadRequest, err)
+	dec := json.NewDecoder(io.LimitReader(r.Body, 4<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return fail(w, http.StatusBadRequest, fmt.Errorf("serve: create tenant: %w", err))
 	}
 	m.Tenant = cfg.Name
 	t, err := s.reg.create(s.ctx, cfg, s.cfg.MaxInflightPuts, s.cfg.AdmitPendingFraction)
@@ -370,7 +374,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, m *RequestMet
 	})
 }
 
-// ---- quiescence, query, migration ----
+// ---- quiescence, query, checkpoint ----
 
 func (s *Server) handleQuiesce(w http.ResponseWriter, r *http.Request, m *RequestMetrics) int {
 	t, status := s.tenant(w, r)
@@ -458,28 +462,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, m *Reque
 	m.Bytes = int64(len(out))
 	w.Write(out)
 	return http.StatusOK
-}
-
-func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, m *RequestMetrics) int {
-	t, status := s.tenant(w, r)
-	if t == nil {
-		return status
-	}
-	var body struct {
-		Table string `json:"table"`
-		Spec  string `json:"spec"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&body); err != nil {
-		return fail(w, http.StatusBadRequest, err)
-	}
-	m.Table = body.Table
-	if err := t.Session.Migrate(body.Table, body.Spec); err != nil {
-		if errors.Is(err, core.ErrSessionClosed) {
-			return failErr(w, err)
-		}
-		return fail(w, http.StatusBadRequest, err)
-	}
-	return writeJSON(w, http.StatusOK, map[string]string{"table": body.Table, "spec": body.Spec})
 }
 
 // handleCheckpoint forces a Gamma checkpoint at the next quiescent

@@ -416,34 +416,43 @@ func TestServeLifecycleAndQuotas(t *testing.T) {
 	}
 }
 
-// TestServeMigrate round-trips a live store migration over the wire.
-func TestServeMigrate(t *testing.T) {
-	_, client := newTestServer(t, serve.Config{})
-	ctx := context.Background()
-	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "t", Source: doubleSrc}); err != nil {
-		t.Fatal(err)
+// TestServeCreateRejectsUnknownFields: a create-tenant body naming a field
+// TenantConfig does not have — a typo, a retired option, a misspelt
+// durability knob — is a 400 naming the field, and no tenant is created
+// with defaults in its place.
+func TestServeCreateRejectsUnknownFields(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	src, _ := json.Marshal(doubleSrc)
+	for i, c := range []struct{ extra, field string }{
+		{`"ingres_shards": 4`, "ingres_shards"},
+		{`"replan_every": 1`, "replan_every"},
+		{`"durability": {"wal_dir": "` + t.TempDir() + `", "group_commit_ms": 1}`, "group_commit_ms"},
+	} {
+		body := fmt.Sprintf(`{"name": "t%d", "source": %s, %s}`, i, src, c.extra)
+		resp, err := http.Post(hs.URL+"/v1/tenants", serve.JSONContentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"`+c.field+`\"`) {
+			t.Errorf("create with %s: %d %s, want 400 naming %q", c.extra, resp.StatusCode, msg, c.field)
+		}
 	}
-	if err := client.PutJSON(ctx, "t", "Event", [][]any{{1}, {2}, {3}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Quiesce(ctx, "t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Migrate(ctx, "t", "Out", "inthash:1"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := client.Query(ctx, "t", "Out", "")
+	resp, err := http.Get(hs.URL + "/v1/tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `[[1,2],[2,4],[3,6]]`; string(got) != want {
-		t.Errorf("post-migration query = %s, want %s", got, want)
+	list, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if got := strings.TrimSpace(string(list)); got != "[]" {
+		t.Fatalf("rejected creates left tenants behind: %s", got)
 	}
-	for _, spec := range []string{"nosuchkind", "skip@1", "@2"} {
-		if err := client.Migrate(ctx, "t", "Out", spec); !serve.IsStatus(err, http.StatusBadRequest) ||
-			!strings.Contains(err.Error(), "unknown store kind") {
-			t.Fatalf("bad spec %q: err = %v, want 400 with the unknown-kind error", spec, err)
-		}
+	client := serve.NewClient(hs.URL)
+	if _, err := client.CreateTenant(context.Background(), serve.TenantConfig{Name: "t", Source: doubleSrc, IngressShards: 4}); err != nil {
+		t.Fatalf("create with known fields only: %v", err)
 	}
 }
 

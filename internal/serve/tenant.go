@@ -27,9 +27,8 @@ type TenantConfig struct {
 	// StorePlan maps table names to gamma kind specs ("hash:2",
 	// "columnar", ...), overriding the planner's defaults.
 	StorePlan map[string]string `json:"store_plan,omitempty"`
-	// IngressShards and ReplanEvery pass through to core.Options.
+	// IngressShards passes through to core.Options.
 	IngressShards int `json:"ingress_shards,omitempty"`
-	ReplanEvery   int `json:"replan_every,omitempty"`
 	// MaxInflightPuts caps concurrent ingestion requests for this tenant
 	// (further puts get 429); 0 uses the server default. Since admission is
 	// primarily ring-driven (AdmitPendingFraction), this is the fallback
@@ -163,7 +162,6 @@ func (r *registry) buildTenant(ctx context.Context, cfg TenantConfig, defaultInf
 	opts := core.Options{
 		Quiet:         true,
 		IngressShards: cfg.IngressShards,
-		ReplanEvery:   cfg.ReplanEvery,
 	}
 	if cfg.Strategy != "" {
 		st, err := exec.ParseStrategy(cfg.Strategy)

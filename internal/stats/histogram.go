@@ -110,23 +110,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max.Load()
 }
 
-// Merge adds other's observations into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range other.counts {
-		if c := other.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		cur, v := h.max.Load(), other.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // LatencySummary is a flat digest of a latency histogram — what the
 // service's /metrics renders per request kind.
 type LatencySummary struct {

@@ -77,7 +77,7 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHistogramConcurrentObserveAndMerge(t *testing.T) {
+func TestHistogramConcurrentObserve(t *testing.T) {
 	var h Histogram
 	const goroutines, per = 8, 5000
 	var wg sync.WaitGroup
@@ -95,32 +95,10 @@ func TestHistogramConcurrentObserveAndMerge(t *testing.T) {
 	if got := h.Count(); got != goroutines*per {
 		t.Fatalf("count = %d, want %d", got, goroutines*per)
 	}
-	var m Histogram
-	m.Observe(1 << 40)
-	m.Merge(&h)
-	if got := m.Count(); got != goroutines*per+1 {
-		t.Fatalf("merged count = %d, want %d", got, goroutines*per+1)
-	}
-	if m.Max() < 1<<40 {
-		t.Fatalf("merge lost max: %d", m.Max())
-	}
 }
 
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	// Merging an empty histogram is a no-op in both directions.
-	var a, empty Histogram
-	a.Observe(7)
-	a.Merge(&empty)
-	if a.Count() != 1 || a.Sum() != 7 || a.Max() != 7 {
-		t.Fatalf("merge of empty changed a: count=%d sum=%d max=%d", a.Count(), a.Sum(), a.Max())
-	}
-	var b Histogram
-	b.Merge(&a)
-	if b.Count() != 1 || b.Quantile(0.5) != 7 || b.Max() != 7 {
-		t.Fatalf("empty.Merge(a): count=%d p50=%d max=%d", b.Count(), b.Quantile(0.5), b.Max())
-	}
-
-	// Single observation: every quantile collapses onto it, mean equals it.
+func TestHistogramSingleObservation(t *testing.T) {
+	// Every quantile collapses onto the one observation; the mean equals it.
 	var single Histogram
 	single.Observe(12)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
@@ -130,33 +108,5 @@ func TestHistogramMergeEdgeCases(t *testing.T) {
 	}
 	if single.Mean() != 12 {
 		t.Errorf("single-observation mean = %f, want 12", single.Mean())
-	}
-
-	// Disjoint octave ranges: low lives in the unit buckets, high several
-	// octaves up. The merge must keep both populations distinguishable —
-	// p25 stays in the low range, p75 in the high range — and max/sum/count
-	// must be the exact totals.
-	var low, high Histogram
-	for i := int64(0); i < 100; i++ {
-		low.Observe(i % histSubCount) // [0, 32)
-		high.Observe(1 << 20)         // one sub-bucket near a megananosecond
-	}
-	low.Merge(&high)
-	if low.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", low.Count())
-	}
-	if wantSum := high.Sum() + 100/histSubCount*(histSubCount*(histSubCount-1)/2) + (0 + 1 + 2 + 3); low.Sum() != wantSum {
-		// 100 observations of i%32: three full cycles (0..31) plus 0..3 again.
-		t.Fatalf("merged sum = %d, want %d", low.Sum(), wantSum)
-	}
-	if p25 := low.Quantile(0.25); p25 >= histSubCount {
-		t.Errorf("merged p25 = %d, want a unit-bucket value < %d", p25, histSubCount)
-	}
-	p75 := low.Quantile(0.75)
-	if rel := math.Abs(float64(p75)-float64(1<<20)) / float64(1<<20); rel > 0.04 {
-		t.Errorf("merged p75 = %d, want within ~3%% of %d", p75, 1<<20)
-	}
-	if low.Max() != 1<<20 {
-		t.Errorf("merged max = %d, want %d", low.Max(), 1<<20)
 	}
 }

@@ -137,25 +137,6 @@ func TableReport(run *core.Run) string {
 		st.Steps, st.FannedSteps, st.MaxBatch, st.TotalFired, st.Elapsed.Round(time.Microsecond))
 	b.WriteString(IngressLine(st))
 	b.WriteString(PhaseLine(st))
-	b.WriteString(AdaptiveLines(st))
-	return b.String()
-}
-
-// AdaptiveLines renders an adaptive session's re-planning event log — one
-// line per live store migration, plus a summary of how many windows were
-// evaluated. Empty for frozen runs (ReplanEvery unset and no explicit
-// Session.Migrate calls).
-func AdaptiveLines(st *core.RunStats) string {
-	if st.Replans == 0 && len(st.Migrations) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "adaptive: replans=%d migrations=%d\n", st.Replans, len(st.Migrations))
-	for _, m := range st.Migrations {
-		fmt.Fprintf(&b, "  migrate q%-4d %-16s %s -> %s (%d tuples, %v)\n",
-			m.Quiesce, m.Table, m.From, m.To, m.Tuples,
-			time.Duration(m.Nanos).Round(time.Microsecond))
-	}
 	return b.String()
 }
 

@@ -131,23 +131,6 @@ func TestTableReportHeaderAndIngressLine(t *testing.T) {
 	}
 }
 
-func TestAdaptiveLines(t *testing.T) {
-	if AdaptiveLines(&core.RunStats{}) != "" {
-		t.Error("AdaptiveLines must be empty for frozen runs")
-	}
-	st := &core.RunStats{
-		Replans: 3,
-		Migrations: []core.MigrationEvent{
-			{Quiesce: 4, Table: "Reading", From: "tree", To: "inthash:1", Tuples: 800, Nanos: 1_500_000},
-		},
-	}
-	lines := AdaptiveLines(st)
-	if !strings.Contains(lines, "replans=3") ||
-		!strings.Contains(lines, "Reading") || !strings.Contains(lines, "tree -> inthash:1") {
-		t.Errorf("AdaptiveLines = %q", lines)
-	}
-}
-
 func TestIngressLineSkewWithIdleLane(t *testing.T) {
 	// One lane never absorbs anything: the skew must still be computed over
 	// the configured shard count (an idle lane is lost parallelism, not a

@@ -17,9 +17,9 @@ type Checkpoint struct {
 	Tables   []CheckpointTable
 }
 
-// CheckpointTable is one table's rows, drained in CompareFields order (the
-// same drain ordering DB.Migrate uses), so checkpoint bytes are
-// deterministic for a given quiesced state.
+// CheckpointTable is one table's rows, drained in CompareFields order
+// (gamma.Dump), so checkpoint bytes are deterministic for a given quiesced
+// state.
 type CheckpointTable struct {
 	Name string
 	Rows []*tuple.Tuple
@@ -95,7 +95,9 @@ func decodeCheckpoint(buf []byte, resolve Resolver) (*Checkpoint, error) {
 		}
 		rows := binary.LittleEndian.Uint32(p)
 		p = p[4:]
-		ct := CheckpointTable{Name: name, Rows: make([]*tuple.Tuple, 0, rows)}
+		// A row takes at least one byte per column, so the remaining payload
+		// bounds the preallocation: a corrupt count cannot demand gigabytes.
+		ct := CheckpointTable{Name: name, Rows: make([]*tuple.Tuple, 0, min(int(rows), len(p)))}
 		for j := uint32(0); j < rows; j++ {
 			var t *tuple.Tuple
 			if t, p, err = parseFields(p, sch); err != nil {

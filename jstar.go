@@ -63,13 +63,6 @@
 // cancellation and deadlines are honoured at every step boundary, so even
 // a non-terminating program is stoppable without Options.MaxSteps.
 //
-// A session need not stay on the plan it started with: Options.ReplanEvery
-// re-runs the store planner over windowed statistics at quiescent
-// boundaries, migrating drifting tables onto better backends live (drain,
-// rebuild, atomic swap — readers never block), behind hysteresis.
-// Session.Migrate performs the same store move explicitly, and
-// RunStats.Migrations logs every decision taken.
-//
 // Sessions also go on the wire: cmd/jstar-serve (internal/serve) hosts
 // many named programs as a multi-tenant HTTP service — streaming
 // ingestion (JSON or binary batch frames) straight into PutBatch, prefix
