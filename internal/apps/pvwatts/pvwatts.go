@@ -38,7 +38,8 @@ type MonthKey = [2]int32
 type GammaKind int
 
 const (
-	// GammaDefault is the NavigableSet default (skip list / tree set).
+	// GammaDefault is the NavigableSet default: the tree store, a B-tree
+	// behind one lock, with or without a pool.
 	GammaDefault GammaKind = iota
 	// GammaHash hashes on (year, month).
 	GammaHash

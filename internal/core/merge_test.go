@@ -137,8 +137,8 @@ func TestDedupSortedInPlace(t *testing.T) {
 // chunks on the coordinator concatenate to Sequential's one call. The clock
 // is frozen for that arm, so the gate cannot open whatever the host does.
 // The last arm is the default on one processor: it cannot fan out, so it
-// must be Sequential in everything but name — no pool, tree stores, one put
-// slot, one ingress lane.
+// must be Sequential in everything but name — no pool, one put slot, one
+// ingress lane. Every arm, pooled or not, keeps its tables on tree stores.
 func TestFiringOrderByteIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := NewProgram()
@@ -216,10 +216,10 @@ func TestFiringOrderByteIdentical(t *testing.T) {
 				t.Errorf("%s: a run that cannot fan out owns a pool (%v), %d put slots or %d ingress lanes",
 					name, run.ownPool != nil, len(run.slots), run.ingressShards())
 			}
-			for table, kind := range run.Stats().StoreKinds {
-				if kind != "tree" {
-					t.Errorf("%s: table %s is on a %s store, want tree", name, table, kind)
-				}
+		}
+		for table, kind := range run.Stats().StoreKinds {
+			if kind != "tree" {
+				t.Errorf("%s: table %s is on a %s store, want tree", name, table, kind)
 			}
 		}
 		if st := run.Stats(); st.Steps != 1 || st.FannedSteps != 0 {
@@ -354,7 +354,7 @@ func TestFlushParityAcrossStrategiesAndStores(t *testing.T) {
 	type counts struct{ puts, dups int64 }
 	var refOut []string
 	var refCounts map[string]counts
-	plans := []string{"", "tree", "skip", "hash:1", "inthash:1", "columnar"}
+	plans := []string{"", "tree", "hash:1", "inthash:1", "columnar"}
 	strategies := []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto}
 	for _, strat := range strategies {
 		for _, plan := range plans {

@@ -38,7 +38,7 @@ const (
 // knows the current size and fail mid-run.
 func replannable(kind string) bool {
 	switch gamma.KindName(kind) {
-	case "tree", "skip", "hash", "inthash", "columnar":
+	case "tree", "hash", "inthash", "columnar":
 		return true
 	}
 	return false

@@ -47,34 +47,34 @@ func intCols(n int) []tuple.Column {
 func TestPlanFromStatsHeuristics(t *testing.T) {
 	rs := planStats().
 		// Put-dominated, point-queried at prefix 2, all-int -> inthash:2.
-		addTable("Readings", intCols(5), "skip", 10000, 0, 24, 24, 48, 2).
+		addTable("Readings", intCols(5), "tree", 10000, 0, 24, 24, 48, 2).
 		// Query-dominated point probes -> generic hash at prefix 1.
-		addTable("Index", intCols(3), "skip", 1000, 0, 5000, 5000, 5000, 1).
+		addTable("Index", intCols(3), "tree", 1000, 0, 5000, 5000, 5000, 1).
 		// Mixed prefix depths (1..3): key at the MINIMUM, or the shallow
 		// queries would fall off the keyed path onto full scans.
-		addTable("Depths", intCols(3), "skip", 9000, 0, 100, 100, 200, 1).
+		addTable("Depths", intCols(3), "tree", 9000, 0, 100, 100, 200, 1).
 		// Dedup sink: no queries, mostly duplicates, all-int -> whole-row inthash.
-		addTable("Sink", intCols(2), "skip", 9000, 8900, 0, 0, 0, 0).
+		addTable("Sink", intCols(2), "tree", 9000, 8900, 0, 0, 0, 0).
 		// Dedup sink with a non-int column -> columnar (hash-map dedup).
 		addTable("StrSink", []tuple.Column{
 			{Name: "key", Kind: tuple.KindString},
-			{Name: "v", Kind: tuple.KindInt}}, "skip", 9000, 8900, 0, 0, 0, 0).
+			{Name: "v", Kind: tuple.KindInt}}, "tree", 9000, 8900, 0, 0, 0, 0).
 		// Append-mostly, never queried -> columnar.
 		addTable("Log", []tuple.Column{
-			{Name: "line", Kind: tuple.KindString}}, "skip", 5000, 0, 0, 0, 0, 0).
+			{Name: "line", Kind: tuple.KindString}}, "tree", 5000, 0, 0, 0, 0, 0).
 		// Point-queried but not all-int -> generic hash.
 		addTable("Names", []tuple.Column{
 			{Name: "id", Kind: tuple.KindInt},
-			{Name: "name", Kind: tuple.KindString}}, "skip", 2000, 0, 100, 100, 100, 1).
+			{Name: "name", Kind: tuple.KindString}}, "tree", 2000, 0, 100, 100, 100, 1).
 		// Mixed query shapes (some scans) -> no opinion.
-		addTable("Mixed", intCols(2), "skip", 5000, 0, 100, 50, 50, 1).
+		addTable("Mixed", intCols(2), "tree", 5000, 0, 100, 50, 50, 1).
 		// Below the volume floor -> no opinion.
-		addTable("Tiny", intCols(2), "skip", 10, 0, 5, 5, 5, 1).
+		addTable("Tiny", intCols(2), "tree", 10, 0, 5, 5, 5, 1).
 		// Specialised manual hint: omitted, so the program's GammaHint
 		// (which knows the current problem size) re-establishes it on
 		// replay instead of a stale frozen spec.
 		addTable("Matrix", intCols(4), "dense3d:3,96,96", 20000, 0, 0, 0, 0, 0)
-	rs.addTable("Ghost", intCols(1), "skip", 50000, 0, 0, 0, 0, 0)
+	rs.addTable("Ghost", intCols(1), "tree", 50000, 0, 0, 0, 0, 0)
 	rs.noGamma["Ghost"] = true // -noGamma: store never used, never planned
 
 	plan := rs.SuggestStorePlan()
@@ -102,7 +102,7 @@ func TestPlanFromStatsHeuristics(t *testing.T) {
 // TestPlanFromStatsBatchedFloor: heavy batching lowers the volume floor.
 func TestPlanFromStatsBatchedFloor(t *testing.T) {
 	rs := planStats().
-		addTable("Mid", intCols(2), "skip", 200, 0, 10, 10, 10, 1)
+		addTable("Mid", intCols(2), "tree", 200, 0, 10, 10, 10, 1)
 	if plan := rs.SuggestStorePlan(); len(plan) != 0 {
 		t.Fatalf("un-batched run planned %v below the floor", plan)
 	}
@@ -123,9 +123,12 @@ func TestValidateRejectsBadStorePlans(t *testing.T) {
 			[]string{"store plan for Nope: unknown table", "declared: A, B"}},
 		{gamma.StorePlan{"A": "btree"},
 			[]string{"store plan for A", `unknown store kind "btree"`,
-				"tree|skip|hash|inthash|columnar|arrayhash|dense3d|rolling"}},
-		{gamma.StorePlan{"A": "skip@1"},
-			[]string{"store plan for A", `unknown store kind "skip@1"`}},
+				"tree|hash|inthash|columnar|arrayhash|dense3d|rolling"}},
+		{gamma.StorePlan{"A": "skip"},
+			[]string{"store plan for A", `unknown store kind "skip"`,
+				"tree|hash|inthash|columnar|arrayhash|dense3d|rolling"}},
+		{gamma.StorePlan{"A": "tree@1"},
+			[]string{"store plan for A", `unknown store kind "tree@1"`}},
 		{gamma.StorePlan{"A": "@2"},
 			[]string{"store plan for A", `unknown store kind "@2"`}},
 		{gamma.StorePlan{"A": "hash:7"},

@@ -180,9 +180,10 @@ type Options struct {
 	// Strategy selects where firings run. The zero value Auto is the one to
 	// use: each step fires inline until its own clock proves it heavy, then
 	// fans out over the pool. Sequential never fans out — the paper's
-	// -sequential code generator: TreeMap/TreeSet structures and a
-	// single-threaded step loop, no pool. ForkJoin fans every multi-chunk
-	// step out (see package exec).
+	// -sequential code generator: a single-threaded step loop, no pool.
+	// ForkJoin fans every multi-chunk step out (see package exec). The
+	// strategy does not choose stores: every table defaults to the tree
+	// store under all three.
 	Strategy exec.Strategy
 	// Threads is the fork/join pool size (--threads=N). 0 means GOMAXPROCS;
 	// a run resolved to one thread has no pool and cannot fan out, whatever

@@ -84,7 +84,7 @@ type RunStats struct {
 	FannedSteps int64
 
 	// StoreKinds records the store backend backing each table — a
-	// replayable gamma kind spec ("skip", "hash:2", "dense3d:3,96,96",
+	// replayable gamma kind spec ("tree", "hash:2", "dense3d:3,96,96",
 	// "custom" for opaque factories). Set once when the run is built: a
 	// table keeps its store for the whole run. It is the "kind" column of
 	// cmd/jstar -stats and the planner's view of which choices it may
@@ -360,13 +360,10 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	// atomics); any new tree mutation reachable from putRun must preserve
 	// that disjointness.
 	r.delta = delta.NewSequential(p.po)
-	// A run that cannot fan out gets the cheaper tree stores instead of
-	// paying the concurrent skip-list tax for parallelism that cannot happen.
-	if r.pool == nil {
-		r.gammaDB = gamma.NewDB(gamma.NewTreeStore)
-	} else {
-		r.gammaDB = gamma.NewDB(gamma.NewSkipStore)
-	}
+	// Every table defaults to the tree store, pool or no pool: its one lock
+	// costs less than a concurrent structure's per-insert synchronisation,
+	// and the step boundary inserts each table's tuples as one locked run.
+	r.gammaDB = gamma.NewDB()
 	// Store selection is layered, lowest priority first: the compiler's
 	// static plan hints, then programmatic GammaHint factories, then the
 	// per-run Options.StorePlan (the profile-guided replay). Specs were

@@ -482,11 +482,23 @@ func (s *Session) Quiesce(ctx context.Context) error {
 // Results are point-in-time consistent when the session is quiesced;
 // during execution the stores are weakly consistent (reads are safe but
 // may interleave with inserts, like the Java concurrent collections).
+// The prefix's matches are collected before q.Where and fn see the first
+// of them, so no store lock is held while they run: fn may Put and
+// Quiesce, which waits on the coordinator's inserts.
 func (s *Session) Query(sch *tuple.Schema, q gamma.Query, fn func(*tuple.Tuple) bool) {
 	if st := s.run.tableStats(sch); st != nil {
 		st.noteQuery(len(q.Prefix))
 	}
-	s.run.gammaDB.Table(sch).Select(q, fn)
+	var found []*tuple.Tuple
+	s.run.gammaDB.Table(sch).Select(gamma.Query{Prefix: q.Prefix}, func(t *tuple.Tuple) bool {
+		found = append(found, t)
+		return true
+	})
+	for _, t := range found {
+		if (q.Where == nil || q.Where(t)) && !fn(t) {
+			return
+		}
+	}
 }
 
 // Snapshot returns a copy of table sch's current contents in store order.

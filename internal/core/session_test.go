@@ -547,3 +547,50 @@ func renderTable(t *testing.T, scan func(func(*tuple.Tuple) bool)) string {
 	})
 	return fmt.Sprint(rows)
 }
+
+// TestQueryCallbackMayPutAndQuiesce: Session.Query calls its callback on
+// a snapshot of the matches, with no store lock held, so the callback may
+// Put and then Quiesce, which waits for the coordinator to insert that put
+// into the very table being read. When the callback ran inside
+// Store.Select, the stores holding their read lock across the walk made
+// that Quiesce wait out its deadline, and a walk that saw inserts ahead of
+// it kept visiting the callback's own puts.
+func TestQueryCallbackMayPutAndQuiesce(t *testing.T) {
+	_, _, accSchema := accProgram(0)
+	for _, spec := range kindSpecs(t, accSchema) {
+		for _, strat := range []exec.Strategy{exec.Sequential, exec.Auto} {
+			t.Run(spec+"/"+strat.String(), func(t *testing.T) {
+				p, _, acc := accProgram(64) // 8 rows per key
+				s, err := p.Start(context.Background(), Options{Strategy: strat,
+					StorePlan: gamma.StorePlan{"Acc": spec}, Quiet: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if err := s.Quiesce(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				visited := 0
+				var cbErr error
+				s.Query(acc, gamma.Query{Prefix: []tuple.Value{tuple.Int(3)}}, func(a *tuple.Tuple) bool {
+					visited++
+					if cbErr = s.Put(tuple.New(acc, a.Get("k"), tuple.Int(a.Int("v")+1000))); cbErr == nil {
+						cbErr = s.Quiesce(ctx)
+					}
+					return cbErr == nil
+				})
+				if cbErr != nil {
+					t.Fatalf("Put then Quiesce inside the Query callback: %v", cbErr)
+				}
+				if visited != 8 {
+					t.Errorf("callback saw %d tuples, want the 8 present before its puts", visited)
+				}
+				if got := len(s.Snapshot(acc)); got != 64+8 {
+					t.Errorf("Acc holds %d tuples, want %d", got, 64+8)
+				}
+			})
+		}
+	}
+}

@@ -171,7 +171,7 @@ func TestStorePlanEquivalence(t *testing.T) {
 	if len(baseline) != 5 {
 		t.Fatalf("baseline B has %d tuples, want 5", len(baseline))
 	}
-	for _, spec := range []string{"tree", "skip", "hash:1", "inthash:1", "columnar"} {
+	for _, spec := range []string{"tree", "hash:1", "inthash:1", "columnar"} {
 		got := collect(gamma.StorePlan{"A": spec, "B": spec})
 		if len(got) != len(baseline) {
 			t.Errorf("plan %q: %d B tuples, want %d", spec, len(got), len(baseline))

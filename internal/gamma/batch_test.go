@@ -21,16 +21,13 @@ func batchTestSchema() *tuple.Schema {
 		[]tuple.OrderEntry{tuple.Lit("T")})
 }
 
-// batchFactories names the two ordered stores, the backends with a
-// sorted-run InsertBatch path.
+// batchFactories names the ordered store, the backend with a sorted-run
+// InsertBatch path.
 func batchFactories() map[string]StoreFactory {
-	return map[string]StoreFactory{
-		"tree": NewTreeStore,
-		"skip": NewSkipStore,
-	}
+	return map[string]StoreFactory{"tree": NewTreeStore}
 }
 
-// TestInsertBatchSortedRunMatchesInsert: on the two ordered stores, feeding
+// TestInsertBatchSortedRunMatchesInsert: on the ordered store, feeding
 // InsertBatch ascending runs — the shape the step boundary delivers, here
 // with duplicates inside a run and against the stored set, small runs into
 // a large store and a large run into an empty one, plus the odd unsorted
@@ -38,7 +35,7 @@ func batchFactories() map[string]StoreFactory {
 // Insert, and leave a store whose Scan is identical.
 func TestInsertBatchSortedRunMatchesInsert(t *testing.T) {
 	byFields := func(a, b *tuple.Tuple) int { return a.CompareFields(b) }
-	for _, name := range []string{"skip", "tree"} {
+	for _, name := range []string{"tree"} {
 		factory := batchFactories()[name]
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 40; seed++ {
@@ -101,7 +98,7 @@ func scanAll(st Store) []*tuple.Tuple {
 // -race; the reader additionally checks that every prefix Select it makes
 // sees an ascending, prefix-pure range.
 func TestInsertBatchUnderConcurrentSelect(t *testing.T) {
-	for _, name := range []string{"skip", "tree"} {
+	for _, name := range []string{"tree"} {
 		factory := batchFactories()[name]
 		t.Run(name, func(t *testing.T) {
 			s := batchTestSchema()

@@ -38,7 +38,7 @@ func TestFloatDedupIsStoreIndependent(t *testing.T) {
 			return len(delta.MergeRuns([][]*tuple.Tuple{{ts[0], ts[2]}, {ts[1], ts[3]}}, nil, nil))
 		},
 	}
-	for _, spec := range []string{"tree", "skip", "hash:1", "hash:2", "columnar"} {
+	for _, spec := range []string{"tree", "hash:1", "hash:2", "columnar"} {
 		kept[spec] = func() int {
 			factory, err := FactoryFor(spec, s)
 			if err != nil {

@@ -5,14 +5,13 @@
 //
 //   - Store is the per-table storage contract (Insert/Len/Select/Scan, with
 //     the optional BatchStore fast path for the engine's batched puts).
-//     Eight implementations ship: the NavigableSet
-//     defaults (tree for sequential code, skip list for parallel code,
-//     ordered by all fields so queries over any ordered subset traverse
-//     only that subset), a sharded hash index and the array-of-hashsets of
-//     §6.2 (one hash-bucket implementation, hashShard), the dense native
-//     arrays of §6.4, the rolling two-iteration array of §6.6, plus a
-//     compressed append-only columnar store and an int-specialised
-//     open-addressing store.
+//     Seven implementations ship: the NavigableSet default (a B-tree for
+//     sequential and parallel code alike, ordered by all fields so a query
+//     on any prefix of the columns traverses only its range), a sharded
+//     hash index and the array-of-hashsets of §6.2 (one hash-bucket
+//     implementation, hashShard), the dense native arrays of §6.4, the
+//     rolling two-iteration array of §6.6, plus a compressed append-only
+//     columnar store and an int-specialised open-addressing store.
 //   - StoreFactory builds a Store for a schema — the paper's stage-4
 //     data-structure hint, overridden per table through DB.SetStore (the
 //     factory-method seam the paper describes overriding manually).
@@ -29,8 +28,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/jstar-lang/jstar/internal/llrb"
-	"github.com/jstar-lang/jstar/internal/skiplist"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
@@ -75,71 +72,6 @@ type Store interface {
 
 // StoreFactory builds a store for a schema; the per-table compiler hint.
 type StoreFactory func(s *tuple.Schema) Store
-
-// --- Default NavigableSet store -------------------------------------------
-
-// navSeqStore is the sequential default (TreeSet analogue).
-type navSeqStore struct {
-	mu sync.RWMutex // sequential programs never contend; cheap insurance
-	t  *llrb.Tree[*tuple.Tuple]
-}
-
-// NewTreeStore returns the sequential NavigableSet store for s.
-func NewTreeStore(s *tuple.Schema) Store {
-	return &navSeqStore{t: llrb.New(func(a, b *tuple.Tuple) int { return a.CompareFields(b) })}
-}
-
-func (st *navSeqStore) StoreKind() string { return "tree" }
-
-func (st *navSeqStore) Insert(t *tuple.Tuple) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.t.Insert(t)
-}
-
-func (st *navSeqStore) Len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.t.Len()
-}
-
-func (st *navSeqStore) Scan(fn func(*tuple.Tuple) bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	st.t.Ascend(fn)
-}
-
-func (st *navSeqStore) Select(q Query, fn func(*tuple.Tuple) bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	st.t.AscendRange(
-		func(t *tuple.Tuple) int { return t.ComparePrefix(q.Prefix) },
-		func(t *tuple.Tuple) bool { return !q.whereOK(t) || fn(t) })
-}
-
-// navConcStore is the parallel default (ConcurrentSkipListSet analogue).
-type navConcStore struct {
-	l *skiplist.List[*tuple.Tuple]
-}
-
-// NewSkipStore returns the concurrent NavigableSet store for s.
-func NewSkipStore(s *tuple.Schema) Store {
-	return &navConcStore{l: skiplist.New(func(a, b *tuple.Tuple) int { return a.CompareFields(b) })}
-}
-
-func (st *navConcStore) StoreKind() string { return "skip" }
-
-func (st *navConcStore) Insert(t *tuple.Tuple) bool { return st.l.Insert(t) }
-func (st *navConcStore) Len() int                   { return st.l.Len() }
-func (st *navConcStore) Scan(fn func(*tuple.Tuple) bool) {
-	st.l.Ascend(fn)
-}
-
-func (st *navConcStore) Select(q Query, fn func(*tuple.Tuple) bool) {
-	st.l.AscendRange(
-		func(t *tuple.Tuple) int { return t.ComparePrefix(q.Prefix) },
-		func(t *tuple.Tuple) bool { return !q.whereOK(t) || fn(t) })
-}
 
 // --- Hash index stores -----------------------------------------------------
 
@@ -355,35 +287,6 @@ func InsertBatch(st Store, ts []*tuple.Tuple, live []*tuple.Tuple) []*tuple.Tupl
 	return live
 }
 
-// InsertBatch takes the tree lock once for the whole run of tuples instead
-// of once per tuple — the Gamma half of the engine's batched put path.
-func (st *navSeqStore) InsertBatch(ts []*tuple.Tuple, live []*tuple.Tuple) []*tuple.Tuple {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, t := range ts {
-		if st.t.Insert(t) {
-			live = append(live, t)
-		}
-	}
-	return live
-}
-
-// InsertBatch inserts through a finger: each tuple's search resumes where
-// the previous one landed, so the ascending run the step boundary delivers
-// costs one descent for its first tuple and a short walk for each of the
-// rest. Out-of-order tuples fall back to the per-tuple descent inside
-// InsertAfter; concurrent Select readers and -noDelta inserters see the
-// same protocol as Insert.
-func (st *navConcStore) InsertBatch(ts []*tuple.Tuple, live []*tuple.Tuple) []*tuple.Tuple {
-	var f skiplist.Finger[*tuple.Tuple]
-	for _, t := range ts {
-		if st.l.InsertAfter(&f, t) {
-			live = append(live, t)
-		}
-	}
-	return live
-}
-
 // denseEntry pairs a registered schema with its store for the lock-free
 // DB.Table fast path. Both are written once, in Register, and only read
 // afterwards.
@@ -403,18 +306,24 @@ type DB struct {
 	dense    []denseEntry // immutable after Register
 	mu       sync.RWMutex
 	stores   map[*tuple.Schema]Store
-	factory  StoreFactory            // default factory
 	override map[string]StoreFactory // per-table compiler hints
 }
 
-// NewDB returns a Gamma database whose default per-table store is built by
-// factory (NewTreeStore for sequential programs, NewSkipStore for parallel).
-func NewDB(factory StoreFactory) *DB {
+// NewDB returns a Gamma database. Every table gets the ordered tree store
+// unless SetStore names another.
+func NewDB() *DB {
 	return &DB{
 		stores:   make(map[*tuple.Schema]Store),
-		factory:  factory,
 		override: make(map[string]StoreFactory),
 	}
+}
+
+// build makes s's store: its SetStore hint, else the tree.
+func (db *DB) build(s *tuple.Schema) Store {
+	if f, ok := db.override[s.Name]; ok {
+		return f(s)
+	}
+	return NewTreeStore(s)
 }
 
 // SetStore installs a per-table store factory (a data-structure hint,
@@ -454,11 +363,7 @@ func (db *DB) Register(schemas []*tuple.Schema) {
 	}
 	db.dense = make([]denseEntry, max+1)
 	for _, s := range schemas {
-		f := db.factory
-		if of, ok := db.override[s.Name]; ok {
-			f = of
-		}
-		db.dense[s.ID()] = denseEntry{schema: s, store: f(s)}
+		db.dense[s.ID()] = denseEntry{schema: s, store: db.build(s)}
 	}
 }
 
@@ -478,11 +383,7 @@ func (db *DB) Table(s *tuple.Schema) Store {
 	if st, ok = db.stores[s]; ok {
 		return st
 	}
-	f := db.factory
-	if of, ok := db.override[s.Name]; ok {
-		f = of
-	}
-	st = f(s)
+	st = db.build(s)
 	db.stores[s] = st
 	return st
 }

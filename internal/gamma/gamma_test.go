@@ -29,7 +29,6 @@ func allStores(t *testing.T, fn func(t *testing.T, st Store)) {
 	s := pvSchema()
 	factories := map[string]StoreFactory{
 		"tree":     NewTreeStore,
-		"skip":     NewSkipStore,
 		"hash2":    NewHashStore(2),
 		"arrayhsh": NewArrayOfHashSets(1, 1, 12), // month column, range 1..12
 		"columnar": NewColumnarStore,
@@ -206,7 +205,7 @@ func TestArrayOfHashSetsOutOfRangePanics(t *testing.T) {
 
 func TestDBFactoryAndOverride(t *testing.T) {
 	s := pvSchema()
-	db := NewDB(NewTreeStore)
+	db := NewDB()
 	db.SetStore("PvWatts", NewHashStore(2))
 	st := db.Table(s)
 	if _, ok := st.(*hashStore); !ok {
@@ -216,8 +215,8 @@ func TestDBFactoryAndOverride(t *testing.T) {
 		t.Error("Table must be idempotent")
 	}
 	other := tuple.MustSchema("Other", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
-	if _, ok := db.Table(other).(*navSeqStore); !ok {
-		t.Error("default factory not used for unoverridden tables")
+	if _, ok := db.Table(other).(*treeStore); !ok {
+		t.Error("tree store not used for unoverridden tables")
 	}
 	db.Insert(pv(s, 2000, 1, 1, 1))
 	db.Insert(tuple.New(other, tuple.Int(1)))
@@ -233,7 +232,7 @@ func TestDBFactoryAndOverride(t *testing.T) {
 func TestSetStoreAfterRegisterFails(t *testing.T) {
 	s := pvSchema()
 	s.SetID(0)
-	db := NewDB(NewTreeStore)
+	db := NewDB()
 	db.Register([]*tuple.Schema{s})
 	for i := int64(0); i < 300; i++ {
 		db.Insert(pv(s, 2000, 1+i%12, 1+i%28, i))
@@ -266,12 +265,12 @@ func TestSetStoreAfterRegisterFails(t *testing.T) {
 	}
 
 	// Pre-Register calls stay hint-only and error-free.
-	db2 := NewDB(NewTreeStore)
-	if err := db2.SetStore("PvWatts", NewSkipStore); err != nil {
+	db2 := NewDB()
+	if err := db2.SetStore("PvWatts", NewColumnarStore); err != nil {
 		t.Fatalf("SetStore before Register: %v", err)
 	}
 	db2.Register([]*tuple.Schema{s})
-	if kind := KindOf(db2.Table(s)); kind != "skip" {
+	if kind := KindOf(db2.Table(s)); kind != "columnar" {
 		t.Fatalf("pre-Register hint not applied: kind = %s", kind)
 	}
 }
@@ -464,19 +463,6 @@ func BenchmarkTreeStoreInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st.Insert(pv(s, int64(i%3+2000), int64(i%12+1), int64(i), int64(i)))
 	}
-}
-
-func BenchmarkSkipStoreInsertParallel(b *testing.B) {
-	s := pvSchema()
-	st := NewSkipStore(s)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int64(0)
-		for pb.Next() {
-			st.Insert(pv(s, i%3+2000, i%12+1, i*7919, i))
-			i++
-		}
-	})
 }
 
 func BenchmarkHashStoreSelect(b *testing.B) {

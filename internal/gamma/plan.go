@@ -39,7 +39,7 @@ func (p StorePlan) Clone() StorePlan {
 // mirroring exec.StrategyNames, so command-line tools and validation
 // errors build the legal set from exactly one place.
 func StoreKinds() []string {
-	return []string{"tree", "skip", "hash", "inthash", "columnar", "arrayhash", "dense3d", "rolling"}
+	return []string{"tree", "hash", "inthash", "columnar", "arrayhash", "dense3d", "rolling"}
 }
 
 // KindName returns the kind name of a spec without its parameters
@@ -55,7 +55,7 @@ func KindName(spec string) string {
 // parameters) built a store, in replayable spec syntax.
 type kindNamer interface{ StoreKind() string }
 
-// KindOf reports the kind spec of a store ("skip", "hash:2",
+// KindOf reports the kind spec of a store ("tree", "hash:2",
 // "dense3d:3,96,96", ...), or "custom" for stores from outside this
 // package. For every store built by FactoryFor, FactoryFor(KindOf(st), s)
 // rebuilds an equivalent store — the property saved plans rely on.
@@ -102,8 +102,7 @@ func AllIntColumns(s *tuple.Schema) bool {
 // rejected before any run is built. The spec syntax is "kind" or
 // "kind:p1,p2,...":
 //
-//	tree                 sequential NavigableSet (red-black tree)
-//	skip                 concurrent NavigableSet (skip list)
+//	tree                 NavigableSet (B-tree), the default
 //	hash[:k]             hash index on the first k columns (default 1)
 //	inthash[:k]          int-specialised open-addressing store keyed on the
 //	                     first k int columns (default: the primary-key
@@ -132,11 +131,6 @@ func FactoryFor(spec string, s *tuple.Schema) (StoreFactory, error) {
 			return bad("takes no parameters")
 		}
 		return NewTreeStore, nil
-	case "skip":
-		if len(args) != 0 {
-			return bad("takes no parameters")
-		}
-		return NewSkipStore, nil
 	case "hash":
 		k := int64(1)
 		if len(args) > 1 {

@@ -16,7 +16,6 @@ func TestFactoryForResolvesEveryKind(t *testing.T) {
 		want string // expected KindOf of the built store
 	}{
 		{"tree", pv, "tree"},
-		{"skip", pv, "skip"},
 		{"hash", pv, "hash:1"},
 		{"hash:2", pv, "hash:2"},
 		{"inthash", pv, "inthash:1"},
@@ -43,7 +42,7 @@ func TestFactoryForResolvesEveryKind(t *testing.T) {
 func TestFactoryForKindOfRoundTrip(t *testing.T) {
 	s := pvSchema()
 	for _, f := range []StoreFactory{
-		NewTreeStore, NewSkipStore, NewHashStore(2), NewIntHashStore(2),
+		NewTreeStore, NewHashStore(2), NewIntHashStore(2),
 		NewColumnarStore, NewArrayOfHashSets(1, 1, 12),
 	} {
 		spec := KindOf(f(s))
@@ -67,12 +66,12 @@ func TestFactoryForRejections(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"btree", pv, "unknown store kind"},
-		{"btree", pv, "tree|skip|hash|inthash|columnar|arrayhash|dense3d|rolling"},
-		{"skip@1", pv, "unknown store kind"}, // the deleted owner-shard suffix is no syntax at all
+		{"btree", pv, "tree|hash|inthash|columnar|arrayhash|dense3d|rolling"},
+		{"skip", pv, "unknown store kind"},   // not a kind: "tree" is the one ordered store
+		{"tree@1", pv, "unknown store kind"}, // the deleted owner-shard suffix is no syntax at all
 		{"@2", pv, "unknown store kind"},
 		{"hash:2@1", pv, "not an integer"},
 		{"tree:2", pv, "no parameters"}, // a typo'd "hash:2" must not silently run unindexed
-		{"skip:1", pv, "no parameters"},
 		{"hash:0", pv, "out of range"},
 		{"hash:9", pv, "out of range"},
 		{"hash:x", pv, "not an integer"},
@@ -100,8 +99,8 @@ func TestKindNameAndKinds(t *testing.T) {
 		t.Error("KindName must strip parameters")
 	}
 	kinds := StoreKinds()
-	if len(kinds) != 8 {
-		t.Errorf("StoreKinds lists %d kinds, want 8", len(kinds))
+	if len(kinds) != 7 {
+		t.Errorf("StoreKinds lists %d kinds, want 7", len(kinds))
 	}
 	for _, k := range kinds {
 		if _, err := FactoryFor(k, pvSchema()); err != nil && KindName(k) == k &&

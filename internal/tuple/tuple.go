@@ -244,6 +244,12 @@ func CompareSchemaFields(a, b *Tuple) int {
 		}
 		return 1
 	}
+	return compareSchemaFieldsTied(a, b)
+}
+
+// compareSchemaFieldsTied is CompareSchemaFields once the keys tie, out of
+// line so that the key compare inlines into its callers.
+func compareSchemaFieldsTied(a, b *Tuple) int {
 	if a.schema != b.schema {
 		if c := compareSchemas(a.schema, b.schema); c != 0 {
 			return c

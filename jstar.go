@@ -280,10 +280,10 @@ func Where(pred func(*Tuple) bool, prefix ...Value) Query {
 
 // Gamma data-structure hints (paper stage 4).
 var (
-	// TreeStore is the sequential NavigableSet default (TreeSet).
+	// TreeStore is the NavigableSet default: a B-tree ordered by all
+	// fields, standing in for both the paper's TreeSet and its
+	// ConcurrentSkipListSet.
 	TreeStore StoreFactory = gamma.NewTreeStore
-	// SkipStore is the parallel NavigableSet default (ConcurrentSkipListSet).
-	SkipStore StoreFactory = gamma.NewSkipStore
 )
 
 // HashStore hashes on the first k columns (point queries in O(1)).
@@ -301,7 +301,7 @@ func IntHashStore(k int) StoreFactory { return gamma.NewIntHashStore(k) }
 var ColumnarStore StoreFactory = gamma.NewColumnarStore
 
 // StoreKinds lists the legal named store kinds accepted by
-// Options.StorePlan ("tree", "skip", "hash", "inthash", "columnar",
+// Options.StorePlan ("tree", "hash", "inthash", "columnar",
 // "arrayhash", "dense3d", "rolling"; see gamma.FactoryFor for parameter
 // syntax).
 func StoreKinds() []string { return gamma.StoreKinds() }
