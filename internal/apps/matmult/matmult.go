@@ -100,7 +100,7 @@ func RunJStar(opts RunOpts) (*Result, error) {
 	})
 
 	// foreach (RowReq row): nested loop with a summation reducer.
-	dotProducts := p.Rule("dotProducts", rowReq, func(c *core.Ctx, t *tuple.Tuple) {
+	p.Rule("dotProducts", rowReq, func(c *core.Ctx, t *tuple.Tuple) {
 		row := t.Int("row")
 		store := c.GammaTable(mat).(*gamma.Dense3D)
 		if opts.Boxed {
@@ -135,28 +135,6 @@ func RunJStar(opts RunOpts) (*Result, error) {
 			store.SetInt(MatC, row, col, sum.Result())
 		}
 	})
-	if !opts.Boxed {
-		// Batch body: one store downcast and one pair of operand-plane views
-		// per chunk of RowReq firings instead of per row — the vectorisable
-		// inner loop the batched dispatch path exists for. Boxed mode keeps
-		// the per-tuple body only: it exists to reproduce §6.1's slow path.
-		dotProducts.BatchBody = func(c *core.Ctx, ts []*tuple.Tuple) {
-			store := c.GammaTable(mat).(*gamma.Dense3D)
-			pa := store.Plane(MatA)
-			pb := store.Plane(MatB)
-			for _, t := range ts {
-				c.Bind(t)
-				row := t.Int("row")
-				for col := int64(0); col < int64(n); col++ {
-					sum := &reduce.SumInt{}
-					for k := int64(0); k < int64(n); k++ {
-						sum.Add(pa[row*int64(n)+k] * pb[k*int64(n)+col])
-					}
-					store.SetInt(MatC, row, col, sum.Result())
-				}
-			}
-		}
-	}
 
 	a, b := Inputs(n, opts.Seed)
 	// Load the operand matrices as initial tuples. -noDelta Matrix: they

@@ -215,21 +215,12 @@ func Program(csv []byte, opts RunOpts) (*core.Program, *core.Options, func(*core
 	})
 
 	// foreach (PvWatts pv) { put new SumMonth(pv.year, pv.month); }
-	monthly := p.Rule("monthly", pv, func(c *core.Ctx, t *tuple.Tuple) {
+	p.Rule("monthly", pv, func(c *core.Ctx, t *tuple.Tuple) {
 		c.PutNew(sum, t.Get("year"), t.Get("month"))
 	})
-	// Batch body: without -noDelta every PvWatts reading flows through the
-	// Delta set and fires here in huge step batches; one Ctx and one
-	// dispatch per chunk replaces one of each per reading.
-	monthly.BatchBody = func(c *core.Ctx, ts []*tuple.Tuple) {
-		for _, t := range ts {
-			c.Bind(t)
-			c.PutNew(sum, t.Get("year"), t.Get("month"))
-		}
-	}
 
 	// foreach (SumMonth s) { Statistics over get PvWatts(s.year, s.month) }
-	reduceRule := p.Rule("reduce", sum, func(c *core.Ctx, s *tuple.Tuple) {
+	p.Rule("reduce", sum, func(c *core.Ctx, s *tuple.Tuple) {
 		q := gamma.Query{Prefix: []tuple.Value{s.Get("year"), s.Get("month")}}
 		var stats *reduce.Statistics
 		pool, havePool := c.Pool().(*forkjoin.Pool)
@@ -251,28 +242,6 @@ func Program(csv []byte, opts RunOpts) (*core.Program, *core.Options, func(*core
 		}
 		c.PutNew(res, s.Get("year"), s.Get("month"), tuple.Float(stats.Mean()))
 	})
-	if !opts.ParallelReduce {
-		// Batch body: a chunk of SumMonth firings issues its probes of the
-		// PvWatts store as one ForEachBatch — one dispatch and one
-		// statistics update per chunk. ParallelReduce keeps the
-		// per-tuple body: it fans each reducer loop out across the pool.
-		reduceRule.BatchBody = func(c *core.Ctx, ts []*tuple.Tuple) {
-			qs := make([]gamma.Query, len(ts))
-			accs := make([]*reduce.Statistics, len(ts))
-			for i, s := range ts {
-				qs[i] = gamma.Query{Prefix: []tuple.Value{s.Get("year"), s.Get("month")}}
-				accs[i] = reduce.NewStatistics()
-			}
-			c.ForEachBatch(pv, qs, ts, func(qi int, r *tuple.Tuple) bool {
-				accs[qi].Add(float64(r.Int("power")))
-				return true
-			})
-			for i, s := range ts {
-				c.Bind(s)
-				c.PutNew(res, s.Get("year"), s.Get("month"), tuple.Float(accs[i].Mean()))
-			}
-		}
-	}
 
 	p.Put(tuple.New(req, tuple.String_("large1000.csv")))
 

@@ -18,9 +18,8 @@ import (
 // Put and PutNew may additionally be called from the rule's own pool.For
 // workers (§5.2's loop parallelism inside a rule — what pvwatts' -noDelta
 // reader does); they touch only the slot's locked put buffer. Every query
-// method (ForEach, ForEachBatch, GetUniq, Exists, Count, GetMin, SumInt) and
-// Bind use the Ctx's unsynchronised scratch and must stay on the firing
-// goroutine.
+// method (ForEach, GetUniq, Exists, Count, GetMin, SumInt) uses the Ctx's
+// unsynchronised scratch and must stay on the firing goroutine.
 type Ctx struct {
 	run     *Run
 	rule    *Rule
@@ -41,12 +40,6 @@ type Ctx struct {
 
 // Trigger returns the tuple that fired this rule (nil for initial puts).
 func (c *Ctx) Trigger() *tuple.Tuple { return c.trigger }
-
-// Bind sets the trigger tuple that subsequent Puts are attributed to and
-// causality-checked against. Rule batch bodies (Rule.BatchBody) call it as
-// they move through their chunk, since one Ctx now spans many logical
-// firings; per-tuple bodies never need it (the engine binds for them).
-func (c *Ctx) Bind(t *tuple.Tuple) { c.trigger = t }
 
 // Put adds a new tuple to the database: it is appended to this worker's
 // put buffer and flushed into the Delta set as part of the step-boundary
@@ -125,47 +118,6 @@ const allMatches = math.MaxInt / 2
 func (c *Ctx) ForEach(s *tuple.Schema, q gamma.Query, fn func(t *tuple.Tuple) bool) {
 	c.run.tableStats(s).noteQuery(len(q.Prefix))
 	c.visit(s, q.Prefix, q.Where, allMatches, fn)
-}
-
-// ForEachBatch runs a sequence of positive queries against table s — the
-// read-side counterpart of the batched firing path, used by rule batch
-// bodies so a chunk of firings issues its probes in one call. fn is called
-// with the query index and each of that query's matches, per query in index
-// order; returning false stops that query's iteration only.
-//
-// triggers, when non-nil, must hold one trigger tuple per query: each
-// query's results are then causality-checked against — and Puts made from
-// fn attributed to — its own trigger, exactly as if the queries had run in
-// separate firings. Table query statistics count len(qs) queries in one
-// update.
-func (c *Ctx) ForEachBatch(s *tuple.Schema, qs []gamma.Query, triggers []*tuple.Tuple, fn func(qi int, t *tuple.Tuple) bool) {
-	if len(qs) == 0 {
-		return
-	}
-	if triggers != nil && len(triggers) != len(qs) {
-		panic(fmt.Sprintf("jstar: ForEachBatch on %s: %d triggers for %d queries", s.Name, len(triggers), len(qs)))
-	}
-	st := c.run.tableStats(s)
-	st.Queries.Add(int64(len(qs)))
-	var indexed, plen, min int64
-	for i := range qs {
-		if n := int64(len(qs[i].Prefix)); n > 0 {
-			indexed++
-			plen += n
-			if min == 0 || n < min {
-				min = n
-			}
-		}
-	}
-	if indexed > 0 {
-		st.noteIndexed(indexed, plen, min)
-	}
-	for i := range qs {
-		if triggers != nil {
-			c.trigger = triggers[i]
-		}
-		c.visit(s, qs[i].Prefix, qs[i].Where, allMatches, func(t *tuple.Tuple) bool { return fn(i, t) })
-	}
 }
 
 // GetUniq returns the unique tuple matching q, or nil — `get uniq? T(...)`.

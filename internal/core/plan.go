@@ -20,9 +20,10 @@ const (
 	// the planner leaves them on the strategy default.
 	planMinPuts = 256
 	// planBatchedMinPuts replaces the floor when dispatch ran heavily
-	// batched (mean fire chunk >= planBatchedChunk): batched probe
-	// sequences amortise a specialised backend's wins over whole chunks,
-	// so smaller tables already profit from a switch.
+	// batched (mean fire chunk >= planBatchedChunk): a chunk's firings
+	// probe the store back to back, which amortises a specialised
+	// backend's wins over whole chunks, so smaller tables already profit
+	// from a switch.
 	planBatchedMinPuts = 128
 	planBatchedChunk   = 64
 )

@@ -37,18 +37,6 @@ type Rule struct {
 	Name    string
 	Trigger *tuple.Schema
 	Body    func(c *Ctx, t *tuple.Tuple)
-	// BatchBody, when non-nil, fires the rule for a whole chunk of trigger
-	// tuples in one invocation — the batch-aware fast path vectorisable
-	// rules (matmult inner loops, single-indexed-lookup reducers) provide
-	// so per-tuple dispatch, context setup and Gamma point probes are
-	// amortised over the chunk. It must be semantically equivalent to
-	// calling Body once per tuple: the engine is free to use either (the
-	// batched step path prefers BatchBody; the -noDelta inline path and
-	// single-tuple fallbacks use Body). Implementations that Put should
-	// call c.Bind(t) as they move through the chunk so causality checks
-	// and dataflow attribution stay per-trigger, and can route grouped
-	// point queries through Ctx.ForEachBatch.
-	BatchBody func(c *Ctx, ts []*tuple.Tuple)
 }
 
 // Program is an immutable-after-setup JStar program definition.

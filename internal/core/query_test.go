@@ -59,55 +59,47 @@ func TestPutIntoIteratedTable(t *testing.T) {
 	_, _, accSchema := accProgram(0)
 	for _, spec := range kindSpecs(t, accSchema) {
 		for _, strat := range []exec.Strategy{exec.Sequential, exec.Auto} {
-			for _, form := range []string{"ForEach", "ForEachBatch"} {
-				for _, prefix := range [][]tuple.Value{{tuple.Int(3)}, nil} {
-					name := fmt.Sprintf("%s/%s/%s/prefix%d", spec, strat, form, len(prefix))
-					t.Run(name, func(t *testing.T) {
-						const rows = 64
-						p, goT, acc := accProgram(rows)
-						visited := 0
-						p.Rule("grow", goT, func(c *Ctx, _ *tuple.Tuple) {
-							visit := func(a *tuple.Tuple) bool {
-								visited++
-								c.PutNew(acc, a.Get("k"), tuple.Int(a.Int("v")+1000))
-								return true
-							}
-							if form == "ForEach" {
-								c.ForEach(acc, gamma.Query{Prefix: prefix}, visit)
-							} else {
-								c.ForEachBatch(acc, []gamma.Query{{Prefix: prefix}}, nil,
-									func(_ int, a *tuple.Tuple) bool { return visit(a) })
-							}
+			for _, prefix := range [][]tuple.Value{{tuple.Int(3)}, nil} {
+				name := fmt.Sprintf("%s/%s/ForEach/prefix%d", spec, strat, len(prefix))
+				t.Run(name, func(t *testing.T) {
+					const rows = 64
+					p, goT, acc := accProgram(rows)
+					visited := 0
+					p.Rule("grow", goT, func(c *Ctx, _ *tuple.Tuple) {
+						c.ForEach(acc, gamma.Query{Prefix: prefix}, func(a *tuple.Tuple) bool {
+							visited++
+							c.PutNew(acc, a.Get("k"), tuple.Int(a.Int("v")+1000))
+							return true
 						})
-						p.Put(tuple.New(goT, tuple.Int(0)))
-						done := make(chan error, 1)
-						var run *Run
-						go func() {
-							var err error
-							run, err = p.Execute(Options{Strategy: strat, NoDelta: []string{"Acc"},
-								StorePlan: gamma.StorePlan{"Acc": spec}, Quiet: true})
-							done <- err
-						}()
-						select {
-						case err := <-done:
-							if err != nil {
-								t.Fatal(err)
-							}
-						case <-time.After(20 * time.Second):
-							t.Fatal("deadlock: the run did not finish (visitor's put waits on the iterated store's lock)")
-						}
-						want := rows
-						if prefix != nil {
-							want = rows / 8
-						}
-						if visited != want {
-							t.Errorf("visitor saw %d tuples, want the %d present before its puts", visited, want)
-						}
-						if got := run.Gamma().Table(acc).Len(); got != rows+want {
-							t.Errorf("Acc holds %d tuples, want %d", got, rows+want)
-						}
 					})
-				}
+					p.Put(tuple.New(goT, tuple.Int(0)))
+					done := make(chan error, 1)
+					var run *Run
+					go func() {
+						var err error
+						run, err = p.Execute(Options{Strategy: strat, NoDelta: []string{"Acc"},
+							StorePlan: gamma.StorePlan{"Acc": spec}, Quiet: true})
+						done <- err
+					}()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatal(err)
+						}
+					case <-time.After(20 * time.Second):
+						t.Fatal("deadlock: the run did not finish (visitor's put waits on the iterated store's lock)")
+					}
+					want := rows
+					if prefix != nil {
+						want = rows / 8
+					}
+					if visited != want {
+						t.Errorf("visitor saw %d tuples, want the %d present before its puts", visited, want)
+					}
+					if got := run.Gamma().Table(acc).Len(); got != rows+want {
+						t.Errorf("Acc holds %d tuples, want %d", got, rows+want)
+					}
+				})
 			}
 		}
 	}

@@ -43,17 +43,10 @@ type TableStats struct {
 func (t *TableStats) noteQuery(n int) {
 	t.Queries.Add(1)
 	if n > 0 {
-		t.noteIndexed(1, int64(n), int64(n))
+		t.IndexedQueries.Add(1)
+		t.PrefixLenSum.Add(int64(n))
+		casMin(&t.MinPrefixLen, int64(n))
 	}
-}
-
-// noteIndexed folds a batch of indexed-query observations (count, total
-// prefix length, smallest prefix length) into the counters with one update
-// each plus a CAS-min.
-func (t *TableStats) noteIndexed(indexed, plen, min int64) {
-	t.IndexedQueries.Add(indexed)
-	t.PrefixLenSum.Add(plen)
-	casMin(&t.MinPrefixLen, min)
 }
 
 func casMin(a *atomic.Int64, min int64) {
@@ -864,8 +857,7 @@ func (r *Run) runActions(batch []*tuple.Tuple) {
 // under slot — the batch-first dispatch path behind exec.Host.FireBatch.
 // The chunk arrives sorted by schema (BeginStep's ordering), so it splits
 // into schema-homogeneous runs; each run pays its rulesByID/statsByID
-// lookups, Triggers/TotalFired accounting and Ctx setup once, and rules
-// that provide a BatchBody receive the whole run in one invocation.
+// lookups, Triggers/TotalFired accounting and Ctx setup once.
 func (r *Run) fireBatch(ts []*tuple.Tuple, slot int) {
 	if len(ts) == 0 {
 		return
@@ -898,9 +890,8 @@ func (r *Run) fireBatch(ts []*tuple.Tuple, slot int) {
 }
 
 // invokeGroup fires one rule over a schema-homogeneous group of triggers,
-// through its BatchBody when it has one, else tuple by tuple. One recover
-// guards the group: a rule panic fails the run, so finishing the group's
-// remaining tuples would be wasted work.
+// tuple by tuple. One recover guards the group: a rule panic fails the
+// run, so finishing the group's remaining tuples would be wasted work.
 func (r *Run) invokeGroup(ctx *Ctx, rule *Rule, ts []*tuple.Tuple) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -910,14 +901,9 @@ func (r *Run) invokeGroup(ctx *Ctx, rule *Rule, ts []*tuple.Tuple) {
 	}()
 	ctx.rule = rule
 	start := time.Now()
-	if rule.BatchBody != nil {
-		ctx.trigger = nil // batch bodies Bind their own triggers
-		rule.BatchBody(ctx, ts)
-	} else {
-		for _, t := range ts {
-			ctx.trigger = t
-			rule.Body(ctx, t)
-		}
+	for _, t := range ts {
+		ctx.trigger = t
+		rule.Body(ctx, t)
 	}
 	if n := r.stats.RuleNanos[rule.Name]; n != nil {
 		n.Add(int64(time.Since(start)))

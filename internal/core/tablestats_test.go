@@ -74,9 +74,9 @@ func TestTableStatsExactAcrossStrategies(t *testing.T) {
 	}
 }
 
-// TestTableStatsBatchedQueryAccounting: ForEachBatch must count one query
-// (and one indexed query) per element of the probe sequence, exactly as a
-// loop of ForEach calls would.
+// TestTableStatsBatchedQueryAccounting: eight per-tuple firings that
+// arrive as one multi-tuple chunk must count one query (and one indexed
+// query) each, exactly as eight separately dispatched firings would.
 func TestTableStatsBatchedQueryAccounting(t *testing.T) {
 	p := NewProgram()
 	a := p.Table("A", []tuple.Column{{Name: "k", Kind: tuple.KindInt}},
@@ -84,17 +84,10 @@ func TestTableStatsBatchedQueryAccounting(t *testing.T) {
 	b := p.Table("B", []tuple.Column{{Name: "k", Kind: tuple.KindInt}},
 		[]tuple.OrderEntry{tuple.Lit("B")})
 	p.Order("A", "B")
-	r := p.Rule("probe", b, func(c *Ctx, t *tuple.Tuple) {
+	p.Rule("probe", b, func(c *Ctx, t *tuple.Tuple) {
 		c.ForEach(a, gamma.Query{Prefix: []tuple.Value{t.Get("k")}},
 			func(*tuple.Tuple) bool { return true })
 	})
-	r.BatchBody = func(c *Ctx, ts []*tuple.Tuple) {
-		qs := make([]gamma.Query, len(ts))
-		for i, t := range ts {
-			qs[i] = gamma.Query{Prefix: []tuple.Value{t.Get("k")}}
-		}
-		c.ForEachBatch(a, qs, ts, func(int, *tuple.Tuple) bool { return true })
-	}
 	for k := int64(0); k < 8; k++ {
 		p.Put(tuple.New(a, tuple.Int(k)))
 		p.Put(tuple.New(b, tuple.Int(k)))
@@ -103,9 +96,13 @@ func TestTableStatsBatchedQueryAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := run.Stats().Tables["A"]
+	st := run.Stats()
+	if st.MaxBatch != 8 || st.FireBatches.Load() != st.Steps {
+		t.Fatalf("max batch %d, %d chunks over %d steps: want the 8 B tuples in one chunk", st.MaxBatch, st.FireBatches.Load(), st.Steps)
+	}
+	ts := st.Tables["A"]
 	if q, iq, pl, mp := ts.Queries.Load(), ts.IndexedQueries.Load(), ts.PrefixLenSum.Load(), ts.MinPrefixLen.Load(); q != 8 || iq != 8 || pl != 8 || mp != 1 {
-		t.Errorf("batched probe counted queries=%d indexed=%d plen=%d minp=%d, want 8/8/8/1", q, iq, pl, mp)
+		t.Errorf("chunked probes counted queries=%d indexed=%d plen=%d minp=%d, want 8/8/8/1", q, iq, pl, mp)
 	}
 }
 

@@ -39,10 +39,9 @@
 //     coordinator's doubling inline chunks, grain-sized chunks claimed by
 //     pool workers — and passes each whole chunk to one FireBatch call. The
 //     engine amortises rule lookup, statistics accounting and rule-context
-//     setup over the chunk, and rules that provide a batch body (see
-//     core.Rule.BatchBody) receive the chunk in a single invocation. This
-//     is the Disruptor discipline of always consuming the full available
-//     batch, applied to rule dispatch.
+//     setup over the chunk, then fires each tuple through the rule's
+//     per-tuple body. This is the Disruptor discipline of always consuming
+//     the full available batch, applied to rule dispatch.
 //
 // Within one step the firing order of chunks (and of tuples inside a
 // chunk) is unspecified, exactly as the paper specifies for one parallel

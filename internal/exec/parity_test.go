@@ -145,12 +145,11 @@ func TestParityShortestPath(t *testing.T) {
 
 // batchParityProgram builds a synthetic program that stresses the batched
 // dispatch path: one Src tuple fans out n Work tuples in a single step
-// batch, and two rules fire on every Work tuple — one with only a
-// per-tuple Body, one that also provides a BatchBody routing its point
-// queries through the batched ForEachBatch probe. Both rules look up the
+// batch, and two per-tuple rules fire on every Work tuple, so each
+// schema group carries more than one rule. Both rules look up the
 // preloaded Lookup table (inserted in an earlier causal step) and put the
-// doubled value, into OutA and OutB respectively, so the two dispatch
-// paths must produce identical relations.
+// doubled value, into OutA and OutB respectively, so the two rules must
+// produce identical relations whatever chunking the strategy picks.
 func batchParityProgram(n int) *core.Program {
 	p := core.NewProgram()
 	lit := func(name string) []tuple.OrderEntry { return []tuple.OrderEntry{tuple.Lit(name)} }
@@ -173,22 +172,12 @@ func batchParityProgram(n int) *core.Program {
 			return true
 		})
 	})
-	batched := p.Rule("batched", work, func(c *core.Ctx, t *tuple.Tuple) {
+	p.Rule("twin", work, func(c *core.Ctx, t *tuple.Tuple) {
 		c.ForEach(lookup, gamma.Query{Prefix: []tuple.Value{t.Get("i")}}, func(l *tuple.Tuple) bool {
 			c.PutNew(outB, t.Get("i"), tuple.Int(2*l.Int("v")))
 			return true
 		})
 	})
-	batched.BatchBody = func(c *core.Ctx, ts []*tuple.Tuple) {
-		qs := make([]gamma.Query, len(ts))
-		for i, t := range ts {
-			qs[i] = gamma.Query{Prefix: []tuple.Value{t.Get("i")}}
-		}
-		c.ForEachBatch(lookup, qs, ts, func(qi int, l *tuple.Tuple) bool {
-			c.PutNew(outB, ts[qi].Get("i"), tuple.Int(2*l.Int("v")))
-			return true
-		})
-	}
 
 	for i := int64(0); i < int64(n); i++ {
 		p.Put(tuple.New(lookup, tuple.Int(i), tuple.Int(i*i%97)))
@@ -201,8 +190,8 @@ func batchParityProgram(n int) *core.Program {
 // strategy and batch sizes chosen to straddle worker-slot chunk
 // boundaries (1 = the lone-chunk fast path; 3 < one chunk per worker;
 // 103 and 1030 split unevenly across 4 workers' grain-sized chunks). The
-// final Gamma contents, the OutA/OutB agreement (Body vs BatchBody), and
-// the folded firing counters must all match sequential execution.
+// final Gamma contents, the OutA/OutB agreement between the two rules of
+// one schema group, and the folded firing counters must all match sequential execution.
 func TestParityFireBatch(t *testing.T) {
 	for _, n := range []int{1, 3, 103, 1030} {
 		var refGamma map[string][]string

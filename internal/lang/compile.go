@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/jstar-lang/jstar/internal/core"
 	"github.com/jstar-lang/jstar/internal/gamma"
@@ -262,184 +263,26 @@ func (c *compiler) rule(d *RuleDecl) error {
 	}
 	c.nrules++
 	name := fmt.Sprintf("foreach_%s_%d", d.Table, c.nrules)
-	comp := c // capture
-	r := c.prog.Rule(name, trig, func(ctx *core.Ctx, t *tuple.Tuple) {
-		e := &env{}
+	// A rule fires once per trigger, so its firings recycle environments
+	// rather than allocate one each. An env goes back to the pool emptied
+	// by release(0), so the pool pins no tuple between firings.
+	envs := sync.Pool{New: func() any { return &env{} }}
+	c.prog.Rule(name, trig, func(ctx *core.Ctx, t *tuple.Tuple) {
+		e := envs.Get().(*env)
 		e.bind(d.Var, t)
-		if err := comp.execBlock(ctx, e, d.Body); err != nil {
+		var err error
+		for _, s := range d.Body {
+			if err = c.exec(ctx, e, s); err != nil {
+				break
+			}
+		}
+		e.release(0)
+		envs.Put(e)
+		if err != nil {
 			panic(err)
 		}
 	})
-	r.BatchBody = comp.batchBody(d)
 	return nil
-}
-
-// exprHasGet reports whether e contains a database query.
-func exprHasGet(e Expr) bool {
-	switch e := e.(type) {
-	case *GetExpr:
-		return true
-	case *Binary:
-		return exprHasGet(e.L) || exprHasGet(e.R)
-	case *Unary:
-		return exprHasGet(e.X)
-	case *FieldAccess:
-		return exprHasGet(e.X)
-	case *NewExpr:
-		for _, a := range e.Args {
-			if exprHasGet(a) {
-				return true
-			}
-		}
-	case *CallExpr:
-		for _, a := range e.Args {
-			if exprHasGet(a) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// stmtsHaveGet reports whether any statement in ss contains a query or a
-// query loop.
-func stmtsHaveGet(ss []Stmt) bool {
-	for _, s := range ss {
-		switch s := s.(type) {
-		case *ForStmt:
-			return true
-		case *IfStmt:
-			if exprHasGet(s.Cond) || stmtsHaveGet(s.Then) || stmtsHaveGet(s.Else) {
-				return true
-			}
-		case *ValStmt:
-			if exprHasGet(s.Expr) {
-				return true
-			}
-		case *PutStmt:
-			if exprHasGet(s.Expr) {
-				return true
-			}
-		case *PrintlnStmt:
-			if exprHasGet(s.Expr) {
-				return true
-			}
-		case *AccumStmt:
-			if exprHasGet(s.Expr) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// singleLookup matches the batched-probe rule shape: leading val
-// declarations with no queries, exactly one `for (x : get T(prefix…))`
-// loop whose prefix is a non-empty indexed lookup and whose body contains
-// no further queries, then trailing query-free statements. Such a rule's
-// only Gamma read is one indexed probe per firing, so a chunk of firings
-// can issue its probes as one batched sequence.
-func singleLookup(d *RuleDecl) (lead []Stmt, loop *ForStmt, tail []Stmt, ok bool) {
-	for i, s := range d.Body {
-		f, isFor := s.(*ForStmt)
-		if !isFor {
-			continue
-		}
-		if loop != nil {
-			return nil, nil, nil, false // a second loop: not a single lookup
-		}
-		loop = f
-		lead = d.Body[:i]
-		tail = d.Body[i+1:]
-	}
-	if loop == nil || loop.Query.Mode != GetAll || len(loop.Query.Args) == 0 {
-		return nil, nil, nil, false
-	}
-	for _, a := range loop.Query.Args {
-		if exprHasGet(a) {
-			return nil, nil, nil, false
-		}
-	}
-	if loop.Query.Lambda != nil && exprHasGet(loop.Query.Lambda) {
-		return nil, nil, nil, false
-	}
-	for _, s := range lead {
-		v, isVal := s.(*ValStmt)
-		if !isVal || exprHasGet(v.Expr) {
-			return nil, nil, nil, false
-		}
-	}
-	if stmtsHaveGet(loop.Body) || stmtsHaveGet(tail) {
-		return nil, nil, nil, false
-	}
-	return lead, loop, tail, true
-}
-
-// batchBody compiles the rule's batch-aware firing path (core's
-// Rule.BatchBody). Rules whose query pattern is a single indexed lookup
-// get the batched-probe body: the chunk's queries are built up front and
-// issued as one Ctx.ForEachBatch probe sequence, with each query's loop
-// iterations run under its own firing environment. Every other rule gets
-// the generic chunk loop, which amortises dispatch and environment
-// allocation but executes each firing exactly as the per-tuple body would.
-func (c *compiler) batchBody(d *RuleDecl) func(ctx *core.Ctx, ts []*tuple.Tuple) {
-	lead, loop, tail, ok := singleLookup(d)
-	if !ok {
-		return func(ctx *core.Ctx, ts []*tuple.Tuple) {
-			e := &env{}
-			for _, t := range ts {
-				ctx.Bind(t)
-				e.names, e.vals = e.names[:0], e.vals[:0]
-				e.bind(d.Var, t)
-				if err := c.execBlock(ctx, e, d.Body); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	return func(ctx *core.Ctx, ts []*tuple.Tuple) {
-		envs := make([]*env, len(ts))
-		qs := make([]gamma.Query, len(ts))
-		var sch *tuple.Schema
-		for i, t := range ts {
-			ctx.Bind(t)
-			e := &env{}
-			e.bind(d.Var, t)
-			for _, s := range lead {
-				if err := c.exec(ctx, e, s); err != nil {
-					panic(err)
-				}
-			}
-			q, s2, err := c.buildQuery(ctx, e, loop.Query)
-			if err != nil {
-				panic(err)
-			}
-			envs[i], qs[i], sch = e, q, s2
-		}
-		var loopErr error
-		ctx.ForEachBatch(sch, qs, ts, func(qi int, t *tuple.Tuple) bool {
-			if loopErr != nil {
-				// A false return only ends the current query; keep the
-				// first firing's error and skip the remaining queries too.
-				return false
-			}
-			e := envs[qi]
-			m := e.mark()
-			e.bind(loop.Var, t)
-			loopErr = c.execBlock(ctx, e, loop.Body)
-			e.release(m)
-			return loopErr == nil
-		})
-		if loopErr != nil {
-			panic(loopErr)
-		}
-		for i, t := range ts {
-			ctx.Bind(t)
-			if err := c.execBlock(ctx, envs[i], tail); err != nil {
-				panic(err)
-			}
-		}
-	}
 }
 
 // tableUsage accumulates the statically visible access pattern of one
@@ -583,8 +426,18 @@ func (e *env) set(name string, v any) bool {
 	return false
 }
 
-func (e *env) mark() int     { return len(e.names) }
-func (e *env) release(m int) { e.names = e.names[:m]; e.vals = e.vals[:m] }
+func (e *env) mark() int { return len(e.names) }
+
+// release drops the bindings made since mark m, clearing their values so
+// that no slot past len ever holds a tuple. It stores nil slot by slot: a
+// block binds a few names at most, and plain stores cost less than
+// clear's bulk write barrier while the GC runs.
+func (e *env) release(m int) {
+	for i := m; i < len(e.vals); i++ {
+		e.vals[i] = nil
+	}
+	e.names, e.vals = e.names[:m], e.vals[:m]
+}
 
 func (c *compiler) execBlock(ctx *core.Ctx, e *env, stmts []Stmt) error {
 	m := e.mark()

@@ -410,12 +410,14 @@ func TestElseIfChain(t *testing.T) {
 	}
 }
 
-// TestBatchedSingleLookup drives the compiler's batched-probe rule shape
+// TestSingleLookup drives a compiled rule of the single-lookup shape
 // (leading vals, one indexed-lookup loop with a lambda, trailing puts)
 // through a step batch large enough to straddle worker chunks, under both
 // the sequential and parallel engines and with the runtime causality
-// checker on — the emitted BatchBody must agree with per-tuple execution.
-func TestBatchedSingleLookup(t *testing.T) {
+// checker on: each firing's reads are checked against its own trigger,
+// and the per-tuple bodies, reusing pooled environments across a chunk,
+// must still compute every group's own sum.
+func TestSingleLookup(t *testing.T) {
 	src := `
 	table Item(int g, int v) orderby (Item)
 	table Group(int g) orderby (Group)
@@ -465,11 +467,10 @@ func TestBatchedSingleLookup(t *testing.T) {
 	}
 }
 
-// TestBatchedLookupErrorPropagates: a runtime error in one firing's loop
-// body must fail the run even when later firings in the same chunk
-// iterate successfully — a regression test for the batched single-lookup
-// body swallowing all but the last query's error.
-func TestBatchedLookupErrorPropagates(t *testing.T) {
+// TestLookupErrorPropagates: a runtime error in one firing's loop body
+// must fail the run even when later firings in the same chunk iterate
+// successfully, with the causality checker on as well as off.
+func TestLookupErrorPropagates(t *testing.T) {
 	src := `
 	table Item(int g, int v) orderby (Item)
 	table Group(int g) orderby (Group)
@@ -495,6 +496,8 @@ func TestBatchedLookupErrorPropagates(t *testing.T) {
 	for _, opts := range []core.Options{
 		{Strategy: exec.Sequential},
 		{Threads: 4},
+		{Strategy: exec.Sequential, CheckCausality: true},
+		{Threads: 4, CheckCausality: true},
 	} {
 		p, err := CompileSource(src)
 		if err != nil {
@@ -503,6 +506,39 @@ func TestBatchedLookupErrorPropagates(t *testing.T) {
 		if _, err := p.Execute(opts); err == nil ||
 			!strings.Contains(err.Error(), "if condition is not boolean") {
 			t.Errorf("opts %+v: err = %v, want the group-0 non-boolean-if error", opts, err)
+		}
+	}
+}
+
+// TestRulePanicNamesItsTrigger: a compiled rule that fails on exactly one
+// tuple of a 64-tuple step must fail the run with an error naming that
+// rule and that tuple, whichever chunk and worker the tuple landed on.
+func TestRulePanicNamesItsTrigger(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(`
+	table Event(int n) orderby (Event)
+	table Out(int n, int v) orderby (Out)
+	order Event < Out
+
+	foreach (Event e) {
+	  put new Out(e.n, 10 / (e.n - 5))
+	}
+	`)
+	for n := 0; n < 64; n++ {
+		fmt.Fprintf(&src, "put new Event(%d)\n", n)
+	}
+	for _, opts := range []core.Options{
+		{Strategy: exec.Sequential},
+		{Threads: 4},
+	} {
+		p, err := CompileSource(src.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.Execute(opts)
+		if err == nil || !strings.Contains(err.Error(), "rule foreach_Event_1 on Event(5) panicked") ||
+			!strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("opts %+v: err = %v, want foreach_Event_1 on Event(5) failing with division by zero", opts, err)
 		}
 	}
 }

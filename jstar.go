@@ -113,14 +113,13 @@
 //
 // Dispatch is batch-first too: a step's live batch is fired in contiguous
 // chunks (the coordinator's doubling chunks, grain-sized chunks on the
-// fork/join pool) handed whole to the engine, which amortises rule lookup, statistics accounting and rule-context
-// setup per (schema, rule) group. A Rule may additionally provide a
-// BatchBody — a body invoked once per chunk instead of once per tuple —
-// and batch bodies can route grouped point queries through
-// Ctx.ForEachBatch, which issues the chunk's probes in one call with one
-// statistics update (each query's results still checked against, and its
-// puts attributed to, its own trigger). Within one step, firing order across and inside chunks is
-// unspecified, exactly as the paper specifies for one parallel batch.
+// fork/join pool) handed whole to the engine, which amortises rule lookup,
+// statistics accounting and rule-context setup per (schema, rule) group
+// and then runs the rule's one per-tuple body on each trigger of the
+// group, so every query result is checked against, and every put
+// attributed to, the trigger that fired it. Within one step, firing order
+// across and inside chunks is unspecified, exactly as the paper specifies
+// for one parallel batch.
 package jstar
 
 import (
