@@ -10,8 +10,8 @@
 //
 // Ingestion uses the Session lifecycle: Program.Start runs the engine as
 // an online service, the feed goroutine injects Price tuples with
-// Session.Put (which never waits for quiescence — events are published
-// into the ingress ring and absorbed while rules execute), and the main
+// Session.Put (which never waits for quiescence — events are appended to
+// the session's pending list and absorbed while rules execute), and the main
 // goroutine waits for the fixpoint with Quiesce. The legacy channel-based
 // Run.ExecuteEvents still works and is a wrapper over the same machinery.
 //

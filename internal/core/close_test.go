@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,36 +115,91 @@ func TestSessionDoubleClose(t *testing.T) {
 	}
 }
 
-// TestSessionCloseUnblocksFullRing: producers gated on a saturated ingress
-// ring must be released by Close with the terminal error, not stranded.
+// TestSessionCloseUnblocksFullRing: producers waiting for room in a full
+// ingress are released by every way a session ends — Close, cancellation
+// of the ctx given to Start, a rule panic — each with that ending's error,
+// even while the coordinator is still inside a rule body; and once the
+// session is gone no goroutine is left behind.
 func TestSessionCloseUnblocksFullRing(t *testing.T) {
-	p, ev, _ := sessionProgram()
-	s, err := p.Start(context.Background(), Options{
-		Strategy: exec.Sequential, Quiet: true, IngressRing: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A batch far larger than the ring forces the producer to gate on
-	// ring space mid-publish.
-	batch := make([]*tuple.Tuple, 4096)
-	for i := range batch {
-		batch[i] = tuple.New(ev, tuple.Int(int64(i)))
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.PutBatch(batch...) }()
-	time.Sleep(10 * time.Millisecond)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		// nil (fully absorbed before close) or the terminal error are the
-		// only acceptable answers.
-		if err != nil && !errors.Is(err, ErrSessionClosed) {
-			t.Errorf("gated PutBatch = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("PutBatch stranded on a full ring across Close")
+	for _, tc := range []struct {
+		name  string
+		end   func(s *Session, cancel context.CancelFunc, release chan<- bool)
+		match func(error) bool
+	}{
+		{"close", func(s *Session, _ context.CancelFunc, _ chan<- bool) { go s.Close() },
+			func(err error) bool { return errors.Is(err, ErrSessionClosed) }},
+		{"ctx", func(_ *Session, cancel context.CancelFunc, _ chan<- bool) { cancel() },
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"panic", func(_ *Session, _ context.CancelFunc, release chan<- bool) { release <- true },
+			func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "rule park on Event(0) panicked: released to panic")
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			p := NewProgram()
+			ev := p.Table("Event", []tuple.Column{{Name: "n", Kind: tuple.KindInt}},
+				[]tuple.OrderEntry{tuple.Lit("Event")})
+			entered := make(chan struct{})
+			release := make(chan bool, 1)
+			p.Rule("park", ev, func(_ *Ctx, tp *tuple.Tuple) {
+				if tp.Int("n") != 0 {
+					return
+				}
+				close(entered)
+				if <-release {
+					panic("released to panic")
+				}
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			const ring = 8
+			s, err := p.Start(ctx, Options{Strategy: exec.Sequential, Quiet: true, IngressRing: ring})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(tuple.New(ev, tuple.Int(0))); err != nil {
+				t.Fatal(err)
+			}
+			<-entered // the coordinator is parked inside the rule
+			fill := make([]*tuple.Tuple, ring)
+			for i := range fill {
+				fill[i] = tuple.New(ev, tuple.Int(int64(i+1)))
+			}
+			if err := s.PutBatch(fill...); err != nil {
+				t.Fatal(err)
+			}
+			const producers = 4
+			errs := make(chan error, producers)
+			for g := 0; g < producers; g++ {
+				go func(g int) { errs <- s.Put(tuple.New(ev, tuple.Int(int64(100+g)))) }(g)
+			}
+			tc.end(s, cancel, release)
+			deadline := time.After(5 * time.Second)
+			for g := 0; g < producers; g++ {
+				select {
+				case err := <-errs:
+					if !tc.match(err) {
+						t.Errorf("producer waiting for room returned %v", err)
+					}
+				case <-deadline:
+					t.Fatalf("%d of %d producers still waiting for room 5s after the session ended", producers-g, producers)
+				}
+			}
+			select {
+			case release <- false: // let the parked rule return
+			default: // the panic case already released it
+			}
+			s.Close()
+			for runtime.NumGoroutine() > before {
+				select {
+				case <-deadline:
+					t.Fatalf("%d goroutines before the session, %d after", before, runtime.NumGoroutine())
+				default:
+					runtime.Gosched()
+				}
+			}
+		})
 	}
 }
 

@@ -11,16 +11,17 @@ import (
 )
 
 // DurabilityOptions turns a session durable: every external tuple the
-// coordinator absorbs from the ingress ring is teed into a segmented
-// write-ahead log (group-committed off the hot path), Gamma is
+// coordinator absorbs from the pending ingress list is teed into a
+// segmented write-ahead log (group-committed off the hot path), Gamma is
 // checkpointed at quiescent boundaries, and a session started over an
 // existing log directory recovers — newest valid checkpoint restored,
 // WAL tail replayed through the ordinary put path to the same fixpoint.
 //
-// The tee sits at ring-drain time, not in Put: producers never wait on
-// the log, and the durable sequence is exactly the absorption order, so a
-// checkpoint taken at a quiescent boundary covers a well-defined prefix
-// of the input. The durable watermark (the newest checkpoint's sequence)
+// The tee sits at absorb time, not in Put: producers never wait on the
+// log, and each absorb appends the list it took as one batch record, in
+// acceptance order. The durable sequence is exactly the absorption order,
+// so a checkpoint taken at a quiescent boundary covers a well-defined
+// prefix of the input. The durable watermark (the newest checkpoint's sequence)
 // therefore only ever advances at a quiesced boundary — a session that
 // dies mid-drain leaves the watermark at its last quiescence.
 type DurabilityOptions struct {
@@ -178,8 +179,8 @@ func (s *Session) replayTail() {
 	s.walTail = nil
 }
 
-// teeWAL appends the tuples just absorbed from the ingress ring to the
-// log. Group commit means this is an encode into the pending group, not a
+// teeWAL appends the pending list just absorbed to the log as one batch
+// record. Group commit means this is an encode into the pending group, not a
 // sync; an append on a dead log fails the session (no silent gaps between
 // the engine's state and its journal).
 func (s *Session) teeWAL(ts []*tuple.Tuple) {

@@ -261,3 +261,59 @@ func TestCheckpointWithoutDurabilityRefused(t *testing.T) {
 		t.Fatal("checkpoint on a non-durable session must error")
 	}
 }
+
+// TestWALRecordsAcceptanceOrder: the log holds external tuples in the
+// order PutBatch accepted them, batches whole and unsorted, not in the
+// engine's causal or storage order.
+func TestWALRecordsAcceptanceOrder(t *testing.T) {
+	fs := wal.NewMemFS()
+	p, ev, _ := sessionProgram()
+	entered, release := make(chan struct{}), make(chan struct{})
+	p.Rule("park", ev, func(_ *Ctx, tp *tuple.Tuple) {
+		if tp.Int("n") == 0 {
+			close(entered)
+			<-release
+		}
+	})
+	opts := durableOpts(fs, 0)
+	opts.Threads = 4
+	s, err := p.Start(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(tuple.New(ev, tuple.Int(0))); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // later batches queue behind the parked coordinator
+	want := []int64{0}
+	for _, batch := range [][]int64{{5, 3, 9}, {1}, {8, 2, 7, 4}} {
+		ts := make([]*tuple.Tuple, len(batch))
+		for i, n := range batch {
+			ts[i] = tuple.New(ev, tuple.Int(n))
+		}
+		if err := s.PutBatch(ts...); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, batch...)
+	}
+	close(release)
+	if err := s.Quiesce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, rec, err := wal.Open(wal.Options{FS: fs, Identity: "test-session",
+		Resolve: func(table string) *tuple.Schema { return p.tables[table] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	got := make([]int64, len(rec.Tail))
+	for i, tp := range rec.Tail {
+		got[i] = tp.Int("n")
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("WAL order %v, want acceptance order %v", got, want)
+	}
+}

@@ -57,57 +57,58 @@ func sortStrings(ss []string) {
 	}
 }
 
-// TestSessionShardedIngressParity: the same concurrent-producer workload
-// through a sharded ingress (4 lanes) and the degenerate single-ring
-// ingress (1 lane) must quiesce on identical Gamma state, for all three
-// strategies — lane routing must never change what is computed. Also
-// checks the per-shard absorption accounting covers every event.
-func TestSessionShardedIngressParity(t *testing.T) {
+// TestSessionConcurrentIngressParity: concurrent producers feeding one
+// session must quiesce on the Gamma state a lone producer reaches under
+// Sequential, for all three strategies, and the absorbed count must cover
+// every event.
+func TestSessionConcurrentIngressParity(t *testing.T) {
 	const producers = 8
 	const perProducer = 400
+	spec, _ := runIngressWorkload(t, Options{Strategy: exec.Sequential, Quiet: true}, 1, producers*perProducer)
 	for _, strat := range []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto} {
 		t.Run(strat.String(), func(t *testing.T) {
-			sharded, shardedStats := runIngressWorkload(t, Options{
-				Strategy: strat, Threads: 4, IngressRing: 256, IngressShards: 4, Quiet: true,
+			got, st := runIngressWorkload(t, Options{
+				Strategy: strat, Threads: 4, IngressRing: 256, Quiet: true,
 			}, producers, perProducer)
-			single, singleStats := runIngressWorkload(t, Options{
-				Strategy: strat, Threads: 4, IngressRing: 256, IngressShards: 1, Quiet: true,
-			}, producers, perProducer)
-			if len(sharded) != producers*perProducer {
-				t.Fatalf("sharded session: Out has %d tuples, want %d", len(sharded), producers*perProducer)
+			if len(got) != len(spec) {
+				t.Fatalf("Out has %d tuples, want %d", len(got), len(spec))
 			}
-			for i := range sharded {
-				if sharded[i] != single[i] {
-					t.Fatalf("snapshot divergence at %d: sharded %q, single %q", i, sharded[i], single[i])
+			for i := range got {
+				if got[i] != spec[i] {
+					t.Fatalf("snapshot divergence at %d: %q, spec %q", i, got[i], spec[i])
 				}
 			}
-			for name, st := range map[string]*RunStats{"sharded": shardedStats, "single": singleStats} {
-				want := map[string]int{"sharded": 4, "single": 1}[name]
-				if st.IngressShards != want {
-					t.Errorf("%s IngressShards = %d, want %d", name, st.IngressShards, want)
-				}
-				var absorbed int64
-				for _, n := range st.ShardAbsorbed {
-					absorbed += n
-				}
-				if absorbed != int64(producers*perProducer) {
-					t.Errorf("%s ShardAbsorbed sums to %d, want %d", name, absorbed, producers*perProducer)
-				}
+			if len(st.ShardAbsorbed) != 1 || st.ShardAbsorbed[0] != producers*perProducer {
+				t.Errorf("ShardAbsorbed = %v, want [%d]", st.ShardAbsorbed, producers*perProducer)
 			}
 		})
 	}
 }
 
-// TestValidateRejectsBadIngressShards: the shard count knob gets the same
-// actionable validation as the ring capacity.
-func TestValidateRejectsBadIngressShards(t *testing.T) {
-	p, _, _ := sessionProgram()
-	for _, bad := range []int{-1, 3, 6} {
-		if err := p.Validate(Options{IngressShards: bad}); err == nil {
-			t.Errorf("Validate accepted IngressShards %d", bad)
+// TestIngressBacklogCapacityIsTheBound: the capacity IngressBacklog reports
+// — the number serve's admission fraction is applied to — is the
+// configured Options.IngressRing before and after the first Put, whatever
+// the thread count.
+func TestIngressBacklogCapacityIsTheBound(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		p, ev, _ := sessionProgram()
+		s, err := p.Start(context.Background(), Options{Threads: threads, IngressRing: 2, Quiet: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := p.Validate(Options{IngressShards: 4}); err != nil {
-		t.Errorf("Validate rejected IngressShards 4: %v", err)
+		_, before := s.IngressBacklog()
+		if err := s.Put(tuple.New(ev, tuple.Int(1))); err != nil {
+			t.Fatal(err)
+		}
+		_, after := s.IngressBacklog()
+		if before != 2 || after != 2 {
+			t.Errorf("Threads %d: capacity %d before the first Put, %d after, want 2 both times", threads, before, after)
+		}
+		if err := s.Quiesce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -137,8 +137,8 @@ func TestDedupSortedInPlace(t *testing.T) {
 // chunks on the coordinator concatenate to Sequential's one call. The clock
 // is frozen for that arm, so the gate cannot open whatever the host does.
 // The last arm is the default on one processor: it cannot fan out, so it
-// must be Sequential in everything but name — no pool, one put slot, one
-// ingress lane. Every arm, pooled or not, keeps its tables on tree stores.
+// must be Sequential in everything but name — no pool, one put slot.
+// Every arm, pooled or not, keeps its tables on tree stores.
 func TestFiringOrderByteIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := NewProgram()
@@ -212,9 +212,9 @@ func TestFiringOrderByteIdentical(t *testing.T) {
 			t.Fatalf("%s: pool = %v, want pooled = %v", name, run.pool, tc.pooled)
 		}
 		if !tc.pooled {
-			if run.ownPool != nil || len(run.slots) != 1 || run.ingressShards() != 1 {
-				t.Errorf("%s: a run that cannot fan out owns a pool (%v), %d put slots or %d ingress lanes",
-					name, run.ownPool != nil, len(run.slots), run.ingressShards())
+			if run.ownPool != nil || len(run.slots) != 1 {
+				t.Errorf("%s: a run that cannot fan out owns a pool (%v) or %d put slots",
+					name, run.ownPool != nil, len(run.slots))
 			}
 		}
 		for table, kind := range run.Stats().StoreKinds {

@@ -213,22 +213,14 @@ type Options struct {
 	// cmd/jstar -stats and the repo benchmark's traced runs
 	// (benchmark --trace 1) turn it on.
 	PhaseStats bool
-	// IngressRing is the total capacity of the Session ingress — the
-	// sharded multi-producer Disruptor rings external tuples pass through
-	// on their way into the Delta set; it is divided evenly across the
-	// ingress shards. Must be a power of two; 0 means 1024. A full lane
-	// blocks its Put callers (backpressure) until the coordinator absorbs
-	// a batch, so it bounds how far ingestion can outrun execution.
+	// IngressRing bounds the Session ingress: the list of accepted
+	// external tuples the coordinator has not yet absorbed. While it holds
+	// this many, Put callers wait (backpressure) until the coordinator
+	// takes the list at a step boundary, so it bounds how far ingestion can
+	// outrun execution. A batch is accepted whole, so the list overshoots
+	// the bound by less than one batch. Must be a power of two; 0 means
+	// 1024.
 	IngressRing int
-	// IngressShards is the number of ingress ring lanes. Concurrent Put
-	// callers spread across lanes by publisher affinity, so they stop
-	// contending on one claim cursor, and the coordinator drains each lane
-	// into its own put-buffer slot — absorbed events arrive at the step
-	// boundary already spread for the parallel seal/merge. Must be a power
-	// of two; 0 picks 1 for runs that cannot fan out, else the thread count
-	// rounded up to a power of two (capped at 8). 1 reproduces the old
-	// single-ring ingress exactly.
-	IngressShards int
 	// Durability, when non-nil, turns the session durable: absorbed
 	// external tuples are teed into a segmented write-ahead log with
 	// group commit, Gamma is checkpointed at quiescent boundaries, and a
@@ -260,27 +252,12 @@ func (o *Options) threads() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ingressRing resolves the total Session ingress capacity.
+// ingressRing resolves the Session ingress bound.
 func (o *Options) ingressRing() int {
 	if o.IngressRing > 0 {
 		return o.IngressRing
 	}
 	return 1024
-}
-
-// ingressShards resolves the ingress lane count: an explicit value wins;
-// 0 means one lane for a run that cannot fan out, else the thread count
-// rounded up to a power of two, capped at 8 (past that, lanes outnumber
-// plausible producers and only fragment the capacity).
-func (r *Run) ingressShards() int {
-	if r.opts.IngressShards > 0 {
-		return r.opts.IngressShards
-	}
-	n := 1
-	for n < r.threads && n < 8 {
-		n <<= 1
-	}
-	return n
 }
 
 func contains(list []string, s string) bool {
@@ -308,9 +285,9 @@ func (p *Program) knownTables() string {
 // Validate reports configuration errors: unknown table names in NoDelta/
 // NoGamma/hints, unknown or unsuitable store kinds in StorePlan and the
 // compiler's plan hints (listing the legal kinds), a negative thread
-// count and a malformed ingress ring or shard count. Every
-// error says what was wrong and what the legal values are, so
-// misconfiguration never silently degrades or panics mid-run.
+// count and a malformed ingress bound. Every error says what was wrong and
+// what the legal values are, so misconfiguration never silently degrades
+// or panics mid-run.
 func (p *Program) Validate(opts Options) error {
 	var errs []string
 	if opts.Threads < 0 {
@@ -318,9 +295,6 @@ func (p *Program) Validate(opts Options) error {
 	}
 	if opts.IngressRing < 0 || (opts.IngressRing > 0 && opts.IngressRing&(opts.IngressRing-1) != 0) {
 		errs = append(errs, fmt.Sprintf("IngressRing: %d is not a power of two (0 means 1024)", opts.IngressRing))
-	}
-	if opts.IngressShards < 0 || (opts.IngressShards > 0 && opts.IngressShards&(opts.IngressShards-1) != 0) {
-		errs = append(errs, fmt.Sprintf("IngressShards: %d is not a power of two (0 means auto)", opts.IngressShards))
 	}
 	for _, t := range opts.NoDelta {
 		if _, ok := p.tables[t]; !ok {

@@ -117,12 +117,10 @@ type RunStats struct {
 	// it at any time. -noGamma tables have no Gamma state and stay at 0.
 	TableVersions map[string]*atomic.Int64
 
-	// IngressShards is the number of ingress ring lanes the session built
-	// (0 when the run never ingested external tuples); ShardAbsorbed counts
-	// the events absorbed from each lane — together they expose ingestion
-	// skew, the successor of the old everything-lands-in-slot-0 hotspot.
-	// Written only by the coordinator; read them at quiescence.
-	IngressShards int
+	// ShardAbsorbed has one element for a session: the external tuples its
+	// coordinator absorbed, which Quiesce's watermark is compared with (nil
+	// for a run that never backed a session). Written only by the
+	// coordinator; read it at quiescence.
 	ShardAbsorbed []int64
 
 	// FireBatches counts batched dispatch calls (FireBatch chunks); with
@@ -240,7 +238,7 @@ type Run struct {
 	// the boundary's per-table inserts and Delta load alike. It is nil unless
 	// the run has a pool of more than one worker, and that one fact decides
 	// everything else that exists only for parallelism: concurrent Gamma
-	// stores, more than one put slot, more than one ingress lane.
+	// stores and more than one put slot.
 	pool    PoolRef
 	ownPool *forkjoin.Pool
 	loop    *exec.Loop

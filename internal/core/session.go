@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/jstar-lang/jstar/internal/disruptor"
 	"github.com/jstar-lang/jstar/internal/gamma"
 	"github.com/jstar-lang/jstar/internal/tuple"
 	"github.com/jstar-lang/jstar/internal/wal"
@@ -18,24 +16,14 @@ import (
 // Quiesce waiters when the session is closed before reaching quiescence.
 var ErrSessionClosed = errors.New("jstar: session closed")
 
-// ingressEvent is one slot of the Session ingress ring: a single external
-// tuple. Slots are recycled across ring revolutions; absorb clears the
-// reference once the tuple has entered the Delta set so the ring never
-// pins dead tuples.
-type ingressEvent struct {
-	t *tuple.Tuple
-}
-
 // Session is a long-lived, concurrent-safe handle on a running program —
 // the engine as an online incremental service rather than a one-shot batch
 // evaluator. External tuples enter through Put/PutBatch from any number of
-// goroutines: they are published into a sharded multi-producer Disruptor
-// ingress (Options.IngressShards lanes, spread by publisher affinity) and
-// absorbed into the Delta set by the coordinator at step boundaries — each
-// lane draining into its own put-buffer slot — so ingestion overlaps rule
-// execution instead of waiting for quiescence. The only thing that ever
-// blocks a producer is ring backpressure (a full ingress lane; total
-// capacity Options.IngressRing).
+// goroutines: each call appends its batch to one pending list, and the
+// coordinator takes the whole list at the next step boundary and puts it
+// into the Delta set — so ingestion overlaps rule execution instead of
+// waiting for quiescence. The only thing that ever blocks a producer is
+// backpressure: a pending list already holding Options.IngressRing tuples.
 //
 // The lifecycle is Start → Put/PutBatch ⇄ Quiesce → Close:
 //
@@ -63,11 +51,7 @@ type Session struct {
 	ctx   context.Context
 	start time.Time
 
-	// ing is built lazily on the first Put, so the one-shot Execute
-	// wrapper (which never Puts) pays no ring allocation.
-	ing atomic.Pointer[ingress]
-
-	notify   chan struct{} // coalesced "ingress ring has data"
+	notify   chan struct{} // coalesced "pending list has data"
 	closeCh  chan struct{} // closed by Close: stop at the next boundary
 	loopDone chan struct{} // closed when the coordinator loop exits
 
@@ -79,30 +63,30 @@ type Session struct {
 
 	// Durability tier (Options.Durability); wal is nil when off. The
 	// coordinator tees absorbed tuples into the log, replays walTail after
-	// seeding, and checkpoints at quiescent boundaries; walBatch is its
-	// per-absorb scratch. lastCkptQuiesce drives the automatic cadence.
+	// seeding, and checkpoints at quiescent boundaries. lastCkptQuiesce
+	// drives the automatic cadence.
 	wal             *wal.Log
 	walTail         []*tuple.Tuple
-	walBatch        []*tuple.Tuple
 	recovery        *RecoveryInfo
 	ckptEvery       int
 	lastCkptQuiesce int64
 
+	// spare is the cleared list absorb swaps in for pending; only the
+	// coordinator touches it.
+	spare []*tuple.Tuple
+
 	mu        sync.Mutex
-	quiescent bool          // loop is parked with Delta and ring drained
-	consumed  []int64       // per-shard sequence absorbed at last quiescence
-	qSteps    int64         // RunStats.Steps at last quiescence
-	qFanned   int64         // RunStats.FannedSteps at last quiescence
-	qGen      chan struct{} // closed and replaced at each quiescence
+	pending   []*tuple.Tuple // accepted external tuples, in acceptance order
+	accepted  int64          // tuples ever accepted into pending
+	room      sync.Cond      // on mu; broadcast when pending drains or the session ends
+	quiescent bool           // loop is parked with Delta and pending drained
+	consumed  int64          // absorbed at last quiescence
+	qSteps    int64          // RunStats.Steps at last quiescence
+	qFanned   int64          // RunStats.FannedSteps at last quiescence
+	qGen      chan struct{}  // closed and replaced at each quiescence
 	ckptQ     []*checkpointRequest
 	err       error // first terminal failure
 	closed    bool
-}
-
-// ingress wraps the sharded external-tuple rings: publishers spread across
-// lanes by affinity, the coordinator drains each lane separately.
-type ingress struct {
-	ring *disruptor.ShardedRing[ingressEvent]
 }
 
 // Start validates opts, seeds the program's initial puts and begins
@@ -118,9 +102,9 @@ func (p *Program) Start(ctx context.Context, opts Options) (*Session, error) {
 	return r.startSession(ctx)
 }
 
-// startSession builds the ingress ring and coordinator loop on a prepared
-// run. It is the engine behind Program.Start and the Execute/ExecuteEvents
-// compatibility wrappers.
+// startSession starts the coordinator loop on a prepared run. It is the
+// engine behind Program.Start and the Execute/ExecuteEvents compatibility
+// wrappers.
 func (r *Run) startSession(ctx context.Context) (*Session, error) {
 	if !r.started.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("jstar: run already started")
@@ -137,6 +121,8 @@ func (r *Run) startSession(ctx context.Context) (*Session, error) {
 		loopDone: make(chan struct{}),
 		qGen:     make(chan struct{}),
 	}
+	s.room.L = &s.mu
+	r.stats.ShardAbsorbed = make([]int64, 1)
 	if d := r.opts.Durability; d != nil {
 		// Open (or recover) the log before the loop exists: checkpoint rows
 		// are bulk-restored into the still-single-owned Gamma database, and
@@ -150,53 +136,16 @@ func (r *Run) startSession(ctx context.Context) (*Session, error) {
 	return s, nil
 }
 
-// initIngress builds the ingress ring on first use. Creation is fenced by
-// mu against the terminal transitions: once the session has failed or been
-// closed no new ring can appear, so the coordinator's shutdown Release
-// cannot miss one and leave a publisher gated forever.
-func (s *Session) initIngress() (*ingress, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ing := s.ing.Load(); ing != nil {
-		return ing, nil
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
-	shards := s.run.ingressShards()
-	size := s.run.opts.ingressRing() / shards
-	if size < 2 {
-		size = 2
-	}
-	ring := disruptor.NewShardedRing[ingressEvent](shards, size,
-		func() disruptor.WaitStrategy { return &disruptor.BlockingWait{} })
-	// Publish the shard accounting before the atomic pointer store: the
-	// coordinator (and any post-quiescence Stats reader) reaches these
-	// fields only after loading the pointer.
-	s.run.stats.IngressShards = shards
-	s.run.stats.ShardAbsorbed = make([]int64, shards)
-	ing := &ingress{ring: ring}
-	s.ing.Store(ing)
-	return ing, nil
-}
-
 // loop is the session coordinator: it owns the step loop's Drain, absorbs
 // ingress events at step boundaries (sessionHost), and parks at quiescence
 // until new events, cancellation, or Close arrive. Drain is re-entered
 // after every wake-up — the resumable-drain contract of exec.Loop.
 func (s *Session) loop() {
+	// A producer waiting for room must not outlive the ctx that bounds the
+	// session, even while the coordinator is busy inside a rule body.
+	stop := context.AfterFunc(s.ctx, s.wakeProducers)
 	defer func() {
-		// Un-gate producers blocked on a full ring; their tuples land in
-		// slots that are never read again, and Put reports the terminal
-		// state to them. The terminal flag (err/closed) is already set
-		// under mu at this point, so initIngress cannot create a ring this
-		// Release would miss.
-		if ing := s.ing.Load(); ing != nil {
-			ing.ring.Release()
-		}
+		stop()
 		// Every exit path records the terminal state (err or closed) before
 		// returning, so requests queued after this drain are rejected at
 		// enqueue — none are stranded without an answer.
@@ -226,7 +175,7 @@ func (s *Session) loop() {
 			}
 			return
 		}
-		// Quiescent boundary: the Delta set and ingress ring are drained and
+		// Quiescent boundary: the Delta set and pending list are drained and
 		// no rule is in flight, so the coordinator owns every store.
 		s.quiesces++
 		// Checkpoints happen here and only here: the Gamma state is the
@@ -240,17 +189,17 @@ func (s *Session) loop() {
 			// Cancellation caught the session parked at a fixpoint. With
 			// no unabsorbed input nothing is lost — a clean shutdown, so
 			// a Quiesce that already returned success is not retroactively
-			// turned into a failure. Pending ingress means dropped events:
+			// turned into a failure. Pending input means dropped events:
 			// that is the failure the ctx error reports. The gate closes
-			// before the pending check: a racing PutBatch either published
-			// before our check (we see it and fail loudly) or runs its
-			// post-publish gate after the flag (the producer gets
-			// ErrSessionClosed) — an acknowledged Put is never dropped
-			// silently.
+			// under the same lock as the pending check, so a racing PutBatch
+			// either appended before it (we fail loudly) or sees the flag
+			// (the producer gets ErrSessionClosed) — an acknowledged Put is
+			// never dropped silently.
 			s.mu.Lock()
 			s.closed = true
+			dropped := len(s.pending) > 0
 			s.mu.Unlock()
-			if s.pendingIngress() {
+			if dropped {
 				s.fail(s.ctx.Err())
 			} else {
 				s.wakeWaiters()
@@ -262,11 +211,12 @@ func (s *Session) loop() {
 	}
 }
 
-// pendingIngress reports whether published external tuples have not yet
-// been absorbed.
-func (s *Session) pendingIngress() bool {
-	ing := s.ing.Load()
-	return ing != nil && ing.ring.Pending()
+// wakeProducers releases every PutBatch waiting for room to re-check the
+// pending list and the session state.
+func (s *Session) wakeProducers() {
+	s.mu.Lock()
+	s.room.Broadcast()
+	s.mu.Unlock()
 }
 
 // wakeWaiters wakes Quiesce waiters to re-check the session state.
@@ -277,44 +227,34 @@ func (s *Session) wakeWaiters() {
 	s.mu.Unlock()
 }
 
-// absorb moves every pending ingress event into the engine via the
-// coordinator's put path, lane i draining into put-buffer slot i (mod the
-// slot count) — so absorbed events reach the step boundary already spread
-// across the slots, one sorted run per lane, instead of piling into slot 0.
-// Returns how many were absorbed; only the coordinator loop calls it.
+// absorb takes the whole pending list — swapping in the cleared spare, so
+// producers waiting for room go on at once — and puts every tuple on the
+// coordinator's slot, in acceptance order: the step boundary seals them as
+// one run. Returns how many were absorbed; only the coordinator loop calls
+// it.
 func (s *Session) absorb() int {
-	ing := s.ing.Load()
-	if ing == nil {
+	s.mu.Lock()
+	batch := s.pending
+	if len(batch) == 0 {
+		s.mu.Unlock()
 		return 0
 	}
-	slots := len(s.run.slots)
-	tee := s.wal != nil
-	total := 0
-	for shard := 0; shard < ing.ring.Shards(); shard++ {
-		slot := shard % slots
-		n := ing.ring.Poll(shard, func(_ int64, ev *ingressEvent) bool {
-			t := ev.t
-			ev.t = nil
-			if tee {
-				s.walBatch = append(s.walBatch, t)
-			}
-			s.run.put("event", nil, t, slot)
-			return true
-		})
-		if n > 0 {
-			s.run.stats.ShardAbsorbed[shard] += int64(n)
-			total += n
-		}
+	s.pending = s.spare
+	s.room.Broadcast()
+	s.mu.Unlock()
+	for _, t := range batch {
+		s.run.put("event", nil, t, 0)
 	}
 	// The WAL tee: everything absorbed this pass becomes one batch record
 	// in the pending group. This is an encode, not a sync — the group
 	// commits by size or deadline, off the producers' path entirely.
-	if tee && len(s.walBatch) > 0 {
-		s.teeWAL(s.walBatch)
-		clear(s.walBatch)
-		s.walBatch = s.walBatch[:0]
+	if s.wal != nil {
+		s.teeWAL(batch)
 	}
-	return total
+	s.run.stats.ShardAbsorbed[0] += int64(len(batch))
+	clear(batch)
+	s.spare = batch[:0]
+	return len(batch)
 }
 
 // fail records the session's first terminal error and wakes every waiter.
@@ -326,10 +266,11 @@ func (s *Session) fail(err error) {
 	s.quiescent = false
 	close(s.qGen)
 	s.qGen = make(chan struct{})
+	s.room.Broadcast()
 	s.mu.Unlock()
 }
 
-// markQuiescent records that the Delta set and ingress ring were both
+// markQuiescent records that the Delta set and pending list were both
 // drained, snapshots how far ingestion has been absorbed, bumps the
 // change generation of every table whose Gamma state changed since the
 // previous quiescence, and wakes Quiesce/WaitChange waiters.
@@ -337,12 +278,7 @@ func (s *Session) markQuiescent() {
 	s.run.foldDirty()
 	s.mu.Lock()
 	s.quiescent = true
-	if ing := s.ing.Load(); ing != nil {
-		s.consumed = s.consumed[:0]
-		for i := 0; i < ing.ring.Shards(); i++ {
-			s.consumed = append(s.consumed, ing.ring.ConsumedSeq(i))
-		}
-	}
+	s.consumed = s.run.stats.ShardAbsorbed[0]
 	s.run.stats.Elapsed = time.Since(s.start)
 	s.qSteps, s.qFanned = s.run.stats.Steps, s.run.stats.FannedSteps
 	close(s.qGen)
@@ -366,6 +302,11 @@ func (s *Session) QuiescedSteps() (steps, fanned int64) {
 func (s *Session) gate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.terminal()
+}
+
+// terminal is gate with mu held.
+func (s *Session) terminal() error {
 	if s.err != nil {
 		return s.err
 	}
@@ -375,21 +316,21 @@ func (s *Session) gate() error {
 	return nil
 }
 
-// Put injects one external tuple. It never waits for quiescence — the
-// tuple is published into the ingress ring and the call returns, so
-// ingestion from application goroutines overlaps rule execution. Put
-// blocks only when the ingress ring is full (backpressure) and errors if
-// the tuple's table was not declared on this program or the session is
-// closed or failed.
+// Put injects one external tuple; see PutBatch.
 func (s *Session) Put(t *tuple.Tuple) error { return s.PutBatch(t) }
 
-// PutBatch injects external tuples, claiming one ring slot per tuple; it
-// shares Put's non-blocking contract. A batch is an ingestion convenience,
-// not a causal unit: tuples still settle per their own causal keys.
+// PutBatch injects external tuples. It never waits for quiescence: the
+// batch is appended whole to the session's pending list and the call
+// returns, so ingestion from application goroutines overlaps rule
+// execution. It blocks only while the list already holds
+// Options.IngressRing tuples (backpressure), until the coordinator takes
+// the list at a step boundary or the session closes, fails or has its ctx
+// cancelled. It errors if a tuple's table was not declared on this program
+// or the session is closed or failed. The list keeps copies of the tuple
+// pointers, so the caller may reuse ts at once. A batch is an ingestion
+// convenience, not a causal unit: tuples still settle per their own causal
+// keys.
 func (s *Session) PutBatch(ts ...*tuple.Tuple) error {
-	if err := s.gate(); err != nil {
-		return err
-	}
 	for _, t := range ts {
 		if t == nil {
 			return fmt.Errorf("jstar: Put of nil tuple")
@@ -398,29 +339,31 @@ func (s *Session) PutBatch(ts ...*tuple.Tuple) error {
 			return fmt.Errorf("jstar: Put of tuple from table %s not declared on this program", t.Schema().Name)
 		}
 	}
-	ing := s.ing.Load()
-	if ing == nil {
-		var err error
-		if ing, err = s.initIngress(); err != nil {
+	s.mu.Lock()
+	for {
+		if err := s.terminal(); err != nil {
+			s.mu.Unlock()
 			return err
 		}
-	}
-	for _, t := range ts {
-		t := t
-		ing.ring.Publish(func(ev *ingressEvent) { ev.t = t })
-		// Wake the coordinator per publish, not once per batch: a batch
-		// larger than the ring's free capacity would otherwise gate this
-		// publisher before the wake-up was ever sent, with the coordinator
-		// parked — a deadlock. The send is non-blocking (a pending token
-		// already guarantees a re-poll).
-		select {
-		case s.notify <- struct{}{}:
-		default:
+		if len(s.pending) < s.run.opts.ingressRing() {
+			break
 		}
+		if err := s.ctx.Err(); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		s.room.Wait()
 	}
-	// The loop may have shut down while we were gated on a full ring; in
-	// that case the published tuples will never be absorbed — report it.
-	return s.gate()
+	s.pending = append(s.pending, ts...)
+	s.accepted += int64(len(ts))
+	s.mu.Unlock()
+	// One wake-up per batch; the send is non-blocking (a pending token
+	// already guarantees the coordinator looks again).
+	select {
+	case s.notify <- struct{}{}:
+	default:
+	}
+	return nil
 }
 
 // Quiesce blocks until the database has drained to quiescence and every
@@ -429,36 +372,17 @@ func (s *Session) PutBatch(ts ...*tuple.Tuple) error {
 // session's terminal error if it failed or was closed first. Multiple
 // goroutines may Quiesce concurrently.
 func (s *Session) Quiesce(ctx context.Context) error {
-	// The watermark is a vector: the highest claimed sequence per ingress
-	// shard at call time. Quiescence with every shard's absorbed sequence
-	// at or past its watermark means everything put before the call is in.
-	var target []int64
-	if ing := s.ing.Load(); ing != nil {
-		target = ing.ring.ClaimedSnapshot(nil)
-	}
-	covered := func() bool {
-		for i, w := range target {
-			if w < 0 {
-				continue // nothing ever claimed on this shard
-			}
-			if i >= len(s.consumed) || s.consumed[i] < w {
-				return false
-			}
-		}
-		return true
-	}
+	// The pending list is absorbed in acceptance order, so everything put
+	// before the call is in once a quiescent boundary has absorbed as many
+	// tuples as had been accepted when it was made.
+	s.mu.Lock()
+	target := s.accepted
 	for {
-		s.mu.Lock()
-		if s.err != nil {
-			err := s.err
+		if err := s.terminal(); err != nil {
 			s.mu.Unlock()
 			return err
 		}
-		if s.closed {
-			s.mu.Unlock()
-			return ErrSessionClosed
-		}
-		if s.quiescent && covered() {
+		if s.quiescent && s.consumed >= target {
 			s.mu.Unlock()
 			return nil
 		}
@@ -474,6 +398,7 @@ func (s *Session) Quiesce(ctx context.Context) error {
 			}
 			return ErrSessionClosed
 		}
+		s.mu.Lock()
 	}
 }
 
@@ -603,17 +528,14 @@ func (s *Session) PrefixVersion(table string, bucket int) (int64, error) {
 	return s.run.prefixVerByID[sch.ID()][bucket].Load(), nil
 }
 
-// IngressBacklog reports how many published external tuples have not yet
-// been absorbed by the coordinator, and the ingress ring's total capacity
-// — the signal admission controllers use to shed load before producers
-// block on ring backpressure. Before the first Put (no ring yet) the
-// backlog is zero and the capacity is the configured Options.IngressRing.
+// IngressBacklog reports how many accepted external tuples the coordinator
+// has not yet absorbed, and the bound at which producers start to wait
+// (Options.IngressRing) — the signal admission controllers use to shed
+// load before producers block on backpressure.
 func (s *Session) IngressBacklog() (pending int64, capacity int) {
-	ing := s.ing.Load()
-	if ing == nil {
-		return 0, s.run.opts.ingressRing()
-	}
-	return ing.ring.PendingCount(), ing.ring.Capacity()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int64(len(s.pending)), s.run.opts.ingressRing()
 }
 
 // Stats returns the run statistics. Read them only at quiescence (after
@@ -642,6 +564,7 @@ func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true
+		s.room.Broadcast()
 		s.mu.Unlock()
 		close(s.closeCh)
 		<-s.loopDone
@@ -663,8 +586,8 @@ func (s *Session) Close() error {
 
 // sessionHost adapts the session to the exec.Host contract: it is runHost
 // plus ingress absorption and context/close checks at each step boundary.
-// Absorbed tuples enter the put buffers (one slot per ingress shard) and
-// are flushed into the Delta tree before the next extraction, so an
+// Absorbed tuples enter the coordinator's put buffer and are flushed into
+// the Delta tree before the next extraction, so an
 // external event becomes visible exactly at a step boundary — the same
 // visibility rule as rule puts.
 type sessionHost struct{ s *Session }
@@ -677,6 +600,11 @@ func (h sessionHost) NextBatch() ([]*tuple.Tuple, error) {
 	default:
 	}
 	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	// A failed run absorbs nothing more: producers waiting for room get the
+	// failure, not an acceptance the session can no longer honour.
+	if err := s.run.loadFail(); err != nil {
 		return nil, err
 	}
 	if s.absorb() > 0 {

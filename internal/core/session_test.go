@@ -394,7 +394,7 @@ func TestSessionIngestionOverlapsExecution(t *testing.T) {
 	}
 }
 
-// TestSessionBackpressure: a full ingress ring gates producers instead of
+// TestSessionBackpressure: a full ingress list gates producers instead of
 // growing without bound, and absorbing events releases them.
 func TestSessionBackpressure(t *testing.T) {
 	p := NewProgram()
@@ -417,7 +417,7 @@ func TestSessionBackpressure(t *testing.T) {
 	}
 	defer s.Close()
 	<-inBody
-	// Fill the ring while the coordinator is parked, then one more: that
+	// Fill the list while the coordinator is parked, then one more: that
 	// publisher must gate until the coordinator absorbs.
 	for i := 0; i < ring; i++ {
 		if err := s.Put(tuple.New(ev, tuple.Int(int64(i)))); err != nil {
@@ -428,7 +428,7 @@ func TestSessionBackpressure(t *testing.T) {
 	go func() { gated <- s.Put(tuple.New(ev, tuple.Int(int64(ring)))) }()
 	select {
 	case <-gated:
-		t.Fatal("Put into a full ingress ring returned without backpressure")
+		t.Fatal("Put into a full ingress list returned without backpressure")
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
@@ -444,9 +444,9 @@ func TestSessionBackpressure(t *testing.T) {
 }
 
 // TestSessionPutBatchLargerThanRing: one PutBatch bigger than the whole
-// ingress ring must complete — the coordinator absorbs mid-batch because
-// each publish wakes it, rather than deadlocking on a full ring with the
-// wake-up still unsent.
+// ingress bound must complete — it is accepted whole while the pending
+// list is below the bound, rather than deadlocking on a list it can never
+// fit into.
 func TestSessionPutBatchLargerThanRing(t *testing.T) {
 	p, ev, out := sessionProgram()
 	const ring = 8
@@ -471,7 +471,7 @@ func TestSessionPutBatchLargerThanRing(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("PutBatch larger than the ingress ring deadlocked")
+		t.Fatal("PutBatch larger than the ingress bound deadlocked")
 	}
 	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)

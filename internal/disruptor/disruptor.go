@@ -9,9 +9,8 @@
 // Rings built with NewMultiRing additionally support concurrent publishers
 // (MultiProducer): slots are claimed with a fetch-add on the cursor and
 // out-of-order fills are published through a per-slot availability buffer,
-// the LMAX multi-producer sequencer. The Session ingress ring uses this
-// mode so any number of application goroutines can inject external tuples
-// while the engine drains.
+// the LMAX multi-producer sequencer. Its one user is the repo benchmark's
+// disruptor.publish row, through ShardedRing.
 package disruptor
 
 import (
@@ -320,8 +319,7 @@ func (c *Consumer[T]) Run(handle func(seq int64, v *T) bool) {
 // Poll processes the events published but not yet seen by this consumer
 // without ever blocking, and returns how many were handled (0 when the ring
 // is empty). It is the non-blocking sibling of Consume, for coordinators
-// that interleave ring draining with other work — the session loop polls
-// the ingress ring at each step boundary.
+// that interleave ring draining with other work.
 func (c *Consumer[T]) Poll(handle func(seq int64, v *T) bool) int {
 	r := c.ring
 	next := c.seq.Load() + 1

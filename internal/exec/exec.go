@@ -210,7 +210,7 @@ func shouldFanOut(fired int, elapsed int64, remaining int) bool {
 // a gate. Drain is resumable: it may be called any number of times, and the
 // host may grow the Delta set between (and during) calls — the Session
 // coordinator re-enters Drain after every batch of externally injected
-// tuples, and its host absorbs the ingress ring inside NextBatch, so the
+// tuples, and its host absorbs the pending ingress inside NextBatch, so the
 // loop never assumes seed-then-drain-once. It owns no goroutines.
 type Loop struct {
 	pool Pool // nil: every step fires on the coordinator

@@ -14,7 +14,7 @@ import (
 // in: one struct per served request, no nesting, so a row maps 1:1 onto a
 // CSV line and onto the aggregate counters behind /metrics. The nanos
 // fields split the request's life along the ingestion pipeline: Enqueue is
-// time spent publishing into the session's ingress ring (PutBatch),
+// time spent handing the batch to the session's ingress (PutBatch),
 // Quiesce is time blocked waiting for the quiescent boundary, Total is
 // wall time in the handler.
 type RequestMetrics struct {

@@ -1,7 +1,7 @@
 // Package serve puts the engine's online Session on the wire: a
 // multi-tenant HTTP front-end hosting many named programs in one process.
 // Each tenant is a compiled JStar program with its own live Session,
-// engine options (strategy, store plan, ingress shards) and quotas;
+// engine options (strategy, store plan) and quotas;
 // clients stream tuples in (JSON or the length-prefixed binary batch
 // format), force quiescent boundaries, run prefix queries against the
 // quiesced Gamma stores, and register query subscriptions that fire when
@@ -48,9 +48,9 @@ type Config struct {
 	MaxInflightPuts int
 	// AdmitPendingFraction is the per-tenant default ingress-backpressure
 	// admission threshold: a put gets 429 when the session's unabsorbed
-	// ingress backlog exceeds this fraction of the ring capacity (default
+	// ingress backlog exceeds this fraction of the ingress bound (default
 	// 0.75). TenantConfig can override per tenant; a negative value
-	// disables the ring check, leaving only the inflight semaphore.
+	// disables the backlog check, leaving only the inflight semaphore.
 	AdmitPendingFraction float64
 	// MetricsCSV, when non-nil, receives one CSV row per served request
 	// (header first; see CSVHeader).

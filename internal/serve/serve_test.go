@@ -427,6 +427,7 @@ func TestServeCreateRejectsUnknownFields(t *testing.T) {
 	src, _ := json.Marshal(doubleSrc)
 	for i, c := range []struct{ extra, field string }{
 		{`"ingres_shards": 4`, "ingres_shards"},
+		{`"ingress_shards": 4`, "ingress_shards"},
 		{`"replan_every": 1`, "replan_every"},
 		{`"durability": {"wal_dir": "` + t.TempDir() + `", "group_commit_ms": 1}`, "group_commit_ms"},
 	} {
@@ -451,7 +452,7 @@ func TestServeCreateRejectsUnknownFields(t *testing.T) {
 		t.Fatalf("rejected creates left tenants behind: %s", got)
 	}
 	client := serve.NewClient(hs.URL)
-	if _, err := client.CreateTenant(context.Background(), serve.TenantConfig{Name: "t", Source: doubleSrc, IngressShards: 4}); err != nil {
+	if _, err := client.CreateTenant(context.Background(), serve.TenantConfig{Name: "t", Source: doubleSrc}); err != nil {
 		t.Fatalf("create with known fields only: %v", err)
 	}
 }
@@ -581,7 +582,7 @@ func TestTenantInfoVersions(t *testing.T) {
 	ctx := context.Background()
 	if _, err := client.CreateTenant(ctx, serve.TenantConfig{
 		Name: "t", Source: doubleSrc, Strategy: "seq",
-		StorePlan: map[string]string{"Out": "hash:1"}, IngressShards: 2,
+		StorePlan: map[string]string{"Out": "hash:1"},
 	}); err != nil {
 		t.Fatal(err)
 	}

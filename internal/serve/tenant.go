@@ -27,19 +27,17 @@ type TenantConfig struct {
 	// StorePlan maps table names to gamma kind specs ("hash:2",
 	// "columnar", ...), overriding the planner's defaults.
 	StorePlan map[string]string `json:"store_plan,omitempty"`
-	// IngressShards passes through to core.Options.
-	IngressShards int `json:"ingress_shards,omitempty"`
 	// MaxInflightPuts caps concurrent ingestion requests for this tenant
 	// (further puts get 429); 0 uses the server default. Since admission is
-	// primarily ring-driven (AdmitPendingFraction), this is the fallback
-	// cap bounding request-handler goroutines rather than ring pressure.
+	// primarily backlog-driven (AdmitPendingFraction), this is the fallback
+	// cap bounding request-handler goroutines rather than ingress pressure.
 	MaxInflightPuts int `json:"max_inflight_puts,omitempty"`
 	// AdmitPendingFraction is the ingress-backpressure admission threshold:
-	// a put is rejected with 429 when the session's pending (published but
-	// unabsorbed) ingress events exceed this fraction of the ring capacity,
-	// so a flooding client is shed *before* its requests block on a full
-	// ring lane. 0 uses the server default; negative disables the ring
-	// check, leaving only the inflight semaphore.
+	// a put is rejected with 429 when the session's pending (accepted but
+	// unabsorbed) ingress events exceed this fraction of the ingress bound
+	// (core.Options.IngressRing), so a flooding client is shed *before* its
+	// requests block on backpressure. 0 uses the server default; negative
+	// disables the backlog check, leaving only the inflight semaphore.
 	AdmitPendingFraction float64 `json:"admit_pending_fraction,omitempty"`
 	// Durability, when present, makes the tenant durable: ingested tuples
 	// are journaled to a write-ahead log under WalDir, Gamma is
@@ -79,21 +77,21 @@ type Tenant struct {
 	Session *core.Session
 
 	inflight  chan struct{} // fallback ingestion cap; acquire per put request
-	admitFrac float64       // ring-backpressure admission threshold (<0 disables)
+	admitFrac float64       // backlog admission threshold (<0 disables)
 	subs      *subHub
 }
 
 // admitPut decides whether one ingestion request may proceed, without
-// blocking. Admission is driven by ingress-ring backpressure: when the
-// session's unabsorbed backlog exceeds admitFrac of the ring capacity the
+// blocking. Admission is driven by ingress backpressure: when the
+// session's unabsorbed backlog exceeds admitFrac of the ingress bound the
 // put is shed here, with an error naming the pressure, instead of letting
-// the request block on a full ring lane deep inside PutBatch. The inflight
-// semaphore remains as a fallback cap on concurrent put handlers. Release
-// with releasePut on nil error.
+// the request wait for room deep inside PutBatch. The inflight semaphore
+// remains as a fallback cap on concurrent put handlers. Release with
+// releasePut on nil error.
 func (t *Tenant) admitPut() error {
 	if t.admitFrac >= 0 {
 		if pending, capacity := t.Session.IngressBacklog(); float64(pending) > t.admitFrac*float64(capacity) {
-			return fmt.Errorf("serve: tenant %s ingress backlog %d exceeds %.0f%% of ring capacity %d",
+			return fmt.Errorf("serve: tenant %s ingress backlog %d exceeds %.0f%% of ingress bound %d",
 				t.Name, pending, t.admitFrac*100, capacity)
 		}
 	}
@@ -159,10 +157,7 @@ func (r *registry) buildTenant(ctx context.Context, cfg TenantConfig, defaultInf
 	if err != nil {
 		return nil, fmt.Errorf("serve: compile tenant %s: %w", cfg.Name, err)
 	}
-	opts := core.Options{
-		Quiet:         true,
-		IngressShards: cfg.IngressShards,
-	}
+	opts := core.Options{Quiet: true}
 	if cfg.Strategy != "" {
 		st, err := exec.ParseStrategy(cfg.Strategy)
 		if err != nil {

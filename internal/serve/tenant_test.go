@@ -11,7 +11,7 @@ import (
 
 // TestAdmitPutRingBackpressure pins the admission-control contract: a put
 // is shed as soon as the session's unabsorbed ingress backlog crosses the
-// tenant's pending fraction, admits again once the ring drains, and the
+// tenant's pending fraction, admits again once the backlog drains, and the
 // inflight semaphore survives as the fallback cap (admitFrac < 0).
 func TestAdmitPutRingBackpressure(t *testing.T) {
 	p := core.NewProgram()
@@ -32,11 +32,11 @@ func TestAdmitPutRingBackpressure(t *testing.T) {
 	defer sess.Close()
 	ten := &Tenant{Name: "t", Session: sess, inflight: make(chan struct{}, 4), admitFrac: 0.1}
 	if err := ten.admitPut(); err != nil {
-		t.Fatalf("empty ring must admit: %v", err)
+		t.Fatalf("empty backlog must admit: %v", err)
 	}
 	ten.releasePut()
 	// Park the coordinator inside a rule firing, then pile events into the
-	// ring behind it: they stay published-but-unabsorbed.
+	// pending list behind it: they stay accepted-but-unabsorbed.
 	if err := sess.Put(tuple.New(ev, tuple.Int(0))); err != nil {
 		t.Fatal(err)
 	}
@@ -51,17 +51,17 @@ func TestAdmitPutRingBackpressure(t *testing.T) {
 	}
 	if err := ten.admitPut(); err == nil {
 		ten.releasePut()
-		t.Fatal("admitPut admitted a put over a backlogged ring")
+		t.Fatal("admitPut admitted a put over a backlogged ingress")
 	}
 	close(block)
 	if err := sess.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := ten.admitPut(); err != nil {
-		t.Fatalf("drained ring must admit again: %v", err)
+		t.Fatalf("drained backlog must admit again: %v", err)
 	}
 	ten.releasePut()
-	// admitFrac < 0 disables the ring check; the semaphore still caps.
+	// admitFrac < 0 disables the backlog check; the semaphore still caps.
 	ten2 := &Tenant{Name: "t2", Session: sess, inflight: make(chan struct{}, 1), admitFrac: -1}
 	if err := ten2.admitPut(); err != nil {
 		t.Fatal(err)

@@ -135,36 +135,8 @@ func TableReport(run *core.Run) string {
 	}
 	fmt.Fprintf(&b, "steps=%d fanned=%d maxBatch=%d fired=%d elapsed=%v\n",
 		st.Steps, st.FannedSteps, st.MaxBatch, st.TotalFired, st.Elapsed.Round(time.Microsecond))
-	b.WriteString(IngressLine(st))
 	b.WriteString(PhaseLine(st))
 	return b.String()
-}
-
-// IngressLine renders the session's ingestion spread — how many external
-// events each ingress lane absorbed, plus the skew (max lane share over
-// the perfectly balanced share). Empty for runs that never built an
-// ingress (one-shot Execute) or absorbed nothing.
-func IngressLine(st *core.RunStats) string {
-	if st.IngressShards == 0 {
-		return ""
-	}
-	var total, max int64
-	for _, n := range st.ShardAbsorbed {
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 {
-		return ""
-	}
-	counts := make([]string, len(st.ShardAbsorbed))
-	for i, n := range st.ShardAbsorbed {
-		counts[i] = fmt.Sprintf("%d", n)
-	}
-	skew := float64(max) * float64(st.IngressShards) / float64(total)
-	return fmt.Sprintf("ingress: shards=%d absorbed=[%s] skew=%.2f\n",
-		st.IngressShards, strings.Join(counts, " "), skew)
 }
 
 // PhaseLine renders the per-phase step breakdown of a run — the §6.3-style

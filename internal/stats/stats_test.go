@@ -110,47 +110,10 @@ func TestTableReport(t *testing.T) {
 	}
 }
 
-func TestTableReportHeaderAndIngressLine(t *testing.T) {
+func TestTableReportHeader(t *testing.T) {
 	_, run := traceRun(t)
 	rep := TableReport(run)
 	if !strings.Contains(rep, "strategy=") || !strings.Contains(rep, "gomaxprocs=") {
 		t.Errorf("report missing run header:\n%s", rep)
-	}
-	// A one-shot run never builds an ingress: no skew line.
-	if strings.Contains(rep, "ingress:") {
-		t.Errorf("one-shot run report shows an ingress line:\n%s", rep)
-	}
-	st := &core.RunStats{IngressShards: 4, ShardAbsorbed: []int64{10, 10, 20, 0}}
-	line := IngressLine(st)
-	if !strings.Contains(line, "shards=4") || !strings.Contains(line, "[10 10 20 0]") ||
-		!strings.Contains(line, "skew=2.00") {
-		t.Errorf("IngressLine = %q", line)
-	}
-	if IngressLine(&core.RunStats{}) != "" {
-		t.Error("IngressLine must be empty without ingress")
-	}
-}
-
-func TestIngressLineSkewWithIdleLane(t *testing.T) {
-	// One lane never absorbs anything: the skew must still be computed over
-	// the configured shard count (an idle lane is lost parallelism, not a
-	// smaller denominator), and the zero must be visible in the lane list.
-	st := &core.RunStats{IngressShards: 4, ShardAbsorbed: []int64{0, 30, 30, 30}}
-	line := IngressLine(st)
-	if !strings.Contains(line, "absorbed=[0 30 30 30]") {
-		t.Errorf("idle lane not reported: %q", line)
-	}
-	if !strings.Contains(line, "skew=1.33") {
-		t.Errorf("skew over 4 shards with a dead lane should be 30*4/90=1.33: %q", line)
-	}
-	// Degenerate pile-up: everything through one lane → skew == shard count.
-	st = &core.RunStats{IngressShards: 4, ShardAbsorbed: []int64{0, 0, 50, 0}}
-	if line := IngressLine(st); !strings.Contains(line, "skew=4.00") {
-		t.Errorf("single-lane pile-up skew should equal shard count: %q", line)
-	}
-	// Shards configured but nothing absorbed yet: no line at all.
-	st = &core.RunStats{IngressShards: 4, ShardAbsorbed: []int64{0, 0, 0, 0}}
-	if line := IngressLine(st); line != "" {
-		t.Errorf("no absorption must render nothing, got %q", line)
 	}
 }

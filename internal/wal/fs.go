@@ -2,11 +2,11 @@
 // segmented write-ahead log of external tuples, group-committed off the
 // ingestion hot path, plus Gamma checkpoints and crash recovery.
 //
-// The log is written by the session coordinator as it drains the sharded
-// ingress ring (the tee point): every absorbed external tuple is encoded
-// into a CRC-framed batch record, records are buffered and flushed by
-// size-or-deadline before one amortised fsync (the classic group-commit
-// shape), and segments are hash-chained head to tail so a tampered
+// The log is written by the session coordinator as it absorbs the
+// session's pending ingress (the tee point): every absorbed list of
+// external tuples is encoded into one CRC-framed batch record, records are
+// buffered and flushed by size-or-deadline before one amortised fsync (the
+// classic group-commit shape), and segments are hash-chained head to tail so a tampered
 // historical segment is rejected rather than replayed. Recovery loads the
 // newest valid checkpoint and replays the WAL tail through the ordinary
 // put path; the engine's deterministic fixpoint makes replay correctness

@@ -55,13 +55,13 @@
 //	sess.Query(price, jstar.Eq(...), visit)      // read quiesced Gamma state
 //	sess.Close()                                 // release the pool
 //
-// Put and PutBatch never wait for quiescence: external tuples are
-// published into a multi-producer Disruptor ingress ring and absorbed into
-// the Delta set by the coordinator at step boundaries, so ingestion
-// overlaps rule execution. The only backpressure is a full ingress ring
-// (Options.IngressRing). The ctx passed to Start bounds the whole session:
-// cancellation and deadlines are honoured at every step boundary, so even
-// a non-terminating program is stoppable without Options.MaxSteps.
+// Put and PutBatch never wait for quiescence: each call appends its batch
+// to one pending list, which the coordinator takes whole at the next step
+// boundary and puts into the Delta set, so ingestion overlaps rule
+// execution. The only backpressure is a pending list already holding
+// Options.IngressRing tuples. The ctx passed to Start bounds the whole
+// session: cancellation and deadlines are honoured at every step boundary,
+// so even a non-terminating program is stoppable without Options.MaxSteps.
 //
 // Sessions also go on the wire: cmd/jstar-serve (internal/serve) hosts
 // many named programs as a multi-tenant HTTP service — streaming
