@@ -58,7 +58,8 @@ func replannable(kind string) bool {
 //   - never queried but at least half the puts were duplicates: a dedup
 //     sink (trigger tables like SumMonth), which wants O(1) full-row
 //     dedup — the open-addressing store keyed on the whole row when
-//     all-int, else the columnar store (hash-map dedup, no boxed rows);
+//     all-int, else the columnar store (open-addressing dedup, no boxed
+//     rows);
 //   - never queried, or queried only by full scans: append-mostly scan
 //     workload — the compressed columnar store;
 //   - mixed shapes: no opinion; the table keeps its current backend.

@@ -7,37 +7,49 @@ import (
 )
 
 // This file implements the compressed append-only columnar store — the
-// scan-oriented Gamma backend the store planner picks for append-mostly
-// tables that are read by full scans (or not read at all). Instead of
-// retaining one boxed *Tuple per row like the NavigableSet and hash
-// backends, it keeps one typed slice per column: ints and bools as int64,
-// floats as float64, and strings dictionary-encoded as int64 ids into a
-// shared dictionary (the compression — a table with a low-cardinality
-// string column stores each distinct string once). Tuples are materialised
-// on demand only for rows that survive the column-level prefix filter, so
-// a selective Select touches the key columns' slices sequentially — the
-// cache-friendly stride the paper's native-array stores (§6.4) get from
-// flat arrays — and rejected rows never allocate.
+// Gamma backend the store planner picks for append-mostly tables that are
+// read by full scans or by point lookups on their leading column (or not
+// read at all). Instead of retaining one boxed *Tuple per row like the
+// NavigableSet and hash backends, it keeps one typed slice per column:
+// ints and bools as int64, floats as float64, and strings
+// dictionary-encoded as int64 ids into a shared dictionary (the
+// compression — a table with a low-cardinality string column stores each
+// distinct string once). Two open-addressing oaTables (inthash.go) index
+// the rows without boxing them either: one on the full tuple hash, for
+// set-semantics dedup, and one on the hash of column 0, whose entries
+// anchor per-value chains threaded through next. A Select with a non-empty
+// prefix walks one chain; an empty prefix and Scan walk the rows in order.
+// Either way the prefix is tested on the column slices, and tuples are
+// materialised only for rows that survive it, so rejected rows never
+// allocate.
 
 // colStore is the columnar Store implementation.
 type colStore struct {
 	mu     sync.RWMutex
 	schema *tuple.Schema
-	n      int
 	nums   [][]int64   // per column: int/bool payloads or string dict ids
 	floats [][]float64 // per column: float payloads
 	dict   map[string]int64
-	strs   []string           // dict id -> string
-	seen   map[uint64][]int32 // full tuple hash -> row ids (set-semantics dedup)
+	strs   []string // dict id -> string
+	dedup  oaTable  // full tuple hash -> row (set-semantics dedup)
+	keys   oaTable  // column-0 hash -> newest row of its chain
+	// next holds one entry per stored row (its length is the row count),
+	// threading each column-0 hash's rows into a circular chain in
+	// insertion order: the newest row (the keys entry) links to the oldest,
+	// so appending and an in-order walk are both O(1) per row.
+	next []int32
+	// hashMask is all ones outside tests; a narrow mask is the test seam
+	// that forces distinct rows and column-0 values onto one 64-bit hash.
+	hashMask uint64
 }
 
 // NewColumnarStore returns the compressed append-only columnar store for s.
 func NewColumnarStore(s *tuple.Schema) Store {
 	return &colStore{
-		schema: s,
-		nums:   make([][]int64, s.Arity()),
-		floats: make([][]float64, s.Arity()),
-		seen:   make(map[uint64][]int32),
+		schema:   s,
+		nums:     make([][]int64, s.Arity()),
+		floats:   make([][]float64, s.Arity()),
+		hashMask: ^uint64(0),
 	}
 }
 
@@ -97,13 +109,18 @@ func (cs *colStore) materialise(r int32) *tuple.Tuple {
 	return tuple.New(cs.schema, vals...)
 }
 
+// keyHash is the chain hash of a column-0 value. Value.Hash agrees with
+// Value.Equal (floats are canonical), so -0.0 and NaN find their chains.
+func (cs *colStore) keyHash(v tuple.Value) uint64 {
+	return finalizeHash(v.Hash(tuple.HashSeed)) & cs.hashMask
+}
+
 func (cs *colStore) insertLocked(t *tuple.Tuple) bool {
-	h := t.Hash()
-	for _, r := range cs.seen[h] {
-		if cs.rowEqual(r, t) {
-			return false
-		}
+	h := finalizeHash(t.Hash()) & cs.hashMask
+	if cs.dedup.find(h, func(r int32) bool { return cs.rowEqual(r, t) }) >= 0 {
+		return false
 	}
+	r := int32(len(cs.next))
 	for i, c := range cs.schema.Columns {
 		v := t.Field(i)
 		switch c.Kind {
@@ -131,8 +148,13 @@ func (cs *colStore) insertLocked(t *tuple.Tuple) bool {
 			cs.nums[i] = append(cs.nums[i], v.AsInt())
 		}
 	}
-	cs.seen[h] = append(cs.seen[h], int32(cs.n))
-	cs.n++
+	cs.dedup.put(h, func(int32) bool { return false }, r)
+	if tail := cs.keys.put(cs.keyHash(t.Field(0)), anyRow, r); tail < 0 {
+		cs.next = append(cs.next, r) // a chain of one
+	} else {
+		cs.next = append(cs.next, cs.next[tail]) // the chain's oldest row
+		cs.next[tail] = r
+	}
 	return true
 }
 
@@ -143,9 +165,7 @@ func (cs *colStore) Insert(t *tuple.Tuple) bool {
 }
 
 // InsertBatch appends a run of tuples under one lock episode — the batched
-// put path; appends into columnar slices are the cheapest insert any
-// backend offers, which is why the planner likes this store for
-// append-mostly tables.
+// put path.
 func (cs *colStore) InsertBatch(ts []*tuple.Tuple, live []*tuple.Tuple) []*tuple.Tuple {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -160,13 +180,13 @@ func (cs *colStore) InsertBatch(ts []*tuple.Tuple, live []*tuple.Tuple) []*tuple
 func (cs *colStore) Len() int {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
-	return cs.n
+	return len(cs.next)
 }
 
 func (cs *colStore) Scan(fn func(*tuple.Tuple) bool) {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
-	for r := int32(0); r < int32(cs.n); r++ {
+	for r := int32(0); r < int32(len(cs.next)); r++ {
 		if !fn(cs.materialise(r)) {
 			return
 		}
@@ -237,6 +257,10 @@ func (cs *colStore) matchPrefix(r int32, preds []colPred) bool {
 	return true
 }
 
+// Select walks the chain of the prefix's column-0 value, or every row when
+// the prefix is empty; both visit rows in insertion order. Column-0 values
+// that collide on all 64 bits share a chain, and matchPrefix drops the
+// strangers.
 func (cs *colStore) Select(q Query, fn func(*tuple.Tuple) bool) {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
@@ -245,12 +269,22 @@ func (cs *colStore) Select(q Query, fn func(*tuple.Tuple) bool) {
 	if !ok {
 		return
 	}
-	for r := int32(0); r < int32(cs.n); r++ {
+	visit := func(r int32) bool {
 		if !cs.matchPrefix(r, preds) {
-			continue
+			return true
 		}
-		if t := cs.materialise(r); q.whereOK(t) && !fn(t) {
-			return
+		t := cs.materialise(r)
+		return !q.whereOK(t) || fn(t)
+	}
+	if len(preds) == 0 {
+		for r := int32(0); r < int32(len(cs.next)) && visit(r); r++ {
 		}
+		return
+	}
+	tail := cs.keys.find(cs.keyHash(q.Prefix[0]), anyRow)
+	if tail < 0 {
+		return
+	}
+	for r := cs.next[tail]; visit(r) && r != tail; r = cs.next[r] {
 	}
 }

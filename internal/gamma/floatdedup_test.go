@@ -57,4 +57,36 @@ func TestFloatDedupIsStoreIndependent(t *testing.T) {
 			t.Errorf("%s keeps %d of F(1, ±0), F(2, NaN), F(2, NaN'), want 2", name, got)
 		}
 	}
+
+	// With the float leading, the same values are index keys: a prefix of
+	// -0.0 must find the +0.0 row, and a NaN with other bits the NaN row,
+	// on the ordered, hashed and columnar (column-0 chain) stores alike.
+	g := tuple.MustSchema("G",
+		[]tuple.Column{{Name: "v", Kind: tuple.KindFloat}, {Name: "k", Kind: tuple.KindInt}},
+		[]tuple.OrderEntry{tuple.Lit("G")})
+	rows := []*tuple.Tuple{
+		tuple.New(g, tuple.Float(0), tuple.Int(1)),
+		tuple.New(g, tuple.Float(math.Float64frombits(0x7ff8000000000001)), tuple.Int(2)),
+	}
+	slices.SortStableFunc(rows, tuple.ComparePath)
+	for _, spec := range []string{"tree", "hash:1", "columnar"} {
+		factory, err := FactoryFor(spec, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := factory(g)
+		InsertBatch(st, rows, nil)
+		for _, probe := range []struct {
+			key  float64
+			want int64
+		}{
+			{math.Copysign(0, -1), 1},
+			{math.Float64frombits(0x7ff8000000000003), 2},
+		} {
+			got := selected(st, Query{Prefix: []tuple.Value{tuple.Float(probe.key)}})
+			if len(got) != 1 || got[0] != tuple.New(g, tuple.Float(probe.key), tuple.Int(probe.want)).String() {
+				t.Errorf("%s: Select([%v]) = %v, want the one row with k=%d", spec, probe.key, got, probe.want)
+			}
+		}
+	}
 }

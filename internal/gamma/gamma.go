@@ -11,7 +11,9 @@
 //     hash index and the array-of-hashsets of §6.2 (one hash-bucket
 //     implementation, hashShard), the dense native arrays of §6.4, the
 //     rolling two-iteration array of §6.6, plus a compressed append-only
-//     columnar store and an int-specialised open-addressing store.
+//     columnar store and an int-specialised open-addressing store. Every
+//     hashed store — hash, arrayhash, inthash and columnar (chained on
+//     column 0) — indexes through one open-addressing table, oaTable.
 //   - StoreFactory builds a Store for a schema — the paper's stage-4
 //     data-structure hint, overridden per table through DB.SetStore (the
 //     factory-method seam the paper describes overriding manually).

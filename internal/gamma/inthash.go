@@ -229,10 +229,10 @@ func (st *intHashStore) Select(q Query, fn func(*tuple.Tuple) bool) {
 }
 
 // oaTable is a linear-probing open-addressing table mapping 64-bit hashes
-// to row ids — the index under intShard here and under hashShard (the hash
-// and array-of-hashsets stores, gamma.go). Distinct keys may share a hash;
-// find/put take an equality callback to disambiguate. The caller provides
-// synchronisation.
+// to row ids — the index under intShard here, under hashShard (the hash
+// and array-of-hashsets stores, gamma.go) and under colStore (columnar.go).
+// Distinct keys may share a hash; find/put take an equality callback to
+// disambiguate. The caller provides synchronisation.
 type oaTable struct {
 	hashes []uint64
 	rows   []int32 // row id + 1; 0 marks an empty slot

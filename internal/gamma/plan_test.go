@@ -136,14 +136,20 @@ func TestColumnarStringDictionary(t *testing.T) {
 	}
 	n := 0
 	st.Select(Query{Prefix: []tuple.Value{tuple.String_("warn")}}, func(tp *tuple.Tuple) bool {
-		if tp.Str("level") != "warn" {
-			t.Errorf("wrong tuple %v", tp)
+		if tp.Str("level") != "warn" || tp.Int("n") != int64(10*n) {
+			t.Errorf("warn select visit %d: %v, want n=%d in insertion order", n, tp, 10*n)
 		}
 		n++
 		return true
 	})
 	if n != 10 {
 		t.Errorf("warn select matched %d, want 10", n)
+	}
+	// A two-column string-leading prefix walks the "info" chain and keeps
+	// the one row whose n matches.
+	if got := selected(st, Query{Prefix: []tuple.Value{tuple.String_("info"), tuple.Int(37)}}); len(got) != 1 ||
+		got[0] != tuple.New(s, tuple.String_("info"), tuple.Int(37), tuple.Bool(false), tuple.Float(18.5)).String() {
+		t.Errorf("Select(info, 37) = %v, want the one row n=37", got)
 	}
 	// A string absent from the dictionary — and a prefix value of the wrong
 	// kind for its column — can never match; both must short-circuit.

@@ -302,8 +302,10 @@ type tableUsage struct {
 // are hinted: tables whose every get carries an equality prefix become
 // hash-indexed at the shortest prefix depth (int-specialised when all
 // columns are ints — every such get then hits the keyed probe path), and
-// tables that are put into but never queried become columnar (their store
-// only ever absorbs appends and dedup).
+// tables that are put into but never queried by rules become columnar
+// (the program itself only appends and dedups into them). Served clients
+// may still prefix-query such a table over /query; columnar answers a
+// non-empty prefix from the one chain of its column-0 value, not a scan.
 func (c *compiler) emitPlanHints(f *File) {
 	usage := map[string]*tableUsage{}
 	use := func(name string) *tableUsage {

@@ -294,9 +294,11 @@ func HashStore(k int) StoreFactory { return gamma.NewHashStore(k) }
 func IntHashStore(k int) StoreFactory { return gamma.NewIntHashStore(k) }
 
 // ColumnarStore is the compressed append-only columnar store: one typed
-// slice per column, dictionary-encoded strings, tuples materialised only
-// for rows surviving the column-level prefix filter. Best for append-
-// mostly tables read by scans.
+// slice per column, dictionary-encoded strings, open-addressing dedup,
+// and a chain per column-0 value, so a prefix Select walks one chain
+// instead of the table. Tuples are materialised only for rows surviving
+// the column-level prefix filter. Best for append-mostly tables read by
+// scans or by point lookups on their leading column.
 var ColumnarStore StoreFactory = gamma.NewColumnarStore
 
 // StoreKinds lists the legal named store kinds accepted by
