@@ -95,11 +95,10 @@ type RunStats struct {
 	// DeltaNanos the Delta-tree bulk load. Fire runs parallel under the
 	// parallel strategies; the other three are the step boundary — the
 	// serial fraction that Amdahl-caps every scaling direction, which is
-	// why the boundary now sorts at the source, merges instead of
-	// re-sorting, and shards its inserts. Recorded only under
-	// Options.PhaseStats (a few clock reads per step are visible on
-	// step-dominated programs); written only by the coordinator — read
-	// them at quiescence like Steps/Elapsed.
+	// why the boundary sorts at the source and merges instead of
+	// re-sorting. Recorded only under Options.PhaseStats (a few clock
+	// reads per step are visible on step-dominated programs); written only
+	// by the coordinator — read them at quiescence like Steps/Elapsed.
 	InsertNanos int64
 	FireNanos   int64
 	MergeNanos  int64
@@ -191,12 +190,13 @@ func (s *RunStats) SerialBoundaryFraction() float64 {
 // tuple.ComparePath and handed off as one pre-sorted run — and the
 // coordinator k-way merges the sealed runs into the Delta tree. A
 // fanned-out step seals from the workers themselves (exec.Host.SealSlot),
-// so the sorting half of the flush runs in parallel; EndStep seals
-// whatever the step loop did not. No firing ever contends on the global
-// Delta-tree structures. The mutex is uncontended in the common case (one
-// goroutine per slot per step); it exists because a rule may fan its own
-// body out across the pool (§5.2 "additional parallelism"), making
-// several workers share the firing rule's slot.
+// so the sort is the one part of the flush that runs in parallel; EndStep
+// seals whatever the step loop did not, then merges and loads the tree
+// serially on the coordinator. No firing ever touches the Delta tree. The
+// mutex is uncontended in the common case (one goroutine per slot per
+// step); it exists because a rule may fan its own body out across the pool
+// (§5.2 "additional parallelism"), making several workers share the firing
+// rule's slot.
 type putSlot struct {
 	mu  sync.Mutex
 	buf []*tuple.Tuple
@@ -235,7 +235,8 @@ type Run struct {
 	delta   *delta.Tree
 	gammaDB *gamma.DB
 	// pool is what the run fans out on — a step's firings (through loop) and
-	// the boundary's per-table inserts and Delta load alike. It is nil unless
+	// the per-worker seal sort, nothing else: the step boundary's Gamma
+	// insert, merge and Delta load stay on the coordinator. It is nil unless
 	// the run has a pool of more than one worker, and that one fact decides
 	// everything else that exists only for parallelism: concurrent Gamma
 	// stores and more than one put slot.
@@ -251,7 +252,6 @@ type Run struct {
 	slots    []putSlot
 	slotCtx  []Ctx            // per-slot reusable rule contexts for fireBatch
 	flushBuf []*tuple.Tuple   // coordinator-only merge scratch for endStep
-	groupBuf []insGroup       // coordinator-only scratch for beginStep's groups
 	runsBuf  [][]*tuple.Tuple // coordinator-only scratch for endStep's merge input
 
 	// prefixTrack gates per-table key-prefix change tracking (filtered
@@ -288,7 +288,7 @@ type Run struct {
 
 	// dirtyByID is the per-table step-dirty bitset: flag i is set when a
 	// live tuple of schema i entered Gamma since the last quiescent
-	// boundary (beginStep's insert groups; the -noDelta inline insert
+	// boundary (beginStep's serial insert; the -noDelta inline insert
 	// path). foldDirty swaps the flags out at quiescence and bumps the
 	// matching TableVersions generations — the Delta-side change tracking
 	// behind query subscriptions. Atomic because -noDelta inserts run on
@@ -342,14 +342,9 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	}
 	r.loop = loop
 
-	// Delta-tree mutation happens only at the step-boundary flush
-	// (PutSorted, or PutPart over the disjoint SplitBulk partitions when
-	// the flush is sharded across the pool), never from rule firings — the
-	// skip-list Delta tree and its contention (§6.5) are gone. Concurrent
-	// PutPart calls are safe only because SplitBulk partitions never share
-	// a leaf or a subtree below the pre-created spine (size/dups are
-	// atomics); any new tree mutation reachable from putRun must preserve
-	// that disjointness.
+	// The Delta tree has one writer, the coordinator: endStep loads each
+	// step's merged flush with one serial PutSorted, and no rule firing
+	// touches the tree.
 	r.delta = delta.NewSequential(p.po)
 	// Every table defaults to the tree store, pool or no pool: its one lock
 	// costs less than a concurrent structure's per-insert synchronisation,
@@ -575,27 +570,9 @@ func (r *Run) nextBatch() ([]*tuple.Tuple, error) {
 	}
 }
 
-// shardInsertMin is the smallest step batch worth fanning per-schema
-// insert groups across the pool; smaller batches insert serially on the
-// coordinator, where one store lock episode already amortises fine.
-const shardInsertMin = 256
-
-// insGroup is one schema-homogeneous segment of a step batch during
-// beginStep's Gamma insert: batch[lo:hi], with kept live tuples compacted
-// to the segment's prefix after the (possibly concurrent) insert.
-type insGroup struct {
-	lo, hi int
-	kept   int
-}
-
 // beginStep moves one causal equivalence class into Gamma — batch-wise, one
 // store synchronisation episode per table run — and performs external
 // actions. It returns the live (non-duplicate) tuples whose rules fire.
-//
-// Multi-table batches on pooled runs insert their schema groups
-// concurrently: distinct tables resolve to distinct stores, so the groups
-// never alias, and each group filters its duplicates in place before a
-// serial compaction restores the deterministic sorted live order.
 func (r *Run) beginStep(batch []*tuple.Tuple) []*tuple.Tuple {
 	var start time.Time
 	if r.phaseClock {
@@ -611,68 +588,49 @@ func (r *Run) beginStep(batch []*tuple.Tuple) []*tuple.Tuple {
 	if !slices.IsSortedFunc(batch, tuple.CompareSchemaFields) {
 		slices.SortFunc(batch, tuple.CompareSchemaFields)
 	}
-	// Split into schema-homogeneous groups (capacity-retaining scratch:
-	// the step loop allocates nothing per step).
-	groups := r.groupBuf[:0]
+	// Dedup-insert each schema group into its table's store, filtering the
+	// live tuples in place: the write cursor never passes the read cursor,
+	// so live keeps the sorted order.
+	live := batch[:0]
 	anyAction := false
 	for i := 0; i < len(batch); {
 		s := batch[i].Schema()
+		id := s.ID()
 		j := i + 1
 		for j < len(batch) && batch[j].Schema() == s {
 			j++
 		}
-		if r.hasAction[s.ID()] {
+		group := batch[i:j]
+		i = j
+		if r.hasAction[id] {
 			anyAction = true
 		}
-		groups = append(groups, insGroup{lo: i, hi: j})
-		i = j
-	}
-	// insertGroup dedup-inserts one group into its table's store, keeping
-	// the live tuples as a prefix of the group's own segment (writes never
-	// outrun reads, the usual filter-in-place discipline).
-	insertGroup := func(g *insGroup) {
-		group := batch[g.lo:g.hi]
-		s := group[0].Schema()
-		id := s.ID()
 		if r.noGamma[id] {
-			g.kept = len(group)
-			return
+			live = append(live, group...)
+			continue
 		}
-		// Positive queries may see tuples with timestamps <= the
-		// trigger's, which includes batch-mates, so the whole batch
-		// lands in Gamma before any rule fires. Duplicates were already
-		// processed in an earlier step: set semantics say they are
-		// discarded and their rules do not re-fire.
-		live := gamma.InsertBatch(r.gammaDB.Table(s), group, group[:0:len(group)])
-		g.kept = len(live)
-		if g.kept > 0 {
+		// Positive queries may see tuples with timestamps <= the trigger's,
+		// which includes batch-mates, so the whole batch lands in Gamma
+		// before any rule fires. Duplicates were already processed in an
+		// earlier step: set semantics say they are discarded and their
+		// rules do not re-fire.
+		kept := len(live)
+		live = gamma.InsertBatch(r.gammaDB.Table(s), group, live)
+		added := live[kept:]
+		if len(added) > 0 {
 			r.dirtyByID[id].Store(true)
 			if r.prefixTrack.Load() && s.Arity() > 0 {
 				var mask uint64
-				for _, t := range live {
+				for _, t := range added {
 					mask |= 1 << PrefixBucket(t.Field(0))
 				}
 				r.prefixDirty[id].Or(mask)
 			}
 		}
-		if dups := len(group) - g.kept; dups > 0 {
+		if dups := len(group) - len(added); dups > 0 {
 			r.statsByID[id].Duplicates.Add(int64(dups))
 		}
 	}
-	if len(groups) > 1 && r.pool != nil && len(batch) >= shardInsertMin {
-		r.pool.For(len(groups), 1, func(i int) { insertGroup(&groups[i]) })
-	} else {
-		for i := range groups {
-			insertGroup(&groups[i])
-		}
-	}
-	// Compact the kept prefixes into one contiguous live batch, preserving
-	// the sorted order (the write cursor never passes a group's start).
-	live := batch[:0]
-	for _, g := range groups {
-		live = append(live, batch[g.lo:g.lo+g.kept]...)
-	}
-	r.groupBuf = groups[:0]
 	r.stats.TotalLive += int64(len(live))
 	// External actions (paper §3) run on the coordinator, in deterministic
 	// order within the batch, before the batch's rules fire. anyAction
@@ -750,18 +708,7 @@ func (r *Run) endStep() {
 		r.stats.MergeNanos += deltaStart.Sub(mergeStart).Nanoseconds()
 	}
 	if len(flush) > 0 {
-		loaded := false
-		if r.pool != nil && len(flush) >= shardInsertMin {
-			if parts := r.delta.SplitBulkN(flush, r.pool.Size()+1); len(parts) > 1 {
-				r.pool.For(len(parts), 1, func(i int) {
-					r.delta.PutPart(parts[i], nil)
-				})
-				loaded = true
-			}
-		}
-		if !loaded {
-			r.delta.PutSorted(flush, nil)
-		}
+		r.delta.PutSorted(flush, nil)
 	}
 	// Recycle: hand each run's array back to its slot with stale tuple
 	// pointers cleared, so buffers keep their grown capacity across steps

@@ -1,17 +1,17 @@
 package delta
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/order"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
-// bulkSchemas: three tables, two sharing a top-level literal (they must
-// land in one partition) and one with its own.
+// bulkSchemas: three tables, two sharing a top-level literal and one with
+// its own, all over a seq level-1 key.
 func bulkSchemas() (*order.PartialOrder, []*tuple.Schema) {
 	po := order.NewPartialOrder()
 	mk := func(name, lit string, id int32) *tuple.Schema {
@@ -26,6 +26,28 @@ func bulkSchemas() (*order.PartialOrder, []*tuple.Schema) {
 	b := mk("BB", "L1", 1)
 	c := mk("BC", "L2", 2)
 	return po, []*tuple.Schema{a, b, c}
+}
+
+// litTopSchemas: bulkSchemas plus a depth-1 table whose paths end at the
+// shared literal's node, above its sibling tables' leaves.
+func litTopSchemas() (*order.PartialOrder, []*tuple.Schema) {
+	po, schemas := bulkSchemas()
+	d := tuple.MustSchema("BD",
+		[]tuple.Column{{Name: "t", Kind: tuple.KindInt}, {Name: "v", Kind: tuple.KindInt}},
+		[]tuple.OrderEntry{tuple.Lit("L1")})
+	d.SetID(3)
+	return po, append(schemas, d)
+}
+
+// seqTopSchemas: a data-dependent (seq) top level, shared by a depth-2
+// table and a depth-1 table whose paths end at the level-1 nodes.
+func seqTopSchemas() (*order.PartialOrder, []*tuple.Schema) {
+	cols := []tuple.Column{{Name: "t", Kind: tuple.KindInt}, {Name: "v", Kind: tuple.KindInt}}
+	a := tuple.MustSchema("SA", cols, []tuple.OrderEntry{tuple.Seq("t"), tuple.Seq("v")})
+	a.SetID(0)
+	b := tuple.MustSchema("SB", cols, []tuple.OrderEntry{tuple.Seq("t")})
+	b.SetID(1)
+	return order.NewPartialOrder(), []*tuple.Schema{a, b}
 }
 
 // drainAllBatches drains a tree to a flat []string of batch contents, with
@@ -47,227 +69,61 @@ func drainAllBatches(tr *Tree) []string {
 	}
 }
 
-// TestSplitBulkMatchesPutBatch: loading a ComparePath-sorted flush through
-// SplitBulk+PutPart — serially or with one goroutine per part — must yield
-// a tree that drains identically to the PutBatch reference, with the same
-// added and duplicate counts.
-func TestSplitBulkMatchesPutBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 80; trial++ {
-		po, schemas := bulkSchemas()
-		var ts []*tuple.Tuple
-		for i := 0; i < rng.Intn(200); i++ {
-			s := schemas[rng.Intn(len(schemas))]
-			ts = append(ts, tuple.New(s,
-				tuple.Int(int64(rng.Intn(8))), tuple.Int(int64(rng.Intn(6)))))
-		}
-		ref := NewSequential(po)
-		refTs := append([]*tuple.Tuple(nil), ts...)
-		refDups := 0
-		refAdded := ref.PutBatch(refTs, func(*tuple.Tuple) { refDups++ })
-		want := drainAllBatches(ref)
-
-		for _, concurrent := range []bool{false, true} {
-			tr := NewSequential(po)
-			sorted := append([]*tuple.Tuple(nil), ts...)
-			slices.SortFunc(sorted, tuple.ComparePath)
-			parts := tr.SplitBulk(sorted)
-			if len(ts) > 0 && parts == nil {
-				t.Fatalf("trial %d: SplitBulk returned nil for a literal top level", trial)
-			}
-			total := 0
-			for i := range parts {
-				total += parts[i].Len()
-			}
-			if total != len(ts) {
-				t.Fatalf("trial %d: parts cover %d tuples, want %d", trial, total, len(ts))
-			}
-			var dupMu sync.Mutex
-			dups, added := 0, 0
-			if concurrent {
-				var wg sync.WaitGroup
-				addCh := make(chan int, len(parts))
-				for i := range parts {
-					wg.Add(1)
-					go func(p BulkPart) {
-						defer wg.Done()
-						addCh <- tr.PutPart(p, func(*tuple.Tuple) {
-							dupMu.Lock()
-							dups++
-							dupMu.Unlock()
-						})
-					}(parts[i])
-				}
-				wg.Wait()
-				close(addCh)
-				for a := range addCh {
-					added += a
-				}
-			} else {
-				for i := range parts {
-					added += tr.PutPart(parts[i], func(*tuple.Tuple) { dups++ })
-				}
-			}
-			if added != refAdded || dups != refDups {
-				t.Fatalf("trial %d concurrent=%v: added=%d dups=%d, reference added=%d dups=%d",
-					trial, concurrent, added, dups, refAdded, refDups)
-			}
-			got := drainAllBatches(tr)
-			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d concurrent=%v: drained sequence differs\ngot:  %v\nwant: %v",
-					trial, concurrent, got, want)
-			}
-		}
-	}
-}
-
-// TestSplitBulkDataDependentTopLevel: a seq top level cannot be
-// partitioned safely — SplitBulk must decline so the caller falls back to
-// the serial PutSorted.
-func TestSplitBulkDataDependentTopLevel(t *testing.T) {
-	s := tuple.MustSchema("SeqTop",
-		[]tuple.Column{{Name: "t", Kind: tuple.KindInt}},
-		[]tuple.OrderEntry{tuple.Seq("t")})
-	tr := NewSequential(order.NewPartialOrder())
-	ts := []*tuple.Tuple{tuple.New(s, tuple.Int(1)), tuple.New(s, tuple.Int(2))}
-	slices.SortFunc(ts, tuple.ComparePath)
-	if parts := tr.SplitBulk(ts); parts != nil {
-		t.Fatalf("SplitBulk = %d parts for a seq top level, want nil", len(parts))
-	}
-	if tr.PutSorted(ts, nil) != 2 || tr.Len() != 2 {
-		t.Fatalf("PutSorted fallback failed: len=%d", tr.Len())
-	}
-}
-
-// TestPutSortedSpineReuse: PutSorted must be equivalent to PutBatch even
-// when the input is not actually sorted (sortedness is a locality
-// contract only).
+// TestPutSortedUnsortedInputStillCorrect: a multi-flush schedule loaded
+// through PutSorted must drain exactly like the same tuples inserted one
+// at a time with Put — the same batches in the same order, each in the
+// same step order, and the same Duplicates count. Each flush is loaded
+// either sorted (the engine's shape) or deliberately unsorted: sortedness
+// is a locality contract only. The narrow key domain makes duplicates
+// within a flush, across flushes and across leaf runs, and TakeMinBatch
+// calls interleaved between flushes drain leaves that later flushes
+// refill.
 func TestPutSortedUnsortedInputStillCorrect(t *testing.T) {
-	po, schemas := bulkSchemas()
-	rng := rand.New(rand.NewSource(5))
-	var ts []*tuple.Tuple
-	for i := 0; i < 100; i++ {
-		s := schemas[rng.Intn(len(schemas))]
-		ts = append(ts, tuple.New(s, tuple.Int(int64(rng.Intn(5))), tuple.Int(int64(rng.Intn(4)))))
+	shapes := map[string]func() (*order.PartialOrder, []*tuple.Schema){
+		"literal-top": litTopSchemas,
+		"seq-top":     seqTopSchemas,
 	}
-	ref := NewSequential(po)
-	ref.PutBatch(append([]*tuple.Tuple(nil), ts...), nil)
-	tr := NewSequential(po)
-	tr.PutSorted(ts, nil) // deliberately unsorted
-	if got, want := drainAllBatches(tr), drainAllBatches(ref); !slices.Equal(got, want) {
-		t.Fatalf("PutSorted on unsorted input drained differently\ngot:  %v\nwant: %v", got, want)
-	}
-}
-
-// TestSplitBulkNRangeSplitMatchesPutBatch: the level-1 range refinement on
-// a hot-table flush — randomized runs dominated by one table, loaded
-// through SplitBulkN's locked sub-parts (serially and with one goroutine
-// per part) — must drain identically to the serial PutBatch reference,
-// with matching added/duplicate counts.
-func TestSplitBulkNRangeSplitMatchesPutBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 40; trial++ {
-		po, schemas := bulkSchemas()
-		hot := schemas[0] // BA dominates: the subtree a plain SplitBulk serialises
-		n := rangeSplitMin + rng.Intn(4*rangeSplitMin)
-		var ts []*tuple.Tuple
-		for i := 0; i < n; i++ {
-			s := hot
-			if rng.Intn(10) == 0 {
-				s = schemas[1+rng.Intn(2)] // sprinkle of BB (same lit) and BC
+	for name, shape := range shapes {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			var dups int64
+			for trial := 0; trial < 60; trial++ {
+				po, schemas := shape()
+				ref, tr := NewSequential(po), NewSequential(po)
+				take := func(flush int) {
+					for k := rng.Intn(3); k > 0; k-- {
+						want, got := fmt.Sprint(ref.TakeMinBatch()), fmt.Sprint(tr.TakeMinBatch())
+						if got != want {
+							t.Fatalf("trial %d flush %d: batch differs\ngot:  %s\nwant: %s", trial, flush, got, want)
+						}
+					}
+				}
+				for flush, n := 0, 1+rng.Intn(6); flush < n; flush++ {
+					var ts []*tuple.Tuple
+					for i := rng.Intn(120); i > 0; i-- {
+						s := schemas[rng.Intn(len(schemas))]
+						ts = append(ts, tuple.New(s, tuple.Int(int64(rng.Intn(6))), tuple.Int(int64(rng.Intn(3)))))
+					}
+					for _, x := range ts {
+						ref.Put(x)
+					}
+					if rng.Intn(2) == 0 {
+						slices.SortFunc(ts, tuple.ComparePath)
+					}
+					tr.PutSorted(ts, nil)
+					take(flush)
+				}
+				for !ref.Empty() || !tr.Empty() {
+					take(-1)
+				}
+				if got, want := tr.Duplicates(), ref.Duplicates(); got != want {
+					t.Fatalf("trial %d: Duplicates = %d, Put reference %d", trial, got, want)
+				}
+				dups += ref.Duplicates()
 			}
-			// Narrow key domain: duplicates and equal-key clusters are the
-			// interesting cases for boundary placement.
-			ts = append(ts, tuple.New(s,
-				tuple.Int(int64(rng.Intn(n/4+1))), tuple.Int(int64(rng.Intn(3)))))
-		}
-		ref := NewSequential(po)
-		refDups := 0
-		refAdded := ref.PutBatch(append([]*tuple.Tuple(nil), ts...), func(*tuple.Tuple) { refDups++ })
-		want := drainAllBatches(ref)
-
-		for _, width := range []int{2, 4, 7} {
-			for _, concurrent := range []bool{false, true} {
-				tr := NewSequential(po)
-				sorted := append([]*tuple.Tuple(nil), ts...)
-				slices.SortFunc(sorted, tuple.ComparePath)
-				parts := tr.SplitBulkN(sorted, width)
-				if parts == nil {
-					t.Fatalf("trial %d width=%d: SplitBulkN returned nil for a literal top level", trial, width)
-				}
-				split := 0
-				total := 0
-				for i := range parts {
-					total += parts[i].Len()
-					if parts[i].locked {
-						split++
-					}
-				}
-				if total != len(ts) {
-					t.Fatalf("trial %d width=%d: parts cover %d tuples, want %d", trial, width, total, len(ts))
-				}
-				if split < 2 {
-					t.Fatalf("trial %d width=%d: hot table was not range-split (%d locked parts of %d)",
-						trial, width, split, len(parts))
-				}
-				var dupMu sync.Mutex
-				dups, added := 0, 0
-				if concurrent {
-					var wg sync.WaitGroup
-					addCh := make(chan int, len(parts))
-					for i := range parts {
-						wg.Add(1)
-						go func(p BulkPart) {
-							defer wg.Done()
-							addCh <- tr.PutPart(p, func(*tuple.Tuple) {
-								dupMu.Lock()
-								dups++
-								dupMu.Unlock()
-							})
-						}(parts[i])
-					}
-					wg.Wait()
-					close(addCh)
-					for a := range addCh {
-						added += a
-					}
-				} else {
-					for i := range parts {
-						added += tr.PutPart(parts[i], func(*tuple.Tuple) { dups++ })
-					}
-				}
-				if added != refAdded || dups != refDups {
-					t.Fatalf("trial %d width=%d concurrent=%v: added=%d dups=%d, reference added=%d dups=%d",
-						trial, width, concurrent, added, dups, refAdded, refDups)
-				}
-				if got := drainAllBatches(tr); !slices.Equal(got, want) {
-					t.Fatalf("trial %d width=%d concurrent=%v: drained sequence differs from PutBatch reference",
-						trial, width, concurrent)
-				}
+			if dups == 0 {
+				t.Fatal("schedule produced no duplicates")
 			}
-		}
-	}
-}
-
-// TestSplitBulkNLiteralLevel1FallsBack: a schema whose level-1 orderby is
-// another literal is not range-splittable (runs are not sorted by the
-// shared rank space) — SplitBulkN must keep the per-top-node partition.
-func TestSplitBulkNLiteralLevel1FallsBack(t *testing.T) {
-	po := order.NewPartialOrder()
-	po.Touch("L1")
-	po.Touch("inner")
-	s := tuple.MustSchema("LitLit",
-		[]tuple.Column{{Name: "t", Kind: tuple.KindInt}},
-		[]tuple.OrderEntry{tuple.Lit("L1"), tuple.Lit("inner"), tuple.Seq("t")})
-	s.SetID(7)
-	var ts []*tuple.Tuple
-	for i := 0; i < 4*rangeSplitMin; i++ {
-		ts = append(ts, tuple.New(s, tuple.Int(int64(i))))
-	}
-	slices.SortFunc(ts, tuple.ComparePath)
-	tr := NewSequential(po)
-	parts := tr.SplitBulkN(ts, 4)
-	if len(parts) != 1 || parts[0].locked {
-		t.Fatalf("SplitBulkN = %d parts (locked=%v), want 1 unlocked part", len(parts), len(parts) > 0 && parts[0].locked)
+		})
 	}
 }

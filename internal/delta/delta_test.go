@@ -248,41 +248,6 @@ func TestTakeFromEmpty(t *testing.T) {
 	}
 }
 
-func TestPeekMinKey(t *testing.T) {
-	po := order.NewPartialOrder()
-	tr := NewSequential(po)
-	if _, ok := tr.PeekMinKey(); ok {
-		t.Error("PeekMinKey on empty")
-	}
-	s := shipSchema()
-	tr.Put(ship(s, 7, 0))
-	k, ok := tr.PeekMinKey()
-	if !ok || len(k.Components) != 2 {
-		t.Fatalf("PeekMinKey = %v, %v", k, ok)
-	}
-	if k.Components[1].Val.AsInt() != 7 {
-		t.Errorf("min key frame = %v", k.Components[1].Val)
-	}
-}
-
-func TestWalkVisitsAll(t *testing.T) {
-	tr := NewSequential(order.NewPartialOrder())
-	s := shipSchema()
-	for i := int64(0); i < 20; i++ {
-		tr.Put(ship(s, i%4, i))
-	}
-	n := 0
-	tr.Walk(func(*tuple.Tuple) bool { n++; return true })
-	if n != 20 {
-		t.Errorf("Walk visited %d, want 20", n)
-	}
-	n = 0
-	tr.Walk(func(*tuple.Tuple) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Errorf("Walk early stop visited %d", n)
-	}
-}
-
 func BenchmarkDeltaPutSequential(b *testing.B) {
 	tr := NewSequential(order.NewPartialOrder())
 	s := shipSchema()

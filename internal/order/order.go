@@ -24,9 +24,10 @@ import (
 //
 // All methods are safe for concurrent use: Rank memoises lazily (first call
 // after a mutation recomputes the linearisation), and it is reached
-// concurrently from the Delta tree — concurrent Tree.Put and the sharded
-// PutPart bulk load both resolve lit ranks mid-descent — so the memo state
-// is guarded by an RWMutex with the settled read path taking only RLock.
+// concurrently — under CheckCausality, rule firings on pool workers resolve
+// causal keys (KeyOf) through their Ctx while other workers do the same —
+// so the memo state is guarded by an RWMutex with the settled read path
+// taking only RLock.
 type PartialOrder struct {
 	mu    sync.RWMutex
 	names map[string]int  // name -> node index

@@ -102,9 +102,9 @@
 // tree. At the step boundary each worker seals its buffer — sorts it by
 // the Delta-path order and hands it off as one pre-sorted run — and the
 // coordinator k-way merges the runs (dropping set-semantics duplicates
-// during the merge) straight into the Delta tree, sharding the bulk load
-// and the per-table Gamma inserts across the pool where tables cannot
-// alias. Batching does not change program semantics — tuples put during
+// during the merge) straight into the Delta tree in one serial bulk
+// load; the next step's Gamma inserts also stay on the coordinator.
+// Batching does not change program semantics — tuples put during
 // step k become visible to extraction exactly at the k/k+1 boundary, as
 // before — it only removes per-put lock traffic and the serial
 // concat-and-re-sort from the hot path. Options.PhaseStats records where

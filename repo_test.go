@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,35 @@ func TestDocsNameOnlyCommandsThatExist(t *testing.T) {
 				t.Errorf("%s: names %s, which is not a directory in this checkout", doc, dir)
 			}
 		}
+	}
+}
+
+// TestReadmeRaceSuiteMatchesCI: the README's race-suite command names
+// exactly the packages of CI's Race step, so the documented command runs
+// what CI runs.
+func TestReadmeRaceSuiteMatchesCI(t *testing.T) {
+	packages := func(doc string, cmd *regexp.Regexp) []string {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := cmd.FindSubmatch(text)
+		if m == nil {
+			t.Fatalf("%s: no race-suite command matching %s", doc, cmd)
+		}
+		var pkgs []string
+		for _, f := range strings.Fields(string(m[1])) {
+			if f != "\\" {
+				pkgs = append(pkgs, f)
+			}
+		}
+		slices.Sort(pkgs)
+		return pkgs
+	}
+	readme := packages("README.md", regexp.MustCompile(`go test -race ((?:[^\n#]*\\\n)*[^\n#]*)# race suite`))
+	ci := packages(".github/workflows/ci.yml", regexp.MustCompile(`- name: Race \(.*\)\n\s*run: go test -race ([^\n]*)`))
+	if !slices.Equal(readme, ci) {
+		t.Errorf("README race suite names %v, CI's Race step %v", readme, ci)
 	}
 }
 
