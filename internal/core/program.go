@@ -126,9 +126,9 @@ func (p *Program) Put(t *tuple.Tuple) { p.initial = append(p.initial, t) }
 // causal extraction order, so they are the deterministic way to sequence
 // output — the "kosher way of printing" of §6.2 fn 8. At most one action
 // per table. Tables listed in Options.NoDelta never pass through the Delta
-// set, so their actions never fire — the -noDelta hint is only legal for
-// tables without external side effects (§5.1's "does not contain 'unsafe'
-// code" condition).
+// set, so their actions would never fire — the -noDelta hint is only legal
+// for tables without external side effects (§5.1's "does not contain
+// 'unsafe' code" condition), and Validate rejects it on a table with one.
 func (p *Program) Action(s *tuple.Schema, fn func(run *Run, t *tuple.Tuple)) {
 	if _, dup := p.actions[s]; dup {
 		panic(fmt.Sprintf("jstar: table %s already has an action", s.Name))
@@ -283,11 +283,11 @@ func (p *Program) knownTables() string {
 }
 
 // Validate reports configuration errors: unknown table names in NoDelta/
-// NoGamma/hints, unknown or unsuitable store kinds in StorePlan and the
-// compiler's plan hints (listing the legal kinds), a negative thread
-// count and a malformed ingress bound. Every error says what was wrong and
-// what the legal values are, so misconfiguration never silently degrades
-// or panics mid-run.
+// NoGamma/hints, a NoDelta table with an action, unknown or unsuitable
+// store kinds in StorePlan and the compiler's plan hints (listing the
+// legal kinds), a negative thread count and a malformed ingress bound.
+// Every error says what was wrong and what the legal values are, so
+// misconfiguration never silently degrades or panics mid-run.
 func (p *Program) Validate(opts Options) error {
 	var errs []string
 	if opts.Threads < 0 {
@@ -297,8 +297,10 @@ func (p *Program) Validate(opts Options) error {
 		errs = append(errs, fmt.Sprintf("IngressRing: %d is not a power of two (0 means 1024)", opts.IngressRing))
 	}
 	for _, t := range opts.NoDelta {
-		if _, ok := p.tables[t]; !ok {
+		if s, ok := p.tables[t]; !ok {
 			errs = append(errs, fmt.Sprintf("-noDelta %s: unknown table (declared: %s)", t, p.knownTables()))
+		} else if _, act := p.actions[s]; act {
+			errs = append(errs, fmt.Sprintf("-noDelta %s: the table has an action, which fires only when its tuples leave the Delta set", t))
 		}
 	}
 	for _, t := range opts.NoGamma {

@@ -350,6 +350,27 @@ func TestValidateUnknownTablesActionable(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNoDeltaOnActionTable: actions fire only when a tuple
+// leaves the Delta set, so -noDelta on a table with one (a PrintlnTable
+// included) would silently drop its side effects; Validate refuses it and
+// names the table and the reason.
+func TestValidateRejectsNoDeltaOnActionTable(t *testing.T) {
+	p := NewProgram()
+	a := p.Table("A", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
+	out := p.PrintlnTable("Println", nil)
+	p.Rule("print", a, func(c *Ctx, t *tuple.Tuple) {
+		c.Put(tuple.New(out, tuple.String_("line")))
+	})
+	p.Put(tuple.New(a, tuple.Int(1)))
+	_, err := p.Execute(Options{Strategy: exec.Sequential, NoDelta: []string{"Println"}})
+	if err == nil || !strings.Contains(err.Error(), "-noDelta Println: the table has an action") {
+		t.Fatalf("-noDelta on a PrintlnTable: err = %v, want a refusal naming the table and its action", err)
+	}
+	if _, err := p.NewRun(Options{NoDelta: []string{"A"}}); err != nil {
+		t.Errorf("-noDelta on a table without an action: %v", err)
+	}
+}
+
 // TestSessionIngestionOverlapsExecution proves Put from a non-coordinator
 // goroutine does not block on full quiescence: while the executor is busy
 // inside a deliberately slow rule, a producer's Put must return. The slow

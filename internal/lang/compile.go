@@ -285,43 +285,39 @@ func (c *compiler) rule(d *RuleDecl) error {
 	return nil
 }
 
-// tableUsage accumulates the statically visible access pattern of one
-// table across every rule body and top-level put of a file.
+// tableUsage accumulates the get shapes that rule bodies issue against one
+// table; a table with no entry is never queried by any rule.
 type tableUsage struct {
-	putInto   bool
-	queried   bool
 	scanned   bool // some get had an empty equality prefix
 	minPrefix int  // shortest non-empty get prefix
 }
 
 // emitPlanHints is the compiler's static half of store planning: where
-// PlanFromStats reads a finished run's counters, this pass reads the query
-// shapes visible in the source and records conservative plan hints on the
+// PlanFromStats reads a finished run's counters, this pass reads the get
+// shapes visible in the rule bodies and hints each declared table on the
 // program (Program.PlanHint — the lowest-priority selection layer, so
-// GammaHint and Options.StorePlan still win). Only two clear-cut shapes
-// are hinted: tables whose every get carries an equality prefix become
-// hash-indexed at the shortest prefix depth (int-specialised when all
-// columns are ints — every such get then hits the keyed probe path), and
-// tables that are put into but never queried by rules become columnar
-// (the program itself only appends and dedups into them). Served clients
-// may still prefix-query such a table over /query; columnar answers a
-// non-empty prefix from the one chain of its column-0 value, not a scan.
+// GammaHint and Options.StorePlan still win):
+//   - a table no rule queries becomes columnar, whoever fills it — rule
+//     puts, top-level puts or served clients: the program only appends and
+//     dedups into it;
+//   - a table whose every get carries an equality prefix becomes
+//     hash-indexed at the shortest prefix depth (int-specialised when all
+//     columns are ints, so every such get hits the keyed probe path);
+//   - a table with any prefix-less get gets no hint and stays a B-tree.
+//
+// Served clients may still prefix-query a columnar table over /query: it
+// answers a non-empty prefix from the one chain of its column-0 value.
 func (c *compiler) emitPlanHints(f *File) {
 	usage := map[string]*tableUsage{}
-	use := func(name string) *tableUsage {
-		u := usage[name]
-		if u == nil {
-			u = &tableUsage{}
-			usage[name] = u
-		}
-		return u
-	}
 	var walkExpr func(e Expr)
 	walkExpr = func(e Expr) {
 		switch e := e.(type) {
 		case *GetExpr:
-			u := use(e.Table)
-			u.queried = true
+			u := usage[e.Table]
+			if u == nil {
+				u = &tableUsage{}
+				usage[e.Table] = u
+			}
 			if n := len(e.Args); n == 0 {
 				u.scanned = true
 			} else if !u.scanned && (u.minPrefix == 0 || n < u.minPrefix) {
@@ -361,9 +357,6 @@ func (c *compiler) emitPlanHints(f *File) {
 			case *ValStmt:
 				walkExpr(s.Expr)
 			case *PutStmt:
-				if n, ok := s.Expr.(*NewExpr); ok {
-					use(n.Table).putInto = true
-				}
 				walkExpr(s.Expr)
 			case *PrintlnStmt:
 				walkExpr(s.Expr)
@@ -376,27 +369,20 @@ func (c *compiler) emitPlanHints(f *File) {
 		}
 	}
 	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *PutDecl:
-			use(d.Expr.Table).putInto = true
-		case *RuleDecl:
+		if d, ok := d.(*RuleDecl); ok {
 			walkStmts(d.Body)
 		}
 	}
-	for name, u := range usage {
-		s, ok := c.tables[name]
-		if !ok {
-			continue
-		}
-		switch {
-		case u.queried && !u.scanned && u.minPrefix >= 1:
+	for name, s := range c.tables {
+		switch u := usage[name]; {
+		case u == nil:
+			c.prog.PlanHint(name, "columnar")
+		case !u.scanned && u.minPrefix >= 1:
 			if gamma.AllIntColumns(s) {
 				c.prog.PlanHint(name, fmt.Sprintf("inthash:%d", u.minPrefix))
 			} else {
 				c.prog.PlanHint(name, fmt.Sprintf("hash:%d", u.minPrefix))
 			}
-		case !u.queried && u.putInto:
-			c.prog.PlanHint(name, "columnar")
 		}
 	}
 }

@@ -10,15 +10,19 @@ import (
 // TestCompilerEmitsStaticPlanHints: the compiler must derive store-plan
 // hints from the statically visible query shapes — indexed all-int tables
 // become open-addressing stores at the shortest get-prefix depth, tables
-// with a non-int column get the generic hash index, write-only tables go
-// columnar, and tables with any prefix-less get are left alone.
+// with a non-int column get the generic hash index, every table no rule
+// queries goes columnar (whether a rule puts into it, it only triggers
+// rules, or nothing uses it at all), and tables with any prefix-less get
+// are left alone.
 func TestCompilerEmitsStaticPlanHints(t *testing.T) {
 	prog, err := CompileSource(`
 table Edge(int from, int to, int value) orderby (Edge)
 table Name(int id, String label) orderby (Name)
 table Audit(int id, int code) orderby (Audit)
 table Mixed(int a, int b) orderby (Mixed)
-order Edge < Name < Audit < Mixed
+table Tick(int n) orderby (Tick)
+table Unused(int id, String label) orderby (Unused)
+order Tick < Edge < Name < Audit < Mixed
 
 put new Edge(0, 1, 2)
 put new Name(0, "zero")
@@ -33,15 +37,21 @@ foreach (Edge e) {
     put new Audit(m.a, 2)
   }
 }
+
+foreach (Tick k) {
+  put new Audit(k.n, 3)
+}
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hints := prog.PlanHints()
 	want := map[string]string{
-		"Edge":  "inthash:1", // all-int, every get has a 1-column prefix
-		"Name":  "hash:1",    // indexed but has a String column
-		"Audit": "columnar",  // put into, never queried
+		"Edge":   "inthash:1", // all-int, every get has a 1-column prefix
+		"Name":   "hash:1",    // indexed but has a String column
+		"Audit":  "columnar",  // put into, never queried
+		"Tick":   "columnar",  // triggers a rule, never put by one, never queried
+		"Unused": "columnar",  // declared, never used
 	}
 	for table, kind := range want {
 		if hints[table] != kind {

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"github.com/jstar-lang/jstar/internal/exec"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/core"
@@ -70,4 +74,92 @@ func TestAdmitPutRingBackpressure(t *testing.T) {
 		t.Fatal("semaphore fallback must cap inflight puts")
 	}
 	ten2.releasePut()
+}
+
+// TestServedTriggerTableIsColumnar: a client-fed trigger table that no rule
+// queries gets the compiler's columnar hint, like the terminal table its rule
+// fills, and its served reads do not depend on the store: /query (whole
+// table and one prefix) and /snapshot answer byte-identical bodies under
+// the derived plan and under an explicit B-tree plan for it.
+func TestServedTriggerTableIsColumnar(t *testing.T) {
+	const src = `
+table Event(int n) orderby (Event)
+table Out(int n, int v) orderby (Out)
+order Event < Out
+
+foreach (Event e) {
+  put new Out(e.n, e.n * 2)
+}
+`
+	srv := New(Config{})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	client := NewClient(hs.URL)
+	ctx := context.Background()
+	// Keys arrive permuted and repeated, in three quiesced batches: a step
+	// stores its batch in key order, so only several steps make columnar's
+	// insertion order differ from the B-tree's key order.
+	var rows [][]any
+	for i := 0; i < 300; i++ {
+		rows = append(rows, []any{(i * 7919) % 257})
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	reads := func(tenant string) [][]byte {
+		t.Helper()
+		all, err := client.Query(ctx, tenant, "Event", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := client.Query(ctx, tenant, "Event", "[5]")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]byte{all, one, get("/v1/tenants/" + tenant + "/snapshot?table=Event")}
+	}
+	var bodies [][][]byte
+	for _, tc := range []struct {
+		tenant    string
+		plan      map[string]string
+		wantEvent string
+	}{
+		{"derived", nil, "columnar"},
+		{"tree", map[string]string{"Event": "tree"}, "tree"},
+	} {
+		if _, err := client.CreateTenant(ctx, TenantConfig{Name: tc.tenant, Source: src, StorePlan: tc.plan}); err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(rows); lo += 100 {
+			if err := client.PutJSON(ctx, tc.tenant, "Event", rows[lo:lo+100]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Quiesce(ctx, tc.tenant); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kinds := srv.reg.get(tc.tenant).Session.Stats().StoreKinds
+		if kinds["Event"] != tc.wantEvent || kinds["Out"] != "columnar" {
+			t.Errorf("%s: store kinds %v, want Event %s and Out columnar", tc.tenant, kinds, tc.wantEvent)
+		}
+		bodies = append(bodies, reads(tc.tenant))
+	}
+	for i, name := range []string{"/query", "/query prefix [5]", "/snapshot"} {
+		if !bytes.Equal(bodies[0][i], bodies[1][i]) {
+			t.Errorf("%s on Event differs by store:\ncolumnar %s\ntree     %s", name, bodies[0][i], bodies[1][i])
+		}
+	}
+	if !bytes.Equal(bodies[0][1], []byte("[[5]]")) {
+		t.Errorf("/query prefix [5] = %s, want [[5]]", bodies[0][1])
+	}
 }
