@@ -247,6 +247,33 @@ func TestNoGammaSkipsStorage(t *testing.T) {
 	}
 }
 
+// TestQueryOfNoGammaTableFails: -noGamma keeps a table out of Gamma, so
+// a rule that queries it would silently read an empty table. Every query
+// form fails the run instead, with an error naming the table and the hint.
+func TestQueryOfNoGammaTableFails(t *testing.T) {
+	forms := map[string]func(c *Ctx, acc *tuple.Schema){
+		"ForEach": func(c *Ctx, acc *tuple.Schema) {
+			c.ForEach(acc, gamma.Query{}, func(*tuple.Tuple) bool { return true })
+		},
+		"GetUniq": func(c *Ctx, acc *tuple.Schema) { c.GetUniq(acc, gamma.Query{}) },
+		"Exists":  func(c *Ctx, acc *tuple.Schema) { c.Exists(acc, gamma.Query{}) },
+		"Count":   func(c *Ctx, acc *tuple.Schema) { c.Count(acc, gamma.Query{}) },
+		"GetMin":  func(c *Ctx, acc *tuple.Schema) { c.GetMin(acc, gamma.Query{}, "v") },
+		"SumInt":  func(c *Ctx, acc *tuple.Schema) { c.SumInt(acc, gamma.Query{}, "v") },
+	}
+	for name, query := range forms {
+		t.Run(name, func(t *testing.T) {
+			p, goT, acc := accProgram(2)
+			p.Rule("reads", goT, func(c *Ctx, _ *tuple.Tuple) { query(c, acc) })
+			p.Put(tuple.New(goT, tuple.Int(0)))
+			_, err := p.Execute(Options{Strategy: exec.Sequential, Quiet: true, NoGamma: []string{"Acc"}})
+			if err == nil || !strings.Contains(err.Error(), "table Acc") || !strings.Contains(err.Error(), "-noGamma") {
+				t.Fatalf("querying a -noGamma table: err = %v, want one naming Acc and -noGamma", err)
+			}
+		})
+	}
+}
+
 func TestValidateUnknownTables(t *testing.T) {
 	p, _ := pvMiniProgram(false)
 	if _, err := p.NewRun(Options{NoDelta: []string{"Nope"}}); err == nil {

@@ -73,8 +73,13 @@ func (c *Ctx) checkResult(t *tuple.Tuple) {
 // most limit of them, ending the store walk there) and calls fn on those
 // that pass where and the causality check, until fn returns false. prefix,
 // where and fn are only read and called here, never stored or handed to the
-// store, so a caller's literals and closures stay on its stack.
+// store, so a caller's literals and closures stay on its stack. A query of
+// a -noGamma table, which would always read empty, panics instead; the
+// firing turns the panic into the run's located error.
 func (c *Ctx) visit(s *tuple.Schema, prefix []tuple.Value, where func(*tuple.Tuple) bool, limit int, fn func(*tuple.Tuple) bool) {
+	if id := int(s.ID()); id < len(c.run.noGamma) && c.run.noGamma[id] {
+		c.run.refuseNoGammaQuery(s)
+	}
 	if c.push == nil {
 		c.push = func(t *tuple.Tuple) bool {
 			c.found = append(c.found, t)
@@ -97,6 +102,15 @@ func (c *Ctx) visit(s *tuple.Schema, prefix []tuple.Value, where func(*tuple.Tup
 		}
 	}
 	c.popTo(base)
+}
+
+// refuseNoGammaQuery panics if s is the registered schema of a -noGamma
+// table. It is keyed on the schema itself because unregistered ad-hoc
+// schemas share ID 0 with the first declared table.
+func (r *Run) refuseNoGammaQuery(s *tuple.Schema) {
+	if r.prog.byID[s.ID()] == s {
+		panic(fmt.Sprintf("jstar: query of table %s, which -noGamma keeps out of Gamma: it always reads empty (drop the hint or the query)", s.Name))
+	}
 }
 
 // popTo drops found[base:], clearing it so the scratch pins no tuple.

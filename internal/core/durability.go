@@ -252,7 +252,7 @@ func (s *Session) Checkpoint(ctx context.Context) (*CheckpointInfo, error) {
 
 // maybeCheckpoint serves queued Checkpoint requests and the automatic
 // cadence at a quiescent boundary; coordinator only. Everything absorbed
-// is already appended (the tee runs inside the drain), so Flush + Dump
+// is already appended (the tee runs inside the drain), so Flush + scan
 // here snapshots exactly the quiesced prefix.
 func (s *Session) maybeCheckpoint() {
 	if s.wal == nil {
@@ -291,26 +291,29 @@ func (s *Session) walSeqHighWater() uint64 {
 }
 
 // writeCheckpoint flushes the log and publishes a checkpoint of the
-// quiesced Gamma state; coordinator only, at a quiescent boundary.
+// quiesced Gamma state, each non-empty table's rows read from its store in
+// Scan order; coordinator only, at a quiescent boundary.
 func (s *Session) writeCheckpoint() (*CheckpointInfo, error) {
 	start := time.Now()
 	if err := s.wal.Flush(); err != nil {
 		return nil, err
 	}
 	seq := s.wal.DurableSeq()
-	ck := &wal.Checkpoint{Seq: seq}
 	info := &CheckpointInfo{Seq: seq}
 	db := s.run.gammaDB
+	var tables []wal.CheckpointSource
 	for _, sch := range db.Schemas() {
-		rows := gamma.Dump(db.Table(sch))
-		if len(rows) == 0 {
+		st := db.Table(sch)
+		n := st.Len()
+		if n == 0 {
 			continue
 		}
-		ck.Tables = append(ck.Tables, wal.CheckpointTable{Name: sch.Name, Rows: rows})
+		tables = append(tables, wal.CheckpointSource{Schema: sch, Rows: n,
+			Scan: func(fn func([]tuple.Value) bool) { gamma.ScanRows(st, fn) }})
 		info.Tables++
-		info.Tuples += len(rows)
+		info.Tuples += n
 	}
-	if err := s.wal.WriteCheckpoint(ck); err != nil {
+	if err := s.wal.WriteCheckpoint(seq, tables); err != nil {
 		return nil, err
 	}
 	info.Elapsed = time.Since(start)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/jstar-lang/jstar/internal/gamma"
 	"github.com/jstar-lang/jstar/internal/tuple"
 	"github.com/jstar-lang/jstar/internal/wal"
 )
@@ -93,6 +94,154 @@ func TestDurableSessionCheckpointAndRecover(t *testing.T) {
 	}
 	if got := len(s2.Snapshot(out2)); got != 101 {
 		t.Fatalf("Out has %d tuples after post-recovery put, want 101", got)
+	}
+}
+
+// rendered renders ts row by row, for comparing tables across programs
+// whose schemas are different objects.
+func rendered(ts []*tuple.Tuple) []string {
+	out := make([]string, len(ts))
+	for i, t := range ts {
+		out[i] = t.String()
+	}
+	return out
+}
+
+// TestCheckpointKeepsStoreOrder: a checkpoint writes each table in its
+// store's Scan order and recovery restores it in that order, so columnar
+// tables fed three quiesced batches of permuted events scan after a
+// restart exactly as they did before it.
+func TestCheckpointKeepsStoreOrder(t *testing.T) {
+	ctx := context.Background()
+	fs := wal.NewMemFS()
+	opts := durableOpts(fs, 0)
+	opts.StorePlan = gamma.StorePlan{"Event": "columnar", "Out": "columnar"}
+	p, ev, out := sessionProgram()
+	s, err := p.Start(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 3; b++ {
+		for i := b * 20; i < (b+1)*20; i++ {
+			if err := s.Put(tuple.New(ev, tuple.Int(int64(i*7%60)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wantEv, wantOut := rendered(s.Snapshot(ev)), rendered(s.Snapshot(out))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, ev2, out2 := sessionProgram()
+	s2, err := p2.Start(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec := s2.Recovery(); rec == nil || rec.CheckpointTuples != 120 || rec.Replayed != 0 {
+		t.Fatalf("recovery info = %+v, want all 120 rows from the checkpoint", rec)
+	}
+	for _, tb := range []struct {
+		name      string
+		got, want []string
+	}{{"Event", rendered(s2.Snapshot(ev2)), wantEv}, {"Out", rendered(s2.Snapshot(out2)), wantOut}} {
+		if len(tb.got) != len(tb.want) {
+			t.Fatalf("recovered %s has %d rows, want %d", tb.name, len(tb.got), len(tb.want))
+		}
+		for i := range tb.want {
+			if tb.got[i] != tb.want[i] {
+				t.Fatalf("recovered %s row %d is %s, want %s", tb.name, i, tb.got[i], tb.want[i])
+			}
+		}
+	}
+}
+
+// TestScanRowsMatchesScan: on every store kind, gamma.ScanRows yields the
+// rows Scan visits, in the same order, and stops when its callback does.
+func TestScanRowsMatchesScan(t *testing.T) {
+	_, _, accSchema := accProgram(0)
+	for _, spec := range kindSpecs(t, accSchema) {
+		t.Run(spec, func(t *testing.T) {
+			p, _, acc := accProgram(64)
+			run, _ := quiescedCtx(t, p, Options{StorePlan: gamma.StorePlan{"Acc": spec}})
+			st := run.Gamma().Table(acc)
+			var want, got []string
+			st.Scan(func(t *tuple.Tuple) bool {
+				want = append(want, t.String())
+				return true
+			})
+			gamma.ScanRows(st, func(row []tuple.Value) bool {
+				got = append(got, tuple.New(acc, row...).String())
+				return true
+			})
+			if len(want) != 64 || !slices.Equal(got, want) {
+				t.Fatalf("ScanRows yielded %v,\nScan visited %v", got, want)
+			}
+			visits := 0
+			gamma.ScanRows(st, func([]tuple.Value) bool {
+				visits++
+				return visits < 3
+			})
+			if visits != 3 {
+				t.Errorf("ScanRows went on for %d rows after its callback stopped at 3", visits-3)
+			}
+		})
+	}
+}
+
+// shortStore is a tree store whose row visitor yields one row fewer than
+// Len declares: a store that breaks the checkpoint's row-count contract.
+type shortStore struct{ gamma.Store }
+
+func (s shortStore) ScanRows(fn func([]tuple.Value) bool) {
+	left := s.Len() - 1
+	gamma.ScanRows(s.Store, func(row []tuple.Value) bool {
+		left--
+		return left >= 0 && fn(row)
+	})
+}
+
+// TestCheckpointRowCountGuard: a table whose visitor yields fewer rows
+// than its Len fails the checkpoint, and no checkpoint file is published.
+func TestCheckpointRowCountGuard(t *testing.T) {
+	ctx := context.Background()
+	fs := wal.NewMemFS()
+	p, ev, _ := sessionProgram()
+	p.GammaHint("Out", func(s *tuple.Schema) gamma.Store { return shortStore{gamma.NewTreeStore(s)} })
+	s, err := p.Start(ctx, durableOpts(fs, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 10; i++ {
+		if err := s.Put(tuple.New(ev, tuple.Int(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(ctx); err == nil || !strings.Contains(err.Error(), "yielded 9 rows, declared 10") {
+		t.Fatalf("checkpoint over a short visitor: err = %v, want a row-count mismatch", err)
+	}
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if strings.HasPrefix(n, "ckpt-") {
+			t.Errorf("a failed checkpoint left %s behind", n)
+		}
+	}
+	if st, _ := s.WALStats(); st.CheckpointSeq != 0 || st.LastCheckpointBytes != 0 {
+		t.Errorf("a failed checkpoint moved the stats: %+v", st)
 	}
 }
 

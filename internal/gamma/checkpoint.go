@@ -6,12 +6,41 @@ import (
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
-// Checkpoint support: the durability tier snapshots Gamma by draining each
-// table's store — Scan, then sort by field values — so a checkpoint of a
-// quiesced state is deterministic regardless of which store kind backs the
-// table or what order tuples arrived in.
+// Checkpoint support: the durability tier snapshots Gamma table by table,
+// visiting each store's rows in its own Scan order through ScanRows and
+// encoding their field values as they come — no tuple per row, no sort.
+// Recovery restores the rows in that order, so a restored store scans as
+// it did when the checkpoint was taken.
 
-// Dump drains st in CompareFields order.
+// RowStore is an optional Store extension: ScanRows visits every stored
+// row's field values in Scan order until fn returns false, without
+// materialising a tuple per row. The row slice is reused between calls and
+// valid only during fn.
+type RowStore interface {
+	ScanRows(fn func(row []tuple.Value) bool)
+}
+
+// ScanRows visits st's rows in Scan order as field values: natively for a
+// RowStore, otherwise by copying each scanned tuple's fields into one
+// reused row. The row is valid only during fn.
+func ScanRows(st Store, fn func(row []tuple.Value) bool) {
+	if rs, ok := st.(RowStore); ok {
+		rs.ScanRows(fn)
+		return
+	}
+	var row []tuple.Value
+	st.Scan(func(t *tuple.Tuple) bool {
+		row = row[:0]
+		for i := range t.Schema().Columns {
+			row = append(row, t.Field(i))
+		}
+		return fn(row)
+	})
+}
+
+// Dump drains st in CompareFields order. Checkpoints no longer call it:
+// its callers left are the benchmark's gamma.dump_ns_per_tuple probe and
+// TestSetStoreAfterRegisterFails.
 func Dump(st Store) []*tuple.Tuple {
 	drained := make([]*tuple.Tuple, 0, st.Len())
 	st.Scan(func(t *tuple.Tuple) bool {
@@ -38,10 +67,11 @@ func (db *DB) Schemas() []*tuple.Schema {
 	return out
 }
 
-// Restore bulk-loads rows into table s's store. It is only correct on a
-// freshly built database before any derivation has run: restored rows do
-// not fire rules (recovery refires them by replaying the WAL tail through
-// the ordinary put path).
+// Restore bulk-loads rows into table s's store in the given order — a
+// checkpoint's, which is the order the store scanned in when it was
+// written. It is only correct on a freshly built database before any
+// derivation has run: restored rows do not fire rules (recovery refires
+// them by replaying the WAL tail through the ordinary put path).
 func (db *DB) Restore(s *tuple.Schema, rows []*tuple.Tuple) {
 	InsertBatch(db.Table(s), rows, nil)
 }

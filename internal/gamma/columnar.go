@@ -21,7 +21,7 @@ import (
 // prefix walks one chain; an empty prefix and Scan walk the rows in order.
 // Either way the prefix is tested on the column slices, and tuples are
 // materialised only for rows that survive it, so rejected rows never
-// allocate.
+// allocate. ScanRows, the checkpoint's read, materialises none.
 
 // colStore is the columnar Store implementation.
 type colStore struct {
@@ -188,6 +188,22 @@ func (cs *colStore) Scan(fn func(*tuple.Tuple) bool) {
 	defer cs.mu.RUnlock()
 	for r := int32(0); r < int32(len(cs.next)); r++ {
 		if !fn(cs.materialise(r)) {
+			return
+		}
+	}
+}
+
+// ScanRows is Scan without the tuples: each row's cells are read from the
+// column slices into one reused row, under one read-lock episode.
+func (cs *colStore) ScanRows(fn func(row []tuple.Value) bool) {
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	row := make([]tuple.Value, len(cs.schema.Columns))
+	for r := int32(0); r < int32(len(cs.next)); r++ {
+		for i := range row {
+			row[i] = cs.value(r, i)
+		}
+		if !fn(row) {
 			return
 		}
 	}

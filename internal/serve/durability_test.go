@@ -320,6 +320,8 @@ func TestServeWALMetrics(t *testing.T) {
 		`jstar_serve_wal_bytes_total{tenant="m"}`,
 		`jstar_serve_wal_group_commits_total{tenant="m"}`,
 		`jstar_serve_wal_last_checkpoint_age_seconds{tenant="m"}`,
+		`jstar_serve_wal_last_checkpoint_seconds{tenant="m"}`,
+		`jstar_serve_wal_last_checkpoint_bytes{tenant="m"}`,
 	} {
 		if !strings.Contains(rec, want) {
 			t.Errorf("metrics missing %s\n%s", want, rec)

@@ -210,8 +210,9 @@ func writeStepProm(w io.Writer, tenants []*Tenant) {
 }
 
 // writeWALProm renders per-tenant durability rows after the request
-// aggregates: WAL bytes on disk, group commits performed, and the age of
-// the newest checkpoint. Non-durable tenants emit nothing.
+// aggregates: WAL bytes on disk, group commits performed, and the newest
+// checkpoint's age, write time and size (0 before the first). Non-durable
+// tenants emit nothing.
 func writeWALProm(w io.Writer, tenants []*Tenant) {
 	durable := tenants[:0:0]
 	for _, t := range tenants {
@@ -240,5 +241,15 @@ func writeWALProm(w io.Writer, tenants []*Tenant) {
 			age = time.Since(st.LastCheckpoint).Seconds()
 		}
 		fmt.Fprintf(w, "jstar_serve_wal_last_checkpoint_age_seconds{tenant=%q} %g\n", t.Name, age)
+	}
+	fmt.Fprintf(w, "# TYPE jstar_serve_wal_last_checkpoint_seconds gauge\n")
+	for _, t := range durable {
+		st, _ := t.Session.WALStats()
+		fmt.Fprintf(w, "jstar_serve_wal_last_checkpoint_seconds{tenant=%q} %g\n", t.Name, st.LastCheckpointElapsed.Seconds())
+	}
+	fmt.Fprintf(w, "# TYPE jstar_serve_wal_last_checkpoint_bytes gauge\n")
+	for _, t := range durable {
+		st, _ := t.Session.WALStats()
+		fmt.Fprintf(w, "jstar_serve_wal_last_checkpoint_bytes{tenant=%q} %d\n", t.Name, st.LastCheckpointBytes)
 	}
 }

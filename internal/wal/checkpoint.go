@@ -17,9 +17,10 @@ type Checkpoint struct {
 	Tables   []CheckpointTable
 }
 
-// CheckpointTable is one table's rows, drained in CompareFields order
-// (gamma.Dump), so checkpoint bytes are deterministic for a given quiesced
-// state.
+// CheckpointTable is one decoded table section: its rows in the order the
+// checkpoint wrote them, which is the order the table's store scanned in
+// at the quiescent boundary the checkpoint covers. Restoring them in that
+// order gives the recovered store the same scan order.
 type CheckpointTable struct {
 	Name string
 	Rows []*tuple.Tuple
@@ -34,24 +35,46 @@ func (c *Checkpoint) Tuples() int {
 	return n
 }
 
-func encodeCheckpoint(c *Checkpoint) ([]byte, error) {
+// CheckpointSource is one table as WriteCheckpoint encodes it: the schema,
+// the row count its section declares, and a visitor that must yield
+// exactly that many rows of field values. A row is read only during the
+// callback, so the visitor may reuse one slice for every row.
+type CheckpointSource struct {
+	Schema *tuple.Schema
+	Rows   int
+	Scan   func(fn func(row []tuple.Value) bool)
+}
+
+func encodeCheckpoint(seq uint64, identity string, tables []CheckpointSource) ([]byte, error) {
 	p := []byte(ckptMagic)
 	p = binary.LittleEndian.AppendUint16(p, walVersion)
-	p = binary.LittleEndian.AppendUint64(p, c.Seq)
-	p = appendString(p, c.Identity)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(c.Tables)))
-	for _, t := range c.Tables {
-		p = appendString(p, t.Name)
-		p = binary.LittleEndian.AppendUint32(p, uint32(len(t.Rows)))
-		for _, r := range t.Rows {
-			sch := r.Schema()
-			if sch == nil || sch.Name != t.Name {
-				return nil, fmt.Errorf("wal: checkpoint row of %s has schema %v", t.Name, sch)
+	p = binary.LittleEndian.AppendUint64(p, seq)
+	p = appendString(p, identity)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(tables)))
+	for _, t := range tables {
+		sch := t.Schema
+		p = appendString(p, sch.Name)
+		p = binary.LittleEndian.AppendUint32(p, uint32(t.Rows))
+		n := 0
+		var err error
+		t.Scan(func(row []tuple.Value) bool {
+			if len(row) != len(sch.Columns) {
+				err = fmt.Errorf("wal: checkpoint row of %s has %d fields, want %d", sch.Name, len(row), len(sch.Columns))
+				return false
 			}
-			var err error
-			if p, err = appendFields(p, r, sch); err != nil {
-				return nil, err
+			for i, v := range row {
+				if p, err = appendValue(p, sch, i, v); err != nil {
+					return false
+				}
 			}
+			n++
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+		if n != t.Rows {
+			return nil, fmt.Errorf("wal: checkpoint table %s yielded %d rows, declared %d", sch.Name, n, t.Rows)
 		}
 	}
 	return appendFrame(nil, p), nil
@@ -113,26 +136,26 @@ func decodeCheckpoint(buf []byte, resolve Resolver) (*Checkpoint, error) {
 	return c, nil
 }
 
-// WriteCheckpoint publishes a checkpoint atomically: fully written and
+// WriteCheckpoint publishes a checkpoint covering input sequence seq,
+// one section per table in the given order: encoded, fully written and
 // fsynced under a temp name, then renamed into place, so a crash at any
 // point leaves either the old set of checkpoints or the new one — never a
-// half-written file with a valid name. Keeps the two newest checkpoints
-// and prunes the rest.
+// half-written file with a valid name. A table whose visitor yields a row
+// count other than the one it declares fails the write before any file
+// is opened. Keeps the two newest checkpoints and prunes the rest.
 //
-// The caller must have Flushed the log through c.Seq first: a checkpoint
+// The caller must have Flushed the log through seq first: a checkpoint
 // may never claim coverage the WAL cannot back.
-func (l *Log) WriteCheckpoint(c *Checkpoint) error {
-	if c.Identity == "" {
-		c.Identity = l.opts.Identity
+func (l *Log) WriteCheckpoint(seq uint64, tables []CheckpointSource) error {
+	start := time.Now()
+	if d := l.DurableSeq(); seq > d {
+		return fmt.Errorf("wal: checkpoint seq %d exceeds durable seq %d", seq, d)
 	}
-	if d := l.DurableSeq(); c.Seq > d {
-		return fmt.Errorf("wal: checkpoint seq %d exceeds durable seq %d", c.Seq, d)
-	}
-	buf, err := encodeCheckpoint(c)
+	buf, err := encodeCheckpoint(seq, l.opts.Identity, tables)
 	if err != nil {
 		return err
 	}
-	final := ckptName(c.Seq)
+	final := ckptName(seq)
 	tmp := final + ".tmp"
 	f, err := l.fs.OpenAppend(tmp)
 	if err != nil {
@@ -152,10 +175,13 @@ func (l *Log) WriteCheckpoint(c *Checkpoint) error {
 	if err := l.fs.Rename(tmp, final); err != nil {
 		return fmt.Errorf("wal: publish %s: %w", final, err)
 	}
-	l.pruneCheckpoints(c.Seq)
+	l.pruneCheckpoints(seq)
+	now := time.Now()
 	l.mu.Lock()
-	l.stats.CheckpointSeq = c.Seq
-	l.stats.LastCheckpoint = time.Now()
+	l.stats.CheckpointSeq = seq
+	l.stats.LastCheckpoint = now
+	l.stats.LastCheckpointElapsed = now.Sub(start)
+	l.stats.LastCheckpointBytes = int64(len(buf))
 	l.mu.Unlock()
 	return nil
 }

@@ -57,6 +57,11 @@ type Stats struct {
 	Segments       int       // segments created or reopened by this log
 	CheckpointSeq  uint64    // sequence covered by the newest checkpoint
 	LastCheckpoint time.Time // zero if never checkpointed
+	// LastCheckpointElapsed and LastCheckpointBytes describe the newest
+	// checkpoint this log wrote: WriteCheckpoint's wall time (encode,
+	// write, fsync, publish) and the file's size. Zero if none yet.
+	LastCheckpointElapsed time.Duration
+	LastCheckpointBytes   int64
 }
 
 // Log is the append side of the WAL. One goroutine (the session

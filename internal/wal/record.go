@@ -176,35 +176,37 @@ func appendTuple(dst []byte, t *tuple.Tuple) ([]byte, error) {
 	}
 	dst = append(dst, byte(len(sch.Name)))
 	dst = append(dst, sch.Name...)
-	return appendFields(dst, t, sch)
+	for i := range sch.Columns {
+		var err error
+		if dst, err = appendValue(dst, sch, i, t.Field(i)); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
-// appendFields encodes just the field values of t — used by batch records
-// (after the table name) and by checkpoint table sections (where the name
-// is written once per table, not per row).
-func appendFields(dst []byte, t *tuple.Tuple, sch *tuple.Schema) ([]byte, error) {
-	for i, c := range sch.Columns {
-		v := t.Field(i)
-		switch c.Kind {
-		case tuple.KindInt:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.AsInt()))
-		case tuple.KindFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
-		case tuple.KindBool:
-			b := byte(0)
-			if v.AsBool() {
-				b = 1
-			}
-			dst = append(dst, b)
-		case tuple.KindString:
-			s := v.AsString()
-			if len(s) > maxWireStr {
-				return dst, fmt.Errorf("wal: string field of %s exceeds %d bytes", sch.Name, maxWireStr)
-			}
-			dst = appendString(dst, s)
-		default:
-			return dst, fmt.Errorf("wal: table %s column %s has unsupported kind %v", sch.Name, c.Name, c.Kind)
+// appendValue encodes v as column i of sch: the one per-value kind switch
+// behind batch records and checkpoint rows.
+func appendValue(dst []byte, sch *tuple.Schema, i int, v tuple.Value) ([]byte, error) {
+	switch c := sch.Columns[i]; c.Kind {
+	case tuple.KindInt:
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.AsInt()))
+	case tuple.KindFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
+	case tuple.KindBool:
+		b := byte(0)
+		if v.AsBool() {
+			b = 1
 		}
+		dst = append(dst, b)
+	case tuple.KindString:
+		s := v.AsString()
+		if len(s) > maxWireStr {
+			return dst, fmt.Errorf("wal: string field of %s exceeds %d bytes", sch.Name, maxWireStr)
+		}
+		dst = appendString(dst, s)
+	default:
+		return dst, fmt.Errorf("wal: table %s column %s has unsupported kind %v", sch.Name, c.Name, c.Kind)
 	}
 	return dst, nil
 }

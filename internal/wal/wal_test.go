@@ -35,6 +35,32 @@ func ev(i int) *tuple.Tuple {
 
 func evID(t *tuple.Tuple) int { return int(t.Field(0).AsInt()) }
 
+// rowsSource is a checkpoint table section over tuples already in hand,
+// visited through one reused row as a store's ScanRows visits its own.
+func rowsSource(sch *tuple.Schema, rows []*tuple.Tuple) CheckpointSource {
+	return CheckpointSource{Schema: sch, Rows: len(rows), Scan: func(fn func([]tuple.Value) bool) {
+		row := make([]tuple.Value, sch.Arity())
+		for _, t := range rows {
+			for i := range row {
+				row[i] = t.Field(i)
+			}
+			if !fn(row) {
+				return
+			}
+		}
+	}}
+}
+
+// sources re-expresses a decoded checkpoint's tables as the encoder's
+// input, resolving each table's schema as recovery does.
+func sources(c *Checkpoint) []CheckpointSource {
+	var out []CheckpointSource
+	for _, tb := range c.Tables {
+		out = append(out, rowsSource(testResolve(tb.Name), tb.Rows))
+	}
+	return out
+}
+
 func testOpts(fs FS) Options {
 	return Options{
 		FS:            fs,
@@ -172,8 +198,15 @@ func TestCheckpointCoversPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{Seq: 10, Tables: []CheckpointTable{{Name: "ev", Rows: rows}}}); err != nil {
+	if err := l.WriteCheckpoint(10, []CheckpointSource{rowsSource(evSchema, rows)}); err != nil {
 		t.Fatal(err)
+	}
+	buf, err := fs.ReadFile(ckptName(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.LastCheckpointBytes != int64(len(buf)) || st.LastCheckpointElapsed <= 0 {
+		t.Errorf("stats say the checkpoint took %v and %d bytes; the file has %d", st.LastCheckpointElapsed, st.LastCheckpointBytes, len(buf))
 	}
 	for i := 11; i <= 15; i++ {
 		if err := l.Append([]*tuple.Tuple{ev(i)}); err != nil {
@@ -202,7 +235,7 @@ func TestCheckpointRejectsUndurableSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	err = l.WriteCheckpoint(&Checkpoint{Seq: 5})
+	err = l.WriteCheckpoint(5, nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeds durable seq") {
 		t.Fatalf("checkpoint beyond the durable watermark must be refused, got %v", err)
 	}
@@ -218,7 +251,7 @@ func TestCheckpointPruneKeepsTwo(t *testing.T) {
 		if err := l.Append([]*tuple.Tuple{ev(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.WriteCheckpoint(&Checkpoint{Seq: uint64(i)}); err != nil {
+		if err := l.WriteCheckpoint(uint64(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,8 +281,8 @@ func crashWorkload(l *Log) int {
 		acked = i
 		if i%10 == 0 {
 			covered := l.DurableSeq()
-			if err := l.WriteCheckpoint(&Checkpoint{Seq: covered,
-				Tables: []CheckpointTable{{Name: "ev", Rows: rows[:covered]}}}); err != nil {
+			if err := l.WriteCheckpoint(covered,
+				[]CheckpointSource{rowsSource(evSchema, rows[:covered])}); err != nil {
 				return acked
 			}
 		}
