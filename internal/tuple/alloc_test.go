@@ -8,28 +8,43 @@ import (
 	"github.com/jstar-lang/jstar/internal/testrace"
 )
 
-// wideSchema returns an n-column table cycling through the four kinds.
-func wideSchema(n int) *Schema {
-	kinds := []Kind{KindInt, KindFloat, KindString, KindBool}
-	cols := make([]Column, n)
-	for i := range cols {
-		cols[i] = Column{Name: fmt.Sprintf("c%d", i), Kind: kinds[i%len(kinds)]}
-	}
-	return MustSchema(fmt.Sprintf("W%d", n), cols, []OrderEntry{Lit("W")})
+// family is a set of schemas, one per arity, with a field list to fill
+// them: the mixed-kind family cycles through all four kinds (so it carries
+// Values), the scalar family through int, float and bool (so up to
+// InlineFields columns it carries words).
+type family struct {
+	name   string
+	kinds  []Kind
+	values []Value
 }
 
-func wideFields(n int) []Value {
-	vals := []Value{Int(7), Float(2.5), String_("s"), Bool(true)}
+var families = []family{
+	{"mixed", []Kind{KindInt, KindFloat, KindString, KindBool}, []Value{Int(7), Float(2.5), String_("s"), Bool(true)}},
+	{"scalar", []Kind{KindInt, KindFloat, KindBool}, []Value{Int(-7), Float(-2.5), Bool(true)}},
+}
+
+// schema returns the family's n-column table.
+func (f family) schema(n int) *Schema {
+	cols := make([]Column, n)
+	for i := range cols {
+		cols[i] = Column{Name: fmt.Sprintf("c%d", i), Kind: f.kinds[i%len(f.kinds)]}
+	}
+	return MustSchema(fmt.Sprintf("%s%d", f.name, n), cols, []OrderEntry{Lit("W")})
+}
+
+// fields returns a fresh n-field list for the family's n-column table.
+func (f family) fields(n int) []Value {
 	fs := make([]Value, n)
 	for i := range fs {
-		fs[i] = vals[i%len(vals)]
+		fs[i] = f.values[i%len(f.values)]
 	}
 	return fs
 }
 
 // TestNewAllocationBudget pins tuple.New's allocation count: one object
 // (header and fields together) for every arity up to InlineFields = 8, two
-// (header, field slice) for the first arity above it. A count, not a timing.
+// (header, field slice) for the first arity above it, in both layouts that
+// inline their fields. A count, not a timing.
 func TestNewAllocationBudget(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -37,50 +52,62 @@ func TestNewAllocationBudget(t *testing.T) {
 	if InlineFields != 8 {
 		t.Fatalf("InlineFields = %d; update this test's stated cap", InlineFields)
 	}
-	for n := 0; n <= InlineFields+1; n++ {
-		s, fs := wideSchema(n), wideFields(n)
-		want := 1.0
-		if n > InlineFields {
-			want = 2
+	for _, f := range families {
+		for n := 0; n <= InlineFields+1; n++ {
+			s, fs := f.schema(n), f.fields(n)
+			want := 1.0
+			if n > InlineFields {
+				want = 2
+			}
+			var sink *Tuple
+			if got := testing.AllocsPerRun(100, func() { sink = New(s, fs...) }); got != want {
+				t.Errorf("%s: New with %d fields: %v allocations, want %v", f.name, n, got, want)
+			}
+			_ = sink
 		}
-		var sink *Tuple
-		if got := testing.AllocsPerRun(100, func() { sink = New(s, fs...) }); got != want {
-			t.Errorf("New with %d fields: %v allocations, want %v", n, got, want)
-		}
-		_ = sink
 	}
 }
 
-// TestNewInlineFieldsBehaveLikeASlice checks what the one-object layout must
-// not change: every arity reads back its own fields, tuples do not alias
-// each other or the caller's argument slice, and normalisation (defaults,
-// int→float widening) still happens in place.
+// TestNewInlineFieldsBehaveLikeASlice checks what the one-object layouts
+// must not change: every arity reads back its own fields, tuples do not
+// alias each other or the caller's argument slice, and normalisation
+// (defaults, int→float widening) lands in the stored fields.
 func TestNewInlineFieldsBehaveLikeASlice(t *testing.T) {
-	for n := 0; n <= InlineFields+3; n++ {
-		s, fs := wideSchema(n), wideFields(n)
-		a, b := New(s, fs...), New(s, fs...)
-		for i := range fs {
-			fs[i] = Value{} // the caller's slice is not retained
-		}
-		want := wideFields(n)
-		for i := 0; i < n; i++ {
-			if !a.Field(i).Equal(want[i]) || !b.Field(i).Equal(want[i]) {
-				t.Fatalf("arity %d field %d: %v / %v, want %v", n, i, a.Field(i), b.Field(i), want[i])
+	for _, f := range families {
+		for n := 0; n <= InlineFields+3; n++ {
+			s, fs := f.schema(n), f.fields(n)
+			a, b := New(s, fs...), New(s, fs...)
+			for i := range fs {
+				fs[i] = Value{} // the caller's slice is not retained
+			}
+			want := f.fields(n)
+			for i := 0; i < n; i++ {
+				if !a.Field(i).Equal(want[i]) || !b.Field(i).Equal(want[i]) {
+					t.Fatalf("%s arity %d field %d: %v / %v, want %v", f.name, n, i, a.Field(i), b.Field(i), want[i])
+				}
+			}
+			if !a.Equal(b) || a.Hash() != b.Hash() || CompareSchemaFields(a, b) != 0 {
+				t.Errorf("%s arity %d: equal field lists built unequal tuples", f.name, n)
+			}
+			d := New(s, make([]Value, n)...) // all defaults
+			for i := 0; i < n; i++ {
+				if !d.Field(i).Equal(Zero(s.Columns[i].Kind)) {
+					t.Errorf("%s arity %d field %d: default %v", f.name, n, i, d.Field(i))
+				}
+			}
+			if n >= 2 {
+				fs := f.fields(n)
+				fs[1] = Int(-3) // column 1 is a float column in both families
+				w := New(s, fs...)
+				if got := w.Field(1); !got.Equal(Float(-3)) {
+					t.Errorf("%s arity %d: int in float column = %v, want -3 widened", f.name, n, got)
+				}
+				fs[1] = Float(-3)
+				if u := New(s, fs...); !w.Equal(u) || w.Hash() != u.Hash() {
+					t.Errorf("%s arity %d: widened tuple %v differs from %v", f.name, n, w, u)
+				}
 			}
 		}
-		if !a.Equal(b) || a.Hash() != b.Hash() || CompareSchemaFields(a, b) != 0 {
-			t.Errorf("arity %d: equal field lists built unequal tuples", n)
-		}
-		d := New(s, make([]Value, n)...) // all defaults
-		for i := 0; i < n; i++ {
-			if !d.Field(i).Equal(Zero(s.Columns[i].Kind)) {
-				t.Errorf("arity %d field %d: default %v", n, i, d.Field(i))
-			}
-		}
-	}
-	s := wideSchema(2)
-	if got := New(s, Int(1), Int(3)).Field(1); !got.Equal(Float(3)) {
-		t.Errorf("int in float column = %v, want 3 widened", got)
 	}
 }
 

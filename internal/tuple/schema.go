@@ -71,6 +71,11 @@ type Schema struct {
 	// hashSeed is HashSeed with Name folded in: where every tuple's
 	// identity hash starts, computed once instead of per tuple.
 	hashSeed uint64
+	// kinds holds each column's kind, layout the payload the schema's
+	// tuples carry (see Tuple), and alloc allocates one of them.
+	kinds  []Kind
+	layout layout
+	alloc  func() *Tuple
 }
 
 // NewSchema builds and validates a schema. It returns an error if column
@@ -85,6 +90,7 @@ func NewSchema(name string, cols []Column, orderBy []OrderEntry) (*Schema, error
 		Columns:  append([]Column(nil), cols...),
 		OrderBy:  append([]OrderEntry(nil), orderBy...),
 		hashSeed: hashString(HashSeed, name),
+		kinds:    make([]Kind, len(cols)),
 	}
 	for i, c := range s.Columns {
 		if c.Name == "" {
@@ -99,7 +105,9 @@ func NewSchema(name string, cols []Column, orderBy []OrderEntry) (*Schema, error
 		if c.Key {
 			s.keyCols = append(s.keyCols, i)
 		}
+		s.kinds[i] = c.Kind
 	}
+	s.layout, s.alloc = chooseLayout(s.kinds)
 	s.obCols = make([]int, len(s.OrderBy))
 	s.pathCol = -1
 	for i, e := range s.OrderBy {

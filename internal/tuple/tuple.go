@@ -3,15 +3,31 @@ package tuple
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
+	"unsafe"
 )
 
-// Tuple is one immutable row of a relation. The fields slice is owned by the
-// tuple and must never be mutated after construction; the builder API and
-// Copy make this convenient (paper §3: tuples are immutable Java objects).
+// Tuple is one immutable row of a relation (paper §3: tuples are immutable
+// Java objects). It is this 32-byte header followed, in the same
+// allocation, by a payload whose layout its schema fixes once:
+//
+//   - an all-scalar schema (int, float, bool) of at most InlineFields
+//     columns: one 8-byte word per column, the payload word its Value
+//     would carry (an int's two's complement, a bool as 0/1, a float's
+//     canonical bits), its kind taken from the schema. The schema is then
+//     the object's only pointer: a 4-int tuple is 64 bytes, of which the
+//     GC scans one word;
+//   - a string-bearing schema of at most InlineFields columns: the Values
+//     themselves;
+//   - a wider schema: a []Value header, the Values a second allocation.
+//
+// Field builds a Value on demand. Nothing writes to a tuple after New, and
+// the payload is reached only through words, values and word, which cut it
+// to its exact length.
 type Tuple struct {
 	schema *Schema
-	fields []Value
 	hash   uint64 // precomputed identity hash over schema name + fields
 	// key and pathKey are precomputed 64-bit sort keys (schema ID in the
 	// high half, an order-preserving 32-bit prefix of one field in the low
@@ -25,33 +41,106 @@ type Tuple struct {
 	pathKey uint64
 }
 
+// layout is the payload a schema's tuples carry behind the header.
+type layout uint8
+
+const (
+	layoutWords  layout = iota // [n]uint64: all-scalar, n <= InlineFields
+	layoutValues               // [n]Value: string-bearing, n <= InlineFields
+	layoutSlice                // []Value: n > InlineFields
+)
+
+// InlineFields is the largest arity whose fields New allocates in the same
+// object as the tuple header (every table of the paper's apps fits: PvWatts
+// has 5 columns). Wider tuples pay a second allocation for a []Value.
+const InlineFields = 8
+
+// chooseLayout picks the payload for tuples of the given column kinds and
+// the function that allocates one.
+func chooseLayout(kinds []Kind) (layout, func() *Tuple) {
+	n := len(kinds)
+	if n > InlineFields {
+		return layoutSlice, func() *Tuple {
+			x := new(struct {
+				Tuple
+				p []Value
+			})
+			x.p = make([]Value, n)
+			return &x.Tuple
+		}
+	}
+	for _, k := range kinds {
+		if k != KindInt && k != KindFloat && k != KindBool {
+			return layoutValues, inlineAlloc[Value](n)
+		}
+	}
+	return layoutWords, inlineAlloc[uint64](n)
+}
+
+// inlineAlloc returns the allocator of a header with n elements of E
+// behind it, for n <= InlineFields. Each arity gets its exact size, so no
+// tuple carries unused slots.
+func inlineAlloc[E any](n int) func() *Tuple {
+	switch n {
+	case 0:
+		return func() *Tuple { return new(Tuple) }
+	case 1:
+		return inline[[1]E]
+	case 2:
+		return inline[[2]E]
+	case 3:
+		return inline[[3]E]
+	case 4:
+		return inline[[4]E]
+	case 5:
+		return inline[[5]E]
+	case 6:
+		return inline[[6]E]
+	case 7:
+		return inline[[7]E]
+	case InlineFields:
+		return inline[[InlineFields]E]
+	}
+	panic("jstar: inline tuple arity out of range")
+}
+
+// inline allocates a zero header with payload P behind it as one object;
+// the pointer returned, to the header at the object's start, keeps all of
+// it alive.
+func inline[P any]() *Tuple {
+	return &new(struct {
+		Tuple
+		p P
+	}).Tuple
+}
+
 // New constructs a tuple with positional field values. It panics if the
 // arity or a field kind does not match the schema, mirroring the type errors
-// the JStar compiler would reject statically. It makes one allocation for
-// arities up to InlineFields (two above), and fields does not escape.
+// the JStar compiler would reject statically; an invalid (zero) Value takes
+// its column's zero, and an int in a float column is widened. It makes one
+// allocation for arities up to InlineFields (two above), and fields does
+// not escape.
 func New(s *Schema, fields ...Value) *Tuple {
-	if len(fields) != len(s.Columns) {
-		panic(fmt.Sprintf("jstar: new %s: got %d fields, want %d", s.Name, len(fields), len(s.Columns)))
+	if len(fields) != len(s.kinds) {
+		panic(fmt.Sprintf("jstar: new %s: got %d fields, want %d", s.Name, len(fields), len(s.kinds)))
 	}
-	t := alloc(len(fields))
+	t := s.alloc()
 	t.schema = s
-	fs := t.fields
-	copy(fs, fields)
-	for i := range fs {
-		v := &fs[i]
-		k, want := v.Kind(), s.Columns[i].Kind
-		if k == want {
-			continue
+	if s.layout == layoutWords {
+		ws := t.words()
+		for i, v := range fields {
+			if v.p != tag(s.kinds[i]) {
+				v = s.normalise(i, v)
+			}
+			ws[i] = v.n
 		}
-		switch {
-		case k == KindInvalid:
-			*v = Zero(want)
-		case k == KindInt && want == KindFloat:
-			// Permit int literals in float columns (Java widening).
-			*v = Float(float64(int64(v.n)))
-		default:
-			panic(fmt.Sprintf("jstar: new %s: field %s is %v, want %v",
-				s.Name, s.Columns[i].Name, k, want))
+	} else {
+		fs := t.values()
+		for i, v := range fields {
+			if v.Kind() != s.kinds[i] {
+				v = s.normalise(i, v)
+			}
+			fs[i] = v
 		}
 	}
 	t.hash = t.computeHash()
@@ -59,77 +148,48 @@ func New(s *Schema, fields ...Value) *Tuple {
 	return t
 }
 
-// InlineFields is the largest arity whose fields New allocates in the same
-// object as the tuple header (every table of the paper's apps fits: PvWatts
-// has 5 columns). Wider tuples pay a second allocation for the field slice.
-const InlineFields = 8
-
-// alloc returns a zero tuple with n fields. Up to InlineFields the header
-// and the field array are one struct — one allocation, and the interior
-// pointer returned keeps the whole object alive — sized exactly per arity so
-// no tuple carries unused Value slots.
-func alloc(n int) *Tuple {
-	switch n {
-	case 0:
-		return &Tuple{}
-	case 1:
-		x := &struct {
-			Tuple
-			a [1]Value
-		}{}
-		x.fields = x.a[:]
-		return &x.Tuple
-	case 2:
-		x := &struct {
-			Tuple
-			a [2]Value
-		}{}
-		x.fields = x.a[:]
-		return &x.Tuple
-	case 3:
-		x := &struct {
-			Tuple
-			a [3]Value
-		}{}
-		x.fields = x.a[:]
-		return &x.Tuple
-	case 4:
-		x := &struct {
-			Tuple
-			a [4]Value
-		}{}
-		x.fields = x.a[:]
-		return &x.Tuple
-	case 5:
-		x := &struct {
-			Tuple
-			a [5]Value
-		}{}
-		x.fields = x.a[:]
-		return &x.Tuple
-	case 6:
-		x := &struct {
-			Tuple
-			a [6]Value
-		}{}
-		x.fields = x.a[:]
-		return &x.Tuple
-	case 7:
-		x := &struct {
-			Tuple
-			a [7]Value
-		}{}
-		x.fields = x.a[:]
-		return &x.Tuple
-	case InlineFields:
-		x := &struct {
-			Tuple
-			a [InlineFields]Value
-		}{}
-		x.fields = x.a[:]
-		return &x.Tuple
+// normalise returns v as column i stores it: the column's zero for the
+// invalid Value, an int widened to a float column (Java widening); any
+// other kind mismatch panics.
+func (s *Schema) normalise(i int, v Value) Value {
+	k, want := v.Kind(), s.kinds[i]
+	switch {
+	case k == want:
+		return v
+	case k == KindInvalid:
+		return Zero(want)
+	case k == KindInt && want == KindFloat:
+		return Float(float64(int64(v.n)))
 	}
-	return &Tuple{fields: make([]Value, n)}
+	panic(fmt.Sprintf("jstar: new %s: field %s is %v, want %v", s.Name, s.Columns[i].Name, k, want))
+}
+
+// payload is the address just past the header. Only a tuple with at least
+// one field has one: checkptr rejects a pointer past the end of an object.
+func (t *Tuple) payload() unsafe.Pointer {
+	return unsafe.Add(unsafe.Pointer(t), unsafe.Sizeof(Tuple{}))
+}
+
+// words returns the payload of a layoutWords tuple.
+func (t *Tuple) words() []uint64 {
+	n := len(t.schema.kinds)
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(t.payload()), n)
+}
+
+// word returns field i of a layoutWords tuple; i must be in range.
+func (t *Tuple) word(i int) uint64 {
+	return *(*uint64)(unsafe.Add(t.payload(), uintptr(i)*8))
+}
+
+// values returns the fields of a layoutValues or layoutSlice tuple.
+func (t *Tuple) values() []Value {
+	if t.schema.layout == layoutSlice {
+		return *(*[]Value)(t.payload())
+	}
+	return unsafe.Slice((*Value)(t.payload()), len(t.schema.kinds))
 }
 
 // computeKeys fills the precomputed sort keys from the (already
@@ -137,21 +197,30 @@ func alloc(n int) *Tuple {
 // assigned at Program.Table time — before any tuple of the table exists.
 func (t *Tuple) computeKeys() {
 	hi := uint64(uint32(t.schema.id)) << 32
-	if len(t.fields) > 0 {
-		t.key = hi | uint64(fieldKey32(t.fields[0]))
+	if len(t.schema.kinds) > 0 {
+		t.key = hi | uint64(fieldKey32(t.Field(0)))
 	} else {
 		t.key = hi
 	}
 	if c := t.schema.pathCol; c >= 0 {
-		t.pathKey = hi | uint64(fieldKey32(t.fields[c]))
+		t.pathKey = hi | uint64(fieldKey32(t.Field(c)))
 	} else {
 		t.pathKey = t.key
 	}
 }
 
+// computeHash folds Value.Hash over the fields; a word is hashed exactly
+// as the Value it stands for.
 func (t *Tuple) computeHash() uint64 {
-	h := t.schema.hashSeed
-	for _, v := range t.fields {
+	s := t.schema
+	h := s.hashSeed
+	if s.layout == layoutWords {
+		for i, w := range t.words() {
+			h = hashWord(hashByte(h, byte(s.kinds[i])), w)
+		}
+		return h
+	}
+	for _, v := range t.values() {
 		h = v.Hash(h)
 	}
 	return h
@@ -161,7 +230,14 @@ func (t *Tuple) computeHash() uint64 {
 func (t *Tuple) Schema() *Schema { return t.schema }
 
 // Field returns the value at column position i.
-func (t *Tuple) Field(i int) Value { return t.fields[i] }
+func (t *Tuple) Field(i int) Value {
+	s := t.schema
+	k := s.kinds[i] // the bounds check for every layout
+	if s.layout == layoutWords {
+		return Value{p: tag(k), n: t.word(i)}
+	}
+	return t.values()[i]
+}
 
 // Get returns the value of the named column; it panics on unknown names
 // (a static error in real JStar).
@@ -170,7 +246,7 @@ func (t *Tuple) Get(name string) Value {
 	if i < 0 {
 		panic(fmt.Sprintf("jstar: table %s has no column %q", t.schema.Name, name))
 	}
-	return t.fields[i]
+	return t.Field(i)
 }
 
 // Int is shorthand for Get(name).AsInt().
@@ -195,8 +271,12 @@ func (t *Tuple) Equal(o *Tuple) bool {
 	if o == nil || t.schema != o.schema || t.hash != o.hash {
 		return false
 	}
-	for i := range t.fields {
-		if !t.fields[i].Equal(o.fields[i]) {
+	if t.schema.layout == layoutWords {
+		return slices.Equal(t.words(), o.words()) // floats are canonical
+	}
+	a, b := t.values(), o.values()
+	for i := range a {
+		if !a[i].Equal(b[i]) {
 			return false
 		}
 	}
@@ -208,16 +288,24 @@ func (t *Tuple) Equal(o *Tuple) bool {
 // order inside NavigableSet Gamma stores (ComparePrefix positions a query's
 // equality prefix in it).
 func (t *Tuple) CompareFields(o *Tuple) int {
-	n := len(t.fields)
-	if len(o.fields) < n {
-		n = len(o.fields)
+	s := t.schema
+	if s == o.schema && s.layout == layoutWords {
+		a, b := t.words(), o.words()
+		for i, k := range s.kinds {
+			if a[i] != b[i] {
+				return compareWord(k, a[i], b[i])
+			}
+		}
+		return 0
 	}
-	for i := 0; i < n; i++ {
-		if c := comparePtr(&t.fields[i], &o.fields[i]); c != 0 {
+	n, m := len(s.kinds), len(o.schema.kinds)
+	for i := range min(n, m) {
+		a, b := t.Field(i), o.Field(i)
+		if c := comparePtr(&a, &b); c != 0 {
 			return c
 		}
 	}
-	return len(t.fields) - len(o.fields)
+	return n - m
 }
 
 // comparePtr is Compare through pointers with the int-vs-int case inline:
@@ -229,6 +317,28 @@ func comparePtr(a, b *Value) int {
 		return cmp.Compare(int64(a.n), int64(b.n))
 	}
 	return Compare(*a, *b)
+}
+
+// compareWord is Compare on two payload words of one scalar kind k.
+func compareWord(k Kind, a, b uint64) int {
+	switch {
+	case a == b:
+		return 0 // floats are canonical: equal values have equal bits
+	case k == KindInt:
+		return cmp.Compare(int64(a), int64(b))
+	case k == KindFloat:
+		return compareFloat(math.Float64frombits(a), math.Float64frombits(b))
+	}
+	return cmp.Compare(a, b) // bool
+}
+
+// compareCol orders column col of two tuples of schema s.
+func compareCol(s *Schema, a, b *Tuple, col int) int {
+	if s.layout == layoutWords {
+		return compareWord(s.kinds[col], a.word(col), b.word(col))
+	}
+	x, y := a.Field(col), b.Field(col)
+	return comparePtr(&x, &y)
 }
 
 // CompareSchemaFields is the engine's step order: schema identity (dense
@@ -295,7 +405,7 @@ func ComparePath(a, b *Tuple) int {
 			if col < 0 {
 				continue // literal: constant across the schema's tuples
 			}
-			if c := comparePtr(&a.fields[col], &b.fields[col]); c != 0 {
+			if c := compareCol(sa, a, b, col); c != 0 {
 				return c
 			}
 		}
@@ -311,7 +421,7 @@ func SamePath(a, b *Tuple) bool {
 		return false
 	}
 	for _, col := range a.schema.obCols {
-		if col >= 0 && comparePtr(&a.fields[col], &b.fields[col]) != 0 {
+		if col >= 0 && compareCol(a.schema, a, b, col) != 0 {
 			return false
 		}
 	}
@@ -346,12 +456,13 @@ func compareSchemas(a, b *Schema) int {
 // tuple. Membership is Value.Equal's: an int never matches a float column,
 // whatever Compare says about their magnitudes.
 func (t *Tuple) ComparePrefix(prefix []Value) int {
+	n := len(t.schema.kinds)
 	for i := range prefix {
-		if i >= len(t.fields) {
+		if i >= n {
 			return -1 // t is a strict prefix of the prefix: sorts first
 		}
-		a, b := &t.fields[i], &prefix[i]
-		if c := comparePtr(a, b); c != 0 {
+		a, b := t.Field(i), &prefix[i]
+		if c := comparePtr(&a, b); c != 0 {
 			return c
 		}
 		if ka, kb := a.Kind(), b.Kind(); ka != kb {
@@ -369,7 +480,7 @@ func (t *Tuple) KeyEqual(o *Tuple) bool {
 		return false
 	}
 	for _, i := range t.schema.keyCols {
-		if !t.fields[i].Equal(o.fields[i]) {
+		if !t.Field(i).Equal(o.Field(i)) {
 			return false
 		}
 	}
@@ -381,11 +492,11 @@ func (t *Tuple) String() string {
 	var b strings.Builder
 	b.WriteString(t.schema.Name)
 	b.WriteByte('(')
-	for i, v := range t.fields {
+	for i := range t.schema.kinds {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(v.String())
+		b.WriteString(t.Field(i).String())
 	}
 	b.WriteByte(')')
 	return b.String()
@@ -412,8 +523,10 @@ func NewBuilder(s *Schema) *Builder {
 // CopyOf returns a builder pre-populated from an existing tuple, so a rule
 // can "update a few fields and create a new tuple".
 func CopyOf(t *Tuple) *Builder {
-	b := &Builder{schema: t.schema, fields: make([]Value, len(t.fields))}
-	copy(b.fields, t.fields)
+	b := &Builder{schema: t.schema, fields: make([]Value, len(t.schema.kinds))}
+	for i := range b.fields {
+		b.fields[i] = t.Field(i)
+	}
 	return b
 }
 

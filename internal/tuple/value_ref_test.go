@@ -3,6 +3,8 @@ package tuple
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -397,12 +399,24 @@ func TestTupleEqualImpliesHash(t *testing.T) {
 	}
 }
 
-// TestValueFootprint pins the layout: a Value is two words, and a 4-int
-// tuple is one allocation of at most 128 bytes (224 with the 40-byte
-// Value).
+// TestValueFootprint pins the layout: a Value is two words, a tuple
+// header is four with the schema its only pointer, and a 4-int tuple is
+// one allocation of at most 64 bytes — the header and four payload words
+// (128 with a Value per column, 224 with the old 40-byte Value). Every
+// all-scalar arity up to InlineFields is one object of the header plus a
+// word per column, rounded up to its size class.
 func TestValueFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 16 {
 		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(Tuple{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 32", got)
+	}
+	h := reflect.TypeFor[Tuple]()
+	for i := 0; i < h.NumField(); i++ {
+		if f := h.Field(i); f.Type.Kind() != reflect.Uint64 && f.Name != "schema" {
+			t.Errorf("tuple header field %s is a %v: only the schema may be a pointer", f.Name, f.Type)
+		}
 	}
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -417,8 +431,27 @@ func TestValueFootprint(t *testing.T) {
 		}
 	})
 	_ = sink
-	if res.AllocsPerOp() != 1 || res.AllocedBytesPerOp() > 128 {
-		t.Errorf("New on a 4-int schema: %d allocations, %d bytes; want 1 of at most 128",
+	if res.AllocsPerOp() != 1 || res.AllocedBytesPerOp() > 64 {
+		t.Errorf("New on a 4-int schema: %d allocations, %d bytes; want 1 of at most 64",
 			res.AllocsPerOp(), res.AllocedBytesPerOp())
+	}
+	f := families[1] // int, float, bool
+	for n := 0; n <= InlineFields; n++ {
+		s, fs := f.schema(n), f.fields(n)
+		if s.layout != layoutWords {
+			t.Fatalf("all-scalar arity %d: layout %d, want words", n, s.layout)
+		}
+		const runs = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			sink = New(s, fs...)
+		}
+		runtime.ReadMemStats(&after)
+		objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		if want := uint64(32+8*n+15) &^ 15; objs != runs || bytes > runs*want {
+			t.Errorf("all-scalar arity %d: %d objects, %d bytes per %d tuples; want one of at most %d bytes each",
+				n, objs, bytes, runs, want)
+		}
 	}
 }
