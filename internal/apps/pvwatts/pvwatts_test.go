@@ -64,6 +64,13 @@ func TestJStarVariantsAllAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameMeans(t, res.Means, want, v.name)
+			// One SumMonth put per reading, whichever of the step boundary
+			// or the put slot's repeat drop discards the repeats.
+			st := res.Run.Stats().Tables["SumMonth"]
+			readings, months := int64(pvgen.RecordsPerYear), int64(len(want))
+			if p, d := st.Puts.Load(), st.Duplicates.Load(); p != readings || d != readings-months {
+				t.Errorf("SumMonth puts %d, duplicates %d; want %d and %d", p, d, readings, readings-months)
+			}
 		})
 	}
 }

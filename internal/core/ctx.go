@@ -17,7 +17,9 @@ import (
 // Concurrency contract: a Ctx belongs to the goroutine running the firing.
 // Put and PutNew may additionally be called from the rule's own pool.For
 // workers (§5.2's loop parallelism inside a rule — what pvwatts' -noDelta
-// reader does); they touch only the slot's locked put buffer. Every query
+// reader does); they touch only the slot's locked put buffer, whose tail —
+// the put that decides whether the next one is a repeat to drop — is then
+// whichever worker's put took the lock last. Every query
 // method (ForEach, GetUniq, Exists, Count, GetMin, SumInt) uses the Ctx's
 // unsynchronised scratch and must stay on the firing goroutine.
 type Ctx struct {
@@ -43,7 +45,10 @@ func (c *Ctx) Trigger() *tuple.Tuple { return c.trigger }
 
 // Put adds a new tuple to the database: it is appended to this worker's
 // put buffer and flushed into the Delta set as part of the step-boundary
-// batch (or, under -noDelta, inserted into Gamma and fired inline). Under
+// batch (or, under -noDelta, inserted into Gamma and fired inline). A put
+// equal to the buffer's tail — the slot's previous put this step, still
+// unflushed — is counted as a put and a duplicate and dropped on the spot,
+// exactly as the boundary's dedup would count and drop it. Under
 // Options.CheckCausality it panics if the new tuple's causal key precedes
 // the trigger's — the law of causality (§4).
 func (c *Ctx) Put(t *tuple.Tuple) {
@@ -51,9 +56,12 @@ func (c *Ctx) Put(t *tuple.Tuple) {
 }
 
 // PutNew builds a tuple positionally and puts it: ctx.PutNew(ship, v...) is
-// `put new Ship(v...)`.
+// `put new Ship(v...)`. A repeat of the put buffer's tail (see Put) is
+// recognised from the fields and never built, so the grouping idiom
+// `foreach (X x) put new G(x.key)` allocates once per group run, not once
+// per firing.
 func (c *Ctx) PutNew(s *tuple.Schema, fields ...tuple.Value) {
-	c.Put(tuple.New(s, fields...))
+	c.run.putNew(c.rule.Name, c.trigger, s, fields, c.slot)
 }
 
 // checkResult enforces, in CheckCausality mode, that a query result is not
@@ -104,6 +112,17 @@ func (c *Ctx) visit(s *tuple.Schema, prefix []tuple.Value, where func(*tuple.Tup
 	c.popTo(base)
 }
 
+// noteQuery counts a query of table s with a prefix of the given length.
+// A table the program never declared has no store to read, so its query
+// panics, and the firing turns the panic into the run's located error.
+func (c *Ctx) noteQuery(s *tuple.Schema, prefix int) {
+	st := c.run.tableStats(s)
+	if st == nil {
+		panic(fmt.Sprintf("jstar: query of undeclared table %s", s.Name))
+	}
+	st.noteQuery(prefix)
+}
+
 // refuseNoGammaQuery panics if s is the registered schema of a -noGamma
 // table. It is keyed on the schema itself because unregistered ad-hoc
 // schemas share ID 0 with the first declared table.
@@ -130,7 +149,7 @@ const allMatches = math.MaxInt / 2
 // it puts are not visited. A query whose Where rejects most of a large
 // prefix range still collects that range; narrow it with the prefix.
 func (c *Ctx) ForEach(s *tuple.Schema, q gamma.Query, fn func(t *tuple.Tuple) bool) {
-	c.run.tableStats(s).noteQuery(len(q.Prefix))
+	c.noteQuery(s, len(q.Prefix))
 	c.visit(s, q.Prefix, q.Where, allMatches, fn)
 }
 
@@ -139,7 +158,7 @@ func (c *Ctx) ForEach(s *tuple.Schema, q gamma.Query, fn func(t *tuple.Tuple) bo
 // flags this statically when the key does not force uniqueness). Without a
 // Where the store walk ends at the first match.
 func (c *Ctx) GetUniq(s *tuple.Schema, q gamma.Query) *tuple.Tuple {
-	c.run.tableStats(s).noteQuery(len(q.Prefix))
+	c.noteQuery(s, len(q.Prefix))
 	limit := allMatches
 	if q.Where == nil {
 		limit = 1

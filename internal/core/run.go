@@ -899,25 +899,16 @@ func (r *Run) tableStats(s *tuple.Schema) *TableStats {
 // puts; slot identifies the put buffer of the executing participant.
 // Under -noDelta the tuple goes straight to Gamma and fires its rules on
 // the calling task; everything else is appended to the slot buffer and
-// flushed into the Delta tree at the step boundary.
+// flushed into the Delta tree at the step boundary — unless it equals the
+// buffer's tail, the slot's previous put this step: then it is a
+// duplicate the boundary would drop, and it is dropped here.
 func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) {
 	s := t.Schema()
 	st := r.tableStats(s)
 	if st == nil {
 		panic(fmt.Sprintf("jstar: put of tuple from undeclared table %s", s.Name))
 	}
-	st.Puts.Add(1)
-	if r.opts.TraceDataflow {
-		r.stats.addFlow(ruleName, s.Name)
-	}
-	if r.opts.CheckCausality && from != nil {
-		kf := order.KeyOf(r.prog.po, from)
-		kt := order.KeyOf(r.prog.po, t)
-		if order.Compare(kt, kf) < 0 {
-			panic(fmt.Sprintf("jstar: causality violation: rule triggered by %v (key %v) put %v (key %v) into the past",
-				from, kf, t, kt))
-		}
-	}
+	r.admit(st, ruleName, from, t)
 	id := s.ID()
 	if r.noDelta[id] {
 		if !r.noGamma[id] {
@@ -935,8 +926,62 @@ func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) 
 	}
 	sl := &r.slots[slot]
 	sl.mu.Lock()
+	if n := len(sl.buf); n > 0 && sl.buf[n-1].Equal(t) {
+		sl.mu.Unlock()
+		st.Duplicates.Add(1)
+		return
+	}
 	sl.buf = append(sl.buf, t)
 	sl.mu.Unlock()
+}
+
+// putNew is put(New(s, fields...)) that compares before it allocates: a
+// repeat of the slot buffer's tail is counted and checked as the tail
+// itself — equal tuples share a causal key — and never built. It keeps
+// put's one slot-lock episode, so a new tuple is built under the lock.
+func (r *Run) putNew(ruleName string, from *tuple.Tuple, s *tuple.Schema, fields []tuple.Value, slot int) {
+	st := r.tableStats(s)
+	if st == nil || r.noDelta[s.ID()] {
+		r.put(ruleName, from, tuple.New(s, fields...), slot)
+		return
+	}
+	sl := &r.slots[slot]
+	sl.mu.Lock()
+	defer sl.mu.Unlock() // New and the causality check may panic
+	if n := len(sl.buf); n > 0 && sl.buf[n-1].EqualNew(s, fields...) {
+		r.admit(st, ruleName, from, sl.buf[n-1])
+		st.Duplicates.Add(1)
+		return
+	}
+	t := tuple.New(s, fields...)
+	r.admit(st, ruleName, from, t)
+	sl.buf = append(sl.buf, t)
+}
+
+// admit counts t as a put into its table st and runs the put-time checks,
+// which only traced or causality-checked runs pay for.
+func (r *Run) admit(st *TableStats, ruleName string, from, t *tuple.Tuple) {
+	st.Puts.Add(1)
+	if r.opts.TraceDataflow || r.opts.CheckCausality {
+		r.checkPut(ruleName, from, t)
+	}
+}
+
+// checkPut records the put in the dataflow trace and, under
+// CheckCausality, panics if t's causal key precedes its trigger's — the
+// law of causality (§4).
+func (r *Run) checkPut(ruleName string, from, t *tuple.Tuple) {
+	if r.opts.TraceDataflow {
+		r.stats.addFlow(ruleName, t.Schema().Name)
+	}
+	if r.opts.CheckCausality && from != nil {
+		kf := order.KeyOf(r.prog.po, from)
+		kt := order.KeyOf(r.prog.po, t)
+		if order.Compare(kt, kf) < 0 {
+			panic(fmt.Sprintf("jstar: causality violation: rule triggered by %v (key %v) put %v (key %v) into the past",
+				from, kf, t, kt))
+		}
+	}
 }
 
 // Stats returns the run statistics (valid after Execute returns).

@@ -10,17 +10,18 @@ import (
 // not an option, set from BenchmarkTreeNodeMax — a fresh store taking 64 k
 // 4-int tuples as 256-tuple sorted runs, then one-column prefix Selects of
 // 64 matches each — on the 2-vCPU reference box (go1.24.0, medians of 7
-// runs of 30 stores):
+// runs of 30 stores, 64-byte word-payload tuples):
 //
 //	node max   ascending runs   random runs   select
-//	   32       119 ns/tuple     836 ns/tuple  3.4 µs/query
-//	   64       101              831           3.2
-//	  128        92              889           3.1
+//	   32       152 ns/tuple     740 ns/tuple  2.9 µs/query
+//	   64        97              659           2.6
+//	  128        91              625           2.5
 //
-// Runs past the stored maximum favour wide nodes; runs landing inside the
-// table do not, since an insert shifts half a leaf and every compare of a
-// node's binary search is a cache miss on a scattered tuple. 64 is within
-// 10 % of the best in every column.
+// Runs past the stored maximum favour wide nodes. Since tuples shrank to
+// 64 bytes, runs landing inside the table do too, by about 5 % — less
+// than the spread of the runs: an insert there shifts half a leaf, and
+// every compare of a node's binary search is a cache miss on a scattered
+// tuple. 64 is within 10 % of the best in every column.
 const treeNodeMax = 64
 
 // treeStore is the one ordered Gamma store: a B-tree of tuples in

@@ -183,6 +183,24 @@ func newBoth(t *testing.T, s *Schema, fields []Value) (*Tuple, refTuple, bool) {
 	return x, r, ok
 }
 
+// checkEqualNew holds EqualNew to its definition: for every tuple x, each
+// schema s and each field list f, x.EqualNew(s, f...) is exactly
+// New(s, f...).Equal(x) — false wherever New panics.
+func checkEqualNew(t *testing.T, ts []*Tuple, schemas []*Schema, lists [][]Value) {
+	t.Helper()
+	for _, s := range schemas {
+		for _, f := range lists {
+			var y *Tuple
+			built := !panicked(func() { y = New(s, f...) })
+			for _, x := range ts {
+				if got, want := x.EqualNew(s, f...), built && y.Equal(x); got != want {
+					t.Fatalf("%v.EqualNew(%s, %v) = %v, New(...).Equal says %v", x, s.Name, f, got, want)
+				}
+			}
+		}
+	}
+}
+
 // checkModel holds every method of ts to the reference refs (ts[i] is
 // refs[i]): per tuple Field, Get, Hash, String, CopyOf and ComparePrefix
 // against each prefix; per ordered pair Equal, CompareFields,
@@ -335,7 +353,7 @@ func TestTupleMatchesReferenceModel(t *testing.T) {
 	}
 	var ts []*Tuple
 	var refs []refTuple
-	var prefixes [][]Value
+	var prefixes, lists [][]Value
 	for _, s := range schemas {
 		pools := make([][]Value, s.Arity())
 		for i, c := range s.Columns {
@@ -351,6 +369,7 @@ func TestTupleMatchesReferenceModel(t *testing.T) {
 				t.Fatalf("New(%s, %v) refused well-kinded fields", s.Name, fields)
 			}
 			ts, refs = append(ts, x), append(refs, r)
+			lists = append(lists, fields, r.fs)
 			if g.rng.Intn(4) == 0 {
 				p := append([]Value(nil), r.fs[:g.rng.Intn(len(r.fs)+1)]...)
 				if g.rng.Intn(2) == 0 {
@@ -367,6 +386,7 @@ func TestTupleMatchesReferenceModel(t *testing.T) {
 				fields[g.rng.Intn(len(fields))] = g.next().v
 			}
 			newBoth(t, s, fields)
+			lists = append(lists, fields)
 		}
 	}
 	layouts, equal := map[layout]bool{}, 0
@@ -383,6 +403,7 @@ func TestTupleMatchesReferenceModel(t *testing.T) {
 			layouts, equal, len(ts))
 	}
 	checkModel(t, ts, refs, prefixes)
+	checkEqualNew(t, ts, schemas, lists)
 }
 
 // fuzzBytes reads a FuzzTupleLayout input; past its end every byte is 0.
@@ -430,15 +451,19 @@ func (b *fuzzBytes) kind() (k Kind, key bool) {
 }
 
 // FuzzTupleLayout decodes a schema and up to four tuples from the input and
-// holds them to the []Value reference (checkModel). Input: an arity byte
+// holds them to the []Value reference (checkModel), and holds EqualNew to
+// New(...).Equal over every decoded field list, its normalised form and a
+// one-too-long copy, for the schema and a distinct twin (checkEqualNew).
+// Input: an arity byte
 // (mod 11); per column a kind byte (kind = b%4+1: int, double, String,
 // boolean; bit 2 makes it a key); an orderby count byte (mod 3) and one
 // byte per entry (b%3: literal, seq, par; column (b/3) mod arity); then
 // per field a selector byte — 0 the zero Value, 1 an int word (widened in
 // a float column), 2 a kind byte and a value of that kind (a kind error
 // unless it matches), else a value of the column's kind. The seeds hold
-// ±0, NaN, ±Inf and ±1 in a float column, an int to widen and a wide
-// string-bearing table.
+// ±0, NaN, ±Inf and ±1 in a float column, an int to widen, lists equal
+// only once normalised (two NaNs, ±0, an int and its float, a zero Value
+// and 0.0) and a wide string-bearing table.
 //
 //	go test -run '^$' -fuzz '^FuzzTupleLayout$' -fuzztime 60s ./internal/tuple
 func FuzzTupleLayout(f *testing.F) {
@@ -455,8 +480,22 @@ func FuzzTupleLayout(f *testing.F) {
 	}
 	f.Add(floats(math.NaN(), math.Copysign(0, -1), 0, math.Float64frombits(0xFFF8000000000003)))
 	f.Add(floats(math.Inf(1), math.Inf(-1), -1, 1))
+	f.Add(floats(math.NaN(), math.Copysign(0, -1), math.Float64frombits(0xFFF8000000000003), 0)) // two equal pairs
 	f.Add(floats(-1, 1, math.Copysign(0, -1), math.NaN()))
 	f.Add(append([]byte{2, 1, 4, 1, 1, 1}, binary.LittleEndian.AppendUint64(nil, 3)...)) // an int in the float column
+	// Four lists that are two equal pairs once normalised: (int 3, 0) and
+	// (3.0, 0) by widening, (zero Value, 1) and (0.0, 1).
+	word := func(sel byte, w uint64) []byte { return binary.LittleEndian.AppendUint64([]byte{sel}, w) }
+	widen := []byte{2, 1, 4, 1, 1}
+	for _, fs := range [][2][]byte{
+		{word(1, 3), word(3, 0)},
+		{word(3, math.Float64bits(3)), word(3, 0)},
+		{{0}, word(3, 1)},
+		{word(3, 0), word(3, 1)},
+	} {
+		widen = append(append(widen, fs[0]...), fs[1]...)
+	}
+	f.Add(widen)
 	wide := []byte{10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2, 1, 5}
 	f.Add(append(wide, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 'x', 'y'))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -481,9 +520,11 @@ func FuzzTupleLayout(f *testing.F) {
 		}
 		s := MustSchema("F", cols, ob)
 		s.SetID(int32(n))
+		twin := MustSchema("F", cols, ob) // equal columns, a distinct table
+		twin.SetID(int32(n))
 		var ts []*Tuple
 		var refs []refTuple
-		var prefixes [][]Value
+		var prefixes, lists [][]Value
 		for range 4 {
 			fields := make([]Value, n)
 			for i, c := range cols {
@@ -498,11 +539,14 @@ func FuzzTupleLayout(f *testing.F) {
 					fields[i] = b.value(c.Kind)
 				}
 			}
+			lists = append(lists, fields, append(fields[:n:n], Int(1)))
 			if x, r, ok := newBoth(t, s, fields); ok {
 				ts, refs = append(ts, x), append(refs, r)
 				prefixes = append(prefixes, r.fs[:len(r.fs)/2], fields)
+				lists = append(lists, r.fs)
 			}
 		}
 		checkModel(t, ts, refs, prefixes)
+		checkEqualNew(t, ts, []*Schema{s, twin}, lists)
 	})
 }

@@ -148,20 +148,54 @@ func New(s *Schema, fields ...Value) *Tuple {
 	return t
 }
 
+// EqualNew reports whether t equals New(s, fields...) without building
+// it: each field is normalised as New normalises it (the invalid Value is
+// its column's zero, an int in a float column is widened), and where New
+// would panic — wrong arity or kind — EqualNew answers false. It is how a
+// put recognises a repeat before paying the allocation; fields does not
+// escape.
+func (t *Tuple) EqualNew(s *Schema, fields ...Value) bool {
+	if t.schema != s || len(fields) != len(s.kinds) {
+		return false
+	}
+	for i, v := range fields {
+		if v.Kind() != s.kinds[i] {
+			var ok bool
+			if v, ok = s.normal(i, v); !ok {
+				return false
+			}
+		}
+		if !t.Field(i).Equal(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // normalise returns v as column i stores it: the column's zero for the
 // invalid Value, an int widened to a float column (Java widening); any
 // other kind mismatch panics.
 func (s *Schema) normalise(i int, v Value) Value {
+	v, ok := s.normal(i, v)
+	if !ok {
+		panic(fmt.Sprintf("jstar: new %s: field %s is %v, want %v", s.Name, s.Columns[i].Name, v.Kind(), s.kinds[i]))
+	}
+	return v
+}
+
+// normal is normalise without the panic: ok is false for a kind column i
+// cannot hold.
+func (s *Schema) normal(i int, v Value) (Value, bool) {
 	k, want := v.Kind(), s.kinds[i]
 	switch {
 	case k == want:
-		return v
+		return v, true
 	case k == KindInvalid:
-		return Zero(want)
+		return Zero(want), true
 	case k == KindInt && want == KindFloat:
-		return Float(float64(int64(v.n)))
+		return Float(float64(int64(v.n))), true
 	}
-	panic(fmt.Sprintf("jstar: new %s: field %s is %v, want %v", s.Name, s.Columns[i].Name, k, want))
+	return v, false
 }
 
 // payload is the address just past the header. Only a tuple with at least
