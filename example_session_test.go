@@ -44,7 +44,11 @@ func ExampleSession() {
 		log.Fatal(err)
 	}
 
-	for _, t := range sess.Snapshot(over) {
+	hot, err := sess.Snapshot(over)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, t := range hot {
 		fmt.Printf("sensor %d overheating at %d\n", t.Int("sensor"), t.Int("celsius"))
 	}
 
@@ -55,10 +59,12 @@ func ExampleSession() {
 	if err := sess.Quiesce(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	sess.Query(over, jstar.Eq(jstar.Int(1)), func(t *jstar.Tuple) bool {
+	if err := sess.Query(over, jstar.Eq(jstar.Int(1)), func(t *jstar.Tuple) bool {
 		fmt.Printf("sensor 1 alert: %d\n", t.Int("celsius"))
 		return true
-	})
+	}); err != nil {
+		log.Fatal(err)
+	}
 	// Output:
 	// sensor 2 overheating at 95
 	// sensor 3 overheating at 101

@@ -1,11 +1,15 @@
 package pvwatts
 
 import (
-	"github.com/jstar-lang/jstar/internal/exec"
+	"fmt"
+	"maps"
 	"math"
+	"sync/atomic"
 	"testing"
 
+	"github.com/jstar-lang/jstar/internal/core"
 	"github.com/jstar-lang/jstar/internal/disruptor"
+	"github.com/jstar-lang/jstar/internal/exec"
 	"github.com/jstar-lang/jstar/internal/pvgen"
 )
 
@@ -70,6 +74,43 @@ func TestJStarVariantsAllAgree(t *testing.T) {
 			readings, months := int64(pvgen.RecordsPerYear), int64(len(want))
 			if p, d := st.Puts.Load(), st.Duplicates.Load(); p != readings || d != readings-months {
 				t.Errorf("SumMonth puts %d, duplicates %d; want %d and %d", p, d, readings, readings-months)
+			}
+		})
+	}
+}
+
+// runCounters returns every TableStats counter of each table, and the
+// run's TotalFired under the key "".
+func runCounters(st *core.RunStats) map[string][7]int64 {
+	out := map[string][7]int64{"": {atomic.LoadInt64(&st.TotalFired)}}
+	for name, ts := range st.Tables {
+		out[name] = [7]int64{ts.Puts.Load(), ts.Duplicates.Load(), ts.Triggers.Load(), ts.Queries.Load(),
+			ts.IndexedQueries.Load(), ts.PrefixLenSum.Load(), ts.MinPrefixLen.Load()}
+	}
+	return out
+}
+
+// TestCountersExactAcrossThreads: firings count in their own put slots and
+// the step boundary folds the slots together, so every counter is a
+// property of the program and its input, not of the schedule: one thread
+// and two ForkJoin threads count the same, with and without -noDelta,
+// where the reader's pool.For helpers share the firing's slot.
+func TestCountersExactAcrossThreads(t *testing.T) {
+	csv, _ := smallCSV(t, false)
+	for _, noDelta := range []bool{false, true} {
+		t.Run(fmt.Sprintf("noDelta=%v", noDelta), func(t *testing.T) {
+			var want map[string][7]int64
+			for _, threads := range []int{1, 2} {
+				res, err := RunJStar(csv, RunOpts{Strategy: exec.ForkJoin, Threads: threads, NoDelta: noDelta})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := runCounters(res.Run.Stats())
+				if want == nil {
+					want = got
+				} else if !maps.Equal(got, want) {
+					t.Errorf("threads %d: counters %v, want the one-thread run's %v", threads, got, want)
+				}
 			}
 		})
 	}

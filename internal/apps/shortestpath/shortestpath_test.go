@@ -1,8 +1,11 @@
 package shortestpath
 
 import (
-	"github.com/jstar-lang/jstar/internal/exec"
+	"sync/atomic"
 	"testing"
+
+	"github.com/jstar-lang/jstar/internal/core"
+	"github.com/jstar-lang/jstar/internal/exec"
 )
 
 func TestBaselineTinyGraph(t *testing.T) {
@@ -87,6 +90,80 @@ func TestJStarMatchesBaseline(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// runCounters returns every TableStats counter of each table, and the
+// run's TotalFired under the key "".
+func runCounters(st *core.RunStats) map[string][7]int64 {
+	out := map[string][7]int64{"": {atomic.LoadInt64(&st.TotalFired)}}
+	for name, ts := range st.Tables {
+		out[name] = [7]int64{ts.Puts.Load(), ts.Duplicates.Load(), ts.Triggers.Load(), ts.Queries.Load(),
+			ts.IndexedQueries.Load(), ts.PrefixLenSum.Load(), ts.MinPrefixLen.Load()}
+	}
+	return out
+}
+
+// TestCountersExactAcrossThreads: firings count in their own put slots and
+// the step boundary folds the slots together, so at one thread and at two
+// ForkJoin threads every counter is exact. Only some are the same at both:
+// Done is -noDelta, so a firing sees the Done tuples its step-mates put
+// before it, and how many Estimates a step puts depends on the schedule.
+// The rest must match, and every counter must obey the program's laws.
+func TestCountersExactAcrossThreads(t *testing.T) {
+	gen := GenOpts{Vertices: 300, Extra: 600, Tasks: 4, Seed: 11}
+	distinct := make(map[Edge]bool)
+	for _, e := range Generate(gen) {
+		distinct[e] = true
+	}
+	var first map[string][7]int64
+	for _, threads := range []int{1, 2} {
+		res, err := RunJStar(RunOpts{Gen: gen, Strategy: exec.ForkJoin, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := runCounters(res.Run.Stats())
+		reached := int64(0)
+		for _, d := range res.Dist {
+			if d >= 0 {
+				reached++
+			}
+		}
+		const puts, dups, triggers, queries, indexed, plen, minp = 0, 1, 2, 3, 4, 5, 6
+		est, done, edge := c["Estimate"], c["Done"], c["Edge"]
+		for _, law := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"TotalFired = GenTask + Estimate triggers", c[""][0], c["GenTask"][triggers] + est[triggers]},
+			{"Estimate puts = duplicates + triggers", est[puts], est[dups] + est[triggers]},
+			{"Done puts = vertices reached", done[puts], reached},
+			{"Edge queries = Done puts", edge[queries], done[puts]},
+			{"Done queries = Estimate triggers + distinct edges", done[queries], est[triggers] + int64(len(distinct))},
+			{"Done queries all one-column probes", done[plen], done[queries]},
+			{"Edge puts - duplicates = distinct edges", edge[puts] - edge[dups], int64(len(distinct))},
+		} {
+			if law.got != law.want {
+				t.Errorf("threads %d: %s: %d, want %d", threads, law.name, law.got, law.want)
+			}
+		}
+		for _, name := range []string{"Done", "Edge"} {
+			if x := c[name]; x[indexed] != x[queries] || x[minp] != 1 {
+				t.Errorf("threads %d: %s counters %v: want every query a one-column probe", threads, name, x)
+			}
+		}
+		if first == nil {
+			first = c
+			continue
+		}
+		for _, name := range []string{"GenTask", "Edge"} {
+			if c[name] != first[name] {
+				t.Errorf("%s: two threads count %v, one thread %v", name, c[name], first[name])
+			}
+		}
+		if c["Done"][puts] != first["Done"][puts] {
+			t.Errorf("Done puts: two threads %d, one thread %d", c["Done"][puts], first["Done"][puts])
+		}
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // workers (§5.2's loop parallelism inside a rule — what pvwatts' -noDelta
 // reader does); they touch only the slot's locked put buffer, whose tail —
 // the put that decides whether the next one is a repeat to drop — is then
-// whichever worker's put took the lock last. Every query
+// whichever worker's put took the lock last, and the slot's atomic
+// counters, which -noDelta firings running inline on those workers share
+// too. Every query
 // method (ForEach, GetUniq, Exists, Count, GetMin, SumInt) uses the Ctx's
 // unsynchronised scratch and must stay on the firing goroutine.
 type Ctx struct {
@@ -112,15 +114,15 @@ func (c *Ctx) visit(s *tuple.Schema, prefix []tuple.Value, where func(*tuple.Tup
 	c.popTo(base)
 }
 
-// noteQuery counts a query of table s with a prefix of the given length.
-// A table the program never declared has no store to read, so its query
-// panics, and the firing turns the panic into the run's located error.
+// noteQuery counts a query of table s with a prefix of the given length,
+// in the firing slot's counts. A table the program never declared has no
+// store to read, so its query panics, and the firing turns the panic into
+// the run's located error.
 func (c *Ctx) noteQuery(s *tuple.Schema, prefix int) {
-	st := c.run.tableStats(s)
-	if st == nil {
+	if c.run.tableStats(s) == nil {
 		panic(fmt.Sprintf("jstar: query of undeclared table %s", s.Name))
 	}
-	st.noteQuery(prefix)
+	c.run.slots[c.slot].counts[s.ID()].noteQuery(prefix)
 }
 
 // refuseNoGammaQuery panics if s is the registered schema of a -noGamma

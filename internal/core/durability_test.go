@@ -63,7 +63,7 @@ func TestDurableSessionCheckpointAndRecover(t *testing.T) {
 	if !ok || st.CheckpointSeq != 100 {
 		t.Fatalf("wal stats = %+v, ok=%v", st, ok)
 	}
-	wantOut := sortedIDs(s.Snapshot(out))
+	wantOut := sortedIDs(snapshot(t, s, out))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDurableSessionCheckpointAndRecover(t *testing.T) {
 	if err := s2.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedIDs(s2.Snapshot(out2)); !slices.Equal(got, wantOut) {
+	if got := sortedIDs(snapshot(t, s2, out2)); !slices.Equal(got, wantOut) {
 		t.Fatalf("recovered Out differs: got %d tuples, want %d", len(got), len(wantOut))
 	}
 	// The recovered session keeps working — and keeps logging.
@@ -92,7 +92,7 @@ func TestDurableSessionCheckpointAndRecover(t *testing.T) {
 	if err := s2.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s2.Snapshot(out2)); got != 101 {
+	if got := len(snapshot(t, s2, out2)); got != 101 {
 		t.Fatalf("Out has %d tuples after post-recovery put, want 101", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestCheckpointKeepsStoreOrder(t *testing.T) {
 	if _, err := s.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	wantEv, wantOut := rendered(s.Snapshot(ev)), rendered(s.Snapshot(out))
+	wantEv, wantOut := rendered(snapshot(t, s, ev)), rendered(snapshot(t, s, out))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCheckpointKeepsStoreOrder(t *testing.T) {
 	for _, tb := range []struct {
 		name      string
 		got, want []string
-	}{{"Event", rendered(s2.Snapshot(ev2)), wantEv}, {"Out", rendered(s2.Snapshot(out2)), wantOut}} {
+	}{{"Event", rendered(snapshot(t, s2, ev2)), wantEv}, {"Out", rendered(snapshot(t, s2, out2)), wantOut}} {
 		if len(tb.got) != len(tb.want) {
 			t.Fatalf("recovered %s has %d rows, want %d", tb.name, len(tb.got), len(tb.want))
 		}
@@ -262,7 +262,7 @@ func TestRecoverFromWALOnly(t *testing.T) {
 	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want := sortedIDs(s.Snapshot(out))
+	want := sortedIDs(snapshot(t, s, out))
 	s.Close()
 
 	p2, _, out2 := sessionProgram()
@@ -278,7 +278,7 @@ func TestRecoverFromWALOnly(t *testing.T) {
 	if err := s2.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedIDs(s2.Snapshot(out2)); !slices.Equal(got, want) {
+	if got := sortedIDs(snapshot(t, s2, out2)); !slices.Equal(got, want) {
 		t.Fatalf("replayed Out differs from original")
 	}
 }
@@ -374,8 +374,8 @@ func TestCloseRacingInflightPutsKeepsWatermarkQuiesced(t *testing.T) {
 		if err := s2.Quiesce(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		evGot := sortedIDs(s2.Snapshot(p2.Schema("Event")))
-		outGot := sortedIDs(s2.Snapshot(p2.Schema("Out")))
+		evGot := sortedIDs(snapshot(t, s2, p2.Schema("Event")))
+		outGot := sortedIDs(snapshot(t, s2, p2.Schema("Out")))
 		if len(evGot) != len(outGot) {
 			t.Fatalf("round %d: recovered %d events but %d outputs", round, len(evGot), len(outGot))
 		}

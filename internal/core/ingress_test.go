@@ -36,7 +36,7 @@ func runIngressWorkload(t *testing.T, opts Options, producers, perProducer int) 
 	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Snapshot(out)
+	snap := snapshot(t, s, out)
 	lines := make([]string, len(snap))
 	for i, tp := range snap {
 		lines[i] = tp.String()

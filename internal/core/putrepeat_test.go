@@ -151,7 +151,6 @@ var repeatCases = []repeatCase{{
 		return p, nil
 	},
 	stats: map[string][3]int64{"N": {4, 1, 3}},
-	snaps: map[string]string{"N": ""},
 	fired: 3,
 	steps: 3,
 }}
@@ -198,9 +197,14 @@ func TestRepeatedPutDropIsUnobservable(t *testing.T) {
 				if st.Steps != tc.steps {
 					t.Errorf("Steps = %d, want %d", st.Steps, tc.steps)
 				}
+				for _, name := range tc.noGamma {
+					if _, err := s.Snapshot(p.Schema(name)); err == nil {
+						t.Errorf("Snapshot(%s) of a -noGamma table succeeded", name)
+					}
+				}
 				for name, want := range tc.snaps {
 					var parts []string
-					for _, x := range s.Snapshot(p.Schema(name)) {
+					for _, x := range snapshot(t, s, p.Schema(name)) {
 						parts = append(parts, x.String())
 					}
 					if got := strings.Join(parts, " "); got != want {

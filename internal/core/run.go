@@ -20,7 +20,13 @@ import (
 
 // TableStats are per-table usage statistics recorded during a run — the
 // logging system of §1.5, used as the basis for choosing parallelisation
-// strategies.
+// strategies. A firing does not write them: it counts its puts, duplicates
+// and queries in its own put slot (slotCounts), and endStep folds every
+// slot in on the coordinator once the step's firings are quiesced, so the
+// counters are exact at every step boundary — in particular whenever a
+// session is quiesced — and workers never share a counter's cache line.
+// Triggers, the boundary's duplicates and Session.Query's queries are
+// counted here directly, by the coordinator or once per fired chunk.
 type TableStats struct {
 	Puts       atomic.Int64 // tuples put (before dedup)
 	Duplicates atomic.Int64 // puts discarded as duplicates
@@ -46,6 +52,54 @@ func (t *TableStats) noteQuery(n int) {
 		t.IndexedQueries.Add(1)
 		t.PrefixLenSum.Add(int64(n))
 		casMin(&t.MinPrefixLen, int64(n))
+	}
+}
+
+// slotCounts is one put slot's share of one table's TableStats since the
+// last step boundary. Its counters are atomic because a slot is shared by
+// its firing rule's own pool.For helpers and by the -noDelta firings they
+// run inline; the goroutines sharing a slot are one firing's, so the adds
+// are uncontended. It fills one cache line, and a slot's counts are one
+// allocation of whole lines, so two slots never share a line.
+type slotCounts struct {
+	puts, dups                atomic.Int64
+	queries, indexed, plenSum atomic.Int64
+	minPrefix                 atomic.Int64
+	_                         [2]uint64
+}
+
+// noteQuery counts one query whose equality prefix holds n values.
+func (c *slotCounts) noteQuery(n int) {
+	c.queries.Add(1)
+	if n > 0 {
+		c.indexed.Add(1)
+		c.plenSum.Add(int64(n))
+		casMin(&c.minPrefix, int64(n))
+	}
+}
+
+// foldInto adds c to t and zeroes c. Coordinator only, with the slot's
+// firings quiesced.
+func (c *slotCounts) foldInto(t *TableStats) {
+	if p := c.puts.Load(); p != 0 {
+		t.Puts.Add(p)
+		c.puts.Store(0)
+	}
+	if d := c.dups.Load(); d != 0 {
+		t.Duplicates.Add(d)
+		c.dups.Store(0)
+	}
+	if q := c.queries.Load(); q != 0 {
+		t.Queries.Add(q)
+		c.queries.Store(0)
+	}
+	if n := c.indexed.Load(); n != 0 {
+		t.IndexedQueries.Add(n)
+		t.PrefixLenSum.Add(c.plenSum.Load())
+		casMin(&t.MinPrefixLen, c.minPrefix.Load())
+		c.indexed.Store(0)
+		c.plenSum.Store(0)
+		c.minPrefix.Store(0)
 	}
 }
 
@@ -197,10 +251,15 @@ func (s *RunStats) SerialBoundaryFraction() float64 {
 // step); it exists because a rule may fan its own body out across the pool
 // (§5.2 "additional parallelism"), making several workers share the firing
 // rule's slot.
+//
+// A slot also counts, by schema ID, the puts, dropped repeats and queries
+// of the firings on it (slotCounts), which endStep folds into TableStats.
+// The struct is one cache line, so adjacent slots never share one.
 type putSlot struct {
-	mu  sync.Mutex
-	buf []*tuple.Tuple
-	_   [4]uint64 // keep adjacent slots off one cache line
+	mu     sync.Mutex
+	buf    []*tuple.Tuple
+	counts []slotCounts // by schema ID
+	_      [1]uint64    // keep adjacent slots off one cache line
 }
 
 // sealedRun is one slot's sorted put run awaiting the step-boundary merge.
@@ -423,6 +482,9 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 		slots += r.threads
 	}
 	r.slots = make([]putSlot, slots)
+	for i := range r.slots {
+		r.slots[i].counts = make([]slotCounts, n)
+	}
 	// One reusable Ctx per slot: the batched firing path re-points its
 	// rule/trigger fields per group instead of allocating a Ctx per firing.
 	r.slotCtx = make([]Ctx, slots)
@@ -686,6 +748,7 @@ func (r *Run) endStep() {
 	for i := range r.slots {
 		r.sealSlot(i)
 	}
+	r.foldCounts()
 	runs := r.sealed // workers are quiesced; drained under the lock below anyway
 	var flush []*tuple.Tuple
 	singleRun := len(runs) == 1
@@ -736,6 +799,17 @@ func (r *Run) endStep() {
 	// boundary fraction the CI gate watches.
 	if r.phaseClock {
 		r.stats.DeltaNanos += time.Since(deltaStart).Nanoseconds()
+	}
+}
+
+// foldCounts moves every slot's counts into the tables' TableStats.
+// Coordinator only, with the step's firings quiesced (endStep).
+func (r *Run) foldCounts() {
+	for i := range r.slots {
+		cs := r.slots[i].counts
+		for id := range cs {
+			cs[id].foldInto(r.statsByID[id])
+		}
 	}
 }
 
@@ -904,16 +978,17 @@ func (r *Run) tableStats(s *tuple.Schema) *TableStats {
 // duplicate the boundary would drop, and it is dropped here.
 func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) {
 	s := t.Schema()
-	st := r.tableStats(s)
-	if st == nil {
+	if r.tableStats(s) == nil {
 		panic(fmt.Sprintf("jstar: put of tuple from undeclared table %s", s.Name))
 	}
-	r.admit(st, ruleName, from, t)
 	id := s.ID()
+	sl := &r.slots[slot]
+	c := &sl.counts[id]
+	r.admit(c, ruleName, from, t)
 	if r.noDelta[id] {
 		if !r.noGamma[id] {
 			if !r.gammaDB.Insert(t) {
-				st.Duplicates.Add(1)
+				c.dups.Add(1)
 				return
 			}
 			r.dirtyByID[id].Store(true)
@@ -924,11 +999,10 @@ func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) 
 		r.fire(t, slot)
 		return
 	}
-	sl := &r.slots[slot]
 	sl.mu.Lock()
 	if n := len(sl.buf); n > 0 && sl.buf[n-1].Equal(t) {
 		sl.mu.Unlock()
-		st.Duplicates.Add(1)
+		c.dups.Add(1)
 		return
 	}
 	sl.buf = append(sl.buf, t)
@@ -940,28 +1014,28 @@ func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) 
 // itself — equal tuples share a causal key — and never built. It keeps
 // put's one slot-lock episode, so a new tuple is built under the lock.
 func (r *Run) putNew(ruleName string, from *tuple.Tuple, s *tuple.Schema, fields []tuple.Value, slot int) {
-	st := r.tableStats(s)
-	if st == nil || r.noDelta[s.ID()] {
+	if r.tableStats(s) == nil || r.noDelta[s.ID()] {
 		r.put(ruleName, from, tuple.New(s, fields...), slot)
 		return
 	}
 	sl := &r.slots[slot]
+	c := &sl.counts[s.ID()]
 	sl.mu.Lock()
 	defer sl.mu.Unlock() // New and the causality check may panic
 	if n := len(sl.buf); n > 0 && sl.buf[n-1].EqualNew(s, fields...) {
-		r.admit(st, ruleName, from, sl.buf[n-1])
-		st.Duplicates.Add(1)
+		r.admit(c, ruleName, from, sl.buf[n-1])
+		c.dups.Add(1)
 		return
 	}
 	t := tuple.New(s, fields...)
-	r.admit(st, ruleName, from, t)
+	r.admit(c, ruleName, from, t)
 	sl.buf = append(sl.buf, t)
 }
 
-// admit counts t as a put into its table st and runs the put-time checks,
-// which only traced or causality-checked runs pay for.
-func (r *Run) admit(st *TableStats, ruleName string, from, t *tuple.Tuple) {
-	st.Puts.Add(1)
+// admit counts t as a put in its slot's counts c and runs the put-time
+// checks, which only traced or causality-checked runs pay for.
+func (r *Run) admit(c *slotCounts, ruleName string, from, t *tuple.Tuple) {
+	c.puts.Add(1)
 	if r.opts.TraceDataflow || r.opts.CheckCausality {
 		r.checkPut(ruleName, from, t)
 	}

@@ -409,11 +409,14 @@ func (s *Session) Quiesce(ctx context.Context) error {
 // may interleave with inserts, like the Java concurrent collections).
 // The prefix's matches are collected before q.Where and fn see the first
 // of them, so no store lock is held while they run: fn may Put and
-// Quiesce, which waits on the coordinator's inserts.
-func (s *Session) Query(sch *tuple.Schema, q gamma.Query, fn func(*tuple.Tuple) bool) {
-	if st := s.run.tableStats(sch); st != nil {
-		st.noteQuery(len(q.Prefix))
+// Quiesce, which waits on the coordinator's inserts. A table the program
+// never declared, or one -noGamma keeps out of Gamma, has nothing to read:
+// Query then returns an error naming it and calls fn for nothing.
+func (s *Session) Query(sch *tuple.Schema, q gamma.Query, fn func(*tuple.Tuple) bool) error {
+	if err := s.run.readable("query", sch); err != nil {
+		return err
 	}
+	s.run.tableStats(sch).noteQuery(len(q.Prefix))
 	var found []*tuple.Tuple
 	s.run.gammaDB.Table(sch).Select(gamma.Query{Prefix: q.Prefix}, func(t *tuple.Tuple) bool {
 		found = append(found, t)
@@ -421,21 +424,40 @@ func (s *Session) Query(sch *tuple.Schema, q gamma.Query, fn func(*tuple.Tuple) 
 	})
 	for _, t := range found {
 		if (q.Where == nil || q.Where(t)) && !fn(t) {
-			return
+			break
 		}
 	}
+	return nil
 }
 
 // Snapshot returns a copy of table sch's current contents in store order.
-// Call it at quiescence for a consistent snapshot.
-func (s *Session) Snapshot(sch *tuple.Schema) []*tuple.Tuple {
+// Call it at quiescence for a consistent snapshot. Like Query, it returns
+// an error naming a table that is undeclared or kept out of Gamma.
+func (s *Session) Snapshot(sch *tuple.Schema) ([]*tuple.Tuple, error) {
+	if err := s.run.readable("snapshot", sch); err != nil {
+		return nil, err
+	}
 	store := s.run.gammaDB.Table(sch)
 	out := make([]*tuple.Tuple, 0, store.Len())
 	store.Scan(func(t *tuple.Tuple) bool {
 		out = append(out, t)
 		return true
 	})
-	return out
+	return out, nil
+}
+
+// readable returns an error naming table sch and the read op if the run
+// has no Gamma state for it — the program never declared it, or -noGamma
+// keeps it out of Gamma — and nil otherwise. It looks no store up, so an
+// undeclared schema gets none built for it.
+func (r *Run) readable(op string, sch *tuple.Schema) error {
+	if r.tableStats(sch) == nil {
+		return fmt.Errorf("jstar: %s %s: unknown table (declared: %s)", op, sch.Name, r.prog.knownTables())
+	}
+	if r.noGamma[sch.ID()] {
+		return fmt.Errorf("jstar: %s %s: -noGamma keeps the table out of Gamma, so it has nothing to read", op, sch.Name)
+	}
+	return nil
 }
 
 // TableVersion returns table's current quiesced-change generation: a

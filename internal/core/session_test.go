@@ -73,7 +73,7 @@ func TestSessionConcurrentProducers(t *testing.T) {
 				t.Fatal(err)
 			}
 			const total = producers * perProducer
-			if got := len(s.Snapshot(out)); got != total {
+			if got := len(snapshot(t, s, out)); got != total {
 				t.Errorf("Out has %d tuples, want %d", got, total)
 			}
 			if got := s.Stats().Tables["Event"].Triggers.Load(); got != total {
@@ -101,7 +101,7 @@ func TestSessionQuiesceCoversInitialPuts(t *testing.T) {
 	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Snapshot(ship)); got != 4 {
+	if got := len(snapshot(t, s, ship)); got != 4 {
 		t.Errorf("Ship has %d tuples, want 4", got)
 	}
 }
@@ -124,17 +124,19 @@ func TestSessionQueryAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int64 = -1
-	s.Query(out, gamma.Query{Prefix: []tuple.Value{tuple.Int(7)}}, func(tp *tuple.Tuple) bool {
+	if err := s.Query(out, gamma.Query{Prefix: []tuple.Value{tuple.Int(7)}}, func(tp *tuple.Tuple) bool {
 		got = tp.Int("v")
 		return false
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if got != 14 {
 		t.Errorf("Query(Out, n=7) v = %d, want 14", got)
 	}
 	if n := s.Stats().Tables["Out"].Queries.Load(); n != 1 {
 		t.Errorf("Out queries = %d, want 1", n)
 	}
-	if got := len(s.Snapshot(ev)); got != 10 {
+	if got := len(snapshot(t, s, ev)); got != 10 {
 		t.Errorf("Snapshot(Event) = %d tuples, want 10", got)
 	}
 }
@@ -410,7 +412,7 @@ func TestSessionIngestionOverlapsExecution(t *testing.T) {
 	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Snapshot(ev)); got != 2 {
+	if got := len(snapshot(t, s, ev)); got != 2 {
 		t.Errorf("Event has %d tuples, want 2", got)
 	}
 }
@@ -459,7 +461,7 @@ func TestSessionBackpressure(t *testing.T) {
 	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Snapshot(ev)); got != ring+2 {
+	if got := len(snapshot(t, s, ev)); got != ring+2 {
 		t.Errorf("Event has %d tuples, want %d", got, ring+2)
 	}
 }
@@ -497,7 +499,7 @@ func TestSessionPutBatchLargerThanRing(t *testing.T) {
 	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Snapshot(out)); got != n {
+	if got := len(snapshot(t, s, out)); got != n {
 		t.Errorf("Out has %d tuples, want %d", got, n)
 	}
 }
@@ -595,23 +597,35 @@ func TestQueryCallbackMayPutAndQuiesce(t *testing.T) {
 				defer cancel()
 				visited := 0
 				var cbErr error
-				s.Query(acc, gamma.Query{Prefix: []tuple.Value{tuple.Int(3)}}, func(a *tuple.Tuple) bool {
+				if err := s.Query(acc, gamma.Query{Prefix: []tuple.Value{tuple.Int(3)}}, func(a *tuple.Tuple) bool {
 					visited++
 					if cbErr = s.Put(tuple.New(acc, a.Get("k"), tuple.Int(a.Int("v")+1000))); cbErr == nil {
 						cbErr = s.Quiesce(ctx)
 					}
 					return cbErr == nil
-				})
+				}); err != nil {
+					t.Fatal(err)
+				}
 				if cbErr != nil {
 					t.Fatalf("Put then Quiesce inside the Query callback: %v", cbErr)
 				}
 				if visited != 8 {
 					t.Errorf("callback saw %d tuples, want the 8 present before its puts", visited)
 				}
-				if got := len(s.Snapshot(acc)); got != 64+8 {
+				if got := len(snapshot(t, s, acc)); got != 64+8 {
 					t.Errorf("Acc holds %d tuples, want %d", got, 64+8)
 				}
 			})
 		}
 	}
+}
+
+// snapshot is s.Snapshot that fails the test on an error.
+func snapshot(t testing.TB, s *Session, sch *tuple.Schema) []*tuple.Tuple {
+	t.Helper()
+	rows, err := s.Snapshot(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

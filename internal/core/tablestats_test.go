@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/jstar-lang/jstar/internal/exec"
 	"github.com/jstar-lang/jstar/internal/gamma"
@@ -71,6 +74,111 @@ func TestTableStatsExactAcrossStrategies(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPutSlotIsWholeCacheLines: a put slot and one table's slot counts
+// are whole cache lines, so no two participants' writes share a line.
+func TestPutSlotIsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(putSlot{}); n%64 != 0 {
+		t.Errorf("putSlot is %d bytes, not a multiple of 64", n)
+	}
+	if n := unsafe.Sizeof(slotCounts{}); n != 64 {
+		t.Errorf("slotCounts is %d bytes, want one 64-byte line", n)
+	}
+}
+
+// TestSessionStatsExactAtQuiesce: the firings count in their put slots and
+// the step boundary folds the slots in, so a session's counters read right
+// after Quiesce are the totals — after the seed, and again after more
+// external puts — while Session.Query counts on the table at once.
+func TestSessionStatsExactAtQuiesce(t *testing.T) {
+	type counters struct{ puts, dups, triggers, queries, indexed, plen, minp int64 }
+	read := func(st *RunStats, name string) counters {
+		ts := st.Tables[name]
+		return counters{ts.Puts.Load(), ts.Duplicates.Load(), ts.Triggers.Load(),
+			ts.Queries.Load(), ts.IndexedQueries.Load(), ts.PrefixLenSum.Load(), ts.MinPrefixLen.Load()}
+	}
+	p, a, _ := statsProgram()
+	s, err := p.Start(context.Background(), Options{Strategy: exec.ForkJoin, Threads: 2, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check := func(when string, wantA, wantB counters) {
+		t.Helper()
+		if err := s.Quiesce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := read(s.Stats(), "A"); got != wantA {
+			t.Errorf("%s: A counters %+v, want %+v", when, got, wantA)
+		}
+		if got := read(s.Stats(), "B"); got != wantB {
+			t.Errorf("%s: B counters %+v, want %+v", when, got, wantB)
+		}
+	}
+	check("seeded", counters{10, 0, 10, 5, 5, 5, 1}, counters{10, 5, 5, 0, 0, 0, 0})
+	// Ten more A, each putting a B that is already stored.
+	for k := int64(10); k < 20; k++ {
+		if err := s.Put(tuple.New(a, tuple.Int(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("ten more A", counters{20, 0, 20, 5, 5, 5, 1}, counters{20, 15, 5, 0, 0, 0, 0})
+	if err := s.Query(a, gamma.Query{Prefix: []tuple.Value{tuple.Int(3)}},
+		func(*tuple.Tuple) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	check("one served query", counters{20, 0, 20, 6, 6, 6, 1}, counters{20, 15, 5, 0, 0, 0, 0})
+}
+
+// TestSessionReadsRefuseUnreadableTables: a served read of a table the
+// program never declared, or of one -noGamma keeps out of Gamma, has no
+// state to read. Query and Snapshot say so with an error naming the table,
+// call the visitor for nothing, and build no store for an undeclared one.
+func TestSessionReadsRefuseUnreadableTables(t *testing.T) {
+	p, _, b := statsProgram()
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential, Quiet: true, NoGamma: []string{"B"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Quiesce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ghost := tuple.MustSchema("Ghost", []tuple.Column{{Name: "k", Kind: tuple.KindInt}}, nil)
+	built := 0
+	if err := s.run.gammaDB.SetStore("Ghost", func(sch *tuple.Schema) gamma.Store {
+		built++
+		return gamma.NewTreeStore(sch)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sch  *tuple.Schema
+		want string
+	}{{ghost, "unknown table"}, {b, "-noGamma"}} {
+		visited := 0
+		err := s.Query(tc.sch, gamma.Query{}, func(*tuple.Tuple) bool { visited++; return true })
+		if err == nil || !strings.Contains(err.Error(), "query "+tc.sch.Name) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Query(%s) error %v, want one naming the table and %q", tc.sch.Name, err, tc.want)
+		}
+		if visited != 0 {
+			t.Errorf("Query(%s) visited %d tuples", tc.sch.Name, visited)
+		}
+		rows, err := s.Snapshot(tc.sch)
+		if err == nil || !strings.Contains(err.Error(), "snapshot "+tc.sch.Name) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Snapshot(%s) error %v, want one naming the table and %q", tc.sch.Name, err, tc.want)
+		}
+		if rows != nil {
+			t.Errorf("Snapshot(%s) returned %d rows", tc.sch.Name, len(rows))
+		}
+	}
+	if built != 0 {
+		t.Errorf("the reads of an undeclared table built %d stores for it", built)
+	}
+	if st := s.Stats().Tables["B"]; st.Queries.Load() != 0 {
+		t.Errorf("refused reads counted %d queries of B", st.Queries.Load())
 	}
 }
 

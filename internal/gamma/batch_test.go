@@ -80,6 +80,78 @@ func TestInsertBatchSortedRunMatchesInsert(t *testing.T) {
 			}
 		})
 	}
+	// At node max 4, the shapes the leaf-by-leaf path must get right: runs
+	// straddling many leaf fences, runs past the maximum that split the
+	// right edge again and again, and runs holding the stored tuples that
+	// are fences — the separators in inner nodes — with their neighbours.
+	s := batchTestSchema()
+	key := func(a int64) *tuple.Tuple { return tuple.New(s, tuple.Int(a), tuple.Int(0), tuple.Int(0)) }
+	span := func(lo, hi, step int64) []*tuple.Tuple {
+		var out []*tuple.Tuple
+		for a := lo; a < hi; a += step {
+			out = append(out, key(a))
+		}
+		return out
+	}
+	atFences := func(st *treeStore) []*tuple.Tuple {
+		var out []*tuple.Tuple
+		var walk func(n *treeNode)
+		walk = func(n *treeNode) {
+			for i, x := range n.items {
+				if n.children != nil {
+					walk(n.children[i])
+					a := x.Field(0).AsInt()
+					out = append(out, key(a-1), key(a), key(a+1))
+				}
+			}
+			if n.children != nil {
+				walk(n.children[len(n.items)])
+			}
+		}
+		walk(st.root)
+		return slices.CompactFunc(out, func(x, y *tuple.Tuple) bool { return x.Equal(y) })
+	}
+	for _, tc := range []struct {
+		name   string
+		stored []*tuple.Tuple
+		runs   []func(*treeStore) []*tuple.Tuple
+	}{
+		{"straddles fences", span(0, 200, 2), []func(*treeStore) []*tuple.Tuple{
+			func(*treeStore) []*tuple.Tuple { return span(51, 151, 2) },
+			func(*treeStore) []*tuple.Tuple { return span(1, 260, 7) },
+			func(*treeStore) []*tuple.Tuple { return span(-30, 300, 1) },
+		}},
+		{"past the maximum", span(0, 10, 1), []func(*treeStore) []*tuple.Tuple{
+			func(*treeStore) []*tuple.Tuple { return span(9, 200, 1) },
+			func(*treeStore) []*tuple.Tuple { return span(200, 500, 3) },
+			func(*treeStore) []*tuple.Tuple { return append(span(490, 510, 1), span(510, 1000, 1)...) },
+		}},
+		{"equal at fences", span(0, 400, 2), []func(*treeStore) []*tuple.Tuple{atFences, atFences, atFences}},
+	} {
+		t.Run("max4/"+tc.name, func(t *testing.T) {
+			batched, ref := newTreeStore(4), newTreeStore(4)
+			for _, x := range tc.stored {
+				batched.Insert(x)
+				ref.Insert(x)
+			}
+			for round, runOf := range tc.runs {
+				run := runOf(batched)
+				var want []*tuple.Tuple
+				for _, x := range run {
+					if ref.Insert(x) {
+						want = append(want, x)
+					}
+				}
+				if got := batched.InsertBatch(run, nil); !slices.Equal(got, want) {
+					t.Fatalf("round %d: InsertBatch kept %v, per-tuple Insert %v", round, got, want)
+				}
+				checkShape(t, batched)
+			}
+			if got, want := scanAll(batched), scanAll(ref); !slices.Equal(got, want) || batched.Len() != ref.Len() {
+				t.Fatalf("stores diverge: %d tuples (Len %d) vs %d (Len %d)", len(got), batched.Len(), len(want), ref.Len())
+			}
+		})
+	}
 }
 
 // scanAll returns the store's tuples in Scan order.

@@ -10,18 +10,21 @@ import (
 // not an option, set from BenchmarkTreeNodeMax — a fresh store taking 64 k
 // 4-int tuples as 256-tuple sorted runs, then one-column prefix Selects of
 // 64 matches each — on the 2-vCPU reference box (go1.24.0, medians of 7
-// runs of 30 stores, 64-byte word-payload tuples):
+// runs of 30 stores, 64-byte word-payload tuples, InsertBatch entering a
+// run leaf by leaf):
 //
 //	node max   ascending runs   random runs   select
-//	   32       152 ns/tuple     740 ns/tuple  2.9 µs/query
-//	   64        97              659           2.6
-//	  128        91              625           2.5
+//	   32        80 ns/tuple     591 ns/tuple  1.7 µs/query
+//	   64        64              493           1.6
+//	  128        64              491           1.5
 //
-// Runs past the stored maximum favour wide nodes. Since tuples shrank to
-// 64 bytes, runs landing inside the table do too, by about 5 % — less
-// than the spread of the runs: an insert there shifts half a leaf, and
-// every compare of a node's binary search is a cache miss on a scattered
-// tuple. 64 is within 10 % of the best in every column.
+// Before the leaf-by-leaf batch path, when each tuple descended from the
+// root, the ascending column read 101, 81 and 76 ns, measured back to back
+// on the same box. Runs past the stored maximum favour wide nodes, since a
+// leaf is one descent; runs landing inside the table barely care, because
+// an insert there shifts half a leaf and every compare of a node's binary
+// search is a cache miss on a scattered tuple. 64 is within 10 % of the
+// best in every column.
 const treeNodeMax = 64
 
 // treeStore is the one ordered Gamma store: a B-tree of tuples in
@@ -87,8 +90,11 @@ func (n *treeNode) search(t *tuple.Tuple) (int, bool) {
 
 // insert adds t unless an equal tuple is stored. It descends once from the
 // root, splitting each full node before entering it, so it never walks
-// back up.
-func (st *treeStore) insert(t *tuple.Tuple) bool {
+// back up. It also reports where the descent ended, for InsertBatch: the
+// leaf that holds t (nil when an equal tuple sits in an inner node), t's
+// position in it, and the leaf's upper fence — the separator above it in
+// the nearest ancestor, nil (+∞) on the right edge.
+func (st *treeStore) insert(t *tuple.Tuple) (ok bool, leaf *treeNode, at int, fence *tuple.Tuple) {
 	if len(st.root.items) == st.max {
 		old := st.root
 		st.root = &treeNode{children: append(make([]*treeNode, 0, st.max+1), old)}
@@ -97,22 +103,28 @@ func (st *treeStore) insert(t *tuple.Tuple) bool {
 	n := st.root
 	for {
 		i, found := n.search(t)
-		if found {
-			return false
-		}
 		if n.children == nil {
+			if found {
+				return false, n, i, fence
+			}
 			n.items = insertAt(n.items, i, t)
 			st.n++
-			return true
+			return true, n, i, fence
+		}
+		if found {
+			return false, nil, 0, nil
 		}
 		if len(n.children[i].items) == st.max {
 			st.split(n, i, t)
 			switch c := tuple.CompareSchemaFields(n.items[i], t); {
 			case c == 0:
-				return false
+				return false, nil, 0, nil
 			case c < 0:
 				i++
 			}
+		}
+		if i < len(n.items) {
+			fence = n.items[i]
 		}
 		n = n.children[i]
 	}
@@ -152,21 +164,68 @@ func insertAt[T any](s []T, i int, x T) []T {
 func (st *treeStore) Insert(t *tuple.Tuple) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.insert(t)
+	ok, _, _, _ := st.insert(t)
+	return ok
 }
 
 // InsertBatch takes the lock once for the whole run of tuples — the Gamma
-// half of the engine's batched put path. A run ascending past the stored
-// maximum descends the right edge at one compare per level and appends.
+// half of the engine's batched put path — and enters it leaf by leaf. One
+// descent from the root finds the leaf of a tuple and that leaf's upper
+// fence; each following tuple that sorts after the previous one and below
+// the fence goes into the same leaf, found by a search forward from the
+// previous tuple's position, while the leaf has room. A full leaf, a tuple
+// at or past the fence, or one out of order takes the ordinary descent. The
+// rightmost leaf's fence is +∞, so a run ascending past the stored maximum
+// appends at one compare per tuple and descends once per leaf it fills.
 func (st *treeStore) InsertBatch(ts []*tuple.Tuple, live []*tuple.Tuple) []*tuple.Tuple {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	var (
+		leaf  *treeNode    // leaf of the previous tuple, nil to descend
+		next  int          // leaf position just past the previous tuple
+		fence *tuple.Tuple // leaf's upper fence, nil for +∞
+	)
 	for _, t := range ts {
-		if st.insert(t) {
+		if leaf != nil && len(leaf.items) < st.max &&
+			tuple.CompareSchemaFields(leaf.items[next-1], t) < 0 &&
+			(fence == nil || tuple.CompareSchemaFields(t, fence) < 0) {
+			i, found := leaf.searchFrom(next, t)
+			next = i + 1
+			if !found {
+				leaf.items = insertAt(leaf.items, i, t)
+				st.n++
+				live = append(live, t)
+			}
+			continue
+		}
+		ok, l, i, f := st.insert(t)
+		if ok {
 			live = append(live, t)
 		}
+		leaf, next, fence = l, i+1, f
 	}
 	return live
+}
+
+// searchFrom is search over n.items[from:], for a tuple known to sort after
+// n.items[from-1]: it answers a tuple that goes at from with one compare.
+func (n *treeNode) searchFrom(from int, t *tuple.Tuple) (int, bool) {
+	lo, hi := from, len(n.items)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if lo == from {
+			m = lo // probe the next slot first: the run's next tuple is usually there
+		}
+		switch c := tuple.CompareSchemaFields(n.items[m], t); {
+		case c < 0:
+			lo = m + 1
+		case c > 0:
+			hi = m
+		default:
+			return m, true
+		}
+	}
+	return lo, false
 }
 
 func (st *treeStore) Len() int {

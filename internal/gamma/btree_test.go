@@ -319,6 +319,11 @@ func TestTreeStoreConcurrentInsertSelectScan(t *testing.T) {
 //	      keeping even b when op>>4 & 1, stopping after 1 + op>>5 matches
 //	      or never when that is 8
 //	3     Scan stopping after op>>2 tuples, then Len
+//
+// The corpus's max4-* seeds drive InsertBatch's leaf-by-leaf path at node
+// max 4: sorted batches that straddle leaf fences, ascend past the maximum
+// splitting the right edge again and again, or repeat stored tuples, the
+// fences among them.
 func FuzzTreeStore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -427,10 +427,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, m *RequestM
 	}
 	m.Table = sch.Name
 	var rows []*tuple.Tuple
-	t.Session.Query(sch, *q, func(tp *tuple.Tuple) bool {
+	if err := t.Session.Query(sch, *q, func(tp *tuple.Tuple) bool {
 		rows = append(rows, tp)
 		return true
-	})
+	}); err != nil {
+		return fail(w, http.StatusBadRequest, err)
+	}
 	m.Tuples = int64(len(rows))
 	if v, err := t.Session.TableVersion(sch.Name); err == nil {
 		w.Header().Set("X-Jstar-Version", strconv.FormatInt(v, 10))
@@ -454,7 +456,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, m *Reque
 		return fail(w, http.StatusNotFound, fmt.Errorf("serve: tenant %s has no table %q", t.Name, name))
 	}
 	m.Table = name
-	rows := t.Session.Snapshot(sch)
+	rows, err := t.Session.Snapshot(sch)
+	if err != nil {
+		return fail(w, http.StatusBadRequest, err)
+	}
 	m.Tuples = int64(len(rows))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

@@ -120,10 +120,12 @@ func runInProcess(t *testing.T, src, strategy string, evs []event, tables []stri
 	for _, name := range tables {
 		sch := prog.Schema(name)
 		var rows []*tuple.Tuple
-		sess.Query(sch, gamma.Query{}, func(tp *tuple.Tuple) bool {
+		if err := sess.Query(sch, gamma.Query{}, func(tp *tuple.Tuple) bool {
 			rows = append(rows, tp)
 			return true
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		out[name] = serve.RowsJSON(rows)
 	}
 	return out
