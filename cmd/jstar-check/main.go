@@ -7,7 +7,9 @@
 //	jstar-check program.jstar
 //
 // Exit status 1 when any obligation cannot be proved (the compiler's
-// "Stratification error" / warning behaviour).
+// "Stratification error" / warning behaviour), or when the program fails
+// the engine's own validation — e.g. two tables whose orderby lists meet at
+// a Delta-tree level with entries of different kinds.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"os"
 
 	"github.com/jstar-lang/jstar/internal/causality"
+	"github.com/jstar-lang/jstar/internal/core"
 	"github.com/jstar-lang/jstar/internal/lang"
 )
 
@@ -36,6 +39,9 @@ func main() {
 		os.Exit(1)
 	}
 	prog, err := lang.Compile(f)
+	if err == nil {
+		err = prog.Validate(core.Options{})
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

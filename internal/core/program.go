@@ -285,7 +285,9 @@ func (p *Program) knownTables() string {
 // Validate reports configuration errors: unknown table names in NoDelta/
 // NoGamma/hints, a NoDelta table with an action, unknown or unsuitable
 // store kinds in StorePlan and the compiler's plan hints (listing the
-// legal kinds), a negative thread count and a malformed ingress bound.
+// legal kinds), a negative thread count, a malformed ingress bound and two
+// tables whose orderby lists meet at a Delta-tree level with entries of
+// different kinds.
 // Every error says what was wrong and what the legal values are, so
 // misconfiguration never silently degrades or panics mid-run.
 func (p *Program) Validate(opts Options) error {
@@ -327,6 +329,7 @@ func (p *Program) Validate(opts Options) error {
 	}
 	checkPlan("store plan", opts.StorePlan)
 	checkPlan("store plan hint", p.planHints)
+	errs = append(errs, p.orderbyConflicts()...)
 	if opts.Durability != nil {
 		errs = append(errs, opts.Durability.validate()...)
 	}
@@ -335,6 +338,31 @@ func (p *Program) Validate(opts Options) error {
 		return fmt.Errorf("jstar: %s", strings.Join(errs, "; "))
 	}
 	return nil
+}
+
+// orderbyConflicts reports each pair of tables whose orderby lists can
+// reach the same Delta-tree level with entries of different kinds. Two
+// tables meet at level i when every earlier pair of entries is the same
+// literal, both seq or both par; a level holds children of one kind only,
+// so the run would fail at the first put that reached it.
+func (p *Program) orderbyConflicts() []string {
+	var errs []string
+	for i, a := range p.byID {
+		for _, b := range p.byID[i+1:] {
+			for l := range min(len(a.OrderBy), len(b.OrderBy)) {
+				ea, eb := a.OrderBy[l], b.OrderBy[l]
+				if ea.Kind != eb.Kind {
+					errs = append(errs, fmt.Sprintf("orderby of %s entry %d (%s) conflicts with %s entry %d (%s): tables that meet at a Delta-tree level must agree on its kind (literal, seq or par)",
+						a.Name, l, ea, b.Name, l, eb))
+					break
+				}
+				if ea.Kind == tuple.OrderLit && ea.Lit != eb.Lit {
+					break
+				}
+			}
+		}
+	}
+	return errs
 }
 
 // outputBuffer collects Println lines from rules. The order of lines within

@@ -373,6 +373,52 @@ func TestValidateRejectsNoDeltaOnActionTable(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOrderbyKindConflicts: a Delta-tree level holds
+// children of one kind, so two tables whose orderby lists can meet at a
+// level with entries of different kinds are refused before the run, with
+// both tables and both entries named, rather than panicking the
+// coordinator at the first put that reaches the level.
+func TestValidateRejectsOrderbyKindConflicts(t *testing.T) {
+	seq, par, lit := tuple.Seq("v"), tuple.Par("v"), tuple.Lit
+	cases := []struct {
+		a, b []tuple.OrderEntry
+		want []string // nil: the pair is legal
+	}{
+		{[]tuple.OrderEntry{seq}, []tuple.OrderEntry{lit("B")},
+			[]string{"orderby of A entry 0 (seq v) conflicts with B entry 0 (B)"}},
+		{[]tuple.OrderEntry{lit("L"), seq}, []tuple.OrderEntry{lit("L"), par},
+			[]string{"A entry 1 (seq v)", "B entry 1 (par v)"}},
+		{[]tuple.OrderEntry{par, lit("X")}, []tuple.OrderEntry{par, seq},
+			[]string{"A entry 1 (X)", "B entry 1 (seq v)"}},
+		{[]tuple.OrderEntry{lit("L1"), seq}, []tuple.OrderEntry{lit("L2"), par}, nil},
+		{[]tuple.OrderEntry{lit("L")}, []tuple.OrderEntry{lit("L"), seq}, nil},
+		{[]tuple.OrderEntry{seq, par}, []tuple.OrderEntry{seq, par}, nil},
+		{nil, []tuple.OrderEntry{seq}, nil},
+	}
+	cols := []tuple.Column{{Name: "v", Kind: tuple.KindInt}}
+	for _, c := range cases {
+		p := NewProgram()
+		p.Table("A", cols, c.a)
+		p.Table("B", cols, c.b)
+		err := p.Validate(Options{})
+		if c.want == nil {
+			if err != nil {
+				t.Errorf("orderby %v / %v: %v, want nil", c.a, c.b, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("orderby %v / %v: Validate passed, want a kind conflict", c.a, c.b)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("orderby %v / %v: error %q missing %q", c.a, c.b, err, w)
+			}
+		}
+	}
+}
+
 // TestSessionIngestionOverlapsExecution proves Put from a non-coordinator
 // goroutine does not block on full quiescence: while the executor is busy
 // inside a deliberately slow rule, a producer's Put must return. The slow

@@ -18,6 +18,15 @@
 // leaf's runs are merged at drain, and the drained class is already in the
 // order the step fires it in.
 //
+// Each interior node indexes its children with an ascending slice, not a
+// balanced tree, because levels are narrow and fill in order. At benchmark
+// sizes the most children any node held live at once was 1 on pvwatts and
+// matmult, 10 on shortestpath's `seq distance` level (3 of its child
+// inserts landed below the level's maximum) and 24 on the median
+// application's `par region` level (none out of order). A binary search
+// over the live part finds a child, a key past the maximum is appended,
+// and TakeMinBatch consumes a level from the front by moving a cursor.
+//
 // Concurrency contract: the tree has one writer and takes no locks. Put,
 // PutBatch, PutSorted and TakeMinBatch are called by the engine
 // coordinator between execution steps. Rule tasks never touch the tree —
@@ -32,7 +41,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"github.com/jstar-lang/jstar/internal/llrb"
 	"github.com/jstar-lang/jstar/internal/order"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
@@ -44,8 +52,6 @@ type childEntry struct {
 	key tuple.Value
 	nd  *node
 }
-
-func compareChildren(a, b childEntry) int { return tuple.Compare(a.key, b.key) }
 
 // leaf holds the tuples that end at one tree node — one causal equivalence
 // class — as sorted runs. Every run is strictly ascending in
@@ -114,12 +120,50 @@ func (l *leaf) drain(dup func(*tuple.Tuple)) []*tuple.Tuple {
 }
 
 // node is one Delta-tree node: tuples whose orderby list ends here, plus
-// ordered children (the Java TreeMap analogue) for tuples that continue to
-// deeper levels.
+// ordered children for tuples that continue to deeper levels.
+// children[head:] are the live children in ascending key order; the
+// prefix before head holds cleared slots of children already taken, which
+// a key below the live minimum reuses and an insert that would grow the
+// slice reclaims first. children is nil until the level's first use.
 type node struct {
 	leaf      leaf
-	children  *llrb.Tree[childEntry]
+	children  []childEntry
+	head      int
 	childKind tuple.OrderKind // kind of the level below; fixed at first use
+}
+
+// insertChild inserts e at offset j of n's live children, leaving it at
+// children[head+j]. A full slice first slides its live children down over
+// the taken prefix, and doubles only when there is none, so a level that
+// never empties holds at most twice its peak live count. It doubles by
+// hand: append would round the capacity up to the allocator's next size
+// class.
+func (n *node) insertChild(j int, e childEntry) {
+	if j == 0 && n.head > 0 {
+		n.head--
+		n.children[n.head] = e
+		return
+	}
+	if len(n.children) == cap(n.children) {
+		live := n.children[n.head:]
+		if n.head == 0 {
+			live = append(make([]childEntry, 0, max(1, 2*len(live))), live...)
+		} else {
+			live = n.children[:copy(n.children, live)]
+			clear(n.children[len(live):])
+		}
+		n.children, n.head = live, 0
+	}
+	n.children = slices.Insert(n.children, n.head+j, e)
+}
+
+// popChild clears n's first live child, resetting the slice when the
+// level empties.
+func (n *node) popChild() {
+	n.children[n.head] = childEntry{}
+	if n.head++; n.head == len(n.children) {
+		n.children, n.head = n.children[:0], 0
+	}
 }
 
 // Tree is the Delta set. Create with NewSequential.
@@ -138,10 +182,9 @@ type Tree struct {
 	OnDuplicate func(*tuple.Tuple)
 }
 
-// NewSequential returns a Delta tree backed by red-black trees, matching the
-// -sequential code generator's TreeMap choice — the only backend: the
-// coordinator is the tree's one writer, so nothing needs the paper's
-// concurrent one.
+// NewSequential returns a Delta tree — the only backend, named for the
+// paper's -sequential code generator: the coordinator is the tree's one
+// writer, so nothing needs the paper's concurrent one.
 func NewSequential(po *order.PartialOrder) *Tree {
 	return &Tree{po: po, root: &node{}}
 }
@@ -180,35 +223,40 @@ func (tr *Tree) discardQueued(t *tuple.Tuple) {
 	tr.discard(t, nil)
 }
 
-// descend returns n's child on level i of t's path, creating it (and the
-// level's child map) on first use.
-func (tr *Tree) descend(n *node, t *tuple.Tuple, i int) *node {
-	key, kind := tr.resolveKey(t, i)
-	if n.children == nil {
-		n.children = llrb.New(compareChildren)
-		n.childKind = kind
+// leafOf returns the leaf at the end of t's path, creating the path on
+// first use. Each level's key is the orderby entry's literal rank as an
+// int Value, or t's value in the entry's field.
+func (tr *Tree) leafOf(t *tuple.Tuple) *leaf {
+	s, n := t.Schema(), tr.root
+	for i, e := range s.OrderBy {
+		var key tuple.Value
+		if e.Kind == tuple.OrderLit {
+			key = tuple.Int(int64(tr.po.Rank(e.Lit)))
+		} else {
+			key = t.Field(s.OrderByColumn(i))
+		}
+		if n.children == nil {
+			n.childKind = e.Kind
+		} else if n.childKind != e.Kind {
+			panic(fmt.Sprintf("jstar: table %s orderby entry %d (%v) conflicts with sibling tables at the same Delta-tree level (%v)",
+				s.Name, i, e.Kind, n.childKind))
+		}
+		j, found := slices.BinarySearchFunc(n.children[n.head:], key, func(c childEntry, k tuple.Value) int {
+			return tuple.Compare(c.key, k)
+		})
+		if !found {
+			n.insertChild(j, childEntry{key: key, nd: &node{}})
+		}
+		n = n.children[n.head+j].nd
 	}
-	if n.childKind != kind {
-		panic(fmt.Sprintf("jstar: table %s orderby entry %d (%v) conflicts with sibling tables at the same Delta-tree level (%v)",
-			t.Schema().Name, i, kind, n.childKind))
-	}
-	if e, ok := n.children.GetEqual(childEntry{key: key}); ok {
-		return e.nd
-	}
-	nd := &node{}
-	n.children.Insert(childEntry{key: key, nd: nd})
-	return nd
+	return &n.leaf
 }
 
 // Put inserts t, returning false if an equal tuple was already queued — the
 // serial single-tuple path with an eager answer: the leaf's runs are merged
 // into one and t is binary-search inserted into it.
 func (tr *Tree) Put(t *tuple.Tuple) bool {
-	n := tr.root
-	for i := range t.Schema().OrderBy {
-		n = tr.descend(n, t, i)
-	}
-	l := &n.leaf
+	l := tr.leafOf(t)
 	l.collapse(tr.discardQueued)
 	if len(l.runs) == 0 {
 		l.runs = append(l.runs, nil)
@@ -222,17 +270,6 @@ func (tr *Tree) Put(t *tuple.Tuple) bool {
 	l.runs[0] = slices.Insert(run, i, t)
 	tr.size.Add(1)
 	return true
-}
-
-// resolveKey returns the child-map key and kind for orderby level i of t's
-// schema.
-func (tr *Tree) resolveKey(t *tuple.Tuple, i int) (tuple.Value, tuple.OrderKind) {
-	s := t.Schema()
-	e := s.OrderBy[i]
-	if e.Kind == tuple.OrderLit {
-		return tuple.Int(int64(tr.po.Rank(e.Lit))), tuple.OrderLit
-	}
-	return t.Field(s.OrderByColumn(i)), e.Kind
 }
 
 // PutBatch inserts all of ts and returns the number queued, calling dup
@@ -254,66 +291,24 @@ func (tr *Tree) PutBatch(ts []*tuple.Tuple, dup func(*tuple.Tuple)) int {
 // PutSorted is PutBatch for a batch already sorted by tuple.ComparePath
 // (the order sealed slot runs and their k-way merge produce). It inserts
 // the batch segment by segment: a segment is a maximal strictly ascending
-// stretch of tuples on one path, and costs one descent and one copy into
-// its leaf. spine[i] caches the node reached at level i of the previous
-// segment's path, so consecutive segments re-descend only below their
-// longest shared prefix. Sortedness is a locality contract, not a
+// stretch of tuples on one path, and costs one descent from the root and
+// one copy into its leaf. Sortedness is a locality contract, not a
 // correctness one — out-of-order input still inserts correctly, as more and
 // shorter segments that the leaves merge when they drain.
 func (tr *Tree) PutSorted(ts []*tuple.Tuple, dup func(*tuple.Tuple)) int {
 	added := 0
 	discard := func(t *tuple.Tuple) { tr.discard(t, dup) }
-	var spine []*node
-	var prev *tuple.Tuple
 	for lo := 0; lo < len(ts); {
 		t := ts[lo]
 		hi := lo + 1
 		for hi < len(ts) && tuple.SamePath(t, ts[hi]) && tuple.ComparePath(ts[hi-1], ts[hi]) < 0 {
 			hi++
 		}
-		depth := len(t.Schema().OrderBy)
-		shared := 0
-		if prev != nil {
-			shared = tr.sharedPrefix(prev, t, min(len(spine), depth))
-		}
-		n := tr.root
-		if shared > 0 {
-			n = spine[shared-1]
-		}
-		spine = spine[:shared]
-		for i := shared; i < depth; i++ {
-			n = tr.descend(n, t, i)
-			spine = append(spine, n)
-		}
-		added += n.leaf.add(ts[lo:hi], discard)
-		prev = t
+		added += tr.leafOf(t).add(ts[lo:hi], discard)
 		lo = hi
 	}
 	tr.size.Add(int64(added))
 	return added
-}
-
-// sharedPrefix returns the first path level below limit on which a and b
-// part ways, or limit if there is none. Tuples of one schema share every
-// literal level by construction, so only their seq/par columns are read.
-func (tr *Tree) sharedPrefix(a, b *tuple.Tuple, limit int) int {
-	i := 0
-	if s := a.Schema(); s == b.Schema() {
-		for ; i < limit; i++ {
-			if col := s.OrderByColumn(i); col >= 0 && tuple.Compare(a.Field(col), b.Field(col)) != 0 {
-				break
-			}
-		}
-		return i
-	}
-	for ; i < limit; i++ {
-		ka, kinda := tr.resolveKey(a, i)
-		kb, kindb := tr.resolveKey(b, i)
-		if kinda != kindb || tuple.Compare(ka, kb) != 0 {
-			break
-		}
-	}
-	return i
 }
 
 // TakeMinBatch removes and returns the minimal causal equivalence class:
@@ -337,27 +332,22 @@ func (tr *Tree) takeMin(n *node) []*tuple.Tuple {
 	if len(n.leaf.runs) > 0 {
 		return n.leaf.drain(tr.discardQueued)
 	}
-	if n.children == nil {
-		return nil
-	}
 	if n.childKind == tuple.OrderPar {
 		// A par level is one equivalence class: drain the entire subtree.
 		return tr.drainAll(n, nil)
 	}
-	for {
-		e, ok := n.children.Min()
-		if !ok {
-			return nil
-		}
-		got := tr.takeMin(e.nd)
-		if empty(e.nd) {
-			n.children.Delete(e)
+	for n.head < len(n.children) {
+		c := n.children[n.head].nd
+		got := tr.takeMin(c)
+		if empty(c) {
+			n.popChild()
 		}
 		if len(got) > 0 {
 			return got
 		}
 		// Child was an empty shell (already drained); removed above, retry.
 	}
+	return nil
 }
 
 // drainAll removes every tuple in the subtree rooted at n, appending to buf.
@@ -370,17 +360,14 @@ func (tr *Tree) drainAll(n *node, buf []*tuple.Tuple) []*tuple.Tuple {
 			buf = append(buf, run...)
 		}
 	}
-	if n.children == nil {
-		return buf
-	}
-	n.children.Ascend(func(e childEntry) bool {
+	for _, e := range n.children[n.head:] {
 		buf = tr.drainAll(e.nd, buf)
-		return true
-	})
-	n.children.Clear()
+	}
+	clear(n.children[n.head:])
+	n.children, n.head = n.children[:0], 0
 	return buf
 }
 
 func empty(n *node) bool {
-	return len(n.leaf.runs) == 0 && (n.children == nil || n.children.Len() == 0)
+	return len(n.leaf.runs) == 0 && n.head == len(n.children)
 }

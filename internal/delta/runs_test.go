@@ -81,8 +81,8 @@ func TestLeafOwnsItsRun(t *testing.T) {
 	tr := NewSequential(po)
 	tr.PutSorted(flush, nil)
 	clear(flush)
-	lit, _ := tr.root.children.Min()
-	key, _ := lit.nd.children.Min()
+	lit := tr.root.children[tr.root.head]
+	key := lit.nd.children[lit.nd.head]
 	run := key.nd.leaf.runs[0]
 	batch := tr.TakeMinBatch()
 	if fmt.Sprint(batch) != want {

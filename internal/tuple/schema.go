@@ -18,6 +18,9 @@ const (
 	OrderPar
 )
 
+// String names the kind as the surface syntax spells it.
+func (k OrderKind) String() string { return [...]string{"literal", "seq", "par"}[k] }
+
 // OrderEntry is one component of an orderby list: either a literal name or a
 // (seq|par) reference to a column of the table.
 type OrderEntry struct {
