@@ -7,11 +7,11 @@ import (
 )
 
 // TestSuggestStorePlanGolden pins the planner's decisions on recorded
-// PvWatts statistics: the readings table is put-dominated, all-int and
-// point-probed at prefix (year, month), so it must move to the
-// int-specialised open-addressing store; SumMonth is a pure dedup sink
-// (every reading re-puts its month) and must get whole-row open
-// addressing. A planner change that flips these kinds fails the build.
+// PvWatts statistics: the readings table is put-dominated and
+// point-probed at prefix (year, month), so it must move to the row store
+// keyed on those two columns; SumMonth is a pure dedup sink (every reading
+// re-puts its month) and must get the columnar store's open-addressing
+// dedup. A planner change that flips these kinds fails the build.
 func TestSuggestStorePlanGolden(t *testing.T) {
 	csv := GenerateCSV(1, false, 42)
 	res, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential})
@@ -20,8 +20,8 @@ func TestSuggestStorePlanGolden(t *testing.T) {
 	}
 	plan := res.Run.Stats().SuggestStorePlan()
 	want := map[string]string{
-		"PvWatts":  "inthash:2",
-		"SumMonth": "inthash:2",
+		"PvWatts":  "columnar:2",
+		"SumMonth": "columnar",
 	}
 	for table, kind := range want {
 		if plan[table] != kind {
@@ -49,8 +49,8 @@ func TestStorePlanReplayMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tuned run: %v", err)
 	}
-	if got := tuned.Run.Stats().StoreKinds["PvWatts"]; got != "inthash:2" {
-		t.Errorf("tuned PvWatts backend = %q, want inthash:2", got)
+	if got := tuned.Run.Stats().StoreKinds["PvWatts"]; got != "columnar:2" {
+		t.Errorf("tuned PvWatts backend = %q, want columnar:2", got)
 	}
 	if len(tuned.Means) != len(base.Means) {
 		t.Fatalf("tuned run computed %d months, baseline %d", len(tuned.Means), len(base.Means))

@@ -84,11 +84,15 @@ func (c *Ctx) checkResult(t *tuple.Tuple) {
 // that pass where and the causality check, until fn returns false. prefix,
 // where and fn are only read and called here, never stored or handed to the
 // store, so a caller's literals and closures stay on its stack. A query of
-// a -noGamma table, which would always read empty, panics instead; the
-// firing turns the panic into the run's located error.
+// a -noGamma table, which would always read empty, and a prefix longer
+// than the table is wide panic instead; the firing turns the panic into
+// the run's located error.
 func (c *Ctx) visit(s *tuple.Schema, prefix []tuple.Value, where func(*tuple.Tuple) bool, limit int, fn func(*tuple.Tuple) bool) {
 	if id := int(s.ID()); id < len(c.run.noGamma) && c.run.noGamma[id] {
 		c.run.refuseNoGammaQuery(s)
+	}
+	if err := checkPrefix(s, len(prefix)); err != nil {
+		panic(err.Error())
 	}
 	if c.push == nil {
 		c.push = func(t *tuple.Tuple) bool {

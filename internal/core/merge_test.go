@@ -354,7 +354,7 @@ func TestFlushParityAcrossStrategiesAndStores(t *testing.T) {
 	type counts struct{ puts, dups int64 }
 	var refOut []string
 	var refCounts map[string]counts
-	plans := []string{"", "tree", "hash:1", "inthash:1", "columnar"}
+	plans := []string{"", "tree", "hash:1", "columnar:1", "columnar"}
 	strategies := []exec.Strategy{exec.Sequential, exec.ForkJoin, exec.Auto}
 	for _, strat := range strategies {
 		for _, plan := range plans {

@@ -39,7 +39,7 @@ const (
 // knows the current size and fail mid-run.
 func replannable(kind string) bool {
 	switch gamma.KindName(kind) {
-	case "tree", "hash", "inthash", "columnar":
+	case "tree", "hash", "columnar":
 		return true
 	}
 	return false
@@ -49,19 +49,15 @@ func replannable(kind string) bool {
 // statistics. Heuristics, per table (volume floor first):
 //
 //   - every observed query carried an equality prefix: the table is
-//     point-probed, so it gets a hash index keyed at the MINIMUM observed
-//     prefix depth (any deeper and the shallowest queries would fall off
-//     the keyed path onto a full scan). Put-dominated all-int tables get
-//     the int-specialised open-addressing store (O(1) flat-row inserts);
-//     query-dominated tables get the generic sharded hash index, whose
+//     point-probed, so it gets an index keyed at the MINIMUM observed
+//     prefix depth k (any deeper and the shallowest queries would fall off
+//     the keyed path onto a full scan). Put-dominated tables get
+//     columnar:k (O(1) flat-row inserts and dedup, one chain per key);
+//     query-dominated tables get the sharded hash index hash:k, whose
 //     buckets hand back stored tuples without materialising rows;
-//   - never queried but at least half the puts were duplicates: a dedup
-//     sink (trigger tables like SumMonth), which wants O(1) full-row
-//     dedup — the open-addressing store keyed on the whole row when
-//     all-int, else the columnar store (open-addressing dedup, no boxed
-//     rows);
 //   - never queried, or queried only by full scans: append-mostly scan
-//     workload — the compressed columnar store;
+//     workload, or a dedup sink (trigger tables like SumMonth) that wants
+//     O(1) full-row dedup — the compressed columnar store;
 //   - mixed shapes: no opinion; the table keeps its current backend.
 //
 // Tables whose chosen backend is not replannable are left out of the plan
@@ -97,13 +93,12 @@ func PlanFromStats(rs *RunStats) gamma.StorePlan {
 
 // tableCounters is one table's planner-relevant counters over a whole run.
 type tableCounters struct {
-	puts, dups, queries, indexed, minPrefix int64
+	puts, queries, indexed, minPrefix int64
 }
 
 func lifetimeCounters(st *TableStats) tableCounters {
 	return tableCounters{
 		puts:      st.Puts.Load(),
-		dups:      st.Duplicates.Load(),
 		queries:   st.Queries.Load(),
 		indexed:   st.IndexedQueries.Load(),
 		minPrefix: st.MinPrefixLen.Load(),
@@ -114,25 +109,13 @@ func lifetimeCounters(st *TableStats) tableCounters {
 // "" means no opinion (mixed query shapes): the table keeps its backend.
 // The caller applies the volume floor; the heuristics only look at shape.
 func suggestKind(s *tuple.Schema, c tableCounters) string {
-	allInt := gamma.AllIntColumns(s)
 	switch {
 	case c.queries > 0 && c.indexed == c.queries:
-		k := int(c.minPrefix)
-		if k < 1 {
-			k = 1
-		}
-		if k > s.Arity() {
-			k = s.Arity()
-		}
-		if allInt && c.puts > c.queries {
-			return fmt.Sprintf("inthash:%d", k)
+		k := min(max(int(c.minPrefix), 1), s.Arity())
+		if c.puts > c.queries {
+			return gamma.ColumnarSpec(k)
 		}
 		return fmt.Sprintf("hash:%d", k)
-	case c.queries == 0 && 2*c.dups >= c.puts:
-		if allInt {
-			return fmt.Sprintf("inthash:%d", s.Arity())
-		}
-		return "columnar"
 	case c.indexed == 0:
 		return "columnar"
 	}

@@ -46,23 +46,23 @@ func intCols(n int) []tuple.Column {
 
 func TestPlanFromStatsHeuristics(t *testing.T) {
 	rs := planStats().
-		// Put-dominated, point-queried at prefix 2, all-int -> inthash:2.
+		// Put-dominated, point-queried at prefix 2 -> columnar:2.
 		addTable("Readings", intCols(5), "tree", 10000, 0, 24, 24, 48, 2).
-		// Query-dominated point probes -> generic hash at prefix 1.
+		// Query-dominated point probes -> hash at prefix 1.
 		addTable("Index", intCols(3), "tree", 1000, 0, 5000, 5000, 5000, 1).
 		// Mixed prefix depths (1..3): key at the MINIMUM, or the shallow
 		// queries would fall off the keyed path onto full scans.
 		addTable("Depths", intCols(3), "tree", 9000, 0, 100, 100, 200, 1).
-		// Dedup sink: no queries, mostly duplicates, all-int -> whole-row inthash.
+		// Dedup sink: no queries, mostly duplicates -> columnar
+		// (open-addressing full-row dedup), whatever its column kinds.
 		addTable("Sink", intCols(2), "tree", 9000, 8900, 0, 0, 0, 0).
-		// Dedup sink with a non-int column -> columnar (hash-map dedup).
 		addTable("StrSink", []tuple.Column{
 			{Name: "key", Kind: tuple.KindString},
 			{Name: "v", Kind: tuple.KindInt}}, "tree", 9000, 8900, 0, 0, 0, 0).
 		// Append-mostly, never queried -> columnar.
 		addTable("Log", []tuple.Column{
 			{Name: "line", Kind: tuple.KindString}}, "tree", 5000, 0, 0, 0, 0, 0).
-		// Point-queried but not all-int -> generic hash.
+		// Put-dominated point probes with a string column -> columnar too.
 		addTable("Names", []tuple.Column{
 			{Name: "id", Kind: tuple.KindInt},
 			{Name: "name", Kind: tuple.KindString}}, "tree", 2000, 0, 100, 100, 100, 1).
@@ -79,13 +79,13 @@ func TestPlanFromStatsHeuristics(t *testing.T) {
 
 	plan := rs.SuggestStorePlan()
 	want := gamma.StorePlan{
-		"Readings": "inthash:2",
+		"Readings": "columnar:2",
 		"Index":    "hash:1",
-		"Depths":   "inthash:1",
-		"Sink":     "inthash:2",
+		"Depths":   "columnar",
+		"Sink":     "columnar",
 		"StrSink":  "columnar",
 		"Log":      "columnar",
-		"Names":    "hash:1",
+		"Names":    "columnar",
 	}
 	for name, spec := range want {
 		if plan[name] != spec {
@@ -108,8 +108,8 @@ func TestPlanFromStatsBatchedFloor(t *testing.T) {
 	}
 	rs.TotalLive = 12800
 	rs.FireBatches.Store(100) // mean chunk 128 >= planBatchedChunk
-	if plan := rs.SuggestStorePlan(); plan["Mid"] != "inthash:1" {
-		t.Errorf("batched run: plan[Mid] = %q, want inthash:1", plan["Mid"])
+	if plan := rs.SuggestStorePlan(); plan["Mid"] != "columnar" {
+		t.Errorf("batched run: plan[Mid] = %q, want columnar", plan["Mid"])
 	}
 }
 
@@ -123,10 +123,14 @@ func TestValidateRejectsBadStorePlans(t *testing.T) {
 			[]string{"store plan for Nope: unknown table", "declared: A, B"}},
 		{gamma.StorePlan{"A": "btree"},
 			[]string{"store plan for A", `unknown store kind "btree"`,
-				"tree|hash|inthash|columnar|arrayhash|dense3d|rolling"}},
+				"tree|hash|columnar|arrayhash|dense3d|rolling"}},
 		{gamma.StorePlan{"A": "skip"},
 			[]string{"store plan for A", `unknown store kind "skip"`,
-				"tree|hash|inthash|columnar|arrayhash|dense3d|rolling"}},
+				"tree|hash|columnar|arrayhash|dense3d|rolling"}},
+		{gamma.StorePlan{"A": "inthash:1"},
+			[]string{"store plan for A", `unknown store kind "inthash:1"`}},
+		{gamma.StorePlan{"A": "columnar:2"},
+			[]string{"store plan for A", "out of range"}},
 		{gamma.StorePlan{"A": "tree@1"},
 			[]string{"store plan for A", `unknown store kind "tree@1"`}},
 		{gamma.StorePlan{"A": "@2"},
@@ -148,7 +152,7 @@ func TestValidateRejectsBadStorePlans(t *testing.T) {
 			}
 		}
 	}
-	if err := p.Validate(Options{StorePlan: gamma.StorePlan{"A": "inthash:1", "B": "columnar"}}); err != nil {
+	if err := p.Validate(Options{StorePlan: gamma.StorePlan{"A": "columnar:1", "B": "columnar"}}); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }

@@ -154,7 +154,7 @@ func (p *Program) GammaHint(table string, f gamma.StoreFactory) {
 }
 
 // PlanHint records a static store-plan hint (a gamma kind spec such as
-// "inthash:1" or "columnar") for one table. Hints are advisory defaults:
+// "columnar:2" or "hash:1") for one table. Hints are advisory defaults:
 // an explicit GammaHint or an Options.StorePlan entry for the same table
 // wins. The lang compiler emits them from the program's query patterns;
 // Validate rejects specs that name unknown kinds or unsuitable tables.

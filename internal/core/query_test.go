@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,13 +16,13 @@ import (
 
 // kindSpecs returns one store spec per kind in gamma.StoreKinds() that
 // FactoryFor accepts for schema s — the "every store kind" axis of the
-// tests below. Parameterised kinds get parameters sized for column 0 in
-// [0, 63].
+// tests below, plus columnar:2, the row store keyed past column 0.
+// Parameterised kinds get parameters sized for column 0 in [0, 63].
 func kindSpecs(t *testing.T, s *tuple.Schema) []string {
 	t.Helper()
 	params := map[string]string{"arrayhash": ":0,0,63", "dense3d": ":64,4,4", "rolling": ":64"}
 	var specs []string
-	for _, kind := range gamma.StoreKinds() {
+	for _, kind := range append(gamma.StoreKinds(), "columnar:2") {
 		spec := kind + params[kind]
 		if _, err := gamma.FactoryFor(spec, s); err == nil {
 			specs = append(specs, spec)
@@ -52,7 +53,7 @@ func accProgram(n int) (p *Program, goT, acc *tuple.Schema) {
 // TestPutIntoIteratedTable pins a deadlock the collect-then-visit read path
 // removes by construction: a rule iterating a -noDelta table and putting
 // into it from the visitor. When visitors ran inside Store.Select, the tree
-// (the Sequential default), inthash and columnar stores held their read
+// (the Sequential default) and columnar stores held their read
 // lock across the callback and the inline insert waited for the write lock
 // forever. The visitor must see the snapshot taken before its own puts.
 func TestPutIntoIteratedTable(t *testing.T) {
@@ -120,9 +121,9 @@ func quiescedCtx(t *testing.T, p *Program, o Options) (*Run, *Ctx) {
 // TestQueryAllocationBudget: a steady-state query allocates nothing of its
 // own on any store kind, with a prefix alone or with a Where that captures
 // a local — the prefix literal, the Where and the visitor stay on the
-// caller's stack. What remains is what the store hands out: inthash and
-// columnar keep rows, not tuples, and materialise exactly one object per
-// row they return. Counts, not timings.
+// caller's stack. What remains is what the store hands out: columnar
+// keeps rows, not tuples, and materialises exactly one object per row it
+// returns. Counts, not timings.
 func TestQueryAllocationBudget(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -134,7 +135,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 			_, c := quiescedCtx(t, p, Options{StorePlan: gamma.StorePlan{"Acc": spec}})
 			perRow := 0.0 // allocations per row the store returns
 			switch gamma.KindName(spec) {
-			case "inthash", "columnar":
+			case "columnar":
 				perRow = 1
 			}
 			var sink int
@@ -430,5 +431,78 @@ func TestHashTableSnapshotOrderIsDeterministic(t *testing.T) {
 	}
 	if len(orders[0]) != 1000 || !slices.Equal(orders[0], orders[1]) {
 		t.Errorf("two identical runs scanned %d and %d tuples, or in different orders", len(orders[0]), len(orders[1]))
+	}
+}
+
+// TestOverlongPrefixRefusedOnEveryStore: a query prefix longer than its
+// table is wide can match no row, and every store kind refuses it the
+// same way: Session.Query returns an error naming the table and its
+// arity, and a rule body's query fails the run with that message.
+func TestOverlongPrefixRefusedOnEveryStore(t *testing.T) {
+	ints := func(n int) []tuple.Column {
+		cols := make([]tuple.Column, n)
+		for i := range cols {
+			cols[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Kind: tuple.KindInt}
+		}
+		return cols
+	}
+	rolling := []tuple.Column{{Name: "iter", Kind: tuple.KindInt}, {Name: "index", Kind: tuple.KindInt},
+		{Name: "v", Kind: tuple.KindFloat}}
+	cases := []struct {
+		spec string
+		cols []tuple.Column
+	}{
+		{"tree", ints(2)}, {"hash:1", ints(2)}, {"hash:2", ints(2)}, {"columnar", ints(2)},
+		{"columnar:2", ints(2)}, {"arrayhash:0,0,3", ints(2)},
+		{"dense3d:2,2,2", ints(4)}, {"rolling:2", rolling},
+	}
+	if len(cases) < len(gamma.StoreKinds())+2 {
+		t.Fatalf("%d cases for %d store kinds: a kind is missing", len(cases), len(gamma.StoreKinds()))
+	}
+	for _, c := range cases {
+		t.Run(c.spec, func(t *testing.T) {
+			build := func() (*Program, *tuple.Schema, *tuple.Schema) {
+				p := NewProgram()
+				goT := p.Table("Go", ints(1), []tuple.OrderEntry{tuple.Lit("Go")})
+				tab := p.Table("T", c.cols, []tuple.OrderEntry{tuple.Lit("T")})
+				p.Order("T", "Go")
+				row := make([]tuple.Value, len(c.cols))
+				for i, col := range c.cols {
+					row[i] = tuple.Zero(col.Kind)
+				}
+				p.Put(tuple.New(tab, row...))
+				return p, goT, tab
+			}
+			over := make([]tuple.Value, len(c.cols)+1)
+			for i := range over {
+				over[i] = tuple.Int(0)
+			}
+			want := fmt.Sprintf("prefix of %d values exceeds T arity %d", len(over), len(c.cols))
+			opts := Options{Strategy: exec.Sequential, Quiet: true, StorePlan: gamma.StorePlan{"T": c.spec}}
+
+			p, _, tab := build()
+			s, err := p.Start(t.Context(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Quiesce(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			visited := 0
+			err = s.Query(tab, gamma.Query{Prefix: over}, func(*tuple.Tuple) bool { visited++; return true })
+			if err == nil || err.Error() != "jstar: query T: "+want || visited != 0 {
+				t.Errorf("Session.Query: err %v after %d visits, want %q", err, visited, want)
+			}
+
+			p, goT, tab := build()
+			p.Rule("probe", goT, func(c *Ctx, _ *tuple.Tuple) {
+				c.ForEach(tab, gamma.Query{Prefix: over}, func(*tuple.Tuple) bool { return true })
+			})
+			p.Put(tuple.New(goT, tuple.Int(0)))
+			if _, err := p.Execute(opts); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("a rule's over-long query: run error %v, want one containing %q", err, want)
+			}
+		})
 	}
 }

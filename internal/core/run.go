@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -408,27 +409,25 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	// Every table defaults to the tree store, pool or no pool: its one lock
 	// costs less than a concurrent structure's per-insert synchronisation,
 	// and the step boundary inserts each table's tuples as one locked run.
-	r.gammaDB = gamma.NewDB()
 	// Store selection is layered, lowest priority first: the compiler's
 	// static plan hints, then programmatic GammaHint factories, then the
 	// per-run Options.StorePlan (the profile-guided replay). Specs were
-	// already vetted by Validate, so FactoryFor cannot fail here.
-	for t, spec := range p.planHints {
-		if f, err := gamma.FactoryFor(spec, p.tables[t]); err == nil {
-			r.gammaDB.SetStore(t, f)
+	// already vetted by Validate, so FactoryFor cannot fail here. The
+	// resolved plan builds the per-run dense store table once: Table
+	// lookups during execution are a bounds check and pointer compare, no
+	// lock.
+	stores := make(map[string]gamma.StoreFactory)
+	resolve := func(plan gamma.StorePlan) {
+		for t, spec := range plan {
+			if f, err := gamma.FactoryFor(spec, p.tables[t]); err == nil {
+				stores[t] = f
+			}
 		}
 	}
-	for t, f := range p.hints {
-		r.gammaDB.SetStore(t, f)
-	}
-	for t, spec := range opts.StorePlan {
-		if f, err := gamma.FactoryFor(spec, p.tables[t]); err == nil {
-			r.gammaDB.SetStore(t, f)
-		}
-	}
-	// Freeze the per-run dense store table: Table lookups during execution
-	// are a bounds check and pointer compare, no lock.
-	r.gammaDB.Register(p.byID)
+	resolve(p.planHints)
+	maps.Copy(stores, p.hints)
+	resolve(opts.StorePlan)
+	r.gammaDB = gamma.NewDB(p.byID, stores)
 
 	n := len(p.byID)
 	r.noDelta = make([]bool, n)

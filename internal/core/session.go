@@ -416,6 +416,9 @@ func (s *Session) Query(sch *tuple.Schema, q gamma.Query, fn func(*tuple.Tuple) 
 	if err := s.run.readable("query", sch); err != nil {
 		return err
 	}
+	if err := checkPrefix(sch, len(q.Prefix)); err != nil {
+		return err
+	}
 	s.run.tableStats(sch).noteQuery(len(q.Prefix))
 	var found []*tuple.Tuple
 	s.run.gammaDB.Table(sch).Select(gamma.Query{Prefix: q.Prefix}, func(t *tuple.Tuple) bool {
@@ -456,6 +459,16 @@ func (r *Run) readable(op string, sch *tuple.Schema) error {
 	}
 	if r.noGamma[sch.ID()] {
 		return fmt.Errorf("jstar: %s %s: -noGamma keeps the table out of Gamma, so it has nothing to read", op, sch.Name)
+	}
+	return nil
+}
+
+// checkPrefix refuses a query prefix of n values on table s when n exceeds
+// its arity: no row can match it, and one check here keeps every store
+// kind from answering it its own way.
+func checkPrefix(s *tuple.Schema, n int) error {
+	if n > s.Arity() {
+		return fmt.Errorf("jstar: query %s: prefix of %d values exceeds %s arity %d", s.Name, n, s.Name, s.Arity())
 	}
 	return nil
 }

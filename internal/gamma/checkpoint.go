@@ -40,7 +40,7 @@ func ScanRows(st Store, fn func(row []tuple.Value) bool) {
 
 // Dump drains st in CompareFields order. Checkpoints no longer call it:
 // its callers left are the benchmark's gamma.dump_ns_per_tuple probe and
-// TestSetStoreAfterRegisterFails.
+// the tests.
 func Dump(st Store) []*tuple.Tuple {
 	drained := make([]*tuple.Tuple, 0, st.Len())
 	st.Scan(func(t *tuple.Tuple) bool {
@@ -56,8 +56,6 @@ func Dump(st Store) []*tuple.Tuple {
 // Schemas returns the registered schemas in dense-ID order — the stable
 // iteration order checkpoints serialize tables in.
 func (db *DB) Schemas() []*tuple.Schema {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	out := make([]*tuple.Schema, 0, len(db.dense))
 	for i := range db.dense {
 		if db.dense[i].schema != nil {

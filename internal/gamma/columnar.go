@@ -1,155 +1,184 @@
 package gamma
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
 // This file implements the compressed append-only columnar store — the
-// Gamma backend the store planner picks for append-mostly tables that are
-// read by full scans or by point lookups on their leading column (or not
-// read at all). Instead of retaining one boxed *Tuple per row like the
-// NavigableSet and hash backends, it keeps one typed slice per column:
-// ints and bools as int64, floats as float64, and strings
-// dictionary-encoded as int64 ids into a shared dictionary (the
-// compression — a table with a low-cardinality string column stores each
-// distinct string once). Two open-addressing oaTables (inthash.go) index
-// the rows without boxing them either: one on the full tuple hash, for
-// set-semantics dedup, and one on the hash of column 0, whose entries
-// anchor per-value chains threaded through next. A Select with a non-empty
-// prefix walks one chain; an empty prefix and Scan walk the rows in order.
-// Either way the prefix is tested on the column slices, and tuples are
-// materialised only for rows that survive it, so rejected rows never
-// allocate. ScanRows, the checkpoint's read, materialises none.
+// Gamma backend the store planners pick for append-mostly tables: tables
+// read by full scans, by equality prefixes of at least k columns, or not
+// read at all. Instead of retaining one boxed *Tuple per row like the
+// NavigableSet and hash backends, it keeps every row as arity 64-bit words
+// in one flat slice: ints as they are, bools as 0/1, floats as their bits
+// (tuple.Float is canonical, so equal floats have equal bits) and strings
+// as ids into a shared dictionary (the compression — a table with a
+// low-cardinality string column stores each distinct string once).
+// Open-addressing oaTables (oatable.go) index the rows without boxing
+// them either: the dedup tables on the full tuple hash, for set-semantics
+// dedup, and one on the first k words, whose entries anchor per-key chains
+// threaded through next. A Select whose prefix covers the k key columns
+// walks one chain and compares only the words past k; a shorter prefix and
+// Scan walk the rows in order. Either way the prefix is tested on the words, and
+// tuples are materialised only for rows that survive it, so rejected rows
+// never allocate. ScanRows, the checkpoint's read, materialises none.
 
 // colStore is the columnar Store implementation.
 type colStore struct {
 	mu     sync.RWMutex
 	schema *tuple.Schema
-	nums   [][]int64   // per column: int/bool payloads or string dict ids
-	floats [][]float64 // per column: float payloads
+	kinds  []tuple.Kind // per column
+	k      int          // key columns: chains are exact on the first k words
+	rows   []int64      // row-major, len(kinds) words per row
 	dict   map[string]int64
 	strs   []string // dict id -> string
-	dedup  oaTable  // full tuple hash -> row (set-semantics dedup)
-	keys   oaTable  // column-0 hash -> newest row of its chain
+	// dedup maps full tuple hashes to rows (set-semantics dedup), split by
+	// the top bits of the key hash: equal rows have equal keys, and a run
+	// of one key's rows — a sorted batch — probes one small table that
+	// stays in cache.
+	dedup [16]oaTable
+	keys  oaTable // key hash -> newest row of its chain
 	// next holds one entry per stored row (its length is the row count),
-	// threading each column-0 hash's rows into a circular chain in
-	// insertion order: the newest row (the keys entry) links to the oldest,
-	// so appending and an in-order walk are both O(1) per row.
+	// threading each key's rows into a circular chain in insertion order:
+	// the newest row (the keys entry) links to the oldest, so appending and
+	// an in-order walk are both O(1) per row.
 	next []int32
 	// hashMask is all ones outside tests; a narrow mask is the test seam
-	// that forces distinct rows and column-0 values onto one 64-bit hash.
+	// that forces distinct rows and keys onto one 64-bit hash.
 	hashMask uint64
 }
 
-// NewColumnarStore returns the compressed append-only columnar store for s.
-func NewColumnarStore(s *tuple.Schema) Store {
-	return &colStore{
-		schema:   s,
-		nums:     make([][]int64, s.Arity()),
-		floats:   make([][]float64, s.Arity()),
-		hashMask: ^uint64(0),
-	}
-}
-
-func (cs *colStore) StoreKind() string { return "columnar" }
-
-// rowEqual compares stored row r against t column by column, on the typed
-// payloads (no materialisation).
-func (cs *colStore) rowEqual(r int32, t *tuple.Tuple) bool {
-	for i, c := range cs.schema.Columns {
-		v := t.Field(i)
-		switch c.Kind {
-		case tuple.KindFloat:
-			if !v.Equal(tuple.Float(cs.floats[i][r])) {
-				return false
-			}
-		case tuple.KindString:
-			id, ok := cs.dict[v.AsString()]
-			if !ok || id != cs.nums[i][r] {
-				return false
-			}
-		case tuple.KindBool:
-			if v.AsBool() != (cs.nums[i][r] != 0) {
-				return false
-			}
-		default:
-			if v.AsInt() != cs.nums[i][r] {
-				return false
-			}
+// NewColumnarStore returns the compressed append-only columnar store keyed
+// on the first k columns of its schema. A zero-column table takes k = 1 and
+// keeps its one possible row on a chain keyed on no words.
+func NewColumnarStore(k int) StoreFactory {
+	return func(s *tuple.Schema) Store {
+		if k < 1 || k > max(s.Arity(), 1) {
+			panic(fmt.Sprintf("jstar: columnar store on %s: k=%d out of range", s.Name, k))
 		}
+		kinds := make([]tuple.Kind, s.Arity())
+		for i, c := range s.Columns {
+			kinds[i] = c.Kind
+		}
+		return &colStore{schema: s, kinds: kinds, k: min(k, s.Arity()), hashMask: ^uint64(0)}
 	}
-	return true
 }
 
-// value reconstructs one cell as a Value (a stack struct, not a boxed row).
-func (cs *colStore) value(r int32, col int) tuple.Value {
-	switch cs.schema.Columns[col].Kind {
+// ColumnarSpec is the kind spec of a columnar store keyed on k columns:
+// "columnar" for k <= 1, else "columnar:k".
+func ColumnarSpec(k int) string {
+	if k <= 1 {
+		return "columnar"
+	}
+	return fmt.Sprintf("columnar:%d", k)
+}
+
+func (cs *colStore) StoreKind() string { return ColumnarSpec(cs.k) }
+
+// row returns stored row r's words.
+func (cs *colStore) row(r int32) []int64 {
+	n := len(cs.kinds)
+	return cs.rows[int(r)*n : int(r)*n+n]
+}
+
+// scalar encodes v, a value of non-string kind k, as its row word.
+func scalar(k tuple.Kind, v tuple.Value) int64 {
+	switch k {
 	case tuple.KindFloat:
-		return tuple.Float(cs.floats[col][r])
-	case tuple.KindString:
-		return tuple.String_(cs.strs[cs.nums[col][r]])
+		return int64(math.Float64bits(v.AsFloat()))
 	case tuple.KindBool:
-		return tuple.Bool(cs.nums[col][r] != 0)
-	default:
-		return tuple.Int(cs.nums[col][r])
+		if v.AsBool() {
+			return 1
+		}
+		return 0
 	}
+	return v.AsInt()
 }
 
-// materialise rebuilds row r as a Tuple, for callers that matched it — the
-// one allocation a matched row costs (vals stays on the stack up to
-// tuple.InlineFields columns).
-func (cs *colStore) materialise(r int32) *tuple.Tuple {
+// value decodes word w of column col as a Value (a stack struct, not a
+// boxed row).
+func (cs *colStore) value(col int, w int64) tuple.Value {
+	switch cs.kinds[col] {
+	case tuple.KindFloat:
+		return tuple.Float(math.Float64frombits(uint64(w)))
+	case tuple.KindString:
+		return tuple.String_(cs.strs[w])
+	case tuple.KindBool:
+		return tuple.Bool(w != 0)
+	}
+	return tuple.Int(w)
+}
+
+// materialise rebuilds a stored row as a Tuple, for callers that matched
+// it — the one allocation a matched row costs (vals stays on the stack up
+// to tuple.InlineFields columns).
+func (cs *colStore) materialise(row []int64) *tuple.Tuple {
 	var buf [tuple.InlineFields]tuple.Value
 	vals := buf[:0]
-	for i := range cs.schema.Columns {
-		vals = append(vals, cs.value(r, i))
+	for i, w := range row {
+		vals = append(vals, cs.value(i, w))
 	}
 	return tuple.New(cs.schema, vals...)
 }
 
-// keyHash is the chain hash of a column-0 value. Value.Hash agrees with
-// Value.Equal (floats are canonical), so -0.0 and NaN find their chains.
-func (cs *colStore) keyHash(v tuple.Value) uint64 {
-	return finalizeHash(v.Hash(tuple.HashSeed)) & cs.hashMask
+// keyHash is the chain hash of a row's (or a query's) k key words.
+func (cs *colStore) keyHash(key []int64) uint64 {
+	h := uint64(tuple.HashSeed)
+	for _, w := range key {
+		h = mixInt(h, w)
+	}
+	return finalizeHash(h) & cs.hashMask
 }
 
+// intern returns s's dictionary id, adding s if it is new.
+func (cs *colStore) intern(s string) int64 {
+	id, ok := cs.dict[s]
+	if !ok {
+		if cs.dict == nil {
+			cs.dict = make(map[string]int64)
+		}
+		id = int64(len(cs.strs))
+		cs.dict[s] = id
+		cs.strs = append(cs.strs, s)
+	}
+	return id
+}
+
+// insertLocked appends t's words, then drops them again if the dedup index
+// holds an equal row. A duplicate's strings are all in the dictionary
+// already, so interning never grows it for one.
 func (cs *colStore) insertLocked(t *tuple.Tuple) bool {
+	n := len(cs.rows)
+	if n+len(cs.kinds) > cap(cs.rows) {
+		cs.rows = slices.Grow(cs.rows, max(n, 64)) // double: append grows large slices by 1.25x
+	}
+	for i, k := range cs.kinds {
+		switch v := t.Field(i); k {
+		case tuple.KindInt:
+			cs.rows = append(cs.rows, v.AsInt())
+		case tuple.KindString:
+			cs.rows = append(cs.rows, cs.intern(v.AsString()))
+		default:
+			cs.rows = append(cs.rows, scalar(k, v))
+		}
+	}
+	row := cs.rows[n:]
+	key := row[:cs.k]
+	kh := cs.keyHash(key)
+	dd := &cs.dedup[kh>>60]
 	h := finalizeHash(t.Hash()) & cs.hashMask
-	if cs.dedup.find(h, func(r int32) bool { return cs.rowEqual(r, t) }) >= 0 {
+	if dd.find(h, func(r int32) bool { return slices.Equal(cs.row(r), row) }) >= 0 {
+		cs.rows = cs.rows[:n]
 		return false
 	}
 	r := int32(len(cs.next))
-	for i, c := range cs.schema.Columns {
-		v := t.Field(i)
-		switch c.Kind {
-		case tuple.KindFloat:
-			cs.floats[i] = append(cs.floats[i], v.AsFloat())
-		case tuple.KindString:
-			s := v.AsString()
-			id, ok := cs.dict[s]
-			if !ok {
-				if cs.dict == nil {
-					cs.dict = make(map[string]int64)
-				}
-				id = int64(len(cs.strs))
-				cs.dict[s] = id
-				cs.strs = append(cs.strs, s)
-			}
-			cs.nums[i] = append(cs.nums[i], id)
-		case tuple.KindBool:
-			var b int64
-			if v.AsBool() {
-				b = 1
-			}
-			cs.nums[i] = append(cs.nums[i], b)
-		default:
-			cs.nums[i] = append(cs.nums[i], v.AsInt())
-		}
-	}
-	cs.dedup.put(h, func(int32) bool { return false }, r)
-	if tail := cs.keys.put(cs.keyHash(t.Field(0)), anyRow, r); tail < 0 {
+	dd.put(h, func(int32) bool { return false }, r)
+	eqKey := func(o int32) bool { return slices.Equal(cs.row(o)[:cs.k], key) }
+	if tail := cs.keys.put(kh, eqKey, r); tail < 0 {
 		cs.next = append(cs.next, r) // a chain of one
 	} else {
 		cs.next = append(cs.next, cs.next[tail]) // the chain's oldest row
@@ -187,21 +216,21 @@ func (cs *colStore) Scan(fn func(*tuple.Tuple) bool) {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
 	for r := int32(0); r < int32(len(cs.next)); r++ {
-		if !fn(cs.materialise(r)) {
+		if !fn(cs.materialise(cs.row(r))) {
 			return
 		}
 	}
 }
 
-// ScanRows is Scan without the tuples: each row's cells are read from the
-// column slices into one reused row, under one read-lock episode.
+// ScanRows is Scan without the tuples: each row's words are decoded into
+// one reused row, under one read-lock episode.
 func (cs *colStore) ScanRows(fn func(row []tuple.Value) bool) {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
-	row := make([]tuple.Value, len(cs.schema.Columns))
+	row := make([]tuple.Value, len(cs.kinds))
 	for r := int32(0); r < int32(len(cs.next)); r++ {
-		for i := range row {
-			row[i] = cs.value(r, i)
+		for i, w := range cs.row(r) {
+			row[i] = cs.value(i, w)
 		}
 		if !fn(row) {
 			return
@@ -209,98 +238,76 @@ func (cs *colStore) ScanRows(fn func(row []tuple.Value) bool) {
 	}
 }
 
-// colPred is one compiled prefix-column predicate: string and int/bool
-// values are resolved to their raw int64 encoding once per query, so the
-// per-row filter is an int64 compare against the column slice. Float
-// columns keep the Value fallback for its NaN-equals-NaN semantics.
-type colPred struct {
-	col  int
-	kind tuple.Kind
-	n    int64       // int/bool payload or string dict id
-	v    tuple.Value // float fallback
+// prefixWords encodes a query's equality prefix as row words, appending to
+// buf. ok is false when the prefix can never match: a value of the wrong
+// kind for its column (Value.Equal is false across kinds), or a string
+// absent from the dictionary.
+func (cs *colStore) prefixWords(buf []int64, prefix []tuple.Value) ([]int64, bool) {
+	for i, v := range prefix {
+		k := cs.kinds[i]
+		if v.Kind() != k {
+			return nil, false
+		}
+		if k != tuple.KindString {
+			buf = append(buf, scalar(k, v))
+			continue
+		}
+		id, ok := cs.dict[v.AsString()]
+		if !ok {
+			return nil, false
+		}
+		buf = append(buf, id)
+	}
+	return buf, true
 }
 
-// compilePrefix resolves a query's equality prefix against the column
-// encodings, appending one predicate per prefix value to preds. ok is
-// false when the prefix can never match: a value of the wrong kind for its
-// column (Value.Equal is false across kinds), or a string absent from the
-// dictionary.
-func (cs *colStore) compilePrefix(preds []colPred, prefix []tuple.Value) ([]colPred, bool) {
-	for i, v := range prefix {
-		kind := cs.schema.Columns[i].Kind
-		preds = append(preds, colPred{col: i, kind: kind})
-		switch kind {
-		case tuple.KindFloat:
-			preds[i].v = v
-		case tuple.KindString:
-			if v.Kind() != tuple.KindString {
-				return nil, false
+// Select walks the chain of the prefix's k key words when the prefix
+// covers them, else every row; both visit rows in insertion order. Keys
+// that collide on all 64 bits keep separate chains (the keys index
+// compares the key words), so a chain walk tests only the words past k.
+func (cs *colStore) Select(q Query, fn func(*tuple.Tuple) bool) {
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	var buf [tuple.InlineFields]int64
+	want, ok := cs.prefixWords(buf[:0], q.Prefix)
+	if !ok {
+		return
+	}
+	n := len(cs.kinds)
+	if len(want) < cs.k {
+		for at := 0; at < len(cs.rows); at += n {
+			if row := cs.rows[at : at+n]; hasPrefix(row, want, 0) && !cs.emit(row, q, fn) {
+				return
 			}
-			id, ok := cs.dict[v.AsString()]
-			if !ok {
-				return nil, false
-			}
-			preds[i].n = id
-		case tuple.KindBool:
-			if v.Kind() != tuple.KindBool {
-				return nil, false
-			}
-			if v.AsBool() {
-				preds[i].n = 1
-			}
-		default:
-			if v.Kind() != tuple.KindInt {
-				return nil, false
-			}
-			preds[i].n = v.AsInt()
+		}
+		return
+	}
+	key := want[:cs.k]
+	tail := cs.keys.find(cs.keyHash(key), func(r int32) bool { return slices.Equal(cs.row(r)[:cs.k], key) })
+	if tail < 0 {
+		return
+	}
+	for r := cs.next[tail]; ; r = cs.next[r] {
+		row := cs.rows[int(r)*n : int(r)*n+n]
+		if hasPrefix(row, want, cs.k) && !cs.emit(row, q, fn) || r == tail {
+			return
 		}
 	}
-	return preds, true
 }
 
-// matchPrefix tests the compiled predicates directly on the column
-// slices; rows rejected here are never materialised.
-func (cs *colStore) matchPrefix(r int32, preds []colPred) bool {
-	for _, p := range preds {
-		if p.kind == tuple.KindFloat {
-			if !tuple.Float(cs.floats[p.col][r]).Equal(p.v) {
-				return false
-			}
-		} else if cs.nums[p.col][r] != p.n {
+// hasPrefix reports whether row's words from..len(want) equal want's.
+func hasPrefix(row, want []int64, from int) bool {
+	for i := from; i < len(want); i++ {
+		if row[i] != want[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// Select walks the chain of the prefix's column-0 value, or every row when
-// the prefix is empty; both visit rows in insertion order. Column-0 values
-// that collide on all 64 bits share a chain, and matchPrefix drops the
-// strangers.
-func (cs *colStore) Select(q Query, fn func(*tuple.Tuple) bool) {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	var buf [tuple.InlineFields]colPred
-	preds, ok := cs.compilePrefix(buf[:0], q.Prefix)
-	if !ok {
-		return
-	}
-	visit := func(r int32) bool {
-		if !cs.matchPrefix(r, preds) {
-			return true
-		}
-		t := cs.materialise(r)
-		return !q.whereOK(t) || fn(t)
-	}
-	if len(preds) == 0 {
-		for r := int32(0); r < int32(len(cs.next)) && visit(r); r++ {
-		}
-		return
-	}
-	tail := cs.keys.find(cs.keyHash(q.Prefix[0]), anyRow)
-	if tail < 0 {
-		return
-	}
-	for r := cs.next[tail]; visit(r) && r != tail; r = cs.next[r] {
-	}
+// emit hands fn the row, materialised, if it passes q.Where, and returns
+// false once fn has.
+func (cs *colStore) emit(row []int64, q Query, fn func(*tuple.Tuple) bool) bool {
+	t := cs.materialise(row)
+	return !q.whereOK(t) || fn(t)
 }

@@ -1,6 +1,7 @@
 package gamma
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/testrace"
@@ -26,12 +27,75 @@ func TestColumnarInsertAllocationBudget(t *testing.T) {
 	}
 	live := make([]*tuple.Tuple, 0, n)
 	allocs := testing.AllocsPerRun(5, func() {
-		live = NewColumnarStore(s).(BatchStore).InsertBatch(ts, live[:0])
+		live = NewColumnarStore(1)(s).(BatchStore).InsertBatch(ts, live[:0])
 	})
 	if len(live) != n {
 		t.Fatalf("InsertBatch kept %d of %d distinct rows", len(live), n)
 	}
 	if perRow := allocs / n; perRow >= 0.1 {
 		t.Errorf("columnar InsertBatch: %.0f allocations for %d rows (%.3f per row), want < 0.1 per row", allocs, n, perRow)
+	}
+}
+
+// BenchmarkKeyedRowStore: an all-int 4-column table of 100 000 rows on 48
+// (c0, c1) keys, about 2 083 rows each, through the stores that key on two
+// columns. The rows arrive either interleaved (the 48 keys round-robin, the
+// worst locality for a store that keeps rows in arrival order) or grouped
+// by key, as the engine's sorted batch inserts leave them. insert times one
+// fresh store taking every row (ns/tuple); select-k walks one key's rows
+// (an exact-key prefix), select-k+1 finds one row by a three-column prefix
+// (both per query).
+func BenchmarkKeyedRowStore(b *testing.B) {
+	s := tuple.MustSchema("R", []tuple.Column{
+		{Name: "c0", Kind: tuple.KindInt}, {Name: "c1", Kind: tuple.KindInt},
+		{Name: "c2", Kind: tuple.KindInt}, {Name: "c3", Kind: tuple.KindInt}}, nil)
+	const n, keys = 100_000, 48
+	interleaved := make([]*tuple.Tuple, n)
+	for i := range interleaved {
+		interleaved[i] = tuple.New(s, tuple.Int(int64(i%6)), tuple.Int(int64(i/6%8)), tuple.Int(int64(i)), tuple.Int(int64(7*i)))
+	}
+	grouped := slices.SortedFunc(slices.Values(interleaved), (*tuple.Tuple).CompareFields)
+	for _, spec := range []string{"columnar:2", "hash:2"} {
+		f, err := FactoryFor(spec, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, order := range []struct {
+			name string
+			rows []*tuple.Tuple
+		}{{"interleaved", interleaved}, {"grouped", grouped}} {
+			rows := order.rows
+			b.Run(spec+"/"+order.name+"/insert", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					st := f(s)
+					for _, t := range rows {
+						st.Insert(t)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
+			})
+			var st Store // filled on first use, so -bench can pick one sub-benchmark
+			for _, width := range []int{2, 3} {
+				name := map[int]string{2: "select-k", 3: "select-k+1"}[width]
+				b.Run(spec+"/"+order.name+"/"+name, func(b *testing.B) {
+					if st == nil {
+						st = f(s)
+						for _, t := range rows {
+							st.Insert(t)
+						}
+						b.ResetTimer()
+					}
+					matched := 0
+					for i := 0; i < b.N; i++ {
+						r := interleaved[i*7919%n]
+						q := Query{Prefix: []tuple.Value{r.Field(0), r.Field(1), r.Field(2)}[:width]}
+						st.Select(q, func(*tuple.Tuple) bool { matched++; return true })
+					}
+					if want := map[int]int{2: n / keys, 3: 1}[width]; matched < b.N*want {
+						b.Fatalf("%d queries matched %d rows, want at least %d each", b.N, matched, want)
+					}
+				})
+			}
+		}
 	}
 }

@@ -38,7 +38,7 @@ func TestFloatDedupIsStoreIndependent(t *testing.T) {
 			return len(delta.MergeRuns([][]*tuple.Tuple{{ts[0], ts[2]}, {ts[1], ts[3]}}, nil, nil))
 		},
 	}
-	for _, spec := range []string{"tree", "hash:1", "hash:2", "columnar"} {
+	for _, spec := range []string{"tree", "hash:1", "hash:2", "columnar", "columnar:2"} {
 		kept[spec] = func() int {
 			factory, err := FactoryFor(spec, s)
 			if err != nil {
@@ -60,7 +60,8 @@ func TestFloatDedupIsStoreIndependent(t *testing.T) {
 
 	// With the float leading, the same values are index keys: a prefix of
 	// -0.0 must find the +0.0 row, and a NaN with other bits the NaN row,
-	// on the ordered, hashed and columnar (column-0 chain) stores alike.
+	// on the ordered, hashed and columnar stores alike (columnar through its
+	// column-0 chain, and columnar:2 through a scan of its words).
 	g := tuple.MustSchema("G",
 		[]tuple.Column{{Name: "v", Kind: tuple.KindFloat}, {Name: "k", Kind: tuple.KindInt}},
 		[]tuple.OrderEntry{tuple.Lit("G")})
@@ -69,7 +70,7 @@ func TestFloatDedupIsStoreIndependent(t *testing.T) {
 		tuple.New(g, tuple.Float(math.Float64frombits(0x7ff8000000000001)), tuple.Int(2)),
 	}
 	slices.SortStableFunc(rows, tuple.ComparePath)
-	for _, spec := range []string{"tree", "hash:1", "columnar"} {
+	for _, spec := range []string{"tree", "hash:1", "columnar", "columnar:2"} {
 		factory, err := FactoryFor(spec, g)
 		if err != nil {
 			t.Fatal(err)

@@ -5,18 +5,19 @@
 //
 //   - Store is the per-table storage contract (Insert/Len/Select/Scan, with
 //     the optional BatchStore fast path for the engine's batched puts).
-//     Seven implementations ship: the NavigableSet default (a B-tree for
+//     Six implementations ship: the NavigableSet default (a B-tree for
 //     sequential and parallel code alike, ordered by all fields so a query
 //     on any prefix of the columns traverses only its range), a sharded
 //     hash index and the array-of-hashsets of §6.2 (one hash-bucket
 //     implementation, hashShard), the dense native arrays of §6.4, the
 //     rolling two-iteration array of §6.6, plus a compressed append-only
-//     columnar store and an int-specialised open-addressing store. Every
-//     hashed store — hash, arrayhash, inthash and columnar (chained on
-//     column 0) — indexes through one open-addressing table, oaTable.
+//     columnar store keyed on its first k columns. Every hashed store —
+//     hash, arrayhash and columnar — indexes through one open-addressing
+//     table, oaTable.
 //   - StoreFactory builds a Store for a schema — the paper's stage-4
-//     data-structure hint, overridden per table through DB.SetStore (the
-//     factory-method seam the paper describes overriding manually).
+//     data-structure hint. NewDB takes one factory per table, resolved
+//     before the database is built (the factory-method seam the paper
+//     describes overriding manually).
 //   - StorePlan names those choices: a serialisable table -> kind-spec map
 //     ("hash:2", "columnar", ...) validated by FactoryFor against the
 //     schema before any run starts. Plans are what the profile-guided
@@ -80,7 +81,7 @@ type StoreFactory func(s *tuple.Schema) Store
 // hashShard is the one hash-bucket implementation behind the hash and
 // array-of-hashsets stores: entries in one append-only slice, chained per
 // 64-bit hash through next, the chain heads in the open-addressing oaTable
-// (inthash.go) — no Go map to probe, no slice allocated per key. Hashes
+// (oatable.go) — no Go map to probe, no slice allocated per key. Hashes
 // arrive avalanched (finalizeHash), since oaTable masks their low bits.
 type hashShard struct {
 	mu sync.RWMutex
@@ -289,105 +290,47 @@ func InsertBatch(st Store, ts []*tuple.Tuple, live []*tuple.Tuple) []*tuple.Tupl
 	return live
 }
 
-// denseEntry pairs a registered schema with its store for the lock-free
-// DB.Table fast path. Both are written once, in Register, and only read
-// afterwards.
+// denseEntry pairs a schema with its store, both written once by NewDB.
 type denseEntry struct {
 	schema *tuple.Schema
 	store  Store
 }
 
-// DB is the Gamma database: one store per registered table.
-//
-// Tables registered up front through Register are resolved by the schema's
-// dense ID with no locking — the engine's hot path, hit on every query and
-// insert. Schemas never registered (ad-hoc tests, tools) fall back to a
-// mutex-guarded map. A table's store is fixed once built: hints must be set
-// before Register.
+// DB is the Gamma database: one store per table, built once by NewDB and
+// indexed by the schemas' dense IDs, so Table — the engine's hot path, hit
+// on every query and insert — is a bounds check, a pointer compare and a
+// slice read, with no lock. A table's store is fixed for the database's
+// life.
 type DB struct {
-	dense    []denseEntry // immutable after Register
-	mu       sync.RWMutex
-	stores   map[*tuple.Schema]Store
-	override map[string]StoreFactory // per-table compiler hints
+	dense []denseEntry
 }
 
-// NewDB returns a Gamma database. Every table gets the ordered tree store
-// unless SetStore names another.
-func NewDB() *DB {
-	return &DB{
-		stores:   make(map[*tuple.Schema]Store),
-		override: make(map[string]StoreFactory),
-	}
-}
-
-// build makes s's store: its SetStore hint, else the tree.
-func (db *DB) build(s *tuple.Schema) Store {
-	if f, ok := db.override[s.Name]; ok {
-		return f(s)
-	}
-	return NewTreeStore(s)
-}
-
-// SetStore installs a per-table store factory (a data-structure hint,
-// paper stage 4), applied when Register (or the map path's first use)
-// builds the table's store. A table whose store is already built keeps it:
-// SetStore then returns an error instead of silently dropping the hint.
-func (db *DB) SetStore(table string, f StoreFactory) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	built := false
-	for i := range db.dense {
-		built = built || db.dense[i].schema != nil && db.dense[i].schema.Name == table
-	}
-	for s := range db.stores {
-		built = built || s.Name == table
-	}
-	if built {
-		return fmt.Errorf("jstar: SetStore %s: store already built; set hints before Register", table)
-	}
-	db.override[table] = f
-	return nil
-}
-
-// Register builds the dense store table for schemas, indexed by their IDs
-// (assigned densely at Program declaration time). It must be called before
-// execution starts — once registered, Table lookups for these schemas are a
-// bounds check, a pointer compare and a slice read, with no lock. Stores
-// are created eagerly, honouring any SetStore hints.
-func (db *DB) Register(schemas []*tuple.Schema) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	max := -1
+// NewDB builds the store of every schema in schemas, indexed by their IDs
+// (assigned densely at Program declaration time): factories[s.Name] where
+// the resolved store plan names one, else the ordered tree store.
+func NewDB(schemas []*tuple.Schema, factories map[string]StoreFactory) *DB {
+	n := 0
 	for _, s := range schemas {
-		if id := int(s.ID()); id > max {
-			max = id
+		n = max(n, int(s.ID())+1)
+	}
+	db := &DB{dense: make([]denseEntry, n)}
+	for _, s := range schemas {
+		f := factories[s.Name]
+		if f == nil {
+			f = NewTreeStore
 		}
+		db.dense[s.ID()] = denseEntry{schema: s, store: f(s)}
 	}
-	db.dense = make([]denseEntry, max+1)
-	for _, s := range schemas {
-		db.dense[s.ID()] = denseEntry{schema: s, store: db.build(s)}
-	}
+	return db
 }
 
-// Table returns (creating on first use) the store for s.
+// Table returns the store of s, which must be one of the schemas the
+// database was built with; any other schema panics with its name.
 func (db *DB) Table(s *tuple.Schema) Store {
 	if id := int(s.ID()); id < len(db.dense) && db.dense[id].schema == s {
 		return db.dense[id].store
 	}
-	db.mu.RLock()
-	st, ok := db.stores[s]
-	db.mu.RUnlock()
-	if ok {
-		return st
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if st, ok = db.stores[s]; ok {
-		return st
-	}
-	st = db.build(s)
-	db.stores[s] = st
-	return st
+	panic(fmt.Sprintf("jstar: gamma: table %s is not one this database was built with", s.Name))
 }
 
 // Insert adds t to its table's store.
@@ -395,16 +338,11 @@ func (db *DB) Insert(t *tuple.Tuple) bool { return db.Table(t.Schema()).Insert(t
 
 // Len returns the total number of stored tuples across tables.
 func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	n := 0
 	for i := range db.dense {
 		if st := db.dense[i].store; st != nil {
 			n += st.Len()
 		}
-	}
-	for _, st := range db.stores {
-		n += st.Len()
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package gamma
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,12 +29,11 @@ func allStores(t *testing.T, fn func(t *testing.T, st Store)) {
 	t.Helper()
 	s := pvSchema()
 	factories := map[string]StoreFactory{
-		"tree":     NewTreeStore,
-		"hash2":    NewHashStore(2),
-		"arrayhsh": NewArrayOfHashSets(1, 1, 12), // month column, range 1..12
-		"columnar": NewColumnarStore,
-		"inthash1": NewIntHashStore(1),
-		"inthash2": NewIntHashStore(2),
+		"tree":      NewTreeStore,
+		"hash2":     NewHashStore(2),
+		"arrayhsh":  NewArrayOfHashSets(1, 1, 12), // month column, range 1..12
+		"columnar":  NewColumnarStore(1),
+		"columnar2": NewColumnarStore(2), // (year, month) chains
 	}
 	for name, f := range factories {
 		t.Run(name, func(t *testing.T) { fn(t, f(s)) })
@@ -205,46 +205,48 @@ func TestArrayOfHashSetsOutOfRangePanics(t *testing.T) {
 
 func TestDBFactoryAndOverride(t *testing.T) {
 	s := pvSchema()
-	db := NewDB()
-	db.SetStore("PvWatts", NewHashStore(2))
+	other := tuple.MustSchema("Other", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
+	s.SetID(0)
+	other.SetID(1)
+	db := NewDB([]*tuple.Schema{s, other}, map[string]StoreFactory{"PvWatts": NewHashStore(2)})
 	st := db.Table(s)
 	if _, ok := st.(*hashStore); !ok {
-		t.Errorf("override not applied: got %T", st)
+		t.Errorf("factory not applied: got %T", st)
 	}
 	if db.Table(s) != st {
 		t.Error("Table must be idempotent")
 	}
-	other := tuple.MustSchema("Other", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
 	if _, ok := db.Table(other).(*treeStore); !ok {
-		t.Error("tree store not used for unoverridden tables")
+		t.Error("tree store not used for tables without a factory")
 	}
 	db.Insert(pv(s, 2000, 1, 1, 1))
 	db.Insert(tuple.New(other, tuple.Int(1)))
 	if db.Len() != 2 {
 		t.Errorf("DB.Len = %d", db.Len())
 	}
+	if got := db.Schemas(); len(got) != 2 || got[0] != s || got[1] != other {
+		t.Errorf("Schemas = %v, want [PvWatts Other]", got)
+	}
 }
 
-// TestSetStoreAfterRegisterFails: a hint for a table whose store is
-// already built cannot take effect, so SetStore refuses it with a located
-// error and the table keeps its store, kind and contents. Before Register
-// it stays a plain hint.
+// TestSetStoreAfterRegisterFails: a table's store is fixed when NewDB
+// builds it. Changing the factory map afterwards changes nothing — the
+// table keeps its store, kind and contents — and a schema the database
+// was not built with has no store: Table panics naming it, even when it
+// shares a registered schema's name and ID.
 func TestSetStoreAfterRegisterFails(t *testing.T) {
 	s := pvSchema()
 	s.SetID(0)
-	db := NewDB()
-	db.Register([]*tuple.Schema{s})
+	factories := map[string]StoreFactory{"PvWatts": NewColumnarStore(2)}
+	db := NewDB([]*tuple.Schema{s}, factories)
 	for i := int64(0); i < 300; i++ {
 		db.Insert(pv(s, 2000, 1+i%12, 1+i%28, i))
 	}
 	before := db.Table(s)
 	want := Dump(before)
-	err := db.SetStore("PvWatts", NewHashStore(2))
-	if err == nil || err.Error() != "jstar: SetStore PvWatts: store already built; set hints before Register" {
-		t.Fatalf("SetStore after Register: err = %v", err)
-	}
-	if db.Table(s) != before || KindOf(db.Table(s)) != "tree" {
-		t.Fatalf("SetStore after Register changed the store: kind = %s", KindOf(db.Table(s)))
+	factories["PvWatts"] = NewHashStore(2)
+	if db.Table(s) != before || KindOf(db.Table(s)) != "columnar:2" {
+		t.Fatalf("a factory set after NewDB changed the store: kind = %s", KindOf(db.Table(s)))
 	}
 	got := Dump(db.Table(s))
 	if len(got) != len(want) {
@@ -256,22 +258,17 @@ func TestSetStoreAfterRegisterFails(t *testing.T) {
 		}
 	}
 
-	// The map path (a schema never registered) refuses the same way once
-	// its first use has built the store.
-	other := tuple.MustSchema("Other", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
-	db.Table(other)
-	if err := db.SetStore("Other", NewHashStore(1)); err == nil || KindOf(db.Table(other)) != "tree" {
-		t.Fatalf("SetStore after first use: err = %v, kind = %s", err, KindOf(db.Table(other)))
-	}
-
-	// Pre-Register calls stay hint-only and error-free.
-	db2 := NewDB()
-	if err := db2.SetStore("PvWatts", NewColumnarStore); err != nil {
-		t.Fatalf("SetStore before Register: %v", err)
-	}
-	db2.Register([]*tuple.Schema{s})
-	if kind := KindOf(db2.Table(s)); kind != "columnar" {
-		t.Fatalf("pre-Register hint not applied: kind = %s", kind)
+	twin := pvSchema()
+	twin.SetID(0)
+	for _, stranger := range []*tuple.Schema{twin, tuple.MustSchema("Other", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "table "+stranger.Name+" is not one") {
+					t.Errorf("Table(%s) of an unregistered schema: panic %q", stranger.Name, msg)
+				}
+			}()
+			db.Table(stranger)
+		}()
 	}
 }
 

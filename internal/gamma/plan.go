@@ -39,7 +39,7 @@ func (p StorePlan) Clone() StorePlan {
 // mirroring exec.StrategyNames, so command-line tools and validation
 // errors build the legal set from exactly one place.
 func StoreKinds() []string {
-	return []string{"tree", "hash", "inthash", "columnar", "arrayhash", "dense3d", "rolling"}
+	return []string{"tree", "hash", "columnar", "arrayhash", "dense3d", "rolling"}
 }
 
 // KindName returns the kind name of a spec without its parameters
@@ -85,8 +85,7 @@ func parseSpec(spec string) (string, []int64, error) {
 }
 
 // AllIntColumns reports whether every column of s is an int — the
-// suitability test for the int-specialised backends, shared by FactoryFor,
-// the stats planner and the compiler's static hint pass.
+// suitability test for the dense3d store.
 func AllIntColumns(s *tuple.Schema) bool {
 	for _, c := range s.Columns {
 		if c.Kind != tuple.KindInt {
@@ -104,10 +103,8 @@ func AllIntColumns(s *tuple.Schema) bool {
 //
 //	tree                 NavigableSet (B-tree), the default
 //	hash[:k]             hash index on the first k columns (default 1)
-//	inthash[:k]          int-specialised open-addressing store keyed on the
-//	                     first k int columns (default: the primary-key
-//	                     width, else 1); requires an all-int table
-//	columnar             compressed append-only columnar store
+//	columnar[:k]         compressed append-only row store, its chains keyed
+//	                     on the first k columns (default 1)
 //	arrayhash:col,lo,hi  array-of-hashsets over int column col in [lo,hi]
 //	dense3d:na,nb,nc     flat native arrays for (int,int,int -> int)
 //	rolling:n            two-iteration rolling array for (int,int -> double)
@@ -131,7 +128,7 @@ func FactoryFor(spec string, s *tuple.Schema) (StoreFactory, error) {
 			return bad("takes no parameters")
 		}
 		return NewTreeStore, nil
-	case "hash":
+	case "hash", "columnar":
 		k := int64(1)
 		if len(args) > 1 {
 			return bad("takes at most one parameter (k)")
@@ -139,33 +136,17 @@ func FactoryFor(spec string, s *tuple.Schema) (StoreFactory, error) {
 		if len(args) == 1 {
 			k = args[0]
 		}
-		if k < 1 || k > int64(s.Arity()) {
-			return bad("k=%d out of range [1,%d]", k, s.Arity())
+		arity := int64(s.Arity())
+		if name == "columnar" {
+			arity = max(arity, 1) // see NewColumnarStore
 		}
-		return NewHashStore(int(k)), nil
-	case "inthash":
-		if !AllIntColumns(s) {
-			return bad("requires all-int columns")
+		if k < 1 || k > arity {
+			return bad("k=%d out of range [1,%d]", k, arity)
 		}
-		k := int64(len(s.KeyColumns()))
-		if k < 1 {
-			k = 1
+		if name == "hash" {
+			return NewHashStore(int(k)), nil
 		}
-		if len(args) > 1 {
-			return bad("takes at most one parameter (k)")
-		}
-		if len(args) == 1 {
-			k = args[0]
-		}
-		if k < 1 || k > int64(s.Arity()) {
-			return bad("k=%d out of range [1,%d]", k, s.Arity())
-		}
-		return NewIntHashStore(int(k)), nil
-	case "columnar":
-		if len(args) != 0 {
-			return bad("takes no parameters")
-		}
-		return NewColumnarStore, nil
+		return NewColumnarStore(int(k)), nil
 	case "arrayhash":
 		if err := wantArgs(3); err != nil {
 			return nil, err

@@ -18,9 +18,10 @@ func TestFactoryForResolvesEveryKind(t *testing.T) {
 		{"tree", pv, "tree"},
 		{"hash", pv, "hash:1"},
 		{"hash:2", pv, "hash:2"},
-		{"inthash", pv, "inthash:1"},
-		{"inthash:3", pv, "inthash:3"},
 		{"columnar", pv, "columnar"},
+		{"columnar:1", pv, "columnar"},
+		{"columnar:3", pv, "columnar:3"},
+		{"columnar:2", data, "columnar:2"},
 		{"arrayhash:1,1,12", pv, "arrayhash:1,1,12"},
 		{"dense3d:3,4,5", matSchema(), "dense3d:3,4,5"},
 		{"rolling:8", data, "rolling:8"},
@@ -42,8 +43,8 @@ func TestFactoryForResolvesEveryKind(t *testing.T) {
 func TestFactoryForKindOfRoundTrip(t *testing.T) {
 	s := pvSchema()
 	for _, f := range []StoreFactory{
-		NewTreeStore, NewHashStore(2), NewIntHashStore(2),
-		NewColumnarStore, NewArrayOfHashSets(1, 1, 12),
+		NewTreeStore, NewHashStore(2), NewColumnarStore(2),
+		NewColumnarStore(1), NewArrayOfHashSets(1, 1, 12),
 	} {
 		spec := KindOf(f(s))
 		f2, err := FactoryFor(spec, s)
@@ -66,17 +67,19 @@ func TestFactoryForRejections(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"btree", pv, "unknown store kind"},
-		{"btree", pv, "tree|hash|inthash|columnar|arrayhash|dense3d|rolling"},
-		{"skip", pv, "unknown store kind"},   // not a kind: "tree" is the one ordered store
-		{"tree@1", pv, "unknown store kind"}, // the deleted owner-shard suffix is no syntax at all
+		{"btree", pv, "tree|hash|columnar|arrayhash|dense3d|rolling"},
+		{"inthash:1", pv, "unknown store kind"}, // folded into columnar:k
+		{"skip", pv, "unknown store kind"},      // not a kind: "tree" is the one ordered store
+		{"tree@1", pv, "unknown store kind"},    // the deleted owner-shard suffix is no syntax at all
 		{"@2", pv, "unknown store kind"},
 		{"hash:2@1", pv, "not an integer"},
 		{"tree:2", pv, "no parameters"}, // a typo'd "hash:2" must not silently run unindexed
 		{"hash:0", pv, "out of range"},
 		{"hash:9", pv, "out of range"},
 		{"hash:x", pv, "not an integer"},
-		{"inthash", str, "all-int"},
-		{"columnar:2", pv, "no parameters"},
+		{"columnar:0", pv, "out of range"},
+		{"columnar:5", pv, "out of range"},
+		{"columnar:1,2", pv, "at most one parameter"},
 		{"arrayhash:1", pv, "needs 3 parameters"},
 		{"arrayhash:0,5,1", pv, "empty range"},
 		{"dense3d:2,2,2", str, "4-column all-int"},
@@ -99,8 +102,8 @@ func TestKindNameAndKinds(t *testing.T) {
 		t.Error("KindName must strip parameters")
 	}
 	kinds := StoreKinds()
-	if len(kinds) != 7 {
-		t.Errorf("StoreKinds lists %d kinds, want 7", len(kinds))
+	if len(kinds) != 6 {
+		t.Errorf("StoreKinds lists %d kinds, want 6", len(kinds))
 	}
 	for _, k := range kinds {
 		if _, err := FactoryFor(k, pvSchema()); err != nil && KindName(k) == k &&
@@ -118,7 +121,7 @@ func TestColumnarStringDictionary(t *testing.T) {
 			{Name: "ok", Kind: tuple.KindBool},
 			{Name: "f", Kind: tuple.KindFloat},
 		}, nil)
-	st := NewColumnarStore(s).(*colStore)
+	st := NewColumnarStore(1)(s).(*colStore)
 	for i := int64(0); i < 100; i++ {
 		lvl := "info"
 		if i%10 == 0 {
@@ -166,41 +169,86 @@ func TestColumnarStringDictionary(t *testing.T) {
 	if st.Len() != 100 {
 		t.Errorf("Len = %d", st.Len())
 	}
+
+	// Keyed on (level, n), the same rows answer the two-column prefix from
+	// one exact chain, and a level alone by a scan in insertion order.
+	st2 := NewColumnarStore(2)(s)
+	st.Scan(func(tp *tuple.Tuple) bool { st2.Insert(tp); return true })
+	if got := selected(st2, Query{Prefix: []tuple.Value{tuple.String_("info"), tuple.Int(37)}}); len(got) != 1 {
+		t.Errorf("columnar:2 Select(info, 37) = %v, want the one row n=37", got)
+	}
+	if got := selected(st2, Query{Prefix: []tuple.Value{tuple.String_("warn")}}); len(got) != 10 ||
+		got[9] != tuple.New(s, tuple.String_("warn"), tuple.Int(90), tuple.Bool(true), tuple.Float(45)).String() {
+		t.Errorf("columnar:2 Select(warn) = %v, want the 10 warn rows in insertion order", got)
+	}
+	if got := selected(st2, Query{Prefix: []tuple.Value{tuple.String_("error"), tuple.Int(1)}}); len(got) != 0 {
+		t.Errorf("columnar:2 Select(error, 1) = %v, want nothing", got)
+	}
 }
 
-// TestIntHashGrowth forces open-addressing table growth and chain reuse.
-func TestIntHashGrowth(t *testing.T) {
+// TestColumnarZeroColumns: a table with no columns holds at most one row,
+// the empty tuple; columnar stores it like any other, and its kind round
+// trips.
+func TestColumnarZeroColumns(t *testing.T) {
+	s := tuple.MustSchema("Tick", nil, nil)
+	f, err := FactoryFor("columnar", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := f(s)
+	if !st.Insert(tuple.New(s)) || st.Insert(tuple.New(s)) || st.Len() != 1 {
+		t.Fatalf("inserts of the empty tuple: Len %d, want 1", st.Len())
+	}
+	if got := selected(st, Query{}); len(got) != 1 || KindOf(st) != "columnar" {
+		t.Errorf("Select() = %v, kind %q; want the one row, columnar", got, KindOf(st))
+	}
+	if _, err := FactoryFor("columnar:2", s); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf(`FactoryFor("columnar:2") on a zero-column table: %v`, err)
+	}
+}
+
+// TestColumnarKeyedGrowth forces open-addressing table growth and chain
+// reuse on a columnar store keyed on two columns, with and without every
+// key folded onto sixteen hashes: an exact-key Select walks one key's rows
+// only, and a longer prefix filters that chain.
+func TestColumnarKeyedGrowth(t *testing.T) {
 	s := pvSchema()
-	st := NewIntHashStore(2)(s)
-	const years, months, days = 20, 12, 28
-	for y := int64(0); y < years; y++ {
-		for m := int64(1); m <= months; m++ {
-			for d := int64(1); d <= days; d++ {
-				if !st.Insert(pv(s, y, m, d, y*100+m)) {
-					t.Fatalf("insert (%d,%d,%d)", y, m, d)
-				}
-				if st.Insert(pv(s, y, m, d, y*100+m)) {
-					t.Fatalf("duplicate (%d,%d,%d) accepted", y, m, d)
+	for _, mask := range []uint64{^uint64(0), 0xF} {
+		st := NewColumnarStore(2)(s)
+		setHashMask(st, mask)
+		const years, months, days = 20, 12, 28
+		for y := int64(0); y < years; y++ {
+			for m := int64(1); m <= months; m++ {
+				for d := int64(1); d <= days; d++ {
+					if !st.Insert(pv(s, y, m, d, y*100+m)) {
+						t.Fatalf("insert (%d,%d,%d)", y, m, d)
+					}
+					if st.Insert(pv(s, y, m, d, y*100+m)) {
+						t.Fatalf("duplicate (%d,%d,%d) accepted", y, m, d)
+					}
 				}
 			}
 		}
-	}
-	if st.Len() != years*months*days {
-		t.Fatalf("Len = %d, want %d", st.Len(), years*months*days)
-	}
-	for y := int64(0); y < years; y++ {
-		n := 0
-		st.Select(Query{Prefix: []tuple.Value{tuple.Int(y), tuple.Int(6)}},
-			func(*tuple.Tuple) bool { n++; return true })
-		if n != days {
-			t.Fatalf("year %d month 6: %d tuples, want %d", y, n, days)
+		if st.Len() != years*months*days {
+			t.Fatalf("Len = %d, want %d", st.Len(), years*months*days)
 		}
-	}
-	// A non-int prefix value can never match an all-int table.
-	n := 0
-	st.Select(Query{Prefix: []tuple.Value{tuple.String_("x"), tuple.Int(6)}},
-		func(*tuple.Tuple) bool { n++; return true })
-	if n != 0 {
-		t.Errorf("non-int prefix matched %d tuples", n)
+		for y := int64(0); y < years; y++ {
+			var days []int64
+			st.Select(Query{Prefix: []tuple.Value{tuple.Int(y), tuple.Int(6)}},
+				func(tp *tuple.Tuple) bool { days = append(days, tp.Int("day")); return true })
+			if len(days) != 28 || days[0] != 1 || days[27] != 28 {
+				t.Fatalf("mask %#x, year %d month 6: days %v, want 1..28 in insertion order", mask, y, days)
+			}
+			if got := selected(st, Query{Prefix: []tuple.Value{tuple.Int(y), tuple.Int(6), tuple.Int(9)}}); len(got) != 1 {
+				t.Fatalf("mask %#x, (%d, 6, 9): %v, want one row", mask, y, got)
+			}
+		}
+		// A non-int prefix value can never match an all-int table.
+		n := 0
+		st.Select(Query{Prefix: []tuple.Value{tuple.String_("x"), tuple.Int(6)}},
+			func(*tuple.Tuple) bool { n++; return true })
+		if n != 0 {
+			t.Errorf("non-int prefix matched %d tuples", n)
+		}
 	}
 }

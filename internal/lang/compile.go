@@ -301,12 +301,15 @@ type tableUsage struct {
 //     puts, top-level puts or served clients: the program only appends and
 //     dedups into it;
 //   - a table whose every get carries an equality prefix becomes
-//     hash-indexed at the shortest prefix depth (int-specialised when all
-//     columns are ints, so every such get hits the keyed probe path);
+//     columnar:k, keyed at the shortest prefix depth k, so every such get
+//     walks one key's chain. The put/query balance that picks hash:k for
+//     query-dominated tables is a run statistic the compiler cannot see,
+//     and hash:k dedups an insert by walking its key's whole chain, so
+//     columnar:k, with O(1) full-row dedup, is the safe default;
 //   - a table with any prefix-less get gets no hint and stays a B-tree.
 //
 // Served clients may still prefix-query a columnar table over /query: it
-// answers a non-empty prefix from the one chain of its column-0 value.
+// answers a prefix of at least k values from one key's chain.
 func (c *compiler) emitPlanHints(f *File) {
 	usage := map[string]*tableUsage{}
 	var walkExpr func(e Expr)
@@ -373,16 +376,12 @@ func (c *compiler) emitPlanHints(f *File) {
 			walkStmts(d.Body)
 		}
 	}
-	for name, s := range c.tables {
+	for name := range c.tables {
 		switch u := usage[name]; {
 		case u == nil:
 			c.prog.PlanHint(name, "columnar")
 		case !u.scanned && u.minPrefix >= 1:
-			if gamma.AllIntColumns(s) {
-				c.prog.PlanHint(name, fmt.Sprintf("inthash:%d", u.minPrefix))
-			} else {
-				c.prog.PlanHint(name, fmt.Sprintf("hash:%d", u.minPrefix))
-			}
+			c.prog.PlanHint(name, gamma.ColumnarSpec(u.minPrefix))
 		}
 	}
 }

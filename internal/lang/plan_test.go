@@ -8,12 +8,11 @@ import (
 )
 
 // TestCompilerEmitsStaticPlanHints: the compiler must derive store-plan
-// hints from the statically visible query shapes — indexed all-int tables
-// become open-addressing stores at the shortest get-prefix depth, tables
-// with a non-int column get the generic hash index, every table no rule
-// queries goes columnar (whether a rule puts into it, it only triggers
-// rules, or nothing uses it at all), and tables with any prefix-less get
-// are left alone.
+// hints from the statically visible query shapes — indexed tables, all-int
+// or not, become columnar keyed at the shortest get-prefix depth, every
+// table no rule queries goes columnar (whether a rule puts into it, it only
+// triggers rules, or nothing uses it at all), and tables with any
+// prefix-less get are left alone.
 func TestCompilerEmitsStaticPlanHints(t *testing.T) {
 	prog, err := CompileSource(`
 table Edge(int from, int to, int value) orderby (Edge)
@@ -22,7 +21,8 @@ table Audit(int id, int code) orderby (Audit)
 table Mixed(int a, int b) orderby (Mixed)
 table Tick(int n) orderby (Tick)
 table Unused(int id, String label) orderby (Unused)
-order Tick < Edge < Name < Audit < Mixed
+table Pair(int a, String b, int c) orderby (Pair)
+order Tick < Edge < Name < Audit < Mixed < Pair
 
 put new Edge(0, 1, 2)
 put new Name(0, "zero")
@@ -33,6 +33,9 @@ foreach (Edge e) {
     put new Audit(o.to, 1)
   }
   val n = get uniq? Name(e.from)
+  for (p : get Pair(e.from, "x")) {
+    put new Audit(p.c, 4)
+  }
   for (m : get Mixed()) {
     put new Audit(m.a, 2)
   }
@@ -47,11 +50,12 @@ foreach (Tick k) {
 	}
 	hints := prog.PlanHints()
 	want := map[string]string{
-		"Edge":   "inthash:1", // all-int, every get has a 1-column prefix
-		"Name":   "hash:1",    // indexed but has a String column
-		"Audit":  "columnar",  // put into, never queried
-		"Tick":   "columnar",  // triggers a rule, never put by one, never queried
-		"Unused": "columnar",  // declared, never used
+		"Edge":   "columnar",   // every get has a 1-column prefix
+		"Name":   "columnar",   // the same with a String column
+		"Pair":   "columnar:2", // every get has a 2-column prefix
+		"Audit":  "columnar",   // put into, never queried
+		"Tick":   "columnar",   // triggers a rule, never put by one, never queried
+		"Unused": "columnar",   // declared, never used
 	}
 	for table, kind := range want {
 		if hints[table] != kind {
@@ -84,17 +88,17 @@ foreach (T t) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog2.PlanHints()["T"] != "inthash:1" {
+	if prog2.PlanHints()["T"] != "columnar" {
 		t.Fatalf("T hint = %q", prog2.PlanHints()["T"])
 	}
 	run2, err := prog2.Execute(core.Options{
 		Strategy: exec.Sequential, Quiet: true, MaxSteps: 1000,
-		StorePlan: map[string]string{"T": "columnar"},
+		StorePlan: map[string]string{"T": "hash:1"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := run2.Stats().StoreKinds["T"]; got != "columnar" {
+	if got := run2.Stats().StoreKinds["T"]; got != "hash:1" {
 		t.Errorf("Options.StorePlan lost to the static hint: %q", got)
 	}
 }

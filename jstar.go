@@ -35,8 +35,9 @@
 // -noGamma T, custom stores). Options.StorePlan closes the loop: a finished run's
 // RunStats.SuggestStorePlan derives a per-table plan of named store kinds
 // from the observed query/put/dup statistics (hash indexes for
-// point-probed tables, the int-specialised open-addressing store for
-// all-int tables, the columnar store for append-mostly scan workloads),
+// query-dominated point-probed tables, the columnar store keyed on the
+// probed prefix for put-dominated ones and for append-mostly scan
+// workloads),
 // and replaying that plan on the next run — Options.StorePlan, or the
 // -save-plan/-store-plan flags of cmd/jstar — swaps the backends without
 // touching the program.
@@ -288,23 +289,18 @@ var (
 // HashStore hashes on the first k columns (point queries in O(1)).
 func HashStore(k int) StoreFactory { return gamma.NewHashStore(k) }
 
-// IntHashStore is the int-specialised open-addressing store keyed on the
-// first k columns: flat int64 rows, O(1) full-row dedup, O(chain) prefix
-// probes. All columns must be ints.
-func IntHashStore(k int) StoreFactory { return gamma.NewIntHashStore(k) }
-
-// ColumnarStore is the compressed append-only columnar store: one typed
-// slice per column, dictionary-encoded strings, open-addressing dedup,
-// and a chain per column-0 value, so a prefix Select walks one chain
-// instead of the table. Tuples are materialised only for rows surviving
-// the column-level prefix filter. Best for append-mostly tables read by
-// scans or by point lookups on their leading column.
-var ColumnarStore StoreFactory = gamma.NewColumnarStore
+// ColumnarStore is the compressed append-only row store keyed on the
+// first k columns: every row as 64-bit words in one flat slice (strings
+// dictionary-encoded), O(1) full-row dedup, and one chain per key, so a
+// Select whose prefix covers the key walks one chain instead of the table.
+// Tuples are materialised only for rows surviving the word-level prefix
+// filter. Best for append-mostly tables read by scans or by point lookups
+// on at least their first k columns.
+func ColumnarStore(k int) StoreFactory { return gamma.NewColumnarStore(k) }
 
 // StoreKinds lists the legal named store kinds accepted by
-// Options.StorePlan ("tree", "hash", "inthash", "columnar",
-// "arrayhash", "dense3d", "rolling"; see gamma.FactoryFor for parameter
-// syntax).
+// Options.StorePlan ("tree", "hash", "columnar", "arrayhash", "dense3d",
+// "rolling"; see gamma.FactoryFor for parameter syntax).
 func StoreKinds() []string { return gamma.StoreKinds() }
 
 // ArrayOfHashSets indexes one small-range int column with a hash set per
