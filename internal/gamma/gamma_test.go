@@ -34,6 +34,14 @@ func allStores(t *testing.T, fn func(t *testing.T, st Store)) {
 		"arrayhsh":  NewArrayOfHashSets(1, 1, 12), // month column, range 1..12
 		"columnar":  NewColumnarStore(1),
 		"columnar2": NewColumnarStore(2), // (year, month) chains
+		// inthash1 keeps the name of the int-only store keyed on one column
+		// that columnar replaced; it runs columnar with every row and key
+		// on 16 hashes, so each case also walks the collision paths.
+		"inthash1": func(s *tuple.Schema) Store {
+			st := NewColumnarStore(1)(s)
+			setHashMask(st, 0xF)
+			return st
+		},
 	}
 	for name, f := range factories {
 		t.Run(name, func(t *testing.T) { fn(t, f(s)) })
