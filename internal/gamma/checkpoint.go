@@ -30,10 +30,7 @@ func ScanRows(st Store, fn func(row []tuple.Value) bool) {
 	}
 	var row []tuple.Value
 	st.Scan(func(t *tuple.Tuple) bool {
-		row = row[:0]
-		for i := range t.Schema().Columns {
-			row = append(row, t.Field(i))
-		}
+		row = t.AppendFields(row[:0])
 		return fn(row)
 	})
 }

@@ -134,6 +134,7 @@ func TestCompileErrors(t *testing.T) {
 		{"order A < B order B < A", "contradicts"},
 		{"order A < B order B < C order C < A", "contradicts"},
 		{"table T(int a) foreach (T t) { val s = new Statistics(1) }", "no arguments"},
+		{"table T(int a)\n\ntable " + strings.Repeat("L", 256) + "(int a)", "jstar:3:1: jstar: table name"},
 	}
 	for _, c := range cases {
 		_, err := CompileSource(c.src)

@@ -2,11 +2,10 @@ package serve
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 
@@ -15,29 +14,18 @@ import (
 )
 
 // Wire formats of the ingestion endpoint. JSON is the debuggable default;
-// the binary batch format is the fast path: length-prefixed frames decoded
-// straight into Session.PutBatch with a reused scratch row (tuple.New
+// the binary batch format is the fast path: a stream of the row codec's
+// frames (see tuple.AppendFrameHeader), any number back to back, decoded
+// straight into Session.PutBatch through one reused scratch row (tuple.New
 // copies its fields, so the decoder allocates no per-tuple intermediates
-// beyond the tuple itself).
-//
-//	frame = u8 nameLen | name | u32le rowCount | rowCount rows
-//	row   = one field per schema column, in declaration order:
-//	          int    8 bytes little-endian two's complement
-//	          float  8 bytes little-endian IEEE-754
-//	          bool   1 byte (0 or 1)
-//	          string u32le byteLen | bytes
-//
-// A stream is any number of frames back to back; clean EOF between frames
-// ends it. Frames may repeat tables and may interleave.
+// beyond the tuple itself). Clean EOF between frames ends a stream; frames
+// may repeat tables and may interleave.
 const (
 	// BinaryContentType selects the binary batch format on the put endpoint.
 	BinaryContentType = "application/x-jstar-batch"
 	// JSONContentType selects the JSON put format: {"table": T, "rows": [[...], ...]}.
 	JSONContentType = "application/json"
 
-	// maxWireString caps a single string field on the wire (16 MiB) so a
-	// corrupt length prefix cannot ask the decoder for gigabytes.
-	maxWireString = 16 << 20
 	// ingestFlushRows is how many decoded tuples accumulate before the
 	// decoder flushes them into Session.PutBatch, bounding memory for
 	// arbitrarily long streams.
@@ -48,139 +36,63 @@ const (
 // and returns the extended slice. Each row must match the schema's arity
 // and column kinds; this is the client/load-generator side of the codec.
 func AppendFrame(dst []byte, sch *tuple.Schema, rows [][]tuple.Value) ([]byte, error) {
-	if len(sch.Name) > 255 {
-		return dst, fmt.Errorf("serve: table name %q exceeds 255 bytes", sch.Name)
-	}
-	dst = append(dst, byte(len(sch.Name)))
-	dst = append(dst, sch.Name...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
+	dst = tuple.AppendFrameHeader(dst, sch, len(rows))
 	for _, row := range rows {
-		if len(row) != sch.Arity() {
-			return dst, fmt.Errorf("serve: row arity %d != %s arity %d", len(row), sch.Name, sch.Arity())
-		}
-		for i, col := range sch.Columns {
-			v := row[i]
-			if v.Kind() != col.Kind {
-				return dst, fmt.Errorf("serve: %s.%s: field kind %v, want %v", sch.Name, col.Name, v.Kind(), col.Kind)
-			}
-			switch col.Kind {
-			case tuple.KindInt:
-				dst = binary.LittleEndian.AppendUint64(dst, uint64(v.AsInt()))
-			case tuple.KindFloat:
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
-			case tuple.KindBool:
-				b := byte(0)
-				if v.AsBool() {
-					b = 1
-				}
-				dst = append(dst, b)
-			case tuple.KindString:
-				s := v.AsString()
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-				dst = append(dst, s...)
-			default:
-				return dst, fmt.Errorf("serve: %s.%s: unsupported kind %v", sch.Name, col.Name, col.Kind)
-			}
+		var err error
+		if dst, err = tuple.AppendRow(dst, sch, row); err != nil {
+			return dst, fmt.Errorf("serve: %w", err)
 		}
 	}
 	return dst, nil
 }
 
-// binaryIngest decodes a binary batch stream from r, flushing decoded
-// tuples into put in chunks of ingestFlushRows. It returns the tuple count
-// absorbed. The scratch row is reused across tuples.
-func binaryIngest(r io.Reader, prog *core.Program, put func(...*tuple.Tuple) error) (int64, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	var (
-		scratch []tuple.Value
-		strbuf  []byte
-		batch   = make([]*tuple.Tuple, 0, ingestFlushRows)
-		nameBuf [255]byte
-		total   int64
-	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := put(batch...); err != nil {
-			return err
-		}
-		total += int64(len(batch))
-		batch = batch[:0]
+// batcher hands decoded tuples to put in chunks of ingestFlushRows and
+// counts the tuples put absorbed.
+type batcher struct {
+	put   func(...*tuple.Tuple) error
+	batch []*tuple.Tuple
+	total int64
+}
+
+func (b *batcher) add(t *tuple.Tuple) error {
+	if b.batch = append(b.batch, t); len(b.batch) < ingestFlushRows {
 		return nil
 	}
+	return b.flush()
+}
+
+func (b *batcher) flush() error {
+	if len(b.batch) == 0 {
+		return nil
+	}
+	if err := b.put(b.batch...); err != nil {
+		return err
+	}
+	b.total += int64(len(b.batch))
+	b.batch = b.batch[:0]
+	return nil
+}
+
+// binaryIngest decodes a binary batch stream from r into put and returns
+// the tuple count absorbed.
+func binaryIngest(r io.Reader, prog *core.Program, put func(...*tuple.Tuple) error) (int64, error) {
+	rd := tuple.NewRowReader(bufio.NewReaderSize(r, 64<<10))
+	b := &batcher{put: put, batch: make([]*tuple.Tuple, 0, ingestFlushRows)}
 	for {
-		nameLen, err := br.ReadByte()
+		sch, rows, err := rd.ReadFrame(prog.Schema)
 		if err == io.EOF {
-			return total, flush()
+			return b.total, b.flush()
 		}
 		if err != nil {
-			return total, err
+			return b.total, fmt.Errorf("serve: %w", err)
 		}
-		name := nameBuf[:nameLen]
-		if _, err := io.ReadFull(br, name); err != nil {
-			return total, fmt.Errorf("serve: truncated frame header: %w", err)
-		}
-		sch := prog.Schema(string(name))
-		if sch == nil {
-			return total, fmt.Errorf("serve: frame for unknown table %q", name)
-		}
-		var cntBuf [4]byte
-		if _, err := io.ReadFull(br, cntBuf[:]); err != nil {
-			return total, fmt.Errorf("serve: truncated frame header: %w", err)
-		}
-		rowCount := binary.LittleEndian.Uint32(cntBuf[:])
-		if cap(scratch) < sch.Arity() {
-			scratch = make([]tuple.Value, sch.Arity())
-		}
-		scratch = scratch[:sch.Arity()]
-		for row := uint32(0); row < rowCount; row++ {
-			for i, col := range sch.Columns {
-				switch col.Kind {
-				case tuple.KindInt:
-					var b [8]byte
-					if _, err := io.ReadFull(br, b[:]); err != nil {
-						return total, fmt.Errorf("serve: truncated %s row: %w", sch.Name, err)
-					}
-					scratch[i] = tuple.Int(int64(binary.LittleEndian.Uint64(b[:])))
-				case tuple.KindFloat:
-					var b [8]byte
-					if _, err := io.ReadFull(br, b[:]); err != nil {
-						return total, fmt.Errorf("serve: truncated %s row: %w", sch.Name, err)
-					}
-					scratch[i] = tuple.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
-				case tuple.KindBool:
-					b, err := br.ReadByte()
-					if err != nil {
-						return total, fmt.Errorf("serve: truncated %s row: %w", sch.Name, err)
-					}
-					scratch[i] = tuple.Bool(b != 0)
-				case tuple.KindString:
-					var b [4]byte
-					if _, err := io.ReadFull(br, b[:]); err != nil {
-						return total, fmt.Errorf("serve: truncated %s row: %w", sch.Name, err)
-					}
-					n := binary.LittleEndian.Uint32(b[:])
-					if n > maxWireString {
-						return total, fmt.Errorf("serve: %s string field of %d bytes exceeds limit", sch.Name, n)
-					}
-					if cap(strbuf) < int(n) {
-						strbuf = make([]byte, n)
-					}
-					strbuf = strbuf[:n]
-					if _, err := io.ReadFull(br, strbuf); err != nil {
-						return total, fmt.Errorf("serve: truncated %s row: %w", sch.Name, err)
-					}
-					scratch[i] = tuple.String_(string(strbuf))
-				default:
-					return total, fmt.Errorf("serve: %s.%s: unsupported kind", sch.Name, col.Name)
-				}
+		for ; rows > 0; rows-- {
+			row, err := rd.ReadRow(sch)
+			if err != nil {
+				return b.total, fmt.Errorf("serve: %w", err)
 			}
-			batch = append(batch, tuple.New(sch, scratch...))
-			if len(batch) == ingestFlushRows {
-				if err := flush(); err != nil {
-					return total, err
-				}
+			if err := b.add(tuple.New(sch, row...)); err != nil {
+				return b.total, err
 			}
 		}
 	}
@@ -192,8 +104,8 @@ type jsonPut struct {
 	Rows  []json.RawMessage `json:"rows"`
 }
 
-// jsonIngest decodes a JSON put body and flushes it into put, returning
-// the tuple count absorbed.
+// jsonIngest decodes a JSON put body into put and returns the tuple count
+// absorbed.
 func jsonIngest(r io.Reader, prog *core.Program, put func(...*tuple.Tuple) error) (int64, error) {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -205,105 +117,68 @@ func jsonIngest(r io.Reader, prog *core.Program, put func(...*tuple.Tuple) error
 	if sch == nil {
 		return 0, fmt.Errorf("serve: put to unknown table %q", body.Table)
 	}
-	var (
-		total   int64
-		scratch = make([]tuple.Value, sch.Arity())
-		batch   = make([]*tuple.Tuple, 0, ingestFlushRows)
-	)
+	b := &batcher{put: put, batch: make([]*tuple.Tuple, 0, ingestFlushRows)}
+	scratch := make([]tuple.Value, sch.Arity())
 	for _, raw := range body.Rows {
-		if err := rowFromJSON(sch, raw, scratch); err != nil {
-			return total, err
+		row, err := valuesFromJSON(sch, raw, scratch)
+		if err == nil && len(row) < len(scratch) {
+			err = fmt.Errorf("serve: row arity %d != %s arity %d", len(row), sch.Name, len(scratch))
 		}
-		batch = append(batch, tuple.New(sch, scratch...))
-		if len(batch) == ingestFlushRows {
-			if err := put(batch...); err != nil {
-				return total, err
-			}
-			total += int64(len(batch))
-			batch = batch[:0]
+		if err != nil {
+			return b.total, err
+		}
+		if err := b.add(tuple.New(sch, row...)); err != nil {
+			return b.total, err
 		}
 	}
-	if len(batch) > 0 {
-		if err := put(batch...); err != nil {
-			return total, err
-		}
-		total += int64(len(batch))
-	}
-	return total, nil
+	return b.total, b.flush()
 }
 
-// rowFromJSON decodes one JSON array row into dst following sch's kinds.
-func rowFromJSON(sch *tuple.Schema, raw json.RawMessage, dst []tuple.Value) error {
-	dec := json.NewDecoder(bytesReader(raw))
+// valuesFromJSON decodes a JSON array against sch's leading column kinds
+// into dst, which holds sch.Arity() values, and returns the decoded part:
+// a whole row, or a query prefix.
+func valuesFromJSON(sch *tuple.Schema, raw []byte, dst []tuple.Value) ([]tuple.Value, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
 	var cells []any
 	if err := dec.Decode(&cells); err != nil {
-		return fmt.Errorf("serve: bad row for %s: %w", sch.Name, err)
+		return nil, fmt.Errorf("serve: bad %s values: %w", sch.Name, err)
 	}
-	if len(cells) != sch.Arity() {
-		return fmt.Errorf("serve: row arity %d != %s arity %d", len(cells), sch.Name, sch.Arity())
+	if len(cells) > len(dst) {
+		return nil, fmt.Errorf("serve: %d values exceed %s arity %d", len(cells), sch.Name, len(dst))
 	}
-	for i, col := range sch.Columns {
-		v, err := valueFromJSON(col.Kind, cells[i])
+	for i, cell := range cells {
+		v, err := valueFromJSON(sch.Columns[i].Kind, cell)
 		if err != nil {
-			return fmt.Errorf("serve: %s.%s: %w", sch.Name, col.Name, err)
+			return nil, fmt.Errorf("serve: %s.%s: %w", sch.Name, sch.Columns[i].Name, err)
 		}
 		dst[i] = v
 	}
-	return nil
+	return dst[:len(cells)], nil
 }
 
 // valueFromJSON converts one decoded JSON cell to a tuple.Value of kind k.
 func valueFromJSON(k tuple.Kind, cell any) (tuple.Value, error) {
-	switch k {
-	case tuple.KindInt:
-		n, ok := cell.(json.Number)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want int, got %T", cell)
+	switch c := cell.(type) {
+	case json.Number:
+		if k == tuple.KindInt {
+			i, err := c.Int64()
+			return tuple.Int(i), err
 		}
-		i, err := n.Int64()
-		if err != nil {
-			return tuple.Value{}, err
+		if k == tuple.KindFloat {
+			f, err := c.Float64()
+			return tuple.Float(f), err
 		}
-		return tuple.Int(i), nil
-	case tuple.KindFloat:
-		n, ok := cell.(json.Number)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want float, got %T", cell)
+	case string:
+		if k == tuple.KindString {
+			return tuple.String_(c), nil
 		}
-		f, err := n.Float64()
-		if err != nil {
-			return tuple.Value{}, err
+	case bool:
+		if k == tuple.KindBool {
+			return tuple.Bool(c), nil
 		}
-		return tuple.Float(f), nil
-	case tuple.KindString:
-		s, ok := cell.(string)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want string, got %T", cell)
-		}
-		return tuple.String_(s), nil
-	case tuple.KindBool:
-		b, ok := cell.(bool)
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("want bool, got %T", cell)
-		}
-		return tuple.Bool(b), nil
 	}
-	return tuple.Value{}, fmt.Errorf("unsupported kind %v", k)
-}
-
-// bytesReader avoids importing bytes just for NewReader in one spot.
-func bytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
+	return tuple.Value{}, fmt.Errorf("want %v, got %T", k, cell)
 }
 
 // RowsJSON renders tuples as a canonical JSON array of row arrays, sorted
@@ -349,22 +224,5 @@ func prefixFromJSON(sch *tuple.Schema, raw string) ([]tuple.Value, error) {
 	if raw == "" {
 		return nil, nil
 	}
-	dec := json.NewDecoder(bytesReader([]byte(raw)))
-	dec.UseNumber()
-	var cells []any
-	if err := dec.Decode(&cells); err != nil {
-		return nil, fmt.Errorf("serve: bad prefix: %w", err)
-	}
-	if len(cells) > sch.Arity() {
-		return nil, fmt.Errorf("serve: prefix of %d values exceeds %s arity %d", len(cells), sch.Name, sch.Arity())
-	}
-	vals := make([]tuple.Value, len(cells))
-	for i, cell := range cells {
-		v, err := valueFromJSON(sch.Columns[i].Kind, cell)
-		if err != nil {
-			return nil, fmt.Errorf("serve: prefix[%d]: %w", i, err)
-		}
-		vals[i] = v
-	}
-	return vals, nil
+	return valuesFromJSON(sch, []byte(raw), make([]tuple.Value, sch.Arity()))
 }

@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/jstar-lang/jstar/internal/core"
 	"github.com/jstar-lang/jstar/internal/tuple"
+	"github.com/jstar-lang/jstar/internal/wal"
 )
 
-// codecProgram declares one table of every supported kind.
+// codecProgram declares one table of every supported kind, and a second
+// table to interleave with it.
 func codecProgram() *core.Program {
 	p := core.NewProgram()
 	p.Table("Mixed", []tuple.Column{
@@ -17,6 +22,7 @@ func codecProgram() *core.Program {
 		{Name: "s", Kind: tuple.KindString},
 		{Name: "b", Kind: tuple.KindBool},
 	}, []tuple.OrderEntry{tuple.Lit("Mixed")})
+	p.Table("Tag", []tuple.Column{{Name: "id", Kind: tuple.KindInt}}, []tuple.OrderEntry{tuple.Lit("Tag")})
 	return p
 }
 
@@ -37,7 +43,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*tuple.Tuple
-	n, err := binaryIngest(bytesReader(frames), prog, func(ts ...*tuple.Tuple) error {
+	n, err := binaryIngest(bytes.NewReader(frames), prog, func(ts ...*tuple.Tuple) error {
 		got = append(got, ts...)
 		return nil
 	})
@@ -71,7 +77,7 @@ func TestBinaryIngestFlushesLongStreams(t *testing.T) {
 		}
 	}
 	var flushes, total int
-	n, err := binaryIngest(bytesReader(frames), prog, func(ts ...*tuple.Tuple) error {
+	n, err := binaryIngest(bytes.NewReader(frames), prog, func(ts ...*tuple.Tuple) error {
 		flushes++
 		total += len(ts)
 		return nil
@@ -102,7 +108,7 @@ func TestBinaryIngestErrors(t *testing.T) {
 		"truncated name": {200, 'x'},
 	}
 	for name, stream := range cases {
-		if _, err := binaryIngest(bytesReader(stream), prog, func(...*tuple.Tuple) error { return nil }); err == nil {
+		if _, err := binaryIngest(bytes.NewReader(stream), prog, func(...*tuple.Tuple) error { return nil }); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -168,4 +174,125 @@ func TestPrefixFromJSON(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// TestWALRecordsAreIngestFrames pins the one row format: a WAL batch
+// record is its head (record type, first sequence, tuple count) followed
+// by exactly the bytes AppendFrame writes for each run of same-table
+// tuples, and each table section of a checkpoint is the bytes of one
+// frame. Recovery returns the logged tuples and checkpoint rows in the
+// order they went in.
+func TestWALRecordsAreIngestFrames(t *testing.T) {
+	prog := codecProgram()
+	mixed, tag := prog.Schema("Mixed"), prog.Schema("Tag")
+	m := func(i int) []tuple.Value {
+		return []tuple.Value{tuple.Int(int64(i)), tuple.Float(float64(i) / 4), tuple.String_(strings.Repeat("x", i)), tuple.Bool(i%2 == 0)}
+	}
+	g := func(i int) []tuple.Value { return []tuple.Value{tuple.Int(int64(i))} }
+	frame := func(dst []byte, sch *tuple.Schema, rows ...[]tuple.Value) []byte {
+		out, err := AppendFrame(dst, sch, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	var ts []*tuple.Tuple
+	add := func(sch *tuple.Schema, rows ...[]tuple.Value) {
+		for _, r := range rows {
+			ts = append(ts, tuple.New(sch, r...))
+		}
+	}
+	add(mixed, m(1))
+	add(tag, g(1), g(2))
+	add(mixed, m(2), m(3))
+	add(tag, g(3))
+	want := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64([]byte{0x02}, 1), 6)
+	want = frame(want, mixed, m(1))
+	want = frame(want, tag, g(1), g(2))
+	want = frame(want, mixed, m(2), m(3))
+	want = frame(want, tag, g(3))
+
+	fs := wal.NewMemFS()
+	opts := wal.Options{FS: fs, Identity: "codec", GroupInterval: time.Hour, Resolve: prog.Schema}
+	l, _, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := fs.ReadFile("seg-0000000000000001.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A segment is length+CRC frames: the header's, then the batch's.
+	off := 8 + binary.LittleEndian.Uint32(seg)
+	n := binary.LittleEndian.Uint32(seg[off:])
+	if got := seg[off+8 : off+8+n]; !bytes.Equal(got, want) {
+		t.Fatalf("batch record:\n got %x\nwant %x", got, want)
+	}
+
+	rowsOf := func(sch *tuple.Schema) (rows []*tuple.Tuple) {
+		for _, tp := range ts {
+			if tp.Schema() == sch {
+				rows = append(rows, tp)
+			}
+		}
+		return rows
+	}
+	src := func(sch *tuple.Schema) wal.CheckpointSource {
+		rows := rowsOf(sch)
+		return wal.CheckpointSource{Schema: sch, Rows: len(rows), Scan: func(fn func([]tuple.Value) bool) {
+			for _, r := range rows {
+				if !fn(r.AppendFields(nil)) {
+					return
+				}
+			}
+		}}
+	}
+	if err := l.WriteCheckpoint(6, []wal.CheckpointSource{src(mixed), src(tag)}); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := fs.ReadFile("ckpt-0000000000000006.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// frame head | magic | version | seq | identity | table count | tables
+	head := 8 + len("jstarckp") + 2 + 8 + 4 + len(opts.Identity) + 4
+	tables := frame(frame(nil, mixed, m(1), m(2), m(3)), tag, g(1), g(2), g(3))
+	if got := ckpt[head:]; !bytes.Equal(got, tables) {
+		t.Fatalf("checkpoint tables:\n got %x\nwant %x", got, tables)
+	}
+	tail := []*tuple.Tuple{tuple.New(tag, g(4)...), tuple.New(mixed, m(4)...)}
+	if err := l.Append(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	same := func(what string, got, want []*tuple.Tuple) {
+		if len(got) != len(want) {
+			t.Fatalf("%s: recovered %d tuples, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	if rec.Checkpoint == nil || rec.Checkpoint.Seq != 6 || len(rec.Checkpoint.Tables) != 2 {
+		t.Fatalf("recovered checkpoint %+v, want seq 6 with 2 tables", rec.Checkpoint)
+	}
+	same("Mixed rows", rec.Checkpoint.Tables[0].Rows, rowsOf(mixed))
+	same("Tag rows", rec.Checkpoint.Tables[1].Rows, rowsOf(tag))
+	same("tail", rec.Tail, tail)
 }

@@ -391,6 +391,13 @@ func TestServeLifecycleAndQuotas(t *testing.T) {
 	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "bad", Source: "table ???"}); !serve.IsStatus(err, http.StatusBadRequest) {
 		t.Fatalf("bad source: err = %v, want 400", err)
 	}
+	// A table name no frame header can carry is refused at create, before
+	// a durable tenant could fail at its first logged put.
+	long := serve.TenantConfig{Name: "bad", Source: "table " + strings.Repeat("L", 256) + "(int n)",
+		Durability: &serve.DurabilityConfig{WalDir: t.TempDir()}}
+	if _, err := client.CreateTenant(ctx, long); !serve.IsStatus(err, http.StatusBadRequest) || !strings.Contains(err.Error(), "255-byte limit") {
+		t.Fatalf("256-byte table name: err = %v, want 400 naming the 255-byte limit", err)
+	}
 	// A strategy off the menu (the deleted ring executor's name) is refused
 	// with the menu, and takes no tenant slot.
 	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "bad", Source: doubleSrc, Strategy: "pipelined"}); !serve.IsStatus(err, http.StatusBadRequest) ||

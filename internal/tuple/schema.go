@@ -81,12 +81,16 @@ type Schema struct {
 	alloc  func() *Tuple
 }
 
-// NewSchema builds and validates a schema. It returns an error if column
-// names repeat, an orderby entry names an unknown column, or the orderby
-// field is non-scalar.
+// NewSchema builds and validates a schema. It returns an error if the
+// name is empty or longer than a frame header carries (MaxNameLen bytes),
+// column names repeat, an orderby entry names an unknown column, or the
+// orderby field is non-scalar.
 func NewSchema(name string, cols []Column, orderBy []OrderEntry) (*Schema, error) {
 	if name == "" {
 		return nil, fmt.Errorf("jstar: table name must be non-empty")
+	}
+	if len(name) > MaxNameLen {
+		return nil, fmt.Errorf("jstar: table name %.32q... is %d bytes, over the %d-byte limit", name, len(name), MaxNameLen)
 	}
 	s := &Schema{
 		Name:     name,

@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -183,6 +184,13 @@ func TestSchemaValidation(t *testing.T) {
 	}
 	if _, err := NewSchema("T", []Column{{Name: "", Kind: KindInt}}, nil); err == nil {
 		t.Error("empty column name should fail")
+	}
+	// A frame header carries the name in 255 bytes at most.
+	if _, err := NewSchema(strings.Repeat("N", MaxNameLen), nil, nil); err != nil {
+		t.Errorf("a %d-byte name: %v", MaxNameLen, err)
+	}
+	if _, err := NewSchema(strings.Repeat("N", MaxNameLen+1), nil, nil); err == nil || !strings.Contains(err.Error(), "256 bytes") {
+		t.Errorf("a 256-byte name: err = %v, want it refused", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -26,15 +27,6 @@ type CheckpointTable struct {
 	Rows []*tuple.Tuple
 }
 
-// Tuples returns the total row count across tables.
-func (c *Checkpoint) Tuples() int {
-	n := 0
-	for _, t := range c.Tables {
-		n += len(t.Rows)
-	}
-	return n
-}
-
 // CheckpointSource is one table as WriteCheckpoint encodes it: the schema,
 // the row count its section declares, and a visitor that must yield
 // exactly that many rows of field values. A row is read only during the
@@ -45,6 +37,9 @@ type CheckpointSource struct {
 	Scan   func(fn func(row []tuple.Value) bool)
 }
 
+// A checkpoint file is one length+CRC frame around: ckptMagic | u16le
+// walVersion | u64le seq | identity | u32le tableCount | one row-codec
+// frame per table.
 func encodeCheckpoint(seq uint64, identity string, tables []CheckpointSource) ([]byte, error) {
 	p := []byte(ckptMagic)
 	p = binary.LittleEndian.AppendUint16(p, walVersion)
@@ -52,29 +47,19 @@ func encodeCheckpoint(seq uint64, identity string, tables []CheckpointSource) ([
 	p = appendString(p, identity)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(tables)))
 	for _, t := range tables {
-		sch := t.Schema
-		p = appendString(p, sch.Name)
-		p = binary.LittleEndian.AppendUint32(p, uint32(t.Rows))
+		p = tuple.AppendFrameHeader(p, t.Schema, t.Rows)
 		n := 0
 		var err error
 		t.Scan(func(row []tuple.Value) bool {
-			if len(row) != len(sch.Columns) {
-				err = fmt.Errorf("wal: checkpoint row of %s has %d fields, want %d", sch.Name, len(row), len(sch.Columns))
-				return false
-			}
-			for i, v := range row {
-				if p, err = appendValue(p, sch, i, v); err != nil {
-					return false
-				}
-			}
+			p, err = tuple.AppendRow(p, t.Schema, row)
 			n++
-			return true
+			return err == nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wal: checkpoint: %w", err)
 		}
 		if n != t.Rows {
-			return nil, fmt.Errorf("wal: checkpoint table %s yielded %d rows, declared %d", sch.Name, n, t.Rows)
+			return nil, fmt.Errorf("wal: checkpoint table %s yielded %d rows, declared %d", t.Schema.Name, n, t.Rows)
 		}
 	}
 	return appendFrame(nil, p), nil
@@ -90,7 +75,7 @@ func decodeCheckpoint(buf []byte, resolve Resolver) (*Checkpoint, error) {
 	}
 	p = p[len(ckptMagic):]
 	if v := binary.LittleEndian.Uint16(p); v != walVersion {
-		return nil, fmt.Errorf("wal: unsupported checkpoint version %d", v)
+		return nil, fmt.Errorf("%w: checkpoint version %d (want %d)", errVersion, v, walVersion)
 	}
 	p = p[2:]
 	c := &Checkpoint{Seq: binary.LittleEndian.Uint64(p)}
@@ -103,35 +88,27 @@ func decodeCheckpoint(buf []byte, resolve Resolver) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wal: truncated checkpoint table count")
 	}
 	nTables := binary.LittleEndian.Uint32(p)
-	p = p[4:]
+	src := bytes.NewReader(p[4:])
+	rd := tuple.NewRowReader(src)
 	for i := uint32(0); i < nTables; i++ {
-		var name string
-		if name, p, err = takeString(p); err != nil {
-			return nil, err
+		sch, rows, err := rd.ReadFrame(resolve)
+		if err != nil {
+			return nil, fmt.Errorf("wal: checkpoint table %d: %w", i, err)
 		}
-		sch := resolve(name)
-		if sch == nil {
-			return nil, fmt.Errorf("wal: checkpoint table %q not declared on this program", name)
-		}
-		if len(p) < 4 {
-			return nil, fmt.Errorf("wal: truncated row count for %s", name)
-		}
-		rows := binary.LittleEndian.Uint32(p)
-		p = p[4:]
 		// A row takes at least one byte per column, so the remaining payload
 		// bounds the preallocation: a corrupt count cannot demand gigabytes.
-		ct := CheckpointTable{Name: name, Rows: make([]*tuple.Tuple, 0, min(int(rows), len(p)))}
-		for j := uint32(0); j < rows; j++ {
-			var t *tuple.Tuple
-			if t, p, err = parseFields(p, sch); err != nil {
-				return nil, fmt.Errorf("wal: checkpoint %s row %d: %w", name, j, err)
+		ct := CheckpointTable{Name: sch.Name, Rows: make([]*tuple.Tuple, 0, min(rows, src.Len()))}
+		for j := 0; j < rows; j++ {
+			row, err := rd.ReadRow(sch)
+			if err != nil {
+				return nil, fmt.Errorf("wal: checkpoint %s row %d: %w", sch.Name, j, err)
 			}
-			ct.Rows = append(ct.Rows, t)
+			ct.Rows = append(ct.Rows, tuple.New(sch, row...))
 		}
 		c.Tables = append(c.Tables, ct)
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("wal: %d trailing bytes after checkpoint tables", len(p))
+	if src.Len() != 0 {
+		return nil, fmt.Errorf("wal: %d trailing bytes after checkpoint tables", src.Len())
 	}
 	return c, nil
 }

@@ -1,10 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
@@ -23,10 +24,10 @@ import (
 //	recHeader  magic+version, segment index, previous chain hash, the
 //	           tenant/program identity and the host fingerprint — first
 //	           record of every segment.
-//	recBatch   one group-committed batch of external tuples: the sequence
-//	           number of its first tuple, a count, then each tuple as
-//	           (u8 nameLen|tableName|fields), fields encoded by schema
-//	           column kind (int/float 8B LE, bool 1B, string u32le-len).
+//	recBatch   one group-committed batch of external tuples: u64le
+//	           sequence number of its first tuple | u32le count | one
+//	           row-codec frame (tuple.AppendFrameHeader) per maximal run of
+//	           same-table tuples, in absorb order.
 //	recSeal    the segment trailer: the chain hash over everything before
 //	           it — fnv64a folded over the previous segment's seal and
 //	           every frame of this segment. Tamper with one durable byte
@@ -40,11 +41,14 @@ const (
 const (
 	walMagic    = "jstarwal"
 	ckptMagic   = "jstarckp"
-	walVersion  = 1
+	walVersion  = 2
 	frameHead   = 8        // len + crc
 	maxFrameLen = 64 << 20 // corrupt-length guard
-	maxWireStr  = 16 << 20 // mirrors the serve codec's string guard
 )
+
+// errVersion marks a segment or checkpoint written by another walVersion:
+// recovery refuses it rather than skip it or cut it as a torn tail.
+var errVersion = errors.New("unsupported version")
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
@@ -116,7 +120,7 @@ func parseHeaderPayload(p []byte) (segHeader, error) {
 	}
 	p = p[len(walMagic):]
 	if v := binary.LittleEndian.Uint16(p); v != walVersion {
-		return h, fmt.Errorf("unsupported wal version %d (want %d)", v, walVersion)
+		return h, fmt.Errorf("%w: wal version %d (want %d)", errVersion, v, walVersion)
 	}
 	p = p[2:]
 	h.index = binary.LittleEndian.Uint64(p)
@@ -142,7 +146,7 @@ func takeString(p []byte) (string, []byte, error) {
 		return "", p, fmt.Errorf("truncated string length")
 	}
 	n := binary.LittleEndian.Uint32(p)
-	if n > maxWireStr || int(n) > len(p)-4 {
+	if n > tuple.MaxWireString || int(n) > len(p)-4 {
 		return "", p, fmt.Errorf("string length %d exceeds payload", n)
 	}
 	return string(p[4 : 4+n]), p[4+n:], nil
@@ -157,56 +161,24 @@ func appendBatchPayload(dst []byte, firstSeq uint64, ts []*tuple.Tuple) ([]byte,
 	dst = append(dst, recBatch)
 	dst = binary.LittleEndian.AppendUint64(dst, firstSeq)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ts)))
-	for _, t := range ts {
-		var err error
-		if dst, err = appendTuple(dst, t); err != nil {
-			return dst, err
+	var scratch [tuple.InlineFields]tuple.Value
+	for len(ts) > 0 {
+		sch := ts[0].Schema()
+		if sch == nil {
+			return dst, fmt.Errorf("wal: cannot log a schema-less probe tuple")
 		}
-	}
-	return dst, nil
-}
-
-func appendTuple(dst []byte, t *tuple.Tuple) ([]byte, error) {
-	sch := t.Schema()
-	if sch == nil {
-		return dst, fmt.Errorf("wal: cannot log a schema-less probe tuple")
-	}
-	if len(sch.Name) > 255 {
-		return dst, fmt.Errorf("wal: table name %q exceeds 255 bytes", sch.Name)
-	}
-	dst = append(dst, byte(len(sch.Name)))
-	dst = append(dst, sch.Name...)
-	for i := range sch.Columns {
-		var err error
-		if dst, err = appendValue(dst, sch, i, t.Field(i)); err != nil {
-			return dst, err
+		run := 1
+		for run < len(ts) && ts[run].Schema() == sch {
+			run++
 		}
-	}
-	return dst, nil
-}
-
-// appendValue encodes v as column i of sch: the one per-value kind switch
-// behind batch records and checkpoint rows.
-func appendValue(dst []byte, sch *tuple.Schema, i int, v tuple.Value) ([]byte, error) {
-	switch c := sch.Columns[i]; c.Kind {
-	case tuple.KindInt:
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.AsInt()))
-	case tuple.KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
-	case tuple.KindBool:
-		b := byte(0)
-		if v.AsBool() {
-			b = 1
+		dst = tuple.AppendFrameHeader(dst, sch, run)
+		for _, t := range ts[:run] {
+			var err error
+			if dst, err = tuple.AppendRow(dst, sch, t.AppendFields(scratch[:0])); err != nil {
+				return dst, fmt.Errorf("wal: %w", err)
+			}
 		}
-		dst = append(dst, b)
-	case tuple.KindString:
-		s := v.AsString()
-		if len(s) > maxWireStr {
-			return dst, fmt.Errorf("wal: string field of %s exceeds %d bytes", sch.Name, maxWireStr)
-		}
-		dst = appendString(dst, s)
-	default:
-		return dst, fmt.Errorf("wal: table %s column %s has unsupported kind %v", sch.Name, c.Name, c.Kind)
+		ts = ts[run:]
 	}
 	return dst, nil
 }
@@ -223,71 +195,29 @@ func parseBatchPayload(p []byte, resolve Resolver, out []*tuple.Tuple) (firstSeq
 		return 0, out, fmt.Errorf("not a batch record")
 	}
 	firstSeq = binary.LittleEndian.Uint64(p[1:])
-	count := binary.LittleEndian.Uint32(p[9:])
-	p = p[13:]
-	for i := uint32(0); i < count; i++ {
-		var t *tuple.Tuple
-		if t, p, err = parseTuple(p, resolve); err != nil {
-			return firstSeq, out, fmt.Errorf("tuple %d: %w", i, err)
+	count := int(binary.LittleEndian.Uint32(p[9:]))
+	src := bytes.NewReader(p[13:])
+	rd := tuple.NewRowReader(src)
+	for done := 0; done < count; {
+		sch, rows, err := rd.ReadFrame(resolve)
+		if err != nil {
+			return firstSeq, out, fmt.Errorf("tuple %d of %d: %w", done, count, err)
 		}
-		out = append(out, t)
+		if rows > count-done {
+			return firstSeq, out, fmt.Errorf("frame of %d %s rows overruns the batch's %d tuples", rows, sch.Name, count)
+		}
+		for end := done + rows; done < end; done++ {
+			row, err := rd.ReadRow(sch)
+			if err != nil {
+				return firstSeq, out, fmt.Errorf("tuple %d: %w", done, err)
+			}
+			out = append(out, tuple.New(sch, row...))
+		}
+	}
+	if src.Len() != 0 {
+		return firstSeq, out, fmt.Errorf("%d bytes after the batch's %d tuples", src.Len(), count)
 	}
 	return firstSeq, out, nil
-}
-
-func parseTuple(p []byte, resolve Resolver) (*tuple.Tuple, []byte, error) {
-	if len(p) < 1 {
-		return nil, p, fmt.Errorf("truncated table name length")
-	}
-	n := int(p[0])
-	if len(p) < 1+n {
-		return nil, p, fmt.Errorf("truncated table name")
-	}
-	name := string(p[1 : 1+n])
-	p = p[1+n:]
-	sch := resolve(name)
-	if sch == nil {
-		return nil, p, fmt.Errorf("unknown table %q (not declared on this program)", name)
-	}
-	return parseFields(p, sch)
-}
-
-// parseFields decodes one tuple's field values for a known schema.
-func parseFields(p []byte, sch *tuple.Schema) (*tuple.Tuple, []byte, error) {
-	name := sch.Name
-	fields := make([]tuple.Value, len(sch.Columns))
-	for i, c := range sch.Columns {
-		switch c.Kind {
-		case tuple.KindInt:
-			if len(p) < 8 {
-				return nil, p, fmt.Errorf("truncated int field of %s", name)
-			}
-			fields[i] = tuple.Int(int64(binary.LittleEndian.Uint64(p)))
-			p = p[8:]
-		case tuple.KindFloat:
-			if len(p) < 8 {
-				return nil, p, fmt.Errorf("truncated float field of %s", name)
-			}
-			fields[i] = tuple.Float(math.Float64frombits(binary.LittleEndian.Uint64(p)))
-			p = p[8:]
-		case tuple.KindBool:
-			if len(p) < 1 {
-				return nil, p, fmt.Errorf("truncated bool field of %s", name)
-			}
-			fields[i] = tuple.Bool(p[0] != 0)
-			p = p[1:]
-		case tuple.KindString:
-			s, rest, err := takeString(p)
-			if err != nil {
-				return nil, p, fmt.Errorf("string field of %s: %w", name, err)
-			}
-			fields[i] = tuple.String_(s)
-			p = rest
-		default:
-			return nil, p, fmt.Errorf("unsupported column kind %v", c.Kind)
-		}
-	}
-	return tuple.New(sch, fields...), p, nil
 }
 
 // ---- seal records ----

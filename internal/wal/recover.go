@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -9,8 +10,9 @@ import (
 
 // CorruptError is the loud failure mode: the log is damaged somewhere a
 // crash cannot explain — inside a sealed segment, across the hash chain,
-// or in a decodable-but-impossible record — and recovery refuses to guess.
-// It names the exact segment and byte offset so the damage can be audited.
+// in a decodable-but-impossible record, or in a segment or checkpoint of
+// another format version — and recovery refuses to guess. It names the
+// exact file and byte offset so the damage can be audited.
 type CorruptError struct {
 	Segment string
 	Offset  int64
@@ -86,6 +88,9 @@ func Open(o Options) (*Log, *Recovered, error) {
 			continue
 		}
 		c, err := decodeCheckpoint(buf, o.Resolve)
+		if errors.Is(err, errVersion) {
+			return nil, nil, &CorruptError{Segment: ckptName(ckpts[i]), Offset: 0, Reason: err.Error()}
+		}
 		if err != nil {
 			continue // damaged checkpoint: fall back to the previous one
 		}
@@ -193,14 +198,11 @@ func Open(o Options) (*Log, *Recovered, error) {
 				expectSeq += n
 				lastSeq = firstSeq + n - 1
 				// Drop the checkpoint-covered prefix from the replay tail.
-				if lastSeq <= ckptSeq {
-					rec.Tail = tail[:before]
-				} else if firstSeq <= ckptSeq {
-					covered := int(ckptSeq - firstSeq + 1)
-					rec.Tail = append(tail[:before], tail[before+covered:]...)
-				} else {
-					rec.Tail = tail
+				if firstSeq <= ckptSeq {
+					covered := int(min(ckptSeq-firstSeq+1, n))
+					tail = append(tail[:before], tail[before+covered:]...)
 				}
+				rec.Tail = tail
 				l.chain = fold(l.chain, buf[off:next])
 			case recSeal:
 				if sealed {

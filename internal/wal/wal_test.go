@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -18,9 +21,19 @@ var evSchema = tuple.MustSchema("ev", []tuple.Column{
 	{Name: "ok", Kind: tuple.KindBool},
 }, nil)
 
+// tagSchema is a second table, so batch records and checkpoints hold
+// more than one frame.
+var tagSchema = tuple.MustSchema("tag", []tuple.Column{
+	{Name: "id", Kind: tuple.KindInt},
+	{Name: "on", Kind: tuple.KindBool},
+}, nil)
+
 func testResolve(table string) *tuple.Schema {
-	if table == "ev" {
+	switch table {
+	case "ev":
 		return evSchema
+	case "tag":
+		return tagSchema
 	}
 	return nil
 }
@@ -612,5 +625,37 @@ func TestSegmentHeaderCarriesHostFingerprint(t *testing.T) {
 	}
 	if hdr.host != hostFingerprint() || hdr.identity != "tenant-a" {
 		t.Fatalf("header = %+v", hdr)
+	}
+}
+
+// TestVersion1LogRefused: testdata/v1 holds a sealed segment and a
+// checkpoint written by version 1 of the format, whose batch records
+// repeat the table name before every tuple. Open must
+// refuse each with a located error naming both versions — not skip the
+// checkpoint for an older one, and not cut the segment as a torn tail.
+func TestVersion1LogRefused(t *testing.T) {
+	fs := NewMemFS()
+	names := []string{ckptName(2), segName(1)}
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _ := fs.OpenAppend(name)
+		f.Write(data)
+		f.Sync()
+	}
+	for _, name := range names {
+		before, _ := fs.ReadFile(segName(1))
+		_, _, err := Open(testOpts(fs))
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Segment != name || ce.Offset != 0 ||
+			!strings.Contains(err.Error(), "version 1 (want 2)") {
+			t.Fatalf("open with %s of version 1: want a CorruptError at %s+0 naming versions 1 and 2, got %v", name, name, err)
+		}
+		if after, _ := fs.ReadFile(segName(1)); !bytes.Equal(before, after) {
+			t.Fatalf("refusing %s changed the segment from %d to %d bytes", name, len(before), len(after))
+		}
+		fs.Remove(name) // then the segment alone
 	}
 }
