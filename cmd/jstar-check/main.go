@@ -7,14 +7,17 @@
 //	jstar-check program.jstar
 //
 // Exit status 1 when any obligation cannot be proved (the compiler's
-// "Stratification error" / warning behaviour), or when the program fails
-// the engine's own validation — e.g. two tables whose orderby lists meet at
-// a Delta-tree level with entries of different kinds.
+// "Stratification error" / warning behaviour), when the program does not
+// compile — a kind mismatch or an unknown name in a rule body included —
+// or when it fails the engine's own validation, e.g. two tables whose
+// orderby lists meet at a Delta-tree level with entries of different
+// kinds.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/jstar-lang/jstar/internal/causality"
@@ -28,32 +31,39 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: jstar-check program.jstar")
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	os.Exit(check(flag.Arg(0), os.Stdout, os.Stderr))
+}
+
+// check runs every check on the program at path, writes the obligations
+// report to stdout and any error to stderr, and returns the exit status.
+func check(path string, stdout, stderr io.Writer) int {
+	src, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	f, err := lang.Parse(string(src))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	prog, err := lang.Compile(f)
 	if err == nil {
 		err = prog.Validate(core.Options{})
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	specs, err := lang.ExtractSpecs(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	obs := causality.NewChecker(prog.PartialOrder()).Check(specs)
-	fmt.Print(causality.Report(obs))
+	fmt.Fprint(stdout, causality.Report(obs))
 	if !causality.AllProved(obs) {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,12 +27,21 @@ foreach (Event e) {
 put new Event(1)
 `
 
+// runtimeFailure matches the rule failures a program that compiles may
+// still meet at run time: an integer division or modulo by zero, and a null
+// from get uniq? or get min that is dereferenced. A kind mismatch or an
+// unknown name at run time would be a hole in the typing pass.
+var runtimeFailure = regexp.MustCompile(`panicked: jstar:\d+:\d+: (integer (division|modulo) by zero|field access \.\w+ on null|put of null)`)
+
 // FuzzCompileSource feeds arbitrary text to the compiler, the path tenant
 // source takes when it arrives untrusted over the service. Malformed source
 // must come back as an error, never a panic; source that compiles is run
 // for a few steps under a deadline, and whatever it does at run time must
-// also surface as an error, not a crash. Seeded from every example program
-// and the service benchmark's tenant.
+// also surface as an error, not a crash. A rule that fails at run time must
+// fail with one of runtimeFailure's errors: the engine's own errors
+// (MaxSteps, the deadline) are not rule failures and pass. Seeded from
+// every example program, the service benchmark's tenant, the ill-typed
+// corpus and two programs that fail at run time.
 //
 //	go test -run '^$' -fuzz '^FuzzCompileSource$' -fuzztime 60s ./internal/lang
 func FuzzCompileSource(f *testing.F) {
@@ -46,6 +57,11 @@ func FuzzCompileSource(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Add(fanoutTenant)
+	for _, c := range illTyped {
+		f.Add(illTypedSource(c.body))
+	}
+	f.Add(illTypedSource(`put new Out(e.n, 10 / (e.n - 1) + 10 % (e.n - 1))`))
+	f.Add(illTypedSource(`val o = get uniq? Out(e.n) println(o.v) put o`))
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := CompileSource(src)
 		if err != nil {
@@ -57,7 +73,12 @@ func FuzzCompileSource(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = sess.Quiesce(ctx)
-		_ = sess.Close()
+		err = sess.Quiesce(ctx)
+		if cerr := sess.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil && strings.Contains(err.Error(), "panicked: ") && !runtimeFailure.MatchString(err.Error()) {
+			t.Fatalf("source compiled but a rule failed at run time with %v", err)
+		}
 	})
 }

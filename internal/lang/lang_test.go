@@ -327,9 +327,15 @@ func TestRuntimeErrorsSurface(t *testing.T) {
 				val q = get uniq? N(99)
 				println(q.v)
 			}`, "null"},
-		{"badif", `table N(int v) orderby (N)
+		{"mod0", `table N(int v) orderby (N)
 			put new N(1)
-			foreach (N n) { if (n.v) {} }`, "boolean"},
+			foreach (N n) { println(n.v % (n.v - 1)) }`, "jstar:3:1: integer modulo by zero"},
+		{"nullput", `table N(int v) orderby (Int, seq v)
+			put new N(5)
+			foreach (N n) {
+				val q = get uniq? N(99)
+				put q
+			}`, "jstar:5:1: put of null"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -338,10 +344,85 @@ func TestRuntimeErrorsSurface(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			_, err = p.Execute(core.Options{Strategy: exec.Sequential})
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error = %v, want contains %q", err, c.want)
+			if err == nil || !strings.Contains(err.Error(), c.want) || !runtimeFailure.MatchString(err.Error()) {
+				t.Errorf("error = %v, want contains %q and one of the run-time failures FuzzCompileSource allows", err, c.want)
 			}
 		})
+	}
+}
+
+// TestExpressionSemantics runs one rule through every expression form —
+// int and double arithmetic with widening, string concatenation of every
+// kind, comparisons, builtins, Statistics, accumulators, null and tuple
+// equality, get modes, shadowing — and checks its output line by line.
+// The expected lines are the output of the interpreter this compiler
+// replaced, so a typed closure that computes differently shows here.
+func TestExpressionSemantics(t *testing.T) {
+	src := `
+	table N(int v, double d, String s, boolean b) orderby (Int, seq v)
+	table P(int k, double w) orderby (P)
+	order P < Int
+	put new N(7, 2.5, "beta", true)
+	put new P(1, 3)
+	put new P(1, 4.5)
+	put new P(2, 10)
+	foreach (N n) {
+	  val t = n.v * 2 + 1
+	  val x = n.d * n.v - 1
+	  println("a " + t + " " + x + " " + (n.v / 2) + " " + (n.v % 3) + " " + (n.d / 2) + " " + (n.d % 1))
+	  println("b " + (n.v < n.d) + " " + (n.v == 7.0) + " " + (n.s < "gamma") + " " + (n.s >= "beta") + " " + (n.b != false))
+	  println(1 + 2 + "c" + 1 + 2)
+	  println("d " + min(n.v, 2.5) + " " + max(n.d, 3) + " " + abs(-n.d) + " " + abs(3 - n.v) + " " + -n.v + " " + !n.b)
+	  val st = new Statistics()
+	  val sum = 0.0
+	  val cnt = 0
+	  for (p : get P(1)) {
+	    st += p.w
+	    sum += p.k
+	    cnt += 1
+	  }
+	  println("e " + st + " " + st.count + " " + st.sum + " " + st.min + " " + st.max + " " + st.mean + " " + sum + " " + cnt)
+	  val none = get uniq? P(9)
+	  val one = get uniq? P(2, [w > 5])
+	  println("f " + none + " " + one + " " + (none == null) + " " + (one != null) + " " + (one == one) + " " + (null == null))
+	  println(one)
+	  println(st)
+	  println(new P(5, 6))
+	  println("g " + (get count P()) + " " + (get count P(1, [w < 4])) + " " + get min P(1))
+	  println("h " + (new P(1, 3) == get min P(1)) + " " + (n.b && n.v > 3 || false))
+	  val nul = null
+	  println(nul)
+	  println("i " + (nul == none) + " " + (1.0 / 0) + " " + (0 - 1.0 / 0) + " " + (5 - 7.5))
+	  if (n.b) { val t = "shadow" println(t) } else { println("no") }
+	  println(t)
+	}
+`
+	r := run(t, src, core.Options{Strategy: exec.Sequential})
+	want := []string{
+		"a 15 16.5 3 1 1.25 0.5",
+		"b false true true true true",
+		"3c12",
+		"d 2.5 3 2.5 4 -7 false",
+		"e Statistics(n=2, mean=3.75) 2 7.5 3 4.5 3.75 2 2",
+		"f null P(2, 10) true true true true",
+		"P(2, 10)",
+		"Statistics(n=2, mean=3.75)",
+		"P(5, 6)",
+		"g 3 1 P(1, 3)",
+		"h true true",
+		"null",
+		"i true +Inf -Inf -2.5",
+		"shadow",
+		"15",
+	}
+	got := r.Output()
+	if len(got) != len(want) {
+		t.Fatalf("output = %q, want %q", got, want)
+	}
+	for i := range want {
+		if strings.TrimSuffix(got[i], "\n") != want[i] {
+			t.Errorf("line %d = %q, want %q", i+1, got[i], want[i])
+		}
 	}
 }
 
@@ -416,8 +497,8 @@ func TestElseIfChain(t *testing.T) {
 // through a step batch large enough to straddle worker chunks, under both
 // the sequential and parallel engines and with the runtime causality
 // checker on: each firing's reads are checked against its own trigger,
-// and the per-tuple bodies, reusing pooled environments across a chunk,
-// must still compute every group's own sum.
+// and the per-tuple bodies, each on its own frame while the chunk's
+// firings run at once, must still compute every group's own sum.
 func TestSingleLookup(t *testing.T) {
 	src := `
 	table Item(int g, int v) orderby (Item)
@@ -468,9 +549,10 @@ func TestSingleLookup(t *testing.T) {
 	}
 }
 
-// TestLookupErrorPropagates: a runtime error in one firing's loop body
-// must fail the run even when later firings in the same chunk iterate
-// successfully, with the causality checker on as well as off.
+// TestLookupErrorPropagates: a run-time error in one firing's loop body
+// (an integer division by zero, in group 0 only) must fail the run even
+// when later firings in the same chunk iterate successfully, with the
+// causality checker on as well as off.
 func TestLookupErrorPropagates(t *testing.T) {
 	src := `
 	table Item(int g, int v) orderby (Item)
@@ -482,7 +564,7 @@ func TestLookupErrorPropagates(t *testing.T) {
 	  val acc = 0
 	  for (it : get Item(grp.g)) {
 	    if (grp.g == 0) {
-	      if (it.v) { acc += 1 }
+	      acc += 10 / (it.v - it.v)
 	    }
 	    acc += it.v
 	  }
@@ -505,8 +587,8 @@ func TestLookupErrorPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := p.Execute(opts); err == nil ||
-			!strings.Contains(err.Error(), "if condition is not boolean") {
-			t.Errorf("opts %+v: err = %v, want the group-0 non-boolean-if error", opts, err)
+			!strings.Contains(err.Error(), "on Group(0) panicked: jstar:11:1: integer division by zero") {
+			t.Errorf("opts %+v: err = %v, want group 0's division by zero", opts, err)
 		}
 	}
 }
@@ -541,5 +623,88 @@ func TestRulePanicNamesItsTrigger(t *testing.T) {
 			!strings.Contains(err.Error(), "division by zero") {
 			t.Errorf("opts %+v: err = %v, want foreach_Event_1 on Event(5) failing with division by zero", opts, err)
 		}
+	}
+}
+
+// TestTypeErrorsLocated: the typing pass names the line of every kind of
+// error it finds, in rule bodies and in top-level puts.
+func TestTypeErrorsLocated(t *testing.T) {
+	for _, c := range []struct{ body, want string }{
+		{`println(get Item(e.n))`, "iterable get Item used outside a for loop"},
+		{`println(get uniq? Item(e.n, [get count Out() > 0]))`, "nested get inside a query lambda"},
+		{`println(get uniq? Item("x"))`, "get Item arg 1: cannot use String as int"},
+		{`println(new Statistics().median)`, "Statistics has no property median"},
+		{`println(null.v)`, "field access .v on null"},
+		{`println(e.n.v)`, "field access .v on int"},
+		{`println(-"x")`, "unary - on String"},
+		{`println(!e.n)`, "unary ! on int"},
+		{`println(e.n && true)`, "&& on int and boolean"},
+		{`println(e.n == "1")`, "cannot compare int and String"},
+		{`println(e == 1)`, "cannot compare Event and int"},
+		{`println(true < false)`, "operator < on boolean and boolean"},
+		{`println(min(e.n))`, "min takes 2 arguments"},
+		{`println(max(e.n, "1"))`, "max on int and String"},
+		{`println(abs(true))`, "abs on boolean"},
+		{`put new Out(e.n, 1.5)`, "new Out field v: cannot use double as int"},
+		{`put null`, "put requires a tuple (got null)"},
+		{`e += 1`, "e is not an accumulator (got Event)"},
+		{`val d = 0.0 d += "x"`, "double += non-numeric String"},
+		{`val s = new Statistics() s += true`, "Statistics += non-numeric boolean"},
+		{`for (i : get Item(e.n)) { val w = i.v } println(w)`, "unknown variable w"},
+	} {
+		_, err := CompileSource(illTypedSource(c.body))
+		if want := "jstar:8:1: " + c.want; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", c.body, err, want)
+		}
+	}
+	for _, c := range []struct{ src, want string }{
+		{"table T(int a)\nput new T(1 / 0)", "jstar:2:1: top-level put: jstar:2:1: integer division by zero"},
+		{"table T(int a)\nput new T(\"x\")", "jstar:2:1: top-level put field a: cannot use String as int"},
+		{"table T(int a)\nput new T(get count T())", "jstar:2:1: top-level put: jstar:2:1: get queries are not allowed"},
+		{"table T(int a)\nput new T(x)", "jstar:2:1: top-level put: jstar:2:1: unknown variable x"},
+	} {
+		if _, err := CompileSource(c.src); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
+// illTypedPrelude declares the tables every illTyped program's rule body
+// uses. Each body is one line, the prelude's eighth; an Item(1, 2) and an
+// Event(1) exist, so the body runs at the first firing.
+const illTypedPrelude = `table Item(int g, int v) orderby (Item)
+table Event(int n) orderby (Event)
+table Out(int n, int v) orderby (Out)
+order Item < Event < Out
+put new Item(1, 2)
+put new Event(1)
+foreach (Event e) {
+`
+
+// illTyped is a corpus of rule bodies with a kind mismatch or an unknown
+// name, each of which an untyped evaluator would accept and then fail at
+// its first firing; want is the compile error.
+var illTyped = []struct{ name, body, want string }{
+	{"unknown-variable", `put new Out(e.n, zz * 2)`, "unknown variable zz"},
+	{"string-times-int", `put new Out(e.n, "x" * 2)`, "operator * on String and int"},
+	{"if-on-int", `if (e.n) { put new Out(e.n, 1) }`, "if condition is not boolean (got int)"},
+	{"string-into-int-accumulator", `val acc = 0 acc += "s"`, "int accumulator += non-int String"},
+	{"missing-column", `put new Out(e.m, 1)`, "table Event has no column m"},
+	{"non-boolean-lambda", `println(get uniq? Item(e.n, [v + 1]))`, "query lambda is not boolean (got int)"},
+	{"put-of-non-tuple", `put e.n`, "put requires a tuple (got int)"},
+}
+
+func illTypedSource(body string) string { return illTypedPrelude + body + "\n}\n" }
+
+// TestIllTypedProgramsRefusedAtCompile: every program of the ill-typed
+// corpus fails CompileSource with its line.
+func TestIllTypedProgramsRefusedAtCompile(t *testing.T) {
+	for _, c := range illTyped {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := CompileSource(illTypedSource(c.body))
+			if want := "jstar:8:1: " + c.want; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want %q", err, want)
+			}
+		})
 	}
 }

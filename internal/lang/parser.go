@@ -1,6 +1,10 @@
 package lang
 
-import "strconv"
+import (
+	"strconv"
+
+	"github.com/jstar-lang/jstar/internal/tuple"
+)
 
 // Parser is a recursive-descent parser over the token stream.
 type parser struct {
@@ -81,7 +85,8 @@ func (p *parser) decl() (Decl, error) {
 	}
 }
 
-var colTypes = map[string]bool{"int": true, "double": true, "String": true, "boolean": true}
+// colTypes maps the column types a table may declare to their kinds.
+var colTypes = map[string]tuple.Kind{"int": tuple.KindInt, "double": tuple.KindFloat, "String": tuple.KindString, "boolean": tuple.KindBool}
 
 func (p *parser) tableDecl() (Decl, error) {
 	kw := p.next() // table
@@ -99,7 +104,7 @@ func (p *parser) tableDecl() (Decl, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !colTypes[ty.Text] {
+		if _, ok := colTypes[ty.Text]; !ok {
 			return nil, errf(ty.Line, ty.Col, "unknown column type %q (int, double, String, boolean)", ty.Text)
 		}
 		cn, err := p.expect(TokIdent, "")

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 
 	"github.com/jstar-lang/jstar/internal/core"
 	"github.com/jstar-lang/jstar/internal/tuple"
@@ -98,10 +98,11 @@ func binaryIngest(r io.Reader, prog *core.Program, put func(...*tuple.Tuple) err
 	}
 }
 
-// jsonPut is the body of a JSON ingestion request.
+// jsonPut is the body of a JSON ingestion request. Its rows decode as
+// cells in the body's one decoder, numbers as json.Number.
 type jsonPut struct {
-	Table string            `json:"table"`
-	Rows  []json.RawMessage `json:"rows"`
+	Table string  `json:"table"`
+	Rows  [][]any `json:"rows"`
 }
 
 // jsonIngest decodes a JSON put body into put and returns the tuple count
@@ -119,8 +120,8 @@ func jsonIngest(r io.Reader, prog *core.Program, put func(...*tuple.Tuple) error
 	}
 	b := &batcher{put: put, batch: make([]*tuple.Tuple, 0, ingestFlushRows)}
 	scratch := make([]tuple.Value, sch.Arity())
-	for _, raw := range body.Rows {
-		row, err := valuesFromJSON(sch, raw, scratch)
+	for _, cells := range body.Rows {
+		row, err := valuesFromCells(sch, cells, scratch)
 		if err == nil && len(row) < len(scratch) {
 			err = fmt.Errorf("serve: row arity %d != %s arity %d", len(row), sch.Name, len(scratch))
 		}
@@ -134,16 +135,10 @@ func jsonIngest(r io.Reader, prog *core.Program, put func(...*tuple.Tuple) error
 	return b.total, b.flush()
 }
 
-// valuesFromJSON decodes a JSON array against sch's leading column kinds
-// into dst, which holds sch.Arity() values, and returns the decoded part:
-// a whole row, or a query prefix.
-func valuesFromJSON(sch *tuple.Schema, raw []byte, dst []tuple.Value) ([]tuple.Value, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var cells []any
-	if err := dec.Decode(&cells); err != nil {
-		return nil, fmt.Errorf("serve: bad %s values: %w", sch.Name, err)
-	}
+// valuesFromCells converts decoded JSON cells against sch's leading column
+// kinds into dst, which holds sch.Arity() values, and returns the converted
+// part: a whole row, or a query prefix.
+func valuesFromCells(sch *tuple.Schema, cells []any, dst []tuple.Value) ([]tuple.Value, error) {
 	if len(cells) > len(dst) {
 		return nil, fmt.Errorf("serve: %d values exceed %s arity %d", len(cells), sch.Name, len(dst))
 	}
@@ -224,5 +219,11 @@ func prefixFromJSON(sch *tuple.Schema, raw string) ([]tuple.Value, error) {
 	if raw == "" {
 		return nil, nil
 	}
-	return valuesFromJSON(sch, []byte(raw), make([]tuple.Value, sch.Arity()))
+	dec := json.NewDecoder(strings.NewReader(raw))
+	dec.UseNumber()
+	var cells []any
+	if err := dec.Decode(&cells); err != nil {
+		return nil, fmt.Errorf("serve: bad %s values: %w", sch.Name, err)
+	}
+	return valuesFromCells(sch, cells, make([]tuple.Value, sch.Arity()))
 }

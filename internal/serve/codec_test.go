@@ -116,14 +116,21 @@ func TestBinaryIngestErrors(t *testing.T) {
 
 func TestJSONIngestKindChecks(t *testing.T) {
 	prog := codecProgram()
-	put := func(...*tuple.Tuple) error { return nil }
-	ok := `{"table":"Mixed","rows":[[1, 2.5, "s", true]]}`
-	if n, err := jsonIngest(strings.NewReader(ok), prog, put); err != nil || n != 1 {
-		t.Fatalf("valid row: n=%d err=%v", n, err)
+	var got []*tuple.Tuple
+	put := func(ts ...*tuple.Tuple) error { got = append(got, ts...); return nil }
+	// 2^53+1 survives only if numbers decode as json.Number, not float64.
+	ok := `{"rows":[[9007199254740993, 2.5, "s", true], [2, 3, "t", false]], "table":"Mixed"}`
+	if n, err := jsonIngest(strings.NewReader(ok), prog, put); err != nil || n != 2 {
+		t.Fatalf("valid rows: n=%d err=%v", n, err)
+	}
+	if len(got) != 2 || got[0].Field(0).AsInt() != 9007199254740993 || got[1].Field(1).AsFloat() != 3 {
+		t.Fatalf("decoded rows = %v", got)
 	}
 	for name, body := range map[string]string{
 		"wrong kind":    `{"table":"Mixed","rows":[["not-int", 2.5, "s", true]]}`,
 		"short row":     `{"table":"Mixed","rows":[[1, 2.5]]}`,
+		"long row":      `{"table":"Mixed","rows":[[1, 2.5, "s", true, 5]]}`,
+		"row not array": `{"table":"Mixed","rows":["x"]}`,
 		"unknown table": `{"table":"Nope","rows":[[1]]}`,
 		"not json":      `{{{`,
 	} {

@@ -377,6 +377,23 @@ func TestServeSSE(t *testing.T) {
 	}
 }
 
+// TestCreateTenantRefusesIllTypedSource: a tenant whose rule body names
+// an unknown variable is refused at POST /v1/tenants with 400 and the
+// source line, rather than created to fail at its first put, and takes no
+// tenant name.
+func TestCreateTenantRefusesIllTypedSource(t *testing.T) {
+	_, client := newTestServer(t, serve.Config{})
+	ctx := context.Background()
+	bad := strings.Replace(doubleSrc, "e.n * 2", "zz * 2", 1)
+	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "t", Source: bad}); !serve.IsStatus(err, http.StatusBadRequest) ||
+		!strings.Contains(err.Error(), "jstar:7:1: unknown variable zz") {
+		t.Fatalf("ill-typed source: err = %v, want 400 naming line 7's unknown variable", err)
+	}
+	if _, err := client.CreateTenant(ctx, serve.TenantConfig{Name: "t", Source: doubleSrc}); err != nil {
+		t.Fatalf("the refused tenant's name is still taken: %v", err)
+	}
+}
+
 // TestServeLifecycleAndQuotas covers tenant duplicate/missing handling and
 // both quota layers.
 func TestServeLifecycleAndQuotas(t *testing.T) {
