@@ -1,10 +1,10 @@
 // Command jstar-viz renders a JStar program's dependency graph as Graphviz
 // DOT: tables as blue rectangles, rules as red circles (the Fig 7 style).
-// With -run, the program is executed with dataflow tracing and the observed
-// rule->table put counts annotate the edges (the §1.5 "annotated dependency
-// graphs of the program execution"). The traced execution goes through the
-// public jstar surface (Execute is a Session wrapper), so the binary
-// exercises the same lifecycle as every embedding application.
+// With -run, the program is executed and the rule->table put counts its
+// run observed annotate the edges (the §1.5 "annotated dependency graphs of
+// the program execution"). The execution goes through the public jstar
+// surface (Execute is a Session wrapper), so the binary exercises the same
+// lifecycle as every embedding application.
 //
 //	jstar-viz -run program.jstar | dot -Tpng > graph.png
 package main
@@ -41,10 +41,9 @@ func main() {
 	var run *jstar.Run
 	if *doRun {
 		run, err = prog.Execute(jstar.Options{
-			Strategy:      jstar.StrategySequential,
-			TraceDataflow: true,
-			Quiet:         true,
-			MaxSteps:      *maxSteps,
+			Strategy: jstar.StrategySequential,
+			Quiet:    true,
+			MaxSteps: *maxSteps,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -12,8 +12,7 @@
 // an online service, the feed goroutine injects Price tuples with
 // Session.Put (which never waits for quiescence — events are appended to
 // the session's pending list and absorbed while rules execute), and the main
-// goroutine waits for the fixpoint with Quiesce. The legacy channel-based
-// Run.ExecuteEvents still works and is a wrapper over the same machinery.
+// goroutine waits for the fixpoint with Quiesce.
 //
 //	go run ./examples/events
 package main

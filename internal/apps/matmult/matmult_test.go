@@ -1,8 +1,12 @@
 package matmult
 
 import (
-	"github.com/jstar-lang/jstar/internal/exec"
+	"fmt"
+	"maps"
 	"testing"
+
+	"github.com/jstar-lang/jstar/internal/core"
+	"github.com/jstar-lang/jstar/internal/exec"
 )
 
 func eq(t *testing.T, got, want []int64, label string) {
@@ -85,4 +89,61 @@ func TestInputsDeterministic(t *testing.T) {
 	a2, b2 := Inputs(8, 5)
 	eq(t, a1, a2, "inputs a")
 	eq(t, b1, b2, "inputs b")
+}
+
+// ledger returns every counter a run's firings write: each table's
+// TableStats (under the table's name), each rule's firings (under
+// "fired rule") and each rule -> table dataflow edge (under
+// "flow rule -> table") and TotalFired.
+func ledger(st *core.RunStats) map[string]int64 {
+	out := map[string]int64{"TotalFired": st.TotalFired}
+	for name, ts := range st.Tables {
+		for i, n := range []int64{ts.Puts.Load(), ts.Duplicates.Load(), ts.Triggers.Load(), ts.Queries.Load(),
+			ts.IndexedQueries.Load(), ts.PrefixLenSum.Load(), ts.MinPrefixLen.Load()} {
+			out[fmt.Sprintf("%s[%d]", name, i)] = n
+		}
+	}
+	for rule, n := range st.RuleFirings() {
+		out["fired "+rule] = n
+	}
+	for e, n := range st.FlowEdges() {
+		out["flow "+e[0]+" -> "+e[1]] = n
+	}
+	return out
+}
+
+// TestCountersExactAcrossThreads: the put slots' ledgers fold exactly, so
+// one thread and two ForkJoin threads count the same — the 24 row tasks
+// fan out over two workers' slots at two — and each table's dataflow
+// edges sum to its puts.
+func TestCountersExactAcrossThreads(t *testing.T) {
+	var want map[string]int64
+	for _, threads := range []int{1, 2} {
+		res, err := RunJStar(RunOpts{N: 24, Strategy: exec.ForkJoin, Threads: threads, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Run.Stats()
+		got := ledger(st)
+		if want == nil {
+			want = got
+		} else if !maps.Equal(got, want) {
+			t.Errorf("threads %d: ledger %v, want the one-thread run's %v", threads, got, want)
+		}
+		if st.FannedSteps == 0 && threads > 1 {
+			t.Errorf("threads %d: no step fanned out", threads)
+		}
+		puts := make(map[string]int64)
+		for e, n := range st.FlowEdges() {
+			puts[e[1]] += n
+		}
+		for name, ts := range st.Tables {
+			if puts[name] != ts.Puts.Load() {
+				t.Errorf("threads %d: %s: edges sum to %d, puts %d", threads, name, puts[name], ts.Puts.Load())
+			}
+		}
+		if got["fired dotProducts"] != 24 {
+			t.Errorf("threads %d: dotProducts fired %d times, want 24", threads, got["fired dotProducts"])
+		}
+	}
 }

@@ -71,7 +71,6 @@ type RunOpts struct {
 	// variant's hint for the tables it names.
 	StorePlan gamma.StorePlan
 	Readers   int // parallel CSV region readers (0 = Threads)
-	Trace     bool
 	// ParallelReduce runs each SumMonth reducer loop as a parallel tree
 	// reduction — the §5.2 "additional parallelism" the paper leaves
 	// unexploited ("loops that do involve a reducer object could also be
@@ -246,12 +245,11 @@ func Program(csv []byte, opts RunOpts) (*core.Program, *core.Options, func(*core
 	p.Put(tuple.New(req, tuple.String_("large1000.csv")))
 
 	co := &core.Options{
-		Strategy:      opts.Strategy,
-		Threads:       opts.Threads,
-		StorePlan:     opts.StorePlan,
-		Quiet:         true,
-		TraceDataflow: opts.Trace,
-		PhaseStats:    opts.PhaseStats,
+		Strategy:   opts.Strategy,
+		Threads:    opts.Threads,
+		StorePlan:  opts.StorePlan,
+		Quiet:      true,
+		PhaseStats: opts.PhaseStats,
 	}
 	if opts.NoDelta {
 		co.NoDelta = append(co.NoDelta, "PvWatts")

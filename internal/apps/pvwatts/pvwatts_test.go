@@ -91,25 +91,38 @@ func runCounters(st *core.RunStats) map[string][7]int64 {
 }
 
 // TestCountersExactAcrossThreads: firings count in their own put slots and
-// the step boundary folds the slots together, so every counter is a
+// the step boundary folds the slots together, so every counter — the
+// tables', the rules' firings and the rule -> table dataflow — is a
 // property of the program and its input, not of the schedule: one thread
 // and two ForkJoin threads count the same, with and without -noDelta,
-// where the reader's pool.For helpers share the firing's slot.
+// where the reader's pool.For helpers share the firing's slot and fire
+// the monthly rule inline.
 func TestCountersExactAcrossThreads(t *testing.T) {
 	csv, _ := smallCSV(t, false)
 	for _, noDelta := range []bool{false, true} {
 		t.Run(fmt.Sprintf("noDelta=%v", noDelta), func(t *testing.T) {
 			var want map[string][7]int64
+			var wantFlow map[[2]string]int64
+			var wantFired map[string]int64
 			for _, threads := range []int{1, 2} {
 				res, err := RunJStar(csv, RunOpts{Strategy: exec.ForkJoin, Threads: threads, NoDelta: noDelta})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := runCounters(res.Run.Stats())
+				st := res.Run.Stats()
+				got, flow, fired := runCounters(st), st.FlowEdges(), st.RuleFirings()
 				if want == nil {
-					want = got
-				} else if !maps.Equal(got, want) {
+					want, wantFlow, wantFired = got, flow, fired
+					continue
+				}
+				if !maps.Equal(got, want) {
 					t.Errorf("threads %d: counters %v, want the one-thread run's %v", threads, got, want)
+				}
+				if !maps.Equal(flow, wantFlow) {
+					t.Errorf("threads %d: dataflow %v, want the one-thread run's %v", threads, flow, wantFlow)
+				}
+				if !maps.Equal(fired, wantFired) {
+					t.Errorf("threads %d: rule firings %v, want the one-thread run's %v", threads, fired, wantFired)
 				}
 			}
 		})
@@ -183,17 +196,24 @@ func TestDisruptorWaitStrategies(t *testing.T) {
 	}
 }
 
+// TestTraceDataflowEdges: every run records the rule -> table dataflow,
+// the inline -noDelta firings' puts included.
 func TestTraceDataflowEdges(t *testing.T) {
 	csv, _ := smallCSV(t, false)
-	res, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential, NoDelta: true, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow := res.Run.Stats().FlowEdges()
-	if flow[[2]string{"readCSV", "PvWatts"}] != int64(pvgen.RecordsPerYear) {
-		t.Errorf("readCSV->PvWatts flow = %d", flow[[2]string{"readCSV", "PvWatts"}])
-	}
-	if flow[[2]string{"monthly", "SumMonth"}] == 0 || flow[[2]string{"reduce", "Result"}] != 12 {
-		t.Errorf("flow edges = %v", flow)
+	readings := int64(pvgen.RecordsPerYear)
+	for _, noDelta := range []bool{false, true} {
+		res, err := RunJStar(csv, RunOpts{Strategy: exec.Sequential, NoDelta: noDelta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[[2]string]int64{
+			{"put", "PvWattsRequest"}: 1,
+			{"readCSV", "PvWatts"}:    readings,
+			{"monthly", "SumMonth"}:   readings,
+			{"reduce", "Result"}:      12,
+		}
+		if flow := res.Run.Stats().FlowEdges(); !maps.Equal(flow, want) {
+			t.Errorf("noDelta=%v: flow edges %v, want %v", noDelta, flow, want)
+		}
 	}
 }

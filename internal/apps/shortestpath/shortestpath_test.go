@@ -109,7 +109,8 @@ func runCounters(st *core.RunStats) map[string][7]int64 {
 // ForkJoin threads every counter is exact. Only some are the same at both:
 // Done is -noDelta, so a firing sees the Done tuples its step-mates put
 // before it, and how many Estimates a step puts depends on the schedule.
-// The rest must match, and every counter must obey the program's laws.
+// The rest must match, and every counter must obey the program's laws
+// and the ledger's.
 func TestCountersExactAcrossThreads(t *testing.T) {
 	gen := GenOpts{Vertices: 300, Extra: 600, Tasks: 4, Seed: 11}
 	distinct := make(map[Edge]bool)
@@ -146,6 +147,25 @@ func TestCountersExactAcrossThreads(t *testing.T) {
 			if law.got != law.want {
 				t.Errorf("threads %d: %s: %d, want %d", threads, law.name, law.got, law.want)
 			}
+		}
+		// The ledger's laws: each table's dataflow edges sum to its puts,
+		// and the rules' firings to TotalFired.
+		st := res.Run.Stats()
+		flowPuts := make(map[string]int64)
+		for e, n := range st.FlowEdges() {
+			flowPuts[e[1]] += n
+		}
+		for name, x := range c {
+			if name != "" && flowPuts[name] != x[puts] {
+				t.Errorf("threads %d: %s: dataflow edges sum to %d, puts %d", threads, name, flowPuts[name], x[puts])
+			}
+		}
+		var fired int64
+		for _, n := range st.RuleFirings() {
+			fired += n
+		}
+		if fired != c[""][0] {
+			t.Errorf("threads %d: rule firings sum to %d, TotalFired %d", threads, fired, c[""][0])
 		}
 		for _, name := range []string{"Done", "Edge"} {
 			if x := c[name]; x[indexed] != x[queries] || x[minp] != 1 {

@@ -1,10 +1,11 @@
 package core
 
 import (
-	"github.com/jstar-lang/jstar/internal/exec"
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/jstar-lang/jstar/internal/exec"
 	"github.com/jstar-lang/jstar/internal/gamma"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
@@ -81,9 +82,9 @@ func TestDuplicateActionPanics(t *testing.T) {
 	p.Action(a, func(*Run, *tuple.Tuple) {})
 }
 
-// TestExecuteEvents drives the event-driven mode (§3): external input
-// tuples trigger rules as they arrive; the run ends when the channel
-// closes and the database quiesces.
+// TestExecuteEvents drives the event-driven mode (§3) through a Session:
+// external input tuples trigger rules as they arrive, each quiescence
+// covers the events put so far, and the database is a running sum.
 func TestExecuteEvents(t *testing.T) {
 	p := NewProgram()
 	// Timestamp-first orderby lists: Total(t) must order before Input(t+1)
@@ -107,24 +108,28 @@ func TestExecuteEvents(t *testing.T) {
 		}
 		c.PutNew(total, tuple.Int(ts), tuple.Int(sum+ts))
 	})
-	run, err := p.NewRun(Options{Threads: 2})
+	ctx := context.Background()
+	s, err := p.Start(ctx, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := make(chan *tuple.Tuple)
-	go func() {
-		for i := int64(1); i <= 5; i++ {
-			events <- tuple.New(in, tuple.Int(i))
+	// Events 1-2 one at a time, 3-5 as one batch.
+	for _, batch := range [][]int64{{1}, {2}, {3, 4, 5}} {
+		for _, i := range batch {
+			if err := s.Put(tuple.New(in, tuple.Int(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
-		close(events)
-	}()
-	if err := run.ExecuteEvents(events); err != nil {
+		if err := s.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Final total: 1+2+3+4+5 = 15.
-	last := run.Gamma().Table(total)
 	var final int64
-	last.Scan(func(tt *tuple.Tuple) bool {
+	s.Run().Gamma().Table(total).Scan(func(tt *tuple.Tuple) bool {
 		if tt.Int("t") == 5 {
 			final = tt.Int("sum")
 		}
@@ -133,23 +138,29 @@ func TestExecuteEvents(t *testing.T) {
 	if final != 15 {
 		t.Errorf("running sum = %d, want 15", final)
 	}
+	if got := s.Stats().FlowEdges()[[2]string{"event", "Input"}]; got != 5 {
+		t.Errorf("event -> Input flow = %d, want 5", got)
+	}
 }
 
+// TestExecuteEventsClosedImmediately: a session closed without any event
+// still runs the program's initial puts.
 func TestExecuteEventsClosedImmediately(t *testing.T) {
 	p := NewProgram()
 	a := p.Table("A", []tuple.Column{{Name: "v", Kind: tuple.KindInt}}, nil)
 	p.Rule("noop", a, func(*Ctx, *tuple.Tuple) {})
 	p.Put(tuple.New(a, tuple.Int(1)))
-	run, err := p.NewRun(Options{Strategy: exec.Sequential})
+	s, err := p.Start(context.Background(), Options{Strategy: exec.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := make(chan *tuple.Tuple)
-	close(events)
-	if err := run.ExecuteEvents(events); err != nil {
+	if err := s.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if run.Stats().Steps != 1 {
-		t.Errorf("steps = %d (initial put must still run)", run.Stats().Steps)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().Steps != 1 {
+		t.Errorf("steps = %d (initial put must still run)", s.Stats().Steps)
 	}
 }

@@ -54,7 +54,7 @@ func (c *Ctx) Trigger() *tuple.Tuple { return c.trigger }
 // Options.CheckCausality it panics if the new tuple's causal key precedes
 // the trigger's — the law of causality (§4).
 func (c *Ctx) Put(t *tuple.Tuple) {
-	c.run.put(c.rule.Name, c.trigger, t, c.slot)
+	c.run.put(c.rule.id, c.trigger, t, c.slot)
 }
 
 // PutNew builds a tuple positionally and puts it: ctx.PutNew(ship, v...) is
@@ -63,7 +63,7 @@ func (c *Ctx) Put(t *tuple.Tuple) {
 // `foreach (X x) put new G(x.key)` allocates once per group run, not once
 // per firing.
 func (c *Ctx) PutNew(s *tuple.Schema, fields ...tuple.Value) {
-	c.run.putNew(c.rule.Name, c.trigger, s, fields, c.slot)
+	c.run.putNew(c.rule.id, c.trigger, s, fields, c.slot)
 }
 
 // checkResult enforces, in CheckCausality mode, that a query result is not

@@ -172,8 +172,9 @@ func (s *Session) replayTail() {
 	if len(s.walTail) == 0 {
 		return
 	}
+	event := s.run.prog.pseudoRule("event")
 	for _, t := range s.walTail {
-		s.run.put("replay", nil, t, 0)
+		s.run.put(event, nil, t, 0)
 	}
 	s.run.endStep()
 	s.walTail = nil

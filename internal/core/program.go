@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,6 +38,18 @@ type Rule struct {
 	Name    string
 	Trigger *tuple.Schema
 	Body    func(c *Ctx, t *tuple.Tuple)
+	id      int // registration index: the rule's row in the put slot's ledger
+}
+
+// pseudoRules own the puts no rule makes — a program's initial puts and a
+// session's external tuples, absorbed or replayed from the WAL — so every
+// put lands in one (rule, table) cell of the put slot's ledger. They take
+// the ledger rows after the registered rules'.
+var pseudoRules = [...]string{"put", "event"}
+
+// pseudoRule returns the ledger row of the pseudo-rule named name.
+func (p *Program) pseudoRule(name string) int {
+	return len(p.rules) + slices.Index(pseudoRules[:], name)
 }
 
 // Program is an immutable-after-setup JStar program definition.
@@ -106,7 +119,7 @@ func (p *Program) PartialOrder() *order.PartialOrder { return p.po }
 
 // Rule registers a rule triggered by each tuple of the trigger table.
 func (p *Program) Rule(name string, trig *tuple.Schema, body func(c *Ctx, t *tuple.Tuple)) *Rule {
-	r := &Rule{Name: name, Trigger: trig, Body: body}
+	r := &Rule{Name: name, Trigger: trig, Body: body, id: len(p.rules)}
 	p.rules = append(p.rules, r)
 	p.trigger[trig] = append(p.trigger[trig], r)
 	return r
@@ -203,9 +216,6 @@ type Options struct {
 	MaxSteps int64
 	// Quiet discards Println output instead of buffering it.
 	Quiet bool
-	// TraceDataflow records rule->table put counts for the dependency
-	// graph visualiser (§1.5). Off for benchmarks: it takes a lock per put.
-	TraceDataflow bool
 	// PhaseStats records the per-phase step breakdown
 	// (RunStats.FireNanos/InsertNanos/MergeNanos/DeltaNanos and the
 	// serial-boundary fraction). Off by default: it costs a handful of

@@ -21,13 +21,14 @@ import (
 
 // TableStats are per-table usage statistics recorded during a run — the
 // logging system of §1.5, used as the basis for choosing parallelisation
-// strategies. A firing does not write them: it counts its puts, duplicates
-// and queries in its own put slot (slotCounts), and endStep folds every
-// slot in on the coordinator once the step's firings are quiesced, so the
-// counters are exact at every step boundary — in particular whenever a
-// session is quiesced — and workers never share a counter's cache line.
-// Triggers, the boundary's duplicates and Session.Query's queries are
-// counted here directly, by the coordinator or once per fired chunk.
+// strategies. A firing does not write a run's TableStats: it counts in its
+// put slot's ledger (see putSlot), and endStep folds every slot in on the
+// coordinator once the step's firings are quiesced, so the counters are
+// exact at every step boundary — in particular whenever a session is
+// quiesced — and workers never share a counter's cache line. Puts is the
+// sum of the table's (rule, table) cells, Triggers the firings of the
+// rules it triggers. The boundary's duplicates and Session.Query's queries
+// are counted here directly, by the coordinator.
 type TableStats struct {
 	Puts       atomic.Int64 // tuples put (before dedup)
 	Duplicates atomic.Int64 // puts discarded as duplicates
@@ -44,6 +45,7 @@ type TableStats struct {
 	IndexedQueries atomic.Int64
 	PrefixLenSum   atomic.Int64
 	MinPrefixLen   atomic.Int64
+	_              uint64 // one cache line: a put slot keeps one per table
 }
 
 // noteQuery counts one query whose equality prefix holds n values.
@@ -56,53 +58,39 @@ func (t *TableStats) noteQuery(n int) {
 	}
 }
 
-// slotCounts is one put slot's share of one table's TableStats since the
-// last step boundary. Its counters are atomic because a slot is shared by
-// its firing rule's own pool.For helpers and by the -noDelta firings they
-// run inline; the goroutines sharing a slot are one firing's, so the adds
-// are uncontended. It fills one cache line, and a slot's counts are one
-// allocation of whole lines, so two slots never share a line.
-type slotCounts struct {
-	puts, dups                atomic.Int64
-	queries, indexed, plenSum atomic.Int64
-	minPrefix                 atomic.Int64
-	_                         [2]uint64
-}
-
-// noteQuery counts one query whose equality prefix holds n values.
-func (c *slotCounts) noteQuery(n int) {
-	c.queries.Add(1)
-	if n > 0 {
-		c.indexed.Add(1)
-		c.plenSum.Add(int64(n))
-		casMin(&c.minPrefix, int64(n))
-	}
-}
-
-// foldInto adds c to t and zeroes c. Coordinator only, with the slot's
-// firings quiesced.
-func (c *slotCounts) foldInto(t *TableStats) {
-	if p := c.puts.Load(); p != 0 {
-		t.Puts.Add(p)
-		c.puts.Store(0)
-	}
-	if d := c.dups.Load(); d != 0 {
+// foldInto adds a put slot's duplicates and queries c to t and zeroes
+// them. Coordinator only, with the slot's firings quiesced.
+func (c *TableStats) foldInto(t *TableStats) {
+	if d := c.Duplicates.Load(); d != 0 {
 		t.Duplicates.Add(d)
-		c.dups.Store(0)
+		c.Duplicates.Store(0)
 	}
-	if q := c.queries.Load(); q != 0 {
+	if q := c.Queries.Load(); q != 0 {
 		t.Queries.Add(q)
-		c.queries.Store(0)
+		c.Queries.Store(0)
 	}
-	if n := c.indexed.Load(); n != 0 {
+	if n := c.IndexedQueries.Load(); n != 0 {
 		t.IndexedQueries.Add(n)
-		t.PrefixLenSum.Add(c.plenSum.Load())
-		casMin(&t.MinPrefixLen, c.minPrefix.Load())
-		c.indexed.Store(0)
-		c.plenSum.Store(0)
-		c.minPrefix.Store(0)
+		t.PrefixLenSum.Add(c.PrefixLenSum.Load())
+		casMin(&t.MinPrefixLen, c.MinPrefixLen.Load())
+		c.IndexedQueries.Store(0)
+		c.PrefixLenSum.Store(0)
+		c.MinPrefixLen.Store(0)
 	}
 }
+
+// ruleCounts is one put slot's share of one rule's firings and body
+// nanoseconds; for a rule fired inline, of its sampled firings'. It fills
+// one cache line.
+type ruleCounts struct {
+	fired, nanos atomic.Int64
+	_            [6]uint64
+}
+
+// inlineSample is the share of inline (-noDelta) firings whose body time
+// is measured: one in inlineSample per rule and slot, scaled up at the
+// fold. A step-path group reads the clock once for all its firings.
+const inlineSample = 16
 
 func casMin(a *atomic.Int64, min int64) {
 	for {
@@ -116,7 +104,11 @@ func casMin(a *atomic.Int64, min int64) {
 	}
 }
 
-// RunStats aggregates statistics across a run.
+// RunStats aggregates statistics across a run. The counters a firing
+// writes — TotalFired, FireBatches, RuleNanos, FlowEdges and the tables'
+// Puts, Duplicates, Triggers and Queries — come from the put slots'
+// ledgers, which endStep folds in on the coordinator: they are exact at
+// every step boundary, and always on.
 type RunStats struct {
 	Steps      int64 // execution steps (minimum-batch extractions)
 	MaxBatch   int   // largest parallel batch
@@ -124,7 +116,12 @@ type RunStats struct {
 	TotalFired int64 // total rule firings
 	Elapsed    time.Duration
 	Tables     map[string]*TableStats
-	RuleNanos  map[string]*atomic.Int64 // cumulative body time per rule
+	// RuleNanos is each rule's cumulative body time, nested firings
+	// included. It is exact for rules fired on the step path, which time
+	// each group of firings with one clock pair; for a rule fired inline
+	// (its trigger table is -noDelta) it is an estimate, scaled up from
+	// one sampled firing in inlineSample.
+	RuleNanos map[string]*atomic.Int64
 
 	// FannedSteps counts the Steps whose firings left the coordinator for
 	// the workers — what the executor decided, step by step. Written only
@@ -183,32 +180,39 @@ type RunStats struct {
 	// store-auto-tuning input recorded per the §1.5 logging loop.
 	FireBatches atomic.Int64
 
-	// flowMu guards Flow, the observed dataflow edges rule -> table
-	// (tuples put by each rule into each table). Populated only under
-	// Options.TraceDataflow; this is the log the §1.5 visualiser renders
-	// as an annotated dependency graph.
-	flowMu sync.Mutex
-	Flow   map[[2]string]int64
+	// flow is the folded dataflow ledger: tuples put, by rule ID (the
+	// registered rules, then the pseudoRules) times table count plus
+	// table ID; fired holds the registered rules' firings. ruleNames and
+	// tableNames name their rows and columns.
+	flow, fired           []atomic.Int64
+	ruleNames, tableNames []string
 }
 
-// FlowEdges returns a copy of the observed rule->table put counts.
-func (s *RunStats) FlowEdges() map[[2]string]int64 {
-	s.flowMu.Lock()
-	defer s.flowMu.Unlock()
-	out := make(map[[2]string]int64, len(s.Flow))
-	for k, v := range s.Flow {
-		out[k] = v
+// RuleFirings returns each rule's firings. They sum to TotalFired, and a
+// table's Triggers are the firings of the rules it triggers.
+func (s *RunStats) RuleFirings() map[string]int64 {
+	out := make(map[string]int64, len(s.fired))
+	for id := range s.fired {
+		out[s.ruleNames[id]] += s.fired[id].Load()
 	}
 	return out
 }
 
-func (s *RunStats) addFlow(rule, table string) {
-	s.flowMu.Lock()
-	if s.Flow == nil {
-		s.Flow = make(map[[2]string]int64)
+// FlowEdges returns the observed dataflow: the tuples each rule put into
+// each table, keyed {rule, table} — the log the §1.5 visualiser renders
+// as an annotated dependency graph. Puts no rule made are keyed by a
+// pseudo-rule: "put" for the initial puts, "event" for a session's
+// external tuples, replayed ones included. Every put counts, dropped
+// repeats and duplicates too, so a table's edges sum to its Puts.
+func (s *RunStats) FlowEdges() map[[2]string]int64 {
+	out := make(map[[2]string]int64)
+	nt := len(s.tableNames)
+	for c := range s.flow {
+		if n := s.flow[c].Load(); n != 0 {
+			out[[2]string{s.ruleNames[c/nt], s.tableNames[c%nt]}] += n
+		}
 	}
-	s.Flow[[2]string{rule, table}]++
-	s.flowMu.Unlock()
+	return out
 }
 
 // MeanFireChunk returns the mean tuples per FireBatch dispatch — how well
@@ -253,14 +257,22 @@ func (s *RunStats) SerialBoundaryFraction() float64 {
 // (§5.2 "additional parallelism"), making several workers share the firing
 // rule's slot.
 //
-// A slot also counts, by schema ID, the puts, dropped repeats and queries
-// of the firings on it (slotCounts), which endStep folds into TableStats.
-// The struct is one cache line, so adjacent slots never share one.
+// A slot also keeps the ledger of its firings, which endStep folds into
+// RunStats: per table their dropped repeats and queries, per rule their
+// firings and body time, per (rule, table) cell their puts, and the chunks
+// fired. The counters are atomic because the firing rule's pool.For
+// helpers, and the -noDelta firings they run inline, share the slot; they
+// are one firing's, so the adds are uncontended. The struct is two cache
+// lines, and its ledger is allocated in whole lines, so two slots never
+// share one.
 type putSlot struct {
-	mu     sync.Mutex
-	buf    []*tuple.Tuple
-	counts []slotCounts // by schema ID
-	_      [1]uint64    // keep adjacent slots off one cache line
+	mu      sync.Mutex
+	buf     []*tuple.Tuple
+	counts  []TableStats   // by schema ID: Duplicates and the query counts
+	rules   []ruleCounts   // by rule ID
+	puts    []atomic.Int64 // by rule ID × table count + schema ID
+	batches atomic.Int64   // exec.Host.FireBatch chunks
+	_       [2]uint64      // keep adjacent slots off one cache line
 }
 
 // sealedRun is one slot's sorted put run awaiting the step-boundary merge.
@@ -310,7 +322,7 @@ type Run struct {
 	now func() int64
 
 	slots    []putSlot
-	slotCtx  []Ctx            // per-slot reusable rule contexts for fireBatch
+	slotCtx  []Ctx            // per-slot reusable rule contexts for fireChunk
 	flushBuf []*tuple.Tuple   // coordinator-only merge scratch for endStep
 	runsBuf  [][]*tuple.Tuple // coordinator-only scratch for endStep's merge input
 
@@ -450,7 +462,9 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	r.stats.StoreKinds = make(map[string]string, n)
 	r.stats.schemas = make(map[string]*tuple.Schema, n)
 	r.stats.noGamma = make(map[string]bool, len(opts.NoGamma))
+	r.stats.tableNames = make([]string, n)
 	for _, s := range p.byID {
+		r.stats.tableNames[s.ID()] = s.Name
 		st := &TableStats{}
 		r.stats.Tables[s.Name] = st
 		r.statsByID[s.ID()] = st
@@ -467,12 +481,18 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 			r.stats.noGamma[s.Name] = true
 		}
 	}
+	// Rules that share a name share their RuleNanos and FlowEdges entries.
 	r.stats.RuleNanos = make(map[string]*atomic.Int64, len(p.rules))
 	for _, rule := range p.rules {
 		if _, dup := r.stats.RuleNanos[rule.Name]; !dup {
 			r.stats.RuleNanos[rule.Name] = &atomic.Int64{}
 		}
+		r.stats.ruleNames = append(r.stats.ruleNames, rule.Name)
 	}
+	r.stats.ruleNames = append(r.stats.ruleNames, pseudoRules[:]...)
+	cells := len(r.stats.ruleNames) * n
+	r.stats.flow = make([]atomic.Int64, cells)
+	r.stats.fired = make([]atomic.Int64, len(p.rules))
 
 	// One put buffer per participant: the coordinator (slot 0) and each pool
 	// worker — a lone slot when the run cannot fan out.
@@ -482,7 +502,10 @@ func (p *Program) NewRun(opts Options) (*Run, error) {
 	}
 	r.slots = make([]putSlot, slots)
 	for i := range r.slots {
-		r.slots[i].counts = make([]slotCounts, n)
+		sl := &r.slots[i]
+		sl.counts = make([]TableStats, n)
+		sl.rules = make([]ruleCounts, len(p.rules))
+		sl.puts = make([]atomic.Int64, (cells+7)&^7) // whole cache lines
 	}
 	// One reusable Ctx per slot: the batched firing path re-points its
 	// rule/trigger fields per group instead of allocating a Ctx per firing.
@@ -516,70 +539,12 @@ func (r *Run) Execute() error {
 	return cErr
 }
 
-// ExecuteEvents is the event-driven execution mode (§3): external input
-// tuples arrive on events and are treated like any other tuple — they enter
-// the Delta set and trigger rules. It keeps the legacy serial contract —
-// the database drains to quiescence between event batches — as a wrapper
-// over Session: each channel receive (plus any already-pending events) is
-// one Put batch followed by a Quiesce. New code should use Program.Start
-// directly; Session.Put does not wait for quiescence, so ingestion
-// overlaps execution.
-func (r *Run) ExecuteEvents(events <-chan *tuple.Tuple) error {
-	s, err := r.startSession(context.Background())
-	if err != nil {
-		return err
-	}
-	bg := context.Background()
-	// Legacy contract: the initial puts drain to full quiescence before
-	// the first external event is absorbed (a Session would overlap them).
-	feedErr := s.Quiesce(bg)
-	if feedErr == nil {
-	feed:
-		for t := range events {
-			if feedErr = s.Put(t); feedErr != nil {
-				break
-			}
-			// Opportunistically absorb already-pending events so one
-			// quiescence covers simultaneous inputs, as the pre-Session
-			// loop did.
-			for {
-				select {
-				case t, ok := <-events:
-					if !ok {
-						break feed
-					}
-					if feedErr = s.Put(t); feedErr != nil {
-						break feed
-					}
-					continue
-				default:
-				}
-				break
-			}
-			if feedErr = s.Quiesce(bg); feedErr != nil {
-				break
-			}
-		}
-	}
-	qErr := s.Quiesce(bg)
-	cErr := s.Close()
-	// A Put rejection (nil tuple, undeclared table) is not a session
-	// failure, so Quiesce/Close would report success; the feed error still
-	// means events were dropped and must surface.
-	if feedErr != nil {
-		return feedErr
-	}
-	if qErr != nil {
-		return qErr
-	}
-	return cErr
-}
-
 // seed performs the program's initial puts on the coordinator slot and
 // flushes them into the Delta tree.
 func (r *Run) seed() {
+	put := r.prog.pseudoRule("put")
 	for _, t := range r.prog.initial {
-		r.put("put", nil, t, 0)
+		r.put(put, nil, t, 0)
 	}
 	r.endStep()
 }
@@ -801,13 +766,42 @@ func (r *Run) endStep() {
 	}
 }
 
-// foldCounts moves every slot's counts into the tables' TableStats.
-// Coordinator only, with the step's firings quiesced (endStep).
+// foldCounts moves every slot's ledger into RunStats: the tables'
+// TableStats, the dataflow cells, each rule's firings and body time, and
+// the chunk count. Inline firings' sampled body time is scaled up by the
+// firings it stands for. Coordinator only, with the step's firings
+// quiesced (endStep).
 func (r *Run) foldCounts() {
+	nt := len(r.statsByID)
 	for i := range r.slots {
-		cs := r.slots[i].counts
-		for id := range cs {
-			cs[id].foldInto(r.statsByID[id])
+		sl := &r.slots[i]
+		for id := range sl.counts {
+			sl.counts[id].foldInto(r.statsByID[id])
+		}
+		for c := range r.stats.flow {
+			if p := sl.puts[c].Load(); p != 0 {
+				sl.puts[c].Store(0)
+				r.stats.flow[c].Add(p)
+				r.statsByID[c%nt].Puts.Add(p)
+			}
+		}
+		for id := range sl.rules {
+			f := sl.rules[id].fired.Swap(0)
+			if f == 0 {
+				continue
+			}
+			ns := sl.rules[id].nanos.Swap(0)
+			rule := r.prog.rules[id]
+			if r.noDelta[rule.Trigger.ID()] {
+				ns = int64(float64(ns) * float64(f) / float64((f+inlineSample-1)/inlineSample))
+			}
+			r.statsByID[rule.Trigger.ID()].Triggers.Add(f)
+			r.stats.fired[id].Add(f)
+			r.stats.RuleNanos[rule.Name].Add(ns)
+			atomic.AddInt64(&r.stats.TotalFired, f)
+		}
+		if b := sl.batches.Swap(0); b != 0 {
+			r.stats.FireBatches.Add(b)
 		}
 	}
 }
@@ -871,18 +865,22 @@ func (r *Run) runActions(batch []*tuple.Tuple) {
 	}
 }
 
-// fireBatch runs every rule triggered by each tuple of ts, buffering puts
-// under slot — the batch-first dispatch path behind exec.Host.FireBatch.
-// The chunk arrives sorted by schema (BeginStep's ordering), so it splits
-// into schema-homogeneous runs; each run pays its rulesByID/statsByID
-// lookups, Triggers/TotalFired accounting and Ctx setup once.
-func (r *Run) fireBatch(ts []*tuple.Tuple, slot int) {
+// fireChunk fires one chunk of a step's live batch on slot's reusable Ctx
+// — exec.Host.FireBatch.
+func (r *Run) fireChunk(ts []*tuple.Tuple, slot int) {
 	if len(ts) == 0 {
 		return
 	}
-	r.stats.FireBatches.Add(1)
-	ctx := &r.slotCtx[slot]
-	var fired int64
+	r.slots[slot].batches.Add(1)
+	r.fireBatch(&r.slotCtx[slot], ts)
+}
+
+// fireBatch runs on ctx every rule triggered by each tuple of ts — the one
+// firing path, for a chunk of a step's live batch (fireChunk) and for a
+// -noDelta tuple fired the moment it enters Gamma (put). ts arrives sorted
+// by schema (BeginStep's ordering), so it splits into schema-homogeneous
+// groups, each of which pays its rule lookup once.
+func (r *Run) fireBatch(ctx *Ctx, ts []*tuple.Tuple) {
 	for i := 0; i < len(ts); {
 		s := ts[i].Schema()
 		j := i + 1
@@ -891,26 +889,23 @@ func (r *Run) fireBatch(ts []*tuple.Tuple, slot int) {
 		}
 		group := ts[i:j]
 		i = j
-		rules := r.rulesByID[s.ID()]
-		if len(rules) == 0 {
-			continue
-		}
-		n := int64(len(rules)) * int64(len(group))
-		r.statsByID[s.ID()].Triggers.Add(n)
-		fired += n
-		for _, rule := range rules {
+		for _, rule := range r.rulesByID[s.ID()] {
 			r.invokeGroup(ctx, rule, group)
 		}
-	}
-	if fired > 0 {
-		atomic.AddInt64(&r.stats.TotalFired, fired)
 	}
 }
 
 // invokeGroup fires one rule over a schema-homogeneous group of triggers,
-// tuple by tuple. One recover guards the group: a rule panic fails the
-// run, so finishing the group's remaining tuples would be wasted work.
+// tuple by tuple, and counts the firings and their body time in the slot's
+// ledger. A group reads the clock once around all its firings — except
+// an inline -noDelta firing, a group of one, which reads it only if it is
+// its rule's inlineSample-th on the slot. One recover guards the group: a
+// rule panic fails the run, so finishing the group's remaining tuples
+// would be wasted work.
 func (r *Run) invokeGroup(ctx *Ctx, rule *Rule, ts []*tuple.Tuple) {
+	rc := &r.slots[ctx.slot].rules[rule.id]
+	n := rc.fired.Add(int64(len(ts)))
+	timed := !r.noDelta[rule.Trigger.ID()] || (n-1)%inlineSample == 0
 	defer func() {
 		if p := recover(); p != nil {
 			r.setFail(fmt.Errorf("jstar: rule %s on %v panicked: %v", rule.Name, ctx.trigger, p))
@@ -918,45 +913,16 @@ func (r *Run) invokeGroup(ctx *Ctx, rule *Rule, ts []*tuple.Tuple) {
 		}
 	}()
 	ctx.rule = rule
-	start := time.Now()
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	for _, t := range ts {
 		ctx.trigger = t
 		rule.Body(ctx, t)
 	}
-	if n := r.stats.RuleNanos[rule.Name]; n != nil {
-		n.Add(int64(time.Since(start)))
-	}
-}
-
-// fire runs every rule triggered by t, buffering puts under slot — the
-// per-tuple path kept for -noDelta inline firing, where tuples fire on
-// the producing task the moment they enter Gamma (§5.1) and cannot wait
-// to be chunked. Accounting is still folded to one update per counter.
-func (r *Run) fire(t *tuple.Tuple, slot int) {
-	rules := r.rulesByID[t.Schema().ID()]
-	if len(rules) == 0 {
-		return
-	}
-	r.statsByID[t.Schema().ID()].Triggers.Add(int64(len(rules)))
-	atomic.AddInt64(&r.stats.TotalFired, int64(len(rules)))
-	for _, rule := range rules {
-		r.invoke(rule, t, slot)
-	}
-}
-
-func (r *Run) invoke(rule *Rule, t *tuple.Tuple, slot int) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.setFail(fmt.Errorf("jstar: rule %s on %v panicked: %v", rule.Name, t, p))
-		}
-	}()
-	// A fresh Ctx, not the slot's shared one: inline -noDelta fires nest
-	// inside a rule body that is still using the slot Ctx.
-	ctx := &Ctx{run: r, rule: rule, trigger: t, slot: slot}
-	start := time.Now()
-	rule.Body(ctx, t)
-	if n := r.stats.RuleNanos[rule.Name]; n != nil {
-		n.Add(int64(time.Since(start)))
+	if timed {
+		rc.nanos.Add(int64(time.Since(start)))
 	}
 }
 
@@ -968,14 +934,15 @@ func (r *Run) tableStats(s *tuple.Schema) *TableStats {
 }
 
 // put implements the tuple creation path shared by initial puts and rule
-// puts. from is the trigger tuple of the producing rule, nil for initial
-// puts; slot identifies the put buffer of the executing participant.
-// Under -noDelta the tuple goes straight to Gamma and fires its rules on
-// the calling task; everything else is appended to the slot buffer and
+// puts. rule is the producing rule's ID, or a pseudo-rule's; from is the
+// trigger tuple of the producing rule, nil for the pseudo-rules' puts;
+// slot identifies the put buffer of the executing participant. Under
+// -noDelta the tuple goes straight to Gamma and fires its rules on the
+// calling task; everything else is appended to the slot buffer and
 // flushed into the Delta tree at the step boundary — unless it equals the
 // buffer's tail, the slot's previous put this step: then it is a
 // duplicate the boundary would drop, and it is dropped here.
-func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) {
+func (r *Run) put(rule int, from *tuple.Tuple, t *tuple.Tuple, slot int) {
 	s := t.Schema()
 	if r.tableStats(s) == nil {
 		panic(fmt.Sprintf("jstar: put of tuple from undeclared table %s", s.Name))
@@ -983,11 +950,11 @@ func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) 
 	id := s.ID()
 	sl := &r.slots[slot]
 	c := &sl.counts[id]
-	r.admit(c, ruleName, from, t)
+	r.admit(r.cell(sl, rule, id), from, t)
 	if r.noDelta[id] {
 		if !r.noGamma[id] {
 			if !r.gammaDB.Insert(t) {
-				c.dups.Add(1)
+				c.Duplicates.Add(1)
 				return
 			}
 			r.dirtyByID[id].Store(true)
@@ -995,13 +962,17 @@ func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) 
 				r.prefixDirty[id].Or(1 << PrefixBucket(t.Field(0)))
 			}
 		}
-		r.fire(t, slot)
+		// A Ctx of its own, not the slot's: the put nests in a firing that
+		// is still using the slot's Ctx, and pool.For helpers share the slot.
+		if len(r.rulesByID[id]) > 0 {
+			r.fireBatch(&Ctx{run: r, slot: slot}, []*tuple.Tuple{t})
+		}
 		return
 	}
 	sl.mu.Lock()
 	if n := len(sl.buf); n > 0 && sl.buf[n-1].Equal(t) {
 		sl.mu.Unlock()
-		c.dups.Add(1)
+		c.Duplicates.Add(1)
 		return
 	}
 	sl.buf = append(sl.buf, t)
@@ -1012,48 +983,47 @@ func (r *Run) put(ruleName string, from *tuple.Tuple, t *tuple.Tuple, slot int) 
 // repeat of the slot buffer's tail is counted and checked as the tail
 // itself — equal tuples share a causal key — and never built. It keeps
 // put's one slot-lock episode, so a new tuple is built under the lock.
-func (r *Run) putNew(ruleName string, from *tuple.Tuple, s *tuple.Schema, fields []tuple.Value, slot int) {
+func (r *Run) putNew(rule int, from *tuple.Tuple, s *tuple.Schema, fields []tuple.Value, slot int) {
 	if r.tableStats(s) == nil || r.noDelta[s.ID()] {
-		r.put(ruleName, from, tuple.New(s, fields...), slot)
+		r.put(rule, from, tuple.New(s, fields...), slot)
 		return
 	}
 	sl := &r.slots[slot]
-	c := &sl.counts[s.ID()]
+	cell := r.cell(sl, rule, s.ID())
 	sl.mu.Lock()
 	defer sl.mu.Unlock() // New and the causality check may panic
 	if n := len(sl.buf); n > 0 && sl.buf[n-1].EqualNew(s, fields...) {
-		r.admit(c, ruleName, from, sl.buf[n-1])
-		c.dups.Add(1)
+		r.admit(cell, from, sl.buf[n-1])
+		sl.counts[s.ID()].Duplicates.Add(1)
 		return
 	}
 	t := tuple.New(s, fields...)
-	r.admit(c, ruleName, from, t)
+	r.admit(cell, from, t)
 	sl.buf = append(sl.buf, t)
 }
 
-// admit counts t as a put in its slot's counts c and runs the put-time
-// checks, which only traced or causality-checked runs pay for.
-func (r *Run) admit(c *slotCounts, ruleName string, from, t *tuple.Tuple) {
-	c.puts.Add(1)
-	if r.opts.TraceDataflow || r.opts.CheckCausality {
-		r.checkPut(ruleName, from, t)
+// cell returns slot sl's dataflow cell for puts by rule into table id.
+func (r *Run) cell(sl *putSlot, rule int, id int32) *atomic.Int64 {
+	return &sl.puts[rule*len(r.statsByID)+int(id)]
+}
+
+// admit counts t as a put in its (rule, table) cell and, under
+// CheckCausality, checks it against its trigger.
+func (r *Run) admit(cell *atomic.Int64, from, t *tuple.Tuple) {
+	cell.Add(1)
+	if r.opts.CheckCausality && from != nil {
+		r.checkPut(from, t)
 	}
 }
 
-// checkPut records the put in the dataflow trace and, under
-// CheckCausality, panics if t's causal key precedes its trigger's — the
-// law of causality (§4).
-func (r *Run) checkPut(ruleName string, from, t *tuple.Tuple) {
-	if r.opts.TraceDataflow {
-		r.stats.addFlow(ruleName, t.Schema().Name)
-	}
-	if r.opts.CheckCausality && from != nil {
-		kf := order.KeyOf(r.prog.po, from)
-		kt := order.KeyOf(r.prog.po, t)
-		if order.Compare(kt, kf) < 0 {
-			panic(fmt.Sprintf("jstar: causality violation: rule triggered by %v (key %v) put %v (key %v) into the past",
-				from, kf, t, kt))
-		}
+// checkPut panics if t's causal key precedes its trigger's — the law of
+// causality (§4).
+func (r *Run) checkPut(from, t *tuple.Tuple) {
+	kf := order.KeyOf(r.prog.po, from)
+	kt := order.KeyOf(r.prog.po, t)
+	if order.Compare(kt, kf) < 0 {
+		panic(fmt.Sprintf("jstar: causality violation: rule triggered by %v (key %v) put %v (key %v) into the past",
+			from, kf, t, kt))
 	}
 }
 

@@ -103,8 +103,7 @@ func (p *Program) Start(ctx context.Context, opts Options) (*Session, error) {
 }
 
 // startSession starts the coordinator loop on a prepared run. It is the
-// engine behind Program.Start and the Execute/ExecuteEvents compatibility
-// wrappers.
+// engine behind Program.Start and the Execute wrapper.
 func (r *Run) startSession(ctx context.Context) (*Session, error) {
 	if !r.started.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("jstar: run already started")
@@ -242,8 +241,9 @@ func (s *Session) absorb() int {
 	s.pending = s.spare
 	s.room.Broadcast()
 	s.mu.Unlock()
+	event := s.run.prog.pseudoRule("event")
 	for _, t := range batch {
-		s.run.put("event", nil, t, 0)
+		s.run.put(event, nil, t, 0)
 	}
 	// The WAL tee: everything absorbed this pass becomes one batch record
 	// in the pending group. This is an encode, not a sync — the group
@@ -649,7 +649,7 @@ func (h sessionHost) NextBatch() ([]*tuple.Tuple, error) {
 }
 
 func (h sessionHost) BeginStep(b []*tuple.Tuple) []*tuple.Tuple { return h.s.run.beginStep(b) }
-func (h sessionHost) FireBatch(ts []*tuple.Tuple, slot int)     { h.s.run.fireBatch(ts, slot) }
+func (h sessionHost) FireBatch(ts []*tuple.Tuple, slot int)     { h.s.run.fireChunk(ts, slot) }
 func (h sessionHost) Now() int64                                { return h.s.run.now() }
 func (h sessionHost) FanOut()                                   { h.s.run.stats.FannedSteps++ }
 func (h sessionHost) SealSlot(slot int)                         { h.s.run.sealSlot(slot) }

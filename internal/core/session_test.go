@@ -306,7 +306,7 @@ func TestSessionPutUndeclaredTable(t *testing.T) {
 }
 
 // TestSessionRunStartsOnce: a Run backs at most one execution, whether via
-// Session, Execute, or ExecuteEvents.
+// Session or Execute.
 func TestSessionRunStartsOnce(t *testing.T) {
 	p, _ := shipProgram()
 	r, err := p.NewRun(Options{Strategy: exec.Sequential})
@@ -547,25 +547,6 @@ func TestSessionPutBatchLargerThanRing(t *testing.T) {
 	}
 	if got := len(snapshot(t, s, out)); got != n {
 		t.Errorf("Out has %d tuples, want %d", got, n)
-	}
-}
-
-// TestExecuteEventsPropagatesPutError: a rejected event (undeclared table)
-// must fail ExecuteEvents, not be silently dropped.
-func TestExecuteEventsPropagatesPutError(t *testing.T) {
-	p, _, _ := sessionProgram()
-	other := tuple.MustSchema("Other",
-		[]tuple.Column{{Name: "x", Kind: tuple.KindInt}}, nil)
-	r, err := p.NewRun(Options{Strategy: exec.Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := make(chan *tuple.Tuple, 1)
-	events <- tuple.New(other, tuple.Int(1))
-	close(events)
-	if err := r.ExecuteEvents(events); err == nil ||
-		!strings.Contains(err.Error(), "not declared") {
-		t.Errorf("ExecuteEvents with undeclared-table event = %v, want not-declared error", err)
 	}
 }
 

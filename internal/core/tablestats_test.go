@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"unsafe"
@@ -77,14 +78,28 @@ func TestTableStatsExactAcrossStrategies(t *testing.T) {
 	}
 }
 
-// TestPutSlotIsWholeCacheLines: a put slot and one table's slot counts
-// are whole cache lines, so no two participants' writes share a line.
+// TestPutSlotIsWholeCacheLines: a put slot and its ledger — one table's
+// counts, one rule's counts, its dataflow cells — are whole cache lines,
+// so no two participants' writes share a line.
 func TestPutSlotIsWholeCacheLines(t *testing.T) {
 	if n := unsafe.Sizeof(putSlot{}); n%64 != 0 {
 		t.Errorf("putSlot is %d bytes, not a multiple of 64", n)
 	}
-	if n := unsafe.Sizeof(slotCounts{}); n != 64 {
-		t.Errorf("slotCounts is %d bytes, want one 64-byte line", n)
+	if n := unsafe.Sizeof(TableStats{}); n != 64 {
+		t.Errorf("TableStats is %d bytes, want one 64-byte line", n)
+	}
+	if n := unsafe.Sizeof(ruleCounts{}); n != 64 {
+		t.Errorf("ruleCounts is %d bytes, want one 64-byte line", n)
+	}
+	p := NewProgram()
+	a := p.Table("A", []tuple.Column{{Name: "k", Kind: tuple.KindInt}}, nil)
+	p.Rule("r", a, func(*Ctx, *tuple.Tuple) {})
+	r, err := p.NewRun(Options{Strategy: exec.Sequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.slots[0].puts); n%8 != 0 {
+		t.Errorf("a slot's %d dataflow cells are not whole 64-byte lines", n)
 	}
 }
 
@@ -278,5 +293,66 @@ func TestStorePlanEquivalence(t *testing.T) {
 				t.Errorf("plan %q: missing B(%s)", spec, k)
 			}
 		}
+	}
+}
+
+// TestLedgerCountsInlineFirings: an inline -noDelta firing runs through
+// the same group path as a step's, so its firings, its puts and its body
+// time land in the put slot's ledger and fold into the run's statistics
+// like any other — whether the putting rule runs on the coordinator or
+// fans its puts out over pool.For helpers sharing its slot.
+func TestLedgerCountsInlineFirings(t *testing.T) {
+	const perA = 3 * inlineSample
+	for _, opts := range []Options{{Strategy: exec.Sequential}, {Strategy: exec.ForkJoin, Threads: 4}} {
+		t.Run(opts.Strategy.String(), func(t *testing.T) {
+			p := NewProgram()
+			a := p.Table("A", []tuple.Column{{Name: "k", Kind: tuple.KindInt}},
+				[]tuple.OrderEntry{tuple.Lit("A")})
+			n := p.Table("N", []tuple.Column{{Name: "k", Kind: tuple.KindInt}, {Name: "i", Kind: tuple.KindInt}},
+				[]tuple.OrderEntry{tuple.Lit("N")})
+			c := p.Table("C", []tuple.Column{{Name: "k", Kind: tuple.KindInt}},
+				[]tuple.OrderEntry{tuple.Lit("C")})
+			p.Order("A", "N", "C")
+			p.Rule("fanOut", a, func(ctx *Ctx, t *tuple.Tuple) {
+				put := func(i int) { ctx.PutNew(n, t.Get("k"), tuple.Int(int64(i))) }
+				if pool := ctx.Pool(); pool != nil {
+					pool.For(perA, 1, put)
+					return
+				}
+				for i := range perA {
+					put(i)
+				}
+			})
+			p.Rule("count", n, func(ctx *Ctx, t *tuple.Tuple) {
+				ctx.PutNew(c, t.Get("k"))
+			})
+			p.Put(tuple.New(a, tuple.Int(1)))
+			p.Put(tuple.New(a, tuple.Int(2)))
+			opts.NoDelta = []string{"N"}
+			opts.Quiet = true
+			run, err := p.Execute(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := run.Stats()
+			wantFlow := map[[2]string]int64{{"put", "A"}: 2, {"fanOut", "N"}: 2 * perA, {"count", "C"}: 2 * perA}
+			if flow := st.FlowEdges(); !maps.Equal(flow, wantFlow) {
+				t.Errorf("flow %v, want %v", flow, wantFlow)
+			}
+			wantFired := map[string]int64{"fanOut": 2, "count": 2 * perA}
+			if fired := st.RuleFirings(); !maps.Equal(fired, wantFired) {
+				t.Errorf("firings %v, want %v", fired, wantFired)
+			}
+			if st.TotalFired != 2+2*perA || st.Tables["N"].Triggers.Load() != 2*perA || st.Tables["N"].Puts.Load() != 2*perA {
+				t.Errorf("TotalFired %d, N triggers %d, N puts %d", st.TotalFired,
+					st.Tables["N"].Triggers.Load(), st.Tables["N"].Puts.Load())
+			}
+			if st.RuleNanos["count"].Load() <= 0 || st.RuleNanos["fanOut"].Load() <= 0 {
+				t.Errorf("rule time: count %d ns, fanOut %d ns", st.RuleNanos["count"].Load(), st.RuleNanos["fanOut"].Load())
+			}
+			if st.FireBatches.Load() == 0 || st.FireBatches.Load() > st.Steps*int64(run.Threads()+1) {
+				t.Errorf("%d fired chunks over %d steps: inline firings must not count as chunks", st.FireBatches.Load(), st.Steps)
+			}
+		})
 	}
 }

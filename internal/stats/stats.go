@@ -6,8 +6,11 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -85,7 +88,8 @@ func AmdahlMax(serialFraction float64, workers int) float64 {
 
 // ProgramDOT renders the static dependency graph of a program: tables as
 // blue boxes, rules as red circles, edges trigger-table -> rule. Put edges
-// come from the observed dataflow when a traced run is supplied.
+// come from the run's observed dataflow when a run is supplied, sorted by
+// (rule, table) so a run renders the same DOT every time.
 func ProgramDOT(p *core.Program, run *core.Run) string {
 	var b strings.Builder
 	b.WriteString("digraph jstar {\n  rankdir=LR;\n")
@@ -97,8 +101,12 @@ func ProgramDOT(p *core.Program, run *core.Run) string {
 		fmt.Fprintf(&b, "  %q -> %q [style=bold];\n", r.Trigger.Name, r.Name)
 	}
 	if run != nil {
-		for edge, n := range run.Stats().FlowEdges() {
-			rule, table := edge[0], edge[1]
+		flow := run.Stats().FlowEdges()
+		edges := slices.SortedFunc(maps.Keys(flow), func(a, b [2]string) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		for _, edge := range edges {
+			rule, table, n := edge[0], edge[1], flow[edge]
 			if rule == "put" {
 				fmt.Fprintf(&b, "  %q -> %q [label=\"init x%d\", style=dashed];\n", "start", table, n)
 				continue

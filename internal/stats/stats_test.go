@@ -1,13 +1,16 @@
 package stats
 
 import (
-	"github.com/jstar-lang/jstar/internal/exec"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/jstar-lang/jstar/internal/core"
+	"github.com/jstar-lang/jstar/internal/exec"
+	"github.com/jstar-lang/jstar/internal/lang"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
@@ -72,7 +75,7 @@ func traceRun(t *testing.T) (*core.Program, *core.Run) {
 	})
 	p.Put(tuple.New(a, tuple.Int(1)))
 	p.Put(tuple.New(a, tuple.Int(2)))
-	run, err := p.Execute(core.Options{Strategy: exec.Sequential, TraceDataflow: true, Quiet: true})
+	run, err := p.Execute(core.Options{Strategy: exec.Sequential, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +101,44 @@ func TestProgramDOT(t *testing.T) {
 	static := ProgramDOT(p, nil)
 	if strings.Contains(static, "init") {
 		t.Error("static graph must not contain observed flow")
+	}
+}
+
+// TestProgramDOTDeterministic: each example program, run and rendered
+// with its observed dataflow several times over, gives byte-identical DOT
+// — the put edges come out sorted, whatever order the flow map ranges in.
+func TestProgramDOTDeterministic(t *testing.T) {
+	files, err := filepath.Glob("../../examples/programs/*.jstar")
+	if err != nil || len(files) != 4 {
+		t.Fatalf("example programs: %v, %v", files, err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for range 2 {
+			p, err := lang.CompileSource(string(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := p.Execute(core.Options{Strategy: exec.Sequential, Quiet: true, MaxSteps: 1_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 3 {
+				dot := ProgramDOT(p, run)
+				if first == "" {
+					first = dot
+					if !strings.Contains(dot, "label=\"init x") {
+						t.Errorf("%s: no observed put edges:\n%s", f, dot)
+					}
+				} else if dot != first {
+					t.Fatalf("%s: DOT differs between renderings:\n%s\nvs\n%s", f, first, dot)
+				}
+			}
+		}
 	}
 }
 

@@ -71,10 +71,8 @@
 // driven by Session.TableVersion / Session.WaitChange, the per-table
 // quiesced-change generations folded from each step's Delta accounting.
 //
-// Program.Execute and Run.ExecuteEvents remain as one-shot compatibility
-// wrappers over the same Session machinery: Execute is start-quiesce-close,
-// and ExecuteEvents keeps its legacy serial contract of draining to
-// quiescence between event batches.
+// Program.Execute remains as a one-shot wrapper over the same Session
+// machinery: start, quiesce, close.
 //
 // # Execution strategies and batched puts
 //
