@@ -18,14 +18,16 @@ import (
 // (tuple.Float is canonical, so equal floats have equal bits) and strings
 // as ids into a shared dictionary (the compression — a table with a
 // low-cardinality string column stores each distinct string once).
-// Open-addressing oaTables (oatable.go) index the rows without boxing
-// them either: the dedup tables on the full tuple hash, for set-semantics
-// dedup, and one on the first k words, whose entries anchor per-key chains
-// threaded through next. A Select whose prefix covers the k key columns
-// walks one chain and compares only the words past k; a shorter prefix and
-// Scan walk the rows in order. Either way the prefix is tested on the words, and
-// tuples are materialised only for rows that survive it, so rejected rows
-// never allocate. ScanRows, the checkpoint's read, materialises none.
+// Open-addressing oaTables (oatable.go) index the rows without boxing them
+// either: one on the first k words, whose entries anchor per-key chains
+// threaded through next, and the dedup tables on all the words, for
+// set-semantics dedup. Only keys with two or more rows have theirs in
+// dedup, so a row with a new key is indexed once. A Select whose prefix
+// covers the k key columns walks one chain and compares only the words past
+// k; a shorter prefix and Scan walk the rows in order. Either way the
+// prefix is tested on the words, and tuples are materialised only for rows
+// that survive it, so rejected rows never allocate. ScanRows, the
+// checkpoint's read, materialises none.
 
 // colStore is the columnar Store implementation.
 type colStore struct {
@@ -36,10 +38,11 @@ type colStore struct {
 	rows   []int64      // row-major, len(kinds) words per row
 	dict   map[string]int64
 	strs   []string // dict id -> string
-	// dedup maps full tuple hashes to rows (set-semantics dedup), split by
-	// the top bits of the key hash: equal rows have equal keys, and a run
-	// of one key's rows — a sorted batch — probes one small table that
-	// stays in cache.
+	// dedup maps row hashes to the rows of keys with two or more rows
+	// (set-semantics dedup), split by the top bits of the key hash: equal
+	// rows have equal keys, and a run of one key's rows — a sorted batch —
+	// probes one small table that stays in cache. It stays empty when k is
+	// the arity.
 	dedup [16]oaTable
 	keys  oaTable // key hash -> newest row of its chain
 	// next holds one entry per stored row (its length is the row count),
@@ -125,10 +128,11 @@ func (cs *colStore) materialise(row []int64) *tuple.Tuple {
 	return tuple.New(cs.schema, vals...)
 }
 
-// keyHash is the chain hash of a row's (or a query's) k key words.
-func (cs *colStore) keyHash(key []int64) uint64 {
+// hash folds words — a row's k key words (or a query's) for the keys
+// index, or all of them for dedup.
+func (cs *colStore) hash(words []int64) uint64 {
 	h := uint64(tuple.HashSeed)
-	for _, w := range key {
+	for _, w := range words {
 		h = mixInt(h, w)
 	}
 	return finalizeHash(h) & cs.hashMask
@@ -148,9 +152,11 @@ func (cs *colStore) intern(s string) int64 {
 	return id
 }
 
-// insertLocked appends t's words, then drops them again if the dedup index
-// holds an equal row. A duplicate's strings are all in the dictionary
-// already, so interning never grows it for one.
+// insertLocked appends t's words and puts the row as its key's newest,
+// then undoes both if the key's chain holds an equal row: a new key needs
+// no dedup probe, and a chain of one compares its row directly. A
+// duplicate's strings are all in the dictionary already, so interning
+// never grows it for one.
 func (cs *colStore) insertLocked(t *tuple.Tuple) bool {
 	n := len(cs.rows)
 	if n+len(cs.kinds) > cap(cs.rows) {
@@ -168,24 +174,37 @@ func (cs *colStore) insertLocked(t *tuple.Tuple) bool {
 	}
 	row := cs.rows[n:]
 	key := row[:cs.k]
-	kh := cs.keyHash(key)
+	kh := cs.hash(key)
+	eqKey := func(o int32) bool { return slices.Equal(cs.row(o)[:cs.k], key) }
+	r := int32(len(cs.next))
+	tail := cs.keys.put(kh, eqKey, r)
+	if tail < 0 {
+		cs.next = append(cs.next, r) // a chain of one
+		return true
+	}
 	dd := &cs.dedup[kh>>60]
-	h := finalizeHash(t.Hash()) & cs.hashMask
-	if dd.find(h, func(r int32) bool { return slices.Equal(cs.row(r), row) }) >= 0 {
+	h := cs.hash(row)
+	var dup bool
+	if cs.next[tail] == tail { // a chain of one: its row is not in dedup yet
+		if dup = slices.Equal(cs.row(tail), row); !dup {
+			dd.put(cs.hash(cs.row(tail)), never, tail)
+		}
+	} else {
+		dup = dd.find(h, func(o int32) bool { return slices.Equal(cs.row(o), row) }) >= 0
+	}
+	if dup {
+		cs.keys.put(kh, eqKey, tail) // the key's newest row again
 		cs.rows = cs.rows[:n]
 		return false
 	}
-	r := int32(len(cs.next))
-	dd.put(h, func(int32) bool { return false }, r)
-	eqKey := func(o int32) bool { return slices.Equal(cs.row(o)[:cs.k], key) }
-	if tail := cs.keys.put(kh, eqKey, r); tail < 0 {
-		cs.next = append(cs.next, r) // a chain of one
-	} else {
-		cs.next = append(cs.next, cs.next[tail]) // the chain's oldest row
-		cs.next[tail] = r
-	}
+	dd.put(h, never, r)
+	cs.next = append(cs.next, cs.next[tail]) // the chain's oldest row
+	cs.next[tail] = r
 	return true
 }
+
+// never makes oaTable.put add an entry: dedup is probed with find first.
+func never(int32) bool { return false }
 
 func (cs *colStore) Insert(t *tuple.Tuple) bool {
 	cs.mu.Lock()
@@ -283,7 +302,7 @@ func (cs *colStore) Select(q Query, fn func(*tuple.Tuple) bool) {
 		return
 	}
 	key := want[:cs.k]
-	tail := cs.keys.find(cs.keyHash(key), func(r int32) bool { return slices.Equal(cs.row(r)[:cs.k], key) })
+	tail := cs.keys.find(cs.hash(key), func(r int32) bool { return slices.Equal(cs.row(r)[:cs.k], key) })
 	if tail < 0 {
 		return
 	}

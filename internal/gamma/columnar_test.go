@@ -1,6 +1,8 @@
 package gamma
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -44,7 +46,9 @@ func TestColumnarInsertAllocationBudget(t *testing.T) {
 // by key, as the engine's sorted batch inserts leave them. insert times one
 // fresh store taking every row (ns/tuple); select-k walks one key's rows
 // (an exact-key prefix), select-k+1 finds one row by a three-column prefix
-// (both per query).
+// (both per query). The unique input is the served tables' shape instead:
+// 100 000 rows of arity 1 or 2, one per key, the keys permuted and arriving
+// as sorted InsertBatch runs of 1 000, into the stores keyed on one column.
 func BenchmarkKeyedRowStore(b *testing.B) {
 	s := tuple.MustSchema("R", []tuple.Column{
 		{Name: "c0", Kind: tuple.KindInt}, {Name: "c1", Kind: tuple.KindInt},
@@ -55,6 +59,7 @@ func BenchmarkKeyedRowStore(b *testing.B) {
 		interleaved[i] = tuple.New(s, tuple.Int(int64(i%6)), tuple.Int(int64(i/6%8)), tuple.Int(int64(i)), tuple.Int(int64(7*i)))
 	}
 	grouped := slices.SortedFunc(slices.Values(interleaved), (*tuple.Tuple).CompareFields)
+	benchUniqueKeys(b, n)
 	for _, spec := range []string{"columnar:2", "hash:2"} {
 		f, err := FactoryFor(spec, s)
 		if err != nil {
@@ -96,6 +101,41 @@ func BenchmarkKeyedRowStore(b *testing.B) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// benchUniqueKeys is BenchmarkKeyedRowStore's unique input: n rows (k) and
+// (k, 2k), one per permuted key, as sorted runs of 1 000.
+func benchUniqueKeys(b *testing.B, n int) {
+	const run = 1000
+	for _, arity := range []int{1, 2} {
+		s := tuple.MustSchema("U", []tuple.Column{
+			{Name: "c0", Kind: tuple.KindInt}, {Name: "c1", Kind: tuple.KindInt}}[:arity], nil)
+		rows := make([]*tuple.Tuple, n)
+		for i, k := range rand.New(rand.NewSource(1)).Perm(n) {
+			rows[i] = tuple.New(s, []tuple.Value{tuple.Int(int64(k)), tuple.Int(int64(2 * k))}[:arity]...)
+		}
+		for at := 0; at < n; at += run {
+			slices.SortFunc(rows[at:min(at+run, n)], (*tuple.Tuple).CompareFields)
+		}
+		for _, spec := range []string{"columnar", "hash:1"} {
+			f, err := FactoryFor(spec, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/unique-arity%d/insert", spec, arity), func(b *testing.B) {
+				live := make([]*tuple.Tuple, 0, run)
+				for i := 0; i < b.N; i++ {
+					st := f(s)
+					for at := 0; at < n; at += run {
+						if live = InsertBatch(st, rows[at:min(at+run, n)], live[:0]); len(live) != min(run, n-at) {
+							b.Fatalf("run at %d kept %d rows", at, len(live))
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
+			})
 		}
 	}
 }

@@ -13,7 +13,8 @@
 //     rolling two-iteration array of §6.6, plus a compressed append-only
 //     columnar store keyed on its first k columns. Every hashed store —
 //     hash, arrayhash and columnar — indexes through one open-addressing
-//     table, oaTable.
+//     table, oaTable, of one-word slots; columnar indexes a row with a
+//     new key once, in its key index alone.
 //   - StoreFactory builds a Store for a schema — the paper's stage-4
 //     data-structure hint. NewDB takes one factory per table, resolved
 //     before the database is built (the factory-method seam the paper
@@ -80,9 +81,10 @@ type StoreFactory func(s *tuple.Schema) Store
 
 // hashShard is the one hash-bucket implementation behind the hash and
 // array-of-hashsets stores: entries in one append-only slice, chained per
-// 64-bit hash through next, the chain heads in the open-addressing oaTable
+// hash through next, the chain heads in the open-addressing oaTable
 // (oatable.go) — no Go map to probe, no slice allocated per key. Hashes
-// arrive avalanched (finalizeHash), since oaTable masks their low bits.
+// arrive avalanched (finalizeHash), since oaTable keeps and masks their
+// low bits.
 type hashShard struct {
 	mu sync.RWMutex
 	// ts holds the entries in insertion order. Elements are never rewritten,
@@ -92,8 +94,9 @@ type hashShard struct {
 	heads oaTable // hash -> newest entry of its chain
 }
 
-// anyRow makes oaTable key on the hash alone: entries whose keys collide on
-// all 64 bits share a chain, and readers filter with Query.Matches.
+// anyRow makes oaTable key on the hash alone: entries whose hashes agree
+// on the 32 bits a slot stores share a chain, so insert compares Equal
+// along it and readers filter with Query.Matches.
 func anyRow(int32) bool { return true }
 
 // insert chains t under h unless an Equal tuple is already there.

@@ -239,9 +239,9 @@ func boolInt(b bool) int {
 
 // FuzzHashStores decodes bytes into inserts, duplicates, selects and scans
 // on every store with a hash index — hash:1 unmasked and with its hash
-// masked to two bits, arrayhash over column 0, and columnar keyed on one
-// and on two columns, each unmasked and masked — and checks each against
-// hashModel. Tuples are
+// masked to two bits, arrayhash over column 0, and columnar keyed on one,
+// two and all three columns, each unmasked and masked — and checks each
+// against hashModel. Tuples are
 // three ints (a in 0..15, b in 0..7, c in 0..3) built from one byte each.
 // Each op is one byte, low two bits first:
 //
@@ -257,10 +257,24 @@ func boolInt(b bool) int {
 // insertion order — columnar:2 at prefixes shorter than, equal to and
 // longer than its k alike — and columnar must with an empty one too (the
 // hash stores' shard-by-shard scans are compared as sets).
+//
+// The seeds after the first three walk columnar's dedup rule, which
+// indexes a key's rows in its dedup table only once the key has two: a
+// duplicate of a key's only row, then a new key and selects of both; a
+// second distinct row of a key and a duplicate of the first; a third row
+// and a duplicate of the second; and the same over eight keys, which
+// share hashes under the two-bit mask, as batches.
 func FuzzHashStores(f *testing.F) {
 	f.Add([]byte{0x1c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 0, 0xe6, 4, 0x0a, 4, 2, 3})
 	f.Add([]byte{0x0c, 0, 0, 0, 0, 1, 0, 0, 0, 1, 16, 0, 1, 1, 1, 3, 0x06, 16, 0x26, 0, 2, 3})
 	f.Add([]byte{0x1c, 3, 3, 3, 19, 3, 3, 35, 3, 3, 51, 3, 3, 0x04, 3, 0xf6, 3, 0xfa, 35, 2})
+	f.Add([]byte{0x00, 1, 2, 3, 0x01, 0, 0x00, 5, 1, 1, 0xe6, 1, 0, 0, 0xe6, 5, 0, 0, 0x03})
+	f.Add([]byte{0x00, 1, 2, 3, 0x00, 1, 2, 1, 0x01, 0, 0xee, 1, 2, 0, 0x03})
+	f.Add([]byte{0x00, 1, 2, 3, 0x00, 1, 2, 1, 0x00, 1, 2, 2, 0x01, 1, 0x01, 2, 0x01, 0, 0xee, 1, 2, 0, 0x03})
+	f.Add([]byte{
+		0x1c, 0, 1, 1, 1, 1, 1, 2, 1, 1, 3, 1, 1, 0x1c, 4, 1, 1, 5, 1, 1, 6, 1, 1, 7, 1, 1,
+		0x01, 2, 0x01, 7, 0x1c, 0, 1, 2, 2, 1, 2, 4, 1, 2, 6, 1, 2, 0x01, 0, 0x01, 8, 0x01, 9,
+		0x08, 2, 1, 3, 2, 1, 1, 4, 1, 0, 0x01, 12, 0xe6, 2, 0, 0, 0xe6, 4, 0, 0, 0x03})
 	s := batchTestSchema()
 	type store struct {
 		name    string
@@ -276,6 +290,8 @@ func FuzzHashStores(f *testing.F) {
 		{"columnar-masked", NewColumnarStore(1), 0x3, true},
 		{"columnar:2", NewColumnarStore(2), ^uint64(0), true},
 		{"columnar:2-masked", NewColumnarStore(2), 0x3, true},
+		{"columnar:3", NewColumnarStore(3), ^uint64(0), true},
+		{"columnar:3-masked", NewColumnarStore(3), 0x3, true},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sts := make([]Store, len(stores))

@@ -14,30 +14,32 @@ func finalizeHash(h uint64) uint64 {
 	return h
 }
 
-// oaTable is a linear-probing open-addressing table mapping 64-bit hashes
-// to row ids — the index under hashShard (the hash and array-of-hashsets
-// stores, gamma.go) and under colStore (columnar.go).
-// Distinct keys may share a hash; find/put take an equality callback to
-// disambiguate. The caller provides synchronisation.
+// oaTable is a linear-probing open-addressing table mapping hashes to row
+// ids — the index under hashShard (the hash and array-of-hashsets stores,
+// gamma.go) and under colStore (columnar.go). A slot is one word: the
+// hash's low 32 bits above, row id + 1 below (0 marks an empty slot), so a
+// probe reads one array and growth re-slots from the stored bits. Row ids
+// are int32, so no table needs more slots than 32 bits address.
+// Distinct keys may share the stored bits; find/put take an equality
+// callback to disambiguate. The caller provides synchronisation.
 type oaTable struct {
-	hashes []uint64
-	rows   []int32 // row id + 1; 0 marks an empty slot
-	n      int
+	slots []uint64
+	n     int
 }
 
 // find returns the row stored under (h, eq), or -1.
 func (t *oaTable) find(h uint64, eq func(row int32) bool) int32 {
-	if len(t.rows) == 0 {
+	if len(t.slots) == 0 {
 		return -1
 	}
-	mask := uint64(len(t.rows) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		r := t.rows[i]
-		if r == 0 {
+		s := t.slots[i]
+		if s == 0 {
 			return -1
 		}
-		if t.hashes[i] == h && eq(r-1) {
-			return r - 1
+		if uint32(s>>32) == uint32(h) && eq(int32(uint32(s))-1) {
+			return int32(uint32(s)) - 1
 		}
 	}
 }
@@ -46,43 +48,39 @@ func (t *oaTable) find(h uint64, eq func(row int32) bool) int32 {
 // is replaced and the old row returned; otherwise -1 (growing the table at
 // 3/4 load).
 func (t *oaTable) put(h uint64, eq func(row int32) bool, row int32) int32 {
-	if 4*(t.n+1) > 3*len(t.rows) {
+	if 4*(t.n+1) > 3*len(t.slots) {
 		t.grow()
 	}
-	mask := uint64(len(t.rows) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		r := t.rows[i]
-		if r == 0 {
-			t.hashes[i] = h
-			t.rows[i] = row + 1
+		s := t.slots[i]
+		if s == 0 {
+			t.slots[i] = h<<32 | uint64(row+1)
 			t.n++
 			return -1
 		}
-		if t.hashes[i] == h && eq(r-1) {
-			t.rows[i] = row + 1
-			return r - 1
+		if uint32(s>>32) == uint32(h) && eq(int32(uint32(s))-1) {
+			t.slots[i] = s&^0xffffffff | uint64(row+1)
+			return int32(uint32(s)) - 1
 		}
 	}
 }
 
 func (t *oaTable) grow() {
 	size := 16
-	if len(t.rows) > 0 {
-		size = 2 * len(t.rows)
+	if len(t.slots) > 0 {
+		size = 2 * len(t.slots)
 	}
-	oldH, oldR := t.hashes, t.rows
-	t.hashes = make([]uint64, size)
-	t.rows = make([]int32, size)
+	old := t.slots
+	t.slots = make([]uint64, size)
 	mask := uint64(size - 1)
-	for i, r := range oldR {
-		if r == 0 {
+	for _, s := range old {
+		if s == 0 {
 			continue
 		}
-		h := oldH[i]
-		for j := h & mask; ; j = (j + 1) & mask {
-			if t.rows[j] == 0 {
-				t.hashes[j] = h
-				t.rows[j] = r
+		for j := s >> 32 & mask; ; j = (j + 1) & mask {
+			if t.slots[j] == 0 {
+				t.slots[j] = s
 				break
 			}
 		}

@@ -73,10 +73,16 @@ func (b *batcher) flush() error {
 	return nil
 }
 
-// binaryIngest decodes a binary batch stream from r into put and returns
-// the tuple count absorbed.
-func binaryIngest(r io.Reader, prog *core.Program, put func(...*tuple.Tuple) error) (int64, error) {
-	rd := tuple.NewRowReader(bufio.NewReaderSize(r, 64<<10))
+// binaryIngest decodes a binary batch stream from r, of length bytes (-1
+// when unknown), into put and returns the tuple count absorbed. The read
+// buffer is sized to the body, within [4 KiB, 64 KiB]: a 256-row frame is
+// about 2 KiB, and a buffer per put is most of what a small put allocates.
+func binaryIngest(r io.Reader, length int64, prog *core.Program, put func(...*tuple.Tuple) error) (int64, error) {
+	size := 64 << 10
+	if length >= 0 {
+		size = int(min(max(length, 4<<10), 64<<10))
+	}
+	rd := tuple.NewRowReader(bufio.NewReaderSize(r, size))
 	b := &batcher{put: put, batch: make([]*tuple.Tuple, 0, ingestFlushRows)}
 	for {
 		sch, rows, err := rd.ReadFrame(prog.Schema)

@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/jstar-lang/jstar/internal/core"
+	"github.com/jstar-lang/jstar/internal/testrace"
 	"github.com/jstar-lang/jstar/internal/tuple"
 	"github.com/jstar-lang/jstar/internal/wal"
 )
@@ -43,7 +48,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*tuple.Tuple
-	n, err := binaryIngest(bytes.NewReader(frames), prog, func(ts ...*tuple.Tuple) error {
+	n, err := binaryIngest(bytes.NewReader(frames), -1, prog, func(ts ...*tuple.Tuple) error {
 		got = append(got, ts...)
 		return nil
 	})
@@ -77,7 +82,7 @@ func TestBinaryIngestFlushesLongStreams(t *testing.T) {
 		}
 	}
 	var flushes, total int
-	n, err := binaryIngest(bytes.NewReader(frames), prog, func(ts ...*tuple.Tuple) error {
+	n, err := binaryIngest(bytes.NewReader(frames), -1, prog, func(ts ...*tuple.Tuple) error {
 		flushes++
 		total += len(ts)
 		return nil
@@ -108,7 +113,7 @@ func TestBinaryIngestErrors(t *testing.T) {
 		"truncated name": {200, 'x'},
 	}
 	for name, stream := range cases {
-		if _, err := binaryIngest(bytes.NewReader(stream), prog, func(...*tuple.Tuple) error { return nil }); err == nil {
+		if _, err := binaryIngest(bytes.NewReader(stream), -1, prog, func(...*tuple.Tuple) error { return nil }); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -302,4 +307,69 @@ func TestWALRecordsAreIngestFrames(t *testing.T) {
 	same("Mixed rows", rec.Checkpoint.Tables[0].Rows, rowsOf(mixed))
 	same("Tag rows", rec.Checkpoint.Tables[1].Rows, rowsOf(tag))
 	same("tail", rec.Tail, tail)
+}
+
+// TestBinaryPutAllocation pins what one 256-row binary put allocates
+// through the handler beyond its 256 tuples: the batch that carries them,
+// a read buffer sized to the body rather than 64 KiB, and the handler's
+// own bookkeeping — at most 16 KiB. The tenant declares one table and no
+// rules; each put is counted between quiesced boundaries, and the median
+// put is taken, so a store growth the engine makes meanwhile is left out.
+func TestBinaryPutAllocation(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	srv := New(Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	call := func(req *http.Request) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code/100 != 2 {
+			t.Fatalf("%s %s: %d %s", req.Method, req.URL, rec.Code, rec.Body)
+		}
+	}
+	request := func(path, ctype string, body []byte) *http.Request {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", ctype)
+		return req
+	}
+	call(request("/v1/tenants", JSONContentType, []byte(`{"name":"t","source":"table Event(int n) orderby (Event)"}`)))
+	sch := srv.reg.get("t").Prog.Schema("Event")
+	const puts, rows = 101, 256
+	reqs := make([]*http.Request, puts)
+	for p := range reqs {
+		rs := make([][]tuple.Value, rows)
+		for i := range rs {
+			rs[i] = []tuple.Value{tuple.Int(int64(p*rows + i))}
+		}
+		frame, err := AppendFrame(nil, sch, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[p] = request("/v1/tenants/t/put", BinaryContentType, frame)
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	ts := make([]*tuple.Tuple, rows)
+	tuples := allocated(func() {
+		for i := range ts {
+			ts[i] = tuple.New(sch, tuple.Int(int64(i)))
+		}
+	})
+	per := make([]uint64, puts)
+	for p, req := range reqs {
+		call(request("/v1/tenants/t/quiesce", "", nil)) // stays under the ingress bound
+		per[p] = allocated(func() { call(req) }) - tuples
+	}
+	slices.Sort(per)
+	if median := per[puts/2]; median > 16<<10 {
+		t.Errorf("a %d-row binary put allocates %d B beyond its tuples' %d B, want <= 16 KiB", rows, median, tuples)
+	}
 }

@@ -31,7 +31,7 @@ func FuzzBinaryIngest(f *testing.F) {
 	f.Add([]byte{})
 	decode := func(b []byte) ([]*tuple.Tuple, error) {
 		var got []*tuple.Tuple
-		_, err := binaryIngest(bytes.NewReader(b), prog, func(ts ...*tuple.Tuple) error {
+		_, err := binaryIngest(bytes.NewReader(b), -1, prog, func(ts ...*tuple.Tuple) error {
 			got = append(got, ts...)
 			return nil
 		})

@@ -356,7 +356,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, m *RequestMet
 		err    error
 	)
 	if r.Header.Get("Content-Type") == BinaryContentType {
-		tuples, err = binaryIngest(body, t.Prog, put)
+		tuples, err = binaryIngest(body, r.ContentLength, t.Prog, put)
 	} else {
 		tuples, err = jsonIngest(body, t.Prog, put)
 	}

@@ -146,6 +146,16 @@ func (r *RowReader) ReadRow(sch *Schema) ([]Value, error) {
 	return row, nil
 }
 
+// FrameBytes is the size of a frame of rows rows of sch less its strings'
+// bytes: exact for a table without string columns, a lower bound with.
+func FrameBytes(sch *Schema, rows int) int {
+	w := 0
+	for _, c := range sch.Columns {
+		w += fieldBytes[c.Kind]
+	}
+	return 1 + len(sch.Name) + 4 + rows*w
+}
+
 // fieldBytes is each kind's fixed width on the wire: a string's is its
 // length prefix.
 var fieldBytes = [...]int{KindInt: 8, KindFloat: 8, KindString: 4, KindBool: 1}

@@ -39,9 +39,15 @@ type CheckpointSource struct {
 
 // A checkpoint file is one length+CRC frame around: ckptMagic | u16le
 // walVersion | u64le seq | identity | u32le tableCount | one row-codec
-// frame per table.
+// frame per table. The payload is encoded in place after a reserved frame
+// head, into a buffer presized from each table's fixed-width bytes (its
+// strings grow it), and the head is patched last.
 func encodeCheckpoint(seq uint64, identity string, tables []CheckpointSource) ([]byte, error) {
-	p := []byte(ckptMagic)
+	size := frameHead + len(ckptMagic) + 2 + 8 + 4 + len(identity) + 4
+	for _, t := range tables {
+		size += tuple.FrameBytes(t.Schema, t.Rows)
+	}
+	p := append(make([]byte, frameHead, size), ckptMagic...)
 	p = binary.LittleEndian.AppendUint16(p, walVersion)
 	p = binary.LittleEndian.AppendUint64(p, seq)
 	p = appendString(p, identity)
@@ -62,7 +68,7 @@ func encodeCheckpoint(seq uint64, identity string, tables []CheckpointSource) ([
 			return nil, fmt.Errorf("wal: checkpoint table %s yielded %d rows, declared %d", t.Schema.Name, n, t.Rows)
 		}
 	}
-	return appendFrame(nil, p), nil
+	return sealFrame(p), nil
 }
 
 func decodeCheckpoint(buf []byte, resolve Resolver) (*Checkpoint, error) {

@@ -59,6 +59,15 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// sealFrame fills in the head of frame, a frameHead-byte gap followed by
+// the payload, with the payload's length and CRC, and returns frame.
+func sealFrame(frame []byte) []byte {
+	payload := frame[frameHead:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+	return frame
+}
+
 // readFrame parses one frame at buf[off:], returning the payload and the
 // offset just past the frame. ok is false when the bytes at off do not
 // form a whole, CRC-valid frame — the caller decides whether that is a
