@@ -137,15 +137,17 @@ func RunJStar(opts RunOpts) (*Result, error) {
 	})
 
 	a, b := Inputs(n, opts.Seed)
-	// Load the operand matrices as initial tuples. -noDelta Matrix: they
-	// are never rule triggers, so they go straight into Gamma (§5.1).
+	// Load the operand matrices as initial puts. -noDelta Matrix: they are
+	// never rule triggers, so they go straight into Gamma (§5.1) — and, put
+	// with PutNew, as words into the native arrays, with no tuple between
+	// (the generated code's array writes, §6.4).
 	for i := int64(0); i < int64(n); i++ {
 		for j := int64(0); j < int64(n); j++ {
-			p.Put(tuple.New(mat, tuple.Int(MatA), tuple.Int(i), tuple.Int(j), tuple.Int(a[i*int64(n)+j])))
-			p.Put(tuple.New(mat, tuple.Int(MatB), tuple.Int(i), tuple.Int(j), tuple.Int(b[i*int64(n)+j])))
+			p.PutNew(mat, tuple.Int(MatA), tuple.Int(i), tuple.Int(j), tuple.Int(a[i*int64(n)+j]))
+			p.PutNew(mat, tuple.Int(MatB), tuple.Int(i), tuple.Int(j), tuple.Int(b[i*int64(n)+j]))
 		}
 	}
-	p.Put(tuple.New(req, tuple.Int(int64(n))))
+	p.PutNew(req, tuple.Int(int64(n)))
 
 	run, err := p.Execute(core.Options{
 		Strategy:   opts.Strategy,

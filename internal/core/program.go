@@ -59,7 +59,12 @@ type Program struct {
 	byID    []*tuple.Schema
 	rules   []*Rule
 	trigger map[*tuple.Schema][]*Rule
+	// The initial puts, in call order: Put's tuples in initial, PutNew's
+	// all-scalar rows as words in rows, each run of consecutive rows of one
+	// table anchored after the tuples put before it (see seed.go).
 	initial []*tuple.Tuple
+	runs    []rowRun
+	rows    rowLog
 	hints   map[string]gamma.StoreFactory
 	// planHints are static store-plan hints — kind specs derived from the
 	// program's query patterns (the lang compiler emits them). They are the
@@ -128,8 +133,34 @@ func (p *Program) Rule(name string, trig *tuple.Schema, body func(c *Ctx, t *tup
 // Rules returns all registered rules in registration order.
 func (p *Program) Rules() []*Rule { return p.rules }
 
-// Put schedules an initial tuple (a top-level `put` command).
+// Put schedules an initial tuple (a top-level `put` command). The tuple
+// is kept until the program is dropped; PutNew keeps an all-scalar row as
+// its words instead, and is the one to use for bulk inputs.
 func (p *Program) Put(t *tuple.Tuple) { p.initial = append(p.initial, t) }
+
+// PutNew schedules the initial tuple New(s, fields...) — the top-level
+// `put new T(...)`, as Ctx.PutNew is a rule's. It panics on arity and
+// normalises each field exactly as tuple.New does, at the call. A row of
+// an all-scalar table (tuple.Schema.WordRows) is kept as its words in a
+// chunked, pointer-free log, and the run builds its tuple only if it needs
+// one: a row of a -noDelta table that triggers no rule, is not -noGamma
+// and has a store implementing gamma.RowInserter goes straight into that
+// store at seed. Any other row, and any other table's fields, make the
+// tuple Put would have been given. Either way the run is the one Put of
+// that tuple would make: the same call order, stores, statistics and
+// panics.
+func (p *Program) PutNew(s *tuple.Schema, fields ...tuple.Value) {
+	if !s.WordRows() {
+		p.Put(tuple.New(s, fields...))
+		return
+	}
+	p.rows.add(s, fields)
+	if k := len(p.runs) - 1; k >= 0 && p.runs[k].s == s && p.runs[k].after == len(p.initial) {
+		p.runs[k].n++
+		return
+	}
+	p.runs = append(p.runs, rowRun{s: s, after: len(p.initial), n: 1})
+}
 
 // Action registers an external side effect performed when a tuple of the
 // given table is taken out of the Delta set (paper §3: "some tuples

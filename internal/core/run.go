@@ -323,6 +323,7 @@ type Run struct {
 
 	slots    []putSlot
 	slotCtx  []Ctx            // per-slot reusable rule contexts for fireChunk
+	inline   sync.Pool        // *inlineCtx: reusable contexts for fireInline
 	flushBuf []*tuple.Tuple   // coordinator-only merge scratch for endStep
 	runsBuf  [][]*tuple.Tuple // coordinator-only scratch for endStep's merge input
 
@@ -537,16 +538,6 @@ func (r *Run) Execute() error {
 		return qErr
 	}
 	return cErr
-}
-
-// seed performs the program's initial puts on the coordinator slot and
-// flushes them into the Delta tree.
-func (r *Run) seed() {
-	put := r.prog.pseudoRule("put")
-	for _, t := range r.prog.initial {
-		r.put(put, nil, t, 0)
-	}
-	r.endStep()
 }
 
 func (r *Run) finish(start time.Time) {
@@ -926,6 +917,31 @@ func (r *Run) invokeGroup(ctx *Ctx, rule *Rule, ts []*tuple.Tuple) {
 	}
 }
 
+// inlineCtx is the Ctx of an inline -noDelta firing with the one-tuple
+// group it fires.
+type inlineCtx struct {
+	Ctx
+	group [1]*tuple.Tuple
+}
+
+// fireInline fires the rules of t, a -noDelta tuple just put, on slot. It
+// needs a Ctx of its own, not the slot's: the put nests in a firing that
+// is still using the slot's Ctx, and pool.For helpers share the slot. The
+// Ctx and its group come from r.inline and go back with the trigger and
+// the query scratch cleared, so a firing allocates neither.
+func (r *Run) fireInline(t *tuple.Tuple, slot int) {
+	ic, _ := r.inline.Get().(*inlineCtx)
+	if ic == nil {
+		ic = &inlineCtx{Ctx: Ctx{run: r}}
+	}
+	ic.slot = slot
+	ic.group[0] = t
+	r.fireBatch(&ic.Ctx, ic.group[:])
+	ic.group[0], ic.rule, ic.trigger = nil, nil, nil
+	ic.popTo(0)
+	r.inline.Put(ic)
+}
+
 func (r *Run) tableStats(s *tuple.Schema) *TableStats {
 	if id := int(s.ID()); id < len(r.statsByID) && r.prog.byID[id] == s {
 		return r.statsByID[id]
@@ -962,10 +978,8 @@ func (r *Run) put(rule int, from *tuple.Tuple, t *tuple.Tuple, slot int) {
 				r.prefixDirty[id].Or(1 << PrefixBucket(t.Field(0)))
 			}
 		}
-		// A Ctx of its own, not the slot's: the put nests in a firing that
-		// is still using the slot's Ctx, and pool.For helpers share the slot.
 		if len(r.rulesByID[id]) > 0 {
-			r.fireBatch(&Ctx{run: r, slot: slot}, []*tuple.Tuple{t})
+			r.fireInline(t, slot)
 		}
 		return
 	}

@@ -20,6 +20,18 @@ type RowStore interface {
 	ScanRows(fn func(row []tuple.Value) bool)
 }
 
+// RowInserter is RowStore's write-side twin, an optional Store extension:
+// InsertRow adds the row whose field values, in column order, are row —
+// exactly as Insert adds the tuple of those values, false for a duplicate
+// and the same panic for a key bound twice — without building the tuple.
+// The values must be as the schema's tuples carry them (tuple.New's
+// normalisation already applied); row is only read during the call. The
+// engine seeds a program's initial word rows through it (core.Run.seed),
+// and a store without it is handed a tuple per row.
+type RowInserter interface {
+	InsertRow(row []tuple.Value) bool
+}
+
 // ScanRows visits st's rows in Scan order as field values: natively for a
 // RowStore, otherwise by copying each scanned tuple's fields into one
 // reused row. The row is valid only during fn.

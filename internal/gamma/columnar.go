@@ -27,7 +27,8 @@ import (
 // k; a shorter prefix and Scan walk the rows in order. Either way the
 // prefix is tested on the words, and tuples are materialised only for rows
 // that survive it, so rejected rows never allocate. ScanRows, the
-// checkpoint's read, materialises none.
+// checkpoint's read, materialises none, and InsertRow, the seed's write,
+// takes none.
 
 // colStore is the columnar Store implementation.
 type colStore struct {
@@ -152,26 +153,42 @@ func (cs *colStore) intern(s string) int64 {
 	return id
 }
 
-// insertLocked appends t's words and puts the row as its key's newest,
-// then undoes both if the key's chain holds an equal row: a new key needs
-// no dedup probe, and a chain of one compares its row directly. A
-// duplicate's strings are all in the dictionary already, so interning
-// never grows it for one.
-func (cs *colStore) insertLocked(t *tuple.Tuple) bool {
+// grow makes room for one more row and returns where it starts.
+func (cs *colStore) grow() int {
 	n := len(cs.rows)
 	if n+len(cs.kinds) > cap(cs.rows) {
 		cs.rows = slices.Grow(cs.rows, max(n, 64)) // double: append grows large slices by 1.25x
 	}
-	for i, k := range cs.kinds {
-		switch v := t.Field(i); k {
-		case tuple.KindInt:
-			cs.rows = append(cs.rows, v.AsInt())
-		case tuple.KindString:
-			cs.rows = append(cs.rows, cs.intern(v.AsString()))
-		default:
-			cs.rows = append(cs.rows, scalar(k, v))
-		}
+	return n
+}
+
+// word encodes v, a value of column kind k, as its row word, interning a
+// string.
+func (cs *colStore) word(k tuple.Kind, v tuple.Value) int64 {
+	switch k {
+	case tuple.KindInt:
+		return v.AsInt()
+	case tuple.KindString:
+		return cs.intern(v.AsString())
 	}
+	return scalar(k, v)
+}
+
+// insertLocked appends t's words and indexes them as a row (indexLocked).
+func (cs *colStore) insertLocked(t *tuple.Tuple) bool {
+	n := cs.grow()
+	for i, k := range cs.kinds {
+		cs.rows = append(cs.rows, cs.word(k, t.Field(i)))
+	}
+	return cs.indexLocked(n)
+}
+
+// indexLocked puts the row appended at n as its key's newest, then undoes
+// both if the key's chain holds an equal row: a new key needs no dedup
+// probe, and a chain of one compares its row directly. A duplicate's
+// strings are all in the dictionary already, so interning never grows it
+// for one.
+func (cs *colStore) indexLocked(n int) bool {
 	row := cs.rows[n:]
 	key := row[:cs.k]
 	kh := cs.hash(key)
@@ -210,6 +227,17 @@ func (cs *colStore) Insert(t *tuple.Tuple) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	return cs.insertLocked(t)
+}
+
+// InsertRow appends the row's words as Insert appends its tuple's.
+func (cs *colStore) InsertRow(row []tuple.Value) bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	n := cs.grow()
+	for i, k := range cs.kinds {
+		cs.rows = append(cs.rows, cs.word(k, row[i]))
+	}
+	return cs.indexLocked(n)
 }
 
 // InsertBatch appends a run of tuples under one lock episode — the batched

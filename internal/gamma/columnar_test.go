@@ -139,3 +139,56 @@ func benchUniqueKeys(b *testing.B, n int) {
 		}
 	}
 }
+
+// TestInsertRowMatchesInsert: on each RowInserter store, InsertRow of a
+// row's values answers, stores and scans as Insert of its tuple does —
+// duplicates and rows that share a key included — and a key bound to a
+// second value panics with the same message.
+func TestInsertRowMatchesInsert(t *testing.T) {
+	s := matSchema()
+	var rows [][]tuple.Value
+	for i := range int64(40) {
+		rows = append(rows, []tuple.Value{tuple.Int(i % 3), tuple.Int(i * 7 % 4), tuple.Int(i % 5), tuple.Int(i % 3 * 10)})
+	}
+	rows = append(rows, rows[3], rows[17])
+	for _, f := range []StoreFactory{NewDense3D(3, 4, 5), NewColumnarStore(1), NewColumnarStore(3)} {
+		byTuple, byRow := f(s), f(s)
+		name := KindOf(byTuple)
+		for i, row := range rows {
+			want := byTuple.Insert(tuple.New(s, row...))
+			if got := byRow.(RowInserter).InsertRow(row); got != want {
+				t.Fatalf("%s: row %d %v: InsertRow = %v, Insert = %v", name, i, row, got, want)
+			}
+		}
+		if got, want := scanned(byRow), scanned(byTuple); !slices.Equal(got, want) {
+			t.Errorf("%s: InsertRow stored\n%v\nInsert stored\n%v", name, got, want)
+		}
+		if name == "columnar" || name == "columnar:3" {
+			continue // the columnar store does not enforce primary keys
+		}
+		bound := []tuple.Value{tuple.Int(0), tuple.Int(0), tuple.Int(0), tuple.Int(99)}
+		want := panicOf(func() { byTuple.Insert(tuple.New(s, bound...)) })
+		if got := panicOf(func() { byRow.(RowInserter).InsertRow(bound) }); want == "" || got != want {
+			t.Errorf("%s: InsertRow panicked %q, Insert %q", name, got, want)
+		}
+	}
+}
+
+func scanned(st Store) []string {
+	var out []string
+	st.Scan(func(x *tuple.Tuple) bool {
+		out = append(out, x.String())
+		return true
+	})
+	return out
+}
+
+func panicOf(fn func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	fn()
+	return ""
+}

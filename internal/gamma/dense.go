@@ -3,6 +3,7 @@ package gamma
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/jstar-lang/jstar/internal/tuple"
@@ -22,13 +23,15 @@ import (
 // with a ∈ [0,na), b ∈ [0,nb), c ∈ [0,nc), as na flat int64 arrays — the
 // analogue of the Java 2D int arrays used for each matrix in §6.4.
 // Typed accessors bypass tuple construction in inner loops, exactly like the
-// generated array code; the Store interface remains available for queries.
+// generated array code; the Store interface remains available for queries,
+// and InsertRow (RowInserter) stores a row of values with no tuple at all. The
+// present bitmap is the only record of which cells are set: SetInt touches
+// no counter shared across cells, and Len counts the bitmap's bits.
 type Dense3D struct {
 	schema     *tuple.Schema
 	na, nb, nc int
 	vals       []int64  // atomic access
 	present    []uint32 // atomic bitmap, 1 bit per cell
-	count      atomic.Int64
 }
 
 // NewDense3D returns a StoreFactory for a 4-column int table with key
@@ -76,7 +79,6 @@ func (d *Dense3D) SetInt(a, b, c, value int64) bool {
 			return false
 		}
 		if atomic.CompareAndSwapUint32(&d.present[w], old, old|bit) {
-			d.count.Add(1)
 			return true
 		}
 	}
@@ -106,7 +108,17 @@ func (d *Dense3D) GetInt(a, b, c int64) (int64, bool) {
 
 // Insert stores a 4-field tuple (a, b, c -> value).
 func (d *Dense3D) Insert(t *tuple.Tuple) bool {
-	a, b, c, v := t.Field(0).AsInt(), t.Field(1).AsInt(), t.Field(2).AsInt(), t.Field(3).AsInt()
+	return d.insert(t.Field(0).AsInt(), t.Field(1).AsInt(), t.Field(2).AsInt(), t.Field(3).AsInt())
+}
+
+// InsertRow stores the row (a, b, c, value) as Insert stores its tuple.
+func (d *Dense3D) InsertRow(row []tuple.Value) bool {
+	return d.insert(row[0].AsInt(), row[1].AsInt(), row[2].AsInt(), row[3].AsInt())
+}
+
+// insert sets cell (a,b,c) to v unless it is set: to v already (a
+// duplicate), or to another value (a primary-key violation, which panics).
+func (d *Dense3D) insert(a, b, c, v int64) bool {
 	i := d.idx(a, b, c)
 	if atomic.LoadUint32(&d.present[i/32])&(uint32(1)<<(i%32)) != 0 {
 		// Key already present: duplicate tuple if the value agrees,
@@ -120,8 +132,16 @@ func (d *Dense3D) Insert(t *tuple.Tuple) bool {
 	return d.SetInt(a, b, c, v)
 }
 
-// Len returns the number of set cells.
-func (d *Dense3D) Len() int { return int(d.count.Load()) }
+// Len returns the number of set cells: the present bitmap's population
+// count, a pass over one bit per cell. Checkpoints, snapshots and probes
+// call it; the inner loops never do.
+func (d *Dense3D) Len() int {
+	n := 0
+	for w := range d.present {
+		n += bits.OnesCount32(atomic.LoadUint32(&d.present[w]))
+	}
+	return n
+}
 
 // Scan visits set cells in key order, materialising tuples on demand.
 func (d *Dense3D) Scan(fn func(*tuple.Tuple) bool) {

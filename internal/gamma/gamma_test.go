@@ -3,6 +3,7 @@ package gamma
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/jstar-lang/jstar/internal/tuple"
@@ -376,22 +377,29 @@ func TestDense3DSelectAndScan(t *testing.T) {
 	}
 }
 
+// Eight writers set 64 cells each, two writers to every cell, and share
+// a bitmap word: each cell is newly set exactly once, and Len counts it
+// once.
 func TestDense3DConcurrentSet(t *testing.T) {
 	s := matSchema()
 	st := NewDense3D(1, 64, 64)(s).(*Dense3D)
 	var wg sync.WaitGroup
+	var newly atomic.Int64
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for r := int64(0); r < 64; r++ {
-				st.SetInt(0, r, int64(w*8)+r%8, r)
+				if st.SetInt(0, r, int64(w/2*8)+r%8, r) {
+					newly.Add(1)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if st.Len() == 0 {
-		t.Error("no cells set")
+	const cells = 4 * 64 // writers 2k and 2k+1 share their cells
+	if st.Len() != cells || newly.Load() != cells {
+		t.Errorf("Len() = %d and %d SetInt calls set a new cell, want %d and %d", st.Len(), newly.Load(), cells, cells)
 	}
 }
 

@@ -142,7 +142,7 @@ func (c *compiler) topPut(d *PutDecl) (err error) {
 		}
 		vals[i] = f(frame{})
 	}
-	c.prog.Put(tuple.New(s, vals...))
+	c.prog.PutNew(s, vals...)
 	return nil
 }
 

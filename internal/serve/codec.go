@@ -77,13 +77,15 @@ func (b *batcher) flush() error {
 // when unknown), into put and returns the tuple count absorbed. The read
 // buffer is sized to the body, within [4 KiB, 64 KiB]: a 256-row frame is
 // about 2 KiB, and a buffer per put is most of what a small put allocates.
+// The batch starts at the first frame's row count, capped at
+// ingestFlushRows, so a small put does not allocate a full batch.
 func binaryIngest(r io.Reader, length int64, prog *core.Program, put func(...*tuple.Tuple) error) (int64, error) {
 	size := 64 << 10
 	if length >= 0 {
 		size = int(min(max(length, 4<<10), 64<<10))
 	}
 	rd := tuple.NewRowReader(bufio.NewReaderSize(r, size))
-	b := &batcher{put: put, batch: make([]*tuple.Tuple, 0, ingestFlushRows)}
+	b := &batcher{put: put}
 	for {
 		sch, rows, err := rd.ReadFrame(prog.Schema)
 		if err == io.EOF {
@@ -91,6 +93,9 @@ func binaryIngest(r io.Reader, length int64, prog *core.Program, put func(...*tu
 		}
 		if err != nil {
 			return b.total, fmt.Errorf("serve: %w", err)
+		}
+		if b.batch == nil {
+			b.batch = make([]*tuple.Tuple, 0, min(rows, ingestFlushRows))
 		}
 		for ; rows > 0; rows-- {
 			row, err := rd.ReadRow(sch)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -309,16 +310,26 @@ func TestWALRecordsAreIngestFrames(t *testing.T) {
 	same("tail", rec.Tail, tail)
 }
 
-// TestBinaryPutAllocation pins what one 256-row binary put allocates
-// through the handler beyond its 256 tuples: the batch that carries them,
-// a read buffer sized to the body rather than 64 KiB, and the handler's
-// own bookkeeping — at most 16 KiB. The tenant declares one table and no
-// rules; each put is counted between quiesced boundaries, and the median
-// put is taken, so a store growth the engine makes meanwhile is left out.
+// TestBinaryPutAllocation pins what one binary put allocates through the
+// handler beyond its tuples: the batch that carries them, sized to the
+// put's frame, a read buffer sized to the body rather than 64 KiB, and the
+// handler's own bookkeeping — at most 16 KiB for 256 rows, and at most
+// 8 KiB for 16, whose batch is 16 pointers rather than a full one. The
+// tenant declares one table and no rules; each put is counted between
+// quiesced boundaries, and the median put is taken, so a store growth the
+// engine makes meanwhile is left out.
 func TestBinaryPutAllocation(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	for _, tc := range []struct{ rows, limit int }{{256, 16 << 10}, {16, 8 << 10}} {
+		t.Run(fmt.Sprintf("rows=%d", tc.rows), func(t *testing.T) {
+			testBinaryPutAllocation(t, tc.rows, uint64(tc.limit))
+		})
+	}
+}
+
+func testBinaryPutAllocation(t *testing.T, rows int, limit uint64) {
 	srv := New(Config{})
 	defer srv.Close()
 	h := srv.Handler()
@@ -337,7 +348,7 @@ func TestBinaryPutAllocation(t *testing.T) {
 	}
 	call(request("/v1/tenants", JSONContentType, []byte(`{"name":"t","source":"table Event(int n) orderby (Event)"}`)))
 	sch := srv.reg.get("t").Prog.Schema("Event")
-	const puts, rows = 101, 256
+	const puts = 101
 	reqs := make([]*http.Request, puts)
 	for p := range reqs {
 		rs := make([][]tuple.Value, rows)
@@ -369,7 +380,7 @@ func TestBinaryPutAllocation(t *testing.T) {
 		per[p] = allocated(func() { call(req) }) - tuples
 	}
 	slices.Sort(per)
-	if median := per[puts/2]; median > 16<<10 {
-		t.Errorf("a %d-row binary put allocates %d B beyond its tuples' %d B, want <= 16 KiB", rows, median, tuples)
+	if median := per[puts/2]; median > limit {
+		t.Errorf("a %d-row binary put allocates %d B beyond its tuples' %d B, want <= %d KiB", rows, median, tuples, limit>>10)
 	}
 }

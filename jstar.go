@@ -24,8 +24,8 @@
 //				s.Get("y"), s.Get("dx"), s.Get("dy"))
 //		}
 //	})
-//	p.Put(jstar.New(ship, jstar.Int(0), jstar.Int(10), jstar.Int(10),
-//		jstar.Int(150), jstar.Int(0)))
+//	p.PutNew(ship, jstar.Int(0), jstar.Int(10), jstar.Int(10),
+//		jstar.Int(150), jstar.Int(0))
 //	run, err := p.Execute(jstar.Options{})
 //
 // Parallelism strategy and data-structure choices are runtime options, not
