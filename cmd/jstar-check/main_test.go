@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,5 +37,32 @@ func TestCheckShipProved(t *testing.T) {
 	if code := check("../../examples/programs/ship.jstar", &stdout, &stderr); code != 0 || stderr.Len() != 0 ||
 		!strings.Contains(stdout.String(), "proved") {
 		t.Errorf("exit %d, stdout %q, stderr %q; want 0 and a report", code, stdout.String(), stderr.String())
+	}
+}
+
+// TestCheckExamplesGolden: check's report and exit status on every example
+// program match testdata/<name>.golden, the report followed by an
+// "exit status N" line. To regenerate one after a deliberate change:
+//
+//	go run ./cmd/jstar-check examples/programs/ship.jstar > cmd/jstar-check/testdata/ship.golden; echo "exit status $?" >> cmd/jstar-check/testdata/ship.golden
+func TestCheckExamplesGolden(t *testing.T) {
+	files, err := filepath.Glob("../../examples/programs/*.jstar")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs (err %v)", err)
+	}
+	for _, file := range files {
+		name := strings.TrimSuffix(filepath.Base(file), ".jstar")
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			code := check(file, &stdout, &stderr)
+			got := fmt.Sprintf("%sexit status %d\n", stdout.String(), code)
+			if got != string(want) {
+				t.Errorf("check %s:\n%s\nwant:\n%s", file, got, want)
+			}
+		})
 	}
 }
