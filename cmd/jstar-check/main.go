@@ -47,15 +47,10 @@ func check(path string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	prog, err := lang.Compile(f)
+	prog, specs, err := lang.CompileSpecs(f)
 	if err == nil {
 		err = prog.Validate(core.Options{})
 	}
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	specs, err := lang.ExtractSpecs(f)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

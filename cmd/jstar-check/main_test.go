@@ -66,3 +66,25 @@ func TestCheckExamplesGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckShadowedBindingRefused: the loop variable x shadows the trigger
+// x, so the put's key is the U row's t, not the trigger's, and the put
+// obligation cannot be proved: exit 1.
+func TestCheckShadowedBindingRefused(t *testing.T) {
+	src := `table T(int t) orderby (Int, seq t)
+table U(int t) orderby (U)
+order U < Int
+put new T(5)
+put new U(1)
+foreach (T x) { for (x : get U()) { put new T(x.t) } }
+`
+	path := filepath.Join(t.TempDir(), "shadow.jstar")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := check(path, &stdout, &stderr); code != 1 || stderr.Len() != 0 ||
+		!strings.Contains(stdout.String(), "cannot prove x.t ≤ x#2.t") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 1 and the put's x#2.t warning", code, stdout.String(), stderr.String())
+	}
+}

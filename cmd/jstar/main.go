@@ -70,16 +70,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var prog *jstar.Program
-	prog, err = lang.Compile(f)
+	prog, specs, err := lang.CompileSpecs(f)
 	if err != nil {
 		fatal(err)
 	}
 	if *check {
-		specs, err := lang.ExtractSpecs(f)
-		if err != nil {
-			fatal(err)
-		}
 		obs := causality.NewChecker(prog.PartialOrder()).Check(specs)
 		if !causality.AllProved(obs) {
 			fmt.Fprint(os.Stderr, causality.Report(obs))

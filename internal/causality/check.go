@@ -55,12 +55,14 @@ type PutSpec struct {
 	Key   []KeyExpr
 }
 
-// QuerySpec symbolically describes one database query.
+// QuerySpec symbolically describes one database query; Prefix is the
+// length of its equality prefix.
 type QuerySpec struct {
-	Table string
-	Kind  QueryKind
-	Guard []Constraint
-	Key   []KeyExpr
+	Table  string
+	Kind   QueryKind
+	Prefix int
+	Guard  []Constraint
+	Key    []KeyExpr
 }
 
 // RuleSpec is the symbolic description of a rule that the checker verifies

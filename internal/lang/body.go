@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
+	"github.com/jstar-lang/jstar/internal/causality"
 	"github.com/jstar-lang/jstar/internal/core"
 	"github.com/jstar-lang/jstar/internal/gamma"
 	"github.com/jstar-lang/jstar/internal/reduce"
@@ -95,24 +97,27 @@ type slot struct {
 const trigger = -1
 
 // body types and compiles one rule body, or one top-level put's arguments.
+// As it types a rule, it records the rule's contract (spec.go).
 type body struct {
-	c     *compiler
-	vars  []binding     // the bindings in scope, innermost last
-	slots int           // slots allocated so far
-	row   *tuple.Schema // the queried table while compiling a get lambda
-	rowAt int           // the lambda row's slot
-	top   bool          // a top-level put: no variables, no gets
+	c        *compiler
+	vars     []binding     // the bindings in scope, innermost last
+	slots    int           // slots allocated so far
+	row      *tuple.Schema // the queried table while compiling a get lambda
+	rowAt    int           // the lambda row's slot
+	rowSym   string        // the lambda row's symbol in the contract
+	contract *contract     // nil for a top-level put: no variables, no gets
 }
 
 type binding struct {
 	name string
 	typ
 	slot int
+	sym  string // its symbol in the contract
 }
 
 // bind allocates a frame slot for a new binding.
 func (b *body) bind(name string, t typ) int {
-	b.vars = append(b.vars, binding{name, t, b.slots})
+	b.vars = append(b.vars, binding{name, t, b.slots, b.contract.symbol(name)})
 	b.slots++
 	return b.slots - 1
 }
@@ -158,7 +163,13 @@ func (b *body) stmt(s Stmt) (func(frame), error) {
 		if cond.k != kBool {
 			return nil, errf(s.Line, 1, "if condition is not boolean (got %s)", cond.typ)
 		}
+		// The then-branch runs under the condition's affine conjuncts too;
+		// the else-branch does not, as the negation of a conjunction is
+		// not a conjunction.
+		outer := b.contract.guards
+		b.contract.guards = append(slices.Clip(outer), b.guardConstraints(s.Cond)...)
 		then, err := b.block(s.Then)
+		b.contract.guards = outer
 		if err != nil {
 			return nil, err
 		}
@@ -194,6 +205,7 @@ func (b *body) stmt(s Stmt) (func(frame), error) {
 		if err != nil {
 			return nil, err
 		}
+		b.accumulated("")
 		mark := len(b.vars)
 		slot := b.bind(s.Var, typ{k: kTuple, sch: q.s})
 		loop, err := b.block(s.Body)
@@ -218,6 +230,7 @@ func (b *body) stmt(s Stmt) (func(frame), error) {
 		if err != nil {
 			return nil, err
 		}
+		b.accumulated(s.Name)
 		slot := v.slot
 		switch {
 		case v.k == kInt && x.k == kInt:
@@ -248,6 +261,7 @@ func (b *body) put(s *PutStmt) (func(frame), error) {
 		if err != nil {
 			return nil, err
 		}
+		b.notePut(sch, ne.Args)
 		return func(fr frame) {
 			var buf [tuple.InlineFields]tuple.Value
 			fr.ctx.PutNew(sch, values(fr, args, &buf)...)
@@ -260,6 +274,7 @@ func (b *body) put(s *PutStmt) (func(frame), error) {
 	if x.k != kTuple {
 		return nil, errf(s.Line, 1, "put requires a tuple (got %s)", x.typ)
 	}
+	b.notePut(x.sch, nil)
 	t, null := x.t, errf(s.Line, 1, "put of null (guard with != null)")
 	return func(fr frame) {
 		v := t(fr)
@@ -335,7 +350,7 @@ func (b *body) expr(e Expr) (expr, error) {
 	case *VarRef:
 		// Inside a get lambda, unqualified names are the queried row's
 		// columns first, then variables.
-		if b.row != nil && b.row.ColumnIndex(e.Name) >= 0 {
+		if b.isColumn(e.Name) {
 			return field(load(typ{k: kTuple, sch: b.row}, b.rowAt), e.Name, e.Line)
 		}
 		if v, ok := b.lookup(e.Name); ok {
@@ -698,7 +713,7 @@ func (q *query) filter(fr frame) func(*tuple.Tuple) bool {
 }
 
 func (b *body) query(g *GetExpr) (*query, error) {
-	if b.top {
+	if b.contract == nil {
 		return nil, errf(g.Line, 1, "get queries are not allowed in top-level puts")
 	}
 	s, err := b.c.schema(g.Table, g.Line)
@@ -711,7 +726,6 @@ func (b *body) query(g *GetExpr) (*query, error) {
 	if b.row != nil {
 		return nil, errf(g.Line, 1, "nested get inside a query lambda is not supported")
 	}
-	b.c.noteGet(g.Table, len(g.Args))
 	q := &query{s: s, prefix: make([]func(frame) tuple.Value, len(g.Args))}
 	for i, a := range g.Args {
 		x, err := b.expr(a)
@@ -722,10 +736,13 @@ func (b *body) query(g *GetExpr) (*query, error) {
 			return nil, errf(g.Line, 1, "get %s arg %d: cannot use %s as %v", g.Table, i+1, x.typ, s.Columns[i].Kind)
 		}
 	}
+	qv := b.contract.freshVar("q")
+	var where []causality.Constraint
 	if g.Lambda != nil {
 		q.row = b.slots
 		b.slots++
-		b.row, b.rowAt = s, q.row
+		b.row, b.rowAt, b.rowSym = s, q.row, qv
+		where = b.guardConstraints(g.Lambda)
 		x, err := b.expr(g.Lambda)
 		b.row = nil
 		if err != nil {
@@ -736,7 +753,14 @@ func (b *body) query(g *GetExpr) (*query, error) {
 		}
 		q.where = x.b
 	}
+	b.noteQuery(g, s, qv, where)
 	return q, nil
+}
+
+// isColumn reports whether name is a column of the queried row, which an
+// unqualified name in a get lambda reads before any variable.
+func (b *body) isColumn(name string) bool {
+	return b.row != nil && b.row.ColumnIndex(name) >= 0
 }
 
 // get compiles a get expression; the iterable form belongs to for loops.

@@ -3,6 +3,7 @@ package lang
 import (
 	"fmt"
 
+	"github.com/jstar-lang/jstar/internal/causality"
 	"github.com/jstar-lang/jstar/internal/core"
 	"github.com/jstar-lang/jstar/internal/gamma"
 	"github.com/jstar-lang/jstar/internal/tuple"
@@ -14,17 +15,25 @@ import (
 // an ill-typed program is a located error, never a run that fails at its
 // first firing.
 func Compile(f *File) (*core.Program, error) {
-	c := &compiler{prog: core.NewProgram(), tables: map[string]*tuple.Schema{}, usage: map[string]*tableUsage{}}
+	prog, _, err := CompileSpecs(f)
+	return prog, err
+}
+
+// CompileSpecs is Compile that also returns each rule's contract, in
+// declaration order: the symbolic puts and gets its typing recorded
+// (spec.go), on which causality.Checker discharges the §4 obligations.
+func CompileSpecs(f *File) (*core.Program, []causality.RuleSpec, error) {
+	c := &compiler{prog: core.NewProgram(), tables: map[string]*tuple.Schema{}}
 	// Pass 1: tables and orders (rules may reference later tables).
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *TableDecl:
 			if err := c.table(d); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		case *OrderDecl:
 			if err := c.order(d); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
@@ -33,17 +42,17 @@ func Compile(f *File) (*core.Program, error) {
 		switch d := d.(type) {
 		case *PutDecl:
 			if err := c.topPut(d); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		case *RuleDecl:
 			if err := c.rule(d); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
 	// Pass 3: static store-plan hints from the rules' query shapes.
 	c.emitPlanHints()
-	return c.prog, nil
+	return c.prog, c.specs, nil
 }
 
 // CompileSource parses and compiles JStar source text.
@@ -58,8 +67,7 @@ func CompileSource(src string) (*core.Program, error) {
 type compiler struct {
 	prog   *core.Program
 	tables map[string]*tuple.Schema
-	usage  map[string]*tableUsage // per table, the get shapes of every rule
-	nrules int
+	specs  []causality.RuleSpec // the contract of each rule compiled so far
 }
 
 func (c *compiler) table(d *TableDecl) error {
@@ -128,7 +136,7 @@ func (c *compiler) topPut(d *PutDecl) (err error) {
 			err = errf(d.Line, 1, "top-level put: %v", e)
 		}
 	}()
-	b := &body{c: c, top: true}
+	b := &body{c: c}
 	vals := make([]tuple.Value, len(d.Expr.Args))
 	for i, a := range d.Expr.Args {
 		x, err := b.expr(a)
@@ -151,13 +159,15 @@ func (c *compiler) rule(d *RuleDecl) error {
 	if err != nil {
 		return err
 	}
-	b := &body{c: c, vars: []binding{{d.Var, typ{k: kTuple, sch: trig}, trigger}}}
+	name := fmt.Sprintf("foreach_%s_%d", d.Table, len(c.specs)+1)
+	ct := &contract{taken: map[string]bool{d.Var: true}}
+	ct.Name, ct.Trigger, ct.TriggerKey = name, d.Table, causality.KeyOfSchema(trig, d.Var)
+	b := &body{c: c, contract: ct, vars: []binding{{d.Var, typ{k: kTuple, sch: trig}, trigger, d.Var}}}
 	run, err := b.block(d.Body)
 	if err != nil {
 		return err
 	}
-	c.nrules++
-	name := fmt.Sprintf("foreach_%s_%d", d.Table, c.nrules)
+	c.specs = append(c.specs, ct.RuleSpec)
 	slots := b.slots
 	c.prog.Rule(name, trig, func(ctx *core.Ctx, t *tuple.Tuple) {
 		fr := frame{ctx: ctx, trig: t}
@@ -169,30 +179,9 @@ func (c *compiler) rule(d *RuleDecl) error {
 	return nil
 }
 
-// tableUsage accumulates the get shapes that rule bodies issue against one
-// table; a table with no entry is never queried by any rule.
-type tableUsage struct {
-	scanned   bool // some get had an empty equality prefix
-	minPrefix int  // shortest non-empty get prefix
-}
-
-// noteGet records a rule's get of table with an n-value equality prefix.
-func (c *compiler) noteGet(table string, n int) {
-	u := c.usage[table]
-	if u == nil {
-		u = &tableUsage{}
-		c.usage[table] = u
-	}
-	if n == 0 {
-		u.scanned = true
-	} else if !u.scanned && (u.minPrefix == 0 || n < u.minPrefix) {
-		u.minPrefix = n
-	}
-}
-
 // emitPlanHints is the compiler's static half of store planning: where
 // PlanFromStats reads a finished run's counters, this pass reads the get
-// shapes the rule bodies' typing recorded (noteGet) and hints each declared table on the
+// shapes the rules' contracts recorded and hints each declared table on the
 // program (Program.PlanHint — the lowest-priority selection layer, so
 // GammaHint and Options.StorePlan still win):
 //   - a table no rule queries becomes columnar, whoever fills it — rule
@@ -209,12 +198,20 @@ func (c *compiler) noteGet(table string, n int) {
 // Served clients may still prefix-query a columnar table over /query: it
 // answers a prefix of at least k values from one key's chain.
 func (c *compiler) emitPlanHints() {
+	minPrefix := map[string]int{} // per queried table, its shortest get prefix
+	for _, r := range c.specs {
+		for _, q := range r.Queries {
+			if m, seen := minPrefix[q.Table]; !seen || q.Prefix < m {
+				minPrefix[q.Table] = q.Prefix
+			}
+		}
+	}
 	for name := range c.tables {
-		switch u := c.usage[name]; {
-		case u == nil:
+		switch m, queried := minPrefix[name]; {
+		case !queried:
 			c.prog.PlanHint(name, "columnar")
-		case !u.scanned && u.minPrefix >= 1:
-			c.prog.PlanHint(name, gamma.ColumnarSpec(u.minPrefix))
+		case m >= 1:
+			c.prog.PlanHint(name, gamma.ColumnarSpec(m))
 		}
 	}
 }

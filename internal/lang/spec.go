@@ -2,114 +2,157 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/jstar-lang/jstar/internal/causality"
 	"github.com/jstar-lang/jstar/internal/tuple"
 )
 
-// This file extracts symbolic causality.RuleSpecs from parsed rules, so
-// cmd/jstar-check can discharge the §4 proof obligations on real source.
-// The extraction is a sound best-effort: put/query key components that are
-// affine (c0 + c1*trigger.field ± ...) become linear expressions; anything
-// else becomes a fresh unconstrained variable, and guards that are not
-// affine comparisons are dropped — both choices only make obligations
+// This file translates a rule body into a symbolic causality.RuleSpec, its
+// contract, as the typing pass (body.go) types it: the trigger's key, each
+// put's key and each get's key and kind, under the affine if guards in
+// scope. Names resolve through the typing pass's own scopes, so a binding
+// is the binding the closures read: every binding has its own symbol (a
+// shadowing one is renamed x#2), and an unqualified column in a lambda is
+// the queried row's, bound to a fresh q-variable. cmd/jstar-check discharges
+// the §4 proof obligations on these contracts, and emitPlanHints reads
+// their gets' prefixes. The translation is a sound best-effort: a key
+// component that is affine (c0 + c1*x.field ± ...) becomes a linear
+// expression and any other a fresh unconstrained variable, and a guard
+// that is not an affine comparison is dropped — both only make obligations
 // harder to prove, never easier.
 
-// ExtractSpecs builds one RuleSpec per foreach rule in the file.
-func ExtractSpecs(f *File) ([]causality.RuleSpec, error) {
-	tables := map[string]*TableDecl{}
-	for _, d := range f.Decls {
-		if td, ok := d.(*TableDecl); ok {
-			tables[td.Name] = td
+// contract is one rule's RuleSpec while the rule is typed.
+type contract struct {
+	causality.RuleSpec
+	guards []causality.Constraint // the affine if guards in scope
+	taken  map[string]bool        // the symbols in use
+	fresh  int
+}
+
+// symbol returns an unused symbol: name itself if free, else name#2, ...
+func (ct *contract) symbol(name string) string {
+	sym := name
+	for n := 2; ct.taken[sym]; n++ {
+		sym = fmt.Sprintf("%s#%d", name, n)
+	}
+	ct.taken[sym] = true
+	return sym
+}
+
+// freshVar returns a new variable named after hint, e.g. q3 or $put4.
+func (ct *contract) freshVar(hint string) string {
+	for {
+		ct.fresh++
+		if v := fmt.Sprintf("%s%d", hint, ct.fresh); !ct.taken[v] {
+			ct.taken[v] = true
+			return v
 		}
 	}
-	var specs []causality.RuleSpec
-	n := 0
-	for _, d := range f.Decls {
-		rd, ok := d.(*RuleDecl)
-		if !ok {
+}
+
+// accumulated gives the accumulator in scope named name, or every one when
+// name is "", a new symbol: += changes an accumulator's value, so no guard
+// on its old value holds of its new one. A loop body may run after its own
+// +=, so it starts with every accumulator renamed.
+func (b *body) accumulated(name string) {
+	for i := len(b.vars) - 1; i >= 0; i-- {
+		v := &b.vars[i]
+		if (v.k == kInt || v.k == kFloat || v.k == kStats) && (name == "" || v.name == name) {
+			v.sym = b.contract.symbol(v.name)
+			if name != "" {
+				return
+			}
+		}
+	}
+}
+
+// notePut records a put of a row of s: `put new T(args)`, or with args nil
+// a put of a tuple value, whose key is unknown.
+func (b *body) notePut(s *tuple.Schema, args []Expr) {
+	b.contract.Puts = append(b.contract.Puts, causality.PutSpec{
+		Table: s.Name,
+		Guard: slices.Clone(b.contract.guards),
+		Key: b.key(s, args, func(string) causality.Expr {
+			return causality.Var(b.contract.freshVar("$put"))
+		}),
+	})
+}
+
+// noteQuery records get g of s, whose lambda guards are where.
+func (b *body) noteQuery(g *GetExpr, s *tuple.Schema, qv string, where []causality.Constraint) {
+	kind := causality.Positive
+	switch g.Mode {
+	case GetUniq:
+		// `get uniq? T(...)` used as existence check; its result can
+		// be invalidated by future puts, so it is a negative query.
+		kind = causality.Negative
+	case GetMin, GetCount:
+		kind = causality.Aggregate
+	}
+	b.contract.Queries = append(b.contract.Queries, causality.QuerySpec{
+		Table:  g.Table,
+		Kind:   kind,
+		Prefix: len(g.Args),
+		Guard:  append(slices.Clone(b.contract.guards), where...),
+		Key: b.key(s, g.Args, func(field string) causality.Expr {
+			return causality.Var(qv + "." + field)
+		}),
+	})
+}
+
+// key is the symbolic orderby key of a row of s whose first columns are
+// args: an affine argument is its linear form, and any other field is
+// other(field).
+func (b *body) key(s *tuple.Schema, args []Expr, other func(field string) causality.Expr) []causality.KeyExpr {
+	out := make([]causality.KeyExpr, len(s.OrderBy))
+	for i, e := range s.OrderBy {
+		if e.Kind == tuple.OrderLit {
+			out[i] = causality.LitKey(e.Lit)
 			continue
 		}
-		n++
-		td, ok := tables[rd.Table]
-		if !ok {
-			return nil, errf(rd.Line, 1, "unknown table %s", rd.Table)
+		if c := s.OrderByColumn(i); c < len(args) {
+			if a, ok := b.affine(args[c]); ok {
+				out[i] = causality.ExprKey(a)
+				continue
+			}
 		}
-		ex := &extractor{
-			tables:  tables,
-			trigVar: rd.Var,
-			fresh:   0,
-		}
-		spec := causality.RuleSpec{
-			Name:       fmt.Sprintf("foreach_%s_%d", rd.Table, n),
-			Trigger:    rd.Table,
-			TriggerKey: ex.schemaKey(td, rd.Var),
-		}
-		ex.walk(rd.Body, nil, &spec)
-		specs = append(specs, spec)
-	}
-	return specs, nil
-}
-
-// ExtractSpecsSource parses src and extracts rule specs.
-func ExtractSpecsSource(src string) ([]causality.RuleSpec, error) {
-	f, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return ExtractSpecs(f)
-}
-
-type extractor struct {
-	tables  map[string]*TableDecl
-	trigVar string
-	fresh   int
-}
-
-func (ex *extractor) freshVar(hint string) causality.Expr {
-	ex.fresh++
-	return causality.Var(fmt.Sprintf("$%s%d", hint, ex.fresh))
-}
-
-// schemaKey is the symbolic key of table td's own tuples bound to var v.
-func (ex *extractor) schemaKey(td *TableDecl, v string) []causality.KeyExpr {
-	var out []causality.KeyExpr
-	for _, e := range td.OrderBy {
-		if e.Kind == "lit" {
-			out = append(out, causality.LitKey(e.Name))
-		} else {
-			out = append(out, causality.ExprKey(causality.Var(v+"."+e.Name)))
-		}
+		out[i] = causality.ExprKey(other(e.Field))
 	}
 	return out
 }
 
-// affine converts an expression over the trigger tuple into a linear
+// affine converts an expression over the bindings in scope into a linear
 // expression; ok is false for non-affine shapes.
-func (ex *extractor) affine(e Expr) (causality.Expr, bool) {
+func (b *body) affine(e Expr) (causality.Expr, bool) {
 	switch e := e.(type) {
 	case *IntLit:
 		return causality.Const(e.V), true
 	case *FieldAccess:
-		if vr, ok := e.X.(*VarRef); ok {
-			// Any bound tuple variable's field is a symbolic variable;
-			// the trigger variable's fields are what invariants and keys
-			// typically constrain.
-			return causality.Var(vr.Name + "." + e.Field), true
+		if vr, ok := e.X.(*VarRef); ok && !b.isColumn(vr.Name) {
+			if v, ok := b.lookup(vr.Name); ok {
+				return causality.Var(v.sym + "." + e.Field), true
+			}
 		}
 		return causality.Expr{}, false
 	case *VarRef:
-		return causality.Var(e.Name), true
+		if b.isColumn(e.Name) {
+			return causality.Var(b.rowSym + "." + e.Name), true
+		}
+		if v, ok := b.lookup(e.Name); ok {
+			return causality.Var(v.sym), true
+		}
+		return causality.Expr{}, false
 	case *Unary:
 		if e.Op == "-" {
-			if x, ok := ex.affine(e.X); ok {
+			if x, ok := b.affine(e.X); ok {
 				return x.Scale(-1), true
 			}
 		}
 		return causality.Expr{}, false
 	case *Binary:
-		l, lok := ex.affine(e.L)
-		r, rok := ex.affine(e.R)
+		l, lok := b.affine(e.L)
+		r, rok := b.affine(e.R)
 		if !lok || !rok {
 			return causality.Expr{}, false
 		}
@@ -135,15 +178,15 @@ func (ex *extractor) affine(e Expr) (causality.Expr, bool) {
 
 // guardConstraints converts a boolean condition into linear constraints
 // (best effort: non-affine conjuncts are dropped).
-func (ex *extractor) guardConstraints(cond Expr) []causality.Constraint {
+func (b *body) guardConstraints(cond Expr) []causality.Constraint {
 	switch e := cond.(type) {
 	case *Binary:
 		switch e.Op {
 		case "&&":
-			return append(ex.guardConstraints(e.L), ex.guardConstraints(e.R)...)
+			return append(b.guardConstraints(e.L), b.guardConstraints(e.R)...)
 		case "<", "<=", ">", ">=", "==":
-			l, lok := ex.affine(e.L)
-			r, rok := ex.affine(e.R)
+			l, lok := b.affine(e.L)
+			r, rok := b.affine(e.R)
 			if !lok || !rok {
 				return nil
 			}
@@ -162,174 +205,4 @@ func (ex *extractor) guardConstraints(cond Expr) []causality.Constraint {
 		}
 	}
 	return nil
-}
-
-// keyOfPut builds the symbolic key of a `new T(args)` put.
-func (ex *extractor) keyOfPut(ne *NewExpr) []causality.KeyExpr {
-	td, ok := ex.tables[ne.Table]
-	if !ok {
-		return nil
-	}
-	colIndex := map[string]int{}
-	for i, c := range td.Cols {
-		colIndex[c.Name] = i
-	}
-	var out []causality.KeyExpr
-	for _, e := range td.OrderBy {
-		if e.Kind == "lit" {
-			out = append(out, causality.LitKey(e.Name))
-			continue
-		}
-		idx, ok := colIndex[e.Name]
-		if !ok || idx >= len(ne.Args) {
-			out = append(out, causality.ExprKey(ex.freshVar("put")))
-			continue
-		}
-		if a, ok := ex.affine(ne.Args[idx]); ok {
-			out = append(out, causality.ExprKey(a))
-		} else {
-			out = append(out, causality.ExprKey(ex.freshVar("put")))
-		}
-	}
-	return out
-}
-
-// keyOfQuery builds the symbolic key and guards of a get query. Prefix
-// arguments bind the corresponding columns; lambda comparisons over a
-// single queried field add guards through a q-variable.
-func (ex *extractor) keyOfQuery(ge *GetExpr) ([]causality.KeyExpr, []causality.Constraint) {
-	td, ok := ex.tables[ge.Table]
-	if !ok {
-		return nil, nil
-	}
-	ex.fresh++
-	qv := fmt.Sprintf("q%d", ex.fresh)
-	colIndex := map[string]int{}
-	for i, c := range td.Cols {
-		colIndex[c.Name] = i
-	}
-	var guards []causality.Constraint
-	if ge.Lambda != nil {
-		// Lambda fields are unqualified; qualify them with the q-variable.
-		guards = ex.guardConstraints(qualify(ge.Lambda, colIndex, qv))
-	}
-	var out []causality.KeyExpr
-	for _, e := range td.OrderBy {
-		if e.Kind == "lit" {
-			out = append(out, causality.LitKey(e.Name))
-			continue
-		}
-		idx, ok := colIndex[e.Name]
-		if ok && idx < len(ge.Args) {
-			if a, aok := ex.affine(ge.Args[idx]); aok {
-				out = append(out, causality.ExprKey(a))
-				continue
-			}
-		}
-		// Unbound orderby field: the q-variable (possibly constrained by
-		// the lambda guards).
-		out = append(out, causality.ExprKey(causality.Var(qv+"."+e.Name)))
-	}
-	return out, guards
-}
-
-// qualify rewrites unqualified field references in a lambda into
-// qv.field references so they line up with the query key variables.
-func qualify(e Expr, cols map[string]int, qv string) Expr {
-	switch e := e.(type) {
-	case *VarRef:
-		if _, ok := cols[e.Name]; ok {
-			return &FieldAccess{X: &VarRef{Name: qv}, Field: e.Name, Line: e.Line}
-		}
-		return e
-	case *Binary:
-		return &Binary{Op: e.Op, L: qualify(e.L, cols, qv), R: qualify(e.R, cols, qv), Line: e.Line}
-	case *Unary:
-		return &Unary{Op: e.Op, X: qualify(e.X, cols, qv), Line: e.Line}
-	default:
-		return e
-	}
-}
-
-// walk visits statements gathering puts and queries under path guards.
-func (ex *extractor) walk(stmts []Stmt, guards []causality.Constraint, spec *causality.RuleSpec) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *IfStmt:
-			thenGuards := append(append([]causality.Constraint{}, guards...),
-				ex.guardConstraints(s.Cond)...)
-			ex.walk(s.Then, thenGuards, spec)
-			// Else branch: the negated guard is usually non-affine
-			// (negation of a conjunction); drop it — sound.
-			ex.walk(s.Else, guards, spec)
-			ex.collectQueries(s.Cond, guards, spec)
-		case *ValStmt:
-			ex.collectQueries(s.Expr, guards, spec)
-		case *PutStmt:
-			if ne, ok := s.Expr.(*NewExpr); ok && ne.Table != "Statistics" {
-				spec.Puts = append(spec.Puts, causality.PutSpec{
-					Table: ne.Table,
-					Guard: append([]causality.Constraint{}, guards...),
-					Key:   ex.keyOfPut(ne),
-				})
-			}
-			ex.collectQueries(s.Expr, guards, spec)
-		case *PrintlnStmt:
-			ex.collectQueries(s.Expr, guards, spec)
-		case *ForStmt:
-			ex.addQuery(s.Query, causality.Positive, guards, spec)
-			ex.walk(s.Body, guards, spec)
-		case *AccumStmt:
-			ex.collectQueries(s.Expr, guards, spec)
-		}
-	}
-}
-
-// collectQueries finds get expressions nested in an expression.
-func (ex *extractor) collectQueries(e Expr, guards []causality.Constraint, spec *causality.RuleSpec) {
-	switch e := e.(type) {
-	case *GetExpr:
-		kind := causality.Positive
-		switch e.Mode {
-		case GetUniq:
-			// `get uniq? T(...)` used as existence check; its result can
-			// be invalidated by future puts, so it is a negative query.
-			kind = causality.Negative
-		case GetMin, GetCount:
-			kind = causality.Aggregate
-		}
-		ex.addQuery(e, kind, guards, spec)
-	case *Binary:
-		ex.collectQueries(e.L, guards, spec)
-		ex.collectQueries(e.R, guards, spec)
-	case *Unary:
-		ex.collectQueries(e.X, guards, spec)
-	case *FieldAccess:
-		ex.collectQueries(e.X, guards, spec)
-	case *NewExpr:
-		for _, a := range e.Args {
-			ex.collectQueries(a, guards, spec)
-		}
-	case *CallExpr:
-		for _, a := range e.Args {
-			ex.collectQueries(a, guards, spec)
-		}
-	}
-}
-
-func (ex *extractor) addQuery(ge *GetExpr, kind causality.QueryKind,
-	guards []causality.Constraint, spec *causality.RuleSpec) {
-	key, qguards := ex.keyOfQuery(ge)
-	spec.Queries = append(spec.Queries, causality.QuerySpec{
-		Table: ge.Table,
-		Kind:  kind,
-		Guard: append(append([]causality.Constraint{}, guards...), qguards...),
-		Key:   key,
-	})
-}
-
-// SchemaKeyFor exposes schemaKey for tools that build specs from engine
-// schemas rather than source (cmd/jstar-check's built-in suites).
-func SchemaKeyFor(s *tuple.Schema, varName string) []causality.KeyExpr {
-	return causality.KeyOfSchema(s, varName)
 }

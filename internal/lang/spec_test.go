@@ -8,9 +8,19 @@ import (
 	"github.com/jstar-lang/jstar/internal/order"
 )
 
+// compileSpecs parses and compiles src, returning its rules' contracts.
+func compileSpecs(src string) ([]causality.RuleSpec, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	_, specs, err := CompileSpecs(f)
+	return specs, err
+}
+
 func checkSource(t *testing.T, src string, orders ...[]string) []causality.Obligation {
 	t.Helper()
-	specs, err := ExtractSpecsSource(src)
+	specs, err := compileSpecs(src)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
@@ -138,11 +148,12 @@ func TestExtractDijkstra(t *testing.T) {
 	if allProved {
 		t.Error("unbounded Done(edge.to) query should not be provable")
 	}
-	// put Estimate(distance + edge.value): needs value >= 1, which the
-	// extractor cannot know without an invariant — expect a warning.
+	// put Estimate(distance + edge.value): a non-strict obligation that
+	// needs edge.value >= 0, which the contract cannot know without an
+	// invariant — expect a warning.
 	for _, o := range byKind["put/Estimate"] {
 		if o.Proved {
-			t.Error("Estimate put without the edge.value>=1 invariant should warn")
+			t.Error("Estimate put without the edge.value>=0 invariant should warn")
 		}
 	}
 }
@@ -205,7 +216,7 @@ func TestExtractAggregateQueries(t *testing.T) {
 }
 
 func TestReportOnExtractedSpecs(t *testing.T) {
-	specs, err := ExtractSpecsSource(shipSrc)
+	specs, err := compileSpecs(shipSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +224,90 @@ func TestReportOnExtractedSpecs(t *testing.T) {
 	rep := causality.Report(causality.NewChecker(po).Check(specs))
 	if !strings.Contains(rep, "1/1 obligations proved") {
 		t.Errorf("report:\n%s", rep)
+	}
+}
+
+// shadowSrc's loop variable x shadows the trigger x: the put's key is the
+// inner U row's t, which may be below the trigger's, so the put obligation
+// must not be proved (at run time, put new U(1) then put new T(5) fires
+// the rule on T(5), which puts T(1) into the past).
+const shadowSrc = `
+table T(int t) orderby (Int, seq t)
+table U(int t) orderby (U)
+order U < Int
+put new T(5)
+put new U(1)
+foreach (T x) { for (x : get U()) { put new T(x.t) } }`
+
+func TestExtractShadowedBinding(t *testing.T) {
+	obs := checkSource(t, shadowSrc, []string{"U", "Int"})
+	var put *causality.Obligation
+	for i, o := range obs {
+		if o.Kind == "put" {
+			put = &obs[i]
+		}
+	}
+	if put == nil || put.Proved {
+		t.Fatalf("put of the shadowing x's t must not be proved: %+v", obs)
+	}
+}
+
+// TestExtractNestedGetInPrefix: a same-timestamp count nested in another
+// get's prefix, of a get uniq? or of a for query, is its own aggregate
+// query and must warn.
+func TestExtractNestedGetInPrefix(t *testing.T) {
+	for _, stmt := range []string{
+		`val b = get uniq? B(a.t - 1, get count C(a.t)) println(b)`,
+		`for (b : get B(a.t - 1, get count C(a.t))) { println(b) }`,
+	} {
+		src := `
+	table A(int t) orderby (Int, seq t)
+	table B(int t, int n) orderby (Int, seq t)
+	table C(int t) orderby (Int, seq t)
+	foreach (A a) { ` + stmt + ` }`
+		var cs []causality.Obligation
+		for _, o := range checkSource(t, src) {
+			if o.Kind == "query" && o.Target == "C" {
+				cs = append(cs, o)
+			}
+		}
+		if len(cs) != 1 || cs[0].Proved {
+			t.Errorf("%s: want one unproved query C, got %+v", stmt, cs)
+		}
+	}
+}
+
+// TestExtractPutOfTupleValue: `put t` of a tuple built earlier is a put
+// whose key is unknown, so it must warn.
+func TestExtractPutOfTupleValue(t *testing.T) {
+	src := `
+	table T(int t) orderby (Int, seq t)
+	foreach (T x) { val y = new T(x.t - 1) put y }`
+	obs := checkSource(t, src)
+	if len(obs) != 1 || obs[0].Kind != "put" || obs[0].Proved {
+		t.Fatalf("put of a tuple value must be an unproved put: %+v", obs)
+	}
+}
+
+// TestExtractAccumulatedBinding: a guard on an accumulator's value before
+// a += says nothing of its value after, whether the += comes first in
+// straight-line code or in an earlier iteration of a loop. A put of the
+// value before the +=, and a guard on the trigger inside a loop, are still
+// proved.
+func TestExtractAccumulatedBinding(t *testing.T) {
+	for stmt, proved := range map[string]bool{
+		`if (n >= x.t) { n += -1 put new T(n) }`:                       false,
+		`if (n >= x.t) { for (u : get U()) { put new T(n) n += -1 } }`: false,
+		`if (n >= x.t) { put new T(n) n += -1 }`:                       true,
+		`if (x.t >= 0) { for (u : get U()) { put new T(2 * x.t) } }`:   true,
+	} {
+		src := `
+	table T(int t) orderby (Int, seq t)
+	table U(int u) orderby (U)
+	foreach (T x) { val n = x.t ` + stmt + ` }`
+		obs := checkSource(t, src, []string{"U", "Int"})
+		if o := obs[0]; o.Kind != "put" || o.Proved != proved {
+			t.Errorf("%s: %+v, want a put proved %v", stmt, o, proved)
+		}
 	}
 }
